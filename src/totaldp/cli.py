@@ -144,7 +144,10 @@ def _parse_mu0(spec: str, model) -> Policy:
                                "(use greedy | comma-separated control indices)")
     if len(choices) != model.num_states:
         raise click.UsageError(f"policy spec needs {model.num_states} indices")
-    return Policy.deterministic(model, choices)
+    try:
+        return Policy.deterministic(model, choices)
+    except ValueError as err:
+        raise click.UsageError(f"bad policy spec {spec!r}: {err}")
 
 
 @main.command()

@@ -9,6 +9,15 @@ from IEEE float semantics:
 Every expectation and sum of extended-real quantities in this package is
 routed through the helpers below, so NaN can never appear in a value
 vector or Q-vector.  Comparisons on the resulting floats are then total.
+
+The vector helpers work on the model's pair axis: every atomic
+(state, control) pair in one flat array, state-major, so that each state
+owns a contiguous segment that starts at `TotalCostModel.pair_starts`.
+Each helper takes a finite fast path (plain numpy arithmetic, one
+`np.add.reduceat` per segment sum) when its inputs hold no infinity, and
+otherwise a masked path that applies the two conventions above through
+explicit masks.  Neither path rewrites NaN, so a NaN input stays visible
+in the output.
 """
 
 from __future__ import annotations
@@ -25,6 +34,17 @@ def xadd(a: float, b: float) -> float:
     if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
         return INF
     return a + b
+
+
+def xadd_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise `xadd`: entries where a and b are opposite infinities
+    are set to +inf by an explicit mask; every other entry is a + b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    clash = np.isinf(a) & np.isinf(b) & (a != b)
+    if not clash.any():
+        return a + b
+    return np.add(a, b, out=np.full(clash.shape, INF), where=~clash)
 
 
 def xmul(a: float, b: float) -> float:
@@ -68,6 +88,27 @@ def expect_rows(P: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = P[:, finite] @ values[finite]
     neg = (P[:, np.isneginf(values)] > 0.0).any(axis=1)
     pos = (P[:, np.isposinf(values)] > 0.0).any(axis=1)
+    out[neg] = -INF
+    out[pos] = INF
+    return out
+
+
+def expect_segments(weights: np.ndarray, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """Segment-wise `expect`: entry s is the weighted sum over
+    values[starts[s]:starts[s + 1]] (the last segment runs to the end).
+
+    `starts` must be strictly increasing, so that no segment is empty.
+    Zero-weight infinities contribute nothing, and a segment with
+    positively weighted +inf and -inf entries is +inf.
+    """
+    inf_mask = np.isinf(values)
+    if not inf_mask.any():
+        return np.add.reduceat(weights * values, starts)
+    out = np.add.reduceat(weights * np.where(inf_mask, 0.0, values), starts)
+    live = weights > 0.0
+    neg = np.logical_or.reduceat(live & (values == -INF), starts)
+    pos = np.logical_or.reduceat(live & (values == INF), starts)
     out[neg] = -INF
     out[pos] = INF
     return out

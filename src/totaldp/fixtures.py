@@ -55,12 +55,6 @@ def _absorbing_row(n: int, x: int) -> np.ndarray:
     return row
 
 
-def _goto_row(n: int, x: int) -> np.ndarray:
-    row = np.zeros(n)
-    row[x] = 1.0
-    return row
-
-
 def _fx_n2() -> Fixture:
     # Two states, nonpositive costs.  State 1 can loop at cost 0 or pay
     # -1 once and absorb at state 0.  The loop policy satisfies the
@@ -70,7 +64,7 @@ def _fx_n2() -> Fixture:
         controls=(
             (AtomicControl("loop", 0.0, _absorbing_row(2, 0)),),
             (AtomicControl("stay", 0.0, _absorbing_row(2, 1)),
-             AtomicControl("go", -1.0, _goto_row(2, 0))),
+             AtomicControl("go", -1.0, _absorbing_row(2, 0))),
         ),
         state_names=("0", "1"),
     )
@@ -89,7 +83,7 @@ def _fx_p2() -> Fixture:
         controls=(
             (AtomicControl("loop", 0.0, _absorbing_row(2, 0)),),
             (AtomicControl("stay", 0.0, _absorbing_row(2, 1)),
-             AtomicControl("go", 1.0, _goto_row(2, 0))),
+             AtomicControl("go", 1.0, _absorbing_row(2, 0))),
         ),
         state_names=("0", "1"),
     )
@@ -116,7 +110,7 @@ def _fx_p3a() -> Fixture:
         controls=(
             (AtomicControl("loop", 0.0, _absorbing_row(3, 0)),),
             (AtomicControl("stay", 1.0, _absorbing_row(3, 1)),),
-            (AtomicControl("t", 1.0, _goto_row(3, 0)),),
+            (AtomicControl("t", 1.0, _absorbing_row(3, 0)),),
         ),
         families=((), (), (fam,)),
         state_names=("0", "1", "2"),
@@ -143,7 +137,7 @@ def _fx_p3b() -> Fixture:
         controls=(
             (AtomicControl("loop", 0.0, _absorbing_row(3, 0)),),
             (),
-            (AtomicControl("down", 1.0, _goto_row(3, 1)),),
+            (AtomicControl("down", 1.0, _absorbing_row(3, 1)),),
         ),
         families=((), (fam,), ()),
         state_names=("0", "1", "2"),
@@ -159,8 +153,8 @@ def _fx_p4() -> Fixture:
         regime="P", discount=1.0,
         controls=(
             (AtomicControl("loop", 0.0, _absorbing_row(3, 0)),),
-            (AtomicControl("step", 1.0, _goto_row(3, 0)),),
-            (AtomicControl("step", 1.0, _goto_row(3, 1)),),
+            (AtomicControl("step", 1.0, _absorbing_row(3, 0)),),
+            (AtomicControl("step", 1.0, _absorbing_row(3, 1)),),
         ),
         state_names=("0", "1", "2"),
     )

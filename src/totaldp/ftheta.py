@@ -16,18 +16,22 @@ meets R elsewhere.
 
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
-plain fixed-policy Q backup.
+plain fixed-policy Q backup.  One application is a few pair-axis array
+operations: lift J onto the pairs, take min{J, Q}, mix it per state with
+the policy's pair weights (a segment-wise expectation), and run the
+shared Q backup of the operators module against the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .extreal import INF, expect, expect_rows, sup_dist, xadd
-from .model import AtomicMix, Policy, TotalCostModel, validate_policy
-from .operators import m_minimize
+from .extreal import INF, expect_segments, sup_dist
+from .model import Policy, TotalCostModel, validate_policy
+from .operators import m_minimize, pair_backup
 
 
 class FixedPointError(RuntimeError):
@@ -48,6 +52,13 @@ class Theta:
 
     def __post_init__(self):
         object.__setattr__(self, "B", frozenset(self.B))
+
+    @cached_property
+    def B_index(self) -> np.ndarray:
+        """The states of B as a sorted index array."""
+        idx = np.array(sorted(self.B), dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -75,21 +86,20 @@ def _check_inputs(model: TotalCostModel, policy: Policy) -> None:
         raise ValueError("invalid policy: " + "; ".join(errs))
 
 
-def _mixed_floor(model: TotalCostModel, policy: Policy, Q: np.ndarray,
-                 J: np.ndarray, x: int) -> float:
-    """sum_u' mu(u'|x) min{J(x), Q(x, u')} at one state."""
-    a = policy.actions[x]
-    assert isinstance(a, AtomicMix)
-    vals = np.minimum(J[x], Q[model.pair_slices[x]])
-    return expect(a.weights, vals)
+def _floor_backup(model: TotalCostModel, policy: Policy, B: np.ndarray,
+                  V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Q backup against J, where J(x) for x in B is replaced by
+    sum_u' mu(u'|x) V(x, u') for a pair-axis vector V."""
+    w = J.copy()
+    if B.size:
+        w[B] = expect_segments(policy.pair_weights, V, model.pair_starts)[B]
+    return pair_backup(model, w)
 
 
 def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
              J: np.ndarray) -> np.ndarray:
-    w = J.astype(float).copy()
-    for x in theta.B:
-        w[x] = _mixed_floor(model, theta.policy, Q, J, x)
-    return _backup_against(model, w)
+    V = np.minimum(J[model.pair_state], Q)
+    return _floor_backup(model, theta.policy, theta.B_index, V, J)
 
 
 def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
@@ -107,28 +117,11 @@ def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
     _check_inputs(model, theta_hat.policy)
     Q = np.asarray(Q, dtype=float)
     J = np.asarray(J, dtype=float)
-    w = J.astype(float).copy()
-    for x in theta_hat.B:
-        a = theta_hat.policy.actions[x]
-        assert isinstance(a, AtomicMix)
-        vals = np.array([
-            min(J[x], Q[model.pair_index[(x, i)]]) if (x, i) in theta_hat.R else J[x]
-            for i in range(len(model.controls[x]))
-        ])
-        w[x] = expect(a.weights, vals)
-    return _backup_against(model, w)
-
-
-def _backup_against(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
-    cont = expect_rows(model.pair_probs, w)
-    if model.discount == 0.0:
-        cont = np.zeros_like(cont)
-    elif model.discount != 1.0:
-        cont = cont * model.discount
-    g = model.pair_costs
-    if np.isinf(g).any() or np.isinf(cont).any():
-        return np.array([xadd(a, b) for a, b in zip(g, cont)])
-    return g + cont
+    in_R = np.array([p in theta_hat.R for p in model.pairs], dtype=bool)
+    Jp = J[model.pair_state]
+    V = np.where(in_R, np.minimum(Jp, Q), Jp)
+    B = np.array(sorted(theta_hat.B), dtype=np.intp)
+    return _floor_backup(model, theta_hat.policy, B, V, J)
 
 
 def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,

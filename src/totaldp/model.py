@@ -19,13 +19,13 @@ package are pure functions of their inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import expect
+from .extreal import expect_segments
 
 PROB_TOL = 1e-12
 
@@ -100,7 +100,7 @@ class TotalCostModel:
     def num_states(self) -> int:
         return len(self.controls)
 
-    @property
+    @cached_property
     def atomic_only(self) -> bool:
         return all(len(fs) == 0 for fs in self.families)
 
@@ -123,6 +123,27 @@ class TotalCostModel:
             out.append(slice(start, start + n))
             start += n
         return tuple(out)
+
+    @cached_property
+    def pair_starts(self) -> np.ndarray:
+        """Index of each state's first pair: state x owns the segment
+        pair_starts[x] : pair_starts[x + 1] of every pair-axis array."""
+        counts = np.array([len(cs) for cs in self.controls], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def pair_state(self) -> np.ndarray:
+        """State of every pair, so J[pair_state] lifts J onto the pair axis."""
+        counts = [len(cs) for cs in self.controls]
+        state = np.repeat(np.arange(self.num_states, dtype=np.intp), counts)
+        state.setflags(write=False)
+        return state
+
+    def pair_counts(self) -> np.ndarray:
+        """Number of atomic controls of each state."""
+        return np.diff(self.pair_starts, append=self.num_pairs())
 
     @cached_property
     def pair_costs(self) -> np.ndarray:
@@ -168,21 +189,37 @@ class FamilyChoice:
 PolicyAction = Union[AtomicMix, FamilyChoice]
 
 
-@dataclass(frozen=True)
 class Policy:
-    actions: tuple[PolicyAction, ...]
+    """Stationary policy: one action per state.
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
+    A policy built by `Policy.deterministic` keeps its choice array and
+    builds per-state `AtomicMix` actions only when `actions` is read.
+    Policies are immutable: the arrays they hand out are read-only.
+    """
+
+    def __init__(self, actions: Sequence[PolicyAction]):
+        self._actions: tuple[PolicyAction, ...] | None = tuple(actions)
+        self._choices: np.ndarray | None = None
+        self._starts: np.ndarray | None = None  # pair_starts of the choices' model
+        self._num_pairs = 0
 
     @staticmethod
     def deterministic(model: TotalCostModel, choices: Sequence[int]) -> "Policy":
-        acts = []
-        for x, i in enumerate(choices):
-            w = np.zeros(len(model.controls[x]))
-            w[i] = 1.0
-            acts.append(AtomicMix(w))
-        return Policy(tuple(acts))
+        """The policy that takes control choices[x] at every state x."""
+        choices = np.array(choices, dtype=np.intp)
+        if choices.shape != (model.num_states,):
+            raise ValueError(f"need one choice per state, got shape {choices.shape}")
+        chosen = model.pair_starts + choices
+        if ((choices < 0) | (chosen >= model.num_pairs())).any() \
+                or (model.pair_state[chosen] != np.arange(model.num_states)).any():
+            raise ValueError("a choice is not a control index of its state")
+        choices.setflags(write=False)
+        policy = Policy.__new__(Policy)
+        policy._actions = None
+        policy._choices = choices
+        policy._starts = model.pair_starts
+        policy._num_pairs = model.num_pairs()
+        return policy
 
     @staticmethod
     def uniform(model: TotalCostModel) -> "Policy":
@@ -193,34 +230,68 @@ class Policy:
         return Policy(tuple(acts))
 
     @property
+    def actions(self) -> tuple[PolicyAction, ...]:
+        if self._actions is None:
+            counts = np.diff(self._starts, append=self._num_pairs)
+            acts = []
+            for i, n in zip(self._choices.tolist(), counts.tolist()):
+                w = np.zeros(n)
+                w[i] = 1.0
+                acts.append(AtomicMix(w))
+            self._actions = tuple(acts)
+        return self._actions
+
+    @property
     def atomic(self) -> bool:
-        return all(isinstance(a, AtomicMix) for a in self.actions)
+        return (self._choices is not None
+                or all(isinstance(a, AtomicMix) for a in self.actions))
+
+    @cached_property
+    def pair_weights(self) -> np.ndarray:
+        """The policy as one weight per atomic pair, in pair-axis order."""
+        if self._choices is not None:
+            w = np.zeros(self._num_pairs)
+            w[self._starts + self._choices] = 1.0
+        elif not self.atomic:
+            raise ValueError("only atomic-distribution policies have pair weights")
+        elif self.actions:
+            w = np.concatenate([a.weights for a in self.actions])
+        else:
+            w = np.zeros(0)
+        w.setflags(write=False)
+        return w
 
     def is_deterministic(self) -> bool:
-        for a in self.actions:
-            if isinstance(a, FamilyChoice):
-                continue
-            if not np.isclose(a.weights.max(initial=0.0), 1.0, atol=PROB_TOL):
-                return False
-        return True
+        if self._choices is not None:
+            return True
+        return all(isinstance(a, FamilyChoice) or _point_mass(a) for a in self.actions)
 
     def action_index(self, x: int) -> int:
         """Chosen control index at x for a deterministic atomic action."""
+        if self._choices is not None:
+            return int(self._choices[x])
         a = self.actions[x]
         if not isinstance(a, AtomicMix):
             raise ValueError(f"state {x} uses a family parameter, not an atomic control")
         return int(np.argmax(a.weights))
 
     def descriptor(self) -> str:
+        if self._choices is not None:
+            return ",".join(f"{x}:{i}" for x, i in enumerate(self._choices.tolist()))
         parts = []
         for x, a in enumerate(self.actions):
             if isinstance(a, FamilyChoice):
                 parts.append(f"{x}:t={a.t:g}")
-            elif np.isclose(a.weights.max(initial=0.0), 1.0, atol=PROB_TOL):
+            elif _point_mass(a):
                 parts.append(f"{x}:{int(np.argmax(a.weights))}")
             else:
                 parts.append(f"{x}:mix")
         return ",".join(parts)
+
+
+def _point_mass(a: AtomicMix) -> bool:
+    """Whether the mix puts all but PROB_TOL of its mass on one control."""
+    return abs(float(a.weights.max(initial=0.0)) - 1.0) <= PROB_TOL
 
 
 def validate_model(model: TotalCostModel) -> list[str]:
@@ -286,6 +357,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
 
 
 def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
+    if (policy._choices is not None and policy._num_pairs == model.num_pairs()
+            and np.array_equal(policy._starts, model.pair_starts)):
+        return []  # built by Policy.deterministic for this control layout
     bad: list[str] = []
     if len(policy.actions) != model.num_states:
         return [f"policy has {len(policy.actions)} actions for {model.num_states} states"]
@@ -311,22 +385,41 @@ def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
     return bad
 
 
-def induced_kernel(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Markov kernel and expected one-stage cost under a stationary policy."""
+def _atomic_rows(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel rows and expected one-stage costs of the policy's atomic
+    mixes, each a segment sum over the pair axis; rows of states whose
+    action is a family choice are left zero."""
     n = model.num_states
+    if policy.atomic:
+        w = policy.pair_weights
+    else:
+        w = np.concatenate([a.weights if isinstance(a, AtomicMix)
+                            else np.zeros(len(model.controls[x]))
+                            for x, a in enumerate(policy.actions)])
     P = np.zeros((n, n))
     g = np.zeros(n)
-    for x, a in enumerate(policy.actions):
-        if isinstance(a, AtomicMix):
-            costs = np.array([c.cost for c in model.controls[x]], dtype=float)
-            g[x] = expect(a.weights, costs)
-            for w, c in zip(a.weights, model.controls[x]):
-                if w > 0.0:
-                    P[x] += w * c.probs
-        else:
-            f = model.families[x][a.family]
-            g[x] = f.cost_at(a.t)
-            P[x] = f.probs_at(a.t)
+    live = model.pair_counts() > 0
+    if w.size:
+        starts = model.pair_starts[live]
+        P[live] = np.add.reduceat(w[:, None] * model.pair_probs, starts)
+        g[live] = expect_segments(w, model.pair_costs, starts)
+    return P, g
+
+
+def _family_actions(model: TotalCostModel, policy: Policy):
+    """(state, family, parameter) for every family choice of the policy."""
+    if policy.atomic:
+        return []
+    return [(x, model.families[x][a.family], a.t)
+            for x, a in enumerate(policy.actions) if isinstance(a, FamilyChoice)]
+
+
+def induced_kernel(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Markov kernel and expected one-stage cost under a stationary policy."""
+    P, g = _atomic_rows(model, policy)
+    for x, f, t in _family_actions(model, policy):
+        g[x] = f.cost_at(t)
+        P[x] = f.probs_at(t)
     return P, g
 
 
@@ -336,26 +429,17 @@ def induced_complement(model: TotalCostModel, policy: Policy
 
     Subtracting the identity from each piece before applying affine
     parameters avoids the cancellation in 1 - (p0 + t*p1) when p0 has
-    0/1 entries, which keeps deterministic-chain evaluations exact.
+    0/1 entries, which keeps deterministic-chain evaluations exact; an
+    atomic row of a deterministic policy is e_x minus one transition row,
+    exactly.
     """
-    n = model.num_states
-    A = np.zeros((n, n))
-    g = np.zeros(n)
-    for x, a in enumerate(policy.actions):
-        row = np.zeros(n)
+    P, g = _atomic_rows(model, policy)
+    A = np.eye(model.num_states) - P
+    for x, f, t in _family_actions(model, policy):
+        g[x] = f.cost_at(t)
+        row = np.zeros(model.num_states)
         row[x] = 1.0
-        if isinstance(a, AtomicMix):
-            costs = np.array([c.cost for c in model.controls[x]], dtype=float)
-            g[x] = expect(a.weights, costs)
-            for w, c in zip(a.weights, model.controls[x]):
-                if w > 0.0:
-                    row = row - w * c.probs
-        else:
-            f = model.families[x][a.family]
-            g[x] = f.cost_at(a.t)
-            row = row - f.p0
-            row = row - a.t * f.p1
-        A[x] = row
+        A[x] = row - f.p0 - t * f.p1
     return A, g
 
 

@@ -7,10 +7,23 @@ Core backups for a total-cost model:
     H(J)(x,u)    = g(x,u) + alpha * E[J(x') | x, u]          (Q backup)
     M(Q)(x)      = min_u Q(x,u)
 
-Affine control families are minimized in closed form; when a successor
-reachable by the family carries an infinite value, the closed-form
-coefficients are unsound and the evaluation falls back to a pointwise
-split into interior and closed-endpoint candidates.
+Atomic controls are handled on the model's pair axis: every (state,
+control) pair in one flat array, state-major, with state x owning the
+contiguous segment that starts at `model.pair_starts[x]`.  H is one
+row-wise expectation plus the cost vector (`pair_backup`, the single
+"g + alpha * E[w]" kernel that the F operators, the stopping
+continuation values and the constraint-program bound also use); M, T,
+T_mu and greedy selection are segment reductions of H
+(`np.minimum.reduceat`, and the segment-wise `expect` of the extreal
+module for policy mixes).  Each reduction takes a finite fast path when
+its input holds no infinity and a masked extended-real path otherwise.
+
+Affine control families keep a scalar per-state path, chosen from the
+model (a state with families) or the policy (a family choice at a
+state).  They are minimized in closed form; when a successor reachable
+by the family carries an infinite value, the closed-form coefficients
+are unsound and the evaluation falls back to a pointwise split into
+interior and closed-endpoint candidates.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, expect, expect_rows, xadd, xmul
+from .extreal import INF, expect, expect_rows, expect_segments, xadd, xadd_vec, xmul
 from .model import (
     AffineFamily,
     FamilyChoice,
@@ -101,40 +114,53 @@ def family_infimum(model: TotalCostModel, fam: AffineFamily, J: np.ndarray) -> f
     return affine_infimum(a, b, fam.lo, fam.hi, fam.lo_closed, fam.hi_closed).value
 
 
-def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
-    """Q-factor backup over all atomic pairs: g + alpha * E[J]."""
-    J = np.asarray(J, dtype=float)
-    if J.shape != (model.num_states,):
-        raise ValueError(f"J has shape {J.shape}, want ({model.num_states},)")
-    cont = expect_rows(model.pair_probs, J)
+def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
+    """g + alpha * E[w] over all atomic pairs, for any state vector w."""
+    cont = expect_rows(model.pair_probs, w)
     if model.discount == 0.0:
         cont = np.zeros_like(cont)
     elif model.discount != 1.0:
         cont = cont * model.discount
     g = model.pair_costs
     if np.isinf(g).any() or np.isinf(cont).any():
-        return np.array([xadd(gi, ci) for gi, ci in zip(g, cont)])
+        return xadd_vec(g, cont)
     return g + cont
+
+
+def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
+    """Q-factor backup over all atomic pairs: g + alpha * E[J]."""
+    J = np.asarray(J, dtype=float)
+    if J.shape != (model.num_states,):
+        raise ValueError(f"J has shape {J.shape}, want ({model.num_states},)")
+    return pair_backup(model, J)
+
+
+def _segment_min(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
+    """Per-state minimum over the atomic pairs; +inf at a state without any."""
+    if model.atomic_only:
+        return np.minimum.reduceat(Q, model.pair_starts)
+    out = np.full(model.num_states, INF)
+    live = model.pair_counts() > 0
+    if live.any():
+        out[live] = np.minimum.reduceat(Q, model.pair_starts[live])
+    return out
 
 
 def m_minimize(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
     """Per-state minimum of a Q-vector over atomic controls."""
     if not model.atomic_only:
         raise ValueError("Q-space minimization is defined for atomic-only models")
-    Q = np.asarray(Q, dtype=float)
-    return np.array([Q[model.pair_slices[x]].min() for x in range(model.num_states)])
+    return _segment_min(model, np.asarray(Q, dtype=float))
 
 
 def bellman_T(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
     """Optimal-cost backup over atomic controls and affine families."""
     J = np.asarray(J, dtype=float)
-    Q = h_backup(model, J)
-    out = np.empty(model.num_states)
-    for x in range(model.num_states):
-        arms = list(Q[model.pair_slices[x]])
-        for fam in model.families[x]:
-            arms.append(family_infimum(model, fam, J))
-        out[x] = min(arms)
+    out = _segment_min(model, h_backup(model, J))
+    if not model.atomic_only:
+        for x, fams in enumerate(model.families):
+            for fam in fams:
+                out[x] = min(out[x], family_infimum(model, fam, J))
     return out
 
 
@@ -142,6 +168,11 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     """Fixed-policy backup; linear in J for atomic mixes, pointwise for
     family parameter choices."""
     J = np.asarray(J, dtype=float)
+    if policy.atomic:
+        w = policy.pair_weights
+        if w.shape != (model.num_pairs(),):
+            raise ValueError("policy weights do not match the model's pairs")
+        return expect_segments(w, pair_backup(model, J), model.pair_starts)
     out = np.empty(model.num_states)
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):
@@ -169,10 +200,9 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0,
     if not model.atomic_only:
         raise ValueError("greedy selection is defined for atomic-only models")
     Q = np.asarray(Q, dtype=float)
-    choices = []
-    for x in range(model.num_states):
-        qx = Q[model.pair_slices[x]]
-        target = xadd(qx.min(), epsilon)
-        ok = np.flatnonzero((qx <= target) | (qx == qx.min()))
-        choices.append(int(ok[0]))
-    return Policy.deterministic(model, choices)
+    starts, state = model.pair_starts, model.pair_state
+    qmin = np.minimum.reduceat(Q, starts)
+    target = xadd_vec(qmin, epsilon)
+    ok = (Q <= target[state]) | (Q == qmin[state])
+    first = np.minimum.reduceat(np.where(ok, np.arange(Q.size), Q.size), starts)
+    return Policy.deterministic(model, first - starts)

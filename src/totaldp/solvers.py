@@ -434,8 +434,9 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         gap = sup_dist(TmuJ, TJ)
         res = sup_dist(J, prev_J) if prev_J is not None else INF
         prev_J = J
+        key = mu.descriptor()
         trace.append(TraceRow(
-            k=k, residual=res, policy=mu.descriptor(),
+            k=k, residual=res, policy=key,
             dist_J=_dist(J, Jstar) if Jstar is not None else None,
             wall_time=time.perf_counter() - start,
             extra={"improvement_gap": gap},
@@ -444,7 +445,6 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
             if Jstar is not None and sup_dist(J, Jstar) <= config.tol:
                 return PIResult(policies, values, trace, "optimal-certified")
             return PIResult(policies, values, trace, "stuck")
-        key = mu.descriptor()
         if key in seen:
             return PIResult(policies, values, trace, "cycle")
         seen[key] = k

@@ -9,8 +9,11 @@ state lies outside B are stop-only.
 
 Solving this problem and mapping its optimal values back through one
 continuation backup reproduces the monotone fixed point of the ftheta
-module by a fully independent route, which is how the two modules check
-each other.  A downward-iterated linear program over the same constraint
+module by a separate route (value iteration on pair values instead of
+Q-vector powers), which is how the two modules check each other.  Both
+routes apply the same one-step Q backup kernel of the operators module;
+the test suite checks that kernel against loop reference
+implementations.  A downward-iterated linear program over the same constraint
 system yields, for nonnegative-cost models, a certified upper bound on
 that fixed point.
 """
@@ -18,12 +21,14 @@ that fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .extreal import INF, expect, expect_rows, sup_dist, xadd
-from .ftheta import FixedPointCertificate, FixedPointOptions, Theta, _check_inputs
-from .model import AtomicMix, TotalCostModel, regime_conforming
+from .extreal import INF, expect_rows, expect_segments, sup_dist
+from .ftheta import FixedPointCertificate, FixedPointOptions, Theta, _check_inputs, _f_apply
+from .model import TotalCostModel, regime_conforming
+from .operators import pair_backup
 
 
 @dataclass(frozen=True)
@@ -49,13 +54,24 @@ class StoppingProblem:
     def alpha(self) -> float:
         return self.model.discount
 
-    @property
+    @cached_property
     def b_pairs(self) -> np.ndarray:
         """Mask over pairs whose state lies in B (continue available)."""
-        return np.array([x in self.theta.B for x, _ in self.model.pairs])
+        in_B = np.zeros(self.model.num_states, dtype=bool)
+        in_B[self.theta.B_index] = True
+        mask = in_B[self.model.pair_state]
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def _stop_costs(self) -> np.ndarray:
+        stop = self.J[self.model.pair_state]
+        stop.setflags(write=False)
+        return stop
 
     def stop_costs(self) -> np.ndarray:
-        return np.array([self.J[x] for x, _ in self.model.pairs])
+        """Stop cost J(x) of every pair (x, u); read-only."""
+        return self._stop_costs
 
     def unreachable_pairs(self) -> list[tuple[int, str]]:
         """(state, control name) combos in B x C outside the constraint
@@ -71,17 +87,7 @@ class StoppingProblem:
     def kernel_matrix(self) -> np.ndarray:
         """Continue-action kernel over pairs, rows summing to one."""
         m = self.model
-        n_pairs = m.num_pairs()
-        K = np.zeros((n_pairs, n_pairs))
-        for row, (x, i) in enumerate(m.pairs):
-            q = m.controls[x][i].probs
-            for xp in range(m.num_states):
-                if q[xp] == 0.0:
-                    continue
-                a = self.theta.policy.actions[xp]
-                assert isinstance(a, AtomicMix)
-                K[row, m.pair_slices[xp]] = q[xp] * a.weights
-        return K
+        return m.pair_probs[:, m.pair_state] * self.theta.policy.pair_weights
 
 
 def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> StoppingProblem:
@@ -109,19 +115,8 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     """G_V over all pairs: g + alpha * E[per-state mix of V at the next
     pair], with V read as J on stop-only pairs."""
     m = problem.model
-    w = np.empty(m.num_states)
-    for xp in range(m.num_states):
-        a = problem.theta.policy.actions[xp]
-        w[xp] = expect(a.weights, V[m.pair_slices[xp]])
-    cont = expect_rows(m.pair_probs, w)
-    if problem.alpha == 0.0:
-        cont = np.zeros_like(cont)
-    elif problem.alpha != 1.0:
-        cont = cont * problem.alpha
-    g = m.pair_costs
-    if np.isinf(g).any() or np.isinf(cont).any():
-        return np.array([xadd(a_, b_) for a_, b_ in zip(g, cont)])
-    return g + cont
+    w = expect_segments(problem.theta.policy.pair_weights, V, m.pair_starts)
+    return pair_backup(m, w)
 
 
 def t_o_apply(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
@@ -296,12 +291,11 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
     in_B[B] = True
     J_B = J[B]
     if len(B):
-        rows = np.stack([model.controls[x][theta.policy.action_index(x)].probs
-                         for x in B])
-        g_mu = np.array([model.controls[x][theta.policy.action_index(x)].cost
-                         for x in B])
-        off_term = np.array([expect(rows[i][~in_B], J[~in_B])
-                             for i in range(len(B))])
+        chosen = model.pair_starts[B] + np.array(
+            [theta.policy.action_index(x) for x in B], dtype=np.intp)
+        rows = model.pair_probs[chosen]
+        g_mu = model.pair_costs[chosen]
+        off_term = expect_rows(rows[:, ~in_B], J[~in_B])
         P_BB = rows[:, B]
         const = g_mu + off_term
 
@@ -327,20 +321,11 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
 
     # Qbar over all pairs, reading W on B and J off B.
     wfull = J.astype(float).copy()
-    for i, x in enumerate(B):
-        wfull[x] = W[i]
-    cont = np.array([expect(model.pair_probs[r], wfull)
-                     for r in range(model.num_pairs())])
-    Qbar = model.pair_costs + cont
+    wfull[B] = W
+    Qbar = pair_backup(model, wfull)
 
     # First certificate check: Qbar <= F_theta(Qbar; J) elementwise.
-    wmin = J.astype(float).copy()
-    for x in B:
-        a = theta.policy.actions[x]
-        assert isinstance(a, AtomicMix)
-        wmin[x] = expect(a.weights, np.minimum(J[x], Qbar[model.pair_slices[x]]))
-    F_Qbar = model.pair_costs + np.array(
-        [expect(model.pair_probs[r], wmin) for r in range(model.num_pairs())])
+    F_Qbar = _f_apply(model, theta, Qbar, J)
     upper_margin = float(np.where(F_Qbar == Qbar, 0.0, F_Qbar - Qbar).min(initial=0.0))
 
     lower_margin = None

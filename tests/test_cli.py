@@ -90,6 +90,13 @@ class TestSolve:
         assert out.exit_code == 0
         assert "termination: stuck" in out.output
 
+    def test_out_of_range_control_is_usage_error(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-P2")
+        for spec in ("0,2", "0,-1"):
+            out = runner.invoke(main, ["solve", str(path), "--algorithm", "pi",
+                                       "--mu0", spec])
+            assert out.exit_code == 2, spec
+
     def test_tolerance_env_override(self, runner, tmp_path, monkeypatch):
         path = _write_fixture(tmp_path, "FX-D")
         monkeypatch.setenv("TOTALDP_TOL", "1e-3")

@@ -1,0 +1,206 @@
+"""Pair-axis kernels against the loop references in reference_ops.
+
+Models, value vectors and policies are drawn with infinities of both
+signs (also on zero-weight controls and zero-probability successors),
+infinite costs, exact ties and randomized mixes.  Minima, argmins and
+every infinity must match the reference exactly; finite sums may differ
+only by summation order (rtol = atol = 1e-12); no NaN may appear.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+import reference_ops as ref
+from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
+from totaldp.fixtures import fixture
+from totaldp.ftheta import Theta, ThetaHat, f_theta_apply, f_theta_hat_apply
+from totaldp.model import (
+    AtomicControl,
+    AtomicMix,
+    FamilyChoice,
+    Policy,
+    TotalCostModel,
+    induced_complement,
+    induced_kernel,
+)
+from totaldp.operators import bellman_T, bellman_T_mu, greedy_select, h_backup, m_minimize
+from totaldp.stopping import StoppingProblem, reconstruct_q, t_o_apply
+
+# Few distinct values, so that exact ties are common.
+EXT = st.one_of(st.sampled_from([-INF, INF, -1.0, 0.0, 0.5, 2.0]),
+                st.floats(-10.0, 10.0))
+COST = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 1.0, INF, -INF]))
+MIX = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+def assert_matches(new, old, exact=False):
+    new = np.asarray(new, dtype=float)
+    old = np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    assert not np.isnan(new).any() and not np.isnan(old).any()
+    assert np.array_equal(new == INF, old == INF)
+    assert np.array_equal(new == -INF, old == -INF)
+    fin = np.isfinite(old)
+    if exact:
+        assert np.array_equal(new[fin], old[fin])
+    else:
+        np.testing.assert_allclose(new[fin], old[fin], rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def atomic_models(draw, max_states=5, max_controls=3):
+    """Unvalidated atomic model: sparse rows, any costs, any discount."""
+    n = draw(st.integers(1, max_states))
+    alpha = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    counts = draw(st.lists(st.integers(1, max_controls), min_size=n, max_size=n))
+    costs = iter(draw(st.lists(COST, min_size=sum(counts), max_size=sum(counts))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    controls = []
+    for k in counts:
+        row = []
+        for i in range(k):
+            raw = rng.random(n) * (rng.random(n) < 0.5)
+            raw[rng.integers(n)] += 0.1
+            row.append(AtomicControl(f"c{i}", next(costs), raw / raw.sum()))
+        controls.append(tuple(row))
+    return TotalCostModel(regime="D" if alpha < 1.0 else "P", discount=alpha,
+                          controls=tuple(controls))
+
+
+def vectors(size):
+    return st.lists(EXT, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def policies(draw, model):
+    """A choice-backed deterministic policy or a mix with zero weights."""
+    if draw(st.booleans()):
+        return Policy.deterministic(model, [draw(st.integers(0, len(cs) - 1))
+                                            for cs in model.controls])
+    acts = []
+    for cs in model.controls:
+        w = np.array(draw(st.lists(MIX, min_size=len(cs), max_size=len(cs))))
+        if w.sum() == 0.0:
+            w[draw(st.integers(0, len(cs) - 1))] = 1.0
+        acts.append(AtomicMix(w / w.sum()))
+    return Policy(tuple(acts))
+
+
+@st.composite
+def cases(draw):
+    """A model with a policy, J, a pair vector, a state set B and a pair set R."""
+    model = draw(atomic_models())
+    return SimpleNamespace(
+        model=model, policy=draw(policies(model)), J=draw(vectors(model.num_states)),
+        Q=draw(vectors(model.num_pairs())),
+        B=frozenset(x for x in range(model.num_states) if draw(st.booleans())),
+        R=frozenset(p for p in model.pairs if draw(st.booleans())),
+        eps=draw(st.sampled_from([0.0, 0.5, 1.0, 1e9, INF])))
+
+
+class TestExtendedRealVectors:
+    @given(st.lists(st.tuples(EXT, EXT), min_size=1, max_size=8))
+    def test_xadd_vec_matches_scalar(self, pairs):
+        a, b = (np.array(v) for v in zip(*pairs))
+        assert_matches(xadd_vec(a, b), [xadd(x, y) for x, y in pairs], exact=True)
+
+    def test_opposite_infinities_give_plus_inf(self):
+        assert np.array_equal(xadd_vec(np.array([INF, -INF]), np.array([-INF, INF])),
+                              [INF, INF])
+
+    def test_nan_input_stays_visible(self):
+        out = xadd_vec(np.array([np.nan, 1.0]), np.array([1.0, 2.0]))
+        assert np.isnan(out[0]) and out[1] == 3.0
+
+    @given(st.lists(st.lists(st.tuples(MIX, EXT), min_size=1, max_size=4),
+                    min_size=1, max_size=4))
+    def test_expect_segments_matches_expect(self, segments):
+        weights = np.array([w for seg in segments for w, _ in seg])
+        values = np.array([v for seg in segments for _, v in seg])
+        starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+        old = [expect(np.array([w for w, _ in seg]), np.array([v for _, v in seg]))
+               for seg in segments]
+        assert_matches(expect_segments(weights, values, starts), old)
+
+    def test_zero_weight_infinity_contributes_nothing(self):
+        out = expect_segments(np.array([0.0, 1.0, 0.5, 0.5]),
+                              np.array([-INF, 2.0, INF, -INF]), np.array([0, 2]))
+        assert np.array_equal(out, [2.0, INF])
+
+
+class TestOperators:
+    @given(cases())
+    def test_operators_match_reference(self, c):
+        model, J, Q = c.model, c.J, c.Q
+        assert_matches(h_backup(model, J), ref.h_backup(model, J), exact=True)
+        assert_matches(bellman_T(model, J), ref.bellman_T(model, J), exact=True)
+        assert_matches(bellman_T_mu(model, c.policy, J), ref.bellman_T_mu(model, c.policy, J))
+        assert_matches(m_minimize(model, Q), ref.m_minimize(model, Q), exact=True)
+        new = greedy_select(model, Q, epsilon=c.eps)
+        old = ref.greedy_select(model, Q, epsilon=c.eps)
+        assert new.descriptor() == old.descriptor()
+
+    def test_minus_inf_cost_meets_plus_inf_successor(self):
+        model = TotalCostModel("P", 1.0, ((AtomicControl("a", -INF, np.array([0.0, 1.0])),),
+                                          (AtomicControl("b", 0.0, np.array([0.0, 1.0])),)))
+        J = np.array([0.0, INF])
+        assert h_backup(model, J)[0] == INF
+        assert bellman_T_mu(model, Policy.deterministic(model, [0, 0]), J)[0] == INF
+
+    def test_greedy_tie_and_slack_take_lowest_index(self):
+        model = TotalCostModel("D", 0.5, (tuple(AtomicControl(f"c{i}", 0.0, np.ones(1))
+                                                for i in range(3)),))
+        assert greedy_select(model, np.array([2.0, 1.0, 1.0])).action_index(0) == 1
+        assert greedy_select(model, np.array([1.5, 1.0, 0.0]), 0.5).action_index(0) == 2
+        assert greedy_select(model, np.array([0.5, 1.0, 0.0]), 0.5).action_index(0) == 0
+        # -inf + inf slack is +inf: every control qualifies.
+        assert greedy_select(model, np.array([1.0, -INF, 0.0]), INF).action_index(0) == 0
+
+
+class TestAffineFamilies:
+    """Models with families take the scalar path: results are the reference's."""
+
+    @given(st.sampled_from(["FX-P3a", "FX-P3b"]), st.data())
+    def test_backups_match_reference(self, name, data):
+        model = fixture(name).model
+        J = data.draw(vectors(model.num_states).filter(
+            lambda v: not ((v == INF).any() and (v == -INF).any())))
+        assert_matches(bellman_T(model, J), ref.bellman_T(model, J), exact=True)
+        u = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        policy = Policy(tuple(FamilyChoice(0, u) if model.families[x]
+                              else AtomicMix(np.full(len(cs), 1.0 / len(cs)))
+                              for x, cs in enumerate(model.controls)))
+        assert_matches(bellman_T_mu(model, policy, J), ref.bellman_T_mu(model, policy, J),
+                       exact=True)
+
+
+class TestParametrizedOperators:
+    @given(cases())
+    def test_f_operators_and_stopping_match_reference(self, c):
+        model, J, Q = c.model, c.J, c.Q
+        theta, hat = Theta(c.policy, c.B), ThetaHat(c.policy, c.R)
+        assert_matches(f_theta_apply(model, theta, Q, J), ref._f_apply(model, theta, Q, J))
+        assert_matches(f_theta_hat_apply(model, hat, Q, J),
+                       ref.f_theta_hat_apply(model, hat, Q, J))
+        prob = StoppingProblem(model=model, theta=theta, J=J, K=0.0)
+        G = ref._continuation_values(prob, Q)
+        assert_matches(reconstruct_q(prob, Q), G)
+        stop = J[model.pair_state]
+        assert_matches(t_o_apply(prob, Q), np.where(prob.b_pairs, np.minimum(stop, G), stop))
+
+    @given(cases())
+    def test_induced_kernel_is_the_weighted_row_sum(self, c):
+        model, policy = c.model, c.policy
+        P, g = induced_kernel(model, policy)
+        A, g2 = induced_complement(model, policy)
+        for x, a in enumerate(policy.actions):
+            rows = np.stack([ctl.probs for ctl in model.controls[x]])
+            costs = np.array([ctl.cost for ctl in model.controls[x]])
+            if policy.is_deterministic():
+                assert np.array_equal(P[x], rows[policy.action_index(x)])
+            np.testing.assert_allclose(P[x], a.weights @ rows, rtol=1e-12, atol=1e-12)
+            assert_matches([g[x]], [expect(a.weights, costs)])
+        assert np.array_equal(A, np.eye(model.num_states) - P)
+        assert np.array_equal(g, g2)

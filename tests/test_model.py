@@ -14,6 +14,8 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.fixtures import fixture
+from totaldp.ftheta import Theta
+from totaldp.stopping import lp_upper_bound
 
 
 def test_fixtures_validate_clean():
@@ -82,6 +84,31 @@ def test_policy_validation():
                    AtomicMix(np.array([1.0]))))
     assert any("outside family interval" in p
                for p in validate_policy(fam_fx.model, edge))
+
+
+def test_near_deterministic_mix_is_a_mix():
+    # 5e-6 of mass off the top control is far above PROB_TOL: the policy is
+    # randomized, renders as a mix, and the deterministic-only bound refuses it.
+    fx = fixture("FX-P2")
+    near = Policy((AtomicMix(np.array([1.0])), AtomicMix(np.array([1 - 5e-6, 5e-6]))))
+    assert not near.is_deterministic()
+    assert near.descriptor() == "0:0,1:mix"
+    with pytest.raises(ValueError, match="deterministic"):
+        lp_upper_bound(fx.model, Theta(near, frozenset({0, 1})), fx.Jstar)
+
+
+def test_deterministic_policy_keeps_its_choices():
+    fx = fixture("FX-P2")
+    pol = Policy.deterministic(fx.model, [0, 1])
+    same = Policy((AtomicMix(np.array([1.0])), AtomicMix(np.array([0.0, 1.0]))))
+    assert pol.descriptor() == same.descriptor() == "0:0,1:1"
+    assert pol.action_index(1) == same.action_index(1) == 1
+    assert np.array_equal(pol.pair_weights, same.pair_weights)
+    assert np.array_equal(pol.actions[1].weights, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        Policy.deterministic(fx.model, [0, 2])
+    with pytest.raises(ValueError):
+        Policy.deterministic(fx.model, [0])
 
 
 def test_model_arrays_are_frozen():
