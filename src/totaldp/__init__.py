@@ -62,8 +62,8 @@ from .solvers import (
     EmptyB,
     FullB,
     IterationTrace,
-    MixedResult,
     OccupationSupportB,
+    SolveResult,
     SolverCapError,
     SolverConfig,
     SpliceB,
@@ -74,6 +74,7 @@ from .solvers import (
     mixed_vpi,
     modified_policy_iteration,
     policy_iteration,
+    run,
     value_iteration,
     verify_certificates,
 )

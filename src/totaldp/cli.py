@@ -24,17 +24,13 @@ from .extreal import INF, sup_dist
 from .model import Policy, validate_model
 from .operators import h_backup
 from .solvers import (
+    ALGORITHMS,
     EmptyB,
     FullB,
     OccupationSupportB,
-    SolverCapError,
     SolverConfig,
-    lp_variant_vpi,
-    mixed_vpi,
-    modified_policy_iteration,
-    policy_iteration,
     round_robin_masks,
-    value_iteration,
+    run,
     verify_certificates,
 )
 from .fixtures import fixture, fixture_names, random_model
@@ -46,8 +42,6 @@ from .modelio import (
     write_model,
     write_trace,
 )
-
-ALGORITHMS = ("vi", "pi", "mpi", "mixed", "lp")
 
 
 def _default_tol() -> float:
@@ -132,6 +126,30 @@ def _parse_bstrategy(spec: str):
                            "(use full | empty | occupation[:beta[:threshold]])")
 
 
+def _load_model(path, algorithms):
+    """Read and validate a model file for the given algorithms; exit 2
+    (parse error or invalid model) or raise a usage error otherwise."""
+    try:
+        model, gt = read_model(path)
+    except ModelFileError as e:
+        click.echo(f"parse error: {e}", err=True)
+        sys.exit(2)
+    problems = validate_model(model)
+    if problems:
+        for p in problems:
+            click.echo(f"invalid model: {p}", err=True)
+        sys.exit(2)
+    for a in algorithms:
+        if a not in ALGORITHMS:
+            raise click.UsageError(f"unknown algorithm {a!r}")
+        if a == "lp" and model.regime != "P":
+            raise click.UsageError("the lp variant needs a nonnegative-cost (P) model")
+        if a in ("pi", "mpi", "mixed", "lp") and not model.atomic_only:
+            raise click.UsageError(f"{a} needs an atomic-only model; "
+                                   "vi also handles affine families")
+    return model, gt
+
+
 def _parse_mu0(spec: str, model) -> Policy:
     if spec == "greedy":
         return Policy.deterministic(
@@ -161,7 +179,7 @@ def _parse_mu0(spec: str, model) -> Policy:
               help="full | empty | occupation[:beta[:threshold]]")
 @click.option("--mu0", default="greedy", help="initial policy for pi/mpi")
 @click.option("--tol", type=float, default=None)
-@click.option("--max-iter", type=int, default=10_000)
+@click.option("--max-iter", type=click.IntRange(min=1), default=10_000)
 @click.option("--clamp-lo", type=float, default=None)
 @click.option("--clamp-hi", type=float, default=None)
 @click.option("--mask-schedule", type=click.Choice(["none", "roundrobin"]),
@@ -171,21 +189,7 @@ def _parse_mu0(spec: str, model) -> Policy:
 def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
           clamp_lo, clamp_hi, mask_schedule, trace_out, fmt):
     """Solve a model file and emit a convergence trace."""
-    try:
-        model, gt = read_model(path)
-    except ModelFileError as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
-    problems = validate_model(model)
-    if problems:
-        for p in problems:
-            click.echo(f"invalid model: {p}", err=True)
-        sys.exit(2)
-    if algorithm == "lp" and model.regime != "P":
-        raise click.UsageError("the lp variant needs a nonnegative-cost (P) model")
-    if algorithm in ("pi", "mpi", "mixed", "lp") and not model.atomic_only:
-        raise click.UsageError(f"{algorithm} needs an atomic-only model; "
-                               "vi also handles affine families")
+    model, gt = _load_model(path, [algorithm])
     tol = tol if tol is not None else _default_tol()
     nk_val: object = nk if nk == "exact" else int(nk)
     J0 = _parse_vector(j0, model, gt)
@@ -195,6 +199,7 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
         J0=J0,
         Q0=_parse_q0(q0, model, gt, J0) if algorithm in ("mixed", "lp") else None,
         nk=nk_val,
+        initial_policy=_parse_mu0(mu0, model) if algorithm in ("pi", "mpi") else None,
         epsilon=epsilon,
         bstrategy=_parse_bstrategy(bstrategy),
         clamp_lo=None if clamp_lo is None else np.full(n, clamp_lo),
@@ -206,28 +211,9 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
         raise_on_cap=False,
     )
     t0 = time.perf_counter()
-    exit_code = 0
-    if algorithm == "vi":
-        res = value_iteration(model, J0, config)
-        trace, J, Q = res.trace, res.J, None
-        converged = res.converged
-    elif algorithm == "pi":
-        out = policy_iteration(model, _parse_mu0(mu0, model), config)
-        trace, J, Q = out.trace, out.values[-1], None
-        converged = out.termination in ("optimal-certified", "stuck")
-        click.echo(f"termination: {out.termination}")
-    elif algorithm == "mpi":
-        out = modified_policy_iteration(model, _parse_mu0(mu0, model), J0, config)
-        trace, J, Q = out.trace, out.J, None
-        converged = True
-    elif algorithm == "mixed":
-        out = mixed_vpi(model, config)
-        trace, J, Q = out.trace, out.J, out.Q
-        converged = out.converged
-    else:
-        out = lp_variant_vpi(model, config)
-        trace, J, Q = out.trace, out.J, out.Q
-        converged = out.converged
+    res = run(model, config)
+    trace, J, Q = res.trace, res.J, res.Q
+    click.echo(f"termination: {res.termination}")
     trace.model_hash = model_hash(model)
     if trace_out:
         write_trace(trace_out, trace, fmt)
@@ -249,10 +235,10 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     report = verify_certificates(model, trace, gt)
     if report.checks:
         click.echo(report.summary())
-    if not converged:
+    if not res.converged:
         click.echo("did not reach the residual tolerance", err=True)
-        exit_code = 1
-    sys.exit(exit_code)
+        sys.exit(1)
+    sys.exit(0)
 
 
 @main.command()
@@ -280,22 +266,13 @@ def reproduce(name):
 @click.option("--nk", default="10")
 @click.option("--mu0", default="greedy", help="initial policy for pi/mpi")
 @click.option("--tol", type=float, default=None)
-@click.option("--max-iter", type=int, default=10_000)
+@click.option("--max-iter", type=click.IntRange(min=1), default=10_000)
 @click.option("--trace-out", type=click.Path(), default=None,
               help="prefix; one trace file per algorithm")
 def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     """Run several algorithms from a shared start and tabulate."""
-    try:
-        model, gt = read_model(path)
-    except ModelFileError as e:
-        click.echo(f"parse error: {e}", err=True)
-        sys.exit(2)
     algos = [a.strip() for a in algorithms.split(",") if a.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise click.UsageError(f"unknown algorithm {a!r}")
-        if a == "lp" and model.regime != "P":
-            raise click.UsageError("the lp variant needs a nonnegative-cost model")
+    model, gt = _load_model(path, algos)
     tol = tol if tol is not None else _default_tol()
     J0 = _parse_vector(j0, model, gt)
     nk_val: object = nk if nk == "exact" else int(nk)
@@ -304,39 +281,16 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
         config = SolverConfig(
             algorithm=a, J0=J0,
             Q0=h_backup(model, J0) if a in ("mixed", "lp") else None,
+            initial_policy=_parse_mu0(mu0, model) if a in ("pi", "mpi") else None,
             nk=nk_val, bstrategy=FullB(), max_iter=max_iter, tol=tol,
             ground_truth=gt, raise_on_cap=False, snapshot_iterates=False)
         t0 = time.perf_counter()
-        note = ""
-        try:
-            if a == "vi":
-                res = value_iteration(model, J0, config)
-                trace, J = res.trace, res.J
-                note = "converged" if res.converged else "cap"
-            elif a == "pi":
-                out = policy_iteration(model, _parse_mu0(mu0, model), config)
-                trace, J = out.trace, out.values[-1]
-                note = out.termination
-            elif a == "mpi":
-                out = modified_policy_iteration(
-                    model, _parse_mu0(mu0, model), J0, config)
-                trace, J = out.trace, out.J
-                note = "converged"
-            elif a == "mixed":
-                out = mixed_vpi(model, config)
-                trace, J = out.trace, out.J
-                note = "converged" if out.converged else "cap"
-            else:
-                out = lp_variant_vpi(model, config)
-                trace, J = out.trace, out.J
-                note = "converged" if out.converged else "cap"
-        except SolverCapError as e:
-            trace, J = e.trace, None
-            note = "cap"
+        res = run(model, config)
         wall = time.perf_counter() - t0
-        dist = "" if (gt is None or J is None) else f"{sup_dist(J, gt[0]):.2e}"
+        trace = res.trace
+        dist = "" if gt is None else f"{sup_dist(res.J, gt[0]):.2e}"
         rows.append((a, len(trace.rows), f"{trace.final_residual:.2e}",
-                     trace.op_count, dist, note, f"{wall:.3f}s"))
+                     trace.op_count, dist, res.termination, f"{wall:.3f}s"))
         if trace_out:
             write_trace(f"{trace_out}.{a}.csv", trace, "csv")
     header = ("algorithm", "iters", "residual", "backups", "dist", "note", "wall")
@@ -368,11 +322,11 @@ def bench(suite, seeds, sizes, fmt):
                                    bstrategy=FullB(), tol=1e-9, max_iter=5000,
                                    raise_on_cap=False, snapshot_iterates=False)
                 t0 = time.perf_counter()
-                out = mixed_vpi(model, cfg)
+                out = run(model, cfg)
                 t_mixed = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                vi = value_iteration(model, J0, SolverConfig(
-                    algorithm="vi", tol=1e-9, max_iter=20_000, raise_on_cap=False))
+                vi = run(model, SolverConfig(algorithm="vi", J0=J0, tol=1e-9,
+                                             max_iter=20_000, raise_on_cap=False))
                 t_vi = time.perf_counter() - t0
                 records.append({
                     "size": size, "seed": seed, "regime": regime,

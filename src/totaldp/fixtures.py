@@ -25,7 +25,7 @@ from .model import (
     validate_model,
 )
 from .operators import bellman_T, h_backup
-from .solvers import SolverConfig, policy_iteration, value_iteration
+from .solvers import SolverConfig, value_iteration
 
 
 @dataclass(frozen=True)
@@ -311,25 +311,6 @@ def random_subset(seed: int, model: TotalCostModel,
     rng = np.random.default_rng(seed)
     return frozenset(int(x) for x in range(model.num_states)
                      if rng.random() < p_include)
-
-
-def search_pi_cycle(seed: int, tries: int = 50, num_states: int = 4,
-                    controls_per_state: int = 3) -> TotalCostModel | None:
-    """Exploratory search for a small nonpositive-cost model on which
-    exact policy iteration cycles.  No success is guaranteed; returns
-    None when every probe terminates normally."""
-    for t in range(tries):
-        model, _ = random_model(seed + t, num_states, controls_per_state,
-                                regime="N")
-        mu0 = random_policy(seed + 7919 + t, model, deterministic=True)
-        try:
-            out = policy_iteration(model, mu0, SolverConfig(algorithm="pi",
-                                                            max_iter=50))
-        except Exception:
-            continue
-        if out.termination == "cycle":
-            return model
-    return None
 
 
 # ---------------------------------------------------------------------------

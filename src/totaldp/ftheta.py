@@ -24,6 +24,7 @@ shared Q backup of the operators module against the result.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,24 +152,30 @@ class FixedPointCertificate:
 class FixedPointOptions:
     tol: float = 1e-10
     max_iter: int = 200_000
-    # Monotone divergence promotion: a coordinate whose increments stop
-    # decaying is sent to the regime-signed infinity, which is sound for
-    # monotone limits and accelerates stabilization.
-    promote_window: int = 40
-    promote_after: int = 80
-    promote_floor: float = 1e-9
 
 
-def _promote_divergent(history: list[np.ndarray], k: int,
-                       opts: FixedPointOptions, sign: float) -> list[int]:
-    if k < opts.promote_after or len(history) <= opts.promote_window:
+# Monotone divergence promotion, shared by the undiscounted fixed-point
+# and stopping iterations and by value iteration: after DIVERGENCE_WARMUP
+# iterations, a coordinate whose increment is at least DIVERGENCE_FLOOR
+# and has not shrunk by 10% over DIVERGENCE_WINDOW iterations is sent to
+# the regime-signed infinity, which is sound for monotone limits and
+# accelerates stabilization.
+DIVERGENCE_WINDOW = 40
+DIVERGENCE_WARMUP = 80
+DIVERGENCE_FLOOR = 1e-9
+
+
+def _promote_divergent(history: deque[np.ndarray], k: int) -> list[int]:
+    """Coordinates to promote at iteration k, from a history that keeps
+    the last DIVERGENCE_WINDOW + 2 iterates."""
+    if k < DIVERGENCE_WARMUP or len(history) <= DIVERGENCE_WINDOW:
         return []
     cur, prev = history[-1], history[-2]
-    old_cur, old_prev = history[-1 - opts.promote_window], history[-2 - opts.promote_window]
+    old_cur, old_prev = history[-1 - DIVERGENCE_WINDOW], history[-2 - DIVERGENCE_WINDOW]
     inc = np.abs(cur - prev)
     old_inc = np.abs(old_cur - old_prev)
     with np.errstate(invalid="ignore"):
-        stuck = (np.isfinite(cur) & (inc >= opts.promote_floor)
+        stuck = (np.isfinite(cur) & (inc >= DIVERGENCE_FLOOR)
                  & np.isfinite(old_inc) & (inc >= 0.9 * old_inc))
     return [int(i) for i in np.flatnonzero(stuck)]
 
@@ -192,7 +199,7 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray,
     alpha = model.discount
     sign = -1.0 if model.regime == "N" else 1.0
     promoted: set[int] = set()
-    history: list[np.ndarray] = [Q]
+    history = deque([Q], maxlen=DIVERGENCE_WINDOW + 2)
     for k in range(1, opts.max_iter + 1):
         nxt = _f_apply(model, theta, Q, J)
         if promoted:
@@ -213,9 +220,7 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray,
             )
             return Q, cert
         history.append(Q)
-        if len(history) > opts.promote_window + 2:
-            history.pop(0)
-        for i in _promote_divergent(history, k, opts, sign):
+        for i in _promote_divergent(history, k):
             promoted.add(i)
             Q[i] = sign * INF
     raise FixedPointError(

@@ -8,11 +8,13 @@ nonnegative-cost models, near-optimal policy extraction, and a
 certificate verifier that replays the convergence guarantees recorded in
 a trace.
 
-Every solver is deterministic given its configuration and returns an
-append-only IterationTrace whose rows carry the sup-norm residual, the
-distance to ground truth when one is supplied, policy and set
-descriptors, ordering margins against the value-iteration envelope
-T^k(J0) and against ground truth, and wall time.
+``run(model, config)`` picks the solver named by ``config.algorithm``.
+Every solver is deterministic given its configuration and returns a
+SolveResult.  Its append-only IterationTrace has rows that carry the
+sup-norm residual, the distance to ground truth when one is supplied,
+policy and set descriptors, ordering margins against the
+value-iteration envelope T^k(J0) and against ground truth, and wall
+time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import numpy as np
 
 from .extreal import INF, sup_dist
 from .ftheta import (
+    DIVERGENCE_FLOOR,
+    DIVERGENCE_WARMUP,
+    DIVERGENCE_WINDOW,
     FixedPointOptions,
     Theta,
     f_theta_power,
@@ -191,12 +196,8 @@ def _margin_leq(a, b) -> float:
 # Monotone divergence detection for undiscounted value iteration
 
 
-@dataclass(frozen=True)
-class DivergenceOptions:
-    window: int = 40
-    warmup: int = 80
-    floor: float = 1e-9
-    value_cap: float = 1e13
+# Values beyond this magnitude count as divergent at once.
+_VALUE_CAP = 1e13
 
 
 class _DivergenceDetector:
@@ -208,11 +209,9 @@ class _DivergenceDetector:
     beyond the cap, identify the divergent ones.
     """
 
-    def __init__(self, opts: DivergenceOptions, size: int):
-        self.opts = opts
-        self.incs: deque[np.ndarray] = deque(maxlen=opts.window + 1)
+    def __init__(self):
+        self.incs: deque[np.ndarray] = deque(maxlen=DIVERGENCE_WINDOW + 1)
         self.flagged: set[int] = set()
-        self.size = size
 
     def update(self, k: int, prev: np.ndarray, cur: np.ndarray) -> set[int]:
         with np.errstate(invalid="ignore"):
@@ -220,12 +219,12 @@ class _DivergenceDetector:
         self.incs.append(inc)
         new: set[int] = set()
         finite = np.isfinite(cur)
-        over = np.flatnonzero(finite & (np.abs(cur) > self.opts.value_cap))
+        over = np.flatnonzero(finite & (np.abs(cur) > _VALUE_CAP))
         new.update(int(i) for i in over if i not in self.flagged)
-        if k >= self.opts.warmup and len(self.incs) == self.opts.window + 1:
+        if k >= DIVERGENCE_WARMUP and len(self.incs) == DIVERGENCE_WINDOW + 1:
             old = self.incs[0]
             with np.errstate(invalid="ignore"):
-                stuck = finite & (inc >= self.opts.floor) & (inc >= 0.9 * old)
+                stuck = finite & (inc >= DIVERGENCE_FLOOR) & (inc >= 0.9 * old)
             new.update(int(i) for i in np.flatnonzero(stuck)
                        if i not in self.flagged)
         self.flagged |= new
@@ -233,7 +232,10 @@ class _DivergenceDetector:
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Configuration and results
+
+
+ALGORITHMS = ("vi", "pi", "mpi", "mixed", "lp")
 
 
 @dataclass(frozen=True)
@@ -253,12 +255,15 @@ class SolverConfig:
     initial_policy: Policy | None = None
     policy_schedule: Sequence[Policy] | None = None
     fp_options: FixedPointOptions = field(default_factory=FixedPointOptions)
-    divergence: DivergenceOptions = field(default_factory=DivergenceOptions)
     stop_on_tol: bool = True
     raise_on_cap: bool = True
     snapshot_iterates: bool = True
 
     def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if isinstance(self.nk, str):
             if self.nk != "exact":
                 raise ValueError("nk must be a positive int, a tuple, or 'exact'")
@@ -297,6 +302,46 @@ class SolverConfig:
         }
 
 
+@dataclass
+class SolveResult:
+    """What every solver returns.
+
+    ``termination`` is "converged" (residual within tol), "cap"
+    (iteration cap reached), or for policy iteration "optimal-certified",
+    "stuck" or "cycle".  ``Q`` is set by the mixed and constraint-program
+    methods, ``divergent`` by value iteration, and ``values``/``policies``
+    (every evaluated value and every policy, in order) by policy
+    iteration, whose ``J`` and ``policy`` are the last evaluated ones.
+    """
+
+    J: np.ndarray
+    trace: IterationTrace
+    termination: str
+    Q: np.ndarray | None = None
+    policy: Policy | None = None
+    divergent: frozenset[int] = frozenset()
+    values: Sequence[np.ndarray] = ()
+    policies: Sequence[Policy] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in ("converged", "optimal-certified", "stuck")
+
+
+def _at_cap(config: SolverConfig, result: SolveResult, name: str,
+            bound: str | None = None) -> SolveResult:
+    """The end of a solver loop that used up max_iter: raise
+    SolverCapError when the run was meant to stop on the tolerance and
+    to raise at the cap, otherwise return the result as it stands."""
+    if config.stop_on_tol and config.raise_on_cap:
+        last = result.J if result.Q is None else (result.J, result.Q)
+        raise SolverCapError(
+            f"{name} hit the {config.max_iter}-iteration cap "
+            f"(residual {result.trace.final_residual:g})",
+            last=last, trace=result.trace, bound=bound)
+    return result
+
+
 def _gt_parts(config: SolverConfig):
     if config.ground_truth is None:
         return None, None
@@ -309,16 +354,8 @@ def _gt_parts(config: SolverConfig):
 # Value iteration
 
 
-@dataclass
-class VIResult:
-    J: np.ndarray
-    trace: IterationTrace
-    divergent: frozenset[int] = frozenset()
-    converged: bool = True
-
-
 def value_iteration(model: TotalCostModel, J0: np.ndarray,
-                    config: SolverConfig | None = None) -> VIResult:
+                    config: SolverConfig | None = None) -> SolveResult:
     """Iterate the optimal-cost backup from J0.
 
     Undiscounted runs classify states whose iterates grow without bound
@@ -340,7 +377,7 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
         initial_dominance=None if Jstar is None else bool(_margin_leq(Jstar, J) <= 0.0),
     )
     sign = -1.0 if model.regime == "N" else 1.0
-    detector = _DivergenceDetector(config.divergence, model.num_states)
+    detector = _DivergenceDetector()
     pin = model.atomic_only
     start = time.perf_counter()
     direction: str | None = None
@@ -374,35 +411,20 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
             extra={"direction": direction, "divergent": sorted(detector.flagged)},
         ))
         if config.stop_on_tol and res <= config.tol:
-            return VIResult(J=reported, trace=trace,
-                            divergent=frozenset(detector.flagged))
-    reported = J.copy()
-    if detector.flagged:
-        reported[list(detector.flagged)] = sign * INF
-    if config.stop_on_tol and config.raise_on_cap:
-        bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
-        raise SolverCapError(
-            f"value iteration hit the {config.max_iter}-iteration cap "
-            f"(residual {trace.final_residual:g})",
-            last=reported, trace=trace, bound=bound)
-    return VIResult(J=reported, trace=trace, divergent=frozenset(detector.flagged),
-                    converged=False)
+            return SolveResult(J=reported, trace=trace, termination="converged",
+                               divergent=frozenset(detector.flagged))
+    bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
+    return _at_cap(config, SolveResult(J=reported, trace=trace, termination="cap",
+                                       divergent=frozenset(detector.flagged)),
+                   "value iteration", bound)
 
 
 # ---------------------------------------------------------------------------
 # Policy iteration and modified policy iteration
 
 
-@dataclass
-class PIResult:
-    policies: list[Policy]
-    values: list[np.ndarray]
-    trace: IterationTrace
-    termination: str  # "optimal-certified", "stuck", "cycle", "cap"
-
-
 def policy_iteration(model: TotalCostModel, mu0: Policy,
-                     config: SolverConfig | None = None) -> PIResult:
+                     config: SolverConfig | None = None) -> SolveResult:
     """Exact policy iteration with greedy improvement.
 
     Terminates "stuck" when the current policy's backup already attains
@@ -424,6 +446,12 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     values: list[np.ndarray] = []
     seen: dict[str, int] = {}
     start = time.perf_counter()
+
+    def result(termination: str) -> SolveResult:
+        return SolveResult(J=values[-1], trace=trace, termination=termination,
+                           policy=policies[len(values) - 1], values=values,
+                           policies=policies)
+
     prev_J: np.ndarray | None = None
     for k in range(1, config.max_iter + 1):
         J = evaluate_policy(model, mu).J
@@ -443,27 +471,19 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         ))
         if gap <= 1e-12:
             if Jstar is not None and sup_dist(J, Jstar) <= config.tol:
-                return PIResult(policies, values, trace, "optimal-certified")
-            return PIResult(policies, values, trace, "stuck")
+                return result("optimal-certified")
+            return result("stuck")
         if key in seen:
-            return PIResult(policies, values, trace, "cycle")
+            return result("cycle")
         seen[key] = k
         mu = greedy_select(model, h_backup(model, J), epsilon=0.0)
         trace.op_count += 1
         policies.append(mu)
-    return PIResult(policies, values, trace, "cap")
-
-
-@dataclass
-class MPIResult:
-    J: np.ndarray
-    policy: Policy
-    trace: IterationTrace
-    converged: bool = True
+    return _at_cap(config, result("cap"), "policy iteration")
 
 
 def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray,
-                              config: SolverConfig | None = None) -> MPIResult:
+                              config: SolverConfig | None = None) -> SolveResult:
     """Optimistic policy iteration: nk fixed-policy backups per round,
     then exact greedy improvement.
 
@@ -508,25 +528,15 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()},
         ))
         if config.stop_on_tol and res <= config.tol:
-            return MPIResult(J=J_greedy, policy=mu, trace=trace)
-    if config.stop_on_tol and config.raise_on_cap:
-        raise SolverCapError(
-            f"modified policy iteration hit the {config.max_iter}-iteration cap",
-            last=J, trace=trace, bound=None)
-    return MPIResult(J=prev_greedy, policy=mu, trace=trace, converged=False)
+            return SolveResult(J=J_greedy, trace=trace, termination="converged",
+                               policy=mu)
+    return _at_cap(config, SolveResult(J=J_greedy, trace=trace, termination="cap",
+                                       policy=mu),
+                   "modified policy iteration")
 
 
 # ---------------------------------------------------------------------------
 # Mixed value-and-policy iteration
-
-
-@dataclass
-class MixedResult:
-    J: np.ndarray
-    Q: np.ndarray
-    policy: Policy
-    trace: IterationTrace
-    converged: bool
 
 
 def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -537,7 +547,7 @@ def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
     return J
 
 
-def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> MixedResult:
+def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     """Alternate Q-updates through the parametrized evaluation operator
     with per-state minimization.
 
@@ -616,13 +626,11 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> MixedResult:
             row.extra["Q_snapshot"] = Q.tolist()
         trace.append(row)
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
-            return MixedResult(J=J, Q=Q, policy=policy, trace=trace, converged=True)
-    if config.stop_on_tol and config.raise_on_cap:
-        raise SolverCapError(
-            f"mixed iteration hit the {config.max_iter}-iteration cap",
-            last=(J, Q), trace=trace,
-            bound=None)
-    return MixedResult(J=J, Q=Q, policy=policy, trace=trace, converged=False)
+            return SolveResult(J=J, trace=trace, termination="converged", Q=Q,
+                               policy=policy)
+    return _at_cap(config, SolveResult(J=J, trace=trace, termination="cap", Q=Q,
+                                       policy=policy),
+                   "mixed iteration")
 
 
 def _describe_b(B: frozenset[int], n: int) -> str:
@@ -646,7 +654,7 @@ def round_robin_masks(model: TotalCostModel) -> list:
 # Constraint-program variant (nonnegative costs)
 
 
-def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> MixedResult:
+def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     """Mixed iteration whose Q-update is the maximal solution of the
     stop/continue constraint program (an upper bound on the exact fixed
     point that stays below one operator application of itself).
@@ -705,12 +713,39 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> MixedResult:
         )
         trace.append(row)
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
-            return MixedResult(J=J, Q=Q, policy=policy, trace=trace, converged=True)
-    if config.raise_on_cap:
-        raise SolverCapError(
-            f"constraint-program iteration hit the {config.max_iter}-iteration cap",
-            last=(J, Q), trace=trace, bound="lower")
-    return MixedResult(J=J, Q=Q, policy=policy, trace=trace, converged=False)
+            return SolveResult(J=J, trace=trace, termination="converged", Q=Q,
+                               policy=policy)
+    return _at_cap(config, SolveResult(J=J, trace=trace, termination="cap", Q=Q,
+                                       policy=policy),
+                   "constraint-program iteration", "lower")
+
+
+# ---------------------------------------------------------------------------
+# Front door
+
+
+def run(model: TotalCostModel, config: SolverConfig) -> SolveResult:
+    """Run ``config.algorithm`` on the model.
+
+    vi and mpi start from ``config.J0``, pi and mpi from
+    ``config.initial_policy``; mixed and lp read everything they need
+    from the config.  The solvers are looked up by name on every call, so
+    a caller that rebinds one (a tracer, a test double) sees it used.
+    """
+    algorithm = config.algorithm
+    if algorithm in ("vi", "mpi") and config.J0 is None:
+        raise ValueError(f"{algorithm} needs config.J0")
+    if algorithm in ("pi", "mpi") and config.initial_policy is None:
+        raise ValueError(f"{algorithm} needs config.initial_policy")
+    if algorithm == "vi":
+        return value_iteration(model, config.J0, config)
+    if algorithm == "pi":
+        return policy_iteration(model, config.initial_policy, config)
+    if algorithm == "mpi":
+        return modified_policy_iteration(model, config.initial_policy, config.J0, config)
+    if algorithm == "mixed":
+        return mixed_vpi(model, config)
+    return lp_variant_vpi(model, config)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,22 @@ that fixed point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .extreal import INF, expect_rows, expect_segments, sup_dist
-from .ftheta import FixedPointCertificate, FixedPointOptions, Theta, _check_inputs, _f_apply
+from .ftheta import (
+    DIVERGENCE_WINDOW,
+    FixedPointCertificate,
+    FixedPointOptions,
+    Theta,
+    _check_inputs,
+    _f_apply,
+    _promote_divergent,
+)
 from .model import TotalCostModel, regime_conforming
 from .operators import pair_backup
 
@@ -153,7 +162,7 @@ def solve_stopping(problem: StoppingProblem,
     regime = problem.regime
     sign = -1.0 if regime == "N" else 1.0
     promoted: set[int] = set()
-    history: list[np.ndarray] = [V]
+    history = deque([V], maxlen=DIVERGENCE_WINDOW + 2)
     cert = None
     for k in range(1, opts.max_iter + 1):
         nxt = t_o_apply(problem, V)
@@ -173,20 +182,9 @@ def solve_stopping(problem: StoppingProblem,
                 0.0 if res == 0.0 else INF, frozenset(promoted))
             break
         history.append(V)
-        if len(history) > opts.promote_window + 2:
-            history.pop(0)
-        if k >= opts.promote_after and len(history) > opts.promote_window + 1:
-            cur, prev = history[-1], history[-2]
-            old_cur, old_prev = history[-2 - opts.promote_window + 1], \
-                history[-2 - opts.promote_window]
-            inc = np.abs(cur - prev)
-            old_inc = np.abs(old_cur - old_prev)
-            with np.errstate(invalid="ignore"):
-                stuck = (np.isfinite(cur) & (inc >= opts.promote_floor)
-                         & (inc >= 0.9 * old_inc))
-            for i in np.flatnonzero(stuck):
-                promoted.add(int(i))
-                V[int(i)] = sign * INF
+        for i in _promote_divergent(history, k):
+            promoted.add(i)
+            V[i] = sign * INF
     if cert is None:
         raise RuntimeError(
             f"stopping solve did not stabilize in {opts.max_iter} iterations")

@@ -61,6 +61,7 @@ class TestSolve:
                                    "--bstrategy", "full",
                                    "--trace-out", str(trace_path)])
         assert out.exit_code == 0, out.output
+        assert "termination: converged" in out.output
         trace = read_trace(trace_path)
         assert trace.rows
         assert trace.rows[-1].lower_margin <= 0.0
@@ -89,6 +90,14 @@ class TestSolve:
                                    "--mu0", "0,1"])
         assert out.exit_code == 0
         assert "termination: stuck" in out.output
+
+    def test_capped_mpi_is_not_converged(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-D")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mpi",
+                                   "--max-iter", "1", "--tol", "1e-12"])
+        assert out.exit_code == 1
+        assert "termination: cap" in out.output
+        assert "did not reach the residual tolerance" in out.output
 
     def test_out_of_range_control_is_usage_error(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-P2")
@@ -129,6 +138,22 @@ class TestCompare:
         lines = out.output.strip().splitlines()
         assert any("stuck" in ln for ln in lines)
         assert any("converged" in ln for ln in lines)
+
+    def test_capped_rows_say_cap(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-D")
+        out = runner.invoke(main, ["compare", str(path), "--algorithms",
+                                   "vi,mpi,mixed", "--max-iter", "2"])
+        assert out.exit_code == 0
+        notes = {ln.split()[0]: ln.split()[5]
+                 for ln in out.output.strip().splitlines()[1:]}
+        assert notes == {"vi": "cap", "mpi": "cap", "mixed": "cap"}
+
+    def test_affine_model_is_usage_error(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-P3a")
+        out = runner.invoke(main, ["compare", str(path),
+                                   "--algorithms", "vi,mixed"])
+        assert out.exit_code == 2
+        assert "atomic-only" in out.output
 
     def test_single_algorithm_degenerate_table(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")

@@ -17,7 +17,6 @@ from totaldp.fixtures import (
     fixture_names,
     random_model,
     random_policy,
-    search_pi_cycle,
 )
 from totaldp.modelio import render_model
 
@@ -137,9 +136,3 @@ def test_interval_fixture_gap_between_limit_and_optimum():
     res = value_iteration(fx.model, np.zeros(3),
                           SolverConfig(algorithm="vi", tol=1e-12, max_iter=400))
     assert res.J[2] == 0.0 and fx.Jstar[2] == 1.0
-
-
-def test_pi_cycle_search_is_safe():
-    # exploratory: no guarantee of success, but it must terminate cleanly
-    out = search_pi_cycle(seed=0, tries=5)
-    assert out is None or out.regime == "N"

@@ -7,6 +7,7 @@ from totaldp.operators import bellman_T, bellman_T_mu, h_backup
 from totaldp.chains import evaluate_policy
 from totaldp.ftheta import FixedPointOptions
 from totaldp.solvers import (
+    ALGORITHMS,
     CustomB,
     EmptyB,
     FullB,
@@ -17,9 +18,11 @@ from totaldp.solvers import (
     build_n_stage_policy,
     cone_multiplier,
     extract_policy_discounted,
+    lp_variant_vpi,
     mixed_vpi,
     modified_policy_iteration,
     policy_iteration,
+    run,
     value_iteration,
     verify_certificates,
 )
@@ -185,6 +188,64 @@ class TestMixed:
         out = mixed_vpi(fx.model, cfg)
         assert out.trace.rows[0].policy == go.descriptor()
         assert out.trace.rows[1].policy == stay.descriptor()
+
+
+class TestLPVariant:
+    def test_cap_without_stop_on_tol_returns(self):
+        fx = fixture("FX-P2")
+        J0 = np.zeros(2)
+        cfg = SolverConfig(algorithm="lp", J0=J0, Q0=h_backup(fx.model, J0),
+                           max_iter=3, stop_on_tol=False)
+        out = lp_variant_vpi(fx.model, cfg)
+        assert out.termination == "cap" and not out.converged
+        assert len(out.trace.rows) == 3
+
+
+def _direct_call(algorithm, model, cfg):
+    if algorithm == "vi":
+        return value_iteration(model, cfg.J0, cfg)
+    if algorithm == "pi":
+        return policy_iteration(model, cfg.initial_policy, cfg)
+    if algorithm == "mpi":
+        return modified_policy_iteration(model, cfg.initial_policy, cfg.J0, cfg)
+    if algorithm == "mixed":
+        return mixed_vpi(model, cfg)
+    return lp_variant_vpi(model, cfg)
+
+
+# The lp variant needs nonnegative costs, so it runs on FX-P2 only.
+RUN_CASES = ([(a, "FX-P2", [0, 1]) for a in ALGORITHMS]
+             + [(a, "FX-D", [1, 1, 1]) for a in ALGORITHMS if a != "lp"])
+
+
+class TestRun:
+    @pytest.mark.parametrize("algorithm, name, mu0", RUN_CASES)
+    def test_matches_the_direct_call(self, algorithm, name, mu0):
+        fx = fixture(name)
+        J0 = 1.5 * fx.Jstar
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(fx.model, J0),
+                           initial_policy=Policy.deterministic(fx.model, mu0),
+                           tol=1e-10, max_iter=500, ground_truth=fx.ground_truth())
+        via_run = run(fx.model, cfg)
+        direct = _direct_call(algorithm, fx.model, cfg)
+        assert np.array_equal(via_run.J, direct.J)
+        assert len(via_run.trace.rows) == len(direct.trace.rows)
+        assert via_run.trace.op_count == direct.trace.op_count
+        assert via_run.termination == direct.termination
+
+    def test_rejects_incomplete_configs(self):
+        fx = fixture("FX-D")
+        with pytest.raises(ValueError):
+            SolverConfig(algorithm="nope")
+        with pytest.raises(ValueError):
+            SolverConfig(algorithm="vi", max_iter=0)
+        mu = Policy.deterministic(fx.model, [0, 0, 0])
+        for cfg in (SolverConfig(algorithm="vi"),
+                    SolverConfig(algorithm="mpi", initial_policy=mu),
+                    SolverConfig(algorithm="pi", J0=np.zeros(3)),
+                    SolverConfig(algorithm="mpi", J0=np.zeros(3))):
+            with pytest.raises(ValueError):
+                run(fx.model, cfg)
 
 
 class TestExtraction:
