@@ -29,8 +29,6 @@ from .operators import (
     m_minimize,
 )
 from .chains import (
-    EvalOptions,
-    EvaluationError,
     absorbing_core,
     convert_transition_discount,
     evaluate_policy,

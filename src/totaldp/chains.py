@@ -5,11 +5,7 @@ can be infinite.  On a finite chain the infinite part is decidable by
 graph analysis: J_mu(x) diverges exactly when x can reach a costly
 recurrent class, or a state whose expected one-stage cost is already
 infinite.  Divergent states get the regime-signed infinity and the rest
-solve a linear system on the transient part, so the default evaluation
-path is exact.  A monotone iterative path (value iteration under the
-fixed policy) is kept alongside for bound-style uses; its iterates are
-one-sided bounds, from below for nonnegative costs and from above for
-nonpositive ones.
+solve a linear system on the transient part, so evaluation is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, sup_dist
+from .extreal import INF
 from .model import (
     AtomicControl,
     Policy,
@@ -27,36 +23,14 @@ from .model import (
     induced_kernel,
     validate_policy,
 )
-from .operators import bellman_T_mu
 
 EDGE_EPS = 0.0  # edges are strict-positive transition probabilities
-
-
-class EvaluationError(RuntimeError):
-    """Iteration cap reached; carries the last iterate as a one-sided bound."""
-
-    def __init__(self, message: str, last: np.ndarray, bound: str):
-        super().__init__(message)
-        self.last = last
-        self.bound = bound  # "lower" or "upper"
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    method: str = "exact"  # "exact" or "iterate"
-    max_iter: int = 100_000
-    tol: float = 1e-12
 
 
 @dataclass(frozen=True)
 class EvalResult:
     J: np.ndarray
-    exact: bool
-    residual: float = 0.0
     divergent: frozenset[int] = frozenset()
-
-    def exactness(self) -> str:
-        return "exact" if self.exact else f"iterative with residual {self.residual:g}"
 
 
 def _successors(P: np.ndarray) -> list[np.ndarray]:
@@ -180,51 +154,27 @@ def _solve_on_finite_part(P: np.ndarray, A: np.ndarray, g: np.ndarray,
     return J
 
 
-def evaluate_policy(model: TotalCostModel, policy: Policy,
-                    options: EvalOptions | None = None) -> EvalResult:
-    """Total cost of a stationary policy.
+def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
+    """Exact total cost of a stationary policy.
 
     Discounted models solve the linear fixed-point system directly.
     Undiscounted models first classify divergent states by graph
-    analysis, then either solve the linear system on the remaining
-    transient part (exact) or run the monotone iteration T_mu^k(0)
-    with the divergent states pinned (iterative).
+    analysis, then solve the linear system on the remaining transient
+    part.
     """
-    options = options or EvalOptions()
     errs = validate_policy(model, policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
     P, g = induced_kernel(model, policy)
     if model.regime == "D":
         A = np.eye(model.num_states) - model.discount * P
-        return EvalResult(J=np.linalg.solve(A, g), exact=True)
+        return EvalResult(J=np.linalg.solve(A, g))
 
     sign = 1.0 if model.regime == "P" else -1.0
     divergent = classify_divergent(model, P, g)
-    if options.method == "exact":
-        A, g_exact = induced_complement(model, policy)
-        J = _solve_on_finite_part(P, A, g_exact, divergent, sign)
-        return EvalResult(J=J, exact=True, divergent=frozenset(divergent))
-
-    J = np.zeros(model.num_states)
-    for x in divergent:
-        J[x] = sign * INF
-    finite = np.array(sorted(set(range(model.num_states)) - divergent), dtype=int)
-    for _ in range(options.max_iter):
-        nxt = bellman_T_mu(model, policy, J)
-        for x in divergent:
-            nxt[x] = sign * INF
-        res = sup_dist(nxt[finite], J[finite]) if finite.size else 0.0
-        J = nxt
-        if res <= options.tol:
-            return EvalResult(J=J, exact=False, residual=res,
-                              divergent=frozenset(divergent))
-    raise EvaluationError(
-        f"policy evaluation did not reach residual {options.tol} in "
-        f"{options.max_iter} iterations",
-        last=J,
-        bound="lower" if model.regime == "P" else "upper",
-    )
+    A, g_exact = induced_complement(model, policy)
+    J = _solve_on_finite_part(P, A, g_exact, divergent, sign)
+    return EvalResult(J=J, divergent=frozenset(divergent))
 
 
 def state_marginal(model: TotalCostModel, policy: Policy,

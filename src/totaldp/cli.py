@@ -20,7 +20,7 @@ import time
 import click
 import numpy as np
 
-from .extreal import INF, sup_dist
+from .extreal import INF, sup_dist, xmul
 from .model import Policy, validate_model
 from .operators import h_backup
 from .solvers import (
@@ -37,8 +37,10 @@ from .fixtures import fixture, fixture_names, random_model
 from .scenarios import SCENARIOS, run_scenario
 from .modelio import (
     ModelFileError,
+    decode_xreal,
     model_hash,
     read_model,
+    read_vector,
     write_model,
     write_trace,
 )
@@ -75,6 +77,19 @@ def validate(path, lenient):
         click.echo("ground truth block present")
 
 
+def _vector_file(spec: str, length: int, what: str) -> np.ndarray:
+    path = spec.split(":", 1)[1]
+    try:
+        vec = read_vector(path)
+    except OSError as err:
+        raise click.UsageError(f"cannot read {what} file {path!r}: {err.strerror}")
+    except ModelFileError as err:
+        raise click.UsageError(f"bad {what} file: {err}")
+    if vec.shape != (length,):
+        raise click.UsageError(f"{what} file {path!r} holds {vec.size} values, want {length}")
+    return vec
+
+
 def _parse_vector(spec: str, model, gt) -> np.ndarray:
     n = model.num_states
     if spec == "zero":
@@ -85,13 +100,13 @@ def _parse_vector(spec: str, model, gt) -> np.ndarray:
     if spec.startswith("cJstar:"):
         if gt is None:
             raise click.UsageError("cJstar start needs a ground_truth block in the model file")
-        c = float(spec.split(":", 1)[1])
-        return c * gt[0]
+        try:
+            c = decode_xreal(spec.split(":", 1)[1], "cJstar multiplier")
+        except ModelFileError as err:
+            raise click.UsageError(str(err))
+        return np.array([xmul(c, v) for v in gt[0]])
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            vals = json.load(fh)
-        return np.array([INF if v == "inf" else (-INF if v == "-inf" else float(v))
-                         for v in vals])
+        return _vector_file(spec, n, "J0")
     raise click.UsageError(f"bad vector spec {spec!r} "
                            "(use zero | inf | cJstar:<c> | file:<path>)")
 
@@ -105,10 +120,7 @@ def _parse_q0(spec: str, model, gt, J0: np.ndarray) -> np.ndarray:
         sign = -1.0 if model.regime == "N" else 1.0
         return np.full(model.num_pairs(), sign * INF)
     if spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            vals = json.load(fh)
-        return np.array([INF if v == "inf" else (-INF if v == "-inf" else float(v))
-                         for v in vals])
+        return _vector_file(spec, model.num_pairs(), "Q0")
     raise click.UsageError(f"bad Q spec {spec!r} (use hbackup | zero | inf | file:<path>)")
 
 
@@ -148,6 +160,22 @@ def _load_model(path, algorithms):
             raise click.UsageError(f"{a} needs an atomic-only model; "
                                    "vi also handles affine families")
     return model, gt
+
+
+def _parse_nk(spec: str) -> int | str:
+    if spec == "exact":
+        return spec
+    try:
+        return int(spec)
+    except ValueError:
+        raise click.UsageError(f"bad --nk {spec!r} (use a positive integer or 'exact')")
+
+
+def _make_config(**kwargs) -> SolverConfig:
+    try:
+        return SolverConfig(**kwargs)
+    except ValueError as err:
+        raise click.UsageError(str(err))
 
 
 def _parse_mu0(spec: str, model) -> Policy:
@@ -191,10 +219,10 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     """Solve a model file and emit a convergence trace."""
     model, gt = _load_model(path, [algorithm])
     tol = tol if tol is not None else _default_tol()
-    nk_val: object = nk if nk == "exact" else int(nk)
+    nk_val = _parse_nk(nk)
     J0 = _parse_vector(j0, model, gt)
     n = model.num_states
-    config = SolverConfig(
+    config = _make_config(
         algorithm=algorithm,
         J0=J0,
         Q0=_parse_q0(q0, model, gt, J0) if algorithm in ("mixed", "lp") else None,
@@ -275,15 +303,15 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     model, gt = _load_model(path, algos)
     tol = tol if tol is not None else _default_tol()
     J0 = _parse_vector(j0, model, gt)
-    nk_val: object = nk if nk == "exact" else int(nk)
+    nk_val = _parse_nk(nk)
+    configs = [_make_config(
+        algorithm=a, J0=J0,
+        Q0=h_backup(model, J0) if a in ("mixed", "lp") else None,
+        initial_policy=_parse_mu0(mu0, model) if a in ("pi", "mpi") else None,
+        nk=nk_val, bstrategy=FullB(), max_iter=max_iter, tol=tol,
+        ground_truth=gt, raise_on_cap=False, snapshot_iterates=False) for a in algos]
     rows = []
-    for a in algos:
-        config = SolverConfig(
-            algorithm=a, J0=J0,
-            Q0=h_backup(model, J0) if a in ("mixed", "lp") else None,
-            initial_policy=_parse_mu0(mu0, model) if a in ("pi", "mpi") else None,
-            nk=nk_val, bstrategy=FullB(), max_iter=max_iter, tol=tol,
-            ground_truth=gt, raise_on_cap=False, snapshot_iterates=False)
+    for a, config in zip(algos, configs):
         t0 = time.perf_counter()
         res = run(model, config)
         wall = time.perf_counter() - t0

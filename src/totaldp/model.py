@@ -313,7 +313,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
             bad.append(f"regime {model.regime} requires discount 1, got {model.discount}")
 
     def check_cost(value: float, where: str) -> None:
-        if model.regime == "D":
+        if math.isnan(value):
+            bad.append(f"{where}: cost is NaN")
+        elif model.regime == "D":
             if not math.isfinite(value):
                 bad.append(f"regime D requires finite costs: {where} = {value}")
             elif model.cost_bound is not None and abs(value) > model.cost_bound + PROB_TOL:
@@ -333,8 +335,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
                 continue
             if (c.probs < -PROB_TOL).any():
                 bad.append(f"{where}: negative transition probability")
-            if abs(float(c.probs.sum()) - 1.0) > PROB_TOL:
-                bad.append(f"{where}: distribution sum {float(c.probs.sum())!r} != 1")
+            total = float(c.probs.sum())
+            if not abs(total - 1.0) <= PROB_TOL:  # NaN entries make the sum NaN
+                bad.append(f"{where}: distribution sum {total!r} != 1")
             check_cost(c.cost, where)
         for j, f in enumerate(model.families[x]):
             where = f"state {x} family {j}"
@@ -344,9 +347,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
             if f.p0.shape != (n,) or f.p1.shape != (n,):
                 bad.append(f"{where}: coefficient rows must have shape ({n},)")
                 continue
-            if abs(float(f.p0.sum()) - 1.0) > PROB_TOL:
+            if not abs(float(f.p0.sum()) - 1.0) <= PROB_TOL:
                 bad.append(f"{where}: p0 sums to {float(f.p0.sum())!r}, want 1")
-            if abs(float(f.p1.sum())) > PROB_TOL:
+            if not abs(float(f.p1.sum())) <= PROB_TOL:
                 bad.append(f"{where}: p1 sums to {float(f.p1.sum())!r}, want 0")
             for t in (f.lo, f.hi):
                 probs = f.probs_at(t)

@@ -1,25 +1,35 @@
 """Model and trace file formats.
 
-Models are stored as JSON documents with explicit "inf"/"-inf" string
-literals so that models with infinite declared optima serialize
-losslessly; finite floats round-trip bit-identically through the JSON
-number grammar.  Unknown fields fail parsing in strict mode and warn
-otherwise.  Traces go to CSV (default) or JSON, rendering floats with
-full round-trip precision.
+Every number that crosses the file boundary is an extended real and goes
+through one codec.  ``encode_xreal`` writes a finite float as a JSON
+number, which round-trips bit-identically, and an infinity as the string
+"inf" or "-inf".  ``decode_xreal`` reads a number or a numeric string
+("inf", "-inf", "1.5", ...) and rejects NaN and anything else with a
+ModelFileError.  Model files, both trace layouts and the CLI's vector
+files all use it.
+
+Models are JSON documents; unknown fields fail parsing in strict mode
+and warn otherwise.  A trace is one document: the IterationTrace fields
+as a header object plus one object per TraceRow, whose field names and
+codecs are derived once from the two dataclasses.  The JSON layout
+writes that document as it is.  The CSV layout writes the header as a
+``#header`` row, then a column-name row and one row per TraceRow; it
+reads columns by the file's own column-name row.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
-import math
+import operator
+import typing
 import warnings
 
 import numpy as np
 
-from .extreal import INF
 from .model import AffineFamily, AtomicControl, TotalCostModel
 from .solvers import IterationTrace, TraceRow
 
@@ -36,27 +46,62 @@ class ModelFileError(ValueError):
         self.col = col
 
 
-def _encode_value(v: float):
-    if v == INF:
+# ---------------------------------------------------------------------------
+# Extended reals
+
+
+def encode_xreal(v) -> float | str:
+    """An extended real as a JSON value: a float when finite, otherwise
+    "inf" or "-inf".  NaN is not an extended real and raises ValueError."""
+    x = float(v)
+    if x - x == 0.0:
+        return x
+    if x > 0.0:
         return "inf"
-    if v == -INF:
+    if x < 0.0:
         return "-inf"
-    if isinstance(v, float) and v.is_integer() and abs(v) < 1e15:
+    raise ValueError("NaN is not an extended real")
+
+
+def decode_xreal(v, where: str = "value") -> float:
+    """The extended real held by a JSON number or a numeric string."""
+    if type(v) is float and v == v:
         return v
-    return float(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ModelFileError(f"{where}: expected a number or 'inf', got {type(v).__name__}")
+    try:
+        x = float(v.strip().replace("−", "-") if isinstance(v, str) else v)
+    except (ValueError, OverflowError):
+        raise ModelFileError(f"{where}: bad numeric literal {v!r}") from None
+    if x != x:
+        raise ModelFileError(f"{where}: NaN is not an extended real")
+    return x
 
 
-def _decode_value(v, where: str) -> float:
-    if isinstance(v, str):
-        s = v.strip().replace("−", "-")
-        if s in ("inf", "+inf", "Infinity"):
-            return INF
-        if s in ("-inf", "-Infinity"):
-            return -INF
-        raise ModelFileError(f"{where}: bad numeric literal {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ModelFileError(f"{where}: expected a number or 'inf', got {type(v).__name__}")
+def encode_vector(vec) -> list:
+    return [encode_xreal(v) for v in vec]
+
+
+def decode_vector(values, where: str = "vector") -> np.ndarray:
+    """A JSON list of extended reals as a float array."""
+    if not isinstance(values, list):
+        raise ModelFileError(f"{where}: expected a list of numbers")
+    return np.array([decode_xreal(v, where) for v in values], dtype=float)
+
+
+def read_vector(path) -> np.ndarray:
+    """A vector file: one JSON list of extended reals."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFileError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from e
+    return decode_vector(values, str(path))
+
+
+# ---------------------------------------------------------------------------
+# Models
 
 
 def render_model(model: TotalCostModel,
@@ -77,7 +122,7 @@ def render_model(model: TotalCostModel,
             "atomic": [
                 {
                     "id": c.name,
-                    "cost": _encode_value(c.cost),
+                    "cost": encode_xreal(c.cost),
                     "transitions": [
                         {"state": model.state_names[y], "prob": float(p)}
                         for y, p in enumerate(c.probs) if p != 0.0
@@ -106,9 +151,9 @@ def render_model(model: TotalCostModel,
     doc["controls"] = controls
     if ground_truth is not None:
         Jstar, Qstar = ground_truth
-        gt: dict = {"Jstar": [_encode_value(float(v)) for v in Jstar]}
+        gt: dict = {"Jstar": encode_vector(Jstar)}
         if Qstar is not None:
-            gt["Qstar"] = [_encode_value(float(v)) for v in Qstar]
+            gt["Qstar"] = encode_vector(Qstar)
         doc["ground_truth"] = gt
     return json.dumps(doc, indent=2, allow_nan=False)
 
@@ -151,12 +196,15 @@ def parse_model(text: str, strict: bool = True
         raise ModelFileError("duplicate state names")
     n = len(names)
 
-    def trans_row(entries, where: str) -> np.ndarray:
+    def trans_row(entries, key: str, default, where: str) -> np.ndarray:
+        """The entries' `key` values at their states; an entry lacking the
+        key reads as `default` (None: the key is required)."""
         row = np.zeros(n)
+        label = f"{where} {key}"
         for e in entries:
             if e["state"] not in index:
                 raise ModelFileError(f"{where}: unknown state {e['state']!r}")
-            row[index[e["state"]]] = float(e["prob"])
+            row[index[e["state"]]] = decode_xreal(e.get(key, default), label)
         return row
 
     controls: list[tuple[AtomicControl, ...]] = []
@@ -175,42 +223,37 @@ def parse_model(text: str, strict: bool = True
             _check_keys(a, _ATOMIC_KEYS, f"{where} atomic control", strict)
             atomics.append(AtomicControl(
                 str(a.get("id", f"u{len(atomics)}")),
-                _decode_value(a["cost"], f"{where} cost"),
-                trans_row(a["transitions"], where)))
+                decode_xreal(a["cost"], f"{where} cost"),
+                trans_row(a["transitions"], "prob", None, where)))
         fams = []
         for fdoc in entry.get("affine_families", []):
             _check_keys(fdoc, _FAMILY_KEYS, f"{where} affine family", strict)
-            p0 = np.zeros(n)
-            p1 = np.zeros(n)
-            for e in fdoc["transitions"]:
-                if e["state"] not in index:
-                    raise ModelFileError(f"{where}: unknown state {e['state']!r}")
-                p0[index[e["state"]]] = float(e.get("p0", 0.0))
-                p1[index[e["state"]]] = float(e.get("p1", 0.0))
             c0, c1 = fdoc["cost"]
             fams.append(AffineFamily(
-                lo=float(fdoc["lo"]), hi=float(fdoc["hi"]),
+                lo=decode_xreal(fdoc["lo"], f"{where} lo"),
+                hi=decode_xreal(fdoc["hi"], f"{where} hi"),
                 lo_closed=bool(fdoc["lo_closed"]), hi_closed=bool(fdoc["hi_closed"]),
-                c0=float(c0), c1=float(c1), p0=p0, p1=p1,
+                c0=decode_xreal(c0, f"{where} cost"), c1=decode_xreal(c1, f"{where} cost"),
+                p0=trans_row(fdoc["transitions"], "p0", 0.0, where),
+                p1=trans_row(fdoc["transitions"], "p1", 0.0, where),
                 name=str(fdoc.get("id", "family"))))
         controls.append(tuple(atomics))
         families.append(tuple(fams))
     model = TotalCostModel(
         regime=str(doc["regime"]),
-        discount=float(doc["discount"]),
+        discount=decode_xreal(doc["discount"], "discount"),
         controls=tuple(controls),
         families=tuple(families),
         state_names=tuple(names),
-        cost_bound=float(doc["cost_bound"]) if "cost_bound" in doc else None,
+        cost_bound=(decode_xreal(doc["cost_bound"], "cost_bound")
+                    if "cost_bound" in doc else None),
     )
     gt = None
     if "ground_truth" in doc:
         gdoc = doc["ground_truth"]
         _check_keys(gdoc, {"Jstar", "Qstar"}, "ground_truth", strict)
-        Jstar = np.array([_decode_value(v, "Jstar") for v in gdoc["Jstar"]])
-        Qstar = None
-        if "Qstar" in gdoc:
-            Qstar = np.array([_decode_value(v, "Qstar") for v in gdoc["Qstar"]])
+        Jstar = decode_vector(gdoc["Jstar"], "Jstar")
+        Qstar = decode_vector(gdoc["Qstar"], "Qstar") if "Qstar" in gdoc else None
         gt = (Jstar, Qstar)
     return model, gt
 
@@ -231,200 +274,141 @@ def model_hash(model: TotalCostModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trace serialization
+# Traces
 
 
-def _render_float(v: float | None) -> str:
-    if v is None:
-        return ""
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return repr(float(v))
+def _optional(fn):
+    return lambda v: None if v is None else fn(v)
 
 
-def _parse_float(s: str) -> float | None:
-    if s == "":
-        return None
-    if s == "inf":
-        return INF
-    if s == "-inf":
-        return -INF
-    return float(s)
+def _optional_back(fn):
+    return lambda v: None if v is None or v == "" else fn(v)
 
 
-_ROW_FIELDS = ("k", "residual", "dist_J", "dist_Q", "upper_margin",
-               "lower_margin", "q_lower_margin", "policy", "b_set",
-               "wall_time", "extra")
+def _encode_tree(obj):
+    """A JSON-able copy of obj whose floats are encoded extended reals."""
+    if isinstance(obj, dict):
+        return {k: _encode_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_encode_tree(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return encode_xreal(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def _decode_tree(obj):
+    """Inverse of _encode_tree: floats and "inf"/"-inf" go through
+    decode_xreal, everything else is kept."""
+    if isinstance(obj, dict):
+        return {k: _decode_tree(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_decode_tree(v) for v in obj]
+    if isinstance(obj, float) or obj in ("inf", "-inf"):
+        return decode_xreal(obj)
+    return obj
+
+
+def _decode_dict(v) -> dict:
+    """A dict field from its document value or from a CSV cell's JSON text."""
+    return _decode_tree(json.loads(v or "{}") if isinstance(v, str) else v)
+
+
+# Field type -> (to a document value, from a document value or CSV text).
+_CODECS = {
+    float: (encode_xreal, decode_xreal),
+    float | None: (_optional(encode_xreal), _optional_back(decode_xreal)),
+    np.ndarray | None: (_optional(encode_vector), _optional_back(decode_vector)),
+    dict: (_encode_tree, _decode_dict),
+    int: (int, int),
+    str: (str, str),
+    bool: (bool, bool),
+    bool | None: (_optional(bool), _optional(bool)),
+}
+
+
+class _Schema:
+    """The fields of one trace dataclass and their codecs, derived once.
+
+    ``values`` gives an object's field values as document values, in
+    field order; ``build`` makes the object back from a document, reading
+    only the fields it knows (an old header's ``seed`` is ignored).
+    """
+
+    def __init__(self, cls):
+        hints = typing.get_type_hints(cls)
+        self.cls = cls
+        self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "rows")
+        self.outs = tuple(_CODECS[hints[name]][0] for name in self.names)
+        self.backs = tuple(_CODECS[hints[name]][1] for name in self.names)
+        self.dict_fields = tuple(i for i, name in enumerate(self.names) if hints[name] is dict)
+        self._get = operator.attrgetter(*self.names)
+
+    def values(self, obj) -> list:
+        return [out(v) for out, v in zip(self.outs, self._get(obj))]
+
+    def doc(self, obj) -> dict:
+        return dict(zip(self.names, self.values(obj)))
+
+    def build(self, doc: dict, where: str):
+        kwargs = {}
+        for name, back in zip(self.names, self.backs):
+            if name in doc:
+                try:
+                    kwargs[name] = back(doc[name])
+                except (ValueError, TypeError) as err:
+                    raise ModelFileError(f"{where} field {name!r}: {err}") from None
+        try:
+            return self.cls(**kwargs)
+        except TypeError as err:
+            raise ModelFileError(f"{where}: {err}") from None
+
+
+_HEADER = _Schema(IterationTrace)
+_ROW = _Schema(TraceRow)
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = {
-        "algorithm": trace.algorithm,
-        "regime": trace.regime,
-        "discount": trace.discount,
-        "model_hash": trace.model_hash,
-        "seed": trace.seed,
-        "config": trace.config,
-        "dist0": None if trace.dist0 is None else _render_float(trace.dist0),
-        "initial_dominance": trace.initial_dominance,
-        "ground_truth_known": trace.ground_truth_known,
-        "op_count": trace.op_count,
-        "J0": None if trace.J0 is None else [_render_float(v) for v in trace.J0],
-        "Q0": None if trace.Q0 is None else [_render_float(v) for v in trace.Q0],
-    }
-    writer.writerow(["#header", json.dumps(header, allow_nan=False)])
-    writer.writerow(_ROW_FIELDS)
+    writer.writerow(["#header", json.dumps(_HEADER.doc(trace), allow_nan=False)])
+    writer.writerow(_ROW.names)
     for row in trace.rows:
-        writer.writerow([
-            row.k,
-            _render_float(row.residual),
-            _render_float(row.dist_J),
-            _render_float(row.dist_Q),
-            _render_float(row.upper_margin),
-            _render_float(row.lower_margin),
-            _render_float(row.q_lower_margin),
-            row.policy,
-            row.b_set,
-            _render_float(row.wall_time),
-            json.dumps(_jsonable(row.extra), allow_nan=False),
-        ])
+        # csv writes None as an empty cell and a float by its repr
+        cells = _ROW.values(row)
+        for i in _ROW.dict_fields:
+            cells[i] = json.dumps(cells[i], allow_nan=False)
+        writer.writerow(cells)
     return buf.getvalue()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(float(v)) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
 
 
 def trace_from_csv(text: str) -> IterationTrace:
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0][0] != "#header":
-        raise ValueError("missing trace header")
-    header = json.loads(rows[0][1])
-    trace = IterationTrace(
-        algorithm=header["algorithm"],
-        regime=header["regime"],
-        discount=header["discount"],
-        config=header["config"],
-        model_hash=header.get("model_hash", ""),
-        seed=header.get("seed"),
-        dist0=_parse_float(header["dist0"]) if header.get("dist0") else None,
-        initial_dominance=header.get("initial_dominance"),
-        ground_truth_known=header.get("ground_truth_known", False),
-        op_count=header.get("op_count", 0),
-        J0=None if header.get("J0") is None else np.array(
-            [_parse_float(v) for v in header["J0"]]),
-        Q0=None if header.get("Q0") is None else np.array(
-            [_parse_float(v) for v in header["Q0"]]),
-    )
-    for rec in rows[2:]:
+    if len(rows) < 2 or len(rows[0]) != 2 or rows[0][0] != "#header":
+        raise ModelFileError("missing trace header")
+    trace = _HEADER.build(json.loads(rows[0][1]), "trace header")
+    columns = rows[1]
+    for line, rec in enumerate(rows[2:], start=3):
         if not rec:
             continue
-        vals = dict(zip(_ROW_FIELDS, rec))
-        trace.append(TraceRow(
-            k=int(vals["k"]),
-            residual=_parse_float(vals["residual"]),
-            dist_J=_parse_float(vals["dist_J"]),
-            dist_Q=_parse_float(vals["dist_Q"]),
-            upper_margin=_parse_float(vals["upper_margin"]),
-            lower_margin=_parse_float(vals["lower_margin"]),
-            q_lower_margin=_parse_float(vals["q_lower_margin"]),
-            policy=vals["policy"],
-            b_set=vals["b_set"],
-            wall_time=_parse_float(vals["wall_time"]) or 0.0,
-            extra=json.loads(vals["extra"]) if vals["extra"] else {},
-        ))
+        if len(rec) != len(columns):
+            raise ModelFileError(f"line {line}: {len(rec)} cells for {len(columns)} columns")
+        trace.append(_ROW.build(dict(zip(columns, rec)), f"line {line}"))
     return trace
 
 
 def trace_to_json(trace: IterationTrace) -> str:
-    doc = {
-        "algorithm": trace.algorithm,
-        "regime": trace.regime,
-        "discount": trace.discount,
-        "config": trace.config,
-        "model_hash": trace.model_hash,
-        "seed": trace.seed,
-        "dist0": _jsonable(trace.dist0),
-        "initial_dominance": trace.initial_dominance,
-        "ground_truth_known": trace.ground_truth_known,
-        "op_count": trace.op_count,
-        "J0": None if trace.J0 is None else _jsonable(trace.J0),
-        "Q0": None if trace.Q0 is None else _jsonable(trace.Q0),
-        "rows": [
-            {
-                "k": row.k,
-                "residual": _jsonable(row.residual),
-                "dist_J": _jsonable(row.dist_J),
-                "dist_Q": _jsonable(row.dist_Q),
-                "upper_margin": _jsonable(row.upper_margin),
-                "lower_margin": _jsonable(row.lower_margin),
-                "q_lower_margin": _jsonable(row.q_lower_margin),
-                "policy": row.policy,
-                "b_set": row.b_set,
-                "wall_time": row.wall_time,
-                "extra": _jsonable(row.extra),
-            }
-            for row in trace.rows
-        ],
-    }
+    doc = _HEADER.doc(trace)
+    doc["rows"] = [_ROW.doc(row) for row in trace.rows]
     return json.dumps(doc, indent=2, allow_nan=False)
-
-
-def _unjson_float(v):
-    if v is None:
-        return None
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return float(v)
 
 
 def trace_from_json(text: str) -> IterationTrace:
     doc = json.loads(text)
-    trace = IterationTrace(
-        algorithm=doc["algorithm"], regime=doc["regime"], discount=doc["discount"],
-        config=doc["config"], model_hash=doc.get("model_hash", ""),
-        seed=doc.get("seed"), dist0=_unjson_float(doc.get("dist0")),
-        initial_dominance=doc.get("initial_dominance"),
-        ground_truth_known=doc.get("ground_truth_known", False),
-        op_count=doc.get("op_count", 0),
-        J0=None if doc.get("J0") is None else np.array(
-            [_unjson_float(v) for v in doc["J0"]]),
-        Q0=None if doc.get("Q0") is None else np.array(
-            [_unjson_float(v) for v in doc["Q0"]]),
-    )
-    for rec in doc["rows"]:
-        trace.append(TraceRow(
-            k=rec["k"],
-            residual=_unjson_float(rec["residual"]),
-            dist_J=_unjson_float(rec.get("dist_J")),
-            dist_Q=_unjson_float(rec.get("dist_Q")),
-            upper_margin=_unjson_float(rec.get("upper_margin")),
-            lower_margin=_unjson_float(rec.get("lower_margin")),
-            q_lower_margin=_unjson_float(rec.get("q_lower_margin")),
-            policy=rec.get("policy", ""),
-            b_set=rec.get("b_set", ""),
-            wall_time=rec.get("wall_time", 0.0),
-            extra=rec.get("extra", {}),
-        ))
+    trace = _HEADER.build(doc, "trace header")
+    for i, rec in enumerate(doc.get("rows", [])):
+        trace.append(_ROW.build(rec, f"row {i}"))
     return trace
 
 

@@ -186,15 +186,12 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     return out
 
 
-def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0,
-                  tie_break: str = "lowest-index") -> Policy:
+def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0) -> Policy:
     """Deterministic policy with Q(x, mu(x)) <= min_u Q(x, u) + epsilon.
 
     With epsilon = 0 this is the exact argmin; ties go to the lowest
     control index, as do epsilon-slack choices.
     """
-    if tie_break != "lowest-index":
-        raise ValueError(f"unsupported tie_break {tie_break!r}")
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     if not model.atomic_only:

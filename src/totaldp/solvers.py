@@ -163,7 +163,6 @@ class IterationTrace:
     initial_dominance: bool | None = None
     ground_truth_known: bool = False
     model_hash: str = ""
-    seed: int | None = None
     rows: list[TraceRow] = field(default_factory=list)
     op_count: int = 0
 
@@ -274,6 +273,10 @@ class SolverConfig:
             object.__setattr__(self, "nk", tuple(int(v) for v in self.nk))
             if any(v < 1 for v in self.nk):
                 raise ValueError("every nk entry must be >= 1")
+        if self.nk == "exact" and self.algorithm == "mpi":
+            raise ValueError("modified policy iteration needs a finite nk")
+        if self.nk == "exact" and self.masks is not None:
+            raise ValueError("mask schedules need a finite nk")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
         if self.clamp_lo is not None and self.clamp_hi is not None:
@@ -495,8 +498,6 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     if not model.atomic_only:
         raise ValueError("modified policy iteration needs an atomic-only model")
     config = config or SolverConfig(algorithm="mpi", nk=10)
-    if config.nk == "exact":
-        raise ValueError("modified policy iteration uses finite nk")
     Jstar, _ = _gt_parts(config)
     J = np.asarray(J0, dtype=float).copy()
     mu = mu0
@@ -590,8 +591,6 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         theta = Theta(used_policy, B)
         nk = config.nk_at(k)
         if config.masks is not None:
-            if nk == "exact":
-                raise ValueError("mask schedules need a finite nk")
             gamma_mask, s_mask = config.masks[k % len(config.masks)]
             Q_next, J_next = masked_update(model, theta, Q, J,
                                            gamma_mask, s_mask, n=int(nk))

@@ -48,7 +48,6 @@ class StoppingProblem:
     model: TotalCostModel
     theta: Theta
     J: np.ndarray
-    K: float  # continue cost stand-in off the constraint graph (D only)
 
     def __post_init__(self):
         J = np.array(self.J, dtype=float)
@@ -103,21 +102,13 @@ def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> Stoppi
     """Materialize the stopping problem for (theta, J).
 
     The policy is defined on every state of a finite model, so it also
-    serves as the continuation kernel off B.  For discounted models the
-    stand-in continue cost K is max(|g|, |J|) in sup norm.
+    serves as the continuation kernel off B.
     """
     _check_inputs(model, theta.policy)
     J = np.asarray(J, dtype=float)
     if not regime_conforming(model, J):
         raise ValueError("stopping costs J must conform to the model regime")
-    if model.regime == "D":
-        K = max(float(np.abs(model.pair_costs).max(initial=0.0)),
-                float(np.abs(J).max(initial=0.0)))
-    elif model.regime == "N":
-        K = 0.0
-    else:
-        K = INF
-    return StoppingProblem(model=model, theta=theta, J=J, K=K)
+    return StoppingProblem(model=model, theta=theta, J=J)
 
 
 def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
@@ -234,17 +225,7 @@ class LPBoundResult:
     certificate: LPBoundCertificate
 
 
-def default_weights(model: TotalCostModel, theta: Theta, J: np.ndarray) -> np.ndarray:
-    """Strictly positive weights over B: uniform scaled by 1/(J + 1)."""
-    B = sorted(theta.B)
-    if not B:
-        return np.zeros(0)
-    w = np.array([1.0 / (len(B) * (J[x] + 1.0)) for x in B])
-    return w
-
-
 def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
-                   rho: np.ndarray | None = None,
                    tol: float = 1e-13, max_iter: int = 200_000,
                    check_lower: bool = False,
                    fp_options: FixedPointOptions | None = None) -> LPBoundResult:
@@ -260,9 +241,9 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
 
     for x in B.  Every feasible point is dominated by the downward
     iteration of the capped constraint map from W = J, so the iteration's
-    limit is the maximum for any admissible weighting; the weights only
-    gate feasibility (the weighted stop costs must be finite) and do not
-    move the answer.
+    limit is the maximum for any admissible weighting.  The weights only
+    gate feasibility (the weighted stop costs must be finite, so J must be
+    finite on B) and do not move the answer, so none is taken.
     """
     _check_inputs(model, theta.policy)
     if model.regime != "P":
@@ -276,13 +257,6 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
             raise AssumptionError(
                 f"stopping cost is infinite on B at state {x}; "
                 "the weighted program is infeasible")
-    if rho is None:
-        rho = default_weights(model, theta, J)
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (len(B),):
-        raise ValueError(f"rho must weight the {len(B)} states of B")
-    if len(B) and (rho <= 0.0).any():
-        raise ValueError("rho must be strictly positive on B")
 
     n = model.num_states
     in_B = np.zeros(n, dtype=bool)

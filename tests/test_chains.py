@@ -4,7 +4,6 @@ import pytest
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import AtomicMix, FamilyChoice, Policy, validate_model
 from totaldp.chains import (
-    EvalOptions,
     absorbing_core,
     classify_divergent,
     convert_transition_discount,
@@ -23,7 +22,7 @@ class TestEvaluatePolicy:
         fx = fixture("FX-P2")
         go = Policy.deterministic(fx.model, [0, 1])
         out = evaluate_policy(fx.model, go)
-        assert out.exact and np.array_equal(out.J, np.array([0.0, 1.0]))
+        assert np.array_equal(out.J, np.array([0.0, 1.0]))
 
     def test_interval_policy_grid(self):
         fx = fixture("FX-P3b")
@@ -52,14 +51,9 @@ class TestEvaluatePolicy:
             J = bellman_T_mu(model, mu, J)
         assert sup_dist(out.J, J) <= 1e-10
 
-    def test_iterative_path_is_monotone_and_close(self):
+    def test_nonnegative_iterates_increase(self):
         model, _ = random_model(29, regime="P")
         mu = random_policy(6, model)
-        exact = evaluate_policy(model, mu).J
-        approx = evaluate_policy(model, mu,
-                                 EvalOptions(method="iterate", tol=1e-12))
-        assert not approx.exact
-        assert sup_dist(approx.J, exact) <= 1e-9
         # iterates grow toward the value from below for nonnegative costs
         J = np.zeros(model.num_states)
         for _ in range(50):

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from totaldp.cli import main
+from totaldp.extreal import INF
 from totaldp.fixtures import fixture
 from totaldp.modelio import read_trace, render_model, write_model
 
@@ -106,6 +107,56 @@ class TestSolve:
                                        "--mu0", spec])
             assert out.exit_code == 2, spec
 
+    def test_config_errors_are_usage_errors(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-D")
+        for args in (["--algorithm", "mpi", "--nk", "exact"],
+                     ["--algorithm", "mixed", "--nk", "exact",
+                      "--mask-schedule", "roundrobin"],
+                     ["--nk", "0"], ["--nk", "abc"]):
+            out = runner.invoke(main, ["solve", str(path), *args])
+            assert out.exit_code == 2, (args, out.output)
+            assert "Traceback" not in out.output
+
+    def test_bad_vector_files_are_usage_errors(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-P4")
+        nan = tmp_path / "nan.json"
+        nan.write_text('[0, "nan", 1]')
+        short = tmp_path / "short.json"
+        short.write_text("[0, 1]")
+        for opt, vec in (("--j0", nan), ("--j0", short), ("--q0", short),
+                         ("--j0", tmp_path / "missing.json")):
+            out = runner.invoke(main, ["solve", str(path), "--algorithm", "mixed",
+                                       opt, f"file:{vec}"])
+            assert out.exit_code == 2, (opt, vec, out.output)
+
+    def test_vector_files_use_the_model_literals(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-P3a")
+        vec = tmp_path / "j0.json"
+        vec.write_text('[0, "inf", 1.0]')
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi",
+                                   "--j0", f"file:{vec}"])
+        assert out.exit_code == 0, out.output
+        assert "final J: [ 0. inf  1.]" in out.output
+
+    def test_zero_multiple_of_an_infinite_optimum_is_zero(self, runner, tmp_path):
+        # 0 * inf = 0 in the start cJstar:0, not NaN
+        path = _write_fixture(tmp_path, "FX-P3a")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi",
+                                   "--j0", "cJstar:0", "--max-iter", "400"])
+        assert out.exit_code == 0, out.output
+        assert "nan" not in out.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_infinite_config_flag_is_written(self, runner, tmp_path, fmt):
+        # mpi from J0 = inf on FX-P2 records cone_c = inf in the trace config
+        path = _write_fixture(tmp_path, "FX-P2")
+        trace_path = tmp_path / f"trace.{fmt}"
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mpi", "--j0", "inf",
+                                   "--max-iter", "5", "--trace-out", str(trace_path),
+                                   "--format", fmt])
+        assert out.exit_code == 0, out.output
+        assert read_trace(trace_path).config["initial_flags"]["cone_c"] == INF
+
     def test_tolerance_env_override(self, runner, tmp_path, monkeypatch):
         path = _write_fixture(tmp_path, "FX-D")
         monkeypatch.setenv("TOTALDP_TOL", "1e-3")
@@ -154,6 +205,14 @@ class TestCompare:
                                    "--algorithms", "vi,mixed"])
         assert out.exit_code == 2
         assert "atomic-only" in out.output
+
+    def test_config_errors_are_usage_errors(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-D")
+        for nk in ("exact", "abc", "0"):
+            out = runner.invoke(main, ["compare", str(path),
+                                       "--algorithms", "vi,mpi", "--nk", nk])
+            assert out.exit_code == 2, (nk, out.output)
+            assert "Traceback" not in out.output
 
     def test_single_algorithm_degenerate_table(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")

@@ -184,7 +184,7 @@ class TestParametrizedOperators:
         assert_matches(f_theta_apply(model, theta, Q, J), ref._f_apply(model, theta, Q, J))
         assert_matches(f_theta_hat_apply(model, hat, Q, J),
                        ref.f_theta_hat_apply(model, hat, Q, J))
-        prob = StoppingProblem(model=model, theta=theta, J=J, K=0.0)
+        prob = StoppingProblem(model=model, theta=theta, J=J)
         G = ref._continuation_values(prob, Q)
         assert_matches(reconstruct_q(prob, Q), G)
         stop = J[model.pair_state]

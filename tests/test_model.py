@@ -65,6 +65,29 @@ def test_family_coefficient_rules():
     assert any("p1 sums to" in p for p in problems)
 
 
+@pytest.mark.parametrize("regime", ["D", "N", "P"])
+def test_nan_is_flagged_in_every_regime(regime):
+    nan = float("nan")
+    discount = 0.9 if regime == "D" else 1.0
+    good_fam = dict(lo=0.0, hi=1.0, lo_closed=False, hi_closed=False, c0=0.0, c1=0.0,
+                    p0=np.array([1.0, 0.0]), p1=np.array([0.0, 0.0]))
+
+    def model(cost=0.0, probs=(1.0, 0.0), **fam):
+        return TotalCostModel(
+            regime=regime, discount=discount,
+            controls=((AtomicControl("u", cost, np.array(probs)),),
+                      (AtomicControl("u", 0.0, np.array([0.0, 1.0])),)),
+            families=((AffineFamily(**{**good_fam, **fam}),), ()))
+
+    assert validate_model(model()) == []
+    cases = [dict(cost=nan), dict(probs=(nan, 1.0)), dict(probs=(1.0, nan))]
+    cases += [{key: nan} for key in ("lo", "hi", "c0", "c1")]
+    cases += [dict(p0=np.array([1.0, nan])), dict(p1=np.array([nan, 0.0]))]
+    for kwargs in cases:
+        problems = validate_model(model(**kwargs))
+        assert problems and any("nan" in p.lower() for p in problems), kwargs
+
+
 def test_discounted_regime_checks():
     fx = fixture("FX-D")
     assert validate_model(fx.model) == []

@@ -1,12 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from totaldp.extreal import INF
-from totaldp.solvers import FullB, SolverConfig, mixed_vpi, value_iteration
+from totaldp.solvers import (
+    FullB,
+    IterationTrace,
+    SolverConfig,
+    TraceRow,
+    mixed_vpi,
+    value_iteration,
+)
+from totaldp.model import AtomicControl, TotalCostModel
 from totaldp.operators import h_backup
 from totaldp.fixtures import fixture, fixture_names, random_model
 from totaldp.modelio import (
     ModelFileError,
+    decode_xreal,
     model_hash,
     parse_model,
     read_model,
@@ -107,38 +119,46 @@ def _sample_trace():
     return out.trace
 
 
-def _traces_equal(a, b):
-    assert a.algorithm == b.algorithm
-    assert a.regime == b.regime
-    assert a.discount == b.discount
-    assert a.model_hash == b.model_hash
-    assert a.dist0 == b.dist0
-    assert a.op_count == b.op_count
-    assert np.array_equal(a.J0, b.J0)
-    assert np.array_equal(a.Q0, b.Q0)
+def _same(a, b) -> bool:
+    """Bit-exact equality: floats (and arrays) by their bytes, so that
+    -0.0 and 0.0 differ and a string 'inf' never equals the float."""
+    if isinstance(a, (float, np.floating)):
+        return isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, list) and len(a) == len(b) and all(
+            _same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def _assert_same_trace(a, b):
+    for f in dataclasses.fields(IterationTrace):
+        if f.name != "rows":
+            assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
     assert len(a.rows) == len(b.rows)
     for ra, rb in zip(a.rows, b.rows):
-        assert ra.k == rb.k
-        assert ra.residual == rb.residual
-        assert ra.dist_J == rb.dist_J
-        assert ra.dist_Q == rb.dist_Q
-        assert ra.upper_margin == rb.upper_margin
-        assert ra.lower_margin == rb.lower_margin
-        assert ra.q_lower_margin == rb.q_lower_margin
-        assert ra.policy == rb.policy
-        assert ra.b_set == rb.b_set
+        for f in dataclasses.fields(TraceRow):
+            assert _same(getattr(ra, f.name), getattr(rb, f.name)), (ra.k, f.name)
+
+
+FORMATS = {"csv": (trace_to_csv, trace_from_csv), "json": (trace_to_json, trace_from_json)}
 
 
 class TestTraceRoundTrip:
     def test_csv_reparse_is_exact(self):
         trace = _sample_trace()
         back = trace_from_csv(trace_to_csv(trace))
-        _traces_equal(trace, back)
+        _assert_same_trace(trace, back)
 
     def test_json_reparse_is_exact(self):
         trace = _sample_trace()
         back = trace_from_json(trace_to_json(trace))
-        _traces_equal(trace, back)
+        _assert_same_trace(trace, back)
 
     def test_infinite_header_fields_round_trip(self):
         fx = fixture("FX-P3a")
@@ -154,3 +174,231 @@ class TestTraceRoundTrip:
         from totaldp.solvers import TraceRow
         with pytest.raises(ValueError):
             trace.append(TraceRow(k=trace.rows[-1].k, residual=0.0))
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_infinities_in_extra_round_trip(self, fmt):
+        # mixed on FX-P2 from J0 = (0, inf): the first Q residual is inf
+        fx = fixture("FX-P2")
+        J0 = np.array([0.0, INF])
+        res = mixed_vpi(fx.model, SolverConfig(
+            algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=2,
+            ground_truth=fx.ground_truth()))
+        assert res.trace.rows[0].extra["residual_Q"] == INF
+        write, read = FORMATS[fmt]
+        _assert_same_trace(res.trace, read(write(res.trace)))
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_every_field_round_trips(self, fmt):
+        trace = IterationTrace(
+            algorithm="mixed", regime="N", discount=1.0,
+            config={"nk": "exact", "tol": 1e-9, "initial_flags": {"cone_c": INF}},
+            J0=np.array([-INF, -0.0, 2.5]), Q0=np.array([INF, 1e-300]),
+            dist0=INF, initial_dominance=False, ground_truth_known=True,
+            model_hash="abc", op_count=7)
+        trace.append(TraceRow(k=1, residual=INF, policy="0:0", b_set="{}",
+                              extra={"direction": None, "divergent": [0, 2]}))
+        trace.append(TraceRow(
+            k=3, residual=0.1, dist_J=-INF, dist_Q=0.0, policy="0:1,1:0", b_set="S",
+            upper_margin=-0.0, lower_margin=INF, q_lower_margin=-1.5, wall_time=0.125,
+            extra={"ineq_lower_margin": -INF, "cone_margin": None,
+                   "J_snapshot": [INF, -INF, 0.1], "nested": {"gap": INF, "name": "x"}}))
+        write, read = FORMATS[fmt]
+        _assert_same_trace(trace, read(write(trace)))
+
+
+# Traces written by the previous release (mixed on FX-P2 from J0 = (0, inf),
+# nk = 2, two iterations, wall times set to 0.25 k): the CSV columns come in
+# a different order from today's, and both headers carry a "seed" key.
+PARENT_CSV = '''#header,"{""algorithm"": ""mixed"", ""regime"": ""P"", ""discount"": 1.0, ""model_hash"": ""546414e7323ef7ca"", ""seed"": null, ""config"": {""algorithm"": ""mixed"", ""nk"": 2, ""epsilon"": 0.0, ""bstrategy"": ""FullB"", ""max_iter"": 2, ""tol"": 1e-09, ""masks"": false, ""clamped"": false}, ""dist0"": ""inf"", ""initial_dominance"": true, ""ground_truth_known"": true, ""op_count"": 4, ""J0"": [""0.0"", ""inf""], ""Q0"": [""0.0"", ""inf"", ""1.0""]}"
+k,residual,dist_J,dist_Q,upper_margin,lower_margin,q_lower_margin,policy,b_set,wall_time,extra
+1,inf,1.0,1.0,0.0,0.0,0.0,"0:0,1:1",S,0.25,"{""residual_Q"": ""inf"", ""J_snapshot"": [0.0, 1.0], ""Q_snapshot"": [0.0, 1.0, 1.0]}"
+2,0.0,1.0,1.0,0.0,0.0,0.0,"0:0,1:0",S,0.5,"{""residual_Q"": 0.0, ""J_snapshot"": [0.0, 1.0], ""Q_snapshot"": [0.0, 1.0, 1.0]}"
+'''
+
+PARENT_JSON = '''{
+  "algorithm": "mixed",
+  "regime": "P",
+  "discount": 1.0,
+  "config": {
+    "algorithm": "mixed",
+    "nk": 2,
+    "epsilon": 0.0,
+    "bstrategy": "FullB",
+    "max_iter": 2,
+    "tol": 1e-09,
+    "masks": false,
+    "clamped": false
+  },
+  "model_hash": "546414e7323ef7ca",
+  "seed": null,
+  "dist0": "inf",
+  "initial_dominance": true,
+  "ground_truth_known": true,
+  "op_count": 4,
+  "J0": [
+    0.0,
+    "inf"
+  ],
+  "Q0": [
+    0.0,
+    "inf",
+    1.0
+  ],
+  "rows": [
+    {
+      "k": 1,
+      "residual": "inf",
+      "dist_J": 1.0,
+      "dist_Q": 1.0,
+      "upper_margin": 0.0,
+      "lower_margin": 0.0,
+      "q_lower_margin": 0.0,
+      "policy": "0:0,1:1",
+      "b_set": "S",
+      "wall_time": 0.25,
+      "extra": {
+        "residual_Q": "inf",
+        "J_snapshot": [
+          0.0,
+          1.0
+        ],
+        "Q_snapshot": [
+          0.0,
+          1.0,
+          1.0
+        ]
+      }
+    },
+    {
+      "k": 2,
+      "residual": 0.0,
+      "dist_J": 1.0,
+      "dist_Q": 1.0,
+      "upper_margin": 0.0,
+      "lower_margin": 0.0,
+      "q_lower_margin": 0.0,
+      "policy": "0:0,1:0",
+      "b_set": "S",
+      "wall_time": 0.5,
+      "extra": {
+        "residual_Q": 0.0,
+        "J_snapshot": [
+          0.0,
+          1.0
+        ],
+        "Q_snapshot": [
+          0.0,
+          1.0,
+          1.0
+        ]
+      }
+    }
+  ]
+}
+'''
+
+
+class TestParentTraces:
+    def _expected(self):
+        trace = IterationTrace(
+            algorithm="mixed", regime="P", discount=1.0,
+            config={"algorithm": "mixed", "nk": 2, "epsilon": 0.0, "bstrategy": "FullB",
+                    "max_iter": 2, "tol": 1e-09, "masks": False, "clamped": False},
+            J0=np.array([0.0, INF]), Q0=np.array([0.0, INF, 1.0]), dist0=INF,
+            initial_dominance=True, ground_truth_known=True,
+            model_hash="546414e7323ef7ca", op_count=4)
+        for k, residual, res_Q, policy in ((1, INF, INF, "0:0,1:1"), (2, 0.0, 0.0, "0:0,1:0")):
+            trace.append(TraceRow(
+                k=k, residual=residual, dist_J=1.0, dist_Q=1.0, policy=policy, b_set="S",
+                upper_margin=0.0, lower_margin=0.0, q_lower_margin=0.0, wall_time=0.25 * k,
+                extra={"residual_Q": res_Q, "J_snapshot": [0.0, 1.0],
+                       "Q_snapshot": [0.0, 1.0, 1.0]}))
+        return trace
+
+    def test_parent_csv_reads_back(self):
+        _assert_same_trace(self._expected(), trace_from_csv(PARENT_CSV))
+
+    def test_parent_json_reads_back(self):
+        _assert_same_trace(self._expected(), trace_from_json(PARENT_JSON))
+
+    @pytest.mark.parametrize("read, text, old, new", [
+        (trace_from_csv, PARENT_CSV, '""dist0"": ""inf""', '""dist0"": ""nan""'),
+        (trace_from_csv, PARENT_CSV, "1,inf,1.0", "1,nan,1.0"),
+        (trace_from_csv, PARENT_CSV, '""residual_Q"": ""inf""', '""residual_Q"": NaN'),
+        (trace_from_json, PARENT_JSON, '"dist0": "inf"', '"dist0": NaN'),
+        (trace_from_json, PARENT_JSON, '"residual": "inf"', '"residual": "nan"'),
+        (trace_from_json, PARENT_JSON, '"residual_Q": "inf"', '"residual_Q": NaN'),
+    ])
+    def test_nan_in_a_trace_file_is_rejected(self, read, text, old, new):
+        assert old in text
+        with pytest.raises(ModelFileError):
+            read(text.replace(old, new, 1))
+
+
+def _one_state_model(costs) -> TotalCostModel:
+    return TotalCostModel(
+        regime="P", discount=1.0, state_names=("s",), families=((),),
+        controls=(tuple(AtomicControl(f"u{i}", float(c), np.array([1.0]))
+                        for i, c in enumerate(costs)),))
+
+
+EXTENDED_REALS = st.lists(st.floats(allow_nan=True) | st.sampled_from([INF, -INF, -0.0]),
+                          min_size=1, max_size=8).map(
+    lambda vs: [v for v in vs if v == v])
+
+
+class TestCodec:
+    @given(EXTENDED_REALS)
+    def test_extended_reals_round_trip_bit_exactly(self, values):
+        values = np.array(values, dtype=float)
+        model, gt = parse_model(render_model(_one_state_model(values), (values, values)))
+        costs = np.array([c.cost for c in model.controls[0]])
+        for back in (costs, gt[0], gt[1]):
+            assert _same(values, back)
+        trace = IterationTrace(algorithm="vi", regime="P", discount=1.0, config={},
+                               J0=values, Q0=values, dist0=float(values[0]))
+        for k, v in enumerate(values, start=1):
+            trace.append(TraceRow(k=k, residual=float(v), upper_margin=float(v),
+                                  extra={"v": float(v), "all": values.tolist()}))
+        for write, read in FORMATS.values():
+            _assert_same_trace(trace, read(write(trace)))
+
+    @given(st.sampled_from(["nan", "NaN", " -nan", "one", "", "1,5", "inf inf", "0x10"])
+           | st.text(alphabet="abcxyz!?", min_size=1))
+    def test_nan_and_non_numeric_strings_are_rejected(self, text):
+        with pytest.raises(ModelFileError):
+            decode_xreal(text)
+        model_text = render_model(fixture("FX-P2").model)
+        with pytest.raises(ModelFileError):
+            parse_model(model_text.replace('"cost": 1.0', f'"cost": "{text}"'))
+
+    @pytest.mark.parametrize("old, new", [
+        ('"cost": 1.0', '"cost": NaN'),
+        ('"prob": 1.0', '"prob": "nan"'),
+        ('"discount": 1.0', '"discount": NaN'),
+    ])
+    def test_nan_in_a_model_file_is_rejected(self, old, new):
+        text = render_model(fixture("FX-P2").model)
+        assert old in text
+        with pytest.raises(ModelFileError):
+            parse_model(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize("old, new", [
+        ('"lo": 0.0', '"lo": NaN'),
+        ('"cost": [\n            0.0', '"cost": [\n            "nan"'),
+        ('"p1": 1.0', '"p1": "nan"'),
+    ])
+    def test_nan_in_a_family_is_rejected(self, old, new):
+        text = render_model(fixture("FX-P3a").model)
+        assert old in text
+        with pytest.raises(ModelFileError):
+            parse_model(text.replace(old, new, 1))
+
+    def test_the_parent_literals_decode(self):
+        for text, value in (("inf", INF), ("+inf", INF), ("Infinity", INF),
+                            ("-inf", -INF), ("−inf", -INF), ("-Infinity", -INF),
+                            ("1.5", 1.5), (" 2 ", 2.0), (3, 3.0), (-0.0, -0.0)):
+            assert _same(decode_xreal(text), value)
+        for bad in (True, None, [1.0], {"v": 1}):
+            with pytest.raises(ModelFileError):
+                decode_xreal(bad)

@@ -30,8 +30,6 @@ class TestBuild:
         assert np.array_equal(prob.stop_costs(), np.zeros(3))
         assert np.array_equal(prob.model.pair_costs, np.array([0.0, 0.0, 1.0]))
         assert prob.b_pairs.all()
-        K = prob.K
-        assert K == INF  # nonnegative-cost regime
 
     def test_kernel_rows_sum_to_one(self):
         model, _ = random_model(101, regime="P")
@@ -45,13 +43,6 @@ class TestBuild:
         prob = build_stopping(fx.model, _go_theta(fx, B=set()), fx.Jstar)
         sol = solve_stopping(prob, OPTS)
         assert np.array_equal(sol.V, prob.stop_costs())
-
-    def test_discounted_k_constant(self):
-        fx = fixture("FX-D")
-        theta = Theta(random_policy(3, fx.model), frozenset({0}))
-        prob = build_stopping(fx.model, theta, fx.Jstar)
-        assert prob.K == max(np.abs(fx.model.pair_costs).max(),
-                             np.abs(fx.Jstar).max())
 
     def test_unreachable_pairs_listed_and_outside_kernel(self):
         # control name sets differ across states, so B x C leaves the
@@ -264,16 +255,6 @@ class TestProgramBound:
         with pytest.raises(AssumptionError) as err:
             lp_upper_bound(model, theta, J)
         assert "state 1" in str(err.value)
-
-    def test_weights_do_not_move_the_answer(self):
-        model, _ = random_model(163, regime="P")
-        theta = Theta(random_policy(21, model, deterministic=True),
-                      frozenset(range(model.num_states)))
-        J = np.random.default_rng(22).uniform(0, 3, size=model.num_states)
-        a = lp_upper_bound(model, theta, J)
-        rho = np.random.default_rng(23).uniform(0.1, 5, size=len(a.B_order))
-        b = lp_upper_bound(model, theta, J, rho=rho)
-        assert sup_dist(a.Qbar, b.Qbar) <= 1e-12
 
     def test_randomized_policy_rejected(self):
         model, _ = random_model(167, regime="P")
