@@ -48,7 +48,15 @@ from .modelio import (
 
 def _default_tol() -> float:
     env = os.environ.get("TOTALDP_TOL")
-    return float(env) if env else 1e-9
+    if not env:
+        return 1e-9
+    try:
+        tol = decode_xreal(env, "TOTALDP_TOL")
+    except ModelFileError as err:
+        raise click.UsageError(str(err))
+    if not tol > 0.0:
+        raise click.UsageError(f"TOTALDP_TOL must be positive, got {env!r}")
+    return tol
 
 
 @click.group()
@@ -129,11 +137,13 @@ def _parse_bstrategy(spec: str):
         return FullB()
     if spec == "empty":
         return EmptyB()
-    if spec.startswith("occupation"):
-        parts = spec.split(":")
-        beta = float(parts[1]) if len(parts) > 1 else 0.5
-        threshold = float(parts[2]) if len(parts) > 2 else 1e-12
-        return OccupationSupportB(beta=beta, threshold=threshold)
+    name, *numbers = spec.split(":")
+    if name == "occupation" and len(numbers) <= 2:
+        try:
+            return OccupationSupportB(*(decode_xreal(v, "B strategy parameter")
+                                        for v in numbers))
+        except (ModelFileError, ValueError) as err:
+            raise click.UsageError(f"bad B strategy {spec!r}: {err}")
     raise click.UsageError(f"bad B strategy {spec!r} "
                            "(use full | empty | occupation[:beta[:threshold]])")
 

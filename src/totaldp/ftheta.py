@@ -20,10 +20,23 @@ plain fixed-policy Q backup.  One application is a few pair-axis array
 operations: lift J onto the pairs, take min{J, Q}, mix it per state with
 the policy's pair weights (a segment-wise expectation), and run the
 shared Q backup of the operators module against the result.
+
+An application reads Q only through that state vector w (J off B, the
+policy's mix of min{J, Q} on B), and the backup is a deterministic
+function of w.  So once two successive powers read bitwise-equal
+vectors, every later power returns the same Q, and `f_theta_power`
+stops there.  Its result is the full n-fold composition; only the
+backups that could not change it are skipped.  In the unclamped mixed
+iteration J = M Q, so min{J, Q} is J and, under a deterministic policy,
+the first power is H(J).  While the iterates rise (T J >= J, so that
+H(J) >= J on every pair), the second power reads that same J: one
+backup per mixed iteration instead of n.  `applications_run` counts the
+backups that did run.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,20 +100,26 @@ def _check_inputs(model: TotalCostModel, policy: Policy) -> None:
         raise ValueError("invalid policy: " + "; ".join(errs))
 
 
-def _floor_backup(model: TotalCostModel, policy: Policy, B: np.ndarray,
-                  V: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Q backup against J, where J(x) for x in B is replaced by
-    sum_u' mu(u'|x) V(x, u') for a pair-axis vector V."""
+def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
+           V: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """J, with J(x) for x in B replaced by sum_u' mu(u'|x) V(x, u') for a
+    pair-axis vector V."""
     w = J.copy()
     if B.size:
         w[B] = expect_segments(policy.pair_weights, V, model.pair_starts)[B]
-    return pair_backup(model, w)
+    return w
+
+
+def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
+             J: np.ndarray) -> np.ndarray:
+    """The state vector that one application of F_theta(.; J) to Q backs up."""
+    return _floor(model, theta.policy, theta.B_index,
+                  np.minimum(J[model.pair_state], Q), J)
 
 
 def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
              J: np.ndarray) -> np.ndarray:
-    V = np.minimum(J[model.pair_state], Q)
-    return _floor_backup(model, theta.policy, theta.B_index, V, J)
+    return pair_backup(model, _f_floor(model, theta, Q, J))
 
 
 def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
@@ -122,19 +141,45 @@ def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
     Jp = J[model.pair_state]
     V = np.where(in_R, np.minimum(Jp, Q), Jp)
     B = np.array(sorted(theta_hat.B), dtype=np.intp)
-    return _floor_backup(model, theta_hat.policy, B, V, J)
+    return pair_backup(model, _floor(model, theta_hat.policy, B, V, J))
+
+
+# Backups that f_theta_power has run on this thread.  A caller that
+# reports work done reads applications_run() around its call.
+_work = threading.local()
+
+
+def applications_run() -> int:
+    """F_theta applications computed by `f_theta_power` on this thread."""
+    return getattr(_work, "applications", 0)
 
 
 def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
                   J: np.ndarray, n: int) -> np.ndarray:
-    """n-fold composition of F_theta(.; J) starting from Q0."""
+    """n-fold composition of F_theta(.; J) starting from Q0.
+
+    Each power backs up the state vector w that it reads off the current
+    Q.  When the next power's w is bitwise equal to the last one (so -0.0
+    and the infinities count exactly), that power and every later one
+    would return the current Q again, and the loop stops.  The result is
+    the n-fold composition; `applications_run` counts only the backups
+    that ran.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_inputs(model, theta.policy)
-    Q = np.asarray(Q0, dtype=float)
     J = np.asarray(J, dtype=float)
-    for _ in range(n):
-        Q = _f_apply(model, theta, Q, J)
+    w = _f_floor(model, theta, np.asarray(Q0, dtype=float), J)
+    Q = pair_backup(model, w)
+    applied = 1
+    while applied < n:
+        nxt = _f_floor(model, theta, Q, J)
+        if nxt.tobytes() == w.tobytes():
+            break
+        w = nxt
+        Q = pair_backup(model, w)
+        applied += 1
+    _work.applications = applications_run() + applied
     return Q
 
 

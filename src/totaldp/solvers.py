@@ -33,6 +33,7 @@ from .ftheta import (
     DIVERGENCE_WINDOW,
     FixedPointOptions,
     Theta,
+    applications_run,
     f_theta_power,
     masked_update,
     q_fixed_point,
@@ -91,7 +92,7 @@ class OccupationSupportB:
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
-        if self.threshold < 0.0:
+        if not self.threshold >= 0.0:
             raise ValueError("threshold must be nonnegative")
 
     def resolve(self, model, policy, k):
@@ -277,8 +278,14 @@ class SolverConfig:
             raise ValueError("modified policy iteration needs a finite nk")
         if self.nk == "exact" and self.masks is not None:
             raise ValueError("mask schedules need a finite nk")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if not self.epsilon >= 0.0:
+            raise ValueError("epsilon must be nonnegative")
+        for name in ("clamp_lo", "clamp_hi"):
+            bound = getattr(self, name)
+            if bound is not None and np.isnan(np.asarray(bound, dtype=float)).any():
+                raise ValueError(f"{name} must not be NaN")
         if self.clamp_lo is not None and self.clamp_hi is not None:
             lo = np.asarray(self.clamp_lo, dtype=float)
             hi = np.asarray(self.clamp_hi, dtype=float)
@@ -558,7 +565,10 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     solve the Q fixed point exactly; J becomes the per-state minimum,
     optionally clamped.  Mask schedules switch the update to its
     asynchronous masked form.  Rows record ordering margins against the
-    value-iteration envelope from J0 and against ground truth.
+    value-iteration envelope from J0 and against ground truth, and in
+    ``extra["powers"]`` the operator applications that ran (fewer than
+    nk once a power repeats; see `f_theta_power`), which also add up to
+    the trace's ``op_count``.
     """
     if not model.atomic_only:
         raise ValueError("mixed value-and-policy iteration needs an atomic-only model")
@@ -590,20 +600,22 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         B, used_policy = config.bstrategy.resolve(model, policy, k)
         theta = Theta(used_policy, B)
         nk = config.nk_at(k)
+        before = applications_run()
         if config.masks is not None:
             gamma_mask, s_mask = config.masks[k % len(config.masks)]
             Q_next, J_next = masked_update(model, theta, Q, J,
                                            gamma_mask, s_mask, n=int(nk))
-            trace.op_count += int(nk)
-            J_next = _clamp(J_next, config)
+            powers = applications_run() - before
         elif nk == "exact":
             Q_next, cert = q_fixed_point(model, theta, J, config.fp_options)
-            trace.op_count += cert.iterations
-            J_next = _clamp(m_minimize(model, Q_next), config)
+            powers = cert.iterations
+            J_next = m_minimize(model, Q_next)
         else:
             Q_next = f_theta_power(model, theta, Q, J, int(nk))
-            trace.op_count += int(nk)
-            J_next = _clamp(m_minimize(model, Q_next), config)
+            powers = applications_run() - before
+            J_next = m_minimize(model, Q_next)
+        trace.op_count += powers
+        J_next = _clamp(J_next, config)
         envelope = bellman_T(model, envelope)
         res_J = sup_dist(J_next, J)
         res_Q = sup_dist(Q_next, Q)
@@ -618,7 +630,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
             lower_margin=None if Jstar is None else _margin_leq(Jstar, J),
             q_lower_margin=None if Qstar is None else _margin_leq(Qstar, Q),
             wall_time=time.perf_counter() - start,
-            extra={"residual_Q": res_Q},
+            extra={"residual_Q": res_Q, "powers": powers},
         )
         if config.snapshot_iterates:
             row.extra["J_snapshot"] = J.tolist()

@@ -112,10 +112,29 @@ class TestSolve:
         for args in (["--algorithm", "mpi", "--nk", "exact"],
                      ["--algorithm", "mixed", "--nk", "exact",
                       "--mask-schedule", "roundrobin"],
-                     ["--nk", "0"], ["--nk", "abc"]):
+                     ["--nk", "0"], ["--nk", "abc"],
+                     ["--algorithm", "vi", "--tol", "nan"], ["--tol", "0"],
+                     ["--clamp-lo", "nan"], ["--clamp-hi", "nan"],
+                     ["--epsilon", "nan"], ["--epsilon", "-1"],
+                     *(["--bstrategy", spec] for spec in (
+                         "occupation:abc", "occupation:2", "occupation:0.5:nan",
+                         "occupation:0.5:-1", "occupation:0.5:0:1", "occupationx"))):
             out = runner.invoke(main, ["solve", str(path), *args])
             assert out.exit_code == 2, (args, out.output)
             assert "Traceback" not in out.output
+        out = runner.invoke(main, ["solve", str(path), "--bstrategy", "occupation:0.6"])
+        assert out.exit_code == 0, out.output
+
+    @pytest.mark.parametrize("command, extra", [("solve", ["--algorithm", "vi"]),
+                                                ("compare", [])])
+    def test_bad_env_tolerance_is_usage_error(self, runner, tmp_path, command, extra):
+        args = [command, str(_write_fixture(tmp_path, "FX-D")), *extra]
+        for tol in ("abc", "nan", "0", "-1e-9"):
+            out = runner.invoke(main, args, env={"TOTALDP_TOL": tol})
+            assert out.exit_code == 2, (tol, out.output)
+            assert "TOTALDP_TOL" in out.output
+        out = runner.invoke(main, args, env={"TOTALDP_TOL": "1e-8"})
+        assert out.exit_code == 0, out.output
 
     def test_bad_vector_files_are_usage_errors(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-P4")

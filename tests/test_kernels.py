@@ -15,7 +15,14 @@ from hypothesis import given, strategies as st
 import reference_ops as ref
 from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture
-from totaldp.ftheta import Theta, ThetaHat, f_theta_apply, f_theta_hat_apply
+from totaldp.ftheta import (
+    Theta,
+    ThetaHat,
+    applications_run,
+    f_theta_apply,
+    f_theta_hat_apply,
+    f_theta_power,
+)
 from totaldp.model import (
     AtomicControl,
     AtomicMix,
@@ -204,3 +211,31 @@ class TestParametrizedOperators:
             assert_matches([g[x]], [expect(a.weights, costs)])
         assert np.array_equal(A, np.eye(model.num_states) - P)
         assert np.array_equal(g, g2)
+
+
+class TestPowerStop:
+    """`f_theta_power` stops once a power repeats; the result must be the
+    full composition, bit for bit."""
+
+    @given(cases(), st.integers(1, 6))
+    def test_stop_is_exact(self, c, n):
+        model, theta = c.model, Theta(c.policy, c.B)
+        before = applications_run()
+        got = f_theta_power(model, theta, c.Q, c.J, n)
+        assert 1 <= applications_run() - before <= n
+        Q, old = c.Q, c.Q
+        for _ in range(n):
+            Q = f_theta_apply(model, theta, Q, c.J)
+            old = ref._f_apply(model, theta, old, c.J)
+        assert got.tobytes() == Q.tobytes()
+        # the loop oracle sums policy mixes in another order
+        assert_matches(got, old)
+
+    def test_empty_b_runs_one_backup(self):
+        model = fixture("FX-D").model
+        J = np.array([0.0, -0.0, 1.0])
+        theta = Theta(Policy.deterministic(model, [0] * model.num_states), frozenset())
+        before = applications_run()
+        got = f_theta_power(model, theta, np.full(model.num_pairs(), INF), J, 6)
+        assert applications_run() - before == 1
+        assert got.tobytes() == h_backup(model, J).tobytes()

@@ -188,6 +188,15 @@ class TestTraceRoundTrip:
         _assert_same_trace(res.trace, read(write(res.trace)))
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_powers_round_trip(self, fmt):
+        # FX-D from zero rises: every row ran one of its four powers
+        trace = _sample_trace()
+        assert [row.extra["powers"] for row in trace.rows] == [1] * len(trace.rows)
+        assert trace.op_count == len(trace.rows)
+        write, read = FORMATS[fmt]
+        _assert_same_trace(trace, read(write(trace)))
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_every_field_round_trips(self, fmt):
         trace = IterationTrace(
             algorithm="mixed", regime="N", discount=1.0,

@@ -22,6 +22,7 @@ from totaldp.solvers import (
     mixed_vpi,
     modified_policy_iteration,
     policy_iteration,
+    round_robin_masks,
     run,
     value_iteration,
     verify_certificates,
@@ -190,6 +191,43 @@ class TestMixed:
         assert out.trace.rows[1].policy == stay.descriptor()
 
 
+class TestPowerCounts:
+    """op_count and extra["powers"] count the F_theta applications that ran."""
+
+    @staticmethod
+    def _run(model, J0, nk, **kw):
+        return mixed_vpi(model, SolverConfig(
+            algorithm="mixed", J0=J0, Q0=h_backup(model, J0), nk=nk,
+            bstrategy=FullB(), tol=1e-10, max_iter=2000, **kw))
+
+    def test_rising_iterates_run_one_backup_per_iteration(self):
+        model, _ = random_model(451, num_states=8, controls_per_state=3, regime="D")
+        J0 = np.zeros(model.num_states)
+        ten, one = self._run(model, J0, 10), self._run(model, J0, 1)
+        rows = ten.trace.rows
+        assert ten.trace.op_count == len(rows) == len(one.trace.rows)
+        assert all(row.extra["powers"] == 1 for row in rows)
+        for a, b in zip(rows, one.trace.rows):
+            for key in ("J_snapshot", "Q_snapshot"):
+                assert np.array(a.extra[key]).tobytes() == np.array(b.extra[key]).tobytes()
+
+    def test_falling_iterates_run_every_power(self):
+        model, Jstar = random_model(451, num_states=8, controls_per_state=3, regime="D")
+        trace = self._run(model, 1.5 * Jstar, 10).trace
+        assert trace.op_count == 10 * len(trace.rows)
+        assert all(row.extra["powers"] == 10 for row in trace.rows)
+
+    def test_masked_and_exact_rows_add_up_to_op_count(self):
+        fx = fixture("FX-D")
+        J0 = np.zeros(3)
+        masked = self._run(fx.model, J0, 3, masks=round_robin_masks(fx.model))
+        exact = self._run(fx.model, J0, "exact")
+        for trace, most in ((masked.trace, 3), (exact.trace, None)):
+            powers = [row.extra["powers"] for row in trace.rows]
+            assert sum(powers) == trace.op_count
+            assert all(p >= 1 and (most is None or p <= most) for p in powers)
+
+
 class TestLPVariant:
     def test_cap_without_stop_on_tol_returns(self):
         fx = fixture("FX-P2")
@@ -246,6 +284,19 @@ class TestRun:
                     SolverConfig(algorithm="mpi", J0=np.zeros(3))):
             with pytest.raises(ValueError):
                 run(fx.model, cfg)
+
+    @pytest.mark.parametrize("settings", [
+        {"tol": np.nan}, {"tol": 0.0}, {"epsilon": np.nan}, {"epsilon": -1.0},
+        {"clamp_lo": np.array([0.0, np.nan])}, {"clamp_hi": np.array([np.nan, 1.0])},
+    ], ids=["tol-nan", "tol-zero", "epsilon-nan", "epsilon-negative",
+            "clamp-lo-nan", "clamp-hi-nan"])
+    def test_rejects_nan_and_out_of_range_settings(self, settings):
+        with pytest.raises(ValueError):
+            SolverConfig(algorithm="mixed", **settings)
+
+    def test_rejects_a_nan_occupation_threshold(self):
+        with pytest.raises(ValueError):
+            OccupationSupportB(threshold=np.nan)
 
 
 class TestExtraction:
