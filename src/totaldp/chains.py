@@ -126,8 +126,13 @@ def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> s
     """
     if model.regime == "D":
         return set()
-    rec = recurrent_states(P)
-    if model.regime == "P":
+    return _divergent_states(model.regime, P, g, recurrent_states(P))
+
+
+def _divergent_states(regime: str, P: np.ndarray, g: np.ndarray,
+                      rec: set[int]) -> set[int]:
+    """classify_divergent for N and P, given the recurrent states."""
+    if regime == "P":
         bad = {x for x in rec if g[x] > 0.0} | {x for x in range(len(g)) if np.isposinf(g[x])}
     else:
         bad = {x for x in rec if g[x] < 0.0} | {x for x in range(len(g)) if np.isneginf(g[x])}
@@ -136,16 +141,15 @@ def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> s
     return can_reach(P, bad)
 
 
-def _solve_on_finite_part(P: np.ndarray, A: np.ndarray, g: np.ndarray,
+def _solve_on_finite_part(A: np.ndarray, g: np.ndarray, rec: set[int],
                           divergent: set[int], sign: float) -> np.ndarray:
-    n = P.shape[0]
+    n = A.shape[0]
     J = np.zeros(n)
     for x in divergent:
         J[x] = sign * INF
     finite = sorted(set(range(n)) - divergent)
     if not finite:
         return J
-    rec = recurrent_states(P)
     # Recurrent states outside the divergent set sit in zero-cost classes.
     transient = [x for x in finite if x not in rec]
     if transient:
@@ -160,7 +164,7 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     Discounted models solve the linear fixed-point system directly.
     Undiscounted models first classify divergent states by graph
     analysis, then solve the linear system on the remaining transient
-    part.
+    part.  Both steps read the chain's closed classes, found once.
     """
     errs = validate_policy(model, policy)
     if errs:
@@ -171,9 +175,10 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
         return EvalResult(J=np.linalg.solve(A, g))
 
     sign = 1.0 if model.regime == "P" else -1.0
-    divergent = classify_divergent(model, P, g)
+    rec = recurrent_states(P)
+    divergent = _divergent_states(model.regime, P, g, rec)
     A, g_exact = induced_complement(model, policy)
-    J = _solve_on_finite_part(P, A, g_exact, divergent, sign)
+    J = _solve_on_finite_part(A, g_exact, rec, divergent, sign)
     return EvalResult(J=J, divergent=frozenset(divergent))
 
 

@@ -90,14 +90,18 @@ class ThetaHat:
         return frozenset(x for x, _ in self.R)
 
 
-def _check_inputs(model: TotalCostModel, policy: Policy) -> None:
+def _check_inputs(model: TotalCostModel, theta: Theta | ThetaHat) -> None:
     if not model.atomic_only:
         raise ValueError("F operators are defined for atomic-only models")
-    if not policy.atomic:
+    if not theta.policy.atomic:
         raise ValueError("F operators need an atomic-distribution policy")
-    errs = validate_policy(model, policy)
+    errs = validate_policy(model, theta.policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
+    B = theta.B
+    if B and (min(B) < 0 or max(B) >= model.num_states):
+        raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
+                         f"got {sorted(B)}")
 
 
 def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
@@ -125,7 +129,7 @@ def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
 def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
                   J: np.ndarray) -> np.ndarray:
     """One application of F_theta(.; J) to Q."""
-    _check_inputs(model, theta.policy)
+    _check_inputs(model, theta)
     return _f_apply(model, theta, np.asarray(Q, dtype=float),
                     np.asarray(J, dtype=float))
 
@@ -134,7 +138,7 @@ def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
                       J: np.ndarray) -> np.ndarray:
     """Pair-masked variant: only pairs in R see min{J, Q}; the rest of a
     B-state's controls keep the stopping value J."""
-    _check_inputs(model, theta_hat.policy)
+    _check_inputs(model, theta_hat)
     Q = np.asarray(Q, dtype=float)
     J = np.asarray(J, dtype=float)
     in_R = np.array([p in theta_hat.R for p in model.pairs], dtype=bool)
@@ -167,7 +171,7 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _check_inputs(model, theta.policy)
+    _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
     w = _f_floor(model, theta, np.asarray(Q0, dtype=float), J)
     Q = pair_backup(model, w)
@@ -199,30 +203,87 @@ class FixedPointOptions:
     max_iter: int = 200_000
 
 
-# Monotone divergence promotion, shared by the undiscounted fixed-point
-# and stopping iterations and by value iteration: after DIVERGENCE_WARMUP
-# iterations, a coordinate whose increment is at least DIVERGENCE_FLOOR
-# and has not shrunk by 10% over DIVERGENCE_WINDOW iterations is sent to
-# the regime-signed infinity, which is sound for monotone limits and
-# accelerates stabilization.
+# Divergence in the undiscounted regimes.  There value iteration and the
+# fixed-point iterations below are monotone, and each coordinate tends to
+# a finite limit or to the regime-signed infinity.  DivergenceRule is the
+# one rule that decides which finite coordinates count as divergent:
+# those beyond _VALUE_CAP in magnitude at once, and after
+# DIVERGENCE_WARMUP iterations those whose increment is at least
+# DIVERGENCE_FLOOR and has not shrunk by 10% over DIVERGENCE_WINDOW
+# iterations.  The window test can also flag a coordinate that converges
+# slowly, such as one that leaves a unit-cost state with probability 1e-3
+# per step.
 DIVERGENCE_WINDOW = 40
 DIVERGENCE_WARMUP = 80
 DIVERGENCE_FLOOR = 1e-9
+_VALUE_CAP = 1e13
 
 
-def _promote_divergent(history: deque[np.ndarray], k: int) -> list[int]:
-    """Coordinates to promote at iteration k, from a history that keeps
-    the last DIVERGENCE_WINDOW + 2 iterates."""
-    if k < DIVERGENCE_WARMUP or len(history) <= DIVERGENCE_WINDOW:
-        return []
-    cur, prev = history[-1], history[-2]
-    old_cur, old_prev = history[-1 - DIVERGENCE_WINDOW], history[-2 - DIVERGENCE_WINDOW]
-    inc = np.abs(cur - prev)
-    old_inc = np.abs(old_cur - old_prev)
-    with np.errstate(invalid="ignore"):
-        stuck = (np.isfinite(cur) & (inc >= DIVERGENCE_FLOOR)
-                 & np.isfinite(old_inc) & (inc >= 0.9 * old_inc))
-    return [int(i) for i in np.flatnonzero(stuck)]
+class DivergenceRule:
+    """Divergence test over the iterates of one monotone sequence.
+
+    Built on the start iterate and called with iterate k at iteration k,
+    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
+    returns the boolean mask of coordinates it flags.  Only finite
+    coordinates are ever flagged.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
+
+    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
+        history = self._history
+        history.append(x)
+        flagged = np.abs(x) > _VALUE_CAP
+        if k >= DIVERGENCE_WARMUP and len(history) == history.maxlen:
+            with np.errstate(invalid="ignore"):
+                inc = np.abs(x - history[-2])
+                old_inc = np.abs(history[1] - history[0])
+                flagged |= ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
+                            & (inc >= 0.9 * old_inc))
+        if np.count_nonzero(flagged):
+            flagged &= np.isfinite(x)
+        return flagged
+
+
+def _monotone_limit(step, size: int, regime: str, alpha: float,
+                    opts: FixedPointOptions
+                    ) -> tuple[np.ndarray, FixedPointCertificate]:
+    """Iterate `step` from the zero vector to its limit.
+
+    In D the iteration stops when the contraction bound
+    alpha * r / (1 - alpha) on the remaining error drops below tol.  In N
+    and P it runs monotonically (down for N, up for P) until the residual
+    passes tol, sending the coordinates that DivergenceRule flags to the
+    regime-signed infinity on the way.
+    """
+    X = np.zeros(size)
+    sign = -1.0 if regime == "N" else 1.0
+    bound = "upper" if regime == "N" else "lower"
+    promoted: list[int] = []
+    divergent = DivergenceRule(X)
+    for k in range(1, opts.max_iter + 1):
+        nxt = step(X)
+        if promoted:
+            nxt[promoted] = sign * INF
+        res = sup_dist(nxt, X)
+        X = nxt
+        if regime == "D":
+            err = alpha * res / (1.0 - alpha)
+            if err <= opts.tol:
+                return X, FixedPointCertificate("D", k, res, "two-sided", err)
+            continue
+        if res <= opts.tol:
+            return X, FixedPointCertificate(
+                regime, k, res, bound, 0.0 if res == 0.0 else INF,
+                frozenset(promoted))
+        new = divergent(k, X)
+        if np.count_nonzero(new):
+            promoted += np.flatnonzero(new).tolist()
+            X[new] = sign * INF
+    raise FixedPointError(
+        f"no fixed point within {opts.max_iter} iterations (residual left)",
+        last=X, bound=bound)
 
 
 def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray,
@@ -230,49 +291,17 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray,
                   ) -> tuple[np.ndarray, FixedPointCertificate]:
     """Monotone limit of F_theta(.; J) from the zero Q-vector.
 
-    Discounted models stop when the contraction bound
-    alpha * r / (1 - alpha) on the remaining error drops below tol and
-    report it in the certificate.  Undiscounted models iterate
-    monotonically (down for N, up for P) until the residual passes tol or
-    the iterate stabilizes exactly; the certificate records which side of
-    the limit the returned iterate is on.
+    Discounted models stop on the contraction bound and report it in the
+    certificate.  Undiscounted models iterate until the residual passes
+    tol or the iterate stabilizes exactly; the certificate records which
+    side of the limit the returned iterate is on.  Raises FixedPointError
+    at the iteration cap.
     """
-    opts = options or FixedPointOptions()
-    _check_inputs(model, theta.policy)
+    _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
-    Q = np.zeros(model.num_pairs())
-    alpha = model.discount
-    sign = -1.0 if model.regime == "N" else 1.0
-    promoted: set[int] = set()
-    history = deque([Q], maxlen=DIVERGENCE_WINDOW + 2)
-    for k in range(1, opts.max_iter + 1):
-        nxt = _f_apply(model, theta, Q, J)
-        if promoted:
-            nxt[list(promoted)] = sign * INF
-        res = sup_dist(nxt, Q)
-        Q = nxt
-        if model.regime == "D":
-            err = alpha * res / (1.0 - alpha)
-            if err <= opts.tol:
-                return Q, FixedPointCertificate("D", k, res, "two-sided", err)
-            continue
-        if res <= opts.tol:
-            cert = FixedPointCertificate(
-                model.regime, k, res,
-                "upper" if model.regime == "N" else "lower",
-                0.0 if res == 0.0 else INF,
-                frozenset(promoted),
-            )
-            return Q, cert
-        history.append(Q)
-        for i in _promote_divergent(history, k):
-            promoted.add(i)
-            Q[i] = sign * INF
-    raise FixedPointError(
-        f"no fixed point within {opts.max_iter} iterations (residual left)",
-        last=Q,
-        bound="upper" if model.regime == "N" else "lower",
-    )
+    return _monotone_limit(lambda Q: _f_apply(model, theta, Q, J),
+                           model.num_pairs(), model.regime, model.discount,
+                           options or FixedPointOptions())
 
 
 def masked_update(model: TotalCostModel, theta: Theta, Q: np.ndarray,

@@ -20,7 +20,6 @@ time.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -28,9 +27,7 @@ import numpy as np
 
 from .extreal import INF, sup_dist
 from .ftheta import (
-    DIVERGENCE_FLOOR,
-    DIVERGENCE_WARMUP,
-    DIVERGENCE_WINDOW,
+    DivergenceRule,
     FixedPointOptions,
     Theta,
     applications_run,
@@ -108,6 +105,10 @@ class CustomB:
     """Explicit per-iteration subsets, cycled when the run is longer."""
 
     sets: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if not self.sets:
+            raise ValueError("CustomB needs at least one set")
 
     def resolve(self, model, policy, k):
         return self.sets[k % len(self.sets)], policy
@@ -190,45 +191,6 @@ def _margin_leq(a, b) -> float:
     with np.errstate(invalid="ignore"):
         diff = np.where(a == b, 0.0, a - b)
     return float(diff.max()) if diff.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Monotone divergence detection for undiscounted value iteration
-
-
-# Values beyond this magnitude count as divergent at once.
-_VALUE_CAP = 1e13
-
-
-class _DivergenceDetector:
-    """Flags coordinates whose monotone increments stop decaying.
-
-    On a finite undiscounted model, a coordinate of the value-iteration
-    sequence either converges (summable increments) or grows without
-    bound; increments that hold their size across a window, or values
-    beyond the cap, identify the divergent ones.
-    """
-
-    def __init__(self):
-        self.incs: deque[np.ndarray] = deque(maxlen=DIVERGENCE_WINDOW + 1)
-        self.flagged: set[int] = set()
-
-    def update(self, k: int, prev: np.ndarray, cur: np.ndarray) -> set[int]:
-        with np.errstate(invalid="ignore"):
-            inc = np.where(cur == prev, 0.0, np.abs(cur - prev))
-        self.incs.append(inc)
-        new: set[int] = set()
-        finite = np.isfinite(cur)
-        over = np.flatnonzero(finite & (np.abs(cur) > _VALUE_CAP))
-        new.update(int(i) for i in over if i not in self.flagged)
-        if k >= DIVERGENCE_WARMUP and len(self.incs) == DIVERGENCE_WINDOW + 1:
-            old = self.incs[0]
-            with np.errstate(invalid="ignore"):
-                stuck = finite & (inc >= DIVERGENCE_FLOOR) & (inc >= 0.9 * old)
-            new.update(int(i) for i in np.flatnonzero(stuck)
-                       if i not in self.flagged)
-        self.flagged |= new
-        return new
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +331,11 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     """Iterate the optimal-cost backup from J0.
 
     Undiscounted runs classify states whose iterates grow without bound
-    and report them at the regime-signed infinity; the remaining states
-    stop on the residual.  For atomic-only models a classified state is
-    pinned to infinity immediately (finite minima commute with monotone
-    limits, so this is exact and faster); models with affine families
+    (by `ftheta.DivergenceRule`) and report them at the regime-signed
+    infinity; the remaining states stop on the residual.  For
+    atomic-only models a classified state is pinned to infinity
+    immediately (finite minima commute with monotone limits, so this is
+    exact and faster); models with affine families
     keep iterating the finite values so that continuum infima see the
     true finite iterates.
     """
@@ -387,22 +350,24 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
         initial_dominance=None if Jstar is None else bool(_margin_leq(Jstar, J) <= 0.0),
     )
     sign = -1.0 if model.regime == "N" else 1.0
-    detector = _DivergenceDetector()
+    divergent = DivergenceRule(J)
+    flagged = np.zeros(model.num_states, dtype=bool)
+    divergent_states: list[int] = []
+    live = slice(None)  # the states not flagged divergent
     pin = model.atomic_only
     start = time.perf_counter()
     direction: str | None = None
     for k in range(1, config.max_iter + 1):
         nxt = bellman_T(model, J)
         trace.op_count += 1
-        if pin and detector.flagged:
-            nxt[list(detector.flagged)] = sign * INF
         if model.discount == 1.0:
-            detector.update(k, J, nxt)
-            if pin and detector.flagged:
-                nxt[list(detector.flagged)] = sign * INF
-        live = np.array([i for i in range(model.num_states)
-                         if i not in detector.flagged], dtype=int)
-        res = sup_dist(nxt[live], J[live]) if live.size else 0.0
+            flagged |= divergent(k, nxt)
+            if np.count_nonzero(flagged) > len(divergent_states):
+                divergent_states = np.flatnonzero(flagged).tolist()
+                live = ~flagged
+            if pin:
+                nxt[flagged] = sign * INF
+        res = sup_dist(nxt[live], J[live])
         if k == 1:
             if _margin_leq(nxt, J) <= 0.0:
                 direction = "nonincreasing"
@@ -410,22 +375,21 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                 direction = "nondecreasing"
         J = nxt
         reported = J.copy()
-        if detector.flagged:
-            reported[list(detector.flagged)] = sign * INF
+        reported[flagged] = sign * INF
         trace.append(TraceRow(
             k=k, residual=res,
             dist_J=_dist(reported, Jstar) if Jstar is not None else None,
             upper_margin=None,
             lower_margin=None if Jstar is None else _margin_leq(Jstar, reported),
             wall_time=time.perf_counter() - start,
-            extra={"direction": direction, "divergent": sorted(detector.flagged)},
+            extra={"direction": direction, "divergent": list(divergent_states)},
         ))
         if config.stop_on_tol and res <= config.tol:
             return SolveResult(J=reported, trace=trace, termination="converged",
-                               divergent=frozenset(detector.flagged))
+                               divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
     return _at_cap(config, SolveResult(J=reported, trace=trace, termination="cap",
-                                       divergent=frozenset(detector.flagged)),
+                                       divergent=frozenset(divergent_states)),
                    "value iteration", bound)
 
 

@@ -9,32 +9,34 @@ state lies outside B are stop-only.
 
 Solving this problem and mapping its optimal values back through one
 continuation backup reproduces the monotone fixed point of the ftheta
-module by a separate route (value iteration on pair values instead of
-Q-vector powers), which is how the two modules check each other.  Both
-routes apply the same one-step Q backup kernel of the operators module;
-the test suite checks that kernel against loop reference
-implementations.  A downward-iterated linear program over the same constraint
+module by a separate route, which is how the two modules check each
+other.  The independence lies in the operator: this route iterates the
+stopping backup T_o on pair values, where the ftheta route iterates
+F_theta on Q-vectors.  Both run in the same monotone-limit loop of the
+ftheta module (stop rules, divergence promotion, certificate) and apply
+the same one-step Q backup kernel of the operators module; the test
+suite checks that kernel against loop reference implementations.
+A downward-iterated linear program over the same constraint
 system yields, for nonnegative-cost models, a certified upper bound on
 that fixed point.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .extreal import INF, expect_rows, expect_segments, sup_dist
+from .extreal import expect_rows, expect_segments, sup_dist
 from .ftheta import (
-    DIVERGENCE_WINDOW,
     FixedPointCertificate,
+    FixedPointError,
     FixedPointOptions,
     Theta,
     _check_inputs,
     _f_apply,
-    _promote_divergent,
+    _monotone_limit,
 )
 from .model import TotalCostModel, regime_conforming
 from .operators import pair_backup
@@ -104,7 +106,7 @@ def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> Stoppi
     The policy is defined on every state of a finite model, so it also
     serves as the continuation kernel off B.
     """
-    _check_inputs(model, theta.policy)
+    _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
     if not regime_conforming(model, J):
         raise ValueError("stopping costs J must conform to the model regime")
@@ -144,45 +146,15 @@ def solve_stopping(problem: StoppingProblem,
     pairs inside B, an optimal stop/continue rule where one is
     guaranteed to exist (D and P; stop wins ties), and a convergence
     certificate with the same semantics as the ftheta fixed point.
+    Raises FixedPointError at the iteration cap.
     """
-    opts = options or FixedPointOptions()
-    m = problem.model
-    V = np.zeros(m.num_pairs())
-    # Stop-only pairs hold J(x) for every k >= 1; seed them directly.
-    alpha = problem.alpha
-    regime = problem.regime
-    sign = -1.0 if regime == "N" else 1.0
-    promoted: set[int] = set()
-    history = deque([V], maxlen=DIVERGENCE_WINDOW + 2)
-    cert = None
-    for k in range(1, opts.max_iter + 1):
-        nxt = t_o_apply(problem, V)
-        if promoted:
-            nxt[list(promoted)] = sign * INF
-        res = sup_dist(nxt, V)
-        V = nxt
-        if regime == "D":
-            err = alpha * res / (1.0 - alpha)
-            if err <= opts.tol:
-                cert = FixedPointCertificate("D", k, res, "two-sided", err)
-                break
-            continue
-        if res <= opts.tol:
-            cert = FixedPointCertificate(
-                regime, k, res, "upper" if regime == "N" else "lower",
-                0.0 if res == 0.0 else INF, frozenset(promoted))
-            break
-        history.append(V)
-        for i in _promote_divergent(history, k):
-            promoted.add(i)
-            V[i] = sign * INF
-    if cert is None:
-        raise RuntimeError(
-            f"stopping solve did not stabilize in {opts.max_iter} iterations")
+    V, cert = _monotone_limit(partial(t_o_apply, problem),
+                              problem.model.num_pairs(), problem.regime,
+                              problem.alpha, options or FixedPointOptions())
     fstar = _continuation_values(problem, V)
     b = problem.b_pairs
     stop_rule = None
-    if regime in ("D", "P"):
+    if problem.regime in ("D", "P"):
         stop_rule = problem.stop_costs() <= fstar
         stop_rule[~b] = True
     return StoppingSolution(problem=problem, V=V, fstar=fstar,
@@ -245,7 +217,7 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
     gate feasibility (the weighted stop costs must be finite, so J must be
     finite on B) and do not move the answer, so none is taken.
     """
-    _check_inputs(model, theta.policy)
+    _check_inputs(model, theta)
     if model.regime != "P":
         raise ValueError("the constraint program applies to nonnegative-cost models")
     if not theta.policy.is_deterministic():
@@ -282,8 +254,8 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
             if residual <= tol:
                 break
         else:
-            raise RuntimeError(f"constraint iteration did not stabilize "
-                               f"in {max_iter} steps")
+            raise FixedPointError(f"constraint iteration did not stabilize "
+                                  f"in {max_iter} steps", last=W, bound="upper")
         feas = float(np.minimum(J_B - W, const + P_BB @ W - W).min())
     else:
         W = np.zeros(0)

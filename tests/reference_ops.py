@@ -117,7 +117,7 @@ def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
                       J: np.ndarray) -> np.ndarray:
     """Pair-masked variant: only pairs in R see min{J, Q}; the rest of a
     B-state's controls keep the stopping value J."""
-    _check_inputs(model, theta_hat.policy)
+    _check_inputs(model, theta_hat)
     Q = np.asarray(Q, dtype=float)
     J = np.asarray(J, dtype=float)
     w = J.astype(float).copy()

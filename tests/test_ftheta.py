@@ -14,6 +14,7 @@ from totaldp.ftheta import (
     masked_update,
     q_fixed_point,
 )
+from totaldp.stopping import build_stopping
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
 
 
@@ -60,6 +61,17 @@ class TestApply:
             f_theta_apply(fx.model, Theta(Policy.deterministic(fx.model, [0, 0, 0]),
                                           frozenset()),
                           np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("B", [{-1}, {99}, {0, 2}], ids=["-1", "99", "0,2"])
+    def test_rejects_b_outside_the_states(self, B):
+        fx = fixture("FX-P2")
+        theta = Theta(Policy.deterministic(fx.model, [0, 1]), frozenset(B))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            f_theta_apply(fx.model, theta, np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            q_fixed_point(fx.model, theta, np.zeros(2))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            build_stopping(fx.model, theta, np.zeros(2))
 
 
 class TestPairMaskedVariant:

@@ -140,6 +140,18 @@ class TestMixed:
         assert out.trace.rows[1].b_set == "{1,2}"
         assert out.trace.rows[2].b_set == "{0}"
 
+    @pytest.mark.parametrize("B", [-1, 99])
+    def test_custom_b_outside_the_states_is_rejected(self, B):
+        fx = fixture("FX-P2")
+        cfg = SolverConfig(algorithm="mixed", J0=np.zeros(2), Q0=np.zeros(3), nk=2,
+                           bstrategy=CustomB((frozenset({B}),)))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            mixed_vpi(fx.model, cfg)
+
+    def test_custom_b_needs_a_set(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            CustomB(())
+
     def test_occupation_support_strategy_converges(self):
         model, Jstar = random_model(433, regime="D")
         cfg = SolverConfig(algorithm="mixed", J0=np.zeros(model.num_states),
