@@ -57,14 +57,12 @@ from .stopping import (
 )
 from .solvers import (
     CustomB,
-    EmptyB,
     FullB,
     IterationTrace,
     OccupationSupportB,
     SolveResult,
     SolverCapError,
     SolverConfig,
-    SpliceB,
     build_n_stage_policy,
     cone_multiplier,
     extract_policy_discounted,

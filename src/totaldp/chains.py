@@ -177,8 +177,8 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     sign = 1.0 if model.regime == "P" else -1.0
     rec = recurrent_states(P)
     divergent = _divergent_states(model.regime, P, g, rec)
-    A, g_exact = induced_complement(model, policy)
-    J = _solve_on_finite_part(A, g_exact, rec, divergent, sign)
+    A, _ = induced_complement(model, policy, (P, g))
+    J = _solve_on_finite_part(A, g, rec, divergent, sign)
     return EvalResult(J=J, divergent=frozenset(divergent))
 
 

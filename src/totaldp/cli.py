@@ -25,7 +25,7 @@ from .model import Policy, validate_model
 from .operators import h_backup
 from .solvers import (
     ALGORITHMS,
-    EmptyB,
+    CustomB,
     FullB,
     OccupationSupportB,
     SolverConfig,
@@ -136,7 +136,7 @@ def _parse_bstrategy(spec: str):
     if spec == "full":
         return FullB()
     if spec == "empty":
-        return EmptyB()
+        return CustomB((frozenset(),))
     name, *numbers = spec.split(":")
     if name == "occupation" and len(numbers) <= 2:
         try:

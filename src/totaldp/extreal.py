@@ -114,15 +114,23 @@ def expect_segments(weights: np.ndarray, values: np.ndarray,
     return out
 
 
+def xdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b for float arrays, 0 wherever a == b.
+
+    Only unequal entries are subtracted, so inf - inf is never formed:
+    equal infinities are 0 apart, opposite ones are +-inf apart, and a
+    NaN entry stays NaN.
+    """
+    return np.subtract(a, b, out=np.zeros(a.shape), where=a != b)
+
+
 def sup_dist(a: np.ndarray, b: np.ndarray) -> float:
     """Sup-norm distance treating equal infinities as coincident."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0:
         return 0.0
-    with np.errstate(invalid="ignore"):
-        diff = np.where(a == b, 0.0, np.abs(a - b))
-    return float(diff.max())
+    return float(np.abs(xdiff(a, b)).max())
 
 
 def leq(a: np.ndarray, b: np.ndarray, slack: float = 0.0) -> bool:

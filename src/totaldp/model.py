@@ -426,7 +426,8 @@ def induced_kernel(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, n
     return P, g
 
 
-def induced_complement(model: TotalCostModel, policy: Policy
+def induced_complement(model: TotalCostModel, policy: Policy,
+                       kernel: tuple[np.ndarray, np.ndarray] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """I minus the policy kernel, assembled from the control pieces.
 
@@ -434,12 +435,12 @@ def induced_complement(model: TotalCostModel, policy: Policy
     parameters avoids the cancellation in 1 - (p0 + t*p1) when p0 has
     0/1 entries, which keeps deterministic-chain evaluations exact; an
     atomic row of a deterministic policy is e_x minus one transition row,
-    exactly.
+    exactly.  ``kernel`` is the policy's `induced_kernel`, when the
+    caller already has it.
     """
-    P, g = _atomic_rows(model, policy)
+    P, g = kernel if kernel is not None else induced_kernel(model, policy)
     A = np.eye(model.num_states) - P
     for x, f, t in _family_actions(model, policy):
-        g[x] = f.cost_at(t)
         row = np.zeros(model.num_states)
         row[x] = 1.0
         A[x] = row - f.p0 - t * f.p1

@@ -10,11 +10,11 @@ a trace.
 
 ``run(model, config)`` picks the solver named by ``config.algorithm``.
 Every solver is deterministic given its configuration and returns a
-SolveResult.  Its append-only IterationTrace has rows that carry the
-sup-norm residual, the distance to ground truth when one is supplied,
-policy and set descriptors, ordering margins against the
-value-iteration envelope T^k(J0) and against ground truth, and wall
-time.
+SolveResult.  Its append-only IterationTrace, kept by one recorder that
+all five solvers share, has rows that carry the sup-norm residual, the
+distance to ground truth when one is supplied, policy and set
+descriptors, ordering margins against ground truth and (mixed runs in N
+and P) against the value-iteration envelope T^k(J0), and wall time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import INF, sup_dist
+from .extreal import INF, sup_dist, xdiff
 from .ftheta import (
     DivergenceRule,
     FixedPointOptions,
@@ -64,23 +64,27 @@ class SolverCapError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # B-set strategies
+#
+# A strategy's resolve(model, policy, k) returns iteration k's set B as a
+# frozenset.  F_theta reads the policy only on B; off B it reads J.
 
 
 @dataclass(frozen=True)
 class FullB:
     def resolve(self, model, policy, k):
-        return frozenset(range(model.num_states)), policy
-
-
-@dataclass(frozen=True)
-class EmptyB:
-    def resolve(self, model, policy, k):
-        return frozenset(), policy
+        return frozenset(range(model.num_states))
 
 
 @dataclass(frozen=True)
 class OccupationSupportB:
-    """B is the support of the policy's discounted visitation measure."""
+    """B is the support of the policy's discounted visitation measure.
+
+    The support is every state whose measure exceeds ``threshold``.  The
+    measure is at least (1 - beta) * rho(x) at each state, so with the
+    default uniform rho every state passes, and B = S, whenever
+    threshold < (1 - beta) / n.  A proper subset needs a concentrated
+    rho or a larger threshold.
+    """
 
     beta: float = 0.5
     threshold: float = 1e-12
@@ -97,12 +101,13 @@ class OccupationSupportB:
         if rho is None:
             rho = np.full(model.num_states, 1.0 / model.num_states)
         p = occupation_measure(model, policy, rho, self.beta)
-        return frozenset(int(x) for x in np.flatnonzero(p > self.threshold)), policy
+        return frozenset(int(x) for x in np.flatnonzero(p > self.threshold))
 
 
 @dataclass(frozen=True)
 class CustomB:
-    """Explicit per-iteration subsets, cycled when the run is longer."""
+    """Explicit per-iteration subsets, cycled when the run is longer;
+    ``CustomB((frozenset(),))`` is the empty B every iteration."""
 
     sets: tuple[frozenset[int], ...]
 
@@ -111,27 +116,10 @@ class CustomB:
             raise ValueError("CustomB needs at least one set")
 
     def resolve(self, model, policy, k):
-        return self.sets[k % len(self.sets)], policy
+        return self.sets[k % len(self.sets)]
 
 
-@dataclass(frozen=True)
-class SpliceB:
-    """Occupation-support B, with the policy replaced by a fallback off B."""
-
-    fallback: Policy
-    beta: float = 0.5
-    threshold: float = 1e-12
-    rho: np.ndarray | None = None
-
-    def resolve(self, model, policy, k):
-        B, _ = OccupationSupportB(self.beta, self.threshold, self.rho).resolve(
-            model, policy, k)
-        actions = [policy.actions[x] if x in B else self.fallback.actions[x]
-                   for x in range(model.num_states)]
-        return B, Policy(tuple(actions))
-
-
-BStrategy = Union[FullB, EmptyB, OccupationSupportB, CustomB, SpliceB]
+BStrategy = Union[FullB, OccupationSupportB, CustomB]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +134,7 @@ class TraceRow:
     dist_Q: float | None = None
     policy: str = ""
     b_set: str = ""
-    upper_margin: float | None = None   # max(J_k - T^k(J0)); <= 0 when the bound holds
+    upper_margin: float | None = None   # mixed, N/P: max(J_k - T^k(J0)); <= 0 if it holds
     lower_margin: float | None = None   # max(Jstar - J_k); <= 0 when J_k >= Jstar
     q_lower_margin: float | None = None  # max(Qstar - Q_k)
     wall_time: float = 0.0
@@ -178,18 +166,11 @@ class IterationTrace:
         return self.rows[-1].residual if self.rows else INF
 
 
-def _dist(a, b) -> float | None:
-    if b is None:
-        return None
-    return sup_dist(a, b)
-
-
 def _margin_leq(a, b) -> float:
     """max over entries of a - b, 0 when equal (including infinities)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
-        diff = np.where(a == b, 0.0, a - b)
+    diff = xdiff(a, b)
     return float(diff.max()) if diff.size else 0.0
 
 
@@ -300,26 +281,78 @@ class SolveResult:
         return self.termination in ("converged", "optimal-certified", "stuck")
 
 
-def _at_cap(config: SolverConfig, result: SolveResult, name: str,
-            bound: str | None = None) -> SolveResult:
-    """The end of a solver loop that used up max_iter: raise
-    SolverCapError when the run was meant to stop on the tolerance and
-    to raise at the cap, otherwise return the result as it stands."""
-    if config.stop_on_tol and config.raise_on_cap:
-        last = result.J if result.Q is None else (result.J, result.Q)
-        raise SolverCapError(
-            f"{name} hit the {config.max_iter}-iteration cap "
-            f"(residual {result.trace.final_residual:g})",
-            last=last, trace=result.trace, bound=bound)
-    return result
+_NAMES = {"vi": "value iteration", "pi": "policy iteration",
+          "mpi": "modified policy iteration", "mixed": "mixed iteration",
+          "lp": "constraint-program iteration"}
 
 
-def _gt_parts(config: SolverConfig):
-    if config.ground_truth is None:
-        return None, None
-    Jstar, Qstar = config.ground_truth
-    return np.asarray(Jstar, dtype=float), (
-        None if Qstar is None else np.asarray(Qstar, dtype=float))
+class _Recorder:
+    """The trace bookkeeping every solver shares.
+
+    Builds the trace header from the start (J0, Q0), keeps the ground
+    truth and the wall clock, fills each row's ground-truth columns and
+    time, and ends the run.  ``rate`` records the start's distance to
+    ground truth (dist0) and ``sandwich`` whether the start dominates it
+    (initial_dominance); each start vector counts only when its ground
+    truth is known, and dominance only when all of them do.
+    """
+
+    def __init__(self, algorithm: str, model: TotalCostModel, config: SolverConfig,
+                 J0=None, Q0=None, rate: bool = True, sandwich: bool = False):
+        self.config = config
+        self.Jstar = self.Qstar = None
+        if config.ground_truth is not None:
+            Jstar, Qstar = config.ground_truth
+            self.Jstar = np.asarray(Jstar, dtype=float)
+            if Qstar is not None:
+                self.Qstar = np.asarray(Qstar, dtype=float)
+        J0 = None if J0 is None else np.array(J0, dtype=float)
+        Q0 = None if Q0 is None else np.array(Q0, dtype=float)
+        self.trace = IterationTrace(
+            algorithm=algorithm, regime=model.regime, discount=model.discount,
+            config=config.echo(), J0=J0, Q0=Q0,
+            ground_truth_known=self.Jstar is not None)
+        if self.Jstar is not None and J0 is not None:
+            starts = [(self.Jstar, J0)]
+            if Q0 is not None:
+                starts.append((self.Qstar, Q0))
+            known = [(star, v) for star, v in starts if star is not None]
+            if rate:
+                self.trace.dist0 = max(sup_dist(v, star) for star, v in known)
+            if sandwich and len(known) == len(starts):
+                self.trace.initial_dominance = all(
+                    _margin_leq(star, v) <= 0.0 for star, v in known)
+        self._start = time.perf_counter()
+
+    def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
+            **fields) -> TraceRow:
+        """Append row k, with the ground-truth columns for J (and Q)."""
+        row = TraceRow(k=k, residual=residual, **fields)
+        if self.Jstar is not None:
+            row.dist_J = sup_dist(J, self.Jstar)
+            row.lower_margin = _margin_leq(self.Jstar, J)
+            if Q is not None and self.Qstar is not None:
+                row.dist_Q = sup_dist(Q, self.Qstar)
+                row.q_lower_margin = _margin_leq(self.Qstar, Q)
+        row.wall_time = time.perf_counter() - self._start
+        self.trace.append(row)
+        return row
+
+    def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
+               **fields) -> SolveResult:
+        """The run's SolveResult.  At the cap, raise SolverCapError
+        instead when the run was meant to stop on the tolerance and to
+        raise there; ``bound`` says which side of the answer the last
+        iterate bounds."""
+        result = SolveResult(J=J, trace=self.trace, termination=termination, **fields)
+        config = self.config
+        if termination == "cap" and config.stop_on_tol and config.raise_on_cap:
+            raise SolverCapError(
+                f"{_NAMES[self.trace.algorithm]} hit the {config.max_iter}-iteration cap "
+                f"(residual {self.trace.final_residual:g})",
+                last=J if result.Q is None else (J, result.Q), trace=self.trace,
+                bound=bound)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +373,18 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     true finite iterates.
     """
     config = config or SolverConfig(algorithm="vi")
-    Jstar, _ = _gt_parts(config)
     J = np.asarray(J0, dtype=float).copy()
-    trace = IterationTrace(
-        algorithm="vi", regime=model.regime, discount=model.discount,
-        config=config.echo(), J0=J.copy(),
-        dist0=_dist(J, Jstar) if Jstar is not None else None,
-        ground_truth_known=Jstar is not None,
-        initial_dominance=None if Jstar is None else bool(_margin_leq(Jstar, J) <= 0.0),
-    )
+    rec = _Recorder("vi", model, config, J0=J, sandwich=True)
     sign = -1.0 if model.regime == "N" else 1.0
     divergent = DivergenceRule(J)
     flagged = np.zeros(model.num_states, dtype=bool)
     divergent_states: list[int] = []
     live = slice(None)  # the states not flagged divergent
     pin = model.atomic_only
-    start = time.perf_counter()
     direction: str | None = None
     for k in range(1, config.max_iter + 1):
         nxt = bellman_T(model, J)
-        trace.op_count += 1
+        rec.trace.op_count += 1
         if model.discount == 1.0:
             flagged |= divergent(k, nxt)
             if np.count_nonzero(flagged) > len(divergent_states):
@@ -376,21 +401,12 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
         J = nxt
         reported = J.copy()
         reported[flagged] = sign * INF
-        trace.append(TraceRow(
-            k=k, residual=res,
-            dist_J=_dist(reported, Jstar) if Jstar is not None else None,
-            upper_margin=None,
-            lower_margin=None if Jstar is None else _margin_leq(Jstar, reported),
-            wall_time=time.perf_counter() - start,
-            extra={"direction": direction, "divergent": list(divergent_states)},
-        ))
+        rec.row(k, res, reported,
+                extra={"direction": direction, "divergent": list(divergent_states)})
         if config.stop_on_tol and res <= config.tol:
-            return SolveResult(J=reported, trace=trace, termination="converged",
-                               divergent=frozenset(divergent_states))
+            return rec.finish("converged", reported, divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
-    return _at_cap(config, SolveResult(J=reported, trace=trace, termination="cap",
-                                       divergent=frozenset(divergent_states)),
-                   "value iteration", bound)
+    return rec.finish("cap", reported, bound, divergent=frozenset(divergent_states))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +427,15 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     if not model.atomic_only:
         raise ValueError("policy iteration needs an atomic-only model")
     config = config or SolverConfig(algorithm="pi")
-    Jstar, _ = _gt_parts(config)
-    trace = IterationTrace(algorithm="pi", regime=model.regime,
-                           discount=model.discount, config=config.echo(),
-                           ground_truth_known=Jstar is not None)
+    rec = _Recorder("pi", model, config)
     mu = mu0
     policies = [mu]
     values: list[np.ndarray] = []
     seen: dict[str, int] = {}
-    start = time.perf_counter()
 
     def result(termination: str) -> SolveResult:
-        return SolveResult(J=values[-1], trace=trace, termination=termination,
-                           policy=policies[len(values) - 1], values=values,
-                           policies=policies)
+        return rec.finish(termination, values[-1], policy=policies[len(values) - 1],
+                          values=values, policies=policies)
 
     prev_J: np.ndarray | None = None
     for k in range(1, config.max_iter + 1):
@@ -432,28 +443,23 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         values.append(J)
         TJ = bellman_T(model, J)
         TmuJ = bellman_T_mu(model, mu, J)
-        trace.op_count += 2
+        rec.trace.op_count += 2
         gap = sup_dist(TmuJ, TJ)
         res = sup_dist(J, prev_J) if prev_J is not None else INF
         prev_J = J
         key = mu.descriptor()
-        trace.append(TraceRow(
-            k=k, residual=res, policy=key,
-            dist_J=_dist(J, Jstar) if Jstar is not None else None,
-            wall_time=time.perf_counter() - start,
-            extra={"improvement_gap": gap},
-        ))
+        row = rec.row(k, res, J, policy=key, extra={"improvement_gap": gap})
         if gap <= 1e-12:
-            if Jstar is not None and sup_dist(J, Jstar) <= config.tol:
+            if row.dist_J is not None and row.dist_J <= config.tol:
                 return result("optimal-certified")
             return result("stuck")
         if key in seen:
             return result("cycle")
         seen[key] = k
         mu = greedy_select(model, h_backup(model, J), epsilon=0.0)
-        trace.op_count += 1
+        rec.trace.op_count += 1
         policies.append(mu)
-    return _at_cap(config, result("cap"), "policy iteration")
+    return result("cap")
 
 
 def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray,
@@ -469,42 +475,31 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     if not model.atomic_only:
         raise ValueError("modified policy iteration needs an atomic-only model")
     config = config or SolverConfig(algorithm="mpi", nk=10)
-    Jstar, _ = _gt_parts(config)
     J = np.asarray(J0, dtype=float).copy()
     mu = mu0
-    trace = IterationTrace(algorithm="mpi", regime=model.regime,
-                           discount=model.discount, config=config.echo(),
-                           J0=J.copy(), ground_truth_known=Jstar is not None)
+    rec = _Recorder("mpi", model, config, J0=J, rate=False)
     if model.regime == "P":
         flags = {"superharmonic_start": bool(
             _margin_leq(bellman_T_mu(model, mu0, J), J) <= 1e-12)}
-        if Jstar is not None:
-            flags["cone_c"] = cone_multiplier(J, Jstar)
-        trace.config["initial_flags"] = flags
-    start = time.perf_counter()
+        if rec.Jstar is not None:
+            flags["cone_c"] = cone_multiplier(J, rec.Jstar)
+        rec.trace.config["initial_flags"] = flags
     prev_greedy: np.ndarray | None = None
     for k in range(1, config.max_iter + 1):
         for _ in range(int(config.nk_at(k - 1))):
             J = bellman_T_mu(model, mu, J)
-            trace.op_count += 1
+            rec.trace.op_count += 1
         Q = h_backup(model, J)
-        trace.op_count += 1
+        rec.trace.op_count += 1
         mu = greedy_select(model, Q, epsilon=0.0)
         J_greedy = m_minimize(model, Q)
         res = sup_dist(J_greedy, prev_greedy) if prev_greedy is not None else INF
         prev_greedy = J_greedy
-        trace.append(TraceRow(
-            k=k, residual=res, policy=mu.descriptor(),
-            dist_J=_dist(J_greedy, Jstar) if Jstar is not None else None,
-            wall_time=time.perf_counter() - start,
-            extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()},
-        ))
+        rec.row(k, res, J_greedy, policy=mu.descriptor(),
+                extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()})
         if config.stop_on_tol and res <= config.tol:
-            return SolveResult(J=J_greedy, trace=trace, termination="converged",
-                               policy=mu)
-    return _at_cap(config, SolveResult(J=J_greedy, trace=trace, termination="cap",
-                                       policy=mu),
-                   "modified policy iteration")
+            return rec.finish("converged", J_greedy, policy=mu)
+    return rec.finish("cap", J_greedy, policy=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +523,13 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     resolve the B-set strategy, then either apply nk operator powers or
     solve the Q fixed point exactly; J becomes the per-state minimum,
     optionally clamped.  Mask schedules switch the update to its
-    asynchronous masked form.  Rows record ordering margins against the
-    value-iteration envelope from J0 and against ground truth, and in
-    ``extra["powers"]`` the operator applications that ran (fewer than
-    nk once a power repeats; see `f_theta_power`), which also add up to
-    the trace's ``op_count``.
+    asynchronous masked form.  Rows record ordering margins against
+    ground truth and, in N and P, where J_k <= T^k(J0) is a guarantee,
+    against the value-iteration envelope T^k(J0) (``upper_margin``; None
+    in D, where the envelope is not computed).  ``extra["powers"]``
+    holds the operator applications that ran (fewer than nk once a power
+    repeats; see `f_theta_power`), which also add up to the trace's
+    ``op_count``.
     """
     if not model.atomic_only:
         raise ValueError("mixed value-and-policy iteration needs an atomic-only model")
@@ -540,29 +537,15 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         raise ValueError("config must provide J0 and Q0")
     J = np.asarray(config.J0, dtype=float).copy()
     Q = np.asarray(config.Q0, dtype=float).copy()
-    Jstar, Qstar = _gt_parts(config)
-    dist0 = None
-    dominance = None
-    if Jstar is not None:
-        dist0 = _dist(J, Jstar)
-        if Qstar is not None:
-            dist0 = max(dist0, _dist(Q, Qstar))
-            dominance = bool(_margin_leq(Jstar, J) <= 0.0
-                             and _margin_leq(Qstar, Q) <= 0.0)
-    trace = IterationTrace(
-        algorithm="mixed", regime=model.regime, discount=model.discount,
-        config=config.echo(), J0=J.copy(), Q0=Q.copy(), dist0=dist0,
-        initial_dominance=dominance, ground_truth_known=Jstar is not None)
-    envelope = J.copy()
-    start = time.perf_counter()
+    rec = _Recorder("mixed", model, config, J0=J, Q0=Q, sandwich=True)
+    envelope = None if model.regime == "D" else J.copy()
     policy = config.initial_policy or greedy_select(model, Q, config.epsilon)
     for k in range(config.max_iter):
         if config.policy_schedule is not None and k < len(config.policy_schedule):
             policy = config.policy_schedule[k]
         elif k > 0 or config.initial_policy is None:
             policy = greedy_select(model, Q, config.epsilon)
-        B, used_policy = config.bstrategy.resolve(model, policy, k)
-        theta = Theta(used_policy, B)
+        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         nk = config.nk_at(k)
         before = applications_run()
         if config.masks is not None:
@@ -578,34 +561,25 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
             Q_next = f_theta_power(model, theta, Q, J, int(nk))
             powers = applications_run() - before
             J_next = m_minimize(model, Q_next)
-        trace.op_count += powers
+        rec.trace.op_count += powers
         J_next = _clamp(J_next, config)
-        envelope = bellman_T(model, envelope)
         res_J = sup_dist(J_next, J)
         res_Q = sup_dist(Q_next, Q)
         J, Q = J_next, Q_next
-        row = TraceRow(
-            k=k + 1, residual=res_J,
-            dist_J=_dist(J, Jstar) if Jstar is not None else None,
-            dist_Q=_dist(Q, Qstar) if Qstar is not None else None,
-            policy=used_policy.descriptor(),
-            b_set=_describe_b(B, model.num_states),
-            upper_margin=_margin_leq(J, envelope),
-            lower_margin=None if Jstar is None else _margin_leq(Jstar, J),
-            q_lower_margin=None if Qstar is None else _margin_leq(Qstar, Q),
-            wall_time=time.perf_counter() - start,
-            extra={"residual_Q": res_Q, "powers": powers},
-        )
+        upper = None
+        if envelope is not None:
+            envelope = bellman_T(model, envelope)
+            upper = _margin_leq(J, envelope)
+        extra = {"residual_Q": res_Q, "powers": powers}
         if config.snapshot_iterates:
-            row.extra["J_snapshot"] = J.tolist()
-            row.extra["Q_snapshot"] = Q.tolist()
-        trace.append(row)
+            extra["J_snapshot"] = J.tolist()
+            extra["Q_snapshot"] = Q.tolist()
+        rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
+                b_set=_describe_b(theta.B, model.num_states), upper_margin=upper,
+                extra=extra)
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
-            return SolveResult(J=J, trace=trace, termination="converged", Q=Q,
-                               policy=policy)
-    return _at_cap(config, SolveResult(J=J, trace=trace, termination="cap", Q=Q,
-                                       policy=policy),
-                   "mixed iteration")
+            return rec.finish("converged", J, Q=Q, policy=policy)
+    return rec.finish("cap", J, Q=Q, policy=policy)
 
 
 def _describe_b(B: frozenset[int], n: int) -> str:
@@ -643,56 +617,35 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         raise ValueError("config must provide J0 and Q0")
     J = np.asarray(config.J0, dtype=float).copy()
     Q = np.asarray(config.Q0, dtype=float).copy()
-    Jstar, Qstar = _gt_parts(config)
-    dist0 = None if Jstar is None else (
-        max(_dist(J, Jstar), _dist(Q, Qstar)) if Qstar is not None else _dist(J, Jstar))
-    trace = IterationTrace(
-        algorithm="lp", regime=model.regime, discount=model.discount,
-        config=config.echo(), J0=J.copy(), Q0=Q.copy(), dist0=dist0,
-        ground_truth_known=Jstar is not None)
-    c_cone = None if Jstar is None else cone_multiplier(np.asarray(config.J0), Jstar)
-    start = time.perf_counter()
+    rec = _Recorder("lp", model, config, J0=J, Q0=Q)
+    Jstar = rec.Jstar
+    c_cone = None if Jstar is None else cone_multiplier(J, Jstar)
     policy = config.initial_policy or greedy_select(model, Q, epsilon=0.0)
     for k in range(config.max_iter):
         if k > 0 or config.initial_policy is None:
             policy = greedy_select(model, Q, epsilon=0.0)
-        B, used_policy = config.bstrategy.resolve(model, policy, k)
-        theta = Theta(used_policy, B)
+        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         bound = lp_upper_bound(model, theta, J)
         Q_next = bound.Qbar
         Q_fix, cert = q_fixed_point(model, theta, J, config.fp_options)
-        trace.op_count += cert.iterations + bound.certificate.iterations
+        rec.trace.op_count += cert.iterations + bound.certificate.iterations
         lower_ineq = _margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
         upper_ineq = bound.certificate.upper_margin  # >= 0 when Qbar <= F(Qbar)
         J_next = _clamp(m_minimize(model, Q_next), config)
         res_J = sup_dist(J_next, J)
         res_Q = sup_dist(Q_next, Q)
         J, Q = J_next, Q_next
-        row = TraceRow(
-            k=k + 1, residual=res_J,
-            dist_J=_dist(J, Jstar) if Jstar is not None else None,
-            dist_Q=_dist(Q, Qstar) if Qstar is not None else None,
-            policy=used_policy.descriptor(),
-            b_set=_describe_b(B, model.num_states),
-            lower_margin=None if Jstar is None else _margin_leq(Jstar, J),
-            q_lower_margin=None if Qstar is None else _margin_leq(Qstar, Q),
-            wall_time=time.perf_counter() - start,
-            extra={
-                "residual_Q": res_Q,
-                "ineq_lower_margin": lower_ineq,
-                "ineq_upper_margin": upper_ineq,
-                "cone_margin": None if Jstar is None or c_cone is None
-                or not np.isfinite(c_cone)
-                else _margin_leq(J, c_cone * Jstar),
-            },
-        )
-        trace.append(row)
+        rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
+                b_set=_describe_b(theta.B, model.num_states), extra={
+                    "residual_Q": res_Q,
+                    "ineq_lower_margin": lower_ineq,
+                    "ineq_upper_margin": upper_ineq,
+                    "cone_margin": None if c_cone is None or not np.isfinite(c_cone)
+                    else _margin_leq(J, c_cone * Jstar),
+                })
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
-            return SolveResult(J=J, trace=trace, termination="converged", Q=Q,
-                               policy=policy)
-    return _at_cap(config, SolveResult(J=J, trace=trace, termination="cap", Q=Q,
-                                       policy=policy),
-                   "constraint-program iteration", "lower")
+            return rec.finish("converged", J, Q=Q, policy=policy)
+    return rec.finish("cap", J, "lower", Q=Q, policy=policy)
 
 
 # ---------------------------------------------------------------------------

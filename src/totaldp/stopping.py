@@ -28,7 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .extreal import expect_rows, expect_segments, sup_dist
+from .extreal import expect_rows, expect_segments, sup_dist, xdiff
 from .ftheta import (
     FixedPointCertificate,
     FixedPointError,
@@ -270,14 +270,14 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
 
     # First certificate check: Qbar <= F_theta(Qbar; J) elementwise.
     F_Qbar = _f_apply(model, theta, Qbar, J)
-    upper_margin = float(np.where(F_Qbar == Qbar, 0.0, F_Qbar - Qbar).min(initial=0.0))
+    upper_margin = float(xdiff(F_Qbar, Qbar).min(initial=0.0))
 
     lower_margin = None
     if check_lower:
         sol = solve_stopping(build_stopping(model, theta, J),
                              fp_options or FixedPointOptions(tol=1e-12))
         Qtheta = reconstruct_q(sol.problem, sol.V)
-        lower_margin = float(np.where(Qbar == Qtheta, 0.0, Qbar - Qtheta).min(initial=0.0))
+        lower_margin = float(xdiff(Qbar, Qtheta).min(initial=0.0))
 
     cert = LPBoundCertificate(iterations=iterations, residual=residual,
                               feasibility_margin=feas, upper_margin=upper_margin,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -7,6 +8,7 @@ from totaldp.cli import main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
 from totaldp.modelio import read_trace, render_model, write_model
+from totaldp.operators import bellman_T
 
 
 @pytest.fixture
@@ -67,6 +69,21 @@ class TestSolve:
         assert trace.rows
         assert trace.rows[-1].lower_margin <= 0.0
         assert trace.rows[-1].upper_margin <= 0.0
+
+    def test_empty_b_replays_value_iteration(self, runner, tmp_path):
+        fx = fixture("FX-P4")
+        path = _write_fixture(tmp_path, "FX-P4")
+        trace_path = tmp_path / "trace.json"
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mixed",
+                                   "--j0", "cJstar:1.5", "--bstrategy", "empty",
+                                   "--trace-out", str(trace_path), "--format", "json"])
+        assert out.exit_code == 0, out.output
+        trace = read_trace(trace_path)
+        assert trace.rows and all(row.b_set == "{}" for row in trace.rows)
+        J = trace.J0
+        for row in trace.rows:
+            J = bellman_T(fx.model, J)
+            assert np.array_equal(np.array(row.extra["J_snapshot"]), J)
 
     def test_exact_rule_and_json_trace(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")

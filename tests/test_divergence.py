@@ -32,18 +32,19 @@ def _theta(model):
     return Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
 
 
-def _run(route, model, J0, J):
+def _run(route, model, J0, J, tol=1e-10):
     """The values one route reports and the coordinates it sent to infinity."""
     if route == "vi":
         res = value_iteration(model, np.array(J0, dtype=float),
-                              SolverConfig(algorithm="vi", tol=1e-10, max_iter=50_000))
+                              SolverConfig(algorithm="vi", tol=tol, max_iter=50_000))
         assert res.converged
         return res.J, res.divergent
     J = np.array(J, dtype=float)
+    opts = FixedPointOptions(tol=tol)
     if route == "q_fixed_point":
-        Q, cert = q_fixed_point(model, _theta(model), J)
+        Q, cert = q_fixed_point(model, _theta(model), J, opts)
     else:
-        sol = solve_stopping(build_stopping(model, _theta(model), J))
+        sol = solve_stopping(build_stopping(model, _theta(model), J), opts)
         Q, cert = reconstruct_q(sol.problem, sol.V), sol.certificate
     return Q, cert.promoted
 
@@ -69,6 +70,16 @@ def test_values_beyond_the_cap_are_infinite(route):
     model = _two_state("P", 1e12, 1.0)
     values, divergent = _run(route, model, [0.0, 0.0], [0.0, INF])
     assert values[1] == INF and divergent == frozenset({1})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("route", ROUTES)
+def test_finite_values_beyond_the_cap_stay_finite(route):
+    # exact J(1) = 1e12 / 0.01 = 1e14, where floats are 2**-6 apart; so
+    # tol = 1.0 is reachable, yet the cap sends J(1) to +inf
+    model = _two_state("P", 1e12, 0.99)
+    values, _ = _run(route, model, [0.0, 0.0], [0.0, INF], tol=1.0)
+    assert values[1] == pytest.approx(1e14, rel=1e-9)
 
 
 def test_vi_flags_the_cap_before_the_window_warms_up():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-from totaldp.extreal import INF, expect, expect_rows, leq, sup_dist, xadd, xmul, xsum
+from totaldp.extreal import (
+    INF, expect, expect_rows, leq, sup_dist, xadd, xdiff, xmul, xsum)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 extended = st.one_of(finite, st.sampled_from([INF, -INF]))
@@ -73,6 +74,15 @@ class TestComparisons:
 
     def test_sup_dist_empty(self):
         assert sup_dist(np.array([]), np.array([])) == 0.0
+
+    def test_xdiff_never_subtracts_equal_entries(self):
+        # pytest turns numpy's inf - inf warning into an error
+        a = np.array([INF, -INF, INF, -INF, np.nan, 1.0, 2.0])
+        b = np.array([INF, -INF, -INF, INF, 1.0, np.nan, 0.5])
+        d = xdiff(a, b)
+        assert d[:4].tolist() == [0.0, 0.0, INF, -INF] and d[6] == 1.5
+        assert np.isnan(d[4]) and np.isnan(d[5])
+        assert math.isnan(sup_dist(a, b))
 
     def test_leq_with_infinities(self):
         assert leq(np.array([-INF, 0.0]), np.array([0.0, 0.0]))

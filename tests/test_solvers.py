@@ -9,12 +9,10 @@ from totaldp.ftheta import FixedPointOptions
 from totaldp.solvers import (
     ALGORITHMS,
     CustomB,
-    EmptyB,
     FullB,
     OccupationSupportB,
     SolverCapError,
     SolverConfig,
-    SpliceB,
     build_n_stage_policy,
     cone_multiplier,
     extract_policy_discounted,
@@ -120,8 +118,8 @@ class TestMixed:
         model, Jstar = random_model(421, regime="P")
         J0 = 1.5 * Jstar
         cfg = SolverConfig(algorithm="mixed", J0=J0, Q0=h_backup(model, J0),
-                           nk=1, bstrategy=EmptyB(), tol=1e-15, max_iter=30,
-                           stop_on_tol=False)
+                           nk=1, bstrategy=CustomB((frozenset(),)), tol=1e-15,
+                           max_iter=30, stop_on_tol=False)
         out = mixed_vpi(model, cfg)
         J = J0.copy()
         for row in out.trace.rows:
@@ -162,19 +160,28 @@ class TestMixed:
         out = mixed_vpi(model, cfg)
         assert sup_dist(out.J, Jstar) <= 1e-9
 
-    def test_splice_strategy_uses_fallback_off_support(self):
+    def test_occupation_support_can_be_a_proper_subset(self):
+        # state 0 absorbs, so from rho = e0 only state 0 passes the threshold
         model, Jstar = random_model(439, regime="D")
-        fallback = random_policy(77, model, deterministic=True)
         rho = np.zeros(model.num_states)
         rho[0] = 1.0
         cfg = SolverConfig(algorithm="mixed", J0=np.zeros(model.num_states),
                            Q0=np.zeros(model.num_pairs()), nk=3,
-                           bstrategy=SpliceB(fallback, beta=0.5, rho=rho,
-                                             threshold=0.9),  # tiny support
+                           bstrategy=OccupationSupportB(beta=0.5, rho=rho, threshold=0.9),
                            tol=1e-11, max_iter=1500,
                            ground_truth=(Jstar, h_backup(model, Jstar)))
         out = mixed_vpi(model, cfg)
+        assert all(row.b_set == "{0}" for row in out.trace.rows)
         assert sup_dist(out.J, Jstar) <= 1e-9
+
+    def test_uniform_occupation_support_is_every_state(self):
+        model, _ = random_model(433, regime="P")
+        mu = random_policy(5, model, deterministic=True)
+        n = model.num_states
+        assert OccupationSupportB().resolve(model, mu, 0) == frozenset(range(n))
+        # the measure is at least (1 - beta) / n everywhere
+        below = OccupationSupportB(beta=0.6, threshold=0.99 * 0.4 / n)
+        assert below.resolve(model, mu, 0) == frozenset(range(n))
 
     def test_clamped_iterates_respect_bounds(self):
         model, Jstar = random_model(443, regime="P")
@@ -375,6 +382,27 @@ class TestVerifyCertificates:
         report = verify_certificates(fx.model, out.trace, fx.ground_truth())
         geo = [c for c in report.checks if c.name == "geometric-rate"]
         assert geo and geo[0].passed and geo[0].margin <= 0.0
+
+    @pytest.mark.parametrize("name, checks", [
+        ("FX-D", ["geometric-rate"]),
+        ("FX-N2", ["envelope-upper", "dominance-lower"]),
+        ("FX-P4", ["envelope-upper", "dominance-lower", "cone-membership",
+                   "zero-set-membership"]),
+    ])
+    def test_mixed_envelope_only_where_it_is_a_bound(self, name, checks):
+        fx = fixture(name)
+        J0 = 1.5 * fx.Jstar if fx.model.regime == "P" else np.zeros(fx.model.num_states)
+        cfg = SolverConfig(algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=3,
+                           tol=1e-11, max_iter=500, ground_truth=fx.ground_truth())
+        out = mixed_vpi(fx.model, cfg)
+        uppers = [row.upper_margin for row in out.trace.rows]
+        if fx.model.regime == "D":
+            assert all(u is None for u in uppers)
+        else:
+            assert all(isinstance(u, float) for u in uppers)
+        report = verify_certificates(fx.model, out.trace, fx.ground_truth())
+        assert [c.name for c in report.checks] == checks
+        assert report.passed
 
     def test_nonpositive_sandwich_passes(self):
         fx = fixture("FX-N2")
