@@ -1,11 +1,18 @@
 """Policy evaluation and Markov-chain analysis for a fixed policy.
 
 Undiscounted policy costs are defined as limits of the k-stage costs and
-can be infinite.  On a finite chain the infinite part is decidable by
-graph analysis: J_mu(x) diverges exactly when x can reach a costly
-recurrent class, or a state whose expected one-stage cost is already
-infinite.  Divergent states get the regime-signed infinity and the rest
-solve a linear system on the transient part, so evaluation is exact.
+can be infinite.  On a finite chain the infinite part is decided by
+reachability alone.  Call a state paying when its one-stage cost has the
+regime's strict sign (g > 0 in P, g < 0 in N), and free when it cannot
+reach a paying state.  Free states cost 0.  A state reaches the free set
+with probability one iff it cannot reach a state that cannot reach the
+free set (Baier & Katoen 2008, ch. 10), because on a finite chain the
+walk ends, almost surely, in a closed class, and every closed class that
+holds no paying state is free.  So J_mu(x) is the regime-signed infinity
+exactly when x can reach a state that cannot reach the free set, or a
+state whose one-stage cost is already infinite.  Every other state is
+absorbed into the free set with probability one, and its finite cost
+solves a nonsingular linear system, so evaluation is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from .model import (
     validate_policy,
 )
 
-EDGE_EPS = 0.0  # edges are strict-positive transition probabilities
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -33,138 +38,50 @@ class EvalResult:
     divergent: frozenset[int] = frozenset()
 
 
-def _successors(P: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(P[x] > EDGE_EPS) for x in range(P.shape[0])]
+def _can_reach(edge: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mask of the states that reach `targets` in >= 0 steps.
+
+    ``edge`` is the boolean kernel mask P > 0.  A backward frontier
+    search over its columns: each state joins the frontier once, so the
+    cost is one pass over the n x n mask.
+    """
+    reached = targets.copy()
+    frontier = np.flatnonzero(targets)
+    while frontier.size:
+        new = edge[:, frontier].any(axis=1) & ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    return reached
 
 
-def reachable_from(P: np.ndarray, sources: set[int]) -> set[int]:
-    """States reachable from `sources` in >= 0 steps along positive edges."""
-    succ = _successors(P)
-    seen = set(sources)
-    stack = list(sources)
-    while stack:
-        x = stack.pop()
-        for y in succ[x]:
-            if int(y) not in seen:
-                seen.add(int(y))
-                stack.append(int(y))
-    return seen
-
-
-def can_reach(P: np.ndarray, targets: set[int]) -> set[int]:
-    """States from which `targets` is reachable in >= 0 steps."""
-    return reachable_from(P.T, targets)
-
-
-def strongly_connected_components(P: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, on the positive-edge graph."""
-    n = P.shape[0]
-    succ = _successors(P)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            x, pi = work[-1]
-            if pi == 0:
-                index[x] = low[x] = counter
-                counter += 1
-                stack.append(x)
-                on_stack[x] = True
-            advanced = False
-            for k in range(pi, len(succ[x])):
-                y = int(succ[x][k])
-                if index[y] == -1:
-                    work[-1] = (x, k + 1)
-                    work.append((y, 0))
-                    advanced = True
-                    break
-                if on_stack[y]:
-                    low[x] = min(low[x], index[y])
-            if advanced:
-                continue
-            work.pop()
-            if low[x] == index[x]:
-                comp = []
-                while True:
-                    y = stack.pop()
-                    on_stack[y] = False
-                    comp.append(y)
-                    if y == x:
-                        break
-                out.append(comp)
-            if work:
-                px, _ = work[-1]
-                low[px] = min(low[px], low[x])
-    return out
-
-
-def recurrent_states(P: np.ndarray) -> set[int]:
-    """States in closed communicating classes of the chain."""
-    comps = strongly_connected_components(P)
-    succ = _successors(P)
-    rec: set[int] = set()
-    for comp in comps:
-        members = set(comp)
-        closed = all(int(y) in members for x in comp for y in succ[x])
-        if closed:
-            rec |= members
-    return rec
+def _classify(regime: str, P: np.ndarray, g: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The free and divergent masks of an N or P chain (module docstring)."""
+    sign = 1.0 if regime == "P" else -1.0
+    edge = P > 0.0
+    free = ~_can_reach(edge, sign * g > 0.0)
+    divergent = _can_reach(edge, ~_can_reach(edge, free) | (g == sign * INF))
+    return free, divergent
 
 
 def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> set[int]:
     """States whose total policy cost is the regime-signed infinity.
 
-    A state diverges iff it can reach a recurrent state with nonzero
-    expected one-stage cost, or any state with infinite one-stage cost.
+    A state diverges iff it can reach a state that cannot reach the free
+    states, or any state with infinite one-stage cost.
     """
     if model.regime == "D":
         return set()
-    return _divergent_states(model.regime, P, g, recurrent_states(P))
-
-
-def _divergent_states(regime: str, P: np.ndarray, g: np.ndarray,
-                      rec: set[int]) -> set[int]:
-    """classify_divergent for N and P, given the recurrent states."""
-    if regime == "P":
-        bad = {x for x in rec if g[x] > 0.0} | {x for x in range(len(g)) if np.isposinf(g[x])}
-    else:
-        bad = {x for x in rec if g[x] < 0.0} | {x for x in range(len(g)) if np.isneginf(g[x])}
-    if not bad:
-        return set()
-    return can_reach(P, bad)
-
-
-def _solve_on_finite_part(A: np.ndarray, g: np.ndarray, rec: set[int],
-                          divergent: set[int], sign: float) -> np.ndarray:
-    n = A.shape[0]
-    J = np.zeros(n)
-    for x in divergent:
-        J[x] = sign * INF
-    finite = sorted(set(range(n)) - divergent)
-    if not finite:
-        return J
-    # Recurrent states outside the divergent set sit in zero-cost classes.
-    transient = [x for x in finite if x not in rec]
-    if transient:
-        idx = np.array(transient)
-        J[idx] = np.linalg.solve(A[np.ix_(idx, idx)], g[idx])
-    return J
+    _, divergent = _classify(model.regime, P, g)
+    return set(np.flatnonzero(divergent).tolist())
 
 
 def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     """Exact total cost of a stationary policy.
 
     Discounted models solve the linear fixed-point system directly.
-    Undiscounted models first classify divergent states by graph
-    analysis, then solve the linear system on the remaining transient
-    part.  Both steps read the chain's closed classes, found once.
+    Undiscounted models give free states 0 and divergent states the
+    regime-signed infinity, then solve the linear system on the rest.
     """
     errs = validate_policy(model, policy)
     if errs:
@@ -174,12 +91,14 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
         A = np.eye(model.num_states) - model.discount * P
         return EvalResult(J=np.linalg.solve(A, g))
 
-    sign = 1.0 if model.regime == "P" else -1.0
-    rec = recurrent_states(P)
-    divergent = _divergent_states(model.regime, P, g, rec)
-    A, _ = induced_complement(model, policy, (P, g))
-    J = _solve_on_finite_part(A, g, rec, divergent, sign)
-    return EvalResult(J=J, divergent=frozenset(divergent))
+    free, divergent = _classify(model.regime, P, g)
+    J = np.zeros(model.num_states)
+    J[divergent] = INF if model.regime == "P" else -INF
+    rest = np.flatnonzero(~free & ~divergent)
+    if rest.size:
+        A, _ = induced_complement(model, policy, (P, g))
+        J[rest] = np.linalg.solve(A[np.ix_(rest, rest)], g[rest])
+    return EvalResult(J=J, divergent=frozenset(np.flatnonzero(divergent).tolist()))
 
 
 def state_marginal(model: TotalCostModel, policy: Policy,
@@ -215,10 +134,14 @@ def absorbing_core(model: TotalCostModel, policy: Policy,
 
     Returns the empty set when no absorbing subset of B exists.
     """
+    n = model.num_states
+    if B and (min(B) < 0 or max(B) >= n):
+        raise ValueError(f"B must lie in 0..{n - 1}: got {sorted(B)}")
     P, _ = induced_kernel(model, policy)
-    outside = set(range(model.num_states)) - set(B)
-    escapers = can_reach(P, outside) if outside else set()
-    return frozenset(set(B) - escapers)
+    inside = np.zeros(n, dtype=bool)
+    inside[list(B)] = True
+    core = inside & ~_can_reach(P > 0.0, ~inside)
+    return frozenset(np.flatnonzero(core).tolist())
 
 
 def convert_transition_discount(model: TotalCostModel,

@@ -20,7 +20,7 @@ import time
 import click
 import numpy as np
 
-from .extreal import INF, sup_dist, xmul
+from .extreal import INF, sup_dist, xdiff, xmul
 from .model import Policy, validate_model
 from .operators import h_backup
 from .solvers import (
@@ -265,9 +265,7 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
         gap = sup_dist(np.asarray(J), gt[0])
         click.echo(f"distance to declared optimum: {gap:g}")
         if gap > max(tol * 10, 1e-8):
-            with np.errstate(invalid="ignore"):
-                worst = int(np.argmax(np.where(np.asarray(J) == gt[0], 0.0,
-                                               np.abs(np.asarray(J) - gt[0]))))
+            worst = int(np.argmax(np.abs(xdiff(np.asarray(J), gt[0]))))
             click.echo(f"note: final value differs from the declared optimum "
                        f"at state {model.state_names[worst]!r}")
     report = verify_certificates(model, trace, gt)
@@ -338,14 +336,25 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     sys.exit(0)
 
 
+def _parse_sizes(spec: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in spec.split(",")]
+        if min(sizes) >= 2:
+            return sizes
+    except ValueError:
+        pass
+    raise click.UsageError(f"bad --sizes {spec!r} "
+                           "(use comma-separated state counts of at least 2)")
+
+
 @main.command()
 @click.option("--suite", type=click.Choice(["default", "wide"]), default="default")
-@click.option("--seeds", type=int, default=3)
+@click.option("--seeds", type=click.IntRange(min=1), default=3)
 @click.option("--sizes", default="10,25,50", help="comma-separated state counts")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
 def bench(suite, seeds, sizes, fmt):
     """Timed seeded workloads over random models."""
-    size_list = [int(s) for s in sizes.split(",")]
+    size_list = _parse_sizes(sizes)
     if suite == "wide":
         size_list = sorted(set(size_list + [100, 200]))
     records = []

@@ -247,7 +247,7 @@ class SolverConfig:
             "algorithm": self.algorithm,
             "nk": self.nk if isinstance(self.nk, (int, str)) else list(self.nk),
             "epsilon": self.epsilon,
-            "bstrategy": type(self.bstrategy).__name__,
+            "bstrategy": repr(self.bstrategy),
             "max_iter": self.max_iter,
             "tol": self.tol,
             "masks": self.masks is not None,

@@ -6,15 +6,33 @@ pair-masked variant) and the stopping continuation values, kept verbatim
 from before the operators were vectorized.  They call only the scalar
 extended-real helpers, so the property tests in `test_kernels.py` check
 the vectorized kernels against an independent implementation.
+
+The second part is the fixed-policy chain classification that
+`totaldp.chains` used before it decided infinities by reachability
+alone: Tarjan's strongly connected components, the closed (recurrent)
+classes they form, a state diverging iff it reaches a costly recurrent
+state or an infinite one-stage cost, and the linear solve on the
+transient finite states.  `evaluate_policy`, `classify_divergent` and
+`absorbing_core` here are kept verbatim, so `test_chains.py` checks the
+reachability rule against an independent one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from totaldp.extreal import expect, expect_rows, xadd, xmul
+from totaldp.chains import EvalResult
+from totaldp.extreal import INF, expect, expect_rows, xadd, xmul
 from totaldp.ftheta import Theta, ThetaHat, _check_inputs
-from totaldp.model import AtomicMix, FamilyChoice, Policy, TotalCostModel
+from totaldp.model import (
+    AtomicMix,
+    FamilyChoice,
+    Policy,
+    TotalCostModel,
+    induced_complement,
+    induced_kernel,
+    validate_policy,
+)
 from totaldp.operators import family_infimum, family_pointwise
 from totaldp.stopping import StoppingProblem
 
@@ -161,3 +179,170 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     if np.isinf(g).any() or np.isinf(cont).any():
         return np.array([xadd(a_, b_) for a_, b_ in zip(g, cont)])
     return g + cont
+
+
+# ---------------------------------------------------------------------------
+# Fixed-policy chain classification by recurrent classes
+
+EDGE_EPS = 0.0  # edges are strict-positive transition probabilities
+
+
+def _successors(P: np.ndarray) -> list[np.ndarray]:
+    return [np.flatnonzero(P[x] > EDGE_EPS) for x in range(P.shape[0])]
+
+
+def reachable_from(P: np.ndarray, sources: set[int]) -> set[int]:
+    """States reachable from `sources` in >= 0 steps along positive edges."""
+    succ = _successors(P)
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        x = stack.pop()
+        for y in succ[x]:
+            if int(y) not in seen:
+                seen.add(int(y))
+                stack.append(int(y))
+    return seen
+
+
+def can_reach(P: np.ndarray, targets: set[int]) -> set[int]:
+    """States from which `targets` is reachable in >= 0 steps."""
+    return reachable_from(P.T, targets)
+
+
+def strongly_connected_components(P: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on the positive-edge graph."""
+    n = P.shape[0]
+    succ = _successors(P)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            x, pi = work[-1]
+            if pi == 0:
+                index[x] = low[x] = counter
+                counter += 1
+                stack.append(x)
+                on_stack[x] = True
+            advanced = False
+            for k in range(pi, len(succ[x])):
+                y = int(succ[x][k])
+                if index[y] == -1:
+                    work[-1] = (x, k + 1)
+                    work.append((y, 0))
+                    advanced = True
+                    break
+                if on_stack[y]:
+                    low[x] = min(low[x], index[y])
+            if advanced:
+                continue
+            work.pop()
+            if low[x] == index[x]:
+                comp = []
+                while True:
+                    y = stack.pop()
+                    on_stack[y] = False
+                    comp.append(y)
+                    if y == x:
+                        break
+                out.append(comp)
+            if work:
+                px, _ = work[-1]
+                low[px] = min(low[px], low[x])
+    return out
+
+
+def recurrent_states(P: np.ndarray) -> set[int]:
+    """States in closed communicating classes of the chain."""
+    comps = strongly_connected_components(P)
+    succ = _successors(P)
+    rec: set[int] = set()
+    for comp in comps:
+        members = set(comp)
+        closed = all(int(y) in members for x in comp for y in succ[x])
+        if closed:
+            rec |= members
+    return rec
+
+
+def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> set[int]:
+    """States whose total policy cost is the regime-signed infinity.
+
+    A state diverges iff it can reach a recurrent state with nonzero
+    expected one-stage cost, or any state with infinite one-stage cost.
+    """
+    if model.regime == "D":
+        return set()
+    return _divergent_states(model.regime, P, g, recurrent_states(P))
+
+
+def _divergent_states(regime: str, P: np.ndarray, g: np.ndarray,
+                      rec: set[int]) -> set[int]:
+    """classify_divergent for N and P, given the recurrent states."""
+    if regime == "P":
+        bad = {x for x in rec if g[x] > 0.0} | {x for x in range(len(g)) if np.isposinf(g[x])}
+    else:
+        bad = {x for x in rec if g[x] < 0.0} | {x for x in range(len(g)) if np.isneginf(g[x])}
+    if not bad:
+        return set()
+    return can_reach(P, bad)
+
+
+def _solve_on_finite_part(A: np.ndarray, g: np.ndarray, rec: set[int],
+                          divergent: set[int], sign: float) -> np.ndarray:
+    n = A.shape[0]
+    J = np.zeros(n)
+    for x in divergent:
+        J[x] = sign * INF
+    finite = sorted(set(range(n)) - divergent)
+    if not finite:
+        return J
+    # Recurrent states outside the divergent set sit in zero-cost classes.
+    transient = [x for x in finite if x not in rec]
+    if transient:
+        idx = np.array(transient)
+        J[idx] = np.linalg.solve(A[np.ix_(idx, idx)], g[idx])
+    return J
+
+
+def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
+    """Exact total cost of a stationary policy.
+
+    Discounted models solve the linear fixed-point system directly.
+    Undiscounted models first classify divergent states by graph
+    analysis, then solve the linear system on the remaining transient
+    part.  Both steps read the chain's closed classes, found once.
+    """
+    errs = validate_policy(model, policy)
+    if errs:
+        raise ValueError("invalid policy: " + "; ".join(errs))
+    P, g = induced_kernel(model, policy)
+    if model.regime == "D":
+        A = np.eye(model.num_states) - model.discount * P
+        return EvalResult(J=np.linalg.solve(A, g))
+
+    sign = 1.0 if model.regime == "P" else -1.0
+    rec = recurrent_states(P)
+    divergent = _divergent_states(model.regime, P, g, rec)
+    A, _ = induced_complement(model, policy, (P, g))
+    J = _solve_on_finite_part(A, g, rec, divergent, sign)
+    return EvalResult(J=J, divergent=frozenset(divergent))
+
+
+def absorbing_core(model: TotalCostModel, policy: Policy,
+                   B: set[int] | frozenset[int]) -> frozenset[int]:
+    """Largest subset of B the policy-induced chain can never leave.
+
+    Returns the empty set when no absorbing subset of B exists.
+    """
+    P, _ = induced_kernel(model, policy)
+    outside = set(range(model.num_states)) - set(B)
+    escapers = can_reach(P, outside) if outside else set()
+    return frozenset(set(B) - escapers)

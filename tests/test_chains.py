@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import reference_ops as ref
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import AtomicMix, FamilyChoice, Policy, validate_model
 from totaldp.chains import (
@@ -11,7 +13,7 @@ from totaldp.chains import (
     occupation_measure,
     state_marginal,
 )
-from totaldp.model import induced_kernel
+from totaldp.model import AtomicControl, TotalCostModel, induced_kernel
 from totaldp.operators import bellman_T_mu
 from totaldp.solvers import SolverConfig, value_iteration
 from totaldp.fixtures import fixture, random_model, random_policy
@@ -143,6 +145,13 @@ class TestAbsorbingCore:
         go = Policy.deterministic(fx.model, [0, 1])
         assert absorbing_core(fx.model, go, {0}) == {0}
 
+    @pytest.mark.parametrize("B", [{5}, {-1}, {0, 7}, {-2, 1}])
+    def test_states_outside_the_model_are_rejected(self, B):
+        fx = fixture("FX-P2")
+        go = Policy.deterministic(fx.model, [0, 1])
+        with pytest.raises(ValueError, match=r"B must lie in 0\.\.1"):
+            absorbing_core(fx.model, go, B)
+
 
 class TestTransitionDiscount:
     def _base(self):
@@ -209,3 +218,84 @@ def test_divergence_classifier_on_mixed_chain():
     mu = Policy.deterministic(fx.model, [0, 0, 0])
     P, g = induced_kernel(fx.model, mu)
     assert classify_divergent(fx.model, P, g) == set()
+
+
+def _slow_exit(p):
+    """State 1 pays 1 per step and exits to the free state 0 with probability p."""
+    return TotalCostModel(regime="P", discount=1.0, controls=(
+        (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+        (AtomicControl("go", 1.0, np.array([p, 1.0 - p])),),
+    ))
+
+
+@pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4])
+def test_slow_exit_is_finite(p):
+    model = _slow_exit(p)
+    out = evaluate_policy(model, Policy.deterministic(model, [0, 0]))
+    assert out.divergent == frozenset()
+    assert out.J[0] == 0.0
+    assert abs(out.J[1] - 1.0 / p) <= 1e-9 / p
+
+
+# Costs in N are the negations; 0 twice so that free states are common.
+COSTS = (0.0, 0.0, 0.5, 1.0, INF)
+
+
+@st.composite
+def random_chains(draw):
+    """Sparse random N/P chains, 1-2 controls per state, with traps,
+    zero-cost cycles and transient states and infinite costs, under a
+    deterministic or a uniform-mix policy."""
+    regime = draw(st.sampled_from(["N", "P"]))
+    sign = 1.0 if regime == "P" else -1.0
+    n = draw(st.integers(1, 8))
+    controls = []
+    for x in range(n):
+        row = []
+        for i in range(draw(st.integers(1, 2))):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=min(n, 3), unique=True))
+            weights = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                    max_size=len(support)))
+            probs = np.zeros(n)
+            probs[support] = weights
+            row.append(AtomicControl(f"u{i}", sign * draw(st.sampled_from(COSTS)),
+                                     probs / probs.sum()))
+        controls.append(tuple(row))
+    model = TotalCostModel(regime=regime, discount=1.0, controls=tuple(controls))
+    if draw(st.booleans()):
+        policy = Policy.uniform(model)
+    else:
+        policy = Policy.deterministic(
+            model, [draw(st.integers(0, len(c) - 1)) for c in controls])
+    return model, policy
+
+
+@st.composite
+def family_chains(draw):
+    """FX-P3a and FX-P3b under a family choice at their interval state."""
+    name = draw(st.sampled_from(["FX-P3a", "FX-P3b"]))
+    t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    one = AtomicMix(np.array([1.0]))
+    if name == "FX-P3a":
+        last = draw(st.sampled_from([one, FamilyChoice(0, t)]))
+        return fixture(name).model, Policy((one, one, last))
+    return fixture(name).model, Policy((one, FamilyChoice(0, t), one))
+
+
+@given(case=st.one_of(random_chains(), family_chains()), data=st.data())
+def test_reachability_matches_recurrent_class_reference(case, data):
+    model, policy = case
+    out = evaluate_policy(model, policy)
+    want = ref.evaluate_policy(model, policy)
+    P, g = induced_kernel(model, policy)
+    assert out.divergent == want.divergent
+    # The reference also solves for the transient states that never pay
+    # again, whose exact cost 0 it can miss by round-off (-1e-16 on one
+    # generated 8-state chain); the reachability rule sets them to 0.
+    for x in np.flatnonzero(out.J != want.J):
+        assert out.J[x] == 0.0 and abs(want.J[x]) <= 1e-12
+        assert all(g[y] == 0.0 for y in ref.reachable_from(P, {int(x)}))
+    assert classify_divergent(model, P, g) == ref.classify_divergent(model, P, g)
+    B = data.draw(st.sets(st.integers(0, model.num_states - 1)))
+    assert absorbing_core(model, policy, B) == ref.absorbing_core(model, policy, B)

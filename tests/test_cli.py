@@ -85,6 +85,16 @@ class TestSolve:
             J = bellman_T(fx.model, J)
             assert np.array_equal(np.array(row.extra["J_snapshot"]), J)
 
+    def test_trace_header_names_the_b_parameters(self, runner, tmp_path):
+        path = _write_fixture(tmp_path, "FX-P4")
+        trace_path = tmp_path / "t.json"
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mixed",
+                                   "--bstrategy", "occupation:0.5:0.2", "--format", "json",
+                                   "--trace-out", str(trace_path)])
+        assert out.exit_code == 0, out.output
+        assert read_trace(trace_path).config["bstrategy"] == \
+            "OccupationSupportB(beta=0.5, threshold=0.2, rho=None)"
+
     def test_exact_rule_and_json_trace(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")
         trace_path = tmp_path / "trace.json"
@@ -285,6 +295,19 @@ class TestBench:
         small = sum(r["vi_backups"] for r in recs if r["size"] == 6)
         big = sum(r["vi_backups"] for r in recs if r["size"] == 12)
         assert big >= small
+
+
+    @pytest.mark.parametrize("args", [
+        ["--seeds", "0", "--format", "table"],
+        ["--seeds", "-1"],
+        ["--sizes", "abc"],
+        ["--sizes", "1"],
+        ["--sizes", "8,1"],
+    ])
+    def test_bad_input_is_usage_error(self, runner, args):
+        out = runner.invoke(main, ["bench", *args])
+        assert out.exit_code == 2, out.output
+        assert "Traceback" not in out.output
 
 
 class TestExportFixture:
