@@ -3,9 +3,9 @@
 Solver library and CLI for discounted (D), nonpositive-cost (N), and
 nonnegative-cost (P) total-cost problems: classical value and policy
 iteration, mixed value-and-policy iteration built on parametrized
-evaluation operators, an independent optimal-stopping solution route,
-constraint-program evaluation bounds, convergence certificates, and a
-fixture library with known ground truth.
+evaluation operators, their exact solution as an optimal stopping
+problem, constraint-program evaluation bounds, convergence certificates,
+and a fixture library with known ground truth.
 """
 
 from .extreal import INF, expect, sup_dist, xadd, xmul
@@ -36,8 +36,6 @@ from .chains import (
     state_marginal,
 )
 from .ftheta import (
-    FixedPointError,
-    FixedPointOptions,
     Theta,
     ThetaHat,
     f_theta_apply,

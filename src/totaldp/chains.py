@@ -2,9 +2,10 @@
 
 Undiscounted policy costs are defined as limits of the k-stage costs and
 can be infinite.  On a finite chain the infinite part is decided by
-reachability alone.  Call a state paying when its one-stage cost has the
-regime's strict sign (g > 0 in P, g < 0 in N), and free when it cannot
-reach a paying state.  Free states cost 0.  A state reaches the free set
+reachability alone.  Call a state paying when its one-stage cost is
+nonzero (in a valid model it has the regime's sign; a stop cost of the
+other sign, below, is paid at most once), and free when it cannot reach
+a paying state.  Free states cost 0.  A state reaches the free set
 with probability one iff it cannot reach a state that cannot reach the
 free set (Baier & Katoen 2008, ch. 10), because on a finite chain the
 walk ends, almost surely, in a closed class, and every closed class that
@@ -12,7 +13,18 @@ holds no paying state is free.  So J_mu(x) is the regime-signed infinity
 exactly when x can reach a state that cannot reach the free set, or a
 state whose one-stage cost is already infinite.  Every other state is
 absorbed into the free set with probability one, and its finite cost
-solves a nonsingular linear system, so evaluation is exact.
+solves a nonsingular linear system, so evaluation is exact.  In D only an
+infinite one-stage cost can make a cost infinite: a state that can reach
+a +inf cost is +inf, and any other state that can reach a -inf cost is
+-inf.
+
+The same pricing solves Lemma A.1's stopping problem for theta = (mu, B)
+and stopping costs J: `_stop_rule_iteration` runs policy iteration over
+pair-level stop rules, each a chain on the pairs plus a cost-free
+terminal.  No end component needs collapsing: a zero-cost loop that
+never pays is free, so from "continue everywhere" (the monotone limit
+from zero) it is never left for a costlier stop, and from "stop
+everywhere" (the maximal solution, Lemma A.2) a tie never enters it.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF
+from .extreal import INF, expect_segments
 from .model import (
     AtomicControl,
     Policy,
@@ -30,6 +42,7 @@ from .model import (
     induced_kernel,
     validate_policy,
 )
+from .operators import pair_backup
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ def _classify(regime: str, P: np.ndarray, g: np.ndarray
     """The free and divergent masks of an N or P chain (module docstring)."""
     sign = 1.0 if regime == "P" else -1.0
     edge = P > 0.0
-    free = ~_can_reach(edge, sign * g > 0.0)
+    free = ~_can_reach(edge, g != 0.0)
     divergent = _can_reach(edge, ~_can_reach(edge, free) | (g == sign * INF))
     return free, divergent
 
@@ -76,6 +89,30 @@ def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> s
     return set(np.flatnonzero(divergent).tolist())
 
 
+def _price(regime: str, P: np.ndarray, g: np.ndarray, A: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact total cost of the chain (P, g) and the mask of its infinite
+    states (module docstring).  P may be substochastic and carry the
+    discount; A = I - P is the caller's."""
+    if regime == "D":
+        divergent = np.isinf(g)
+        if not divergent.any():
+            return np.linalg.solve(A, g), divergent
+        edge = P > 0.0
+        up = _can_reach(edge, g == INF)
+        divergent = up | _can_reach(edge, divergent)
+        free = np.zeros(g.size, dtype=bool)
+        J = np.where(up, INF, -INF)
+    else:
+        free, divergent = _classify(regime, P, g)
+        J = np.full(g.size, INF if regime == "P" else -INF)
+    J[free] = 0.0
+    rest = np.flatnonzero(~free & ~divergent)
+    if rest.size:
+        J[rest] = np.linalg.solve(A[np.ix_(rest, rest)], g[rest])
+    return J, divergent
+
+
 def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     """Exact total cost of a stationary policy.
 
@@ -88,17 +125,51 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
         raise ValueError("invalid policy: " + "; ".join(errs))
     P, g = induced_kernel(model, policy)
     if model.regime == "D":
-        A = np.eye(model.num_states) - model.discount * P
-        return EvalResult(J=np.linalg.solve(A, g))
-
-    free, divergent = _classify(model.regime, P, g)
-    J = np.zeros(model.num_states)
-    J[divergent] = INF if model.regime == "P" else -INF
-    rest = np.flatnonzero(~free & ~divergent)
-    if rest.size:
+        P = model.discount * P
+        A = np.eye(model.num_states) - P
+    else:
         A, _ = induced_complement(model, policy, (P, g))
-        J[rest] = np.linalg.solve(A[np.ix_(rest, rest)], g[rest])
+    J, divergent = _price(model.regime, P, g, A)
     return EvalResult(J=J, divergent=frozenset(np.flatnonzero(divergent).tolist()))
+
+
+def _pair_kernel(model: TotalCostModel, policy: Policy) -> np.ndarray:
+    """Continue kernel over the pairs of an atomic policy: from pair r to
+    pair (x', u') with probability q(x'|r) mu(u'|x')."""
+    return model.pair_probs[:, model.pair_state] * policy.pair_weights
+
+
+def _stop_rule_iteration(model: TotalCostModel, policy: Policy, stop: np.ndarray,
+                         b: np.ndarray, cont: np.ndarray
+                         ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Policy iteration over the pair-level stop rules of a stopping problem.
+
+    ``stop`` is each pair's stop cost J(x); ``b`` marks the pairs that may
+    continue, and ``cont`` (within ``b``) those that do in the start rule.
+    A pair switches only on a gain beyond 1e-12 (1 + |J(x)|), so that
+    round-off cannot make the rules cycle.  Returns the final rule's pair
+    values, the number of rules priced, and the pairs priced at +-inf.
+    """
+    m = stop.size
+    K = model.discount * _pair_kernel(model, policy)
+    slack = np.where(np.isfinite(stop), 1e-12 * (1.0 + np.abs(stop)), 0.0)
+    seen: set[bytes] = set()
+    while True:
+        seen.add(cont.tobytes())
+        P = np.zeros((m + 1, m + 1))
+        P[:m, :m][cont] = K[cont]
+        P[np.flatnonzero(~cont), m] = 1.0
+        cost = np.append(np.where(cont, model.pair_costs, stop), 0.0)
+        V, divergent = _price(model.regime, P, cost, np.eye(m + 1) - P)
+        V, divergent = V[:m], divergent[:m]
+        G = pair_backup(model, expect_segments(policy.pair_weights, V,
+                                               model.pair_starts))
+        nxt = (cont | (b & (G < stop - slack))) & ~(stop < G - slack)
+        if np.array_equal(nxt, cont):
+            return V, len(seen), divergent
+        if nxt.tobytes() in seen:
+            raise RuntimeError("stop-rule iteration returned to an earlier rule")
+        cont = nxt
 
 
 def state_marginal(model: TotalCostModel, policy: Policy,

@@ -9,10 +9,11 @@ the operator
 
 acts on Q with J held fixed.  Its monotone limit from zero is the
 continuation-value function of a two-action stopping reformulation of
-policy evaluation (see the stopping module, which recomputes it by an
-independent route).  A state-control-set variant replaces B with a set R
-of pairs: successors (x', u') outside R contribute J(x') even when x'
-meets R elsewhere.
+policy evaluation (Lemma A.1; see the stopping module), and
+`q_fixed_point` computes it exactly by policy iteration over that
+problem's stop rules (`chains._stop_rule_iteration`).  A
+state-control-set variant replaces B with a set R of pairs: successors
+(x', u') outside R contribute J(x') even when x' meets R elsewhere.
 
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
@@ -37,24 +38,15 @@ backups that did run.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .chains import _stop_rule_iteration
 from .extreal import INF, expect_segments, sup_dist
 from .model import Policy, TotalCostModel, validate_policy
 from .operators import m_minimize, pair_backup
-
-
-class FixedPointError(RuntimeError):
-    """Iteration cap reached; carries the last iterate and its bound side."""
-
-    def __init__(self, message: str, last: np.ndarray, bound: str):
-        super().__init__(message)
-        self.last = last
-        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -102,6 +94,13 @@ def _check_inputs(model: TotalCostModel, theta: Theta | ThetaHat) -> None:
     if B and (min(B) < 0 or max(B) >= model.num_states):
         raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
                          f"got {sorted(B)}")
+
+
+def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
+    """Mask over the pairs whose state lies in B."""
+    in_B = np.zeros(model.num_states, dtype=bool)
+    in_B[theta.B_index] = True
+    return in_B[model.pair_state]
 
 
 def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
@@ -190,118 +189,39 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
 @dataclass(frozen=True)
 class FixedPointCertificate:
     regime: str
-    iterations: int
-    residual: float
-    bound: str         # "two-sided" (D), "upper" (N), "lower" (P)
+    iterations: int     # stop rules priced
+    residual: float     # sup distance moved by one more application
+    bound: str          # "two-sided": exact up to round-off of either sign
     error_bound: float  # a-posteriori sup-norm bound for D, inf otherwise
-    promoted: frozenset[int] = frozenset()
+    divergent: frozenset[int] = frozenset()  # pairs priced at +-inf
 
 
-@dataclass(frozen=True)
-class FixedPointOptions:
-    tol: float = 1e-10
-    max_iter: int = 200_000
+def _certificate(model: TotalCostModel, steps: int, residual: float,
+                 divergent: np.ndarray) -> FixedPointCertificate:
+    """Certificate of an exact fixed point that one more application of
+    its operator moved by ``residual``."""
+    alpha, regime = model.discount, model.regime
+    err = (alpha * residual / (1.0 - alpha) if regime == "D"
+           else 0.0 if residual == 0.0 else INF)
+    return FixedPointCertificate(regime, steps, residual, "two-sided", err,
+                                 frozenset(np.flatnonzero(divergent).tolist()))
 
 
-# Divergence in the undiscounted regimes.  There value iteration and the
-# fixed-point iterations below are monotone, and each coordinate tends to
-# a finite limit or to the regime-signed infinity.  DivergenceRule is the
-# one rule that decides which finite coordinates count as divergent:
-# those beyond _VALUE_CAP in magnitude at once, and after
-# DIVERGENCE_WARMUP iterations those whose increment is at least
-# DIVERGENCE_FLOOR and has not shrunk by 10% over DIVERGENCE_WINDOW
-# iterations.  The window test can also flag a coordinate that converges
-# slowly, such as one that leaves a unit-cost state with probability 1e-3
-# per step.
-DIVERGENCE_WINDOW = 40
-DIVERGENCE_WARMUP = 80
-DIVERGENCE_FLOOR = 1e-9
-_VALUE_CAP = 1e13
-
-
-class DivergenceRule:
-    """Divergence test over the iterates of one monotone sequence.
-
-    Built on the start iterate and called with iterate k at iteration k,
-    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
-    returns the boolean mask of coordinates it flags.  Only finite
-    coordinates are ever flagged.
-    """
-
-    def __init__(self, start: np.ndarray):
-        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
-
-    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
-        history = self._history
-        history.append(x)
-        flagged = np.abs(x) > _VALUE_CAP
-        if k >= DIVERGENCE_WARMUP and len(history) == history.maxlen:
-            with np.errstate(invalid="ignore"):
-                inc = np.abs(x - history[-2])
-                old_inc = np.abs(history[1] - history[0])
-                flagged |= ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
-                            & (inc >= 0.9 * old_inc))
-        if np.count_nonzero(flagged):
-            flagged &= np.isfinite(x)
-        return flagged
-
-
-def _monotone_limit(step, size: int, regime: str, alpha: float,
-                    opts: FixedPointOptions
-                    ) -> tuple[np.ndarray, FixedPointCertificate]:
-    """Iterate `step` from the zero vector to its limit.
-
-    In D the iteration stops when the contraction bound
-    alpha * r / (1 - alpha) on the remaining error drops below tol.  In N
-    and P it runs monotonically (down for N, up for P) until the residual
-    passes tol, sending the coordinates that DivergenceRule flags to the
-    regime-signed infinity on the way.
-    """
-    X = np.zeros(size)
-    sign = -1.0 if regime == "N" else 1.0
-    bound = "upper" if regime == "N" else "lower"
-    promoted: list[int] = []
-    divergent = DivergenceRule(X)
-    for k in range(1, opts.max_iter + 1):
-        nxt = step(X)
-        if promoted:
-            nxt[promoted] = sign * INF
-        res = sup_dist(nxt, X)
-        X = nxt
-        if regime == "D":
-            err = alpha * res / (1.0 - alpha)
-            if err <= opts.tol:
-                return X, FixedPointCertificate("D", k, res, "two-sided", err)
-            continue
-        if res <= opts.tol:
-            return X, FixedPointCertificate(
-                regime, k, res, bound, 0.0 if res == 0.0 else INF,
-                frozenset(promoted))
-        new = divergent(k, X)
-        if np.count_nonzero(new):
-            promoted += np.flatnonzero(new).tolist()
-            X[new] = sign * INF
-    raise FixedPointError(
-        f"no fixed point within {opts.max_iter} iterations (residual left)",
-        last=X, bound=bound)
-
-
-def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray,
-                  options: FixedPointOptions | None = None
+def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
                   ) -> tuple[np.ndarray, FixedPointCertificate]:
-    """Monotone limit of F_theta(.; J) from the zero Q-vector.
-
-    Discounted models stop on the contraction bound and report it in the
-    certificate.  Undiscounted models iterate until the residual passes
-    tol or the iterate stabilizes exactly; the certificate records which
-    side of the limit the returned iterate is on.  Raises FixedPointError
-    at the iteration cap.
+    """Limit of the monotone iteration of F_theta(.; J) from the zero
+    Q-vector, exactly: the continuation values of Lemma A.1's stopping
+    problem, by stop-rule policy iteration from "continue everywhere".
+    The all-+inf J is legal in every regime and gives the fixed-policy Q.
     """
     _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
-    return _monotone_limit(lambda Q: _f_apply(model, theta, Q, J),
-                           model.num_pairs(), model.regime, model.discount,
-                           options or FixedPointOptions())
+    b = _pairs_in_B(model, theta)
+    V, steps, divergent = _stop_rule_iteration(model, theta.policy,
+                                               J[model.pair_state], b, b)
+    Q = pair_backup(model, _floor(model, theta.policy, theta.B_index, V, J))
+    residual = sup_dist(_f_apply(model, theta, Q, J), Q)
+    return Q, _certificate(model, steps, residual, divergent)
 
 
 def masked_update(model: TotalCostModel, theta: Theta, Q: np.ndarray,

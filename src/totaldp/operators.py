@@ -168,21 +168,18 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     """Fixed-policy backup; linear in J for atomic mixes, pointwise for
     family parameter choices."""
     J = np.asarray(J, dtype=float)
+    H = pair_backup(model, J)
     if policy.atomic:
         w = policy.pair_weights
         if w.shape != (model.num_pairs(),):
             raise ValueError("policy weights do not match the model's pairs")
-        return expect_segments(w, pair_backup(model, J), model.pair_starts)
+        return expect_segments(w, H, model.pair_starts)
     out = np.empty(model.num_states)
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):
             out[x] = family_pointwise(model, model.families[x][a.family], a.t, J)
         else:
-            vals = np.array([
-                xadd(c.cost, xmul(model.discount, expect(c.probs, J)))
-                for c in model.controls[x]
-            ])
-            out[x] = expect(a.weights, vals)
+            out[x] = expect(a.weights, H[model.pair_slices[x]])
     return out
 
 

@@ -20,6 +20,7 @@ and P) against the value-iteration envelope T^k(J0), and wall time.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -27,8 +28,6 @@ import numpy as np
 
 from .extreal import INF, sup_dist, xdiff
 from .ftheta import (
-    DivergenceRule,
-    FixedPointOptions,
     Theta,
     applications_run,
     f_theta_power,
@@ -197,7 +196,6 @@ class SolverConfig:
     ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
     initial_policy: Policy | None = None
     policy_schedule: Sequence[Policy] | None = None
-    fp_options: FixedPointOptions = field(default_factory=FixedPointOptions)
     stop_on_tol: bool = True
     raise_on_cap: bool = True
     snapshot_iterates: bool = True
@@ -358,13 +356,50 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # Value iteration
 
+# Divergence in the undiscounted regimes.  There value iteration is
+# monotone, and each coordinate tends to a finite limit or to the
+# regime-signed infinity.  DivergenceRule decides which finite
+# coordinates count as divergent: after DIVERGENCE_WARMUP iterations,
+# those whose increment is at least DIVERGENCE_FLOOR and has not shrunk
+# by 10% over DIVERGENCE_WINDOW iterations.  The window test can also
+# flag a coordinate that converges slowly, such as one that leaves a
+# unit-cost state with probability 1e-3 per step.
+DIVERGENCE_WINDOW = 40
+DIVERGENCE_WARMUP = 80
+DIVERGENCE_FLOOR = 1e-9
+
+
+class DivergenceRule:
+    """Divergence test over the iterates of one monotone sequence.
+
+    Built on the start iterate and called with iterate k at iteration k,
+    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
+    returns the boolean mask of coordinates it flags.  Only finite
+    coordinates are ever flagged.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
+
+    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
+        history = self._history
+        history.append(x)
+        if k < DIVERGENCE_WARMUP or len(history) < history.maxlen:
+            return np.zeros(x.shape, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            inc = np.abs(x - history[-2])
+            old_inc = np.abs(history[1] - history[0])
+            flagged = ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
+                       & (inc >= 0.9 * old_inc))
+        return flagged & np.isfinite(x)
+
 
 def value_iteration(model: TotalCostModel, J0: np.ndarray,
                     config: SolverConfig | None = None) -> SolveResult:
     """Iterate the optimal-cost backup from J0.
 
     Undiscounted runs classify states whose iterates grow without bound
-    (by `ftheta.DivergenceRule`) and report them at the regime-signed
+    (by `DivergenceRule`) and report them at the regime-signed
     infinity; the remaining states stop on the residual.  For
     atomic-only models a classified state is pinned to infinity
     immediately (finite minima commute with monotone limits, so this is
@@ -554,7 +589,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
                                            gamma_mask, s_mask, n=int(nk))
             powers = applications_run() - before
         elif nk == "exact":
-            Q_next, cert = q_fixed_point(model, theta, J, config.fp_options)
+            Q_next, cert = q_fixed_point(model, theta, J)
             powers = cert.iterations
             J_next = m_minimize(model, Q_next)
         else:
@@ -627,7 +662,7 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         bound = lp_upper_bound(model, theta, J)
         Q_next = bound.Qbar
-        Q_fix, cert = q_fixed_point(model, theta, J, config.fp_options)
+        Q_fix, cert = q_fixed_point(model, theta, J)
         rec.trace.op_count += cert.iterations + bound.certificate.iterations
         lower_ineq = _margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
         upper_ineq = bound.certificate.upper_margin  # >= 0 when Qbar <= F(Qbar)

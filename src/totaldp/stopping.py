@@ -7,36 +7,34 @@ may stop (pay J(x), move to the terminal state) or continue (pay g(x, u),
 move to a pair (x', u') drawn from q(.|x, u) and mu(.|x')); pairs whose
 state lies outside B are stop-only.
 
-Solving this problem and mapping its optimal values back through one
-continuation backup reproduces the monotone fixed point of the ftheta
-module by a separate route, which is how the two modules check each
-other.  The independence lies in the operator: this route iterates the
-stopping backup T_o on pair values, where the ftheta route iterates
-F_theta on Q-vectors.  Both run in the same monotone-limit loop of the
-ftheta module (stop rules, divergence promotion, certificate) and apply
-the same one-step Q backup kernel of the operators module; the test
-suite checks that kernel against loop reference implementations.
-A downward-iterated linear program over the same constraint
-system yields, for nonnegative-cost models, a certified upper bound on
-that fixed point.
+Its optimal values, mapped back through one continuation backup, are the
+fixed point of the ftheta module (Lemma A.1).  `solve_stopping` finds
+them exactly by policy iteration over pair-level stop rules from
+"continue everywhere" (`chains._stop_rule_iteration`, the engine
+`q_fixed_point` also runs), and `t_o_apply` is the problem's optimal
+backup on pair values.  The constraint program over the same system has,
+for nonnegative costs and a deterministic policy, a maximal solution
+(Lemma A.2): the same iteration started from "stop everywhere" reaches
+it, and it gives a certified upper bound on that fixed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .extreal import expect_rows, expect_segments, sup_dist, xdiff
+from .chains import _pair_kernel, _stop_rule_iteration
+from .extreal import expect_segments, sup_dist, xdiff
 from .ftheta import (
     FixedPointCertificate,
-    FixedPointError,
-    FixedPointOptions,
     Theta,
+    _certificate,
     _check_inputs,
     _f_apply,
-    _monotone_limit,
+    _floor,
+    _pairs_in_B,
 )
 from .model import TotalCostModel, regime_conforming
 from .operators import pair_backup
@@ -67,9 +65,7 @@ class StoppingProblem:
     @cached_property
     def b_pairs(self) -> np.ndarray:
         """Mask over pairs whose state lies in B (continue available)."""
-        in_B = np.zeros(self.model.num_states, dtype=bool)
-        in_B[self.theta.B_index] = True
-        mask = in_B[self.model.pair_state]
+        mask = _pairs_in_B(self.model, self.theta)
         mask.setflags(write=False)
         return mask
 
@@ -96,8 +92,7 @@ class StoppingProblem:
 
     def kernel_matrix(self) -> np.ndarray:
         """Continue-action kernel over pairs, rows summing to one."""
-        m = self.model
-        return m.pair_probs[:, m.pair_state] * self.theta.policy.pair_weights
+        return _pair_kernel(self.model, self.theta.policy)
 
 
 def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> StoppingProblem:
@@ -128,31 +123,26 @@ def t_o_apply(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     pairs are pinned at J(x).  The terminal state stays at value zero
     and is left implicit.
     """
-    V = np.asarray(V, dtype=float)
     stop = problem.stop_costs()
-    G = _continuation_values(problem, V)
-    b = problem.b_pairs
-    out = stop.copy()
-    out[b] = np.minimum(stop[b], G[b])
-    return out
+    G = _continuation_values(problem, np.asarray(V, dtype=float))
+    return np.where(problem.b_pairs, np.minimum(stop, G), stop)
 
 
-def solve_stopping(problem: StoppingProblem,
-                   options: FixedPointOptions | None = None
-                   ) -> "StoppingSolution":
-    """Iterate the stopping backup from zero to the optimal pair values.
+def solve_stopping(problem: StoppingProblem) -> "StoppingSolution":
+    """Optimal pair values, exactly: stop-rule policy iteration from
+    "continue everywhere" reaches the stopping backup's limit from zero.
 
-    Returns the value vector, the continuation values on the constraint
-    pairs inside B, an optimal stop/continue rule where one is
-    guaranteed to exist (D and P; stop wins ties), and a convergence
-    certificate with the same semantics as the ftheta fixed point.
-    Raises FixedPointError at the iteration cap.
+    Returns the values, the continuation values on the constraint pairs
+    inside B, an optimal stop/continue rule where one is guaranteed to
+    exist (D and P; stop wins ties), and a certificate as for the ftheta
+    fixed point, its residual taken by one more stopping backup.
     """
-    V, cert = _monotone_limit(partial(t_o_apply, problem),
-                              problem.model.num_pairs(), problem.regime,
-                              problem.alpha, options or FixedPointOptions())
-    fstar = _continuation_values(problem, V)
     b = problem.b_pairs
+    V, steps, divergent = _stop_rule_iteration(
+        problem.model, problem.theta.policy, problem.stop_costs(), b, b)
+    cert = _certificate(problem.model, steps,
+                        sup_dist(t_o_apply(problem, V), V), divergent)
+    fstar = _continuation_values(problem, V)
     stop_rule = None
     if problem.regime in ("D", "P"):
         stop_rule = problem.stop_costs() <= fstar
@@ -182,8 +172,8 @@ class AssumptionError(ValueError):
 
 @dataclass(frozen=True)
 class LPBoundCertificate:
-    iterations: int
-    residual: float
+    iterations: int                 # stop rules priced
+    residual: float                 # sup distance moved by one more constraint map
     feasibility_margin: float       # min over constraints of slack (>= 0 wanted)
     upper_margin: float             # min of F_theta(Qbar; J) - Qbar
     lower_margin: float | None      # min of Qbar - Q_fixed_point, when checked
@@ -198,9 +188,7 @@ class LPBoundResult:
 
 
 def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
-                   tol: float = 1e-13, max_iter: int = 200_000,
-                   check_lower: bool = False,
-                   fp_options: FixedPointOptions | None = None) -> LPBoundResult:
+                   check_lower: bool = False) -> LPBoundResult:
     """Maximal solution of the stop/continue constraint program for a
     deterministic policy under nonnegative costs, plus the induced
     Q-vector upper bound.
@@ -211,11 +199,13 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
         W(x) <= g(x, mu(x)) + sum_{x' not in B} J(x') q(x'|x, mu(x))
                            + sum_{x' in B}  W(x') q(x'|x, mu(x))
 
-    for x in B.  Every feasible point is dominated by the downward
-    iteration of the capped constraint map from W = J, so the iteration's
-    limit is the maximum for any admissible weighting.  The weights only
-    gate feasibility (the weighted stop costs must be finite, so J must be
-    finite on B) and do not move the answer, so none is taken.
+    for x in B.  Its feasible points are the points below one application
+    of the capped constraint map, so the maximum is the largest fixed
+    point of the stopping problem for (theta, J) (Lemma A.2).  Stop-rule
+    policy iteration from "stop everywhere" reaches it: W is the value
+    at the chosen pairs of B.  The weights only gate feasibility (the
+    weighted stop costs must be finite, so J must be finite on B) and do
+    not move the answer, so none is taken.
     """
     _check_inputs(model, theta)
     if model.regime != "P":
@@ -230,43 +220,15 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
                 f"stopping cost is infinite on B at state {x}; "
                 "the weighted program is infeasible")
 
-    n = model.num_states
-    in_B = np.zeros(n, dtype=bool)
-    in_B[B] = True
-    J_B = J[B]
-    if len(B):
-        chosen = model.pair_starts[B] + np.array(
-            [theta.policy.action_index(x) for x in B], dtype=np.intp)
-        rows = model.pair_probs[chosen]
-        g_mu = model.pair_costs[chosen]
-        off_term = expect_rows(rows[:, ~in_B], J[~in_B])
-        P_BB = rows[:, B]
-        const = g_mu + off_term
-
-        W = J_B.copy()
-        iterations = 0
-        residual = 0.0
-        for iterations in range(1, max_iter + 1):
-            rhs = const + P_BB @ W
-            nxt = np.minimum(J_B, rhs)
-            residual = sup_dist(nxt, W)
-            W = nxt
-            if residual <= tol:
-                break
-        else:
-            raise FixedPointError(f"constraint iteration did not stabilize "
-                                  f"in {max_iter} steps", last=W, bound="upper")
-        feas = float(np.minimum(J_B - W, const + P_BB @ W - W).min())
-    else:
-        W = np.zeros(0)
-        iterations = 0
-        residual = 0.0
-        feas = 0.0
-
+    b = _pairs_in_B(model, theta)
+    V, steps, _ = _stop_rule_iteration(model, theta.policy, J[model.pair_state],
+                                       b, np.zeros_like(b))
     # Qbar over all pairs, reading W on B and J off B.
-    wfull = J.astype(float).copy()
-    wfull[B] = W
+    wfull = _floor(model, theta.policy, theta.B_index, V, J)
+    W = wfull[B]
     Qbar = pair_backup(model, wfull)
+    rhs = _floor(model, theta.policy, theta.B_index, Qbar, J)[B]  # constraint map
+    feas = float(np.minimum(J[B] - W, xdiff(rhs, W)).min()) if B else 0.0
 
     # First certificate check: Qbar <= F_theta(Qbar; J) elementwise.
     F_Qbar = _f_apply(model, theta, Qbar, J)
@@ -274,12 +236,12 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
 
     lower_margin = None
     if check_lower:
-        sol = solve_stopping(build_stopping(model, theta, J),
-                             fp_options or FixedPointOptions(tol=1e-12))
+        sol = solve_stopping(build_stopping(model, theta, J))
         Qtheta = reconstruct_q(sol.problem, sol.V)
         lower_margin = float(xdiff(Qbar, Qtheta).min(initial=0.0))
 
-    cert = LPBoundCertificate(iterations=iterations, residual=residual,
+    cert = LPBoundCertificate(iterations=steps,
+                              residual=sup_dist(np.minimum(J[B], rhs), W),
                               feasibility_margin=feas, upper_margin=upper_margin,
                               lower_margin=lower_margin)
     return LPBoundResult(W=W, B_order=tuple(B), Qbar=Qbar, certificate=cert)

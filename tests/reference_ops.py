@@ -15,15 +15,26 @@ state or an infinite one-stage cost, and the linear solve on the
 transient finite states.  `evaluate_policy`, `classify_divergent` and
 `absorbing_core` here are kept verbatim, so `test_chains.py` checks the
 reachability rule against an independent one.
+
+The third part holds the sweep oracles of the stopping problem, kept
+verbatim from before it was solved by stop-rule policy iteration: the
+monotone-limit loop (with its options and cap error) that iterated
+F_theta or the stopping backup from zero, sending the coordinates that
+value iteration's window rule flags to infinity, and the downward
+iteration of the constraint map that found the program's maximal
+solution.  `test_stop_rules.py` checks the policy iteration against
+them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from totaldp.chains import EvalResult
-from totaldp.extreal import INF, expect, expect_rows, xadd, xmul
-from totaldp.ftheta import Theta, ThetaHat, _check_inputs
+from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xmul
+from totaldp.ftheta import FixedPointCertificate, Theta, ThetaHat, _check_inputs
 from totaldp.model import (
     AtomicMix,
     FamilyChoice,
@@ -34,6 +45,7 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.operators import family_infimum, family_pointwise
+from totaldp.solvers import DivergenceRule
 from totaldp.stopping import StoppingProblem
 
 
@@ -346,3 +358,103 @@ def absorbing_core(model: TotalCostModel, policy: Policy,
     outside = set(range(model.num_states)) - set(B)
     escapers = can_reach(P, outside) if outside else set()
     return frozenset(set(B) - escapers)
+
+
+# ---------------------------------------------------------------------------
+# Sweep oracles of the stopping problem
+#
+# `_monotone_limit` returns the library's FixedPointCertificate; its last
+# field, `divergent`, holds the coordinates the sweep promoted.
+
+
+class FixedPointError(RuntimeError):
+    """Iteration cap reached; carries the last iterate and its bound side."""
+
+    def __init__(self, message: str, last: np.ndarray, bound: str):
+        super().__init__(message)
+        self.last = last
+        self.bound = bound
+
+
+@dataclass(frozen=True)
+class FixedPointOptions:
+    tol: float = 1e-10
+    max_iter: int = 200_000
+
+
+def _monotone_limit(step, size: int, regime: str, alpha: float,
+                    opts: FixedPointOptions
+                    ) -> tuple[np.ndarray, FixedPointCertificate]:
+    """Iterate `step` from the zero vector to its limit.
+
+    In D the iteration stops when the contraction bound
+    alpha * r / (1 - alpha) on the remaining error drops below tol.  In N
+    and P it runs monotonically (down for N, up for P) until the residual
+    passes tol, sending the coordinates that DivergenceRule flags to the
+    regime-signed infinity on the way.
+    """
+    X = np.zeros(size)
+    sign = -1.0 if regime == "N" else 1.0
+    bound = "upper" if regime == "N" else "lower"
+    promoted: list[int] = []
+    divergent = DivergenceRule(X)
+    for k in range(1, opts.max_iter + 1):
+        nxt = step(X)
+        if promoted:
+            nxt[promoted] = sign * INF
+        res = sup_dist(nxt, X)
+        X = nxt
+        if regime == "D":
+            err = alpha * res / (1.0 - alpha)
+            if err <= opts.tol:
+                return X, FixedPointCertificate("D", k, res, "two-sided", err)
+            continue
+        if res <= opts.tol:
+            return X, FixedPointCertificate(
+                regime, k, res, bound, 0.0 if res == 0.0 else INF,
+                frozenset(promoted))
+        new = divergent(k, X)
+        if np.count_nonzero(new):
+            promoted += np.flatnonzero(new).tolist()
+            X[new] = sign * INF
+    raise FixedPointError(
+        f"no fixed point within {opts.max_iter} iterations (residual left)",
+        last=X, bound=bound)
+
+
+def downward_W(model: TotalCostModel, theta: Theta, J: np.ndarray,
+               tol: float = 1e-13, max_iter: int = 200_000) -> np.ndarray:
+    """The constraint program's maximal W (B in sorted order) for a
+    deterministic policy in P: the capped constraint map iterated down
+    from W = J."""
+    J = np.asarray(J, dtype=float)
+    B = sorted(theta.B)
+    n = model.num_states
+    in_B = np.zeros(n, dtype=bool)
+    in_B[B] = True
+    J_B = J[B]
+    if len(B):
+        chosen = model.pair_starts[B] + np.array(
+            [theta.policy.action_index(x) for x in B], dtype=np.intp)
+        rows = model.pair_probs[chosen]
+        g_mu = model.pair_costs[chosen]
+        off_term = expect_rows(rows[:, ~in_B], J[~in_B])
+        P_BB = rows[:, B]
+        const = g_mu + off_term
+
+        W = J_B.copy()
+        iterations = 0
+        residual = 0.0
+        for iterations in range(1, max_iter + 1):
+            rhs = const + P_BB @ W
+            nxt = np.minimum(J_B, rhs)
+            residual = sup_dist(nxt, W)
+            W = nxt
+            if residual <= tol:
+                break
+        else:
+            raise FixedPointError(f"constraint iteration did not stabilize "
+                                  f"in {max_iter} steps", last=W, bound="upper")
+    else:
+        W = np.zeros(0)
+    return W

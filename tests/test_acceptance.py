@@ -11,7 +11,6 @@ import numpy as np
 
 from totaldp.extreal import sup_dist
 from totaldp.chains import evaluate_policy
-from totaldp.ftheta import FixedPointOptions
 from totaldp.solvers import (
     FullB,
     SolverConfig,
@@ -98,8 +97,7 @@ def test_14_extracted_policy_bounds():
     alpha = model.discount
     cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3), Q0=np.zeros(6),
                        nk=5, bstrategy=FullB(), tol=1e-15, max_iter=100,
-                       stop_on_tol=False, ground_truth=fx.ground_truth(),
-                       fp_options=FixedPointOptions(tol=1e-14))
+                       stop_on_tol=False, ground_truth=fx.ground_truth())
     out = mixed_vpi(model, cfg)
     delta = out.trace.dist0
     worst = -np.inf

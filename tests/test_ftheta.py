@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from totaldp.extreal import INF, sup_dist
+from totaldp.chains import evaluate_policy
 from totaldp.model import Policy
 from totaldp.operators import bellman_T, h_backup, m_minimize
 from totaldp.ftheta import (
-    FixedPointOptions,
     Theta,
     ThetaHat,
     f_theta_apply,
@@ -174,7 +174,7 @@ class TestFixedPoint:
     def test_optimal_inputs_return_optimal_q(self, regime):
         model, Jstar = random_model(67, regime=regime)
         theta = _theta(18, model)
-        Q, cert = q_fixed_point(model, theta, Jstar, FixedPointOptions(tol=1e-13))
+        Q, cert = q_fixed_point(model, theta, Jstar)
         assert sup_dist(Q, h_backup(model, Jstar)) <= 1e-10
 
     def test_residual_certificate(self):
@@ -182,7 +182,7 @@ class TestFixedPoint:
         theta = _theta(19, model)
         rng = np.random.default_rng(20)
         J = rng.normal(size=model.num_states)
-        Q, cert = q_fixed_point(model, theta, J, FixedPointOptions(tol=1e-11))
+        Q, cert = q_fixed_point(model, theta, J)
         again = f_theta_apply(model, theta, Q, J)
         assert sup_dist(again, Q) <= cert.residual + 1e-15
         assert cert.bound == "two-sided" and cert.error_bound <= 1e-11
@@ -199,7 +199,7 @@ class TestFixedPoint:
         theta = _theta(22, fx.model)
         rng = np.random.default_rng(23)
         J = fx.Jstar + rng.uniform(-1, 1, size=3)
-        Q, _ = q_fixed_point(fx.model, theta, J, FixedPointOptions(tol=1e-13))
+        Q, _ = q_fixed_point(fx.model, theta, J)
         assert sup_dist(Q, fx.Qstar) <= 0.9 * sup_dist(J, fx.Jstar) + 1e-10
 
     def test_power_contracts_toward_fixed_point(self):
@@ -207,7 +207,7 @@ class TestFixedPoint:
         theta = _theta(24, fx.model)
         rng = np.random.default_rng(25)
         J = fx.Jstar + rng.uniform(-1, 1, size=3)
-        Qfix, _ = q_fixed_point(fx.model, theta, J, FixedPointOptions(tol=1e-13))
+        Qfix, _ = q_fixed_point(fx.model, theta, J)
         Q = rng.normal(size=fx.model.num_pairs())
         d0 = sup_dist(Q, Qfix)
         Q3 = f_theta_power(fx.model, theta, Q, J, 3)
@@ -225,6 +225,17 @@ class TestFixedPoint:
                       for x in range(3)])
         expected = fx.model.pair_costs + 0.9 * (fx.model.pair_probs @ w)
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("regime", ["D", "N", "P"])
+    def test_all_infinite_stop_costs_give_the_fixed_policy_q(self, regime):
+        # No pair ever stops at +inf, in any regime: the fixed point is
+        # the policy's own Q-vector.
+        model, _ = random_model(97, regime=regime)
+        theta = Theta(random_policy(33, model), frozenset(range(model.num_states)))
+        Q, cert = q_fixed_point(model, theta, np.full(model.num_states, INF))
+        J_mu = evaluate_policy(model, theta.policy).J
+        assert sup_dist(Q, h_backup(model, J_mu)) <= 1e-12
+        assert cert.iterations == 1 and cert.divergent == frozenset()
 
 
 class TestMaskedUpdate:

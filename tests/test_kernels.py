@@ -10,6 +10,7 @@ only by summation order (rtol = atol = 1e-12); no NaN may appear.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import reference_ops as ref
@@ -24,6 +25,7 @@ from totaldp.ftheta import (
     f_theta_power,
 )
 from totaldp.model import (
+    AffineFamily,
     AtomicControl,
     AtomicMix,
     FamilyChoice,
@@ -181,6 +183,26 @@ class TestAffineFamilies:
                               for x, cs in enumerate(model.controls)))
         assert_matches(bellman_T_mu(model, policy, J), ref.bellman_T_mu(model, policy, J),
                        exact=True)
+
+
+    @pytest.mark.parametrize("J", [[0.0, INF, 3.0], [0.0, 2.0, INF], [INF, INF, INF]])
+    @pytest.mark.parametrize("mix", [[0.25, 0.75], [1.0, 0.0]])
+    def test_mixed_atomic_and_family_policy(self, J, mix):
+        # State 1 mixes two atomic controls (with a zero weight on one
+        # that sees J(1) in the second mix), state 2 picks its family.
+        fam = AffineFamily(lo=0.0, hi=1.0, lo_closed=True, hi_closed=False,
+                           c0=0.0, c1=1.0, p0=np.array([0.0, 0.0, 1.0]),
+                           p1=np.array([1.0, 0.0, -1.0]))
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0, 0.0])),),
+            (AtomicControl("a", 1.0, np.array([0.5, 0.0, 0.5])),
+             AtomicControl("b", 0.0, np.array([0.0, 1.0, 0.0]))),
+            (AtomicControl("c", 2.0, np.array([1.0, 0.0, 0.0])),),
+        ), families=((), (), (fam,)))
+        policy = Policy((AtomicMix(np.array([1.0])), AtomicMix(np.array(mix)),
+                         FamilyChoice(0, 0.5)))
+        J = np.array(J)
+        assert_matches(bellman_T_mu(model, policy, J), ref.bellman_T_mu(model, policy, J))
 
 
 class TestParametrizedOperators:

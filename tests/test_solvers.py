@@ -5,7 +5,6 @@ from totaldp.extreal import INF, sup_dist
 from totaldp.model import Policy
 from totaldp.operators import bellman_T, bellman_T_mu, h_backup
 from totaldp.chains import evaluate_policy
-from totaldp.ftheta import FixedPointOptions
 from totaldp.solvers import (
     ALGORITHMS,
     CustomB,
@@ -376,8 +375,7 @@ class TestVerifyCertificates:
         cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3),
                            Q0=np.zeros(6), nk=5, bstrategy=FullB(),
                            tol=1e-12, max_iter=400,
-                           ground_truth=fx.ground_truth(),
-                           fp_options=FixedPointOptions(tol=1e-14))
+                           ground_truth=fx.ground_truth())
         out = mixed_vpi(fx.model, cfg)
         report = verify_certificates(fx.model, out.trace, fx.ground_truth())
         geo = [c for c in report.checks if c.name == "geometric-rate"]

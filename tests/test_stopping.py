@@ -4,7 +4,7 @@ import pytest
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import bellman_T, h_backup
-from totaldp.ftheta import FixedPointOptions, Theta, f_theta_apply, q_fixed_point
+from totaldp.ftheta import Theta, f_theta_apply, q_fixed_point
 from totaldp.stopping import (
     AssumptionError,
     build_stopping,
@@ -14,8 +14,6 @@ from totaldp.stopping import (
     t_o_apply,
 )
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
-
-OPTS = FixedPointOptions(tol=1e-12)
 
 
 def _go_theta(fx, B=None):
@@ -41,7 +39,7 @@ class TestBuild:
     def test_empty_b_makes_everything_stop_only(self):
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx, B=set()), fx.Jstar)
-        sol = solve_stopping(prob, OPTS)
+        sol = solve_stopping(prob)
         assert np.array_equal(sol.V, prob.stop_costs())
 
     def test_unreachable_pairs_listed_and_outside_kernel(self):
@@ -122,7 +120,7 @@ class TestSolveAndReconstruct:
         if regime == "D":
             J = rng.normal(size=model.num_states)
         prob = build_stopping(model, theta, J)
-        sol = solve_stopping(prob, OPTS)
+        sol = solve_stopping(prob)
         again = f_theta_apply(model, theta, sol.fstar, J)
         b = prob.b_pairs
         assert sup_dist(again[b], sol.fstar[b]) <= 1e-9
@@ -133,8 +131,8 @@ class TestSolveAndReconstruct:
             theta = Theta(random_policy(seed, model), random_subset(seed + 99, model))
             J = np.random.default_rng(seed).uniform(0, 2, size=model.num_states)
             prob = build_stopping(model, theta, J)
-            sol = solve_stopping(prob, OPTS)
-            direct, _ = q_fixed_point(model, theta, J, OPTS)
+            sol = solve_stopping(prob)
+            direct, _ = q_fixed_point(model, theta, J)
             assert sup_dist(reconstruct_q(prob, sol.V), direct) <= 1e-9
 
     def test_empty_b_reconstruction_is_plain_backup(self):
@@ -142,7 +140,7 @@ class TestSolveAndReconstruct:
         theta = Theta(random_policy(14, model), frozenset())
         J = np.random.default_rng(15).uniform(0, 2, size=model.num_states)
         prob = build_stopping(model, theta, J)
-        sol = solve_stopping(prob, OPTS)
+        sol = solve_stopping(prob)
         assert sup_dist(reconstruct_q(prob, sol.V), h_backup(model, J)) <= 1e-12
 
     def test_stop_rule_is_optimal_under_nonnegative_costs(self):
@@ -154,7 +152,7 @@ class TestSolveAndReconstruct:
             theta = Theta(random_policy(seed, model), random_subset(seed + 7, model))
             J = np.random.default_rng(seed).uniform(0, 2, size=model.num_states)
             prob = build_stopping(model, theta, J)
-            sol = solve_stopping(prob, OPTS)
+            sol = solve_stopping(prob)
             npairs = model.num_pairs()
             K = prob.kernel_matrix()
             controls = []
