@@ -19,8 +19,9 @@ These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
 plain fixed-policy Q backup.  One application is a few pair-axis array
 operations: lift J onto the pairs, take min{J, Q}, mix it per state with
-the policy's pair weights (a segment-wise expectation), and run the
-shared Q backup of the operators module against the result.
+the policy's pair weights (a segment-wise expectation, or a read at the
+chosen pairs for a policy built from choices), and run the shared Q
+backup of the operators module against the result.
 
 An application reads Q only through that state vector w (J off B, the
 policy's mix of min{J, Q} on B), and the backup is a deterministic
@@ -81,6 +82,13 @@ class ThetaHat:
     def B(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.R)
 
+    @cached_property
+    def B_index(self) -> np.ndarray:
+        """The states that R meets, as a sorted index array."""
+        idx = np.array(sorted(self.B), dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
+
 
 def _check_inputs(model: TotalCostModel, theta: Theta | ThetaHat) -> None:
     if not model.atomic_only:
@@ -90,10 +98,10 @@ def _check_inputs(model: TotalCostModel, theta: Theta | ThetaHat) -> None:
     errs = validate_policy(model, theta.policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
-    B = theta.B
-    if B and (min(B) < 0 or max(B) >= model.num_states):
+    B = theta.B_index
+    if B.size and (B[0] < 0 or B[-1] >= model.num_states):
         raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
-                         f"got {sorted(B)}")
+                         f"got {B.tolist()}")
 
 
 def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
@@ -106,7 +114,21 @@ def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
 def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
            V: np.ndarray, J: np.ndarray) -> np.ndarray:
     """J, with J(x) for x in B replaced by sum_u' mu(u'|x) V(x, u') for a
-    pair-axis vector V."""
+    pair-axis vector V.
+
+    A policy built from choices reads V at its chosen pairs, and for
+    B = S that read is the whole result.  The one-hot segment sum that
+    mixed policies take gives the same floats, except that adding a
+    zero-weighted pair's +0.0 turns a chosen -0.0 into +0.0: the two
+    reads differ only in the sign of a zero.
+    """
+    chosen = policy.chosen_pairs
+    if chosen is not None:
+        if B.size == J.size:
+            return V[chosen]
+        w = J.copy()
+        w[B] = V[chosen[B]]
+        return w
     w = J.copy()
     if B.size:
         w[B] = expect_segments(policy.pair_weights, V, model.pair_starts)[B]
@@ -143,8 +165,7 @@ def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
     in_R = np.array([p in theta_hat.R for p in model.pairs], dtype=bool)
     Jp = J[model.pair_state]
     V = np.where(in_R, np.minimum(Jp, Q), Jp)
-    B = np.array(sorted(theta_hat.B), dtype=np.intp)
-    return pair_backup(model, _floor(model, theta_hat.policy, B, V, J))
+    return pair_backup(model, _floor(model, theta_hat.policy, theta_hat.B_index, V, J))
 
 
 # Backups that f_theta_power has run on this thread.  A caller that

@@ -141,6 +141,12 @@ class TotalCostModel:
         state.setflags(write=False)
         return state
 
+    @cached_property
+    def pair_labels(self) -> tuple[str, ...]:
+        """"x:i" for every pair, in pair-axis order: a choice-backed
+        policy's descriptor joins the labels of its chosen pairs."""
+        return tuple(f"{x}:{i}" for x, i in self.pairs)
+
     def pair_counts(self) -> np.ndarray:
         """Number of atomic controls of each state."""
         return np.diff(self.pair_starts, append=self.num_pairs())
@@ -192,32 +198,46 @@ PolicyAction = Union[AtomicMix, FamilyChoice]
 class Policy:
     """Stationary policy: one action per state.
 
-    A policy built by `Policy.deterministic` keeps its choice array and
-    builds per-state `AtomicMix` actions only when `actions` is read.
-    Policies are immutable: the arrays they hand out are read-only.
+    A policy built by `Policy.deterministic` keeps the pair index of each
+    state's chosen control and builds per-state `AtomicMix` actions only
+    when `actions` is read.  Policies are immutable: the arrays they hand
+    out are read-only.
     """
 
     def __init__(self, actions: Sequence[PolicyAction]):
         self._actions: tuple[PolicyAction, ...] | None = tuple(actions)
-        self._choices: np.ndarray | None = None
+        self._chosen: np.ndarray | None = None  # chosen pair index per state
         self._starts: np.ndarray | None = None  # pair_starts of the choices' model
+        self._labels: tuple[str, ...] = ()       # pair_labels of that model
         self._num_pairs = 0
 
     @staticmethod
     def deterministic(model: TotalCostModel, choices: Sequence[int]) -> "Policy":
         """The policy that takes control choices[x] at every state x."""
-        choices = np.array(choices, dtype=np.intp)
-        if choices.shape != (model.num_states,):
-            raise ValueError(f"need one choice per state, got shape {choices.shape}")
+        raw = np.asarray(choices)
+        if raw.shape != (model.num_states,):
+            raise ValueError(f"need one choice per state, got shape {raw.shape}")
+        if raw.dtype.kind not in "biu":
+            as_float = raw.astype(float)
+            if not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all():
+                raise ValueError("a choice is not an integer control index")
+        choices = raw.astype(np.intp)
         chosen = model.pair_starts + choices
         if ((choices < 0) | (chosen >= model.num_pairs())).any() \
                 or (model.pair_state[chosen] != np.arange(model.num_states)).any():
             raise ValueError("a choice is not a control index of its state")
-        choices.setflags(write=False)
+        return Policy._of_pairs(model, chosen)
+
+    @staticmethod
+    def _of_pairs(model: TotalCostModel, chosen: np.ndarray) -> "Policy":
+        """The deterministic policy whose control at state x is the pair
+        chosen[x], unchecked: each entry must lie in its state's segment."""
+        chosen.setflags(write=False)
         policy = Policy.__new__(Policy)
         policy._actions = None
-        policy._choices = choices
+        policy._chosen = chosen
         policy._starts = model.pair_starts
+        policy._labels = model.pair_labels
         policy._num_pairs = model.num_pairs()
         return policy
 
@@ -230,11 +250,17 @@ class Policy:
         return Policy(tuple(acts))
 
     @property
+    def chosen_pairs(self) -> np.ndarray | None:
+        """The pair index of each state's control when the policy was
+        built from choices, else None."""
+        return self._chosen
+
+    @property
     def actions(self) -> tuple[PolicyAction, ...]:
         if self._actions is None:
             counts = np.diff(self._starts, append=self._num_pairs)
             acts = []
-            for i, n in zip(self._choices.tolist(), counts.tolist()):
+            for i, n in zip((self._chosen - self._starts).tolist(), counts.tolist()):
                 w = np.zeros(n)
                 w[i] = 1.0
                 acts.append(AtomicMix(w))
@@ -243,15 +269,15 @@ class Policy:
 
     @property
     def atomic(self) -> bool:
-        return (self._choices is not None
+        return (self._chosen is not None
                 or all(isinstance(a, AtomicMix) for a in self.actions))
 
     @cached_property
     def pair_weights(self) -> np.ndarray:
         """The policy as one weight per atomic pair, in pair-axis order."""
-        if self._choices is not None:
+        if self._chosen is not None:
             w = np.zeros(self._num_pairs)
-            w[self._starts + self._choices] = 1.0
+            w[self._chosen] = 1.0
         elif not self.atomic:
             raise ValueError("only atomic-distribution policies have pair weights")
         elif self.actions:
@@ -262,22 +288,23 @@ class Policy:
         return w
 
     def is_deterministic(self) -> bool:
-        if self._choices is not None:
+        if self._chosen is not None:
             return True
         return all(isinstance(a, FamilyChoice) or _point_mass(a) for a in self.actions)
 
     def action_index(self, x: int) -> int:
         """Chosen control index at x for a deterministic atomic action."""
-        if self._choices is not None:
-            return int(self._choices[x])
+        if self._chosen is not None:
+            return int(self._chosen[x] - self._starts[x])
         a = self.actions[x]
         if not isinstance(a, AtomicMix):
             raise ValueError(f"state {x} uses a family parameter, not an atomic control")
         return int(np.argmax(a.weights))
 
     def descriptor(self) -> str:
-        if self._choices is not None:
-            return ",".join(f"{x}:{i}" for x, i in enumerate(self._choices.tolist()))
+        if self._chosen is not None:
+            labels = self._labels
+            return ",".join([labels[k] for k in self._chosen.tolist()])
         parts = []
         for x, a in enumerate(self.actions):
             if isinstance(a, FamilyChoice):
@@ -360,9 +387,10 @@ def validate_model(model: TotalCostModel) -> list[str]:
 
 
 def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
-    if (policy._choices is not None and policy._num_pairs == model.num_pairs()
-            and np.array_equal(policy._starts, model.pair_starts)):
-        return []  # built by Policy.deterministic for this control layout
+    if (policy._chosen is not None and policy._num_pairs == model.num_pairs()
+            and (policy._starts is model.pair_starts
+                 or np.array_equal(policy._starts, model.pair_starts))):
+        return []  # built from choices for this control layout
     bad: list[str] = []
     if len(policy.actions) != model.num_states:
         return [f"policy has {len(policy.actions)} actions for {model.num_states} states"]

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import operator
 import typing
 import warnings
@@ -104,58 +105,98 @@ def read_vector(path) -> np.ndarray:
 # Models
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _scalar(v) -> str:
+    """One JSON scalar as json.dumps writes it: a string ASCII-escaped, a
+    float by float.__repr__; NaN and infinite floats are refused."""
+    if isinstance(v, str):
+        return _ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON list (or, with brackets "{}", an object) of rendered items,
+    laid out as json.dumps(indent=2) lays out one nested `depth` levels
+    deep: one item per line, indented 2 * depth spaces."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return (brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + "  " * (depth - 1) + brackets[1])
+
+
+# An atomic control's transitions are items at depth 6 of a model file.
+_PAD6, _PAD7 = "\n" + "  " * 6, "\n" + "  " * 7
+
+
+def _transitions(row: np.ndarray, names: list[str]) -> str:
+    """The nonzero entries of a transition row as {"state", "prob"} items."""
+    nz = np.flatnonzero(row)  # NaN counts as nonzero and is refused below
+    probs = row[nz].tolist()
+    if not all(map(math.isfinite, probs)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return _block([f'{{{_PAD7}"state": {names[y]},{_PAD7}"prob": {p!r}{_PAD6}}}'
+                   for y, p in zip(nz.tolist(), probs)], 6)
+
+
+def _family(f: AffineFamily, names: list[str]) -> str:
+    trans = [_block([f'"state": {names[y]}', f'"p0": {_scalar(float(f.p0[y]))}',
+                     f'"p1": {_scalar(float(f.p1[y]))}'], 7, "{}")
+             for y in range(len(names)) if f.p0[y] != 0.0 or f.p1[y] != 0.0]
+    return _block([f'"id": {_scalar(f.name)}', f'"lo": {_scalar(f.lo)}',
+                   f'"hi": {_scalar(f.hi)}', f'"lo_closed": {_scalar(f.lo_closed)}',
+                   f'"hi_closed": {_scalar(f.hi_closed)}',
+                   f'"cost": {_block([_scalar(f.c0), _scalar(f.c1)], 6)}',
+                   f'"transitions": {_block(trans, 6)}'], 5, "{}")
+
+
 def render_model(model: TotalCostModel,
                  ground_truth: tuple | None = None) -> str:
-    """Serialize a model (and optional declared optimum) to JSON text."""
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "regime": model.regime,
-        "discount": model.discount,
-        "states": list(model.state_names),
-    }
+    """Serialize a model (and optional declared optimum) to JSON text.
+
+    The text is what json.dumps(doc, indent=2, allow_nan=False) writes
+    for the model document, byte for byte, so `model_hash` values do not
+    depend on how it is produced; it is written directly, with each state
+    name escaped once and each transition one f-string.
+    """
+    names = [_scalar(s) for s in model.state_names]
+    top = [f'"format_version": {FORMAT_VERSION}', f'"regime": {_scalar(model.regime)}',
+           f'"discount": {_scalar(model.discount)}', f'"states": {_block(names, 2)}']
     if model.cost_bound is not None:
-        doc["cost_bound"] = model.cost_bound
+        top.append(f'"cost_bound": {_scalar(model.cost_bound)}')
     controls = []
     for x in range(model.num_states):
-        entry: dict = {
-            "state": model.state_names[x],
-            "atomic": [
-                {
-                    "id": c.name,
-                    "cost": encode_xreal(c.cost),
-                    "transitions": [
-                        {"state": model.state_names[y], "prob": float(p)}
-                        for y, p in enumerate(c.probs) if p != 0.0
-                    ],
-                }
-                for c in model.controls[x]
-            ],
-        }
+        atomic = [_block([f'"id": {_scalar(c.name)}',
+                          f'"cost": {_scalar(encode_xreal(c.cost))}',
+                          f'"transitions": {_transitions(c.probs, names)}'], 5, "{}")
+                  for c in model.controls[x]]
+        entry = [f'"state": {names[x]}', f'"atomic": {_block(atomic, 4)}']
         if model.families[x]:
-            entry["affine_families"] = [
-                {
-                    "id": f.name,
-                    "lo": f.lo, "hi": f.hi,
-                    "lo_closed": f.lo_closed, "hi_closed": f.hi_closed,
-                    "cost": [f.c0, f.c1],
-                    "transitions": [
-                        {"state": model.state_names[y],
-                         "p0": float(f.p0[y]), "p1": float(f.p1[y])}
-                        for y in range(model.num_states)
-                        if f.p0[y] != 0.0 or f.p1[y] != 0.0
-                    ],
-                }
-                for f in model.families[x]
-            ]
-        controls.append(entry)
-    doc["controls"] = controls
+            fams = [_family(f, names) for f in model.families[x]]
+            entry.append(f'"affine_families": {_block(fams, 4)}')
+        controls.append(_block(entry, 3, "{}"))
+    top.append(f'"controls": {_block(controls, 2)}')
     if ground_truth is not None:
         Jstar, Qstar = ground_truth
-        gt: dict = {"Jstar": encode_vector(Jstar)}
+        gt = [f'"Jstar": {_block([_scalar(v) for v in encode_vector(Jstar)], 3)}']
         if Qstar is not None:
-            gt["Qstar"] = encode_vector(Qstar)
-        doc["ground_truth"] = gt
-    return json.dumps(doc, indent=2, allow_nan=False)
+            gt.append(f'"Qstar": {_block([_scalar(v) for v in encode_vector(Qstar)], 3)}')
+        top.append(f'"ground_truth": {_block(gt, 2, "{}")}')
+    return _block(top, 1, "{}")
 
 
 _TOP_KEYS = {"format_version", "regime", "discount", "states", "controls",

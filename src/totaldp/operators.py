@@ -187,16 +187,24 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0) ->
     """Deterministic policy with Q(x, mu(x)) <= min_u Q(x, u) + epsilon.
 
     With epsilon = 0 this is the exact argmin; ties go to the lowest
-    control index, as do epsilon-slack choices.
+    control index, as do epsilon-slack choices.  Every choice is the
+    first qualifying pair of its state's segment, so the policy is built
+    without re-checking it.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError("epsilon must be nonnegative")
     if not model.atomic_only:
         raise ValueError("greedy selection is defined for atomic-only models")
     Q = np.asarray(Q, dtype=float)
+    if Q.shape != (model.num_pairs(),):
+        raise ValueError(f"Q has shape {Q.shape}, want ({model.num_pairs()},)")
     starts, state = model.pair_starts, model.pair_state
     qmin = np.minimum.reduceat(Q, starts)
-    target = xadd_vec(qmin, epsilon)
-    ok = (Q <= target[state]) | (Q == qmin[state])
+    if epsilon == 0.0:
+        ok = Q <= qmin[state]
+    else:
+        ok = (Q <= xadd_vec(qmin, epsilon)[state]) | (Q == qmin[state])
     first = np.minimum.reduceat(np.where(ok, np.arange(Q.size), Q.size), starts)
-    return Policy.deterministic(model, first - starts)
+    if first.size and first.max() == Q.size:
+        raise ValueError("Q is NaN at a state: no control qualifies")
+    return Policy._of_pairs(model, first)

@@ -24,6 +24,13 @@ value iteration's window rule flags to infinity, and the downward
 iteration of the constraint map that found the program's maximal
 solution.  `test_stop_rules.py` checks the policy iteration against
 them.
+
+The fourth part holds two renderings kept verbatim from before they were
+sped up: the per-state f-string policy descriptor, which choice-backed
+policies now read from the model's pair-label table, and the model
+document that `modelio.render_model` used to hand to
+`json.dumps(indent=2)`, which it now writes directly.
+`test_kernels.py` checks both against them.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ import numpy as np
 from totaldp.chains import EvalResult
 from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xmul
 from totaldp.ftheta import FixedPointCertificate, Theta, ThetaHat, _check_inputs
+from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
     AtomicMix,
     FamilyChoice,
     Policy,
     TotalCostModel,
+    _point_mass,
     induced_complement,
     induced_kernel,
     validate_policy,
@@ -458,3 +467,71 @@ def downward_W(model: TotalCostModel, theta: Theta, J: np.ndarray,
     else:
         W = np.zeros(0)
     return W
+
+
+def descriptor(policy: Policy) -> str:
+    """The policy as "x:i" per state ("x:t=..." for a family parameter,
+    "x:mix" for a randomized mix), comma-separated."""
+    parts = []
+    for x, a in enumerate(policy.actions):
+        if isinstance(a, FamilyChoice):
+            parts.append(f"{x}:t={a.t:g}")
+        elif _point_mass(a):
+            parts.append(f"{x}:{int(np.argmax(a.weights))}")
+        else:
+            parts.append(f"{x}:mix")
+    return ",".join(parts)
+
+
+def model_document(model: TotalCostModel, ground_truth: tuple | None = None) -> dict:
+    """The model file's document; its text is json.dumps(doc, indent=2,
+    allow_nan=False)."""
+    doc: dict = {
+        "format_version": FORMAT_VERSION,
+        "regime": model.regime,
+        "discount": model.discount,
+        "states": list(model.state_names),
+    }
+    if model.cost_bound is not None:
+        doc["cost_bound"] = model.cost_bound
+    controls = []
+    for x in range(model.num_states):
+        entry: dict = {
+            "state": model.state_names[x],
+            "atomic": [
+                {
+                    "id": c.name,
+                    "cost": encode_xreal(c.cost),
+                    "transitions": [
+                        {"state": model.state_names[y], "prob": float(p)}
+                        for y, p in enumerate(c.probs) if p != 0.0
+                    ],
+                }
+                for c in model.controls[x]
+            ],
+        }
+        if model.families[x]:
+            entry["affine_families"] = [
+                {
+                    "id": f.name,
+                    "lo": f.lo, "hi": f.hi,
+                    "lo_closed": f.lo_closed, "hi_closed": f.hi_closed,
+                    "cost": [f.c0, f.c1],
+                    "transitions": [
+                        {"state": model.state_names[y],
+                         "p0": float(f.p0[y]), "p1": float(f.p1[y])}
+                        for y in range(model.num_states)
+                        if f.p0[y] != 0.0 or f.p1[y] != 0.0
+                    ],
+                }
+                for f in model.families[x]
+            ]
+        controls.append(entry)
+    doc["controls"] = controls
+    if ground_truth is not None:
+        Jstar, Qstar = ground_truth
+        gt: dict = {"Jstar": encode_vector(Jstar)}
+        if Qstar is not None:
+            gt["Qstar"] = encode_vector(Qstar)
+        doc["ground_truth"] = gt
+    return doc

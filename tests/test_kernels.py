@@ -5,8 +5,16 @@ signs (also on zero-weight controls and zero-probability successors),
 infinite costs, exact ties and randomized mixes.  Minima, argmins and
 every infinity must match the reference exactly; finite sums may differ
 only by summation order (rtol = atol = 1e-12); no NaN may appear.
+
+The fast paths of a choice-backed policy (its label-table descriptor,
+the unchecked greedy constructor, the index read of the F_theta floor)
+and the direct model writer are checked against the general path or
+the old rendering: same strings, same bytes, or the same floats up to
+the sign of a zero.
 """
 
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,14 +23,16 @@ from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
-from totaldp.fixtures import fixture
+from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
     Theta,
     ThetaHat,
+    _floor,
     applications_run,
     f_theta_apply,
     f_theta_hat_apply,
     f_theta_power,
+    q_fixed_point,
 )
 from totaldp.model import (
     AffineFamily,
@@ -33,7 +43,9 @@ from totaldp.model import (
     TotalCostModel,
     induced_complement,
     induced_kernel,
+    validate_policy,
 )
+from totaldp.modelio import model_hash, render_model
 from totaldp.operators import bellman_T, bellman_T_mu, greedy_select, h_backup, m_minimize
 from totaldp.stopping import StoppingProblem, reconstruct_q, t_o_apply
 
@@ -261,3 +273,130 @@ class TestPowerStop:
         got = f_theta_power(model, theta, np.full(model.num_pairs(), INF), J, 6)
         assert applications_run() - before == 1
         assert got.tobytes() == h_backup(model, J).tobytes()
+
+
+def same_up_to_zero_sign(a, b, nan_ok=False):
+    """Equal as floats, and bitwise equal once -0.0 is read as +0.0.
+    With nan_ok, NaN (of any sign) must appear in both at the same places."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert nan_ok or not np.isnan(a).any()
+    assert np.array_equal(a, b, equal_nan=nan_ok)
+    bits = [np.where(np.isnan(v), np.nan, v + 0.0).tobytes() for v in (a, b)]
+    assert bits[0] == bits[1]
+
+
+@st.composite
+def deterministic_cases(draw):
+    """A choice-backed policy with J, a pair vector and an empty, full or
+    partial B."""
+    model = draw(atomic_models())
+    n = model.num_states
+    kind = draw(st.sampled_from(["empty", "full", "partial"]))
+    B = (frozenset() if kind == "empty" else frozenset(range(n)) if kind == "full"
+         else frozenset(x for x in range(n) if draw(st.booleans())))
+    return SimpleNamespace(
+        model=model, B=B, J=draw(vectors(n)), Q=draw(vectors(model.num_pairs())),
+        policy=Policy.deterministic(model, [draw(st.integers(0, len(cs) - 1))
+                                            for cs in model.controls]))
+
+
+class TestChoiceFastPaths:
+    @given(cases())
+    def test_descriptor_matches_f_string_rendering(self, c):
+        assert c.policy.descriptor() == ref.descriptor(c.policy)
+        greedy = greedy_select(c.model, c.Q, epsilon=c.eps)
+        assert greedy.descriptor() == ref.descriptor(greedy)
+
+    @given(cases())
+    def test_trusted_greedy_policy_equals_checked_one(self, c):
+        new = greedy_select(c.model, c.Q, epsilon=c.eps)
+        old = ref.greedy_select(c.model, c.Q, epsilon=c.eps)  # Policy.deterministic
+        assert np.array_equal(new.chosen_pairs, old.chosen_pairs)
+        assert np.array_equal(new.pair_weights, old.pair_weights)
+        assert [new.action_index(x) for x in range(c.model.num_states)] == \
+            [old.action_index(x) for x in range(c.model.num_states)]
+        assert validate_policy(c.model, new) == []
+        assert not new.chosen_pairs.flags.writeable
+
+    @given(deterministic_cases(), st.integers(1, 4))
+    def test_index_floor_matches_one_hot_mix(self, c, n):
+        model, J, Q = c.model, c.J, c.Q
+        det = c.policy
+        mix = Policy(det.actions)  # the same policy on the segment-sum path
+        assert mix.chosen_pairs is None
+        B = Theta(det, c.B).B_index
+        same_up_to_zero_sign(_floor(model, det, B, Q, J), _floor(model, mix, B, Q, J))
+        same_up_to_zero_sign(f_theta_power(model, Theta(det, c.B), Q, J, n),
+                             f_theta_power(model, Theta(mix, c.B), Q, J, n))
+        outcomes = []
+        for policy in (det, mix):
+            try:
+                outcomes.append(q_fixed_point(model, Theta(policy, c.B), J))
+            except (ValueError, RuntimeError) as err:
+                outcomes.append(repr(err))
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            # a J that breaks the P regime (-inf) can make both NaN
+            (Qd, cert_d), (Qm, cert_m) = outcomes
+            same_up_to_zero_sign(Qd, Qm, nan_ok=True)
+            assert repr(cert_d) == repr(cert_m)
+
+
+# model_hash of every fixture before render_model wrote its text directly.
+FIXTURE_HASHES = {
+    "FX-D": "9ed6cc971a25ba66",
+    "FX-N2": "68a2c6a87840662d",
+    "FX-P2": "546414e7323ef7ca",
+    "FX-P3a": "df59e72312d571bc",
+    "FX-P3b": "fff0fff145cfef9d",
+    "FX-P4": "7fa8dc1e70c628f8",
+}
+
+# Quotes, backslashes, control characters and non-ASCII text.
+NAME = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                                          "é", "☃", "\U0001f600", "a"]),
+                         st.characters()), max_size=5)
+
+
+def json_text(model, gt=None):
+    return json.dumps(ref.model_document(model, gt), indent=2, allow_nan=False)
+
+
+class TestModelWriter:
+    def test_every_fixture_is_pinned(self):
+        assert set(FIXTURE_HASHES) == set(fixture_names())
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_HASHES))
+    def test_fixture_text_is_json_dumps(self, name):
+        fx = fixture(name)
+        for gt in (None, (fx.Jstar, fx.Qstar), (fx.Jstar, None)):
+            assert render_model(fx.model, gt) == json_text(fx.model, gt)
+        assert model_hash(fx.model) == FIXTURE_HASHES[name]
+
+    @given(atomic_models(), st.data())
+    def test_escaped_names_and_infinities(self, model, data):
+        n = model.num_states
+        names = data.draw(st.lists(NAME, min_size=n, max_size=n))
+        controls = tuple(tuple(dataclasses.replace(c, name=data.draw(NAME)) for c in cs)
+                         for cs in model.controls)
+        model = dataclasses.replace(model, controls=controls, state_names=tuple(names),
+                                    cost_bound=data.draw(st.sampled_from([None, 5.0, 2])))
+        gt = data.draw(st.sampled_from([None, "J", "JQ"]))
+        if gt is not None:
+            gt = (data.draw(vectors(n)),
+                  data.draw(vectors(model.num_pairs())) if gt == "JQ" else None)
+        assert render_model(model, gt) == json_text(model, gt)
+
+    @pytest.mark.parametrize("where", ["prob-nan", "prob-inf", "cost-nan", "jstar-nan"])
+    def test_nan_and_infinite_floats_are_refused(self, where):
+        probs = np.array([np.nan if where == "prob-nan" else INF if where == "prob-inf"
+                          else 1.0])
+        cost = np.nan if where == "cost-nan" else 0.0
+        model = TotalCostModel("P", 1.0, ((AtomicControl("a", cost, probs),),))
+        gt = (np.array([np.nan]), None) if where == "jstar-nan" else None
+        with pytest.raises(ValueError):
+            json_text(model, gt)
+        with pytest.raises(ValueError):
+            render_model(model, gt)

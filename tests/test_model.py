@@ -134,6 +134,14 @@ def test_deterministic_policy_keeps_its_choices():
         Policy.deterministic(fx.model, [0])
 
 
+def test_non_integer_choices_are_refused():
+    model = fixture("FX-D").model
+    for choices in ([0.5, 1.9, 1.2], [0, 1, np.nan], [0, 1, np.inf]):
+        with pytest.raises(ValueError, match="not an integer control index"):
+            Policy.deterministic(model, choices)
+    assert Policy.deterministic(model, [0.0, 1.0, 1.0]).descriptor() == "0:0,1:1,2:1"
+
+
 def test_model_arrays_are_frozen():
     fx = fixture("FX-P2")
     with pytest.raises(ValueError):

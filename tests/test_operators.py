@@ -140,6 +140,19 @@ class TestGreedy:
         mu = greedy_select(model, Q, epsilon=1e9)
         assert all(mu.action_index(x) == 0 for x in range(model.num_states))
 
+    @pytest.mark.parametrize("eps", [np.nan, -1.0])
+    def test_nan_or_negative_epsilon_is_refused(self, eps):
+        fx = fixture("FX-P2")
+        with pytest.raises(ValueError, match="epsilon"):
+            greedy_select(fx.model, fx.Qstar, epsilon=eps)
+
+    def test_nan_or_misshapen_q_is_refused(self):
+        fx = fixture("FX-P2")
+        with pytest.raises(ValueError, match="NaN"):
+            greedy_select(fx.model, np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="shape"):
+            greedy_select(fx.model, np.zeros(4))
+
     def test_epsilon_guarantee(self):
         model, _ = random_model(13, regime="D")
         rng = np.random.default_rng(3)

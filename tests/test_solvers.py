@@ -332,6 +332,11 @@ class TestExtraction:
                                              delta=2.0, k=3)
         assert bound == (2 * 0.9 ** 3 * 2.0 + 0.01) / (1.0 - 0.9)
 
+    def test_nan_epsilon_is_refused(self):
+        fx = fixture("FX-D")
+        with pytest.raises(ValueError, match="epsilon"):
+            extract_policy_discounted(fx.model, fx.Qstar, epsilon=np.nan)
+
     def test_requires_discounted_model(self):
         fx = fixture("FX-P2")
         with pytest.raises(ValueError):
