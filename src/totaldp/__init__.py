@@ -29,7 +29,6 @@ from .operators import (
     m_minimize,
 )
 from .chains import (
-    absorbing_core,
     convert_transition_discount,
     evaluate_policy,
     occupation_measure,
@@ -37,9 +36,7 @@ from .chains import (
 )
 from .ftheta import (
     Theta,
-    ThetaHat,
     f_theta_apply,
-    f_theta_hat_apply,
     f_theta_power,
     masked_update,
     q_fixed_point,

@@ -77,18 +77,6 @@ def _classify(regime: str, P: np.ndarray, g: np.ndarray
     return free, divergent
 
 
-def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> set[int]:
-    """States whose total policy cost is the regime-signed infinity.
-
-    A state diverges iff it can reach a state that cannot reach the free
-    states, or any state with infinite one-stage cost.
-    """
-    if model.regime == "D":
-        return set()
-    _, divergent = _classify(model.regime, P, g)
-    return set(np.flatnonzero(divergent).tolist())
-
-
 def _price(regime: str, P: np.ndarray, g: np.ndarray, A: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """Exact total cost of the chain (P, g) and the mask of its infinite
@@ -197,22 +185,6 @@ def occupation_measure(model: TotalCostModel, policy: Policy,
     rho = np.asarray(rho, dtype=float)
     A = np.eye(model.num_states) - beta * P.T
     return np.linalg.solve(A, (1.0 - beta) * rho)
-
-
-def absorbing_core(model: TotalCostModel, policy: Policy,
-                   B: set[int] | frozenset[int]) -> frozenset[int]:
-    """Largest subset of B the policy-induced chain can never leave.
-
-    Returns the empty set when no absorbing subset of B exists.
-    """
-    n = model.num_states
-    if B and (min(B) < 0 or max(B) >= n):
-        raise ValueError(f"B must lie in 0..{n - 1}: got {sorted(B)}")
-    P, _ = induced_kernel(model, policy)
-    inside = np.zeros(n, dtype=bool)
-    inside[list(B)] = True
-    core = inside & ~_can_reach(P > 0.0, ~inside)
-    return frozenset(np.flatnonzero(core).tolist())
 
 
 def convert_transition_discount(model: TotalCostModel,

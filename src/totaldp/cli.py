@@ -2,9 +2,9 @@
 
 Commands: ``validate`` a model file, ``solve`` it with a configured
 algorithm and write a convergence trace, ``reproduce`` a named scripted
-scenario, ``compare`` algorithms side by side, and ``bench`` seeded
-random workloads.  Exit codes: 0 success, 1 check or convergence
-failure, 2 usage or parse errors.
+scenario, ``compare`` algorithms side by side, and ``export-fixture`` a
+named fixture as a model file.  Exit codes: 0 success, 1 check or
+convergence failure, 2 usage or parse errors.
 
 The environment variable TOTALDP_TOL overrides the default residual
 tolerance for ``solve`` and ``compare``.
@@ -12,7 +12,6 @@ tolerance for ``solve`` and ``compare``.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -29,11 +28,12 @@ from .solvers import (
     FullB,
     OccupationSupportB,
     SolverConfig,
+    check_admits,
     round_robin_masks,
     run,
     verify_certificates,
 )
-from .fixtures import fixture, fixture_names, random_model
+from .fixtures import fixture, fixture_names
 from .scenarios import SCENARIOS, run_scenario
 from .modelio import (
     ModelFileError,
@@ -119,7 +119,7 @@ def _parse_vector(spec: str, model, gt) -> np.ndarray:
                            "(use zero | inf | cJstar:<c> | file:<path>)")
 
 
-def _parse_q0(spec: str, model, gt, J0: np.ndarray) -> np.ndarray:
+def _parse_q0(spec: str, model, J0: np.ndarray) -> np.ndarray:
     if spec == "hbackup":
         return h_backup(model, J0)
     if spec == "zero":
@@ -164,11 +164,10 @@ def _load_model(path, algorithms):
     for a in algorithms:
         if a not in ALGORITHMS:
             raise click.UsageError(f"unknown algorithm {a!r}")
-        if a == "lp" and model.regime != "P":
-            raise click.UsageError("the lp variant needs a nonnegative-cost (P) model")
-        if a in ("pi", "mpi", "mixed", "lp") and not model.atomic_only:
-            raise click.UsageError(f"{a} needs an atomic-only model; "
-                                   "vi also handles affine families")
+        try:
+            check_admits(a, model)
+        except ValueError as err:
+            raise click.UsageError(str(err))
     return model, gt
 
 
@@ -179,13 +178,6 @@ def _parse_nk(spec: str) -> int | str:
         return int(spec)
     except ValueError:
         raise click.UsageError(f"bad --nk {spec!r} (use a positive integer or 'exact')")
-
-
-def _make_config(**kwargs) -> SolverConfig:
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as err:
-        raise click.UsageError(str(err))
 
 
 def _parse_mu0(spec: str, model) -> Policy:
@@ -204,6 +196,29 @@ def _parse_mu0(spec: str, model) -> Policy:
         return Policy.deterministic(model, choices)
     except ValueError as err:
         raise click.UsageError(f"bad policy spec {spec!r}: {err}")
+
+
+def _solver_config(algorithm: str, model, gt, J0: np.ndarray, q0: str, mu0: str,
+                   **settings) -> SolverConfig:
+    """The configuration of one run from the start J0: mixed and lp also
+    start from the Q0 of spec ``q0``, pi and mpi from the policy of spec
+    ``mu0``.  A setting the solver refuses is a usage error."""
+    Q0 = _parse_q0(q0, model, J0) if algorithm in ("mixed", "lp") else None
+    policy = _parse_mu0(mu0, model) if algorithm in ("pi", "mpi") else None
+    try:
+        return SolverConfig(algorithm=algorithm, J0=J0, Q0=Q0, initial_policy=policy,
+                            ground_truth=gt, raise_on_cap=False, **settings)
+    except ValueError as err:
+        raise click.UsageError(str(err))
+
+
+def _run(model, config: SolverConfig):
+    """``run``, with a start that the solver refuses (one that breaks the
+    regime, or an infeasible lp program) as a usage error."""
+    try:
+        return run(model, config)
+    except ValueError as err:
+        raise click.UsageError(str(err))
 
 
 @main.command()
@@ -232,12 +247,9 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     nk_val = _parse_nk(nk)
     J0 = _parse_vector(j0, model, gt)
     n = model.num_states
-    config = _make_config(
-        algorithm=algorithm,
-        J0=J0,
-        Q0=_parse_q0(q0, model, gt, J0) if algorithm in ("mixed", "lp") else None,
+    config = _solver_config(
+        algorithm, model, gt, J0, q0, mu0,
         nk=nk_val,
-        initial_policy=_parse_mu0(mu0, model) if algorithm in ("pi", "mpi") else None,
         epsilon=epsilon,
         bstrategy=_parse_bstrategy(bstrategy),
         clamp_lo=None if clamp_lo is None else np.full(n, clamp_lo),
@@ -245,11 +257,9 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
         masks=round_robin_masks(model) if mask_schedule == "roundrobin" else None,
         max_iter=max_iter,
         tol=tol,
-        ground_truth=gt,
-        raise_on_cap=False,
     )
     t0 = time.perf_counter()
-    res = run(model, config)
+    res = _run(model, config)
     trace, J, Q = res.trace, res.J, res.Q
     click.echo(f"termination: {res.termination}")
     trace.model_hash = model_hash(model)
@@ -308,20 +318,22 @@ def reproduce(name):
 def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     """Run several algorithms from a shared start and tabulate."""
     algos = [a.strip() for a in algorithms.split(",") if a.strip()]
+    if not algos:
+        raise click.UsageError("--algorithms names no algorithm")
+    for a in algos:
+        if algos.count(a) > 1:
+            raise click.UsageError(f"--algorithms lists {a!r} more than once")
     model, gt = _load_model(path, algos)
     tol = tol if tol is not None else _default_tol()
     J0 = _parse_vector(j0, model, gt)
     nk_val = _parse_nk(nk)
-    configs = [_make_config(
-        algorithm=a, J0=J0,
-        Q0=h_backup(model, J0) if a in ("mixed", "lp") else None,
-        initial_policy=_parse_mu0(mu0, model) if a in ("pi", "mpi") else None,
-        nk=nk_val, bstrategy=FullB(), max_iter=max_iter, tol=tol,
-        ground_truth=gt, raise_on_cap=False, snapshot_iterates=False) for a in algos]
+    configs = [_solver_config(a, model, gt, J0, "hbackup", mu0, nk=nk_val,
+                              bstrategy=FullB(), max_iter=max_iter, tol=tol,
+                              snapshot_iterates=False) for a in algos]
     rows = []
     for a, config in zip(algos, configs):
         t0 = time.perf_counter()
-        res = run(model, config)
+        res = _run(model, config)
         wall = time.perf_counter() - t0
         trace = res.trace
         dist = "" if gt is None else f"{sup_dist(res.J, gt[0]):.2e}"
@@ -333,65 +345,6 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     for rec in [header] + rows:
         click.echo("  ".join(str(v).ljust(w) for v, w in zip(rec, widths)))
-    sys.exit(0)
-
-
-def _parse_sizes(spec: str) -> list[int]:
-    try:
-        sizes = [int(s) for s in spec.split(",")]
-        if min(sizes) >= 2:
-            return sizes
-    except ValueError:
-        pass
-    raise click.UsageError(f"bad --sizes {spec!r} "
-                           "(use comma-separated state counts of at least 2)")
-
-
-@main.command()
-@click.option("--suite", type=click.Choice(["default", "wide"]), default="default")
-@click.option("--seeds", type=click.IntRange(min=1), default=3)
-@click.option("--sizes", default="10,25,50", help="comma-separated state counts")
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json")
-def bench(suite, seeds, sizes, fmt):
-    """Timed seeded workloads over random models."""
-    size_list = _parse_sizes(sizes)
-    if suite == "wide":
-        size_list = sorted(set(size_list + [100, 200]))
-    records = []
-    for size in size_list:
-        for seed in range(seeds):
-            for regime in ("D", "P"):
-                model, Jstar = random_model(seed, num_states=size,
-                                            controls_per_state=2, regime=regime)
-                J0 = np.zeros(size)
-                cfg = SolverConfig(algorithm="mixed", J0=J0,
-                                   Q0=h_backup(model, J0), nk=10,
-                                   bstrategy=FullB(), tol=1e-9, max_iter=5000,
-                                   raise_on_cap=False, snapshot_iterates=False)
-                t0 = time.perf_counter()
-                out = run(model, cfg)
-                t_mixed = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                vi = run(model, SolverConfig(algorithm="vi", J0=J0, tol=1e-9,
-                                             max_iter=20_000, raise_on_cap=False))
-                t_vi = time.perf_counter() - t0
-                records.append({
-                    "size": size, "seed": seed, "regime": regime,
-                    "mixed_iters": len(out.trace.rows),
-                    "mixed_backups": out.trace.op_count,
-                    "mixed_wall_s": round(t_mixed, 4),
-                    "mixed_dist": float(sup_dist(out.J, Jstar)),
-                    "vi_iters": len(vi.trace.rows),
-                    "vi_backups": vi.trace.op_count,
-                    "vi_wall_s": round(t_vi, 4),
-                })
-    if fmt == "json":
-        click.echo(json.dumps(records, indent=2))
-    else:
-        keys = list(records[0].keys())
-        click.echo("  ".join(keys))
-        for r in records:
-            click.echo("  ".join(str(r[k]) for k in keys))
     sys.exit(0)
 
 

@@ -54,14 +54,6 @@ def xmul(a: float, b: float) -> float:
     return a * b
 
 
-def xsum(values) -> float:
-    """Left-to-right sum under the xadd convention."""
-    total = 0.0
-    for v in values:
-        total = xadd(total, v)
-    return total
-
-
 def expect(weights: np.ndarray, values: np.ndarray) -> float:
     """Sum of weights[i] * values[i] for nonnegative weights.
 
@@ -132,10 +124,3 @@ def sup_dist(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     return float(np.abs(xdiff(a, b)).max())
 
-
-def leq(a: np.ndarray, b: np.ndarray, slack: float = 0.0) -> bool:
-    """Elementwise a <= b + slack, with equal infinities passing."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ok = (a == b) | (a <= b + slack)
-    return bool(ok.all())

@@ -11,9 +11,7 @@ acts on Q with J held fixed.  Its monotone limit from zero is the
 continuation-value function of a two-action stopping reformulation of
 policy evaluation (Lemma A.1; see the stopping module), and
 `q_fixed_point` computes it exactly by policy iteration over that
-problem's stop rules (`chains._stop_rule_iteration`).  A
-state-control-set variant replaces B with a set R of pairs: successors
-(x', u') outside R contribute J(x') even when x' meets R elsewhere.
+problem's stop rules (`chains._stop_rule_iteration`).
 
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
@@ -46,7 +44,7 @@ import numpy as np
 
 from .chains import _stop_rule_iteration
 from .extreal import INF, expect_segments, sup_dist
-from .model import Policy, TotalCostModel, validate_policy
+from .model import Policy, TotalCostModel, regime_conforming, validate_policy
 from .operators import m_minimize, pair_backup
 
 
@@ -68,29 +66,7 @@ class Theta:
         return idx
 
 
-@dataclass(frozen=True)
-class ThetaHat:
-    """Policy plus a subset R of state-control pairs."""
-
-    policy: Policy
-    R: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", frozenset(self.R))
-
-    @property
-    def B(self) -> frozenset[int]:
-        return frozenset(x for x, _ in self.R)
-
-    @cached_property
-    def B_index(self) -> np.ndarray:
-        """The states that R meets, as a sorted index array."""
-        idx = np.array(sorted(self.B), dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
-
-
-def _check_inputs(model: TotalCostModel, theta: Theta | ThetaHat) -> None:
+def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
     if not model.atomic_only:
         raise ValueError("F operators are defined for atomic-only models")
     if not theta.policy.atomic:
@@ -153,19 +129,6 @@ def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
     _check_inputs(model, theta)
     return _f_apply(model, theta, np.asarray(Q, dtype=float),
                     np.asarray(J, dtype=float))
-
-
-def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
-                      J: np.ndarray) -> np.ndarray:
-    """Pair-masked variant: only pairs in R see min{J, Q}; the rest of a
-    B-state's controls keep the stopping value J."""
-    _check_inputs(model, theta_hat)
-    Q = np.asarray(Q, dtype=float)
-    J = np.asarray(J, dtype=float)
-    in_R = np.array([p in theta_hat.R for p in model.pairs], dtype=bool)
-    Jp = J[model.pair_state]
-    V = np.where(in_R, np.minimum(Jp, Q), Jp)
-    return pair_backup(model, _floor(model, theta_hat.policy, theta_hat.B_index, V, J))
 
 
 # Backups that f_theta_power has run on this thread.  A caller that
@@ -234,9 +197,16 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
     Q-vector, exactly: the continuation values of Lemma A.1's stopping
     problem, by stop-rule policy iteration from "continue everywhere".
     The all-+inf J is legal in every regime and gives the fixed-policy Q.
+    A stop cost or pair cost that breaks the regime (`regime_conforming`,
+    +inf entries aside) is a ValueError, because the pricing relies on
+    the regime's sign.
     """
     _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
+    costs = np.concatenate([J, model.pair_costs])
+    if not regime_conforming(model, costs[costs != INF]):
+        raise ValueError("stopping costs J and pair costs must conform to the "
+                         "model regime (apart from +inf entries)")
     b = _pairs_in_B(model, theta)
     V, steps, divergent = _stop_rule_iteration(model, theta.policy,
                                                J[model.pair_state], b, b)

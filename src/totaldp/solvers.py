@@ -180,6 +180,20 @@ def _margin_leq(a, b) -> float:
 ALGORITHMS = ("vi", "pi", "mpi", "mixed", "lp")
 
 
+def check_admits(algorithm: str, model: TotalCostModel) -> None:
+    """Raise ValueError unless ``algorithm`` can run on ``model``.
+
+    The lp variant needs a nonnegative-cost (P) model, and every
+    algorithm but vi needs an atomic-only one: the operators they apply
+    to Q-vectors are defined on atomic pairs only.
+    """
+    if algorithm == "lp" and model.regime != "P":
+        raise ValueError("the lp variant needs a nonnegative-cost (P) model")
+    if algorithm != "vi" and not model.atomic_only:
+        raise ValueError(f"{algorithm} needs an atomic-only model; "
+                         "vi also handles affine families")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     algorithm: str = "mixed"
@@ -195,7 +209,6 @@ class SolverConfig:
     tol: float = 1e-9
     ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
     initial_policy: Policy | None = None
-    policy_schedule: Sequence[Policy] | None = None
     stop_on_tol: bool = True
     raise_on_cap: bool = True
     snapshot_iterates: bool = True
@@ -459,8 +472,7 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     to "optimal-certified".  Policy cycles are detected exactly through
     the full history of deterministic policies.
     """
-    if not model.atomic_only:
-        raise ValueError("policy iteration needs an atomic-only model")
+    check_admits("pi", model)
     config = config or SolverConfig(algorithm="pi")
     rec = _Recorder("pi", model, config)
     mu = mu0
@@ -507,8 +519,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
     in the header.
     """
-    if not model.atomic_only:
-        raise ValueError("modified policy iteration needs an atomic-only model")
+    check_admits("mpi", model)
     config = config or SolverConfig(algorithm="mpi", nk=10)
     J = np.asarray(J0, dtype=float).copy()
     mu = mu0
@@ -553,8 +564,8 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     """Alternate Q-updates through the parametrized evaluation operator
     with per-state minimization.
 
-    Per iteration: pick the policy (injected schedule, initial policy at
-    k = 0, or greedy from the current Q with the configured epsilon),
+    Per iteration: pick the policy (the initial policy at k = 0, if one
+    is given, else greedy from the current Q with the configured epsilon),
     resolve the B-set strategy, then either apply nk operator powers or
     solve the Q fixed point exactly; J becomes the per-state minimum,
     optionally clamped.  Mask schedules switch the update to its
@@ -566,8 +577,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     repeats; see `f_theta_power`), which also add up to the trace's
     ``op_count``.
     """
-    if not model.atomic_only:
-        raise ValueError("mixed value-and-policy iteration needs an atomic-only model")
+    check_admits("mixed", model)
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
     J = np.asarray(config.J0, dtype=float).copy()
@@ -576,9 +586,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     envelope = None if model.regime == "D" else J.copy()
     policy = config.initial_policy or greedy_select(model, Q, config.epsilon)
     for k in range(config.max_iter):
-        if config.policy_schedule is not None and k < len(config.policy_schedule):
-            policy = config.policy_schedule[k]
-        elif k > 0 or config.initial_policy is None:
+        if k > 0 or config.initial_policy is None:
             policy = greedy_select(model, Q, config.epsilon)
         theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         nk = config.nk_at(k)
@@ -646,8 +654,7 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     Each row verifies both defining inequalities: Q_{k+1} >= Q_fixed and
     Q_{k+1} <= F(Q_{k+1}; J_k), with margins in ``extra``.
     """
-    if model.regime != "P":
-        raise ValueError("the constraint-program variant needs nonnegative costs")
+    check_admits("lp", model)
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
     J = np.asarray(config.J0, dtype=float).copy()
@@ -692,7 +699,8 @@ def run(model: TotalCostModel, config: SolverConfig) -> SolveResult:
 
     vi and mpi start from ``config.J0``, pi and mpi from
     ``config.initial_policy``; mixed and lp read everything they need
-    from the config.  The solvers are looked up by name on every call, so
+    from the config.  Each solver refuses a model that `check_admits`
+    does not admit.  The solvers are looked up by name on every call, so
     a caller that rebinds one (a tracer, a test double) sees it used.
     """
     algorithm = config.algorithm

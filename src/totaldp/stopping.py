@@ -79,17 +79,6 @@ class StoppingProblem:
         """Stop cost J(x) of every pair (x, u); read-only."""
         return self._stop_costs
 
-    def unreachable_pairs(self) -> list[tuple[int, str]]:
-        """(state, control name) combos in B x C outside the constraint
-        graph; they carry stop cost J(x) but no trajectory from the
-        graph ever enters them."""
-        all_names = sorted({c.name for cs in self.model.controls for c in cs})
-        out = []
-        for x in sorted(self.theta.B):
-            admissible = set(self.model.control_names(x))
-            out.extend((x, name) for name in all_names if name not in admissible)
-        return out
-
     def kernel_matrix(self) -> np.ndarray:
         """Continue-action kernel over pairs, rows summing to one."""
         return _pair_kernel(self.model, self.theta.policy)
@@ -176,7 +165,6 @@ class LPBoundCertificate:
     residual: float                 # sup distance moved by one more constraint map
     feasibility_margin: float       # min over constraints of slack (>= 0 wanted)
     upper_margin: float             # min of F_theta(Qbar; J) - Qbar
-    lower_margin: float | None      # min of Qbar - Q_fixed_point, when checked
 
 
 @dataclass(frozen=True)
@@ -187,8 +175,7 @@ class LPBoundResult:
     certificate: LPBoundCertificate
 
 
-def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
-                   check_lower: bool = False) -> LPBoundResult:
+def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray) -> LPBoundResult:
     """Maximal solution of the stop/continue constraint program for a
     deterministic policy under nonnegative costs, plus the induced
     Q-vector upper bound.
@@ -234,14 +221,7 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray,
     F_Qbar = _f_apply(model, theta, Qbar, J)
     upper_margin = float(xdiff(F_Qbar, Qbar).min(initial=0.0))
 
-    lower_margin = None
-    if check_lower:
-        sol = solve_stopping(build_stopping(model, theta, J))
-        Qtheta = reconstruct_q(sol.problem, sol.V)
-        lower_margin = float(xdiff(Qbar, Qtheta).min(initial=0.0))
-
     cert = LPBoundCertificate(iterations=steps,
                               residual=sup_dist(np.minimum(J[B], rhs), W),
-                              feasibility_margin=feas, upper_margin=upper_margin,
-                              lower_margin=lower_margin)
+                              feasibility_margin=feas, upper_margin=upper_margin)
     return LPBoundResult(W=W, B_order=tuple(B), Qbar=Qbar, certificate=cert)

@@ -1,8 +1,8 @@
 """Loop-based reference implementations of the pair-axis operators.
 
 These are the per-state loop versions of `h_backup`, `m_minimize`,
-`bellman_T`, `bellman_T_mu`, `greedy_select`, the F_theta apply (with its
-pair-masked variant) and the stopping continuation values, kept verbatim
+`bellman_T`, `bellman_T_mu`, `greedy_select`, the F_theta apply and the
+stopping continuation values, kept verbatim
 from before the operators were vectorized.  They call only the scalar
 extended-real helpers, so the property tests in `test_kernels.py` check
 the vectorized kernels against an independent implementation.
@@ -12,9 +12,9 @@ The second part is the fixed-policy chain classification that
 alone: Tarjan's strongly connected components, the closed (recurrent)
 classes they form, a state diverging iff it reaches a costly recurrent
 state or an infinite one-stage cost, and the linear solve on the
-transient finite states.  `evaluate_policy`, `classify_divergent` and
-`absorbing_core` here are kept verbatim, so `test_chains.py` checks the
-reachability rule against an independent one.
+transient finite states.  `evaluate_policy` here is kept verbatim, so
+`test_chains.py` checks the reachability rule against an independent
+one.
 
 The third part holds the sweep oracles of the stopping problem, kept
 verbatim from before it was solved by stop-rule policy iteration: the
@@ -41,7 +41,7 @@ import numpy as np
 
 from totaldp.chains import EvalResult
 from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xmul
-from totaldp.ftheta import FixedPointCertificate, Theta, ThetaHat, _check_inputs
+from totaldp.ftheta import FixedPointCertificate, Theta
 from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
     AtomicMix,
@@ -149,25 +149,6 @@ def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
     w = J.astype(float).copy()
     for x in theta.B:
         w[x] = _mixed_floor(model, theta.policy, Q, J, x)
-    return _backup_against(model, w)
-
-
-def f_theta_hat_apply(model: TotalCostModel, theta_hat: ThetaHat, Q: np.ndarray,
-                      J: np.ndarray) -> np.ndarray:
-    """Pair-masked variant: only pairs in R see min{J, Q}; the rest of a
-    B-state's controls keep the stopping value J."""
-    _check_inputs(model, theta_hat)
-    Q = np.asarray(Q, dtype=float)
-    J = np.asarray(J, dtype=float)
-    w = J.astype(float).copy()
-    for x in theta_hat.B:
-        a = theta_hat.policy.actions[x]
-        assert isinstance(a, AtomicMix)
-        vals = np.array([
-            min(J[x], Q[model.pair_index[(x, i)]]) if (x, i) in theta_hat.R else J[x]
-            for i in range(len(model.controls[x]))
-        ])
-        w[x] = expect(a.weights, vals)
     return _backup_against(model, w)
 
 
@@ -293,20 +274,12 @@ def recurrent_states(P: np.ndarray) -> set[int]:
     return rec
 
 
-def classify_divergent(model: TotalCostModel, P: np.ndarray, g: np.ndarray) -> set[int]:
-    """States whose total policy cost is the regime-signed infinity.
-
-    A state diverges iff it can reach a recurrent state with nonzero
-    expected one-stage cost, or any state with infinite one-stage cost.
-    """
-    if model.regime == "D":
-        return set()
-    return _divergent_states(model.regime, P, g, recurrent_states(P))
-
-
 def _divergent_states(regime: str, P: np.ndarray, g: np.ndarray,
                       rec: set[int]) -> set[int]:
-    """classify_divergent for N and P, given the recurrent states."""
+    """States whose total policy cost is the regime-signed infinity, in N
+    and P, given the recurrent states: those that can reach a recurrent
+    state with nonzero expected one-stage cost, or any state with
+    infinite one-stage cost."""
     if regime == "P":
         bad = {x for x in rec if g[x] > 0.0} | {x for x in range(len(g)) if np.isposinf(g[x])}
     else:
@@ -355,18 +328,6 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     A, _ = induced_complement(model, policy, (P, g))
     J = _solve_on_finite_part(A, g, rec, divergent, sign)
     return EvalResult(J=J, divergent=frozenset(divergent))
-
-
-def absorbing_core(model: TotalCostModel, policy: Policy,
-                   B: set[int] | frozenset[int]) -> frozenset[int]:
-    """Largest subset of B the policy-induced chain can never leave.
-
-    Returns the empty set when no absorbing subset of B exists.
-    """
-    P, _ = induced_kernel(model, policy)
-    outside = set(range(model.num_states)) - set(B)
-    escapers = can_reach(P, outside) if outside else set()
-    return frozenset(set(B) - escapers)
 
 
 # ---------------------------------------------------------------------------

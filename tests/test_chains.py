@@ -6,8 +6,6 @@ import reference_ops as ref
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import AtomicMix, FamilyChoice, Policy, validate_model
 from totaldp.chains import (
-    absorbing_core,
-    classify_divergent,
     convert_transition_discount,
     evaluate_policy,
     occupation_measure,
@@ -129,30 +127,6 @@ class TestMarginalsAndOccupation:
             assert (p >= -1e-15).all()
 
 
-class TestAbsorbingCore:
-    def test_full_space_is_absorbing(self):
-        fx = fixture("FX-P2")
-        go = Policy.deterministic(fx.model, [0, 1])
-        assert absorbing_core(fx.model, go, {0, 1}) == {0, 1}
-
-    def test_leaky_singleton_is_empty(self):
-        fx = fixture("FX-P2")
-        go = Policy.deterministic(fx.model, [0, 1])
-        assert absorbing_core(fx.model, go, {1}) == frozenset()
-
-    def test_absorbing_state_alone(self):
-        fx = fixture("FX-P2")
-        go = Policy.deterministic(fx.model, [0, 1])
-        assert absorbing_core(fx.model, go, {0}) == {0}
-
-    @pytest.mark.parametrize("B", [{5}, {-1}, {0, 7}, {-2, 1}])
-    def test_states_outside_the_model_are_rejected(self, B):
-        fx = fixture("FX-P2")
-        go = Policy.deterministic(fx.model, [0, 1])
-        with pytest.raises(ValueError, match=r"B must lie in 0\.\.1"):
-            absorbing_core(fx.model, go, B)
-
-
 class TestTransitionDiscount:
     def _base(self):
         model, _ = random_model(31, num_states=4, regime="P")
@@ -216,8 +190,7 @@ class TestTransitionDiscount:
 def test_divergence_classifier_on_mixed_chain():
     fx = fixture("FX-P4")
     mu = Policy.deterministic(fx.model, [0, 0, 0])
-    P, g = induced_kernel(fx.model, mu)
-    assert classify_divergent(fx.model, P, g) == set()
+    assert evaluate_policy(fx.model, mu).divergent == frozenset()
 
 
 def _slow_exit(p):
@@ -283,8 +256,8 @@ def family_chains(draw):
     return fixture(name).model, Policy((one, FamilyChoice(0, t), one))
 
 
-@given(case=st.one_of(random_chains(), family_chains()), data=st.data())
-def test_reachability_matches_recurrent_class_reference(case, data):
+@given(case=st.one_of(random_chains(), family_chains()))
+def test_reachability_matches_recurrent_class_reference(case):
     model, policy = case
     out = evaluate_policy(model, policy)
     want = ref.evaluate_policy(model, policy)
@@ -296,6 +269,3 @@ def test_reachability_matches_recurrent_class_reference(case, data):
     for x in np.flatnonzero(out.J != want.J):
         assert out.J[x] == 0.0 and abs(want.J[x]) <= 1e-12
         assert all(g[y] == 0.0 for y in ref.reachable_from(P, {int(x)}))
-    assert classify_divergent(model, P, g) == ref.classify_divergent(model, P, g)
-    B = data.draw(st.sets(st.integers(0, model.num_states - 1)))
-    assert absorbing_core(model, policy, B) == ref.absorbing_core(model, policy, B)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -7,8 +5,10 @@ from click.testing import CliRunner
 from totaldp.cli import main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
+from totaldp.model import Policy
 from totaldp.modelio import read_trace, render_model, write_model
 from totaldp.operators import bellman_T
+from totaldp.solvers import SolverConfig, check_admits, run
 
 
 @pytest.fixture
@@ -152,6 +152,20 @@ class TestSolve:
         out = runner.invoke(main, ["solve", str(path), "--bstrategy", "occupation:0.6"])
         assert out.exit_code == 0, out.output
 
+    @pytest.mark.parametrize("command, algorithm", [("solve", "--algorithm"),
+                                                    ("compare", "--algorithms")])
+    def test_starts_the_solver_refuses_are_usage_errors(self, runner, tmp_path,
+                                                        command, algorithm):
+        path = str(_write_fixture(tmp_path, "FX-P2"))
+        negative = tmp_path / "neg.json"
+        negative.write_text("[-1, 0]")
+        # a J below zero in P; an infinite stop cost makes lp's program infeasible
+        for args in (["--nk", "exact", "--j0", f"file:{negative}", algorithm, "mixed"],
+                     ["--j0", "inf", algorithm, "lp"]):
+            out = runner.invoke(main, [command, path, *args])
+            assert out.exit_code == 2, (args, out.output)
+            assert "Traceback" not in out.output
+
     @pytest.mark.parametrize("command, extra", [("solve", ["--algorithm", "vi"]),
                                                 ("compare", [])])
     def test_bad_env_tolerance_is_usage_error(self, runner, tmp_path, command, extra):
@@ -254,11 +268,14 @@ class TestCompare:
 
     def test_config_errors_are_usage_errors(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")
-        for nk in ("exact", "abc", "0"):
-            out = runner.invoke(main, ["compare", str(path),
-                                       "--algorithms", "vi,mpi", "--nk", nk])
-            assert out.exit_code == 2, (nk, out.output)
+        for args in (*(["--algorithms", "vi,mpi", "--nk", nk] for nk in ("exact", "abc", "0")),
+                     ["--algorithms", ""], ["--algorithms", " , "],
+                     ["--algorithms", "vi,vi"], ["--algorithms", "vi, mixed ,vi"]):
+            out = runner.invoke(main, ["compare", str(path), *args,
+                                       "--trace-out", str(tmp_path / "t")])
+            assert out.exit_code == 2, (args, out.output)
             assert "Traceback" not in out.output
+            assert not list(tmp_path.glob("t.*.csv")), args
 
     def test_single_algorithm_degenerate_table(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")
@@ -274,40 +291,36 @@ class TestCompare:
         assert len(out.output.strip().splitlines()) == 4
 
 
-class TestBench:
-    def test_deterministic_counts(self, runner):
-        args = ["bench", "--seeds", "1", "--sizes", "8", "--format", "json"]
-        a = runner.invoke(main, args)
-        b = runner.invoke(main, args)
-        assert a.exit_code == 0 and b.exit_code == 0
-        ra = json.loads(a.output)
-        rb = json.loads(b.output)
-        for x, y in zip(ra, rb):
-            assert x["mixed_iters"] == y["mixed_iters"]
-            assert x["vi_iters"] == y["vi_iters"]
-            assert x["mixed_backups"] == y["mixed_backups"]
-
-    def test_size_sweep_grows_backups(self, runner):
-        out = runner.invoke(main, ["bench", "--seeds", "1",
-                                   "--sizes", "6,12", "--format", "json"])
-        assert out.exit_code == 0
-        recs = json.loads(out.output)
-        small = sum(r["vi_backups"] for r in recs if r["size"] == 6)
-        big = sum(r["vi_backups"] for r in recs if r["size"] == 12)
-        assert big >= small
+# Every (algorithm, fixture) pair that the admission rule refuses: the
+# atomic-only algorithms on an interval-control model, lp outside P.
+REFUSED = [(a, "FX-P3a") for a in ("pi", "mpi", "mixed", "lp")] + [
+    ("lp", "FX-D"), ("lp", "FX-N2")]
 
 
-    @pytest.mark.parametrize("args", [
-        ["--seeds", "0", "--format", "table"],
-        ["--seeds", "-1"],
-        ["--sizes", "abc"],
-        ["--sizes", "1"],
-        ["--sizes", "8,1"],
-    ])
-    def test_bad_input_is_usage_error(self, runner, args):
-        out = runner.invoke(main, ["bench", *args])
-        assert out.exit_code == 2, out.output
-        assert "Traceback" not in out.output
+class TestAdmission:
+    @pytest.mark.parametrize("algorithm, name", REFUSED)
+    def test_one_refusal_text_for_run_solve_and_compare(self, runner, tmp_path,
+                                                        algorithm, name):
+        model = fixture(name).model
+        with pytest.raises(ValueError) as err:
+            check_admits(algorithm, model)
+        text = str(err.value)
+        J0 = np.zeros(model.num_states)
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=np.zeros(model.num_pairs()),
+                           initial_policy=Policy.deterministic(model, [0] * len(J0)))
+        with pytest.raises(ValueError) as err:
+            run(model, cfg)
+        assert str(err.value) == text
+        path = str(_write_fixture(tmp_path, name))
+        for args in (["solve", path, "--algorithm", algorithm],
+                     ["compare", path, "--algorithms", f"vi,{algorithm}"]):
+            out = runner.invoke(main, args)
+            assert out.exit_code == 2, (args, out.output)
+            assert text in out.output
+
+    def test_vi_is_admitted_everywhere(self):
+        for name in ("FX-P3a", "FX-D", "FX-N2"):
+            check_admits("vi", fixture(name).model)
 
 
 class TestExportFixture:

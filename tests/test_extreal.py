@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from totaldp.extreal import (
-    INF, expect, expect_rows, leq, sup_dist, xadd, xdiff, xmul, xsum)
+    INF, expect, expect_rows, sup_dist, xadd, xdiff, xmul)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 extended = st.one_of(finite, st.sampled_from([INF, -INF]))
@@ -34,10 +34,6 @@ class TestConventions:
         assert xadd(a, b) == a + b
         if a != 0.0 and b != 0.0:
             assert xmul(a, b) == a * b
-
-    @given(st.lists(extended, max_size=6))
-    def test_sum_never_nan(self, vals):
-        assert not math.isnan(xsum(vals))
 
 
 class TestExpect:
@@ -83,9 +79,3 @@ class TestComparisons:
         assert d[:4].tolist() == [0.0, 0.0, INF, -INF] and d[6] == 1.5
         assert np.isnan(d[4]) and np.isnan(d[5])
         assert math.isnan(sup_dist(a, b))
-
-    def test_leq_with_infinities(self):
-        assert leq(np.array([-INF, 0.0]), np.array([0.0, 0.0]))
-        assert leq(np.array([INF]), np.array([INF]))
-        assert not leq(np.array([1.0]), np.array([0.0]))
-        assert leq(np.array([1.0]), np.array([0.0]), slack=2.0)

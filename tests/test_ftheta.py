@@ -3,13 +3,11 @@ import pytest
 
 from totaldp.extreal import INF, sup_dist
 from totaldp.chains import evaluate_policy
-from totaldp.model import Policy
+from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import bellman_T, h_backup, m_minimize
 from totaldp.ftheta import (
     Theta,
-    ThetaHat,
     f_theta_apply,
-    f_theta_hat_apply,
     f_theta_power,
     masked_update,
     q_fixed_point,
@@ -72,41 +70,6 @@ class TestApply:
             q_fixed_point(fx.model, theta, np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             build_stopping(fx.model, theta, np.zeros(2))
-
-
-class TestPairMaskedVariant:
-    def test_full_vertical_sections_collapse(self):
-        model, _ = random_model(43, regime="D")
-        mu = random_policy(7, model)
-        B = random_subset(11, model)
-        R = frozenset((x, i) for x in B for i in range(len(model.controls[x])))
-        rng = np.random.default_rng(8)
-        J = rng.normal(size=model.num_states)
-        Q = rng.normal(size=model.num_pairs())
-        hat = f_theta_hat_apply(model, ThetaHat(mu, R), Q, J)
-        plain = f_theta_apply(model, Theta(mu, B), Q, J)
-        assert sup_dist(hat, plain) <= 1e-14
-
-    def test_empty_r_reduces_to_plain_backup(self):
-        model, _ = random_model(47, regime="D")
-        mu = random_policy(9, model)
-        rng = np.random.default_rng(10)
-        J = rng.normal(size=model.num_states)
-        Q = rng.normal(size=model.num_pairs())
-        out = f_theta_hat_apply(model, ThetaHat(mu, frozenset()), Q, J)
-        assert sup_dist(out, h_backup(model, J)) <= 1e-14
-
-    def test_single_pair_identity_at_optimum(self):
-        fx = fixture("FX-P2")
-        stay = Policy.deterministic(fx.model, [0, 0])
-        hat = ThetaHat(stay, frozenset({(1, 0)}))
-        out = f_theta_hat_apply(fx.model, hat, fx.Qstar, fx.Jstar)
-        assert np.array_equal(out, fx.Qstar)
-
-    def test_b_is_projection(self):
-        hat = ThetaHat(Policy.deterministic(fixture("FX-P2").model, [0, 0]),
-                       frozenset({(1, 0), (1, 1)}))
-        assert hat.B == frozenset({1})
 
 
 class TestPowerAndMonotonicity:
@@ -236,6 +199,19 @@ class TestFixedPoint:
         J_mu = evaluate_policy(model, theta.policy).J
         assert sup_dist(Q, h_backup(model, J_mu)) <= 1e-12
         assert cert.iterations == 1 and cert.divergent == frozenset()
+
+    @pytest.mark.parametrize("regime, J, cost", [
+        ("P", [-INF, -INF], 0.0), ("P", [INF, -1.0], 0.0), ("N", [0.5, INF], 0.0),
+        ("D", [-INF, 0.0], 0.0), ("D", [np.nan, 1.0], 0.0), ("P", [INF, 0.0], -INF)])
+    def test_rejects_costs_that_break_the_regime(self, regime, J, cost):
+        # J = [-inf, -inf] in P once gave Q = [nan, nan] (f_theta_power
+        # gives [-inf, -inf]); a -inf cost in P gave NaN or a rule cycle
+        model = TotalCostModel(regime, 0.9 if regime == "D" else 1.0, (
+            (AtomicControl("leave", 0.0, np.array([0.73, 0.27])),),
+            (AtomicControl("stay", cost, np.array([0.0, 1.0])),)))
+        theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
+        with pytest.raises(ValueError, match="conform to the model regime"):
+            q_fixed_point(model, theta, np.array(J))
 
 
 class TestMaskedUpdate:

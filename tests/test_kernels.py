@@ -26,11 +26,9 @@ from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
     Theta,
-    ThetaHat,
     _floor,
     applications_run,
     f_theta_apply,
-    f_theta_hat_apply,
     f_theta_power,
     q_fixed_point,
 )
@@ -111,13 +109,12 @@ def policies(draw, model):
 
 @st.composite
 def cases(draw):
-    """A model with a policy, J, a pair vector, a state set B and a pair set R."""
+    """A model with a policy, J, a pair vector and a state set B."""
     model = draw(atomic_models())
     return SimpleNamespace(
         model=model, policy=draw(policies(model)), J=draw(vectors(model.num_states)),
         Q=draw(vectors(model.num_pairs())),
         B=frozenset(x for x in range(model.num_states) if draw(st.booleans())),
-        R=frozenset(p for p in model.pairs if draw(st.booleans())),
         eps=draw(st.sampled_from([0.0, 0.5, 1.0, 1e9, INF])))
 
 
@@ -221,10 +218,8 @@ class TestParametrizedOperators:
     @given(cases())
     def test_f_operators_and_stopping_match_reference(self, c):
         model, J, Q = c.model, c.J, c.Q
-        theta, hat = Theta(c.policy, c.B), ThetaHat(c.policy, c.R)
+        theta = Theta(c.policy, c.B)
         assert_matches(f_theta_apply(model, theta, Q, J), ref._f_apply(model, theta, Q, J))
-        assert_matches(f_theta_hat_apply(model, hat, Q, J),
-                       ref.f_theta_hat_apply(model, hat, Q, J))
         prob = StoppingProblem(model=model, theta=theta, J=J)
         G = ref._continuation_values(prob, Q)
         assert_matches(reconstruct_q(prob, Q), G)
@@ -275,15 +270,14 @@ class TestPowerStop:
         assert got.tobytes() == h_backup(model, J).tobytes()
 
 
-def same_up_to_zero_sign(a, b, nan_ok=False):
-    """Equal as floats, and bitwise equal once -0.0 is read as +0.0.
-    With nan_ok, NaN (of any sign) must appear in both at the same places."""
+def same_up_to_zero_sign(a, b):
+    """Equal as floats, NaN-free, and bitwise equal once -0.0 is read as
+    +0.0."""
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
-    assert nan_ok or not np.isnan(a).any()
-    assert np.array_equal(a, b, equal_nan=nan_ok)
-    bits = [np.where(np.isnan(v), np.nan, v + 0.0).tobytes() for v in (a, b)]
-    assert bits[0] == bits[1]
+    assert not np.isnan(a).any()
+    assert np.array_equal(a, b)
+    assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
 @st.composite
@@ -338,9 +332,8 @@ class TestChoiceFastPaths:
         if isinstance(outcomes[0], str):
             assert outcomes[0] == outcomes[1]
         else:
-            # a J that breaks the P regime (-inf) can make both NaN
             (Qd, cert_d), (Qm, cert_m) = outcomes
-            same_up_to_zero_sign(Qd, Qm, nan_ok=True)
+            same_up_to_zero_sign(Qd, Qm)
             assert repr(cert_d) == repr(cert_m)
 
 

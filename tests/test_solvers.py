@@ -196,13 +196,15 @@ class TestMixed:
             assert np.all(J <= hi + 1e-15) and np.all(J >= lo - 1e-15)
         assert sup_dist(out.J, Jstar) <= 1e-8
 
-    def test_policy_injection_schedule(self):
+    def test_initial_policy_injection(self):
+        # greedy from Q0 = H(0) would stay at state 1; the injected go
+        # runs first, and greedy takes over from iteration 2
         fx = fixture("FX-P2")
         go = Policy.deterministic(fx.model, [0, 1])
         stay = Policy.deterministic(fx.model, [0, 0])
         cfg = SolverConfig(algorithm="mixed", J0=np.zeros(2),
                            Q0=h_backup(fx.model, np.zeros(2)), nk=2,
-                           bstrategy=FullB(), policy_schedule=[go, stay],
+                           bstrategy=FullB(), initial_policy=go,
                            tol=1e-15, max_iter=2, stop_on_tol=False)
         out = mixed_vpi(fx.model, cfg)
         assert out.trace.rows[0].policy == go.descriptor()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from totaldp.extreal import INF, sup_dist
+from totaldp.extreal import INF, sup_dist, xdiff
 from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import bellman_T, h_backup
 from totaldp.ftheta import Theta, f_theta_apply, q_fixed_point
@@ -42,9 +42,9 @@ class TestBuild:
         sol = solve_stopping(prob)
         assert np.array_equal(sol.V, prob.stop_costs())
 
-    def test_unreachable_pairs_listed_and_outside_kernel(self):
-        # control name sets differ across states, so B x C leaves the
-        # constraint graph at combos the kernel can never enter
+    def test_kernel_spans_only_admissible_pairs(self):
+        # control name sets differ across states, so B x C holds combos
+        # (0, "right") and (1, "left") that are not pairs of the model
         model = TotalCostModel(
             regime="P", discount=1.0,
             controls=(
@@ -54,9 +54,6 @@ class TestBuild:
         )
         theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
         prob = build_stopping(model, theta, np.zeros(2))
-        assert (0, "right") in prob.unreachable_pairs()
-        assert (1, "left") in prob.unreachable_pairs()
-        # kernel only visits admissible pairs by construction
         assert prob.kernel_matrix().shape == (2, 2)
 
     def test_rejects_nonconforming_costs(self):
@@ -194,9 +191,12 @@ class TestProgramBound:
             theta = Theta(random_policy(seed, model, deterministic=True),
                           random_subset(seed + 3, model))
             J = np.random.default_rng(seed).uniform(0, 3, size=model.num_states)
-            out = lp_upper_bound(model, theta, J, check_lower=True)
+            out = lp_upper_bound(model, theta, J)
             assert out.certificate.upper_margin >= -1e-10
-            assert out.certificate.lower_margin >= -1e-10
+            # Lemma A.2: Qbar >= Q_theta, the fixed point by the stopping route
+            prob = build_stopping(model, theta, J)
+            Qtheta = reconstruct_q(prob, solve_stopping(prob).V)
+            assert xdiff(out.Qbar, Qtheta).min(initial=0.0) >= -1e-10
 
     def test_maximality_of_the_solution(self):
         model, _ = random_model(149, regime="P")
