@@ -330,7 +330,7 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     configs = [_solver_config(a, model, gt, J0, "hbackup", mu0, nk=nk_val,
                               bstrategy=FullB(), max_iter=max_iter, tol=tol,
                               snapshot_iterates=False) for a in algos]
-    rows = []
+    rows, traces = [], []
     for a, config in zip(algos, configs):
         t0 = time.perf_counter()
         res = _run(model, config)
@@ -339,7 +339,10 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
         dist = "" if gt is None else f"{sup_dist(res.J, gt[0]):.2e}"
         rows.append((a, len(trace.rows), f"{trace.final_residual:.2e}",
                      trace.op_count, dist, res.termination, f"{wall:.3f}s"))
-        if trace_out:
+        traces.append(trace)
+    # Only once every algorithm has run: a refused one writes no file at all.
+    if trace_out:
+        for a, trace in zip(algos, traces):
             write_trace(f"{trace_out}.{a}.csv", trace, "csv")
     header = ("algorithm", "iters", "residual", "backups", "dist", "note", "wall")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]

@@ -16,10 +16,11 @@ problem's stop rules (`chains._stop_rule_iteration`).
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
 plain fixed-policy Q backup.  One application is a few pair-axis array
-operations: lift J onto the pairs, take min{J, Q}, mix it per state with
-the policy's pair weights (a segment-wise expectation, or a read at the
-chosen pairs for a policy built from choices), and run the shared Q
-backup of the operators module against the result.
+operations: lift J onto the pairs, take min{J, Q} and mix it per state
+with the policy's pair weights (a segment-wise expectation), or, for a
+policy built from choices, read Q at the chosen pairs and take min{J, Q}
+on those states; then run the shared Q backup of the operators module
+against the result.
 
 An application reads Q only through that state vector w (J off B, the
 policy's mix of min{J, Q} on B), and the backup is a deterministic
@@ -55,15 +56,48 @@ class Theta:
     policy: Policy
     B: frozenset[int]
 
+    # The state count that B_index was range-checked against, when the
+    # Theta was built by `_indexed`.
+    _checked_states = None
+
     def __post_init__(self):
         object.__setattr__(self, "B", frozenset(self.B))
 
     @cached_property
     def B_index(self) -> np.ndarray:
         """The states of B as a sorted index array."""
-        idx = np.array(sorted(self.B), dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+        return _sorted_index(self.B)
+
+    @staticmethod
+    def _indexed(model: TotalCostModel, policy: Policy, B: frozenset[int],
+                 index: np.ndarray) -> "Theta":
+        """Theta(policy, B) whose B_index is ``index``, unchecked: B must
+        be a frozenset and ``index`` must be `_b_index(model, B)`, so that
+        a solver sorts and range-checks each distinct B of a run once."""
+        theta = object.__new__(Theta)
+        theta.__dict__.update(policy=policy, B=B, B_index=index,
+                              _checked_states=model.num_states)
+        return theta
+
+
+def _sorted_index(B: frozenset[int]) -> np.ndarray:
+    idx = np.array(sorted(B), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def _check_range(model: TotalCostModel, B: np.ndarray) -> None:
+    if B.size and (B[0] < 0 or B[-1] >= model.num_states):
+        raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
+                         f"got {B.tolist()}")
+
+
+def _b_index(model: TotalCostModel, B: frozenset[int]) -> np.ndarray:
+    """B as a sorted read-only index array, checked to lie in the model's
+    states."""
+    idx = _sorted_index(B)
+    _check_range(model, idx)
+    return idx
 
 
 def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
@@ -74,10 +108,19 @@ def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
     errs = validate_policy(model, theta.policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
-    B = theta.B_index
-    if B.size and (B[0] < 0 or B[-1] >= model.num_states):
-        raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
-                         f"got {B.tolist()}")
+    if theta._checked_states != model.num_states:
+        _check_range(model, theta.B_index)
+
+
+def _check_stop_costs(model: TotalCostModel, J: np.ndarray) -> None:
+    """Refuse stop costs J or pair costs that break the model's regime
+    (`regime_conforming`), +inf entries aside: stop-rule pricing relies
+    on the regime's sign.  The one admission rule of the fixed point and
+    of the stopping problem."""
+    costs = np.concatenate([J, model.pair_costs])
+    if not regime_conforming(model, costs[costs != INF]):
+        raise ValueError("stopping costs J and pair costs must conform to the "
+                         "model regime (apart from +inf entries)")
 
 
 def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
@@ -113,9 +156,22 @@ def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
 
 def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
              J: np.ndarray) -> np.ndarray:
-    """The state vector that one application of F_theta(.; J) to Q backs up."""
-    return _floor(model, theta.policy, theta.B_index,
-                  np.minimum(J[model.pair_state], Q), J)
+    """The state vector that one application of F_theta(.; J) to Q backs up.
+
+    A policy built from choices reads Q at its chosen pairs first and
+    then takes min{J, Q} over those states only: the same operands as
+    the minimum over every pair read at the chosen ones, so the same
+    floats, bit for bit.
+    """
+    policy, B = theta.policy, theta.B_index
+    chosen = policy.chosen_pairs
+    if chosen is None:
+        return _floor(model, policy, B, np.minimum(J[model.pair_state], Q), J)
+    if B.size == J.size:
+        return np.minimum(J, Q[chosen])
+    w = J.copy()
+    w[B] = np.minimum(J[B], Q[chosen[B]])
+    return w
 
 
 def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
@@ -199,14 +255,11 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
     The all-+inf J is legal in every regime and gives the fixed-policy Q.
     A stop cost or pair cost that breaks the regime (`regime_conforming`,
     +inf entries aside) is a ValueError, because the pricing relies on
-    the regime's sign.
+    the regime's sign; `build_stopping` admits by the same rule.
     """
     _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
-    costs = np.concatenate([J, model.pair_costs])
-    if not regime_conforming(model, costs[costs != INF]):
-        raise ValueError("stopping costs J and pair costs must conform to the "
-                         "model regime (apart from +inf entries)")
+    _check_stop_costs(model, J)
     b = _pairs_in_B(model, theta)
     V, steps, divergent = _stop_rule_iteration(model, theta.policy,
                                                J[model.pair_state], b, b)

@@ -147,6 +147,25 @@ class TotalCostModel:
         policy's descriptor joins the labels of its chosen pairs."""
         return tuple(f"{x}:{i}" for x, i in self.pairs)
 
+    @cached_property
+    def pair_ids(self) -> np.ndarray:
+        """0, 1, ..., num_pairs - 1: the index of every pair, read-only."""
+        ids = np.arange(self.num_pairs(), dtype=np.intp)
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def control_width(self) -> int:
+        """m when every state has the same number m of atomic controls,
+        so that a pair-axis array reshapes to (num_states, m); else 0."""
+        counts = {len(cs) for cs in self.controls}
+        return counts.pop() if len(counts) == 1 else 0
+
+    @cached_property
+    def state_set(self) -> frozenset[int]:
+        """Every state, as one frozenset per model."""
+        return frozenset(range(self.num_states))
+
     def pair_counts(self) -> np.ndarray:
         """Number of atomic controls of each state."""
         return np.diff(self.pair_starts, append=self.num_pairs())
@@ -156,6 +175,12 @@ class TotalCostModel:
         g = np.array([self.controls[x][i].cost for x, i in self.pairs], dtype=float)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def pair_costs_finite(self) -> bool:
+        """Whether every pair cost is finite, so that adding the costs to
+        any vector can never meet opposite infinities."""
+        return bool(np.isfinite(self.pair_costs).all())
 
     @cached_property
     def pair_probs(self) -> np.ndarray:

@@ -115,16 +115,22 @@ def family_infimum(model: TotalCostModel, fam: AffineFamily, J: np.ndarray) -> f
 
 
 def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
-    """g + alpha * E[w] over all atomic pairs, for any state vector w."""
+    """g + alpha * E[w] over all atomic pairs, for any state vector w.
+
+    The expectation is a fresh array, so it is scaled and summed in
+    place.  With every pair cost finite (`pair_costs_finite`, read once
+    per model) no opposite infinities can meet and the sum is plain;
+    otherwise `xadd_vec` resolves them.
+    """
     cont = expect_rows(model.pair_probs, w)
     if model.discount == 0.0:
-        cont = np.zeros_like(cont)
+        cont.fill(0.0)
     elif model.discount != 1.0:
-        cont = cont * model.discount
-    g = model.pair_costs
-    if np.isinf(g).any() or np.isinf(cont).any():
-        return xadd_vec(g, cont)
-    return g + cont
+        cont *= model.discount
+    if model.pair_costs_finite:
+        cont += model.pair_costs
+        return cont
+    return xadd_vec(model.pair_costs, cont)
 
 
 def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
@@ -183,13 +189,21 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     return out
 
 
-def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0) -> Policy:
+def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
+                  qmin: np.ndarray | None = None) -> Policy:
     """Deterministic policy with Q(x, mu(x)) <= min_u Q(x, u) + epsilon.
 
     With epsilon = 0 this is the exact argmin; ties go to the lowest
     control index, as do epsilon-slack choices.  Every choice is the
     first qualifying pair of its state's segment, so the policy is built
-    without re-checking it.
+    without re-checking it.  A caller that already holds M(Q) =
+    `m_minimize(model, Q)` for this same Q passes it as ``qmin``, and the
+    minimum is not taken again.
+
+    When every state has the same number m of controls, the exact argmin
+    is one `argmin` per row of Q viewed as an (n, m) array: the first
+    minimum of each row, which is the first pair with Q <= min (signed
+    zeros compare equal), and a row's first NaN when it holds one.
     """
     if not epsilon >= 0.0:
         raise ValueError("epsilon must be nonnegative")
@@ -198,13 +212,23 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0) ->
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (model.num_pairs(),):
         raise ValueError(f"Q has shape {Q.shape}, want ({model.num_pairs()},)")
-    starts, state = model.pair_starts, model.pair_state
-    qmin = np.minimum.reduceat(Q, starts)
-    if epsilon == 0.0:
-        ok = Q <= qmin[state]
+    if qmin is not None and qmin.shape != (model.num_states,):
+        raise ValueError(f"qmin has shape {qmin.shape}, want ({model.num_states},)")
+    starts, width = model.pair_starts, model.control_width
+    if epsilon == 0.0 and width:
+        first = Q.reshape(-1, width).argmin(axis=1)
+        first += starts
+        nan = np.count_nonzero(np.isnan(Q[first]))
     else:
-        ok = (Q <= xadd_vec(qmin, epsilon)[state]) | (Q == qmin[state])
-    first = np.minimum.reduceat(np.where(ok, np.arange(Q.size), Q.size), starts)
-    if first.size and first.max() == Q.size:
+        state = model.pair_state
+        if qmin is None:
+            qmin = np.minimum.reduceat(Q, starts)
+        if epsilon == 0.0:
+            ok = Q <= qmin[state]
+        else:
+            ok = (Q <= xadd_vec(qmin, epsilon)[state]) | (Q == qmin[state])
+        first = np.minimum.reduceat(np.where(ok, model.pair_ids, Q.size), starts)
+        nan = first.size and first.max() == Q.size
+    if nan:
         raise ValueError("Q is NaN at a state: no control qualifies")
     return Policy._of_pairs(model, first)

@@ -29,6 +29,7 @@ import numpy as np
 from .extreal import INF, sup_dist, xdiff
 from .ftheta import (
     Theta,
+    _b_index,
     applications_run,
     f_theta_power,
     masked_update,
@@ -71,7 +72,7 @@ class SolverCapError(RuntimeError):
 @dataclass(frozen=True)
 class FullB:
     def resolve(self, model, policy, k):
-        return frozenset(range(model.num_states))
+        return model.state_set
 
 
 @dataclass(frozen=True)
@@ -552,6 +553,24 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
 # Mixed value-and-policy iteration
 
 
+class _Thetas:
+    """Iteration k's Theta(policy, B) for one run of a mixed method; each
+    distinct B of the run is sorted and range-checked once."""
+
+    def __init__(self, model: TotalCostModel, bstrategy: BStrategy):
+        self.model = model
+        self.bstrategy = bstrategy
+        self.index: dict[frozenset[int], np.ndarray] = {}
+
+    def __call__(self, policy: Policy, k: int) -> Theta:
+        model = self.model
+        B = self.bstrategy.resolve(model, policy, k)
+        index = self.index.get(B)
+        if index is None:
+            index = self.index[B] = _b_index(model, B)
+        return Theta._indexed(model, policy, B, index)
+
+
 def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
     if config.clamp_hi is not None:
         J = np.minimum(J, np.asarray(config.clamp_hi, dtype=float))
@@ -565,11 +584,11 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     with per-state minimization.
 
     Per iteration: pick the policy (the initial policy at k = 0, if one
-    is given, else greedy from the current Q with the configured epsilon),
-    resolve the B-set strategy, then either apply nk operator powers or
-    solve the Q fixed point exactly; J becomes the per-state minimum,
-    optionally clamped.  Mask schedules switch the update to its
-    asynchronous masked form.  Rows record ordering margins against
+    is given, else greedy from the current Q with the configured epsilon,
+    reusing M(Q) when the last iteration computed it), resolve the B-set
+    strategy, then either apply nk operator powers or solve the Q fixed
+    point exactly; J becomes the per-state minimum, optionally clamped.
+    Mask schedules switch the update to its asynchronous masked form.  Rows record ordering margins against
     ground truth and, in N and P, where J_k <= T^k(J0) is a guarantee,
     against the value-iteration envelope T^k(J0) (``upper_margin``; None
     in D, where the envelope is not computed).  ``extra["powers"]``
@@ -584,11 +603,13 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     Q = np.asarray(config.Q0, dtype=float).copy()
     rec = _Recorder("mixed", model, config, J0=J, Q0=Q, sandwich=True)
     envelope = None if model.regime == "D" else J.copy()
-    policy = config.initial_policy or greedy_select(model, Q, config.epsilon)
+    thetas = _Thetas(model, config.bstrategy)
+    policy = config.initial_policy
+    qmin = None  # M(Q) of the current Q, when the last iteration computed it
     for k in range(config.max_iter):
-        if k > 0 or config.initial_policy is None:
-            policy = greedy_select(model, Q, config.epsilon)
-        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
+        if k > 0 or policy is None:
+            policy = greedy_select(model, Q, config.epsilon, qmin=qmin)
+        theta = thetas(policy, k)
         nk = config.nk_at(k)
         before = applications_run()
         if config.masks is not None:
@@ -596,14 +617,15 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
             Q_next, J_next = masked_update(model, theta, Q, J,
                                            gamma_mask, s_mask, n=int(nk))
             powers = applications_run() - before
+            qmin = None
         elif nk == "exact":
             Q_next, cert = q_fixed_point(model, theta, J)
             powers = cert.iterations
-            J_next = m_minimize(model, Q_next)
+            J_next = qmin = m_minimize(model, Q_next)
         else:
             Q_next = f_theta_power(model, theta, Q, J, int(nk))
             powers = applications_run() - before
-            J_next = m_minimize(model, Q_next)
+            J_next = qmin = m_minimize(model, Q_next)
         rec.trace.op_count += powers
         J_next = _clamp(J_next, config)
         res_J = sup_dist(J_next, J)
@@ -662,18 +684,21 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     rec = _Recorder("lp", model, config, J0=J, Q0=Q)
     Jstar = rec.Jstar
     c_cone = None if Jstar is None else cone_multiplier(J, Jstar)
-    policy = config.initial_policy or greedy_select(model, Q, epsilon=0.0)
+    thetas = _Thetas(model, config.bstrategy)
+    policy = config.initial_policy
+    qmin = None  # M(Q) of the current Q, after the first iteration
     for k in range(config.max_iter):
-        if k > 0 or config.initial_policy is None:
-            policy = greedy_select(model, Q, epsilon=0.0)
-        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
+        if k > 0 or policy is None:
+            policy = greedy_select(model, Q, epsilon=0.0, qmin=qmin)
+        theta = thetas(policy, k)
         bound = lp_upper_bound(model, theta, J)
         Q_next = bound.Qbar
         Q_fix, cert = q_fixed_point(model, theta, J)
         rec.trace.op_count += cert.iterations + bound.certificate.iterations
         lower_ineq = _margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
         upper_ineq = bound.certificate.upper_margin  # >= 0 when Qbar <= F(Qbar)
-        J_next = _clamp(m_minimize(model, Q_next), config)
+        qmin = m_minimize(model, Q_next)
+        J_next = _clamp(qmin, config)
         res_J = sup_dist(J_next, J)
         res_Q = sup_dist(Q_next, Q)
         J, Q = J_next, Q_next

@@ -32,11 +32,12 @@ from .ftheta import (
     Theta,
     _certificate,
     _check_inputs,
+    _check_stop_costs,
     _f_apply,
     _floor,
     _pairs_in_B,
 )
-from .model import TotalCostModel, regime_conforming
+from .model import TotalCostModel
 from .operators import pair_backup
 
 
@@ -88,12 +89,13 @@ def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> Stoppi
     """Materialize the stopping problem for (theta, J).
 
     The policy is defined on every state of a finite model, so it also
-    serves as the continuation kernel off B.
+    serves as the continuation kernel off B.  J and the pair costs are
+    admitted as by `q_fixed_point`: they must conform to the regime,
+    +inf entries aside, so the all-+inf J is legal in every regime.
     """
     _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
-    if not regime_conforming(model, J):
-        raise ValueError("stopping costs J must conform to the model regime")
+    _check_stop_costs(model, J)
     return StoppingProblem(model=model, theta=theta, J=J)
 
 

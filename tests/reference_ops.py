@@ -31,6 +31,13 @@ policies now read from the model's pair-label table, and the model
 document that `modelio.render_model` used to hand to
 `json.dumps(indent=2)`, which it now writes directly.
 `test_kernels.py` checks both against them.
+
+The fifth part holds the two kernel forms that the mixed iteration's
+fast paths replaced, kept verbatim: the F_theta floor of a choice-backed
+policy that took min{J, Q} over every pair before reading the chosen
+ones, and the Q backup that scanned the costs and the continuation
+values for infinities on every call.  `test_kernels.py` checks the fast
+paths against them bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from totaldp.chains import EvalResult
-from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xmul
+from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xadd_vec, xmul
 from totaldp.ftheta import FixedPointCertificate, Theta
 from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
@@ -496,3 +503,30 @@ def model_document(model: TotalCostModel, ground_truth: tuple | None = None) -> 
             gt["Qstar"] = encode_vector(Qstar)
         doc["ground_truth"] = gt
     return doc
+
+
+def f_floor_min_then_gather(model: TotalCostModel, theta: Theta, Q: np.ndarray,
+                            J: np.ndarray) -> np.ndarray:
+    """The F_theta floor of a choice-backed policy: min{J, Q} over every
+    pair, then read at the chosen pairs of B (J off B)."""
+    V = np.minimum(J[model.pair_state], Q)
+    chosen = theta.policy.chosen_pairs
+    B = theta.B_index
+    if B.size == J.size:
+        return V[chosen]
+    w = J.copy()
+    w[B] = V[chosen[B]]
+    return w
+
+
+def pair_backup_scanned(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
+    """g + alpha * E[w] over all atomic pairs, for any state vector w."""
+    cont = expect_rows(model.pair_probs, w)
+    if model.discount == 0.0:
+        cont = np.zeros_like(cont)
+    elif model.discount != 1.0:
+        cont = cont * model.discount
+    g = model.pair_costs
+    if np.isinf(g).any() or np.isinf(cont).any():
+        return xadd_vec(g, cont)
+    return g + cont

@@ -277,6 +277,21 @@ class TestCompare:
             assert "Traceback" not in out.output
             assert not list(tmp_path.glob("t.*.csv")), args
 
+    def test_refused_run_leaves_no_trace_files(self, runner, tmp_path):
+        # lp refuses the all-+inf start (its program is infeasible), after
+        # vi has already run: no trace file may be left behind.
+        path = _write_fixture(tmp_path, "FX-P2")
+        prefix = tmp_path / "P"
+        out = runner.invoke(main, ["compare", str(path), "--algorithms", "vi,lp",
+                                   "--j0", "inf", "--trace-out", str(prefix)])
+        assert out.exit_code == 2, out.output
+        assert not (tmp_path / "P.vi.csv").exists()
+        assert not list(tmp_path.glob("P.*"))
+        out = runner.invoke(main, ["compare", str(path), "--algorithms", "vi,lp",
+                                   "--trace-out", str(prefix)])
+        assert out.exit_code == 0, out.output
+        assert sorted(p.name for p in tmp_path.glob("P.*")) == ["P.lp.csv", "P.vi.csv"]
+
     def test_single_algorithm_degenerate_table(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")
         out = runner.invoke(main, ["compare", str(path), "--algorithms", "vi"])

@@ -10,7 +10,10 @@ The fast paths of a choice-backed policy (its label-table descriptor,
 the unchecked greedy constructor, the index read of the F_theta floor)
 and the direct model writer are checked against the general path or
 the old rendering: same strings, same bytes, or the same floats up to
-the sign of a zero.
+the sign of a zero.  The mixed iteration's fast paths (the gathered
+floor, the pair-cost flag of the Q backup, greedy selection from a
+supplied minimum or by row argmin) must give the same bytes as the
+forms they replaced, NaN and signed zeros included.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
     Theta,
+    _f_floor,
     _floor,
     applications_run,
     f_theta_apply,
@@ -44,7 +48,14 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.modelio import model_hash, render_model
-from totaldp.operators import bellman_T, bellman_T_mu, greedy_select, h_backup, m_minimize
+from totaldp.operators import (
+    bellman_T,
+    bellman_T_mu,
+    greedy_select,
+    h_backup,
+    m_minimize,
+    pair_backup,
+)
 from totaldp.stopping import StoppingProblem, reconstruct_q, t_o_apply
 
 # Few distinct values, so that exact ties are common.
@@ -69,11 +80,15 @@ def assert_matches(new, old, exact=False):
 
 
 @st.composite
-def atomic_models(draw, max_states=5, max_controls=3):
-    """Unvalidated atomic model: sparse rows, any costs, any discount."""
+def atomic_models(draw, max_states=5, max_controls=3, uniform=False):
+    """Unvalidated atomic model: sparse rows, any costs, any discount;
+    with ``uniform``, every state has the same number of controls."""
     n = draw(st.integers(1, max_states))
     alpha = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
-    counts = draw(st.lists(st.integers(1, max_controls), min_size=n, max_size=n))
+    if uniform:
+        counts = [draw(st.integers(1, max_controls))] * n
+    else:
+        counts = draw(st.lists(st.integers(1, max_controls), min_size=n, max_size=n))
     costs = iter(draw(st.lists(COST, min_size=sum(counts), max_size=sum(counts))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     controls = []
@@ -335,6 +350,87 @@ class TestChoiceFastPaths:
             (Qd, cert_d), (Qm, cert_m) = outcomes
             same_up_to_zero_sign(Qd, Qm)
             assert repr(cert_d) == repr(cert_m)
+
+
+# Values for the fast-path checks: both infinities, and zeros and NaNs of
+# either sign, where the operand order of a minimum shows; mostly drawn
+# from the short list, so that those meet often.
+SPECIAL = st.sampled_from([-INF, INF, -0.0, 0.0, np.nan, -np.nan, -1.0, 0.5])
+RAW = st.one_of(SPECIAL, SPECIAL, SPECIAL, st.floats(-10.0, 10.0))
+
+
+def raw_vectors(size):
+    return st.lists(RAW, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def signed_models(draw):
+    """Undiscounted N or P model whose costs keep the regime's sign, with
+    infinite costs among them."""
+    model = draw(atomic_models())
+    regime = draw(st.sampled_from(["N", "P"]))
+    sign = -1.0 if regime == "N" else 1.0
+    costs = st.sampled_from([0.0, 0.5, 2.0, INF])
+    controls = tuple(tuple(dataclasses.replace(c, cost=sign * draw(costs)) for c in cs)
+                     for cs in model.controls)
+    return TotalCostModel(regime=regime, discount=1.0, controls=controls)
+
+
+class TestMixedLoopFastPaths:
+    """The mixed iteration's fast paths against the forms they replaced,
+    bit for bit."""
+
+    @given(deterministic_cases(), st.data())
+    def test_gathered_floor_is_min_then_gather(self, c, data):
+        model = c.model
+        J = data.draw(raw_vectors(model.num_states))
+        Q = data.draw(raw_vectors(model.num_pairs()))
+        theta = Theta(c.policy, c.B)
+        got = _f_floor(model, theta, Q, J)
+        assert got.tobytes() == ref.f_floor_min_then_gather(model, theta, Q, J).tobytes()
+
+    @given(st.one_of(atomic_models(), signed_models()), st.data())
+    def test_pair_backup_with_cost_flag_is_scanned_form(self, model, data):
+        w = data.draw(vectors(model.num_states))
+        assert pair_backup(model, w).tobytes() == ref.pair_backup_scanned(model, w).tobytes()
+
+    @given(cases(), st.data())
+    def test_greedy_with_supplied_minimum(self, c, data):
+        Q = data.draw(st.one_of(vectors(c.model.num_pairs()),
+                                raw_vectors(c.model.num_pairs())))
+        outcomes = []
+        for kw in ({}, {"qmin": m_minimize(c.model, Q)}):
+            try:
+                outcomes.append(greedy_select(c.model, Q, c.eps, **kw).chosen_pairs)
+            except ValueError as err:
+                outcomes.append(str(err))
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert np.array_equal(*outcomes)
+
+    @given(atomic_models(uniform=True), st.data())
+    def test_row_argmin_is_the_first_qualifying_pair(self, model, data):
+        # The same model with its control width hidden takes the
+        # segment-reduction path.
+        general = dataclasses.replace(model)
+        object.__setattr__(general, "control_width", 0)
+        assert model.control_width >= 1
+        Q = data.draw(raw_vectors(model.num_pairs()))
+        qmin = m_minimize(model, Q)
+        outcomes = []
+        for m, kw in ((model, {}), (model, {"qmin": qmin}), (general, {})):
+            try:
+                outcomes.append(greedy_select(m, Q, **kw).chosen_pairs.tobytes())
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_greedy_refuses_a_minimum_of_the_wrong_shape(self):
+        model = fixture("FX-D").model
+        Q = np.zeros(model.num_pairs())
+        with pytest.raises(ValueError, match="qmin has shape"):
+            greedy_select(model, Q, qmin=np.zeros(model.num_pairs()))
 
 
 # model_hash of every fixture before render_model wrote its text directly.

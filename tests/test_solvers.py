@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from totaldp import solvers
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import Policy
-from totaldp.operators import bellman_T, bellman_T_mu, h_backup
+from totaldp.operators import bellman_T, bellman_T_mu, h_backup, m_minimize
 from totaldp.chains import evaluate_policy
 from totaldp.solvers import (
     ALGORITHMS,
@@ -257,6 +258,57 @@ class TestLPVariant:
         out = lp_variant_vpi(fx.model, cfg)
         assert out.termination == "cap" and not out.converged
         assert len(out.trace.rows) == 3
+
+
+class TestGreedyCalls:
+    """One greedy selection per trace row, none at k = 0 when an initial
+    policy is given; from k = 1 on it reuses the M(Q) the last row took,
+    which must be M(Q) bit for bit, clamped or not."""
+
+    @staticmethod
+    def _calls(monkeypatch, algorithm, name, initial_policy=None, **kw):
+        calls = []
+        real = solvers.greedy_select
+
+        def counting(model, Q, *args, **kwargs):
+            qmin = kwargs.get("qmin")
+            if qmin is not None:
+                assert qmin.tobytes() == m_minimize(model, Q).tobytes()
+            calls.append(qmin is not None)
+            return real(model, Q, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "greedy_select", counting)
+        fx = fixture(name)
+        J0 = 1.5 * fx.Jstar + 1.0
+        res = run(fx.model, SolverConfig(
+            algorithm=algorithm, J0=J0, Q0=h_backup(fx.model, J0), max_iter=5,
+            stop_on_tol=False, initial_policy=initial_policy, **kw))
+        assert len(res.trace.rows) == 5
+        return calls
+
+    @pytest.mark.parametrize("algorithm, name", [("mixed", "FX-D"), ("lp", "FX-P2")])
+    def test_one_call_per_row(self, monkeypatch, algorithm, name):
+        calls = self._calls(monkeypatch, algorithm, name)
+        assert calls == [False] + [True] * 4
+
+    @pytest.mark.parametrize("algorithm, name", [("mixed", "FX-D"), ("lp", "FX-P2")])
+    def test_initial_policy_skips_k0(self, monkeypatch, algorithm, name):
+        model = fixture(name).model
+        mu0 = Policy.deterministic(model, [0] * model.num_states)
+        assert self._calls(monkeypatch, algorithm, name, mu0) == [True] * 4
+
+    @pytest.mark.parametrize("nk", [2, "exact"])
+    def test_clamped_rows_reuse_the_unclamped_minimum(self, monkeypatch, nk):
+        fx = fixture("FX-D")
+        calls = self._calls(monkeypatch, "mixed", "FX-D", nk=nk, epsilon=0.1,
+                            clamp_lo=fx.Jstar + 0.25, clamp_hi=fx.Jstar + 0.5)
+        assert calls == [False] + [True] * 4
+
+    def test_masked_rows_take_the_minimum_again(self, monkeypatch):
+        model = fixture("FX-D").model
+        calls = self._calls(monkeypatch, "mixed", "FX-D", nk=2,
+                            masks=round_robin_masks(model))
+        assert calls == [False] * 5
 
 
 def _direct_call(algorithm, model, cfg):

@@ -62,6 +62,44 @@ class TestBuild:
             build_stopping(fx.model, _go_theta(fx), np.array([-1.0, 0.0]))
 
 
+# (regime, J, cost of the second pair): stop costs and pair costs that
+# break the regime, and +inf entries that every regime admits.
+ADMISSION = [
+    ("P", [-INF, -INF], 0.0), ("P", [INF, -1.0], 0.0), ("N", [0.5, INF], 0.0),
+    ("D", [-INF, 0.0], 0.0), ("D", [np.nan, 1.0], 0.0), ("P", [INF, 0.0], -INF),
+    ("N", [0.0, -1.0], 2.0), ("P", [np.nan, 0.0], 0.0),
+    ("D", [INF, INF], 0.0), ("N", [INF, INF], 0.0), ("P", [INF, INF], 0.0),
+    ("D", [INF, 1.0], 0.0), ("N", [-INF, INF], -1.0), ("P", [INF, 0.5], INF),
+    ("N", [0.0, -2.0], -INF), ("D", [0.0, 1.0], 0.5),
+]
+
+
+class TestAdmission:
+    """build_stopping and q_fixed_point admit by one rule: J and the pair
+    costs conform to the regime, +inf entries aside."""
+
+    @pytest.mark.parametrize("regime, J, cost", ADMISSION)
+    def test_both_routes_accept_and_refuse_alike(self, regime, J, cost):
+        model = TotalCostModel(regime, 0.9 if regime == "D" else 1.0, (
+            (AtomicControl("leave", 0.0, np.array([0.73, 0.27])),),
+            (AtomicControl("stay", cost, np.array([0.0, 1.0])),)))
+        theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
+        J = np.array(J)
+        outcomes = []
+        for route in (lambda: build_stopping(model, theta, J),
+                      lambda: q_fixed_point(model, theta, J)):
+            try:
+                outcomes.append(route())
+            except ValueError as err:
+                assert "conform to the model regime" in str(err)
+                outcomes.append(None)
+        problem, fixed = outcomes
+        assert (problem is None) == (fixed is None)
+        if problem is not None:
+            q_route = reconstruct_q(problem, solve_stopping(problem).V)
+            assert q_route.tobytes() == fixed[0].tobytes()
+
+
 class TestBackup:
     def test_capped_by_stop_costs(self):
         model, _ = random_model(103, regime="P")
