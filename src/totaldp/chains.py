@@ -16,7 +16,9 @@ absorbed into the free set with probability one, and its finite cost
 solves a nonsingular linear system, so evaluation is exact.  In D only an
 infinite one-stage cost can make a cost infinite: a state that can reach
 a +inf cost is +inf, and any other state that can reach a -inf cost is
--inf.
+-inf.  In N a +inf cost can only be a stop cost (below) or a pair cost
+that the stopping problem admits; a state that can reach one is +inf,
+since +inf absorbs -inf.
 
 The same pricing solves Lemma A.1's stopping problem for theta = (mu, B)
 and stopping costs J: `_stop_rule_iteration` runs policy iteration over
@@ -33,13 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, expect_segments
+from .extreal import INF
 from .model import (
     AtomicControl,
     Policy,
     TotalCostModel,
     induced_complement,
     induced_kernel,
+    policy_mix,
     validate_policy,
 )
 from .operators import pair_backup
@@ -94,6 +97,10 @@ def _price(regime: str, P: np.ndarray, g: np.ndarray, A: np.ndarray
     else:
         free, divergent = _classify(regime, P, g)
         J = np.full(g.size, INF if regime == "P" else -INF)
+        if regime == "N" and np.count_nonzero(g == INF):
+            up = _can_reach(P > 0.0, g == INF)
+            divergent |= up
+            J[up] = INF
     J[free] = 0.0
     rest = np.flatnonzero(~free & ~divergent)
     if rest.size:
@@ -150,8 +157,7 @@ def _stop_rule_iteration(model: TotalCostModel, policy: Policy, stop: np.ndarray
         cost = np.append(np.where(cont, model.pair_costs, stop), 0.0)
         V, divergent = _price(model.regime, P, cost, np.eye(m + 1) - P)
         V, divergent = V[:m], divergent[:m]
-        G = pair_backup(model, expect_segments(policy.pair_weights, V,
-                                               model.pair_starts))
+        G = pair_backup(model, policy_mix(model, policy, V))
         nxt = (cont | (b & (G < stop - slack))) & ~(stop < G - slack)
         if np.array_equal(nxt, cont):
             return V, len(seen), divergent

@@ -262,8 +262,8 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     res = _run(model, config)
     trace, J, Q = res.trace, res.J, res.Q
     click.echo(f"termination: {res.termination}")
-    trace.model_hash = model_hash(model)
     if trace_out:
+        trace.model_hash = model_hash(model)  # only the trace file records it
         write_trace(trace_out, trace, fmt)
         click.echo(f"trace written to {trace_out} ({len(trace.rows)} rows)")
     click.echo(f"final J: {np.array2string(np.asarray(J), precision=10)}")

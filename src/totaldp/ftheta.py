@@ -17,10 +17,10 @@ These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
 plain fixed-policy Q backup.  One application is a few pair-axis array
 operations: lift J onto the pairs, take min{J, Q} and mix it per state
-with the policy's pair weights (a segment-wise expectation), or, for a
-policy built from choices, read Q at the chosen pairs and take min{J, Q}
-on those states; then run the shared Q backup of the operators module
-against the result.
+with the policy (`model.policy_mix`), or, for a policy built from
+choices, read Q at the chosen pairs (the same mix, a gather) and take
+min{J, Q} on those states; then run the shared Q backup of the operators
+module against the result.
 
 An application reads Q only through that state vector w (J off B, the
 policy's mix of min{J, Q} on B), and the backup is a deterministic
@@ -44,8 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .chains import _stop_rule_iteration
-from .extreal import INF, expect_segments, sup_dist
-from .model import Policy, TotalCostModel, regime_conforming, validate_policy
+from .extreal import INF, sup_dist
+from .model import Policy, TotalCostModel, policy_mix, regime_conforming, validate_policy
 from .operators import m_minimize, pair_backup
 
 
@@ -132,25 +132,14 @@ def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
 
 def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
            V: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """J, with J(x) for x in B replaced by sum_u' mu(u'|x) V(x, u') for a
-    pair-axis vector V.
-
-    A policy built from choices reads V at its chosen pairs, and for
-    B = S that read is the whole result.  The one-hot segment sum that
-    mixed policies take gives the same floats, except that adding a
-    zero-weighted pair's +0.0 turns a chosen -0.0 into +0.0: the two
-    reads differ only in the sign of a zero.
-    """
-    chosen = policy.chosen_pairs
-    if chosen is not None:
-        if B.size == J.size:
-            return V[chosen]
-        w = J.copy()
-        w[B] = V[chosen[B]]
-        return w
+    """J, with J(x) for x in B replaced by the policy's mix
+    sum_u' mu(u'|x) V(x, u') of a pair-axis vector V (`policy_mix`); for
+    B = S the mix is the whole result."""
+    if B.size == J.size:
+        return policy_mix(model, policy, V)
     w = J.copy()
     if B.size:
-        w[B] = expect_segments(policy.pair_weights, V, model.pair_starts)[B]
+        w[B] = policy_mix(model, policy, V)[B]
     return w
 
 
@@ -158,10 +147,12 @@ def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
              J: np.ndarray) -> np.ndarray:
     """The state vector that one application of F_theta(.; J) to Q backs up.
 
-    A policy built from choices reads Q at its chosen pairs first and
-    then takes min{J, Q} over those states only: the same operands as
-    the minimum over every pair read at the chosen ones, so the same
-    floats, bit for bit.
+    A policy built from choices reads Q at its chosen pairs first (its
+    `policy_mix`, a gather) and then takes min{J, Q} over those states
+    only: the same operands as the minimum over every pair read at the
+    chosen ones, so the same floats, bit for bit.  The policy was checked
+    against the model by `_check_inputs`, so the gather is taken here
+    directly.
     """
     policy, B = theta.policy, theta.B_index
     chosen = policy.chosen_pairs

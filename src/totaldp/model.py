@@ -411,11 +411,26 @@ def validate_model(model: TotalCostModel) -> list[str]:
     return bad
 
 
+def _built_for(model: TotalCostModel, policy: Policy) -> bool:
+    """Whether a policy built from choices was built for the model's
+    control layout, so that its chosen pairs index the model's pair axis."""
+    return (policy._starts is model.pair_starts
+            or (policy._num_pairs == model.num_pairs()
+                and np.array_equal(policy._starts, model.pair_starts)))
+
+
+def _chosen_pairs(model: TotalCostModel, policy: Policy) -> np.ndarray | None:
+    """The chosen pairs of a policy built from choices, checked to be
+    built for the model's control layout; None for any other policy."""
+    chosen = policy._chosen
+    if chosen is not None and not _built_for(model, policy):
+        raise ValueError("policy choices do not match the model's pairs")
+    return chosen
+
+
 def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
-    if (policy._chosen is not None and policy._num_pairs == model.num_pairs()
-            and (policy._starts is model.pair_starts
-                 or np.array_equal(policy._starts, model.pair_starts))):
-        return []  # built from choices for this control layout
+    if policy._chosen is not None and _built_for(model, policy):
+        return []
     bad: list[str] = []
     if len(policy.actions) != model.num_states:
         return [f"policy has {len(policy.actions)} actions for {model.num_states} states"]
@@ -441,10 +456,40 @@ def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
     return bad
 
 
+def policy_mix(model: TotalCostModel, policy: Policy, V: np.ndarray) -> np.ndarray:
+    """Per-state mix of a pair-axis vector V under an atomic policy:
+    entry x is sum_u mu(u|x) V(x, u), where a zero-weighted infinity
+    contributes nothing.
+
+    A policy built from choices is read by gathering V at its chosen
+    pairs; any other atomic policy by the weighted segment sum
+    (`expect_segments`) over its pair weights.  Given the same policy as
+    one-hot mixes, the segment sum adds the products of the zero-weighted
+    pairs, each a signed zero, to the chosen entry, and +0.0 added to a
+    chosen -0.0 gives +0.0: on NaN-free V the two reads differ only in
+    the sign of a zero.
+    """
+    chosen = _chosen_pairs(model, policy)
+    if chosen is not None:
+        return V[chosen]
+    w = policy.pair_weights
+    if w.shape != (model.num_pairs(),):
+        raise ValueError("policy weights do not match the model's pairs")
+    return expect_segments(w, V, model.pair_starts)
+
+
 def _atomic_rows(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Kernel rows and expected one-stage costs of the policy's atomic
-    mixes, each a segment sum over the pair axis; rows of states whose
-    action is a family choice are left zero."""
+    actions; rows of states whose action is a family choice are left zero.
+
+    A policy built from choices gathers its chosen pairs' rows and costs,
+    which are the floats of the one-hot segment sums up to the sign of a
+    zero (`policy_mix`); any other policy takes segment sums over the
+    pair axis.
+    """
+    chosen = _chosen_pairs(model, policy)
+    if chosen is not None:
+        return model.pair_probs[chosen], model.pair_costs[chosen]
     n = model.num_states
     if policy.atomic:
         w = policy.pair_weights

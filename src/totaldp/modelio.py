@@ -216,9 +216,31 @@ def _check_keys(obj: dict, allowed: set, where: str, strict: bool) -> None:
     warnings.warn(msg)
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a JSON object; a ModelFileError naming ``where`` and
+    the key when obj is not an object or lacks the key."""
+    if not isinstance(obj, dict):
+        raise ModelFileError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ModelFileError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _objects(value, where: str) -> list:
+    """A JSON list of JSON objects."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ModelFileError(f"{where}: expected a list of objects")
+    return value
+
+
 def parse_model(text: str, strict: bool = True
                 ) -> tuple[TotalCostModel, tuple | None]:
-    """Parse model JSON; returns the model and any declared optimum."""
+    """Parse model JSON; returns the model and any declared optimum.
+
+    Every malformed structure is a ModelFileError that names where it
+    is: a missing field, a value of the wrong JSON type, an unknown
+    state, and a successor listed twice in one transition list.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -231,6 +253,8 @@ def parse_model(text: str, strict: bool = True
             raise ModelFileError(f"missing required field {key!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise ModelFileError(f"unsupported format_version {doc['format_version']!r}")
+    if not isinstance(doc["states"], list):
+        raise ModelFileError("states: expected a list")
     names = [str(s) for s in doc["states"]]
     index = {s: i for i, s in enumerate(names)}
     if len(index) != len(names):
@@ -239,44 +263,78 @@ def parse_model(text: str, strict: bool = True
 
     def trans_row(entries, key: str, default, where: str) -> np.ndarray:
         """The entries' `key` values at their states; an entry lacking the
-        key reads as `default` (None: the key is required)."""
+        key reads as `default` (None: the key is required).  Each successor
+        may be listed at most once."""
+        if not isinstance(entries, list):
+            raise ModelFileError(f"{where} transitions: expected a list of objects")
         row = np.zeros(n)
+        seen = set()
         label = f"{where} {key}"
         for e in entries:
-            if e["state"] not in index:
-                raise ModelFileError(f"{where}: unknown state {e['state']!r}")
-            row[index[e["state"]]] = decode_xreal(e.get(key, default), label)
+            try:
+                y = index[e["state"]]
+                v = e[key] if default is None else e.get(key, default)
+            except (KeyError, TypeError):
+                raise transition_error(e, key, where) from None
+            if y in seen:
+                raise ModelFileError(f"{where}: successor {names[y]!r} listed twice "
+                                     "in transitions")
+            seen.add(y)
+            row[y] = decode_xreal(v, label)
         return row
+
+    def transition_error(e, key: str, where: str) -> ModelFileError:
+        """What is wrong with a transition entry that `trans_row` could
+        not read."""
+        if not isinstance(e, dict):
+            return ModelFileError(f"{where} transitions: expected a list of objects")
+        if "state" not in e:
+            return ModelFileError(f"{where} transition: missing field 'state'")
+        s = e["state"]
+        if not isinstance(s, str) or s not in index:
+            return ModelFileError(f"{where}: unknown state {s!r}")
+        return ModelFileError(f"{where} transition to {s!r}: missing field {key!r}")
 
     controls: list[tuple[AtomicControl, ...]] = []
     families: list[tuple[AffineFamily, ...]] = []
-    entries = doc["controls"]
+    entries = _objects(doc["controls"], "controls")
     if len(entries) != n:
         raise ModelFileError(f"'controls' lists {len(entries)} states, want {n}")
     for entry in entries:
         _check_keys(entry, _STATE_KEYS, f"state entry {entry.get('state')!r}", strict)
-        x = index.get(entry.get("state"))
+        s = entry.get("state")
+        x = index.get(s) if isinstance(s, str) else None
         if x is None:
-            raise ModelFileError(f"control entry for unknown state {entry.get('state')!r}")
+            raise ModelFileError(f"control entry for unknown state {s!r}")
         where = f"state {names[x]!r}"
         atomics = []
-        for a in entry.get("atomic", []):
+        for a in _objects(entry.get("atomic", []), f"{where} atomic"):
             _check_keys(a, _ATOMIC_KEYS, f"{where} atomic control", strict)
-            atomics.append(AtomicControl(
-                str(a.get("id", f"u{len(atomics)}")),
-                decode_xreal(a["cost"], f"{where} cost"),
-                trans_row(a["transitions"], "prob", None, where)))
+            name = str(a.get("id", f"u{len(atomics)}"))
+            at = f"{where} control {name!r}"
+            try:
+                cost, trans = a["cost"], a["transitions"]
+            except KeyError as err:
+                raise ModelFileError(f"{at}: missing field {err.args[0]!r}") from None
+            atomics.append(AtomicControl(name, decode_xreal(cost, f"{at} cost"),
+                                         trans_row(trans, "prob", None, at)))
         fams = []
-        for fdoc in entry.get("affine_families", []):
+        for fdoc in _objects(entry.get("affine_families", []), f"{where} affine_families"):
             _check_keys(fdoc, _FAMILY_KEYS, f"{where} affine family", strict)
-            c0, c1 = fdoc["cost"]
+            at = f"{where} family {str(fdoc.get('id', 'family'))!r}"
+            cost = _field(fdoc, "cost", at)
+            if not isinstance(cost, list) or len(cost) != 2:
+                raise ModelFileError(f"{at}: cost must be a list [c0, c1]")
+            c0, c1 = cost
+            trans = _field(fdoc, "transitions", at)
             fams.append(AffineFamily(
-                lo=decode_xreal(fdoc["lo"], f"{where} lo"),
-                hi=decode_xreal(fdoc["hi"], f"{where} hi"),
-                lo_closed=bool(fdoc["lo_closed"]), hi_closed=bool(fdoc["hi_closed"]),
-                c0=decode_xreal(c0, f"{where} cost"), c1=decode_xreal(c1, f"{where} cost"),
-                p0=trans_row(fdoc["transitions"], "p0", 0.0, where),
-                p1=trans_row(fdoc["transitions"], "p1", 0.0, where),
+                lo=decode_xreal(_field(fdoc, "lo", at), f"{at} lo"),
+                hi=decode_xreal(_field(fdoc, "hi", at), f"{at} hi"),
+                lo_closed=bool(_field(fdoc, "lo_closed", at)),
+                hi_closed=bool(_field(fdoc, "hi_closed", at)),
+                c0=decode_xreal(c0, f"{at} cost"), c1=decode_xreal(c1, f"{at} cost"),
+                p0=trans_row(trans, "p0", 0.0, at),
+                p1=trans_row(trans, "p1", 0.0, at),
                 name=str(fdoc.get("id", "family"))))
         controls.append(tuple(atomics))
         families.append(tuple(fams))
@@ -292,8 +350,8 @@ def parse_model(text: str, strict: bool = True
     gt = None
     if "ground_truth" in doc:
         gdoc = doc["ground_truth"]
+        Jstar = decode_vector(_field(gdoc, "Jstar", "ground_truth"), "Jstar")
         _check_keys(gdoc, {"Jstar", "Qstar"}, "ground_truth", strict)
-        Jstar = decode_vector(gdoc["Jstar"], "Jstar")
         Qstar = decode_vector(gdoc["Qstar"], "Qstar") if "Qstar" in gdoc else None
         gt = (Jstar, Qstar)
     return model, gt

@@ -12,11 +12,12 @@ control) pair in one flat array, state-major, with state x owning the
 contiguous segment that starts at `model.pair_starts[x]`.  H is one
 row-wise expectation plus the cost vector (`pair_backup`, the single
 "g + alpha * E[w]" kernel that the F operators, the stopping
-continuation values and the constraint-program bound also use); M, T,
-T_mu and greedy selection are segment reductions of H
-(`np.minimum.reduceat`, and the segment-wise `expect` of the extreal
-module for policy mixes).  Each reduction takes a finite fast path when
-its input holds no infinity and a masked extended-real path otherwise.
+continuation values and the constraint-program bound also use); M, T
+and greedy selection are segment reductions of H (`np.minimum.reduceat`),
+and T_mu is the policy's mix of H (`model.policy_mix`: a gather at the
+chosen pairs of a policy built from choices, a segment sum otherwise).
+Each reduction takes a finite fast path when its input holds no
+infinity and a masked extended-real path otherwise.
 
 Affine control families keep a scalar per-state path, chosen from the
 model (a state with families) or the policy (a family choice at a
@@ -32,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, expect, expect_rows, expect_segments, xadd, xadd_vec, xmul
+from .extreal import INF, expect, expect_rows, xadd, xadd_vec, xmul
 from .model import (
     AffineFamily,
     FamilyChoice,
     Policy,
     TotalCostModel,
+    policy_mix,
 )
 
 
@@ -176,10 +178,7 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     J = np.asarray(J, dtype=float)
     H = pair_backup(model, J)
     if policy.atomic:
-        w = policy.pair_weights
-        if w.shape != (model.num_pairs(),):
-            raise ValueError("policy weights do not match the model's pairs")
-        return expect_segments(w, H, model.pair_starts)
+        return policy_mix(model, policy, H)
     out = np.empty(model.num_states)
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):

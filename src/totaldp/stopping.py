@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .chains import _pair_kernel, _stop_rule_iteration
-from .extreal import expect_segments, sup_dist, xdiff
+from .extreal import sup_dist, xdiff
 from .ftheta import (
     FixedPointCertificate,
     Theta,
@@ -37,7 +37,7 @@ from .ftheta import (
     _floor,
     _pairs_in_B,
 )
-from .model import TotalCostModel
+from .model import TotalCostModel, policy_mix
 from .operators import pair_backup
 
 
@@ -103,8 +103,7 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     """G_V over all pairs: g + alpha * E[per-state mix of V at the next
     pair], with V read as J on stop-only pairs."""
     m = problem.model
-    w = expect_segments(problem.theta.policy.pair_weights, V, m.pair_starts)
-    return pair_backup(m, w)
+    return pair_backup(m, policy_mix(m, problem.theta.policy, V))
 
 
 def t_o_apply(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:

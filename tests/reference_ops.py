@@ -38,6 +38,14 @@ policy that took min{J, Q} over every pair before reading the chosen
 ones, and the Q backup that scanned the costs and the continuation
 values for infinities on every call.  `test_kernels.py` checks the fast
 paths against them bit for bit.
+
+The sixth part holds the reads of an atomic policy that every
+fixed-policy operator took before a policy built from choices was read
+by gathering at its chosen pairs: the segment sum of a pair-axis vector
+with the policy's one-hot pair weights (in T_mu, the stop-rule engine's
+continuation and the stopping continuation values), and the induced
+chain's rows and costs as segment sums over one-hot products, kept
+verbatim.  `test_kernels.py` checks the gathered reads against them.
 """
 
 from __future__ import annotations
@@ -47,7 +55,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from totaldp.chains import EvalResult
-from totaldp.extreal import INF, expect, expect_rows, sup_dist, xadd, xadd_vec, xmul
+from totaldp.extreal import (
+    INF,
+    expect,
+    expect_rows,
+    expect_segments,
+    sup_dist,
+    xadd,
+    xadd_vec,
+    xmul,
+)
 from totaldp.ftheta import FixedPointCertificate, Theta
 from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
@@ -60,7 +77,7 @@ from totaldp.model import (
     induced_kernel,
     validate_policy,
 )
-from totaldp.operators import family_infimum, family_pointwise
+from totaldp.operators import family_infimum, family_pointwise, pair_backup
 from totaldp.solvers import DivergenceRule
 from totaldp.stopping import StoppingProblem
 
@@ -530,3 +547,42 @@ def pair_backup_scanned(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
     if np.isinf(g).any() or np.isinf(cont).any():
         return xadd_vec(g, cont)
     return g + cont
+
+
+# ---------------------------------------------------------------------------
+# Segment-sum reads of an atomic policy
+
+
+def segment_mix(model: TotalCostModel, policy: Policy, V: np.ndarray) -> np.ndarray:
+    """Per-state mix of a pair-axis vector under an atomic policy, as the
+    weighted segment sum over its pair weights."""
+    return expect_segments(policy.pair_weights, V, model.pair_starts)
+
+
+def bellman_T_mu_segments(model: TotalCostModel, policy: Policy,
+                          J: np.ndarray) -> np.ndarray:
+    """T_mu J of an atomic policy: the policy's mix of H(J)."""
+    return segment_mix(model, policy, pair_backup(model, np.asarray(J, dtype=float)))
+
+
+def continuation_segments(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
+    """G_V over all pairs: g + alpha * E[per-state mix of V at the next
+    pair]."""
+    m = problem.model
+    return pair_backup(m, segment_mix(m, problem.theta.policy, V))
+
+
+def atomic_rows_segments(model: TotalCostModel, policy: Policy
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel rows and expected one-stage costs of an atomic policy, each
+    a segment sum over the pair axis."""
+    n = model.num_states
+    w = policy.pair_weights
+    P = np.zeros((n, n))
+    g = np.zeros(n)
+    live = model.pair_counts() > 0
+    if w.size:
+        starts = model.pair_starts[live]
+        P[live] = np.add.reduceat(w[:, None] * model.pair_probs, starts)
+        g[live] = expect_segments(w, model.pair_costs, starts)
+    return P, g

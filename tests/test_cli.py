@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from totaldp import modelio
 from totaldp.cli import main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
@@ -47,6 +48,20 @@ class TestValidate:
         assert out.exit_code == 2
         assert "line" in out.output
 
+    @pytest.mark.parametrize("old, new, words", [
+        ('"state": "1",\n              "prob": 1.0', '"prob": 1.0', "missing field 'state'"),
+        ('"state": "1",\n              "prob": 1.0',
+         '"state": "1", "prob": 0.5}, {"state": "1", "prob": 0.5', "listed twice"),
+    ])
+    def test_malformed_structure_is_a_parse_error(self, runner, tmp_path, old, new, words):
+        text = render_model(fixture("FX-P2").model)
+        assert old in text
+        path = tmp_path / "bad.mdp"
+        path.write_text(text.replace(old, new, 1))
+        out = runner.invoke(main, ["validate", str(path)])
+        assert out.exit_code == 2
+        assert "parse error" in out.output and words in out.output
+
 
 class TestSolve:
     def test_vi_notes_the_gap_on_the_interval_fixture(self, runner, tmp_path):
@@ -69,6 +84,23 @@ class TestSolve:
         assert trace.rows
         assert trace.rows[-1].lower_margin <= 0.0
         assert trace.rows[-1].upper_margin <= 0.0
+
+    def test_model_hash_is_rendered_only_for_a_trace(self, runner, tmp_path, monkeypatch):
+        path = _write_fixture(tmp_path, "FX-P4")
+        renders = []
+        render = modelio.render_model
+        monkeypatch.setattr(modelio, "render_model",
+                            lambda *a, **kw: renders.append(a) or render(*a, **kw))
+        args = ["solve", str(path), "--algorithm", "mixed", "--j0", "cJstar:1.5"]
+        out = runner.invoke(main, args)
+        assert out.exit_code == 0, out.output
+        assert renders == []
+        trace_path = tmp_path / "trace.json"
+        out = runner.invoke(main, args + ["--trace-out", str(trace_path), "--format", "json"])
+        assert out.exit_code == 0, out.output
+        assert len(renders) == 1
+        # FX-P4's model_hash, as pinned in test_kernels.FIXTURE_HASHES
+        assert read_trace(trace_path).model_hash == "7fa8dc1e70c628f8"
 
     def test_empty_b_replays_value_iteration(self, runner, tmp_path):
         fx = fixture("FX-P4")

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_ops as ref
+from totaldp.chains import evaluate_policy, occupation_measure, state_marginal
 from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
@@ -56,7 +57,14 @@ from totaldp.operators import (
     m_minimize,
     pair_backup,
 )
-from totaldp.stopping import StoppingProblem, reconstruct_q, t_o_apply
+from totaldp.stopping import (
+    StoppingProblem,
+    build_stopping,
+    lp_upper_bound,
+    reconstruct_q,
+    solve_stopping,
+    t_o_apply,
+)
 
 # Few distinct values, so that exact ties are common.
 EXT = st.one_of(st.sampled_from([-INF, INF, -1.0, 0.0, 0.5, 2.0]),
@@ -350,6 +358,128 @@ class TestChoiceFastPaths:
             (Qd, cert_d), (Qm, cert_m) = outcomes
             same_up_to_zero_sign(Qd, Qm)
             assert repr(cert_d) == repr(cert_m)
+
+
+# Extended reals with zeros of both signs, for the policy reads.
+ZEXT = st.one_of(st.sampled_from([-INF, INF, -0.0, 0.0, -1.0, 0.5]),
+                 st.floats(-10.0, 10.0))
+
+
+def zvectors(size):
+    return st.lists(ZEXT, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def regime_cases(draw):
+    """A valid-sign D, N or P model with -0.0, +0.0 and infinite costs,
+    a choice-backed policy and the same policy as one-hot `AtomicMix`
+    actions, J and a pair vector V with both infinities and both zeros,
+    and an empty, partial or full B."""
+    model = draw(atomic_models())
+    regime = draw(st.sampled_from(["D", "N", "P"]))
+    if regime == "D":
+        costs = st.sampled_from([-0.0, 0.0, 1.0, -2.5])
+        alpha = draw(st.sampled_from([0.0, 0.5, 0.95]))
+    else:
+        sign = -1.0 if regime == "N" else 1.0
+        costs = st.sampled_from([0.0, 0.5, 2.0, INF]).map(lambda c: sign * c)
+        alpha = 1.0
+    controls = tuple(tuple(dataclasses.replace(c, cost=draw(costs)) for c in cs)
+                     for cs in model.controls)
+    model = TotalCostModel(regime=regime, discount=alpha, controls=controls)
+    n = model.num_states
+    det = Policy.deterministic(model, [draw(st.integers(0, len(cs) - 1))
+                                       for cs in model.controls])
+    return SimpleNamespace(
+        model=model, det=det, mix=Policy(det.actions), J=draw(zvectors(n)),
+        V=draw(zvectors(model.num_pairs())),
+        B=draw(st.sampled_from([frozenset(), frozenset(range(n)),
+                                frozenset(range(0, n, 2))])))
+
+
+def same_outcome(run, *policies):
+    """Run ``run`` for each policy; all raise the same error, or all
+    return results that are the same up to the sign of a zero (arrays)
+    or equal (anything else)."""
+    outcomes = []
+    for policy in policies:
+        try:
+            outcomes.append(run(policy))
+        except (ValueError, RuntimeError) as err:
+            outcomes.append(repr(err))
+    first, *rest = outcomes
+    for other in rest:
+        if isinstance(first, str) or isinstance(other, str):
+            assert first == other
+            continue
+        for a, b in zip(first, other):
+            if isinstance(a, np.ndarray):
+                same_up_to_zero_sign(a, b)
+            else:
+                assert repr(a) == repr(b)
+
+
+class TestGatheredPolicyReads:
+    """A policy built from choices is read by gathering at its chosen
+    pairs; the one-hot segment sums it replaced (reference_ops) and the
+    same policy given as one-hot mixes give the same floats, bitwise up
+    to the sign of a zero."""
+
+    @given(regime_cases())
+    def test_t_mu_and_continuation_values(self, c):
+        model, J, V = c.model, c.J, c.V
+        got = bellman_T_mu(model, c.det, J)
+        same_up_to_zero_sign(got, ref.bellman_T_mu_segments(model, c.det, J))
+        same_up_to_zero_sign(got, bellman_T_mu(model, c.mix, J))
+        det = StoppingProblem(model=model, theta=Theta(c.det, c.B), J=J)
+        mix = StoppingProblem(model=model, theta=Theta(c.mix, c.B), J=J)
+        got = reconstruct_q(det, V)
+        same_up_to_zero_sign(got, ref.continuation_segments(det, V))
+        same_up_to_zero_sign(got, reconstruct_q(mix, V))
+        same_up_to_zero_sign(t_o_apply(det, V), t_o_apply(mix, V))
+
+    @given(regime_cases())
+    def test_induced_chain_and_evaluation(self, c):
+        model = c.model
+        P, g = induced_kernel(model, c.det)
+        for want in (ref.atomic_rows_segments(model, c.det), induced_kernel(model, c.mix)):
+            same_up_to_zero_sign(P, want[0])
+            same_up_to_zero_sign(g, want[1])
+        A, _ = induced_complement(model, c.det)
+        assert A.tobytes() == induced_complement(model, c.mix)[0].tobytes()
+
+        def evaluation(mu):
+            out = evaluate_policy(model, mu)
+            return out.J, out.divergent
+
+        same_outcome(evaluation, c.det, c.mix)
+        rho = np.full(model.num_states, 1.0 / model.num_states)
+        same_outcome(lambda mu: (occupation_measure(model, mu, rho, 0.5),
+                                 state_marginal(model, mu, rho, 3)), c.det, c.mix)
+
+    @given(regime_cases())
+    def test_stop_rule_engine(self, c):
+        model, J = c.model, c.J
+
+        def stopping(mu):
+            sol = solve_stopping(build_stopping(model, Theta(mu, c.B), J))
+            return sol.V, sol.fstar, repr(sol.stop_rule), sol.certificate
+
+        def lp(mu):
+            out = lp_upper_bound(model, Theta(mu, c.B), J)
+            return out.W, out.Qbar, out.B_order, out.certificate
+
+        same_outcome(lambda mu: q_fixed_point(model, Theta(mu, c.B), J), c.det, c.mix)
+        same_outcome(stopping, c.det, c.mix)
+        same_outcome(lp, c.det, c.mix)
+
+    def test_a_choice_policy_of_another_layout_is_refused(self):
+        small, big = fixture("FX-P2").model, fixture("FX-D").model
+        policy = Policy.deterministic(small, [0, 0])
+        with pytest.raises(ValueError, match="do not match the model's pairs"):
+            bellman_T_mu(big, policy, np.zeros(big.num_states))
+        with pytest.raises(ValueError, match="do not match the model's pairs"):
+            induced_kernel(big, policy)
 
 
 # Values for the fast-path checks: both infinities, and zeros and NaNs of

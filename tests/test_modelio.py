@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -107,6 +108,72 @@ class TestModelParseErrors:
         text = render_model(fx.model).replace('"cost": 1', '"cost": "one"')
         with pytest.raises(ModelFileError):
             parse_model(text)
+
+
+def _edited(name, edit):
+    """The fixture's model file text after ``edit`` changed its document."""
+    doc = json.loads(render_model(fixture(name).model))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _control(doc, x=1, i=0):
+    return doc["controls"][x]["atomic"][i]
+
+
+def _family_doc(doc):
+    return next(c for c in doc["controls"] if "affine_families" in c)["affine_families"][0]
+
+
+class TestModelStructureErrors:
+    """A malformed structure is a ModelFileError naming the state and the
+    field, never a raw KeyError or TypeError."""
+
+    @pytest.mark.parametrize("name, edit, words", [
+        ("FX-P2", lambda d: _control(d)["transitions"].__setitem__(0, {"prob": 1.0}),
+         ["state '1'", "'stay'", "missing field 'state'"]),
+        ("FX-P2", lambda d: _control(d).pop("cost"), ["state '1'", "missing field 'cost'"]),
+        ("FX-P2", lambda d: _control(d).pop("transitions"),
+         ["state '1'", "missing field 'transitions'"]),
+        ("FX-P2", lambda d: _control(d)["transitions"][0].pop("prob"),
+         ["state '1'", "missing field 'prob'"]),
+        ("FX-P2", lambda d: _control(d).__setitem__("transitions", {"1": 1.0}),
+         ["state '1'", "transitions: expected a list of objects"]),
+        ("FX-P2", lambda d: _control(d).__setitem__("transitions", [1.0]),
+         ["state '1'", "transitions: expected a list of objects"]),
+        ("FX-P2", lambda d: _control(d)["transitions"][0].__setitem__("state", ["1"]),
+         ["state '1'", "unknown state ['1']"]),
+        ("FX-P2", lambda d: d["controls"][1].__setitem__("atomic", 3),
+         ["state '1' atomic", "expected a list of objects"]),
+        ("FX-P2", lambda d: d.__setitem__("controls", {"0": []}), ["controls"]),
+        ("FX-P2", lambda d: d.__setitem__("states", 2), ["states"]),
+        ("FX-P2", lambda d: d.__setitem__("ground_truth", []), ["ground_truth"]),
+        ("FX-P2", lambda d: d.__setitem__("ground_truth", {"Qstar": []}),
+         ["ground_truth", "missing field 'Jstar'"]),
+        ("FX-P3a", lambda d: _family_doc(d).pop("lo"), ["state '2'", "missing field 'lo'"]),
+        ("FX-P3a", lambda d: _family_doc(d).__setitem__("cost", 0.0),
+         ["state '2'", "cost must be a list"]),
+        ("FX-P3a", lambda d: _family_doc(d)["transitions"][0].pop("state"),
+         ["state '2'", "missing field 'state'"]),
+    ])
+    def test_malformed_structure_names_where(self, name, edit, words):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(_edited(name, edit))
+        for word in words:
+            assert word in str(err.value)
+
+    @pytest.mark.parametrize("name, edit", [
+        # 0.5 + 0.5 at "0" and 0.5 at "1": the old reader kept the last
+        # entry for "0" and loaded a row summing to 1.
+        ("FX-P2", lambda d: _control(d).__setitem__("transitions", [
+            {"state": "0", "prob": 0.5}, {"state": "1", "prob": 0.5},
+            {"state": "0", "prob": 0.5}])),
+        ("FX-P3a", lambda d: _family_doc(d)["transitions"].append(
+            dict(_family_doc(d)["transitions"][0]))),
+    ])
+    def test_a_successor_listed_twice_is_refused(self, name, edit):
+        with pytest.raises(ModelFileError, match="listed twice"):
+            parse_model(_edited(name, edit))
 
 
 def _sample_trace():

@@ -24,7 +24,8 @@ from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import INF
-from totaldp.ftheta import Theta, q_fixed_point
+from totaldp.fixtures import fixture
+from totaldp.ftheta import Theta, f_theta_power, q_fixed_point
 from totaldp.model import AtomicControl, AtomicMix, Policy, TotalCostModel
 from totaldp.stopping import (
     StoppingProblem,
@@ -37,7 +38,7 @@ from totaldp.stopping import (
 # Few distinct values, so that ties are common; costs in N are negated.
 MODEL_COSTS = {"D": (-1.0, 0.0, 0.5, 1.0), "N": (0.0, 0.0, -0.5, -1.0),
                "P": (0.0, 0.0, 0.5, 1.0)}
-STOP_COSTS = {"D": (-1.0, 0.0, 0.5, 1.0, 3.0), "N": (0.0, -0.5, -1.0, -3.0, -INF),
+STOP_COSTS = {"D": (-1.0, 0.0, 0.5, 1.0, 3.0), "N": (0.0, -0.5, -1.0, -3.0, -INF, INF),
               "P": (0.0, 0.5, 1.0, 3.0, INF)}
 MAX_PAIRS = 7
 
@@ -102,8 +103,8 @@ def _pair_kernel(model, policy):
 
 def _chain_values(regime, P, c):
     """Total cost of the chain (P, c) by the recurrent-class reference; in
-    D, the states that can reach a +inf cost are +inf and a solve prices
-    the rest."""
+    D and N, the states that can reach a +inf cost are +inf, and the rest
+    is priced by a solve (D) or by the classification (N)."""
     n = len(c)
     if regime == "D":
         up = ref.can_reach(P, {x for x in range(n) if c[x] == INF})
@@ -111,10 +112,17 @@ def _chain_values(regime, P, c):
         fin = sorted(set(range(n)) - up)
         V[fin] = np.linalg.solve((np.eye(n) - P)[np.ix_(fin, fin)], c[fin])
         return V
+    # In N a +inf stop cost is paid once: the states that can reach one
+    # are +inf, and the rest, which is closed, is classified on its own.
+    up = ref.can_reach(P, {x for x in range(n) if c[x] == INF}) if regime == "N" else set()
+    rest = sorted(set(range(n)) - up)
+    P, c = P[np.ix_(rest, rest)], c[rest]
     sign = 1.0 if regime == "P" else -1.0
     rec = ref.recurrent_states(P)
     divergent = ref._divergent_states(regime, P, c, rec)
-    return ref._solve_on_finite_part(np.eye(n) - P, c, rec, divergent, sign)
+    V = np.full(n, INF)
+    V[rest] = ref._solve_on_finite_part(np.eye(len(rest)) - P, c, rec, divergent, sign)
+    return V
 
 
 def oracle_values(model, theta, J):
@@ -225,3 +233,17 @@ def test_empty_and_partial_b(B):
     sol = solve_stopping(build_stopping(model, theta, J))
     assert sol.V[0] == 2.0
     assert sol.V[1] == (2.0 if B else 5.0)
+
+
+def test_plus_inf_stop_cost_in_n_is_paid_once():
+    # FX-N2 with B = {1}: state 1 moves to state 0 at cost -1, and state 0,
+    # off B, stops at J(0) = +inf, so every pair is worth +inf.  The
+    # pricing used to solve for the +inf stop cost and return NaN.
+    model = fixture("FX-N2").model
+    theta = Theta(Policy.deterministic(model, [0, 1]), frozenset({1}))
+    J = np.full(2, INF)
+    sol = solve_stopping(build_stopping(model, theta, J))
+    assert np.array_equal(sol.V, np.full(3, INF))
+    Q, _ = q_fixed_point(model, theta, J)
+    assert np.array_equal(Q, f_theta_power(model, theta, np.zeros(3), J, 50))
+    assert np.array_equal(Q, np.full(3, INF))

@@ -1,4 +1,4 @@
-"""Byte-identity pins of the mixed, lp and mpi traces on every fixture.
+"""Byte-identity pins of the mixed, lp, mpi and pi traces on every fixture.
 
 Each run below writes its trace as CSV and as JSON, with every row's
 wall_time zeroed, and the sha256 of each text must equal the value
@@ -8,7 +8,10 @@ supplied M(Q) of `greedy_select`, the per-run B index), so they show
 that those paths leave every recorded float, policy, B set and count
 unchanged.  The runs cover the finite-nk, exact, masked, clamped,
 epsilon-greedy and partial-B paths; the affine fixtures admit none of
-these algorithms.
+these algorithms.  The pi pins (policy iteration from the cheapest
+control and from the greedy policy for J0) were taken before a policy
+built from choices was read by gathering at its chosen pairs, in T_mu
+and the induced chain.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ import pytest
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.model import Policy
 from totaldp.modelio import trace_to_csv, trace_to_json
-from totaldp.operators import h_backup
+from totaldp.operators import greedy_select, h_backup
 from totaldp.solvers import (
     CustomB,
     FullB,
@@ -70,6 +73,11 @@ def _configs(fx):
                                  initial_policy=Policy.deterministic(model, [0] * n),
                                  ground_truth=fx.ground_truth(), raise_on_cap=False),
     }
+    pi = dict(algorithm="pi", ground_truth=fx.ground_truth(), max_iter=60,
+              raise_on_cap=False)
+    out["pi-cheapest"] = SolverConfig(
+        initial_policy=greedy_select(model, model.pair_costs), **pi)
+    out["pi-greedy"] = SolverConfig(initial_policy=greedy_select(model, Q0), **pi)
     if model.regime == "P":
         out["lp"] = SolverConfig(algorithm="lp", bstrategy=FullB(), **common)
         out["lp-partial"] = SolverConfig(algorithm="lp", bstrategy=half, **common)
@@ -114,6 +122,8 @@ PINS = {
     "FX-D/mixed-masked": ("1f2f29bd1be661ec", "b0915272fa0d33b8"),
     "FX-D/mixed-initial-policy": ("6252badb48f7277b", "9535c03f78b53d9d"),
     "FX-D/mpi-nk10": ("18bb6b7279c1acb1", "72214c306eae9336"),
+    "FX-D/pi-cheapest": ("4c3c8a9a2b3176da", "b6458fffeedea6f5"),
+    "FX-D/pi-greedy": ("aa179f864c996cd1", "7b50befb8b8f48b6"),
     "FX-N2/mixed-nk10": ("db10f8d0bf6db95c", "4c6c18bbbf931015"),
     "FX-N2/mixed-nk1": ("2058f2f7da105899", "8793f5ce3e3c01a0"),
     "FX-N2/mixed-exact": ("edf384583ec96368", "912395774600cca3"),
@@ -124,6 +134,8 @@ PINS = {
     "FX-N2/mixed-masked": ("bd0ea208e033a410", "3cafc8a7f2b55577"),
     "FX-N2/mixed-initial-policy": ("d7375bdf81d72558", "b1d7d399774596b5"),
     "FX-N2/mpi-nk10": ("35f99c831fc9b8c3", "e4148c4941a6388d"),
+    "FX-N2/pi-cheapest": ("cef09a5eefa8df7a", "021deb56b1d132c1"),
+    "FX-N2/pi-greedy": ("cef09a5eefa8df7a", "021deb56b1d132c1"),
     "FX-P2/mixed-nk10": ("0eae97df4f19d8c6", "09ee55072733444d"),
     "FX-P2/mixed-nk1": ("d850939be6cb09f6", "2159ad51ed5a3863"),
     "FX-P2/mixed-exact": ("6f415f2a80b54681", "33d9c025d9b8be11"),
@@ -134,6 +146,8 @@ PINS = {
     "FX-P2/mixed-masked": ("d3368eddce99dcb4", "30844e7db665745c"),
     "FX-P2/mixed-initial-policy": ("c286418caddfde5b", "38e2e6fccd7ed2c9"),
     "FX-P2/mpi-nk10": ("35dc1bb91f6a7b61", "f727fb6cad334708"),
+    "FX-P2/pi-cheapest": ("e4e6c594f07dddeb", "794d3dba33617d83"),
+    "FX-P2/pi-greedy": ("e4e6c594f07dddeb", "794d3dba33617d83"),
     "FX-P2/lp": ("35e224d2c03583ef", "626d4e5e5a737f50"),
     "FX-P2/lp-partial": ("ad71940374f7bbbe", "2553f23ed08c111f"),
     "FX-P4/mixed-nk10": ("d4cf44b3d1642f68", "f4ef7235a34722f8"),
@@ -146,6 +160,8 @@ PINS = {
     "FX-P4/mixed-masked": ("7888be87303e3efd", "ac80572517259883"),
     "FX-P4/mixed-initial-policy": ("b1dae33a8ba1e927", "71f64e19899f1565"),
     "FX-P4/mpi-nk10": ("37b25b443ea4c8b8", "e117c4e195479c44"),
+    "FX-P4/pi-cheapest": ("74bb5ee58fc1a4d0", "bf4c26cd1556eb51"),
+    "FX-P4/pi-greedy": ("74bb5ee58fc1a4d0", "bf4c26cd1556eb51"),
     "FX-P4/lp": ("4702661c77a8fa81", "782d8ca37275479f"),
     "FX-P4/lp-partial": ("d1043919a7ded45a", "aded6dbd1e3fa398"),
 }
