@@ -40,6 +40,7 @@ from .model import (
     AtomicControl,
     Policy,
     TotalCostModel,
+    _chosen_pairs,
     induced_complement,
     induced_kernel,
     policy_mix,
@@ -130,8 +131,15 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
 
 def _pair_kernel(model: TotalCostModel, policy: Policy) -> np.ndarray:
     """Continue kernel over the pairs of an atomic policy: from pair r to
-    pair (x', u') with probability q(x'|r) mu(u'|x')."""
-    return model.pair_probs[:, model.pair_state] * policy.pair_weights
+    pair (x', u') with probability q(x'|r) mu(u'|x').  For a policy built
+    from choices, column (x', mu(x')) holds q(x'|r) and every other column
+    is zero: the values of the one-hot product, without the product."""
+    chosen = _chosen_pairs(model, policy)
+    if chosen is None:
+        return model.pair_probs[:, model.pair_state] * policy.pair_weights
+    K = np.zeros((model.num_pairs(), model.num_pairs()))
+    K[:, chosen] = model.pair_probs
+    return K
 
 
 def _stop_rule_iteration(model: TotalCostModel, policy: Policy, stop: np.ndarray,

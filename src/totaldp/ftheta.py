@@ -51,56 +51,31 @@ from .operators import m_minimize, pair_backup
 
 @dataclass(frozen=True)
 class Theta:
-    """Policy plus the state subset on which it is trusted."""
+    """Policy plus the state subset on which it is trusted.
+
+    B = S is recognized by identity: `FullB` returns the model's
+    `state_set`, and ``frozenset(B)`` of a frozenset is that same object,
+    so a Theta built from it needs no sort and no range check.
+    """
 
     policy: Policy
     B: frozenset[int]
-
-    # The state count that B_index was range-checked against, when the
-    # Theta was built by `_indexed`.
-    _checked_states = None
 
     def __post_init__(self):
         object.__setattr__(self, "B", frozenset(self.B))
 
     @cached_property
     def B_index(self) -> np.ndarray:
-        """The states of B as a sorted index array."""
-        return _sorted_index(self.B)
-
-    @staticmethod
-    def _indexed(model: TotalCostModel, policy: Policy, B: frozenset[int],
-                 index: np.ndarray) -> "Theta":
-        """Theta(policy, B) whose B_index is ``index``, unchecked: B must
-        be a frozenset and ``index`` must be `_b_index(model, B)`, so that
-        a solver sorts and range-checks each distinct B of a run once."""
-        theta = object.__new__(Theta)
-        theta.__dict__.update(policy=policy, B=B, B_index=index,
-                              _checked_states=model.num_states)
-        return theta
-
-
-def _sorted_index(B: frozenset[int]) -> np.ndarray:
-    idx = np.array(sorted(B), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
-
-
-def _check_range(model: TotalCostModel, B: np.ndarray) -> None:
-    if B.size and (B[0] < 0 or B[-1] >= model.num_states):
-        raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
-                         f"got {B.tolist()}")
-
-
-def _b_index(model: TotalCostModel, B: frozenset[int]) -> np.ndarray:
-    """B as a sorted read-only index array, checked to lie in the model's
-    states."""
-    idx = _sorted_index(B)
-    _check_range(model, idx)
-    return idx
+        """The states of B as a sorted read-only index array."""
+        idx = np.array(sorted(self.B), dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
 
 
 def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
+    """Refuse a non-atomic model or policy, a policy that does not fit the
+    model, and a B with a state outside the model's.  After this check a
+    B of n states is every state."""
     if not model.atomic_only:
         raise ValueError("F operators are defined for atomic-only models")
     if not theta.policy.atomic:
@@ -108,8 +83,11 @@ def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
     errs = validate_policy(model, theta.policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
-    if theta._checked_states != model.num_states:
-        _check_range(model, theta.B_index)
+    if theta.B is not model.state_set:
+        B = theta.B_index
+        if B.size and (B[0] < 0 or B[-1] >= model.num_states):
+            raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
+                             f"got {B.tolist()}")
 
 
 def _check_stop_costs(model: TotalCostModel, J: np.ndarray) -> None:
@@ -125,21 +103,24 @@ def _check_stop_costs(model: TotalCostModel, J: np.ndarray) -> None:
 
 def _pairs_in_B(model: TotalCostModel, theta: Theta) -> np.ndarray:
     """Mask over the pairs whose state lies in B."""
+    if len(theta.B) == model.num_states:
+        return np.ones(model.num_pairs(), dtype=bool)
     in_B = np.zeros(model.num_states, dtype=bool)
     in_B[theta.B_index] = True
     return in_B[model.pair_state]
 
 
-def _floor(model: TotalCostModel, policy: Policy, B: np.ndarray,
-           V: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _floor(model: TotalCostModel, theta: Theta, V: np.ndarray,
+           J: np.ndarray) -> np.ndarray:
     """J, with J(x) for x in B replaced by the policy's mix
     sum_u' mu(u'|x) V(x, u') of a pair-axis vector V (`policy_mix`); for
     B = S the mix is the whole result."""
-    if B.size == J.size:
-        return policy_mix(model, policy, V)
+    if len(theta.B) == model.num_states:
+        return policy_mix(model, theta.policy, V)
     w = J.copy()
-    if B.size:
-        w[B] = policy_mix(model, policy, V)[B]
+    if theta.B:
+        B = theta.B_index
+        w[B] = policy_mix(model, theta.policy, V)[B]
     return w
 
 
@@ -154,13 +135,13 @@ def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
     against the model by `_check_inputs`, so the gather is taken here
     directly.
     """
-    policy, B = theta.policy, theta.B_index
-    chosen = policy.chosen_pairs
+    chosen = theta.policy.chosen_pairs
     if chosen is None:
-        return _floor(model, policy, B, np.minimum(J[model.pair_state], Q), J)
-    if B.size == J.size:
+        return _floor(model, theta, np.minimum(J[model.pair_state], Q), J)
+    if len(theta.B) == model.num_states:
         return np.minimum(J, Q[chosen])
     w = J.copy()
+    B = theta.B_index
     w[B] = np.minimum(J[B], Q[chosen[B]])
     return w
 
@@ -254,7 +235,7 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
     b = _pairs_in_B(model, theta)
     V, steps, divergent = _stop_rule_iteration(model, theta.policy,
                                                J[model.pair_state], b, b)
-    Q = pair_backup(model, _floor(model, theta.policy, theta.B_index, V, J))
+    Q = pair_backup(model, _floor(model, theta, V, J))
     residual = sup_dist(_f_apply(model, theta, Q, J), Q)
     return Q, _certificate(model, steps, residual, divergent)
 

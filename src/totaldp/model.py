@@ -192,9 +192,6 @@ class TotalCostModel:
         P.setflags(write=False)
         return P
 
-    def control_names(self, x: int) -> tuple[str, ...]:
-        return tuple(c.name for c in self.controls[x])
-
     def num_pairs(self) -> int:
         return len(self.pairs)
 

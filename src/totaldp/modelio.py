@@ -272,7 +272,10 @@ def parse_model(text: str, strict: bool = True
         label = f"{where} {key}"
         for e in entries:
             try:
-                y = index[e["state"]]
+                s = e["state"]
+                # A reference names the state whose "states" entry has the
+                # same str(); a string is looked up as it is.
+                y = index[s if type(s) is str else str(s)]
                 v = e[key] if default is None else e.get(key, default)
             except (KeyError, TypeError):
                 raise transition_error(e, key, where) from None
@@ -291,7 +294,7 @@ def parse_model(text: str, strict: bool = True
         if "state" not in e:
             return ModelFileError(f"{where} transition: missing field 'state'")
         s = e["state"]
-        if not isinstance(s, str) or s not in index:
+        if str(s) not in index:
             return ModelFileError(f"{where}: unknown state {s!r}")
         return ModelFileError(f"{where} transition to {s!r}: missing field {key!r}")
 
@@ -303,7 +306,7 @@ def parse_model(text: str, strict: bool = True
     for entry in entries:
         _check_keys(entry, _STATE_KEYS, f"state entry {entry.get('state')!r}", strict)
         s = entry.get("state")
-        x = index.get(s) if isinstance(s, str) else None
+        x = index.get(str(s)) if "state" in entry else None
         if x is None:
             raise ModelFileError(f"control entry for unknown state {s!r}")
         where = f"state {names[x]!r}"

@@ -29,7 +29,6 @@ import numpy as np
 from .extreal import INF, sup_dist, xdiff
 from .ftheta import (
     Theta,
-    _b_index,
     applications_run,
     f_theta_power,
     masked_update,
@@ -100,8 +99,10 @@ class OccupationSupportB:
         rho = self.rho
         if rho is None:
             rho = np.full(model.num_states, 1.0 / model.num_states)
-        p = occupation_measure(model, policy, rho, self.beta)
-        return frozenset(int(x) for x in np.flatnonzero(p > self.threshold))
+        keep = occupation_measure(model, policy, rho, self.beta) > self.threshold
+        if keep.all():
+            return model.state_set
+        return frozenset(np.flatnonzero(keep).tolist())
 
 
 @dataclass(frozen=True)
@@ -553,24 +554,6 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
 # Mixed value-and-policy iteration
 
 
-class _Thetas:
-    """Iteration k's Theta(policy, B) for one run of a mixed method; each
-    distinct B of the run is sorted and range-checked once."""
-
-    def __init__(self, model: TotalCostModel, bstrategy: BStrategy):
-        self.model = model
-        self.bstrategy = bstrategy
-        self.index: dict[frozenset[int], np.ndarray] = {}
-
-    def __call__(self, policy: Policy, k: int) -> Theta:
-        model = self.model
-        B = self.bstrategy.resolve(model, policy, k)
-        index = self.index.get(B)
-        if index is None:
-            index = self.index[B] = _b_index(model, B)
-        return Theta._indexed(model, policy, B, index)
-
-
 def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
     if config.clamp_hi is not None:
         J = np.minimum(J, np.asarray(config.clamp_hi, dtype=float))
@@ -603,13 +586,12 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     Q = np.asarray(config.Q0, dtype=float).copy()
     rec = _Recorder("mixed", model, config, J0=J, Q0=Q, sandwich=True)
     envelope = None if model.regime == "D" else J.copy()
-    thetas = _Thetas(model, config.bstrategy)
     policy = config.initial_policy
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = greedy_select(model, Q, config.epsilon, qmin=qmin)
-        theta = thetas(policy, k)
+        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         nk = config.nk_at(k)
         before = applications_run()
         if config.masks is not None:
@@ -684,13 +666,12 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     rec = _Recorder("lp", model, config, J0=J, Q0=Q)
     Jstar = rec.Jstar
     c_cone = None if Jstar is None else cone_multiplier(J, Jstar)
-    thetas = _Thetas(model, config.bstrategy)
     policy = config.initial_policy
     qmin = None  # M(Q) of the current Q, after the first iteration
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = greedy_select(model, Q, epsilon=0.0, qmin=qmin)
-        theta = thetas(policy, k)
+        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
         bound = lp_upper_bound(model, theta, J)
         Q_next = bound.Qbar
         Q_fix, cert = q_fixed_point(model, theta, J)

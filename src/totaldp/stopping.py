@@ -127,15 +127,17 @@ def solve_stopping(problem: StoppingProblem) -> "StoppingSolution":
     exist (D and P; stop wins ties), and a certificate as for the ftheta
     fixed point, its residual taken by one more stopping backup.
     """
-    b = problem.b_pairs
+    b, stop = problem.b_pairs, problem.stop_costs()
     V, steps, divergent = _stop_rule_iteration(
-        problem.model, problem.theta.policy, problem.stop_costs(), b, b)
-    cert = _certificate(problem.model, steps,
-                        sup_dist(t_o_apply(problem, V), V), divergent)
+        problem.model, problem.theta.policy, stop, b, b)
     fstar = _continuation_values(problem, V)
+    # One more stopping backup of V (`t_o_apply`), from the same fstar.
+    cert = _certificate(problem.model, steps,
+                        sup_dist(np.where(b, np.minimum(stop, fstar), stop), V),
+                        divergent)
     stop_rule = None
     if problem.regime in ("D", "P"):
-        stop_rule = problem.stop_costs() <= fstar
+        stop_rule = stop <= fstar
         stop_rule[~b] = True
     return StoppingSolution(problem=problem, V=V, fstar=fstar,
                             stop_rule=stop_rule, certificate=cert)
@@ -212,10 +214,10 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray) -> LPBoun
     V, steps, _ = _stop_rule_iteration(model, theta.policy, J[model.pair_state],
                                        b, np.zeros_like(b))
     # Qbar over all pairs, reading W on B and J off B.
-    wfull = _floor(model, theta.policy, theta.B_index, V, J)
+    wfull = _floor(model, theta, V, J)
     W = wfull[B]
     Qbar = pair_backup(model, wfull)
-    rhs = _floor(model, theta.policy, theta.B_index, Qbar, J)[B]  # constraint map
+    rhs = _floor(model, theta, Qbar, J)[B]  # constraint map
     feas = float(np.minimum(J[B] - W, xdiff(rhs, W)).min()) if B else 0.0
 
     # First certificate check: Qbar <= F_theta(Qbar; J) elementwise.

@@ -586,3 +586,10 @@ def atomic_rows_segments(model: TotalCostModel, policy: Policy
         P[live] = np.add.reduceat(w[:, None] * model.pair_probs, starts)
         g[live] = expect_segments(w, model.pair_costs, starts)
     return P, g
+
+
+def pair_kernel_one_hot(model: TotalCostModel, policy: Policy) -> np.ndarray:
+    """Continue kernel over pairs as the product of every pair's row with
+    the policy's weight of each target pair (one-hot for a choice-backed
+    policy)."""
+    return model.pair_probs[:, model.pair_state] * policy.pair_weights

@@ -12,7 +12,7 @@ from totaldp.ftheta import (
     masked_update,
     q_fixed_point,
 )
-from totaldp.stopping import build_stopping
+from totaldp.stopping import build_stopping, lp_upper_bound
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
 
 
@@ -60,16 +60,54 @@ class TestApply:
                                           frozenset()),
                           np.zeros(3), np.zeros(3))
 
-    @pytest.mark.parametrize("B", [{-1}, {99}, {0, 2}], ids=["-1", "99", "0,2"])
+    # {0, 2} and {-1, 1} have as many states as the model: a size test
+    # alone would read them as every state.
+    @pytest.mark.parametrize("B", [{-1}, {99}, {0, 2}, {-1, 1}],
+                             ids=["-1", "99", "0,2", "-1,1"])
     def test_rejects_b_outside_the_states(self, B):
         fx = fixture("FX-P2")
         theta = Theta(Policy.deterministic(fx.model, [0, 1]), frozenset(B))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             f_theta_apply(fx.model, theta, np.zeros(3), np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
+            f_theta_power(fx.model, theta, np.zeros(3), np.zeros(2), 3)
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
             q_fixed_point(fx.model, theta, np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             build_stopping(fx.model, theta, np.zeros(2))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            lp_upper_bound(fx.model, theta, np.zeros(2))
+
+
+class TestFullB:
+    """B = S is the model's `state_set`, recognized by identity; a B
+    built apart from it gives the same bytes."""
+
+    def test_the_state_set_is_kept_by_identity(self):
+        model, _ = random_model(72, regime="D")
+        theta = Theta(random_policy(3, model), model.state_set)
+        assert theta.B is model.state_set
+
+    @pytest.mark.parametrize("regime", ["D", "N", "P"])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_a_fresh_full_set_gives_the_same_bytes(self, regime, deterministic):
+        model, Jstar = random_model(73, regime=regime)
+        fresh = frozenset(range(model.num_states))
+        assert fresh is not model.state_set
+        policy = random_policy(4, model, deterministic=deterministic)
+        Q0 = h_backup(model, 1.5 * Jstar)
+        J = 1.5 * Jstar
+        results = []
+        for B in (model.state_set, fresh):
+            theta = Theta(policy, B)
+            Q, cert = q_fixed_point(model, theta, J)
+            out = [f_theta_power(model, theta, Q0, J, 5).tobytes(), Q.tobytes(), repr(cert)]
+            if regime == "P" and deterministic:
+                bound = lp_upper_bound(model, theta, J)
+                out += [bound.W.tobytes(), bound.Qbar.tobytes(), bound.B_order,
+                        repr(bound.certificate)]
+            results.append(out)
+        assert results[0] == results[1]
 
 
 class TestPowerAndMonotonicity:

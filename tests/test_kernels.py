@@ -25,7 +25,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference_ops as ref
-from totaldp.chains import evaluate_policy, occupation_measure, state_marginal
+from totaldp.chains import (
+    _pair_kernel,
+    evaluate_policy,
+    occupation_measure,
+    state_marginal,
+)
 from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
@@ -342,8 +347,8 @@ class TestChoiceFastPaths:
         det = c.policy
         mix = Policy(det.actions)  # the same policy on the segment-sum path
         assert mix.chosen_pairs is None
-        B = Theta(det, c.B).B_index
-        same_up_to_zero_sign(_floor(model, det, B, Q, J), _floor(model, mix, B, Q, J))
+        same_up_to_zero_sign(_floor(model, Theta(det, c.B), Q, J),
+                             _floor(model, Theta(mix, c.B), Q, J))
         same_up_to_zero_sign(f_theta_power(model, Theta(det, c.B), Q, J, n),
                              f_theta_power(model, Theta(mix, c.B), Q, J, n))
         outcomes = []
@@ -439,6 +444,12 @@ class TestGatheredPolicyReads:
         same_up_to_zero_sign(t_o_apply(det, V), t_o_apply(mix, V))
 
     @given(regime_cases())
+    def test_pair_kernel_places_the_chosen_columns(self, c):
+        got = _pair_kernel(c.model, c.det)
+        same_up_to_zero_sign(got, _pair_kernel(c.model, c.mix))
+        same_up_to_zero_sign(got, ref.pair_kernel_one_hot(c.model, c.det))
+
+    @given(regime_cases())
     def test_induced_chain_and_evaluation(self, c):
         model = c.model
         P, g = induced_kernel(model, c.det)
@@ -480,6 +491,8 @@ class TestGatheredPolicyReads:
             bellman_T_mu(big, policy, np.zeros(big.num_states))
         with pytest.raises(ValueError, match="do not match the model's pairs"):
             induced_kernel(big, policy)
+        with pytest.raises(ValueError, match="do not match the model's pairs"):
+            _pair_kernel(big, policy)
 
 
 # Values for the fast-path checks: both infinities, and zeros and NaNs of

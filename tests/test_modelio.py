@@ -176,6 +176,53 @@ class TestModelStructureErrors:
             parse_model(_edited(name, edit))
 
 
+def _numeric_states(doc):
+    """Write every state name and every "state" reference as a JSON number."""
+    doc["states"] = [int(s) for s in doc["states"]]
+    for entry in doc["controls"]:
+        entry["state"] = int(entry["state"])
+        for c in entry.get("atomic", []) + entry.get("affine_families", []):
+            for t in c["transitions"]:
+                t["state"] = int(t["state"])
+
+
+class TestStateReferences:
+    """A "state" reference names the state whose "states" entry has the
+    same str(), as "states" itself is read."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_numeric_references_parse_as_their_string_twin(self, name):
+        text = render_model(fixture(name).model)
+        model, gt = parse_model(_edited(name, _numeric_states))
+        twin, twin_gt = parse_model(text)
+        assert model_hash(model) == model_hash(twin)
+        assert render_model(model, gt) == render_model(twin, twin_gt)
+
+    def test_numeric_reference_to_string_states(self):
+        model, _ = parse_model(_edited(
+            "FX-P2", lambda d: _control(d)["transitions"][0].__setitem__("state", 1)))
+        assert model_hash(model) == model_hash(fixture("FX-P2").model)
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda d: _control(d)["transitions"][0].__setitem__("state", 2),
+         ["state '1'", "unknown state 2"]),
+        (lambda d: _control(d)["transitions"][0].__setitem__("state", 1.0),
+         ["state '1'", "unknown state 1.0"]),
+        (lambda d: d["controls"][1].__setitem__("state", 5),
+         ["control entry for unknown state 5"]),
+        (lambda d: d["controls"][1].pop("state"),
+         ["control entry for unknown state None"]),
+    ])
+    def test_unknown_numeric_references_are_refused(self, edit, words):
+        def numeric_then(doc):
+            _numeric_states(doc)
+            edit(doc)
+        with pytest.raises(ModelFileError) as err:
+            parse_model(_edited("FX-P2", numeric_then))
+        for word in words:
+            assert word in str(err.value)
+
+
 def _sample_trace():
     fx = fixture("FX-D")
     cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3), Q0=np.zeros(6),

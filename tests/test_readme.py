@@ -1,9 +1,10 @@
-"""The README's CLI block runs as written.
+"""The README's CLI block and Python quick tour run as written.
 
 Each `totaldp ...` line of the sh block under `## CLI` runs in order, in
 one scratch directory, and must exit 0, so the block cannot name a
 removed command or read a file that no earlier line writes.
 `reproduce all` is skipped: `test_acceptance.py` runs every scenario.
+The first python block runs as one script; its asserts must hold.
 """
 
 import re
@@ -35,3 +36,11 @@ def test_cli_block_runs(tmp_path, monkeypatch):
             continue
         out = runner.invoke(main, args)
         assert out.exit_code == 0, (args, out.output)
+
+
+def test_python_block_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+    assert "t.run(" in block
+    exec(compile(block, "README.md python block", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,13 +140,32 @@ class TestMixed:
         assert out.trace.rows[1].b_set == "{1,2}"
         assert out.trace.rows[2].b_set == "{0}"
 
-    @pytest.mark.parametrize("B", [-1, 99])
-    def test_custom_b_outside_the_states_is_rejected(self, B):
+    @pytest.mark.parametrize("algorithm", ["mixed", "lp"])
+    @pytest.mark.parametrize("B", [{-1}, {99}, {0, 2}, {-1, 1}],
+                             ids=["-1", "99", "0,2", "-1,1"])
+    def test_custom_b_outside_the_states_is_rejected(self, B, algorithm):
         fx = fixture("FX-P2")
-        cfg = SolverConfig(algorithm="mixed", J0=np.zeros(2), Q0=np.zeros(3), nk=2,
-                           bstrategy=CustomB((frozenset({B}),)))
+        cfg = SolverConfig(algorithm=algorithm, J0=np.zeros(2), Q0=np.zeros(3), nk=2,
+                           bstrategy=CustomB((frozenset(B),)))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
-            mixed_vpi(fx.model, cfg)
+            run(fx.model, cfg)
+
+    @pytest.mark.parametrize("algorithm, nk", [("mixed", 3), ("mixed", "exact"),
+                                               ("lp", 1)])
+    def test_a_fresh_full_set_replays_full_b(self, algorithm, nk):
+        model, Jstar = random_model(442, regime="P")
+        J0 = 1.5 * Jstar
+        outs = []
+        for bstrategy in (FullB(), CustomB((frozenset(range(model.num_states)),))):
+            cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
+                               nk=nk, bstrategy=bstrategy, tol=1e-12, max_iter=50,
+                               stop_on_tol=False, snapshot_iterates=True,
+                               ground_truth=(Jstar, h_backup(model, Jstar)))
+            out = run(model, cfg)
+            rows = [repr(dataclasses.replace(r, wall_time=0.0)) for r in out.trace.rows]
+            outs.append((out.J.tobytes(), out.Q.tobytes(), out.termination,
+                         out.trace.op_count, rows))
+        assert outs[0] == outs[1]
 
     def test_custom_b_needs_a_set(self):
         with pytest.raises(ValueError, match="at least one set"):
@@ -178,7 +199,7 @@ class TestMixed:
         model, _ = random_model(433, regime="P")
         mu = random_policy(5, model, deterministic=True)
         n = model.num_states
-        assert OccupationSupportB().resolve(model, mu, 0) == frozenset(range(n))
+        assert OccupationSupportB().resolve(model, mu, 0) is model.state_set
         # the measure is at least (1 - beta) / n everywhere
         below = OccupationSupportB(beta=0.6, threshold=0.99 * 0.4 / n)
         assert below.resolve(model, mu, 0) == frozenset(range(n))
