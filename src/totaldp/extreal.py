@@ -119,10 +119,35 @@ def xdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sup_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup-norm distance treating equal infinities as coincident."""
+    """Sup-norm distance treating equal infinities as coincident.
+
+    When a holds no infinity, no inf - inf can be formed, and the plain
+    difference equals `xdiff` up to the sign of a zero (an a of -0.0
+    against a b of +0.0), which the absolute value drops.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0:
         return 0.0
+    if not np.count_nonzero(np.isinf(a)):
+        d = a - b
+        return float(np.abs(d, out=d).max())
     return float(np.abs(xdiff(a, b)).max())
 
+
+def margin_leq(a: np.ndarray, b: np.ndarray) -> float:
+    """max over entries of a - b, 0 where they are equal (infinities
+    included): <= 0 exactly when a <= b elementwise, NaN aside; 0 for
+    empty vectors.
+
+    The fast path is `sup_dist`'s, without the absolute value; adding
+    +0.0 turns the -0.0 that an a of -0.0 against a b of +0.0 leaves
+    into the +0.0 that `xdiff` puts at equal entries.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0:
+        return 0.0
+    if not np.count_nonzero(np.isinf(a)):
+        return float((a - b).max()) + 0.0
+    return float(xdiff(a, b).max())

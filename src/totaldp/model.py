@@ -223,7 +223,7 @@ class Policy:
     A policy built by `Policy.deterministic` keeps the pair index of each
     state's chosen control and builds per-state `AtomicMix` actions only
     when `actions` is read.  Policies are immutable: the arrays they hand
-    out are read-only.
+    out are read-only, and the descriptor is rendered once per policy.
     """
 
     def __init__(self, actions: Sequence[PolicyAction]):
@@ -232,6 +232,7 @@ class Policy:
         self._starts: np.ndarray | None = None  # pair_starts of the choices' model
         self._labels: tuple[str, ...] = ()       # pair_labels of that model
         self._num_pairs = 0
+        self._descriptor: str | None = None
 
     @staticmethod
     def deterministic(model: TotalCostModel, choices: Sequence[int]) -> "Policy":
@@ -261,6 +262,7 @@ class Policy:
         policy._starts = model.pair_starts
         policy._labels = model.pair_labels
         policy._num_pairs = model.num_pairs()
+        policy._descriptor = None
         return policy
 
     @staticmethod
@@ -324,18 +326,26 @@ class Policy:
         return int(np.argmax(a.weights))
 
     def descriptor(self) -> str:
+        """The policy as "x:i" per state ("x:t=..." for a family
+        parameter, "x:mix" for a randomized mix), comma-separated;
+        rendered on the first call and kept."""
+        if self._descriptor is not None:
+            return self._descriptor
         if self._chosen is not None:
             labels = self._labels
-            return ",".join([labels[k] for k in self._chosen.tolist()])
-        parts = []
-        for x, a in enumerate(self.actions):
-            if isinstance(a, FamilyChoice):
-                parts.append(f"{x}:t={a.t:g}")
-            elif _point_mass(a):
-                parts.append(f"{x}:{int(np.argmax(a.weights))}")
-            else:
-                parts.append(f"{x}:mix")
-        return ",".join(parts)
+            text = ",".join([labels[k] for k in self._chosen.tolist()])
+        else:
+            parts = []
+            for x, a in enumerate(self.actions):
+                if isinstance(a, FamilyChoice):
+                    parts.append(f"{x}:t={a.t:g}")
+                elif _point_mass(a):
+                    parts.append(f"{x}:{int(np.argmax(a.weights))}")
+                else:
+                    parts.append(f"{x}:mix")
+            text = ",".join(parts)
+        self._descriptor = text
+        return text
 
 
 def _point_mass(a: AtomicMix) -> bool:

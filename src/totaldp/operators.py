@@ -39,6 +39,7 @@ from .model import (
     FamilyChoice,
     Policy,
     TotalCostModel,
+    _built_for,
     policy_mix,
 )
 
@@ -189,7 +190,7 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
 
 
 def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
-                  qmin: np.ndarray | None = None) -> Policy:
+                  qmin: np.ndarray | None = None, keep: Policy | None = None) -> Policy:
     """Deterministic policy with Q(x, mu(x)) <= min_u Q(x, u) + epsilon.
 
     With epsilon = 0 this is the exact argmin; ties go to the lowest
@@ -197,7 +198,10 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
     first qualifying pair of its state's segment, so the policy is built
     without re-checking it.  A caller that already holds M(Q) =
     `m_minimize(model, Q)` for this same Q passes it as ``qmin``, and the
-    minimum is not taken again.
+    minimum is not taken again.  A caller that holds a policy built from
+    choices for this model passes it as ``keep``: when the selection
+    picks the same pairs, ``keep`` itself is returned, so its cached
+    descriptor and anything the caller built on it stay valid.
 
     When every state has the same number m of controls, the exact argmin
     is one `argmin` per row of Q viewed as an (n, m) array: the first
@@ -230,4 +234,9 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
         nan = first.size and first.max() == Q.size
     if nan:
         raise ValueError("Q is NaN at a state: no control qualifies")
+    if keep is not None:
+        kept = keep.chosen_pairs
+        if kept is not None and kept.tobytes() == first.tobytes() \
+                and _built_for(model, keep):
+            return keep
     return Policy._of_pairs(model, first)

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import INF, sup_dist, xdiff
+from .extreal import INF, margin_leq, sup_dist
 from .ftheta import (
     Theta,
     applications_run,
@@ -165,14 +165,6 @@ class IterationTrace:
     @property
     def final_residual(self) -> float:
         return self.rows[-1].residual if self.rows else INF
-
-
-def _margin_leq(a, b) -> float:
-    """max over entries of a - b, 0 when equal (including infinities)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = xdiff(a, b)
-    return float(diff.max()) if diff.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,7 @@ class _Recorder:
                 self.trace.dist0 = max(sup_dist(v, star) for star, v in known)
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
-                    _margin_leq(star, v) <= 0.0 for star, v in known)
+                    margin_leq(star, v) <= 0.0 for star, v in known)
         self._start = time.perf_counter()
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
@@ -343,10 +335,10 @@ class _Recorder:
         row = TraceRow(k=k, residual=residual, **fields)
         if self.Jstar is not None:
             row.dist_J = sup_dist(J, self.Jstar)
-            row.lower_margin = _margin_leq(self.Jstar, J)
+            row.lower_margin = margin_leq(self.Jstar, J)
             if Q is not None and self.Qstar is not None:
                 row.dist_Q = sup_dist(Q, self.Qstar)
-                row.q_lower_margin = _margin_leq(self.Qstar, Q)
+                row.q_lower_margin = margin_leq(self.Qstar, Q)
         row.wall_time = time.perf_counter() - self._start
         self.trace.append(row)
         return row
@@ -444,9 +436,9 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                 nxt[flagged] = sign * INF
         res = sup_dist(nxt[live], J[live])
         if k == 1:
-            if _margin_leq(nxt, J) <= 0.0:
+            if margin_leq(nxt, J) <= 0.0:
                 direction = "nonincreasing"
-            elif _margin_leq(J, nxt) <= 0.0:
+            elif margin_leq(J, nxt) <= 0.0:
                 direction = "nondecreasing"
         J = nxt
         reported = J.copy()
@@ -528,7 +520,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     rec = _Recorder("mpi", model, config, J0=J, rate=False)
     if model.regime == "P":
         flags = {"superharmonic_start": bool(
-            _margin_leq(bellman_T_mu(model, mu0, J), J) <= 1e-12)}
+            margin_leq(bellman_T_mu(model, mu0, J), J) <= 1e-12)}
         if rec.Jstar is not None:
             flags["cone_c"] = cone_multiplier(J, rec.Jstar)
         rec.trace.config["initial_flags"] = flags
@@ -539,7 +531,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             rec.trace.op_count += 1
         Q = h_backup(model, J)
         rec.trace.op_count += 1
-        mu = greedy_select(model, Q, epsilon=0.0)
+        mu = greedy_select(model, Q, epsilon=0.0, keep=mu)
         J_greedy = m_minimize(model, Q)
         res = sup_dist(J_greedy, prev_greedy) if prev_greedy is not None else INF
         prev_greedy = J_greedy
@@ -568,13 +560,15 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
 
     Per iteration: pick the policy (the initial policy at k = 0, if one
     is given, else greedy from the current Q with the configured epsilon,
-    reusing M(Q) when the last iteration computed it), resolve the B-set
-    strategy, then either apply nk operator powers or solve the Q fixed
-    point exactly; J becomes the per-state minimum, optionally clamped.
-    Mask schedules switch the update to its asynchronous masked form.  Rows record ordering margins against
-    ground truth and, in N and P, where J_k <= T^k(J0) is a guarantee,
-    against the value-iteration envelope T^k(J0) (``upper_margin``; None
-    in D, where the envelope is not computed).  ``extra["powers"]``
+    reusing M(Q) when the last iteration computed it, and keeping the
+    current policy and its Theta while the choice repeats), resolve the
+    B-set strategy, then either apply nk operator powers or solve the Q
+    fixed point exactly; J becomes the per-state minimum, optionally
+    clamped.  Mask schedules switch the update to its asynchronous masked
+    form.  Rows record ordering margins against ground truth and, in N
+    and P, where J_k <= T^k(J0) is a guarantee, against the
+    value-iteration envelope T^k(J0) (``upper_margin``; None in D, where
+    the envelope is not computed).  ``extra["powers"]``
     holds the operator applications that ran (fewer than nk once a power
     repeats; see `f_theta_power`), which also add up to the trace's
     ``op_count``.
@@ -587,11 +581,12 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     rec = _Recorder("mixed", model, config, J0=J, Q0=Q, sandwich=True)
     envelope = None if model.regime == "D" else J.copy()
     policy = config.initial_policy
+    theta = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     for k in range(config.max_iter):
         if k > 0 or policy is None:
-            policy = greedy_select(model, Q, config.epsilon, qmin=qmin)
-        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
+            policy = greedy_select(model, Q, config.epsilon, qmin=qmin, keep=policy)
+        theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
         nk = config.nk_at(k)
         before = applications_run()
         if config.masks is not None:
@@ -616,7 +611,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         upper = None
         if envelope is not None:
             envelope = bellman_T(model, envelope)
-            upper = _margin_leq(J, envelope)
+            upper = margin_leq(J, envelope)
         extra = {"residual_Q": res_Q, "powers": powers}
         if config.snapshot_iterates:
             extra["J_snapshot"] = J.tolist()
@@ -627,6 +622,15 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
             return rec.finish("converged", J, Q=Q, policy=policy)
     return rec.finish("cap", J, Q=Q, policy=policy)
+
+
+def _theta(theta: Theta | None, policy: Policy, B: frozenset[int]) -> Theta:
+    """Theta(policy, B), or ``theta`` itself when it holds these very
+    objects: greedy selection hands back the policy it kept, so a run
+    builds one Theta per distinct policy and B."""
+    if theta is not None and theta.policy is policy and theta.B is B:
+        return theta
+    return Theta(policy, B)
 
 
 def _describe_b(B: frozenset[int], n: int) -> str:
@@ -666,17 +670,22 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     rec = _Recorder("lp", model, config, J0=J, Q0=Q)
     Jstar = rec.Jstar
     c_cone = None if Jstar is None else cone_multiplier(J, Jstar)
+    # c * Jstar with 0 * inf = 0.  A finite c >= 0 meets an infinity of
+    # Jstar as NaN only when c = 0 (J0 = 0 wherever Jstar is finite).
+    cone = (None if c_cone is None or not np.isfinite(c_cone)
+            else np.zeros(Jstar.shape) if c_cone == 0.0 else c_cone * Jstar)
     policy = config.initial_policy
+    theta = None
     qmin = None  # M(Q) of the current Q, after the first iteration
     for k in range(config.max_iter):
         if k > 0 or policy is None:
-            policy = greedy_select(model, Q, epsilon=0.0, qmin=qmin)
-        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
+            policy = greedy_select(model, Q, epsilon=0.0, qmin=qmin, keep=policy)
+        theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
         bound = lp_upper_bound(model, theta, J)
         Q_next = bound.Qbar
         Q_fix, cert = q_fixed_point(model, theta, J)
         rec.trace.op_count += cert.iterations + bound.certificate.iterations
-        lower_ineq = _margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
+        lower_ineq = margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
         upper_ineq = bound.certificate.upper_margin  # >= 0 when Qbar <= F(Qbar)
         qmin = m_minimize(model, Q_next)
         J_next = _clamp(qmin, config)
@@ -688,8 +697,7 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
                     "residual_Q": res_Q,
                     "ineq_lower_margin": lower_ineq,
                     "ineq_upper_margin": upper_ineq,
-                    "cone_margin": None if c_cone is None or not np.isfinite(c_cone)
-                    else _margin_leq(J, c_cone * Jstar),
+                    "cone_margin": None if cone is None else margin_leq(J, cone),
                 })
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
             return rec.finish("converged", J, Q=Q, policy=policy)
@@ -767,7 +775,7 @@ def build_n_stage_policy(model: TotalCostModel, J: np.ndarray, delta: float,
     n_found = None
     for n in range(1, n_max + 1):
         iterates.append(bellman_T(model, iterates[-1]))
-        margin = _margin_leq(iterates[-1], J + delta / 2.0)
+        margin = margin_leq(iterates[-1], J + delta / 2.0)
         best = min(best, margin)
         if margin <= 0.0:
             n_found = n

@@ -44,14 +44,22 @@ from .operators import pair_backup
 @dataclass(frozen=True)
 class StoppingProblem:
     """Stop/continue problem on pair states; the terminal state is kept
-    implicit (cost-free, absorbing, value pinned to zero)."""
+    implicit (cost-free, absorbing, value pinned to zero).
+
+    Construction admits (theta, J) as `q_fixed_point` does: an atomic
+    model and policy, a B inside the states, and stop costs J and pair
+    costs that conform to the regime, +inf entries aside (so the
+    all-+inf J is legal in every regime).
+    """
 
     model: TotalCostModel
     theta: Theta
     J: np.ndarray
 
     def __post_init__(self):
+        _check_inputs(self.model, self.theta)
         J = np.array(self.J, dtype=float)
+        _check_stop_costs(self.model, J)
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
 
@@ -86,16 +94,12 @@ class StoppingProblem:
 
 
 def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> StoppingProblem:
-    """Materialize the stopping problem for (theta, J).
+    """Materialize the stopping problem for (theta, J), checked as
+    `StoppingProblem` checks it.
 
     The policy is defined on every state of a finite model, so it also
-    serves as the continuation kernel off B.  J and the pair costs are
-    admitted as by `q_fixed_point`: they must conform to the regime,
-    +inf entries aside, so the all-+inf J is legal in every regime.
+    serves as the continuation kernel off B.
     """
-    _check_inputs(model, theta)
-    J = np.asarray(J, dtype=float)
-    _check_stop_costs(model, J)
     return StoppingProblem(model=model, theta=theta, J=J)
 
 

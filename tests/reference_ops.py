@@ -46,6 +46,12 @@ with the policy's one-hot pair weights (in T_mu, the stop-rule engine's
 continuation and the stopping continuation values), and the induced
 chain's rows and costs as segment sums over one-hot products, kept
 verbatim.  `test_kernels.py` checks the gathered reads against them.
+
+The seventh part holds the masked forms of the two residual kernels,
+kept verbatim from before they took a finite fast path: the sup-norm
+distance and the ordering margin over `xdiff`, which subtracts only
+unequal entries.  `test_extreal.py` checks `sup_dist` and `margin_leq`
+against them bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from totaldp.extreal import (
     sup_dist,
     xadd,
     xadd_vec,
+    xdiff,
     xmul,
 )
 from totaldp.ftheta import FixedPointCertificate, Theta
@@ -593,3 +600,24 @@ def pair_kernel_one_hot(model: TotalCostModel, policy: Policy) -> np.ndarray:
     the policy's weight of each target pair (one-hot for a choice-backed
     policy)."""
     return model.pair_probs[:, model.pair_state] * policy.pair_weights
+
+
+# ---------------------------------------------------------------------------
+# Masked residual kernels
+
+
+def sup_dist_masked(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup-norm distance treating equal infinities as coincident."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(xdiff(a, b)).max())
+
+
+def margin_masked(a, b) -> float:
+    """max over entries of a - b, 0 when equal (including infinities)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = xdiff(a, b)
+    return float(diff.max()) if diff.size else 0.0

@@ -6,7 +6,7 @@ from totaldp import modelio
 from totaldp.cli import main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
-from totaldp.model import Policy
+from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.modelio import read_trace, render_model, write_model
 from totaldp.operators import bellman_T
 from totaldp.solvers import SolverConfig, check_admits, run
@@ -84,6 +84,20 @@ class TestSolve:
         assert trace.rows
         assert trace.rows[-1].lower_margin <= 0.0
         assert trace.rows[-1].upper_margin <= 0.0
+
+    def test_lp_trace_with_infinite_optimum_from_zero(self, runner, tmp_path):
+        # State 1 pays 1 forever: J* = (0, inf), and J0 = 0 has cone c = 0.
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("trap", 1.0, np.array([0.0, 1.0])),)))
+        path = tmp_path / "trap.mdp"
+        write_model(path, model, (np.array([0.0, INF]), None))
+        trace_path = tmp_path / "trace.csv"
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "lp",
+                                   "--max-iter", "3", "--trace-out", str(trace_path)])
+        assert out.exit_code == 1 and "did not reach" in out.output, out.output
+        rows = read_trace(trace_path).rows
+        assert [row.extra["cone_margin"] for row in rows] == [1.0, 2.0, 3.0]
 
     def test_model_hash_is_rendered_only_for_a_trace(self, runner, tmp_path, monkeypatch):
         path = _write_fixture(tmp_path, "FX-P4")

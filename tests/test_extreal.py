@@ -1,10 +1,13 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 from hypothesis import given, strategies as st
 
+import reference_ops as ref
 from totaldp.extreal import (
-    INF, expect, expect_rows, sup_dist, xadd, xdiff, xmul)
+    INF, expect, expect_rows, margin_leq, sup_dist, xadd, xdiff, xmul)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 extended = st.one_of(finite, st.sampled_from([INF, -INF]))
@@ -79,3 +82,45 @@ class TestComparisons:
         assert d[:4].tolist() == [0.0, 0.0, INF, -INF] and d[6] == 1.5
         assert np.isnan(d[4]) and np.isnan(d[5])
         assert math.isnan(sup_dist(a, b))
+
+
+# Entries for the residual kernels: few distinct values (so that exact
+# ties are common), both zeros, both infinities and NaN.  Finite values
+# stay far from the overflow range, where a - b warns in the masked form
+# and the fast path alike.
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 1.0, -1.0, 2.5]),
+                  st.floats(-1e6, 1e6))
+
+
+@st.composite
+def residual_pairs(draw):
+    """Vectors a and b of one length; each b entry is drawn afresh, equal
+    to a's, or a's with the sign of a zero flipped."""
+    a = draw(st.lists(ENTRY, max_size=8))
+    b = []
+    for x in a:
+        kind = draw(st.sampled_from(["fresh", "tie", "flip"]))
+        b.append(draw(ENTRY) if kind == "fresh" else -x if kind == "flip" and x == 0.0
+                 else x)
+    return np.array(a, dtype=float), np.array(b, dtype=float)
+
+
+def same_float(x, y):
+    """Bitwise equal, or both NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+class TestResidualKernels:
+    """`sup_dist` and `margin_leq` take a plain subtraction when a holds
+    no infinity; the masked forms they replaced are the oracles."""
+
+    @given(residual_pairs())
+    def test_equal_to_the_masked_forms_bit_for_bit(self, pair):
+        a, b = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x, y in ((a, b), (b, a)):
+                assert same_float(sup_dist(x, y), ref.sup_dist_masked(x, y))
+                assert same_float(margin_leq(x, y), ref.margin_masked(x, y))

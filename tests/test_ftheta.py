@@ -12,7 +12,7 @@ from totaldp.ftheta import (
     masked_update,
     q_fixed_point,
 )
-from totaldp.stopping import build_stopping, lp_upper_bound
+from totaldp.stopping import StoppingProblem, build_stopping, lp_upper_bound
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
 
 
@@ -75,6 +75,8 @@ class TestApply:
             q_fixed_point(fx.model, theta, np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             build_stopping(fx.model, theta, np.zeros(2))
+        with pytest.raises(ValueError, match="B must lie in 0..1"):
+            StoppingProblem(fx.model, theta, np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             lp_upper_bound(fx.model, theta, np.zeros(2))
 

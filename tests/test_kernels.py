@@ -120,6 +120,18 @@ def vectors(size):
     return st.lists(EXT, min_size=size, max_size=size).map(np.array)
 
 
+def unchecked_problem(model, theta, J):
+    """A StoppingProblem over any (theta, J), without the constructor's
+    admission checks: the continuation values and the stopping backup are
+    defined for every J, also for stop costs or models that `solve_stopping`
+    may not price and the constructor therefore refuses."""
+    prob = object.__new__(StoppingProblem)
+    for name, value in (("model", model), ("theta", theta),
+                        ("J", np.array(J, dtype=float))):
+        object.__setattr__(prob, name, value)
+    return prob
+
+
 @st.composite
 def policies(draw, model):
     """A choice-backed deterministic policy or a mix with zero weights."""
@@ -248,7 +260,7 @@ class TestParametrizedOperators:
         model, J, Q = c.model, c.J, c.Q
         theta = Theta(c.policy, c.B)
         assert_matches(f_theta_apply(model, theta, Q, J), ref._f_apply(model, theta, Q, J))
-        prob = StoppingProblem(model=model, theta=theta, J=J)
+        prob = unchecked_problem(model, theta, J)
         G = ref._continuation_values(prob, Q)
         assert_matches(reconstruct_q(prob, Q), G)
         stop = J[model.pair_state]
@@ -327,8 +339,50 @@ class TestChoiceFastPaths:
     @given(cases())
     def test_descriptor_matches_f_string_rendering(self, c):
         assert c.policy.descriptor() == ref.descriptor(c.policy)
+        assert c.policy.descriptor() is c.policy.descriptor()  # rendered once
         greedy = greedy_select(c.model, c.Q, epsilon=c.eps)
         assert greedy.descriptor() == ref.descriptor(greedy)
+
+    @given(cases())
+    def test_greedy_keeps_exactly_a_policy_with_the_same_choices(self, c):
+        model, Q, eps = c.model, c.Q, c.eps
+        fresh = greedy_select(model, Q, epsilon=eps)
+        same = Policy.deterministic(model, [fresh.action_index(x)
+                                            for x in range(model.num_states)])
+        assert greedy_select(model, Q, epsilon=eps, keep=same) is same
+        text = c.policy.descriptor()  # cached before the selection
+        got = greedy_select(model, Q, epsilon=eps, keep=c.policy)
+        kept = (c.policy.chosen_pairs is not None
+                and np.array_equal(c.policy.chosen_pairs, fresh.chosen_pairs))
+        assert (got is c.policy) == kept
+        if not kept:
+            assert np.array_equal(got.chosen_pairs, fresh.chosen_pairs)
+            assert got.descriptor() == ref.descriptor(got) == fresh.descriptor()
+            if c.policy.chosen_pairs is not None:  # other choices, other text
+                assert got.descriptor() != text
+
+    @given(cases())
+    def test_greedy_never_keeps_a_mix(self, c):
+        model = c.model
+        fresh = greedy_select(model, c.Q, epsilon=c.eps)
+        one_hot = Policy(tuple(AtomicMix(np.eye(len(cs))[fresh.action_index(x)])
+                               for x, cs in enumerate(model.controls)))
+        assert one_hot.descriptor() == fresh.descriptor()
+        assert greedy_select(model, c.Q, epsilon=c.eps, keep=one_hot) is not one_hot
+
+    def test_greedy_never_keeps_a_policy_of_another_layout(self):
+        # Pairs 0, 2, 3 are one control per state under both layouts.
+        def model(counts):
+            return TotalCostModel("D", 0.5, tuple(
+                tuple(AtomicControl(f"c{i}", 0.0, np.eye(3)[x]) for i in range(k))
+                for x, k in enumerate(counts)))
+        a, b = model((1, 2, 1)), model((2, 1, 1))
+        other = Policy.deterministic(a, [0, 1, 0])
+        Q = np.array([0.0, 1.0, 0.0, 0.0])
+        got = greedy_select(b, Q, keep=other)
+        assert got.chosen_pairs.tolist() == other.chosen_pairs.tolist() == [0, 2, 3]
+        assert got is not other
+        assert (got.descriptor(), other.descriptor()) == ("0:0,1:0,2:0", "0:0,1:1,2:0")
 
     @given(cases())
     def test_trusted_greedy_policy_equals_checked_one(self, c):
@@ -436,8 +490,8 @@ class TestGatheredPolicyReads:
         got = bellman_T_mu(model, c.det, J)
         same_up_to_zero_sign(got, ref.bellman_T_mu_segments(model, c.det, J))
         same_up_to_zero_sign(got, bellman_T_mu(model, c.mix, J))
-        det = StoppingProblem(model=model, theta=Theta(c.det, c.B), J=J)
-        mix = StoppingProblem(model=model, theta=Theta(c.mix, c.B), J=J)
+        det = unchecked_problem(model, Theta(c.det, c.B), J)
+        mix = unchecked_problem(model, Theta(c.mix, c.B), J)
         got = reconstruct_q(det, V)
         same_up_to_zero_sign(got, ref.continuation_segments(det, V))
         same_up_to_zero_sign(got, reconstruct_q(mix, V))

@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from totaldp import solvers
 from totaldp.extreal import INF, sup_dist
-from totaldp.model import Policy
+from totaldp.ftheta import Theta
+from totaldp.model import AtomicControl, Policy, TotalCostModel
+from totaldp.modelio import trace_to_csv
 from totaldp.operators import bellman_T, bellman_T_mu, h_backup, m_minimize
 from totaldp.chains import evaluate_policy
 from totaldp.solvers import (
@@ -280,6 +283,19 @@ class TestLPVariant:
         assert out.termination == "cap" and not out.converged
         assert len(out.trace.rows) == 3
 
+    def test_cone_margin_reads_zero_times_infinity_as_zero(self):
+        # State 0 is free and absorbing, state 1 pays 1 forever: J* = (0, inf).
+        # J0 = 0 lies in the cone with c = 0, and c * J* is (0, 0).
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("trap", 1.0, np.array([0.0, 1.0])),)))
+        J0 = np.zeros(2)
+        out = lp_variant_vpi(model, SolverConfig(
+            algorithm="lp", J0=J0, Q0=h_backup(model, J0), max_iter=4,
+            stop_on_tol=False, ground_truth=(np.array([0.0, INF]), None)))
+        assert [row.extra["cone_margin"] for row in out.trace.rows] == [1.0, 2.0, 3.0, 4.0]
+        trace_to_csv(out.trace)  # refuses a NaN
+
 
 class TestGreedyCalls:
     """One greedy selection per trace row, none at k = 0 when an initial
@@ -330,6 +346,51 @@ class TestGreedyCalls:
         calls = self._calls(monkeypatch, "mixed", "FX-D", nk=2,
                             masks=round_robin_masks(model))
         assert calls == [False] * 5
+
+
+class TestPolicyReuse:
+    """While greedy selection picks the same pairs, the loops keep the
+    policy object, and mixed and lp also its Theta: one policy and one
+    Theta per run of equal rows, the same trace as building them anew."""
+
+    @pytest.mark.parametrize("algorithm, regime", [
+        ("mixed", "D"), ("mixed", "P"), ("lp", "P"), ("mpi", "D")])
+    def test_one_policy_and_theta_per_distinct_choice(self, monkeypatch, algorithm,
+                                                      regime):
+        picked, thetas = [], []
+        real = solvers.greedy_select
+
+        def recording(*args, **kwargs):
+            picked.append(real(*args, **kwargs))
+            return picked[-1]
+
+        class CountingTheta(Theta):
+            def __post_init__(self):
+                super().__post_init__()
+                thetas.append(self)
+
+        monkeypatch.setattr(solvers, "greedy_select", recording)
+        monkeypatch.setattr(solvers, "Theta", CountingTheta)
+        model, _ = random_model(8, num_states=8, controls_per_state=3, regime=regime)
+        # A randomized mix, which greedy selection never keeps; the lp
+        # variant needs a deterministic policy and starts from greedy.
+        mu0 = None if algorithm == "lp" else random_policy(3, model)
+        J0 = np.zeros(model.num_states)
+        res = run(model, SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
+                                      initial_policy=mu0, max_iter=200, tol=1e-8))
+        rows = [row.policy for row in res.trace.rows]
+        if mu0 is not None:
+            assert picked[0] is not mu0 and ":mix" in mu0.descriptor()
+        for a, b in zip(picked, picked[1:]):
+            assert (a is b) == (a.descriptor() == b.descriptor())
+        assert all(p.descriptor() == ref.descriptor(p) for p in picked)
+        changes = sum(a != b for a, b in zip(rows, rows[1:]))
+        assert 1 <= changes < len(rows) - 2
+        if algorithm != "mpi":
+            assert len(thetas) == changes + 1
+            assert all(t.policy.descriptor() == d for t, d in
+                       zip(thetas, [r for i, r in enumerate(rows)
+                                    if i == 0 or r != rows[i - 1]]))
 
 
 def _direct_call(algorithm, model, cfg):

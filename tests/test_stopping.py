@@ -7,6 +7,7 @@ from totaldp.operators import bellman_T, h_backup
 from totaldp.ftheta import Theta, f_theta_apply, q_fixed_point
 from totaldp.stopping import (
     AssumptionError,
+    StoppingProblem,
     build_stopping,
     lp_upper_bound,
     reconstruct_q,
@@ -75,8 +76,9 @@ ADMISSION = [
 
 
 class TestAdmission:
-    """build_stopping and q_fixed_point admit by one rule: J and the pair
-    costs conform to the regime, +inf entries aside."""
+    """build_stopping, a StoppingProblem built directly and q_fixed_point
+    admit by one rule: J and the pair costs conform to the regime, +inf
+    entries aside."""
 
     @pytest.mark.parametrize("regime, J, cost", ADMISSION)
     def test_both_routes_accept_and_refuse_alike(self, regime, J, cost):
@@ -87,14 +89,15 @@ class TestAdmission:
         J = np.array(J)
         outcomes = []
         for route in (lambda: build_stopping(model, theta, J),
+                      lambda: StoppingProblem(model, theta, J),
                       lambda: q_fixed_point(model, theta, J)):
             try:
                 outcomes.append(route())
             except ValueError as err:
                 assert "conform to the model regime" in str(err)
                 outcomes.append(None)
-        problem, fixed = outcomes
-        assert (problem is None) == (fixed is None)
+        problem, direct, fixed = outcomes
+        assert (problem is None) == (direct is None) == (fixed is None)
         if problem is not None:
             q_route = reconstruct_q(problem, solve_stopping(problem).V)
             assert q_route.tobytes() == fixed[0].tobytes()
