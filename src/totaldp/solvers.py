@@ -1,12 +1,12 @@
 """End-to-end iterative solvers and their convergence traces.
 
 Covers classical value iteration, exact and modified policy iteration,
-the mixed value-and-policy iteration family (Q-updates through powers or
-exact fixed points of the parametrized evaluation operator, with
-per-iteration policy/set choices), the constraint-program variant for
-nonnegative-cost models, near-optimal policy extraction, and a
-certificate verifier that replays the convergence guarantees recorded in
-a trace.
+near-optimal policy extraction, a certificate verifier that replays the
+convergence guarantees recorded in a trace, and mixed value-and-policy
+iteration: one loop with four Q-updates, namely nk powers of the
+parametrized evaluation operator, their masked form, its exact fixed
+point (the three of `mixed_vpi`) and, for nonnegative costs, the maximal
+solution of the stop/continue constraint program (`lp_variant_vpi`).
 
 ``run(model, config)`` picks the solver named by ``config.algorithm``.
 Every solver is deterministic given its configuration and returns a
@@ -88,6 +88,9 @@ class OccupationSupportB:
     beta: float = 0.5
     threshold: float = 1e-12
     rho: np.ndarray | None = None
+    # (model, policy, B) of the last resolve: a loop that keeps its policy
+    # object gets the same B back without a new occupation solve.
+    _last: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -96,13 +99,15 @@ class OccupationSupportB:
             raise ValueError("threshold must be nonnegative")
 
     def resolve(self, model, policy, k):
+        if self._last[0] is model and self._last[1] is policy:
+            return self._last[2]
         rho = self.rho
         if rho is None:
             rho = np.full(model.num_states, 1.0 / model.num_states)
         keep = occupation_measure(model, policy, rho, self.beta) > self.threshold
-        if keep.all():
-            return model.state_set
-        return frozenset(np.flatnonzero(keep).tolist())
+        B = model.state_set if keep.all() else frozenset(np.flatnonzero(keep).tolist())
+        object.__setattr__(self, "_last", (model, policy, B))
+        return B
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,8 @@ class SolverConfig:
             raise ValueError("modified policy iteration needs a finite nk")
         if self.nk == "exact" and self.masks is not None:
             raise ValueError("mask schedules need a finite nk")
+        if self.algorithm == "lp" and (self.masks is not None or self.epsilon > 0.0):
+            raise ValueError("the lp variant takes no mask schedule and no epsilon > 0")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not self.epsilon >= 0.0:
@@ -546,40 +553,57 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
 # Mixed value-and-policy iteration
 
 
-def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
-    if config.clamp_hi is not None:
-        J = np.minimum(J, np.asarray(config.clamp_hi, dtype=float))
-    if config.clamp_lo is not None:
-        J = np.maximum(J, np.asarray(config.clamp_lo, dtype=float))
-    return J
-
-
 def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
-    """Alternate Q-updates through the parametrized evaluation operator
-    with per-state minimization.
-
-    Per iteration: pick the policy (the initial policy at k = 0, if one
-    is given, else greedy from the current Q with the configured epsilon,
-    reusing M(Q) when the last iteration computed it, and keeping the
-    current policy and its Theta while the choice repeats), resolve the
-    B-set strategy, then either apply nk operator powers or solve the Q
-    fixed point exactly; J becomes the per-state minimum, optionally
-    clamped.  Mask schedules switch the update to its asynchronous masked
-    form.  Rows record ordering margins against ground truth and, in N
-    and P, where J_k <= T^k(J0) is a guarantee, against the
-    value-iteration envelope T^k(J0) (``upper_margin``; None in D, where
-    the envelope is not computed).  ``extra["powers"]``
-    holds the operator applications that ran (fewer than nk once a power
-    repeats; see `f_theta_power`), which also add up to the trace's
-    ``op_count``.
+    """Mixed value-and-policy iteration (`_mixed_loop`) whose Q-update is
+    nk powers of the parametrized evaluation operator, their asynchronous
+    masked form under a mask schedule, or the exact fixed point
+    (``nk="exact"``).  ``extra["powers"]`` counts the applications that
+    ran (fewer than nk once a power repeats; see `f_theta_power`).  In N
+    and P, where J_k <= T^k(J0) is a guarantee, ``upper_margin`` is the
+    margin against that value-iteration envelope; in D it is None.
     """
     check_admits("mixed", model)
+    update = (_masked_update if config.masks is not None
+              else _exact_update if config.nk == "exact" else _power_update)
+    return _mixed_loop(model, config, "mixed", update)
+
+
+def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
+    """Mixed iteration whose Q-update is the maximal solution of the
+    stop/continue constraint program (an upper bound on the exact fixed
+    point that stays below one operator application of itself).
+
+    Each row verifies both defining inequalities, Q_{k+1} >= Q_fixed and
+    Q_{k+1} <= F(Q_{k+1}; J_k), with margins in ``extra``.
+    """
+    check_admits("lp", model)
+    return _mixed_loop(model, config, "lp", _program_update)
+
+
+def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
+                update) -> SolveResult:
+    """The loop of mixed and lp.  Per iteration: pick the policy (the
+    initial one at k = 0, if given, else greedy from Q with the configured
+    epsilon, reusing M(Q) when the last iteration took it, and keeping the
+    policy and its Theta while the choice repeats), resolve B, and let
+    ``update(model, config, k, theta, Q, J)`` return (Q_next, J_next or
+    None, operator count, row columns).  J becomes the clamped J_next of
+    a masked update, else the clamped M(Q_next).  lp records no envelope,
+    start dominance or snapshots, adds ``cone_margin`` (max(J_k - c Jstar)
+    for J0's cone multiplier c), and its capped iterate is a lower bound.
+    """
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
+    lp = algorithm == "lp"
     J = np.asarray(config.J0, dtype=float).copy()
     Q = np.asarray(config.Q0, dtype=float).copy()
-    rec = _Recorder("mixed", model, config, J0=J, Q0=Q, sandwich=True)
-    envelope = None if model.regime == "D" else J.copy()
+    rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp)
+    envelope = None if lp or model.regime == "D" else J.copy()
+    c = None if not lp or rec.Jstar is None else cone_multiplier(J, rec.Jstar)
+    # c * Jstar with 0 * inf = 0.  A finite c >= 0 meets an infinity of
+    # Jstar as NaN only when c = 0 (J0 = 0 wherever Jstar is finite).
+    cone = (None if c is None or not np.isfinite(c)
+            else np.zeros(J.shape) if c == 0.0 else c * rec.Jstar)
     policy = config.initial_policy
     theta = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
@@ -587,33 +611,20 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
         if k > 0 or policy is None:
             policy = greedy_select(model, Q, config.epsilon, qmin=qmin, keep=policy)
         theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
-        nk = config.nk_at(k)
-        before = applications_run()
-        if config.masks is not None:
-            gamma_mask, s_mask = config.masks[k % len(config.masks)]
-            Q_next, J_next = masked_update(model, theta, Q, J,
-                                           gamma_mask, s_mask, n=int(nk))
-            powers = applications_run() - before
-            qmin = None
-        elif nk == "exact":
-            Q_next, cert = q_fixed_point(model, theta, J)
-            powers = cert.iterations
-            J_next = qmin = m_minimize(model, Q_next)
-        else:
-            Q_next = f_theta_power(model, theta, Q, J, int(nk))
-            powers = applications_run() - before
-            J_next = qmin = m_minimize(model, Q_next)
-        rec.trace.op_count += powers
-        J_next = _clamp(J_next, config)
+        Q_next, J_next, ops, columns = update(model, config, k, theta, Q, J)
+        rec.trace.op_count += ops
+        qmin = m_minimize(model, Q_next) if J_next is None else None
+        J_next = _clamp(J_next if qmin is None else qmin, config)
         res_J = sup_dist(J_next, J)
         res_Q = sup_dist(Q_next, Q)
         J, Q = J_next, Q_next
-        upper = None
         if envelope is not None:
             envelope = bellman_T(model, envelope)
-            upper = margin_leq(J, envelope)
-        extra = {"residual_Q": res_Q, "powers": powers}
-        if config.snapshot_iterates:
+        upper = None if envelope is None else margin_leq(J, envelope)
+        extra = {"residual_Q": res_Q, **columns}
+        if lp:
+            extra["cone_margin"] = None if cone is None else margin_leq(J, cone)
+        elif config.snapshot_iterates:
             extra["J_snapshot"] = J.tolist()
             extra["Q_snapshot"] = Q.tolist()
         rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
@@ -621,7 +632,44 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
                 extra=extra)
         if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
             return rec.finish("converged", J, Q=Q, policy=policy)
-    return rec.finish("cap", J, Q=Q, policy=policy)
+    return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
+
+
+def _power_update(model, config, k, theta, Q, J):
+    before = applications_run()
+    Q_next = f_theta_power(model, theta, Q, J, int(config.nk_at(k)))
+    powers = applications_run() - before
+    return Q_next, None, powers, {"powers": powers}
+
+
+def _masked_update(model, config, k, theta, Q, J):
+    gamma_mask, s_mask = config.masks[k % len(config.masks)]
+    before = applications_run()
+    Q_next, J_next = masked_update(model, theta, Q, J, gamma_mask, s_mask,
+                                   n=int(config.nk_at(k)))
+    powers = applications_run() - before
+    return Q_next, J_next, powers, {"powers": powers}
+
+
+def _exact_update(model, config, k, theta, Q, J):
+    Q_next, cert = q_fixed_point(model, theta, J)
+    return Q_next, None, cert.iterations, {"powers": cert.iterations}
+
+
+def _program_update(model, config, k, theta, Q, J):
+    bound = lp_upper_bound(model, theta, J)
+    Q_fix, cert = q_fixed_point(model, theta, J)
+    columns = {"ineq_lower_margin": margin_leq(Q_fix, bound.Qbar),   # <= 0: above Q_fix
+               "ineq_upper_margin": bound.certificate.upper_margin}  # >= 0: below F
+    return bound.Qbar, None, cert.iterations + bound.certificate.iterations, columns
+
+
+def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
+    if config.clamp_hi is not None:
+        J = np.minimum(J, np.asarray(config.clamp_hi, dtype=float))
+    if config.clamp_lo is not None:
+        J = np.maximum(J, np.asarray(config.clamp_lo, dtype=float))
+    return J
 
 
 def _theta(theta: Theta | None, policy: Policy, B: frozenset[int]) -> Theta:
@@ -648,60 +696,6 @@ def round_robin_masks(model: TotalCostModel) -> list:
     cycle = max(len(pairs), len(states))
     return [([pairs[k % len(pairs)]], [states[k % len(states)]])
             for k in range(cycle)]
-
-
-# ---------------------------------------------------------------------------
-# Constraint-program variant (nonnegative costs)
-
-
-def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
-    """Mixed iteration whose Q-update is the maximal solution of the
-    stop/continue constraint program (an upper bound on the exact fixed
-    point that stays below one operator application of itself).
-
-    Each row verifies both defining inequalities: Q_{k+1} >= Q_fixed and
-    Q_{k+1} <= F(Q_{k+1}; J_k), with margins in ``extra``.
-    """
-    check_admits("lp", model)
-    if config.J0 is None or config.Q0 is None:
-        raise ValueError("config must provide J0 and Q0")
-    J = np.asarray(config.J0, dtype=float).copy()
-    Q = np.asarray(config.Q0, dtype=float).copy()
-    rec = _Recorder("lp", model, config, J0=J, Q0=Q)
-    Jstar = rec.Jstar
-    c_cone = None if Jstar is None else cone_multiplier(J, Jstar)
-    # c * Jstar with 0 * inf = 0.  A finite c >= 0 meets an infinity of
-    # Jstar as NaN only when c = 0 (J0 = 0 wherever Jstar is finite).
-    cone = (None if c_cone is None or not np.isfinite(c_cone)
-            else np.zeros(Jstar.shape) if c_cone == 0.0 else c_cone * Jstar)
-    policy = config.initial_policy
-    theta = None
-    qmin = None  # M(Q) of the current Q, after the first iteration
-    for k in range(config.max_iter):
-        if k > 0 or policy is None:
-            policy = greedy_select(model, Q, epsilon=0.0, qmin=qmin, keep=policy)
-        theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
-        bound = lp_upper_bound(model, theta, J)
-        Q_next = bound.Qbar
-        Q_fix, cert = q_fixed_point(model, theta, J)
-        rec.trace.op_count += cert.iterations + bound.certificate.iterations
-        lower_ineq = margin_leq(Q_fix, Q_next)      # <= 0 when Qbar >= Q_fix
-        upper_ineq = bound.certificate.upper_margin  # >= 0 when Qbar <= F(Qbar)
-        qmin = m_minimize(model, Q_next)
-        J_next = _clamp(qmin, config)
-        res_J = sup_dist(J_next, J)
-        res_Q = sup_dist(Q_next, Q)
-        J, Q = J_next, Q_next
-        rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
-                b_set=_describe_b(theta.B, model.num_states), extra={
-                    "residual_Q": res_Q,
-                    "ineq_lower_margin": lower_ineq,
-                    "ineq_upper_margin": upper_ineq,
-                    "cone_margin": None if cone is None else margin_leq(J, cone),
-                })
-        if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
-            return rec.finish("converged", J, Q=Q, policy=policy)
-    return rec.finish("cap", J, "lower", Q=Q, policy=policy)
 
 
 # ---------------------------------------------------------------------------

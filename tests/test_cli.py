@@ -153,6 +153,15 @@ class TestSolve:
         assert trace.algorithm == "mixed"
         assert "geometric-rate" in out.output
 
+    @pytest.mark.parametrize("args", [["--mask-schedule", "roundrobin"],
+                                      ["--epsilon", "0.5"]], ids=["masks", "epsilon"])
+    def test_lp_refuses_the_settings_it_ignores(self, runner, tmp_path, args):
+        path = _write_fixture(tmp_path, "FX-P4")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "lp", *args])
+        assert out.exit_code == 2, out.output
+        assert "the lp variant takes no mask schedule and no epsilon > 0" in out.output
+        assert "Traceback" not in out.output
+
     def test_lp_on_wrong_regime_is_usage_error(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-N2")
         out = runner.invoke(main, ["solve", str(path), "--algorithm", "lp"])

@@ -274,6 +274,16 @@ class TestPowerCounts:
 
 
 class TestLPVariant:
+    @pytest.mark.parametrize("algorithm, bound", [("lp", "lower"), ("mixed", None)])
+    def test_cap_error_carries_bound_direction(self, algorithm, bound):
+        fx = fixture("FX-P4")
+        J0 = 1.5 * fx.Jstar + 1.0
+        with pytest.raises(SolverCapError) as err:
+            run(fx.model, SolverConfig(algorithm=algorithm, J0=J0,
+                                       Q0=h_backup(fx.model, J0), tol=1e-30, max_iter=1))
+        assert err.value.bound == bound
+        assert len(err.value.trace.rows) == 1
+
     def test_cap_without_stop_on_tol_returns(self):
         fx = fixture("FX-P2")
         J0 = np.zeros(2)
@@ -393,6 +403,47 @@ class TestPolicyReuse:
                                     if i == 0 or r != rows[i - 1]]))
 
 
+class TestOccupationReuse:
+    """`OccupationSupportB` solves one occupation measure per policy
+    object, so a mixed run solves once per run of equal rows, and with a
+    proper subset B the loop also keeps its Theta."""
+
+    @pytest.mark.parametrize("concentrated", [False, True])
+    def test_one_solve_per_distinct_choice(self, monkeypatch, concentrated):
+        solves, thetas = [], []
+        real = solvers.occupation_measure
+
+        def counting(*args, **kwargs):
+            solves.append(args[1])
+            return real(*args, **kwargs)
+
+        class CountingTheta(Theta):
+            def __post_init__(self):
+                super().__post_init__()
+                thetas.append(self)
+
+        monkeypatch.setattr(solvers, "occupation_measure", counting)
+        monkeypatch.setattr(solvers, "Theta", CountingTheta)
+        model, _ = random_model(8, num_states=8, controls_per_state=3, regime="P")
+        # uniform rho gives B = S; from rho = e0 only the absorbing state 0
+        rho = None
+        if concentrated:
+            rho = np.zeros(model.num_states)
+            rho[0] = 1.0
+        bstrategy = OccupationSupportB(rho=rho)
+        J0 = np.zeros(model.num_states)
+        res = run(model, SolverConfig(algorithm="mixed", J0=J0, Q0=h_backup(model, J0),
+                                      bstrategy=bstrategy, nk=4, max_iter=200, tol=1e-8))
+        rows = res.trace.rows
+        changes = sum(a.policy != b.policy for a, b in zip(rows, rows[1:]))
+        assert 1 <= changes < len(rows) - 2
+        assert len(solves) == len(thetas) == changes + 1
+        assert [p.descriptor() for p in solves] == [
+            r.policy for i, r in enumerate(rows) if i == 0 or r.policy != rows[i - 1].policy]
+        assert {r.b_set for r in rows} == ({"{0}"} if concentrated else {"S"})
+        assert repr(bstrategy) == repr(OccupationSupportB(rho=rho))
+
+
 def _direct_call(algorithm, model, cfg):
     if algorithm == "vi":
         return value_iteration(model, cfg.J0, cfg)
@@ -447,6 +498,13 @@ class TestRun:
     def test_rejects_nan_and_out_of_range_settings(self, settings):
         with pytest.raises(ValueError):
             SolverConfig(algorithm="mixed", **settings)
+
+    @pytest.mark.parametrize("settings", [
+        {"masks": [([(0, 0)], [0])]}, {"epsilon": 0.5}], ids=["masks", "epsilon"])
+    def test_lp_refuses_the_settings_it_ignores(self, settings):
+        with pytest.raises(ValueError, match="the lp variant takes no mask schedule"):
+            SolverConfig(algorithm="lp", **settings)
+        SolverConfig(algorithm="mixed", **settings)
 
     def test_rejects_a_nan_occupation_threshold(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ epsilon-greedy and partial-B paths; the affine fixtures admit none of
 these algorithms.  The pi pins (policy iteration from the cheapest
 control and from the greedy policy for J0) were taken before a policy
 built from choices was read by gathering at its chosen pairs, in T_mu
-and the induced chain.
+and the induced chain.  The lp pins with clamps and with an initial
+policy (FX-P4 has no policy but the greedy one) were taken while the
+mixed and lp methods still ran as two loops, before they became one.
 """
 
 import dataclasses
@@ -81,6 +83,12 @@ def _configs(fx):
     if model.regime == "P":
         out["lp"] = SolverConfig(algorithm="lp", bstrategy=FullB(), **common)
         out["lp-partial"] = SolverConfig(algorithm="lp", bstrategy=half, **common)
+        out["lp-clamped"] = SolverConfig(algorithm="lp", clamp_hi=J0 - 0.5,
+                                         clamp_lo=J0 - 1.0, **common)
+        last = Policy.deterministic(model, [len(c) - 1 for c in model.controls])
+        if last.descriptor() != greedy_select(model, Q0).descriptor():
+            out["lp-initial-policy"] = SolverConfig(algorithm="lp", initial_policy=last,
+                                                    **common)
     return out
 
 
@@ -150,6 +158,8 @@ PINS = {
     "FX-P2/pi-greedy": ("e4e6c594f07dddeb", "794d3dba33617d83"),
     "FX-P2/lp": ("35e224d2c03583ef", "626d4e5e5a737f50"),
     "FX-P2/lp-partial": ("ad71940374f7bbbe", "2553f23ed08c111f"),
+    "FX-P2/lp-clamped": ("70f611f11e2fab53", "ee98f35999d6e360"),
+    "FX-P2/lp-initial-policy": ("0077a70fdf3dfd63", "2c422302d70bb88e"),
     "FX-P4/mixed-nk10": ("d4cf44b3d1642f68", "f4ef7235a34722f8"),
     "FX-P4/mixed-nk1": ("404217d41d8aa98a", "1b314ee1223b67a4"),
     "FX-P4/mixed-exact": ("7eedde171ae42c2e", "1edf8888dfff13c0"),
@@ -164,6 +174,7 @@ PINS = {
     "FX-P4/pi-greedy": ("74bb5ee58fc1a4d0", "bf4c26cd1556eb51"),
     "FX-P4/lp": ("4702661c77a8fa81", "782d8ca37275479f"),
     "FX-P4/lp-partial": ("d1043919a7ded45a", "aded6dbd1e3fa398"),
+    "FX-P4/lp-clamped": ("a1500252d5189352", "d4e61bd382da45b5"),
 }
 
 
