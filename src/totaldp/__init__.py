@@ -29,7 +29,6 @@ from .operators import (
     m_minimize,
 )
 from .chains import (
-    convert_transition_discount,
     evaluate_policy,
     occupation_measure,
     state_marginal,
@@ -58,7 +57,6 @@ from .solvers import (
     SolveResult,
     SolverCapError,
     SolverConfig,
-    build_n_stage_policy,
     cone_multiplier,
     extract_policy_discounted,
     lp_variant_vpi,

@@ -27,6 +27,10 @@ terminal.  No end component needs collapsing: a zero-cost loop that
 never pays is free, so from "continue everywhere" (the monotone limit
 from zero) it is never left for a costlier stop, and from "stop
 everywhere" (the maximal solution, Lemma A.2) a tie never enters it.
+The engine's chain over pairs continues by `_pair_kernel`, the one
+continue kernel of that stopping problem.  `state_marginal` and
+`occupation_measure` give a policy's n-step and discounted state
+distributions.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import numpy as np
 
 from .extreal import INF
 from .model import (
-    AtomicControl,
     Policy,
     TotalCostModel,
     _chosen_pairs,
@@ -199,54 +202,3 @@ def occupation_measure(model: TotalCostModel, policy: Policy,
     rho = np.asarray(rho, dtype=float)
     A = np.eye(model.num_states) - beta * P.T
     return np.linalg.solve(A, (1.0 - beta) * rho)
-
-
-def convert_transition_discount(model: TotalCostModel,
-                                ghat: list[list[np.ndarray]],
-                                beta: list[list[np.ndarray]],
-                                sign: str) -> TotalCostModel:
-    """Fold transition-dependent discounting into an equivalent
-    undiscounted model.
-
-    Inputs give, per state and atomic control, the transition cost
-    ghat[x][u][x'] and the per-transition discount beta[x][u][x'] in
-    [0, 1].  The result appends an absorbing cost-free state that soaks
-    up the discounted-away probability mass:
-
-        q~(x' | x, u) = beta(x, u, x') q(x' | x, u)
-        q~(abs | x, u) = 1 - sum q~(. | x, u)
-        g(x, u) = sum_x' ghat(x, u, x') q(x' | x, u)
-    """
-    if sign not in ("N", "P"):
-        raise ValueError("sign must be 'N' or 'P'")
-    if not model.atomic_only:
-        raise ValueError("transition-discount conversion handles atomic controls only")
-    n = model.num_states
-    controls = []
-    for x in range(n):
-        row = []
-        for i, c in enumerate(model.controls[x]):
-            gh = np.asarray(ghat[x][i], dtype=float)
-            bt = np.asarray(beta[x][i], dtype=float)
-            if (bt < -1e-15).any() or (bt > 1.0 + 1e-15).any():
-                raise ValueError(f"beta outside [0, 1] at state {x} control {c.name!r}")
-            scaled = bt * c.probs
-            total = float(scaled.sum())
-            if total > 1.0 + 1e-9:
-                raise ValueError(f"scaled transition row exceeds 1 at state {x} "
-                                 f"control {c.name!r}: {total!r}")
-            probs = np.concatenate([scaled, [max(0.0, 1.0 - total)]])
-            probs = probs / probs.sum()
-            cost = float(c.probs @ gh)
-            row.append(AtomicControl(c.name, cost, probs))
-        controls.append(tuple(row))
-    absorb = np.zeros(n + 1)
-    absorb[n] = 1.0
-    controls.append((AtomicControl("absorb", 0.0, absorb),))
-    return TotalCostModel(
-        regime=sign,
-        discount=1.0,
-        controls=tuple(controls),
-        families=tuple(() for _ in range(n + 1)),
-        state_names=model.state_names + ("absorbing",),
-    )

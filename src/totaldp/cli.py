@@ -4,15 +4,12 @@ Commands: ``validate`` a model file, ``solve`` it with a configured
 algorithm and write a convergence trace, ``reproduce`` a named scripted
 scenario, ``compare`` algorithms side by side, and ``export-fixture`` a
 named fixture as a model file.  Exit codes: 0 success, 1 check or
-convergence failure, 2 usage or parse errors.
-
-The environment variable TOTALDP_TOL overrides the default residual
-tolerance for ``solve`` and ``compare``.
+convergence failure, 2 usage or parse errors.  ``solve`` and
+``compare`` stop on the residual tolerance ``--tol`` (default 1e-9).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -44,19 +41,6 @@ from .modelio import (
     write_model,
     write_trace,
 )
-
-
-def _default_tol() -> float:
-    env = os.environ.get("TOTALDP_TOL")
-    if not env:
-        return 1e-9
-    try:
-        tol = decode_xreal(env, "TOTALDP_TOL")
-    except ModelFileError as err:
-        raise click.UsageError(str(err))
-    if not tol > 0.0:
-        raise click.UsageError(f"TOTALDP_TOL must be positive, got {env!r}")
-    return tol
 
 
 @click.group()
@@ -231,7 +215,7 @@ def _run(model, config: SolverConfig):
 @click.option("--bstrategy", default="full",
               help="full | empty | occupation[:beta[:threshold]]")
 @click.option("--mu0", default="greedy", help="initial policy for pi/mpi")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=1e-9)
 @click.option("--max-iter", type=click.IntRange(min=1), default=10_000)
 @click.option("--clamp-lo", type=float, default=None)
 @click.option("--clamp-hi", type=float, default=None)
@@ -243,7 +227,6 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
           clamp_lo, clamp_hi, mask_schedule, trace_out, fmt):
     """Solve a model file and emit a convergence trace."""
     model, gt = _load_model(path, [algorithm])
-    tol = tol if tol is not None else _default_tol()
     nk_val = _parse_nk(nk)
     J0 = _parse_vector(j0, model, gt)
     n = model.num_states
@@ -311,7 +294,7 @@ def reproduce(name):
 @click.option("--j0", default="zero")
 @click.option("--nk", default="10")
 @click.option("--mu0", default="greedy", help="initial policy for pi/mpi")
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=1e-9)
 @click.option("--max-iter", type=click.IntRange(min=1), default=10_000)
 @click.option("--trace-out", type=click.Path(), default=None,
               help="prefix; one trace file per algorithm")
@@ -324,7 +307,6 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
         if algos.count(a) > 1:
             raise click.UsageError(f"--algorithms lists {a!r} more than once")
     model, gt = _load_model(path, algos)
-    tol = tol if tol is not None else _default_tol()
     J0 = _parse_vector(j0, model, gt)
     nk_val = _parse_nk(nk)
     configs = [_solver_config(a, model, gt, J0, "hbackup", mu0, nk=nk_val,

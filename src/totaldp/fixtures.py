@@ -306,11 +306,10 @@ def random_policy(seed: int, model: TotalCostModel,
     return Policy(tuple(acts))
 
 
-def random_subset(seed: int, model: TotalCostModel,
-                  p_include: float = 0.5) -> frozenset[int]:
+def random_subset(seed: int, model: TotalCostModel) -> frozenset[int]:
+    """Seeded subset of the states, each kept with probability 1/2."""
     rng = np.random.default_rng(seed)
-    return frozenset(int(x) for x in range(model.num_states)
-                     if rng.random() < p_include)
+    return frozenset(int(x) for x in range(model.num_states) if rng.random() < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +379,20 @@ def example51_T(J: TailConstantVector) -> TailConstantVector:
     return TailConstantVector.of(tuple(prefix), J.tail)
 
 
-def example51_limit(J: TailConstantVector, cap: int = 100_000) -> TailConstantVector:
+def example51_limit(J: TailConstantVector) -> TailConstantVector:
     """Pointwise limit of repeated backups from J, detected exactly.
 
     On this model the iterates stabilize a growing prefix while a
     propagating front inserts one constant value per step; once the
     front pattern repeats, the limit is the stabilized prefix with the
     inserted value as tail.  Immediate fixed points are returned as-is.
+    No pattern within 100 000 backups raises RuntimeError.
     """
     cur = J
     front_val = None
     front_pos = None
     streak = 0
-    for _ in range(cap):
+    for _ in range(100_000):
         nxt = example51_T(cur)
         if nxt == cur:
             return cur
@@ -416,7 +416,7 @@ def example51_limit(J: TailConstantVector, cap: int = 100_000) -> TailConstantVe
     raise RuntimeError("no stabilization pattern within the iteration cap")
 
 
-def example51_transfinite_level(m: int, inner_cap: int = 100_000) -> TailConstantVector:
+def example51_transfinite_level(m: int) -> TailConstantVector:
     """Level-m limit of the nested value-iteration ladder.
 
     Level 0 is the limit of backups from the zero function; each next
@@ -425,7 +425,7 @@ def example51_transfinite_level(m: int, inner_cap: int = 100_000) -> TailConstan
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cur = example51_limit(TailConstantVector.constant(0), cap=inner_cap)
+    cur = example51_limit(TailConstantVector.constant(0))
     for _ in range(m):
-        cur = example51_limit(cur, cap=inner_cap)
+        cur = example51_limit(cur)
     return cur

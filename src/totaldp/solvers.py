@@ -233,6 +233,15 @@ class SolverConfig:
             raise ValueError("mask schedules need a finite nk")
         if self.algorithm == "lp" and (self.masks is not None or self.epsilon > 0.0):
             raise ValueError("the lp variant takes no mask schedule and no epsilon > 0")
+        if self.algorithm in ("vi", "pi", "mpi"):
+            given = {"mask schedule": self.masks is not None,
+                     "epsilon > 0": self.epsilon > 0.0,
+                     "clamp_lo": self.clamp_lo is not None,
+                     "clamp_hi": self.clamp_hi is not None,
+                     "B strategy but FullB": not isinstance(self.bstrategy, FullB)}
+            unread = [name for name, is_set in given.items() if is_set]
+            if unread:
+                raise ValueError(f"{_NAMES[self.algorithm]} takes no {', no '.join(unread)}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not self.epsilon >= 0.0:
@@ -746,51 +755,6 @@ def extract_policy_discounted(model: TotalCostModel, Q: np.ndarray, epsilon: flo
     return policy, bound
 
 
-def build_n_stage_policy(model: TotalCostModel, J: np.ndarray, delta: float,
-                         n_max: int = 1000) -> tuple[list[Policy], np.ndarray]:
-    """Stage policies whose composed backup stays within delta of J.
-
-    Finds the smallest n <= n_max with T^n(J) <= J + delta/2 elementwise,
-    then extracts exact-greedy stage policies backward so the composed
-    fixed-policy backup equals T^n(J).  Returns the policies in
-    application order and the elementwise slack of the composition.
-    """
-    if model.regime != "P":
-        raise ValueError("the n-stage construction is for nonnegative-cost models")
-    if not model.atomic_only:
-        raise ValueError("the n-stage construction needs an atomic-only model")
-    J = np.asarray(J, dtype=float)
-    if not np.isfinite(J).all():
-        raise ValueError("J must be finite")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    iterates = [J]
-    best = INF
-    n_found = None
-    for n in range(1, n_max + 1):
-        iterates.append(bellman_T(model, iterates[-1]))
-        margin = margin_leq(iterates[-1], J + delta / 2.0)
-        best = min(best, margin)
-        if margin <= 0.0:
-            n_found = n
-            break
-    if n_found is None:
-        raise ValueError(
-            f"no horizon up to {n_max} brings the backup within delta/2 of J "
-            f"(best margin above target: {best:g})")
-    stages = []
-    # mu_i is greedy for the value T^{n-i}(J); applying the stages in
-    # order reproduces T^n(J) exactly because finite minima are attained.
-    for i in range(1, n_found + 1):
-        target = iterates[n_found - i]
-        stages.append(greedy_select(model, h_backup(model, target), epsilon=0.0))
-    composed = J
-    for mu in reversed(stages):
-        composed = bellman_T_mu(model, mu, composed)
-    slack = composed - J
-    return stages, slack
-
-
 # ---------------------------------------------------------------------------
 # Certificate verification
 
@@ -842,24 +806,20 @@ class CertReport:
 
 
 def verify_certificates(model: TotalCostModel, trace: IterationTrace,
-                        ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None,
-                        rate_slack: float = 1e-12,
-                        order_slack: float = 0.0) -> CertReport:
+                        ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
+                        ) -> CertReport:
     """Replay the convergence guarantees recorded in a trace.
 
     Discounted traces check the geometric rate against the initial
-    distance; undiscounted ones check the envelope sandwich
-    Jstar <= J_k <= T^k(J0) (the lower side only under certified initial
-    dominance).  With ground truth supplied, the initial function is
-    also tested for membership in the convergence cone: bounded by a
-    finite multiple of Jstar and zero wherever Jstar is zero.
+    distance, with 1e-12 of room for round-off; undiscounted ones check
+    the envelope sandwich Jstar <= J_k <= T^k(J0) (the lower side only
+    under certified initial dominance), with none.  With ground truth
+    supplied, the initial function is also tested for membership in the
+    convergence cone: bounded by a finite multiple of Jstar and zero
+    wherever Jstar is zero.
     """
     checks: list[CheckResult] = []
-    Jstar = Qstar = None
-    if ground_truth is not None:
-        Jstar = np.asarray(ground_truth[0], dtype=float)
-        if ground_truth[1] is not None:
-            Qstar = np.asarray(ground_truth[1], dtype=float)
+    Jstar = None if ground_truth is None else np.asarray(ground_truth[0], dtype=float)
 
     if (model.regime == "D" and trace.dist0 is not None
             and not trace.config.get("masks")):
@@ -870,7 +830,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
             dists = [d for d in (row.dist_J, row.dist_Q) if d is not None]
             if not dists:
                 continue
-            bound = alpha ** row.k * trace.dist0 + rate_slack
+            bound = alpha ** row.k * trace.dist0 + 1e-12
             margin = max(dists) - bound
             worst = max(worst, margin)
             if margin > 0.0:
@@ -884,7 +844,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
         if ups:
             worst = max(ups)
             checks.append(CheckResult(
-                "envelope-upper", worst <= order_slack, worst,
+                "envelope-upper", worst <= 0.0, worst,
                 "J_k <= T^k(J0) elementwise"))
         if trace.initial_dominance:
             lows = [row.lower_margin for row in trace.rows
@@ -894,7 +854,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
             if lows:
                 worst = max(lows + qlows)
                 checks.append(CheckResult(
-                    "dominance-lower", worst <= order_slack, worst,
+                    "dominance-lower", worst <= 0.0, worst,
                     "Jstar <= J_k and Qstar <= Q_k elementwise"))
 
     if Jstar is not None and trace.J0 is not None and model.regime == "P":

@@ -5,7 +5,11 @@ stopping problem lives on the model's state-control pairs plus an
 absorbing cost-free terminal state.  At a pair whose state lies in B one
 may stop (pay J(x), move to the terminal state) or continue (pay g(x, u),
 move to a pair (x', u') drawn from q(.|x, u) and mu(.|x')); pairs whose
-state lies outside B are stop-only.
+state lies outside B are stop-only.  `StoppingProblem` holds (model,
+theta, J) and two read-only arrays over pairs: `b_pairs` (continue
+available) and `stop_costs` (J(x) at (x, u)).  Its regime and discount
+are the model's, and its continue kernel over pairs is
+`chains._pair_kernel(model, theta.policy)`.
 
 Its optimal values, mapped back through one continuation backup, are the
 fixed point of the ftheta module (Lemma A.1).  `solve_stopping` finds
@@ -25,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chains import _pair_kernel, _stop_rule_iteration
+from .chains import _stop_rule_iteration
 from .extreal import sup_dist, xdiff
 from .ftheta import (
     FixedPointCertificate,
@@ -63,14 +67,6 @@ class StoppingProblem:
         J.setflags(write=False)
         object.__setattr__(self, "J", J)
 
-    @property
-    def regime(self) -> str:
-        return self.model.regime
-
-    @property
-    def alpha(self) -> float:
-        return self.model.discount
-
     @cached_property
     def b_pairs(self) -> np.ndarray:
         """Mask over pairs whose state lies in B (continue available)."""
@@ -79,18 +75,11 @@ class StoppingProblem:
         return mask
 
     @cached_property
-    def _stop_costs(self) -> np.ndarray:
+    def stop_costs(self) -> np.ndarray:
+        """Stop cost J(x) of every pair (x, u); read-only."""
         stop = self.J[self.model.pair_state]
         stop.setflags(write=False)
         return stop
-
-    def stop_costs(self) -> np.ndarray:
-        """Stop cost J(x) of every pair (x, u); read-only."""
-        return self._stop_costs
-
-    def kernel_matrix(self) -> np.ndarray:
-        """Continue-action kernel over pairs, rows summing to one."""
-        return _pair_kernel(self.model, self.theta.policy)
 
 
 def build_stopping(model: TotalCostModel, theta: Theta, J: np.ndarray) -> StoppingProblem:
@@ -117,7 +106,7 @@ def t_o_apply(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     pairs are pinned at J(x).  The terminal state stays at value zero
     and is left implicit.
     """
-    stop = problem.stop_costs()
+    stop = problem.stop_costs
     G = _continuation_values(problem, np.asarray(V, dtype=float))
     return np.where(problem.b_pairs, np.minimum(stop, G), stop)
 
@@ -131,7 +120,7 @@ def solve_stopping(problem: StoppingProblem) -> "StoppingSolution":
     exist (D and P; stop wins ties), and a certificate as for the ftheta
     fixed point, its residual taken by one more stopping backup.
     """
-    b, stop = problem.b_pairs, problem.stop_costs()
+    b, stop = problem.b_pairs, problem.stop_costs
     V, steps, divergent = _stop_rule_iteration(
         problem.model, problem.theta.policy, stop, b, b)
     fstar = _continuation_values(problem, V)
@@ -140,7 +129,7 @@ def solve_stopping(problem: StoppingProblem) -> "StoppingSolution":
                         sup_dist(np.where(b, np.minimum(stop, fstar), stop), V),
                         divergent)
     stop_rule = None
-    if problem.regime in ("D", "P"):
+    if problem.model.regime in ("D", "P"):
         stop_rule = stop <= fstar
         stop_rule[~b] = True
     return StoppingSolution(problem=problem, V=V, fstar=fstar,

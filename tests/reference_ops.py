@@ -204,10 +204,10 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
         a = problem.theta.policy.actions[xp]
         w[xp] = expect(a.weights, V[m.pair_slices[xp]])
     cont = expect_rows(m.pair_probs, w)
-    if problem.alpha == 0.0:
+    if m.discount == 0.0:
         cont = np.zeros_like(cont)
-    elif problem.alpha != 1.0:
-        cont = cont * problem.alpha
+    elif m.discount != 1.0:
+        cont = cont * m.discount
     g = m.pair_costs
     if np.isinf(g).any() or np.isinf(cont).any():
         return np.array([xadd(a_, b_) for a_, b_ in zip(g, cont)])

@@ -4,16 +4,14 @@ from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import INF, sup_dist
-from totaldp.model import AtomicMix, FamilyChoice, Policy, validate_model
+from totaldp.model import AtomicMix, FamilyChoice, Policy
 from totaldp.chains import (
-    convert_transition_discount,
     evaluate_policy,
     occupation_measure,
     state_marginal,
 )
 from totaldp.model import AtomicControl, TotalCostModel, induced_kernel
 from totaldp.operators import bellman_T_mu
-from totaldp.solvers import SolverConfig, value_iteration
 from totaldp.fixtures import fixture, random_model, random_policy
 
 
@@ -125,66 +123,6 @@ class TestMarginalsAndOccupation:
             p = occupation_measure(model, mu, rho, 0.7)
             assert abs(p.sum() - 1.0) <= 1e-12
             assert (p >= -1e-15).all()
-
-
-class TestTransitionDiscount:
-    def _base(self):
-        model, _ = random_model(31, num_states=4, regime="P")
-        ghat = [[np.abs(np.random.default_rng(40 + i).normal(size=4))
-                 for i, _ in enumerate(model.controls[x])]
-                for x in range(4)]
-        return model, ghat
-
-    def test_unit_factor_keeps_dynamics(self):
-        model, _ = self._base()
-        ghat = [[np.full(4, 0.5) for _ in model.controls[x]] for x in range(4)]
-        beta = [[np.ones(4) for _ in model.controls[x]] for x in range(4)]
-        out = convert_transition_discount(model, ghat, beta, "P")
-        assert validate_model(out) == []
-        assert out.num_states == model.num_states + 1
-        for x in range(model.num_states):
-            for i, c in enumerate(model.controls[x]):
-                assert np.allclose(out.controls[x][i].probs[:-1], c.probs)
-                assert out.controls[x][i].probs[-1] <= 1e-12
-
-    def test_zero_factor_gives_one_step_problem(self):
-        model, ghat = self._base()
-        beta = [[np.zeros(4) for _ in model.controls[x]] for x in range(4)]
-        out = convert_transition_discount(model, ghat, beta, "P")
-        res = value_iteration(out, np.zeros(5),
-                              SolverConfig(algorithm="vi", tol=1e-13, max_iter=50))
-        expected = np.array([
-            min(float(c.probs @ ghat[x][i]) for i, c in enumerate(model.controls[x]))
-            for x in range(4)
-        ] + [0.0])
-        assert sup_dist(res.J, expected) <= 1e-12
-
-    def test_constant_factor_matches_discounted_model(self):
-        model, ghat = self._base()
-        beta = [[np.full(4, 0.9) for _ in model.controls[x]] for x in range(4)]
-        out = convert_transition_discount(model, ghat, beta, "P")
-        assert validate_model(out) == []
-        res = value_iteration(out, np.zeros(5),
-                              SolverConfig(algorithm="vi", tol=1e-14, max_iter=5000))
-        # reference: plain alpha = 0.9 discounted model with the folded costs
-        from totaldp.model import AtomicControl, TotalCostModel
-        controls = tuple(
-            tuple(AtomicControl(c.name, float(c.probs @ ghat[x][i]), c.probs)
-                  for i, c in enumerate(model.controls[x]))
-            for x in range(4))
-        ref = TotalCostModel(regime="D", discount=0.9, controls=controls,
-                             cost_bound=10.0)
-        ref_res = value_iteration(ref, np.zeros(4),
-                                  SolverConfig(algorithm="vi", tol=1e-14,
-                                               max_iter=5000))
-        assert sup_dist(res.J[:-1], ref_res.J) <= 1e-9
-        assert res.J[-1] == 0.0
-
-    def test_row_overflow_guard(self):
-        model, ghat = self._base()
-        beta = [[np.full(4, 1.5) for _ in model.controls[x]] for x in range(4)]
-        with pytest.raises(ValueError):
-            convert_transition_discount(model, ghat, beta, "P")
 
 
 def test_divergence_classifier_on_mixed_chain():

@@ -162,6 +162,22 @@ class TestSolve:
         assert "the lp variant takes no mask schedule and no epsilon > 0" in out.output
         assert "Traceback" not in out.output
 
+    @pytest.mark.parametrize("algorithm", ["vi", "pi", "mpi"])
+    @pytest.mark.parametrize("args, unread", [
+        (["--mask-schedule", "roundrobin"], "mask schedule"),
+        (["--epsilon", "0.5"], "epsilon > 0"),
+        (["--clamp-lo", "0"], "clamp_lo"),
+        (["--clamp-hi", "100"], "clamp_hi"),
+        (["--bstrategy", "empty"], "B strategy but FullB"),
+    ], ids=["masks", "epsilon", "clamp-lo", "clamp-hi", "bstrategy"])
+    def test_vi_pi_mpi_refuse_the_settings_they_ignore(self, runner, tmp_path,
+                                                       algorithm, args, unread):
+        path = _write_fixture(tmp_path, "FX-D")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", algorithm, *args])
+        assert out.exit_code == 2, out.output
+        assert f"takes no {unread}" in out.output
+        assert "Traceback" not in out.output
+
     def test_lp_on_wrong_regime_is_usage_error(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-N2")
         out = runner.invoke(main, ["solve", str(path), "--algorithm", "lp"])
@@ -223,13 +239,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("command, extra", [("solve", ["--algorithm", "vi"]),
                                                 ("compare", [])])
-    def test_bad_env_tolerance_is_usage_error(self, runner, tmp_path, command, extra):
+    def test_bad_tolerance_is_usage_error(self, runner, tmp_path, command, extra):
         args = [command, str(_write_fixture(tmp_path, "FX-D")), *extra]
         for tol in ("abc", "nan", "0", "-1e-9"):
-            out = runner.invoke(main, args, env={"TOTALDP_TOL": tol})
+            out = runner.invoke(main, [*args, "--tol", tol])
             assert out.exit_code == 2, (tol, out.output)
-            assert "TOTALDP_TOL" in out.output
-        out = runner.invoke(main, args, env={"TOTALDP_TOL": "1e-8"})
+            assert "Traceback" not in out.output
+        out = runner.invoke(main, [*args, "--tol", "1e-8"])
         assert out.exit_code == 0, out.output
 
     def test_bad_vector_files_are_usage_errors(self, runner, tmp_path):
@@ -272,16 +288,14 @@ class TestSolve:
         assert out.exit_code == 0, out.output
         assert read_trace(trace_path).config["initial_flags"]["cone_c"] == INF
 
-    def test_tolerance_env_override(self, runner, tmp_path, monkeypatch):
+    def test_tolerance_defaults_to_1e_9(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")
-        monkeypatch.setenv("TOTALDP_TOL", "1e-3")
-        out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi"])
-        assert out.exit_code == 0
-        iters_loose = int(out.output.split("iterations: ")[1].split(",")[0])
-        monkeypatch.setenv("TOTALDP_TOL", "1e-9")
-        out2 = runner.invoke(main, ["solve", str(path), "--algorithm", "vi"])
-        iters_tight = int(out2.output.split("iterations: ")[1].split(",")[0])
-        assert iters_loose < iters_tight
+        iters = {}
+        for tol in ([], ["--tol", "1e-9"], ["--tol", "1e-3"]):
+            out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi", *tol])
+            assert out.exit_code == 0, out.output
+            iters[tuple(tol)] = int(out.output.split("iterations: ")[1].split(",")[0])
+        assert iters[()] == iters[("--tol", "1e-9")] > iters[("--tol", "1e-3")]
 
 
 class TestReproduce:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from totaldp.solvers import (
     OccupationSupportB,
     SolverCapError,
     SolverConfig,
-    build_n_stage_policy,
     cone_multiplier,
     extract_policy_discounted,
     lp_variant_vpi,
@@ -506,6 +506,26 @@ class TestRun:
             SolverConfig(algorithm="lp", **settings)
         SolverConfig(algorithm="mixed", **settings)
 
+    @pytest.mark.parametrize("algorithm", ["vi", "pi", "mpi"])
+    @pytest.mark.parametrize("settings, unread", [
+        ({"masks": [([(0, 0)], [0])]}, "mask schedule"),
+        ({"epsilon": 0.5}, "epsilon > 0"),
+        ({"clamp_lo": np.zeros(3)}, "clamp_lo"),
+        ({"clamp_hi": np.ones(3)}, "clamp_hi"),
+        ({"bstrategy": CustomB((frozenset(),))}, "B strategy but FullB"),
+        ({"bstrategy": OccupationSupportB()}, "B strategy but FullB"),
+    ], ids=["masks", "epsilon", "clamp-lo", "clamp-hi", "custom-b", "occupation-b"])
+    def test_vi_pi_mpi_refuse_the_settings_they_ignore(self, algorithm, settings, unread):
+        with pytest.raises(ValueError, match=f"takes no {re.escape(unread)}"):
+            SolverConfig(algorithm=algorithm, **settings)
+        SolverConfig(algorithm="mixed", **settings)
+        SolverConfig(algorithm=algorithm, epsilon=0.0, bstrategy=FullB())
+
+    def test_refusal_names_every_ignored_setting(self):
+        with pytest.raises(ValueError) as err:
+            SolverConfig(algorithm="vi", epsilon=0.5, clamp_hi=np.ones(3))
+        assert str(err.value) == "value iteration takes no epsilon > 0, no clamp_hi"
+
     def test_rejects_a_nan_occupation_threshold(self):
         with pytest.raises(ValueError):
             OccupationSupportB(threshold=np.nan)
@@ -535,37 +555,6 @@ class TestExtraction:
         fx = fixture("FX-P2")
         with pytest.raises(ValueError):
             extract_policy_discounted(fx.model, fx.Qstar, 0.0)
-
-
-class TestNStagePolicy:
-    def test_optimum_needs_one_stage(self):
-        fx = fixture("FX-P4")
-        stages, slack = build_n_stage_policy(fx.model, fx.Jstar, delta=0.5)
-        assert len(stages) == 1
-        assert np.all(slack <= 0.5)
-
-    def test_cone_start_meets_target(self):
-        for seed in (0, 1, 2):
-            model, Jstar = random_model(449 + seed, regime="P")
-            J = 1.3 * Jstar
-            stages, slack = build_n_stage_policy(model, J, delta=0.05)
-            composed = J.copy()
-            for mu in reversed(stages):
-                composed = bellman_T_mu(model, mu, composed)
-            assert np.all(composed <= J + 0.05 + 1e-12)
-            assert np.array_equal(slack, composed - J)
-
-    def test_near_fixed_point_gets_tiny_slack(self):
-        model, Jstar = random_model(457, regime="P")
-        stages, slack = build_n_stage_policy(model, Jstar + 1e-9, delta=1e-6)
-        assert np.all(slack <= 1e-6)
-
-    def test_unreachable_target_reports_margin(self):
-        fx = fixture("FX-P4")
-        bad = np.array([0.0, 0.25, 0.5])  # far below the optimum
-        with pytest.raises(ValueError) as err:
-            build_n_stage_policy(fx.model, bad, delta=0.01, n_max=5)
-        assert "best margin" in str(err.value)
 
 
 class TestVerifyCertificates:

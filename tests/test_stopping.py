@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reference_ops as ref
+from totaldp.chains import _pair_kernel
 from totaldp.extreal import INF, sup_dist, xdiff
 from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import bellman_T, h_backup
@@ -26,22 +28,20 @@ class TestBuild:
     def test_costs_on_the_paying_fixture(self):
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx), fx.Jstar)
-        assert np.array_equal(prob.stop_costs(), np.zeros(3))
+        assert np.array_equal(prob.stop_costs, np.zeros(3))
         assert np.array_equal(prob.model.pair_costs, np.array([0.0, 0.0, 1.0]))
         assert prob.b_pairs.all()
 
     def test_kernel_rows_sum_to_one(self):
         model, _ = random_model(101, regime="P")
-        theta = Theta(random_policy(1, model), random_subset(2, model))
-        prob = build_stopping(model, theta, np.zeros(model.num_states))
-        K = prob.kernel_matrix()
+        K = _pair_kernel(model, random_policy(1, model))
         assert np.allclose(K.sum(axis=1), 1.0)
 
     def test_empty_b_makes_everything_stop_only(self):
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx, B=set()), fx.Jstar)
         sol = solve_stopping(prob)
-        assert np.array_equal(sol.V, prob.stop_costs())
+        assert np.array_equal(sol.V, prob.stop_costs)
 
     def test_kernel_spans_only_admissible_pairs(self):
         # control name sets differ across states, so B x C holds combos
@@ -53,9 +53,7 @@ class TestBuild:
                 (AtomicControl("right", 1.0, np.array([1.0, 0.0])),),
             ),
         )
-        theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
-        prob = build_stopping(model, theta, np.zeros(2))
-        assert prob.kernel_matrix().shape == (2, 2)
+        assert _pair_kernel(model, Policy.deterministic(model, [0, 0])).shape == (2, 2)
 
     def test_rejects_nonconforming_costs(self):
         fx = fixture("FX-P2")
@@ -109,7 +107,7 @@ class TestBackup:
         theta = Theta(random_policy(4, model), random_subset(5, model))
         J = np.random.default_rng(6).uniform(0, 3, size=model.num_states)
         prob = build_stopping(model, theta, J)
-        V = prob.stop_costs()
+        V = prob.stop_costs
         out = t_o_apply(prob, V)
         assert np.all(out <= V + 1e-15)
 
@@ -122,7 +120,7 @@ class TestBackup:
         J = rng.uniform(0, 3, size=model.num_states)
         prob = build_stopping(model, theta, J)
         npairs = model.num_pairs()
-        K = prob.kernel_matrix()
+        K = ref.pair_kernel_one_hot(model, theta.policy)
         controls = []
         for r, (x, i) in enumerate(model.pairs):
             acts = [AtomicControl("stop", J[x],
@@ -192,7 +190,7 @@ class TestSolveAndReconstruct:
             prob = build_stopping(model, theta, J)
             sol = solve_stopping(prob)
             npairs = model.num_pairs()
-            K = prob.kernel_matrix()
+            K = ref.pair_kernel_one_hot(model, theta.policy)
             controls = []
             choices = []
             for r, (x, i) in enumerate(model.pairs):

@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, the tests or the tools imports a name it
+never uses.
 
 A name bound by an import counts as used when it is read anywhere in the
 module (as a bare name or as the root of an attribute chain) or listed
-in `__all__`.  `__init__.py` is left out: its imports are the package's
-exports.
+in `__all__`.  The package's `__init__.py` is left out: its imports are
+the package's exports.
 """
 
 import ast
@@ -11,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "totaldp"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "totaldp"
+# Package modules by file name, tests and tools by their path from the root.
+MODULES = {p.name: p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+MODULES.update((str(p.relative_to(ROOT)), p)
+               for folder in ("tests", "tools") for p in sorted((ROOT / folder).glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +44,6 @@ def test_detects_an_unused_import():
     assert unused_imports("from a import b as c, d\nd()\n") == ["line 1: c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES.values(), ids=MODULES.keys())
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

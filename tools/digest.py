@@ -3,6 +3,7 @@
 
     python3 tools/digest.py                                   # every workload, seeds 1 and 2026
     python3 tools/digest.py --workload sparse-d-zero --seed 1
+    python3 tools/digest.py --seed 1 --against HEAD~1         # diff against a commit
 
 Run from the root of a source checkout: the library is imported from
 `src/` of that checkout, and the models from `perfbench/jobs.py`.  For
@@ -16,8 +17,12 @@ dropped) and its trace file.
 A last block gives one line per fixture: the sha256 of its model file
 text and its `model_hash`.
 
-Run it on two checkouts and diff the outputs: equal output means every
-answer and every trace is the same, bit for bit.  Nothing is timed.
+Equal output on two checkouts means every answer and every trace is the
+same, bit for bit.  Nothing is timed.  `--against REF` makes the
+comparison: it extracts commit REF with `git archive` into a temporary
+directory, runs REF's own digest there with the same `--workload` and
+`--seed` options, and prints the lines in which REF and the working tree
+differ.  It exits 1 on any difference and 0 when every line is the same.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import difflib
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -201,21 +208,55 @@ def fixture_lines():
                f"model_hash={model_hash(fx.model)}")
 
 
+def digest_lines(workloads, seeds):
+    with tempfile.TemporaryDirectory(prefix="totaldp-digest-") as workdir:
+        for workload in workloads:
+            for seed in seeds:
+                for case in jobs.workload_cases(workload, seed):
+                    yield from case_lines(workload, seed, case, workdir)
+    yield from fixture_lines()
+
+
+def ref_lines(ref: str, options: list[str]) -> list[str]:
+    """The digest of commit ``ref``: its tree extracted by `git archive`
+    into a temporary directory, and its own tools/digest.py run there."""
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    with tempfile.TemporaryDirectory(prefix="totaldp-ref-") as tree:
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        out = subprocess.run([sys.executable, os.path.join("tools", "digest.py"), *options],
+                             cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
+    return out.stdout.splitlines()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", choices=jobs.WORKLOADS, action="append",
                     help="repeatable; default every workload")
     ap.add_argument("--seed", type=int, action="append",
                     help=f"repeatable; default {', '.join(map(str, SEEDS))}")
+    ap.add_argument("--against", metavar="REF",
+                    help="print only the lines that differ from commit REF's digest")
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="totaldp-digest-") as workdir:
-        for workload in args.workload or jobs.WORKLOADS:
-            for seed in args.seed or SEEDS:
-                for case in jobs.workload_cases(workload, seed):
-                    for line in case_lines(workload, seed, case, workdir):
-                        print(line, flush=True)
-    for line in fixture_lines():
+    lines = digest_lines(args.workload or jobs.WORKLOADS, args.seed or SEEDS)
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    lines = list(lines)
+    options = [f"--workload={w}" for w in args.workload or ()]
+    options += [f"--seed={seed}" for seed in args.seed or ()]
+    before = ref_lines(args.against, options)
+    diff = list(difflib.unified_diff(before, lines, args.against, "working tree",
+                                     n=0, lineterm=""))
+    for line in diff:
         print(line)
+    if diff:
+        gone, new = (sum(line[0] == sign for line in diff[2:]) for sign in "-+")
+        print(f"digest: {gone} of {len(before)} lines at {args.against} and "
+              f"{new} of {len(lines)} in the working tree differ")
+        return 1
+    print(f"digest: the same {len(lines)} lines at {args.against} and in the working tree")
     return 0
 
 
