@@ -5,7 +5,10 @@ algorithm and write a convergence trace, ``reproduce`` a named scripted
 scenario, ``compare`` algorithms side by side, and ``export-fixture`` a
 named fixture as a model file.  Exit codes: 0 success, 1 check or
 convergence failure, 2 usage or parse errors.  ``solve`` and
-``compare`` stop on the residual tolerance ``--tol`` (default 1e-9).
+``compare`` stop on the residual tolerance ``--tol`` (default 1e-9); a
+run that reaches ``--max-iter`` first reports termination "cap".  For
+the same algorithm and settings, ``compare --trace-out`` writes the
+trace file that ``solve --trace-out`` writes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .solvers import (
     CustomB,
     FullB,
     OccupationSupportB,
+    SolverCapError,
     SolverConfig,
     check_admits,
     round_robin_masks,
@@ -191,18 +195,30 @@ def _solver_config(algorithm: str, model, gt, J0: np.ndarray, q0: str, mu0: str,
     policy = _parse_mu0(mu0, model) if algorithm in ("pi", "mpi") else None
     try:
         return SolverConfig(algorithm=algorithm, J0=J0, Q0=Q0, initial_policy=policy,
-                            ground_truth=gt, raise_on_cap=False, **settings)
+                            ground_truth=gt, **settings)
     except ValueError as err:
         raise click.UsageError(str(err))
 
 
 def _run(model, config: SolverConfig):
     """``run``, with a start that the solver refuses (one that breaks the
-    regime, or an infeasible lp program) as a usage error."""
+    regime, or an infeasible lp program) as a usage error, and a run that
+    reaches the cap as its result, termination "cap"."""
     try:
         return run(model, config)
+    except SolverCapError as err:
+        return err.result
     except ValueError as err:
         raise click.UsageError(str(err))
+
+
+def _write_traces(model, traces, fmt: str = "csv") -> None:
+    """Write each (path, trace) with the model's hash in its header.  The
+    model is rendered for its hash here only, once."""
+    mh = model_hash(model)
+    for path, trace in traces:
+        trace.model_hash = mh
+        write_trace(path, trace, fmt)
 
 
 @main.command()
@@ -246,8 +262,7 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     trace, J, Q = res.trace, res.J, res.Q
     click.echo(f"termination: {res.termination}")
     if trace_out:
-        trace.model_hash = model_hash(model)  # only the trace file records it
-        write_trace(trace_out, trace, fmt)
+        _write_traces(model, [(trace_out, trace)], fmt)
         click.echo(f"trace written to {trace_out} ({len(trace.rows)} rows)")
     click.echo(f"final J: {np.array2string(np.asarray(J), precision=10)}")
     if Q is not None:
@@ -310,8 +325,8 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
     J0 = _parse_vector(j0, model, gt)
     nk_val = _parse_nk(nk)
     configs = [_solver_config(a, model, gt, J0, "hbackup", mu0, nk=nk_val,
-                              bstrategy=FullB(), max_iter=max_iter, tol=tol,
-                              snapshot_iterates=False) for a in algos]
+                              bstrategy=FullB(), max_iter=max_iter, tol=tol)
+               for a in algos]
     rows, traces = [], []
     for a, config in zip(algos, configs):
         t0 = time.perf_counter()
@@ -324,8 +339,8 @@ def compare(path, algorithms, j0, nk, mu0, tol, max_iter, trace_out):
         traces.append(trace)
     # Only once every algorithm has run: a refused one writes no file at all.
     if trace_out:
-        for a, trace in zip(algos, traces):
-            write_trace(f"{trace_out}.{a}.csv", trace, "csv")
+        _write_traces(model, [(f"{trace_out}.{a}.csv", trace)
+                              for a, trace in zip(algos, traces)])
     header = ("algorithm", "iters", "residual", "backups", "dist", "note", "wall")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
     for rec in [header] + rows:

@@ -14,7 +14,10 @@ SolveResult.  Its append-only IterationTrace, kept by one recorder that
 all five solvers share, has rows that carry the sup-norm residual, the
 distance to ground truth when one is supplied, policy and set
 descriptors, ordering margins against ground truth and (mixed runs in N
-and P) against the value-iteration envelope T^k(J0), and wall time.
+and P) against the value-iteration envelope T^k(J0), the iterates J_k
+and Q_k themselves (mixed runs), and wall time.  A run that stops on the
+tolerance and reaches the iteration cap first raises SolverCapError,
+which carries the SolveResult it ends with.
 """
 
 from __future__ import annotations
@@ -51,14 +54,16 @@ class SolverCapError(RuntimeError):
 
     The last iterate is still a valid one-sided bound in the monotone
     regimes: a lower bound for nonnegative costs, an upper bound for
-    nonpositive ones.
+    nonpositive ones.  ``result`` is the SolveResult the run ends with,
+    its termination "cap".
     """
 
-    def __init__(self, message: str, last, trace, bound: str | None):
+    def __init__(self, message: str, last, trace, bound: str | None, result):
         super().__init__(message)
         self.last = last
         self.trace = trace
         self.bound = bound
+        self.result = result
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +214,6 @@ class SolverConfig:
     ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
     initial_policy: Policy | None = None
     stop_on_tol: bool = True
-    raise_on_cap: bool = True
-    snapshot_iterates: bool = True
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -361,18 +364,17 @@ class _Recorder:
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
-        """The run's SolveResult.  At the cap, raise SolverCapError
-        instead when the run was meant to stop on the tolerance and to
-        raise there; ``bound`` says which side of the answer the last
-        iterate bounds."""
+        """The run's SolveResult.  At the cap of a run that was meant to
+        stop on the tolerance, raise SolverCapError carrying it instead;
+        ``bound`` says which side of the answer the last iterate bounds."""
         result = SolveResult(J=J, trace=self.trace, termination=termination, **fields)
         config = self.config
-        if termination == "cap" and config.stop_on_tol and config.raise_on_cap:
+        if termination == "cap" and config.stop_on_tol:
             raise SolverCapError(
                 f"{_NAMES[self.trace.algorithm]} hit the {config.max_iter}-iteration cap "
                 f"(residual {self.trace.final_residual:g})",
                 last=J if result.Q is None else (J, result.Q), trace=self.trace,
-                bound=bound)
+                bound=bound, result=result)
         return result
 
 
@@ -597,9 +599,11 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     policy and its Theta while the choice repeats), resolve B, and let
     ``update(model, config, k, theta, Q, J)`` return (Q_next, J_next or
     None, operator count, row columns).  J becomes the clamped J_next of
-    a masked update, else the clamped M(Q_next).  lp records no envelope,
-    start dominance or snapshots, adds ``cone_margin`` (max(J_k - c Jstar)
-    for J0's cone multiplier c), and its capped iterate is a lower bound.
+    a masked update, else the clamped M(Q_next).  mixed rows record J_k
+    and Q_k as ``J_snapshot``/``Q_snapshot`` lists; lp records no
+    envelope, start dominance or snapshots, adds ``cone_margin``
+    (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
+    iterate is a lower bound.
     """
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
@@ -633,7 +637,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         extra = {"residual_Q": res_Q, **columns}
         if lp:
             extra["cone_margin"] = None if cone is None else margin_leq(J, cone)
-        elif config.snapshot_iterates:
+        else:
             extra["J_snapshot"] = J.tolist()
             extra["Q_snapshot"] = Q.tolist()
         rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),

@@ -125,7 +125,7 @@ def test_16_asynchronous_round_robin_masks():
     model = fx.model
     cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3), Q0=np.zeros(6),
                        nk=1, bstrategy=FullB(), masks=round_robin_masks(model),
-                       tol=1e-12, max_iter=20_000, snapshot_iterates=False,
+                       tol=1e-12, max_iter=20_000,
                        ground_truth=fx.ground_truth())
     out = mixed_vpi(model, cfg)
     dist = max(sup_dist(out.J, fx.Jstar), sup_dist(out.Q, fx.Qstar))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -7,9 +9,9 @@ from totaldp.cli import main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
 from totaldp.model import AtomicControl, Policy, TotalCostModel
-from totaldp.modelio import read_trace, render_model, write_model
+from totaldp.modelio import read_trace, render_model, trace_to_csv, write_model
 from totaldp.operators import bellman_T
-from totaldp.solvers import SolverConfig, check_admits, run
+from totaldp.solvers import ALGORITHMS, SolverConfig, check_admits, run
 
 
 @pytest.fixture
@@ -360,6 +362,27 @@ class TestCompare:
                                    "--trace-out", str(prefix)])
         assert out.exit_code == 0, out.output
         assert sorted(p.name for p in tmp_path.glob("P.*")) == ["P.lp.csv", "P.vi.csv"]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_trace_file_is_the_one_solve_writes(self, runner, tmp_path, algorithm):
+        path = _write_fixture(tmp_path, "FX-P4")
+        out = runner.invoke(main, ["compare", str(path), "--algorithms", algorithm,
+                                   "--trace-out", str(tmp_path / "P")])
+        assert out.exit_code == 0, out.output
+        solo = tmp_path / "solve.csv"
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", algorithm,
+                                   "--trace-out", str(solo)])
+        assert out.exit_code == 0, out.output
+
+        def timeless(trace):
+            rows = [dataclasses.replace(row, wall_time=0.0) for row in trace.rows]
+            return dataclasses.replace(trace, rows=rows)
+
+        compared = read_trace(tmp_path / f"P.{algorithm}.csv")
+        assert trace_to_csv(timeless(compared)) == trace_to_csv(timeless(read_trace(solo)))
+        assert compared.model_hash == "7fa8dc1e70c628f8"  # test_kernels.FIXTURE_HASHES
+        assert all(("J_snapshot" in row.extra) == (algorithm == "mixed")
+                   for row in compared.rows)
 
     def test_single_algorithm_degenerate_table(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-D")

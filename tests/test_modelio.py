@@ -227,7 +227,7 @@ def _sample_trace():
     fx = fixture("FX-D")
     cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3), Q0=np.zeros(6),
                        nk=4, bstrategy=FullB(), tol=1e-10, max_iter=300,
-                       ground_truth=fx.ground_truth(), snapshot_iterates=False)
+                       ground_truth=fx.ground_truth())
     out = mixed_vpi(fx.model, cfg)
     out.trace.model_hash = model_hash(fx.model)
     return out.trace

@@ -162,7 +162,7 @@ class TestMixed:
         for bstrategy in (FullB(), CustomB((frozenset(range(model.num_states)),))):
             cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
                                nk=nk, bstrategy=bstrategy, tol=1e-12, max_iter=50,
-                               stop_on_tol=False, snapshot_iterates=True,
+                               stop_on_tol=False,
                                ground_truth=(Jstar, h_backup(model, Jstar)))
             out = run(model, cfg)
             rows = [repr(dataclasses.replace(r, wall_time=0.0)) for r in out.trace.rows]
@@ -271,6 +271,26 @@ class TestPowerCounts:
             powers = [row.extra["powers"] for row in trace.rows]
             assert sum(powers) == trace.op_count
             assert all(p >= 1 and (most is None or p <= most) for p in powers)
+
+
+@pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed", "lp"])
+def test_cap_error_carries_the_capped_result(algorithm):
+    fx = fixture("FX-P4")
+    model = fx.model
+    J0 = 1.5 * fx.Jstar + 1.0
+    cfg = SolverConfig(
+        algorithm=algorithm, J0=J0, tol=1e-30, max_iter=1,
+        Q0=h_backup(model, J0) if algorithm in ("mixed", "lp") else None,
+        initial_policy=(Policy.deterministic(model, [0] * model.num_states)
+                        if algorithm == "mpi" else None))
+    with pytest.raises(SolverCapError) as err:
+        run(model, cfg)
+    result = err.value.result
+    assert result.termination == "cap" and not result.converged
+    assert result.trace is err.value.trace
+    assert len(result.trace.rows) == 1
+    last = err.value.last if result.Q is None else err.value.last[0]
+    assert last is result.J
 
 
 class TestLPVariant:

@@ -217,13 +217,20 @@ def digest_lines(workloads, seeds):
     yield from fixture_lines()
 
 
-def ref_lines(ref: str, options: list[str]) -> list[str]:
-    """The digest of commit ``ref``: its tree extracted by `git archive`
-    into a temporary directory, and its own tools/digest.py run there."""
+@contextlib.contextmanager
+def checkout(ref: str):
+    """The tree of commit ``ref``, extracted by `git archive` into a
+    temporary directory that is removed on exit."""
     archive = subprocess.run(["git", "archive", ref], cwd=ROOT, check=True,
                              stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory(prefix="totaldp-ref-") as tree:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        yield tree
+
+
+def ref_lines(ref: str, options: list[str]) -> list[str]:
+    """The digest of commit ``ref``: its own tools/digest.py run in its tree."""
+    with checkout(ref) as tree:
         out = subprocess.run([sys.executable, os.path.join("tools", "digest.py"), *options],
                              cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
     return out.stdout.splitlines()
