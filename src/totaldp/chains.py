@@ -22,13 +22,27 @@ since +inf absorbs -inf.
 
 The same pricing solves Lemma A.1's stopping problem for theta = (mu, B)
 and stopping costs J: `_stop_rule_iteration` runs policy iteration over
-pair-level stop rules, each a chain on the pairs plus a cost-free
-terminal.  No end component needs collapsing: a zero-cost loop that
-never pays is free, so from "continue everywhere" (the monotone limit
-from zero) it is never left for a costlier stop, and from "stop
-everywhere" (the maximal solution, Lemma A.2) a tie never enters it.
-The engine's chain over pairs continues by `_pair_kernel`, the one
-continue kernel of that stopping problem.  `state_marginal` and
+pair-level stop rules.  A rule marks each pair as continuing or
+stopping, and is priced on a chain over the n states plus one cost-free
+terminal.  At state y the rule pays
+c(y) = sum_u mu(u|y) (g(y, u) if (y, u) continues, else J(y)), with
+0 * inf = 0, moves to y' with probability
+alpha sum_u mu(u|y) [(y, u) continues] q(y'|y, u), and moves to the
+terminal with the stopping mass sum_u mu(u|y) [(y, u) stops].  Its value
+W(y) is the policy's mix of the pair values, so one backup of W gives
+every continuing pair's value, and a stopping pair is worth J(y).  A
+mixed policy is priced on this chain as safely as a deterministic one:
+the terminal is the free state that every stopping mass moves to, so a
+state that stops with some weight still reaches the free set, and the
+admission rule of the stopping problem (`ftheta._check_stop_costs`)
+gives every stop cost and pair cost the regime's sign (+inf aside), so
+each c(y) has it too and "paying" still means one sign.  No end
+component needs collapsing: a zero-cost loop that never pays is free,
+so from "continue everywhere" (the monotone limit from zero) it is
+never left for a costlier stop, and from "stop everywhere" (the maximal
+solution, Lemma A.2) a tie never enters it.  The policy is read through
+`model._atomic_rows` and `policy_mix`, the gather of a policy built
+from choices or the segment sum of any other.  `state_marginal` and
 `occupation_measure` give a policy's n-step and discounted state
 distributions.
 """
@@ -43,7 +57,7 @@ from .extreal import INF
 from .model import (
     Policy,
     TotalCostModel,
-    _chosen_pairs,
+    _atomic_rows,
     induced_complement,
     induced_kernel,
     policy_mix,
@@ -132,19 +146,6 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     return EvalResult(J=J, divergent=frozenset(np.flatnonzero(divergent).tolist()))
 
 
-def _pair_kernel(model: TotalCostModel, policy: Policy) -> np.ndarray:
-    """Continue kernel over the pairs of an atomic policy: from pair r to
-    pair (x', u') with probability q(x'|r) mu(u'|x').  For a policy built
-    from choices, column (x', mu(x')) holds q(x'|r) and every other column
-    is zero: the values of the one-hot product, without the product."""
-    chosen = _chosen_pairs(model, policy)
-    if chosen is None:
-        return model.pair_probs[:, model.pair_state] * policy.pair_weights
-    K = np.zeros((model.num_pairs(), model.num_pairs()))
-    K[:, chosen] = model.pair_probs
-    return K
-
-
 def _stop_rule_iteration(model: TotalCostModel, policy: Policy, stop: np.ndarray,
                          b: np.ndarray, cont: np.ndarray
                          ) -> tuple[np.ndarray, int, np.ndarray]:
@@ -152,26 +153,28 @@ def _stop_rule_iteration(model: TotalCostModel, policy: Policy, stop: np.ndarray
 
     ``stop`` is each pair's stop cost J(x); ``b`` marks the pairs that may
     continue, and ``cont`` (within ``b``) those that do in the start rule.
-    A pair switches only on a gain beyond 1e-12 (1 + |J(x)|), so that
-    round-off cannot make the rules cycle.  Returns the final rule's pair
-    values, the number of rules priced, and the pairs priced at +-inf.
+    Each rule is priced on the states plus a cost-free terminal (module
+    docstring); a continuing pair is then worth its continuation value G,
+    a stopping pair J(x).  A pair switches only on a gain beyond
+    1e-12 (1 + |J(x)|), so that round-off cannot make the rules cycle.
+    Returns the final rule's pair values, the number of rules priced, and
+    the pairs priced at +-inf.
     """
-    m = stop.size
-    K = model.discount * _pair_kernel(model, policy)
+    n = model.num_states
     slack = np.where(np.isfinite(stop), 1e-12 * (1.0 + np.abs(stop)), 0.0)
+    P = np.zeros((n + 1, n + 1))  # row n, the terminal's, stays zero
     seen: set[bytes] = set()
     while True:
         seen.add(cont.tobytes())
-        P = np.zeros((m + 1, m + 1))
-        P[:m, :m][cont] = K[cont]
-        P[np.flatnonzero(~cont), m] = 1.0
-        cost = np.append(np.where(cont, model.pair_costs, stop), 0.0)
-        V, divergent = _price(model.regime, P, cost, np.eye(m + 1) - P)
-        V, divergent = V[:m], divergent[:m]
-        G = pair_backup(model, policy_mix(model, policy, V))
+        rows, c = _atomic_rows(model, policy, np.where(cont, model.pair_costs, stop), cont)
+        P[:n, :n] = model.discount * rows
+        P[:n, n] = policy_mix(model, policy, np.where(cont, 0.0, 1.0))
+        W, _ = _price(model.regime, P, np.append(c, 0.0), np.eye(n + 1) - P)
+        G = pair_backup(model, W[:n])
+        V = np.where(cont, G, stop)
         nxt = (cont | (b & (G < stop - slack))) & ~(stop < G - slack)
         if np.array_equal(nxt, cont):
-            return V, len(seen), divergent
+            return V, len(seen), np.isinf(V)
         if nxt.tobytes() in seen:
             raise RuntimeError("stop-rule iteration returned to an earlier rule")
         cont = nxt

@@ -11,7 +11,10 @@ acts on Q with J held fixed.  Its monotone limit from zero is the
 continuation-value function of a two-action stopping reformulation of
 policy evaluation (Lemma A.1; see the stopping module), and
 `q_fixed_point` computes it exactly by policy iteration over that
-problem's stop rules (`chains._stop_rule_iteration`).
+problem's stop rules (`chains._stop_rule_iteration`).  Each rule is
+priced as a chain on the n states plus a cost-free terminal that takes
+every stopping mass; the fixed point is one backup of the last rule's
+state values, for deterministic and mixed policies alike.
 
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the

@@ -418,6 +418,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
     return bad
 
 
+_LAYOUT_MISMATCH = "policy choices do not match the model's pairs"
+
+
 def _built_for(model: TotalCostModel, policy: Policy) -> bool:
     """Whether a policy built from choices was built for the model's
     control layout, so that its chosen pairs index the model's pair axis."""
@@ -431,13 +434,14 @@ def _chosen_pairs(model: TotalCostModel, policy: Policy) -> np.ndarray | None:
     built for the model's control layout; None for any other policy."""
     chosen = policy._chosen
     if chosen is not None and not _built_for(model, policy):
-        raise ValueError("policy choices do not match the model's pairs")
+        raise ValueError(_LAYOUT_MISMATCH)
     return chosen
 
 
 def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
-    if policy._chosen is not None and _built_for(model, policy):
-        return []
+    if policy._chosen is not None:
+        # Its actions fit the model exactly when its control layout does.
+        return [] if _built_for(model, policy) else [_LAYOUT_MISMATCH]
     bad: list[str] = []
     if len(policy.actions) != model.num_states:
         return [f"policy has {len(policy.actions)} actions for {model.num_states} states"]
@@ -485,18 +489,27 @@ def policy_mix(model: TotalCostModel, policy: Policy, V: np.ndarray) -> np.ndarr
     return expect_segments(w, V, model.pair_starts)
 
 
-def _atomic_rows(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+def _atomic_rows(model: TotalCostModel, policy: Policy,
+                 costs: np.ndarray | None = None, keep: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel rows and expected one-stage costs of the policy's atomic
     actions; rows of states whose action is a family choice are left zero.
 
-    A policy built from choices gathers its chosen pairs' rows and costs,
+    ``costs`` replaces the pair costs, and a pair mask ``keep`` leaves
+    out of the rows the mass of the pairs outside it (the stop-rule
+    engine's chain, whose stopping pairs leave for its terminal).  A
+    policy built from choices gathers its chosen pairs' rows and costs,
     which are the floats of the one-hot segment sums up to the sign of a
     zero (`policy_mix`); any other policy takes segment sums over the
     pair axis.
     """
+    costs = model.pair_costs if costs is None else costs
     chosen = _chosen_pairs(model, policy)
     if chosen is not None:
-        return model.pair_probs[chosen], model.pair_costs[chosen]
+        P = model.pair_probs[chosen]
+        if keep is not None:
+            P[~keep[chosen]] = 0.0
+        return P, costs[chosen]
     n = model.num_states
     if policy.atomic:
         w = policy.pair_weights
@@ -509,8 +522,9 @@ def _atomic_rows(model: TotalCostModel, policy: Policy) -> tuple[np.ndarray, np.
     live = model.pair_counts() > 0
     if w.size:
         starts = model.pair_starts[live]
-        P[live] = np.add.reduceat(w[:, None] * model.pair_probs, starts)
-        g[live] = expect_segments(w, model.pair_costs, starts)
+        kept = w if keep is None else w * keep
+        P[live] = np.add.reduceat(kept[:, None] * model.pair_probs, starts)
+        g[live] = expect_segments(w, costs, starts)
     return P, g
 
 

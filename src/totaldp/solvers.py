@@ -599,7 +599,11 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     policy and its Theta while the choice repeats), resolve B, and let
     ``update(model, config, k, theta, Q, J)`` return (Q_next, J_next or
     None, operator count, row columns).  J becomes the clamped J_next of
-    a masked update, else the clamped M(Q_next).  mixed rows record J_k
+    a masked update, else the clamped M(Q_next).  The run converges once
+    max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
+    of the mask schedule (one row without masks): a masked row moves one
+    pair and one state, so a quiet row alone shows nothing about the
+    others.  mixed rows record J_k
     and Q_k as ``J_snapshot``/``Q_snapshot`` lists; lp records no
     envelope, start dominance or snapshots, adds ``cone_margin``
     (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
@@ -620,6 +624,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     policy = config.initial_policy
     theta = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
+    cycle = 1 if config.masks is None else len(config.masks)
+    quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = greedy_select(model, Q, config.epsilon, qmin=qmin, keep=policy)
@@ -643,7 +649,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
                 b_set=_describe_b(theta.B, model.num_states), upper_margin=upper,
                 extra=extra)
-        if config.stop_on_tol and max(res_J, res_Q) <= config.tol:
+        quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
+        if config.stop_on_tol and quiet >= cycle:
             return rec.finish("converged", J, Q=Q, policy=policy)
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
 

@@ -8,15 +8,19 @@ move to a pair (x', u') drawn from q(.|x, u) and mu(.|x')); pairs whose
 state lies outside B are stop-only.  `StoppingProblem` holds (model,
 theta, J) and two read-only arrays over pairs: `b_pairs` (continue
 available) and `stop_costs` (J(x) at (x, u)).  Its regime and discount
-are the model's, and its continue kernel over pairs is
-`chains._pair_kernel(model, theta.policy)`.
+are the model's.
 
 Its optimal values, mapped back through one continuation backup, are the
 fixed point of the ftheta module (Lemma A.1).  `solve_stopping` finds
 them exactly by policy iteration over pair-level stop rules from
 "continue everywhere" (`chains._stop_rule_iteration`, the engine
 `q_fixed_point` also runs), and `t_o_apply` is the problem's optimal
-backup on pair values.  The constraint program over the same system has,
+backup on pair values.  A stop rule is a choice per pair, but its
+pair values need no chain over the pairs: the engine prices the rule
+on the n states plus the terminal, where a state's value is the
+policy's mix of its pairs' values, and reads each continuing pair's
+value off one backup of those state values (the chains module says why
+this holds for mixed policies too).  The constraint program over the same system has,
 for nonnegative costs and a deterministic policy, a maximal solution
 (Lemma A.2): the same iteration started from "stop everywhere" reaches
 it, and it gives a certified upper bound on that fixed point.

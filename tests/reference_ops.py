@@ -52,6 +52,16 @@ kept verbatim from before they took a finite fast path: the sup-norm
 distance and the ordering margin over `xdiff`, which subtracts only
 unequal entries.  `test_extreal.py` checks `sup_dist` and `margin_leq`
 against them bit for bit.
+
+The eighth part holds the stop-rule engine as it ran before each rule
+was priced on the states: policy iteration over the same pair-level
+stop rules, each priced as a chain on the m pairs plus a cost-free
+terminal, whose continuing pairs move by the m x m pair kernel (the
+product of every pair's row with the policy's one-hot pair weights).
+It is kept verbatim but for its policy reads (that product kernel and
+the segment-sum mix of the sixth part), and it still prices with
+`chains._price`, so `test_stop_rules.py` checks the library's reduction
+from pairs to states against it on problems too large to enumerate.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from totaldp.chains import EvalResult
+from totaldp.chains import EvalResult, _price
 from totaldp.extreal import (
     INF,
     expect,
@@ -595,13 +605,6 @@ def atomic_rows_segments(model: TotalCostModel, policy: Policy
     return P, g
 
 
-def pair_kernel_one_hot(model: TotalCostModel, policy: Policy) -> np.ndarray:
-    """Continue kernel over pairs as the product of every pair's row with
-    the policy's weight of each target pair (one-hot for a choice-backed
-    policy)."""
-    return model.pair_probs[:, model.pair_state] * policy.pair_weights
-
-
 # ---------------------------------------------------------------------------
 # Masked residual kernels
 
@@ -621,3 +624,46 @@ def margin_masked(a, b) -> float:
     b = np.asarray(b, dtype=float)
     diff = xdiff(a, b)
     return float(diff.max()) if diff.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# The stop-rule engine over pairs
+
+
+def pair_kernel_one_hot(model: TotalCostModel, policy: Policy) -> np.ndarray:
+    """Continue kernel over pairs as the product of every pair's row with
+    the policy's weight of each target pair (one-hot for a choice-backed
+    policy)."""
+    return model.pair_probs[:, model.pair_state] * policy.pair_weights
+
+
+def stop_rule_iteration_pairs(model: TotalCostModel, policy: Policy, stop: np.ndarray,
+                              b: np.ndarray, cont: np.ndarray
+                              ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Policy iteration over the pair-level stop rules of a stopping problem.
+
+    ``stop`` is each pair's stop cost J(x); ``b`` marks the pairs that may
+    continue, and ``cont`` (within ``b``) those that do in the start rule.
+    A pair switches only on a gain beyond 1e-12 (1 + |J(x)|), so that
+    round-off cannot make the rules cycle.  Returns the final rule's pair
+    values, the number of rules priced, and the pairs priced at +-inf.
+    """
+    m = stop.size
+    K = model.discount * pair_kernel_one_hot(model, policy)
+    slack = np.where(np.isfinite(stop), 1e-12 * (1.0 + np.abs(stop)), 0.0)
+    seen: set[bytes] = set()
+    while True:
+        seen.add(cont.tobytes())
+        P = np.zeros((m + 1, m + 1))
+        P[:m, :m][cont] = K[cont]
+        P[np.flatnonzero(~cont), m] = 1.0
+        cost = np.append(np.where(cont, model.pair_costs, stop), 0.0)
+        V, divergent = _price(model.regime, P, cost, np.eye(m + 1) - P)
+        V, divergent = V[:m], divergent[:m]
+        G = pair_backup(model, segment_mix(model, policy, V))
+        nxt = (cont | (b & (G < stop - slack))) & ~(stop < G - slack)
+        if np.array_equal(nxt, cont):
+            return V, len(seen), divergent
+        if nxt.tobytes() in seen:
+            raise RuntimeError("stop-rule iteration returned to an earlier rule")
+        cont = nxt

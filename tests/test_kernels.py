@@ -26,7 +26,6 @@ from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp.chains import (
-    _pair_kernel,
     evaluate_policy,
     occupation_measure,
     state_marginal,
@@ -498,12 +497,6 @@ class TestGatheredPolicyReads:
         same_up_to_zero_sign(t_o_apply(det, V), t_o_apply(mix, V))
 
     @given(regime_cases())
-    def test_pair_kernel_places_the_chosen_columns(self, c):
-        got = _pair_kernel(c.model, c.det)
-        same_up_to_zero_sign(got, _pair_kernel(c.model, c.mix))
-        same_up_to_zero_sign(got, ref.pair_kernel_one_hot(c.model, c.det))
-
-    @given(regime_cases())
     def test_induced_chain_and_evaluation(self, c):
         model = c.model
         P, g = induced_kernel(model, c.det)
@@ -546,7 +539,7 @@ class TestGatheredPolicyReads:
         with pytest.raises(ValueError, match="do not match the model's pairs"):
             induced_kernel(big, policy)
         with pytest.raises(ValueError, match="do not match the model's pairs"):
-            _pair_kernel(big, policy)
+            q_fixed_point(big, Theta(policy, big.state_set), np.zeros(big.num_states))
 
 
 # Values for the fast-path checks: both infinities, and zeros and NaNs of

@@ -235,6 +235,24 @@ class TestMixed:
         assert out.trace.rows[0].policy == go.descriptor()
         assert out.trace.rows[1].policy == stay.descriptor()
 
+    def test_masked_run_stops_only_after_a_quiet_cycle(self):
+        # State 0 is absorbing at cost 0; state 1 pays 1 and stays, so
+        # J* = (0, 10).  The first masked row moves pair (0, 0) and state
+        # 0, neither of which changes: a stop test on that one row
+        # returned "converged" at J = (0, 0).
+        model = TotalCostModel("D", 0.9, (
+            (AtomicControl("stay", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("stay", 1.0, np.array([0.0, 1.0])),)))
+        J0 = np.zeros(2)
+        masks = round_robin_masks(model)
+        out = mixed_vpi(model, SolverConfig(algorithm="mixed", nk=1, masks=masks,
+                                            J0=J0, Q0=h_backup(model, J0)))
+        assert out.termination == "converged"
+        assert len(out.trace.rows) > len(masks)
+        assert np.abs(out.J - [0.0, 10.0]).max() <= 1e-7
+        rows = out.trace.rows[-len(masks):]
+        assert all(max(r.residual, r.extra["residual_Q"]) <= 1e-9 for r in rows)
+
 
 class TestPowerCounts:
     """op_count and extra["powers"] count the F_theta applications that ran."""

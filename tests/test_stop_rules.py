@@ -13,6 +13,12 @@ policies with zero weights and partial or empty B:
   coordinate to infinity;
 - the start from "stop everywhere" must equal the downward iteration of
   the constraint map, for deterministic policies in P.
+
+On problems of up to 12 states with 3 controls each, too many rules to
+enumerate, the engine, which prices each rule on the states plus a
+terminal, must match the pair-level engine of `reference_ops` from both
+starts: the same rules priced, the same divergent pairs and infinities,
+and the same finite values up to 1e-12 (1 + |v|).
 """
 
 import itertools
@@ -20,12 +26,13 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
+from totaldp.chains import _stop_rule_iteration
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
-from totaldp.ftheta import Theta, f_theta_power, q_fixed_point
+from totaldp.ftheta import Theta, _pairs_in_B, f_theta_power, q_fixed_point
 from totaldp.model import AtomicControl, AtomicMix, Policy, TotalCostModel
 from totaldp.stopping import (
     StoppingProblem,
@@ -44,22 +51,32 @@ MAX_PAIRS = 7
 
 
 @st.composite
-def stopping_problems(draw, regime=None, deterministic=None, finite_on_b=False):
+def stopping_problems(draw, regime=None, deterministic=None, finite_on_b=False,
+                      large=False):
     """(model, theta, J): 1-4 states, 1-2 controls, sparse rows with small
     integer weights (so self-loops, traps and zero-cost loops are
     common), and at most MAX_PAIRS pairs, so that every rule can be
-    enumerated.  In D, J is finite or +inf everywhere."""
+    enumerated.  In D, J is finite or +inf everywhere.  ``large`` draws
+    up to 12 states with 1-3 controls each instead, and makes about one
+    control in four a trap (a self-loop with probability one)."""
     regime = regime or draw(st.sampled_from(["D", "N", "P"]))
-    n = draw(st.integers(1, 4))
-    counts = [draw(st.sampled_from([1, 2, 2])) for _ in range(n)]
-    while sum(counts) > MAX_PAIRS:
-        counts[counts.index(2)] = 1
+    if large:
+        n = draw(st.integers(1, 12))
+        counts = [draw(st.integers(1, 3)) for _ in range(n)]
+    else:
+        n = draw(st.integers(1, 4))
+        counts = [draw(st.sampled_from([1, 2, 2])) for _ in range(n)]
+        while sum(counts) > MAX_PAIRS:
+            counts[counts.index(2)] = 1
     controls = []
-    for k in counts:
+    for x, k in enumerate(counts):
         row = []
         for i in range(k):
-            support = draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                    max_size=min(n, 3), unique=True))
+            if large and draw(st.integers(0, 3)) == 0:
+                support = [x]
+            else:
+                support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                        max_size=min(n, 3), unique=True))
             probs = np.zeros(n)
             probs[support] = draw(st.lists(st.integers(1, 4), min_size=len(support),
                                            max_size=len(support)))
@@ -91,7 +108,7 @@ def stopping_problems(draw, regime=None, deterministic=None, finite_on_b=False):
     return model, Theta(policy, B), J
 
 
-def _pair_kernel(model, policy):
+def _loop_kernel(model, policy):
     """K[r, r'] = q(x'|r) mu(u'|x'), pair by pair."""
     m = model.num_pairs()
     K = np.zeros((m, m))
@@ -131,7 +148,7 @@ def oracle_values(model, theta, J):
     cost: a continuing pair pays g and moves by K, every other pair pays
     J(x) and moves to the terminal."""
     m = model.num_pairs()
-    K = _pair_kernel(model, theta.policy)
+    K = _loop_kernel(model, theta.policy)
     stop = np.array([J[x] for x, _ in model.pairs])
     in_b = [r for r, (x, _) in enumerate(model.pairs) if x in theta.B]
     best = np.full(m, INF)
@@ -184,6 +201,30 @@ def test_stop_everywhere_start_is_the_maximal_solution(case):
     model, theta, J = case
     out = lp_upper_bound(model, theta, J)
     assert_close(out.W, ref.downward_W(model, theta, J), 1e-9)
+
+
+@settings(max_examples=300)
+@given(stopping_problems(large=True), st.sampled_from(["continue", "stop"]))
+def test_state_chain_matches_the_pair_chain(case, start):
+    # "stop" is the start of `lp_upper_bound`; the engine takes it in
+    # every regime and for every policy.
+    model, theta, J = case
+    stop = J[model.pair_state]
+    b = _pairs_in_B(model, theta)
+    cont = b.copy() if start == "continue" else np.zeros_like(b)
+    outcomes = []
+    for engine in (_stop_rule_iteration, ref.stop_rule_iteration_pairs):
+        try:
+            outcomes.append(engine(model, theta.policy, stop, b, cont))
+        except RuntimeError as err:
+            outcomes.append(repr(err))
+    got, want = outcomes
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+    assert_close(got[0], want[0], 1e-12)
 
 
 def _loop(regime, stay):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
-from totaldp.chains import _pair_kernel
 from totaldp.extreal import INF, sup_dist, xdiff
 from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import bellman_T, h_backup
@@ -32,28 +31,11 @@ class TestBuild:
         assert np.array_equal(prob.model.pair_costs, np.array([0.0, 0.0, 1.0]))
         assert prob.b_pairs.all()
 
-    def test_kernel_rows_sum_to_one(self):
-        model, _ = random_model(101, regime="P")
-        K = _pair_kernel(model, random_policy(1, model))
-        assert np.allclose(K.sum(axis=1), 1.0)
-
     def test_empty_b_makes_everything_stop_only(self):
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx, B=set()), fx.Jstar)
         sol = solve_stopping(prob)
         assert np.array_equal(sol.V, prob.stop_costs)
-
-    def test_kernel_spans_only_admissible_pairs(self):
-        # control name sets differ across states, so B x C holds combos
-        # (0, "right") and (1, "left") that are not pairs of the model
-        model = TotalCostModel(
-            regime="P", discount=1.0,
-            controls=(
-                (AtomicControl("left", 0.0, np.array([1.0, 0.0])),),
-                (AtomicControl("right", 1.0, np.array([1.0, 0.0])),),
-            ),
-        )
-        assert _pair_kernel(model, Policy.deterministic(model, [0, 0])).shape == (2, 2)
 
     def test_rejects_nonconforming_costs(self):
         fx = fixture("FX-P2")

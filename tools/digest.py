@@ -7,22 +7,28 @@
 
 Run from the root of a source checkout: the library is imported from
 `src/` of that checkout, and the models from `perfbench/jobs.py`.  For
-every job of every model of each workload and seed, one line gives the
-sha256 of what the job returns, taken over J, Q, the policy, the
-termination, op_count, the trace text (CSV and JSON, wall_time zeroed),
-the certificate report and `model_hash`.  Policy iteration gets one line
-per start, `certify` one for its report and both stopping routes, and
-`cli` one for its output (the wall time and the temporary directory
-dropped) and its trace file.
-A last block gives one line per fixture: the sha256 of its model file
-text and its `model_hash`.
+every job of every model of each workload and seed, two lines give
+sha256 digests of what the job returns.  The `values` line is taken over
+J, Q, the policy, the termination, op_count, the trace text (CSV and
+JSON, wall_time zeroed), the certificate report and `model_hash`.
+Policy iteration adds every start to its lines, `certify` its report and
+both stopping routes, and `cli` its output (the wall time and the
+temporary directory dropped) and its trace file.  The `shape` line is
+taken over the same parts without the bits of their finite floats: row
+count, termination, op count, each row's policy and B, the rules a
+certificate priced and its divergent pairs, the names and outcomes of
+the certificate checks, the exit code, and where each array holds +inf
+or -inf.  So a change that only moves round-off changes `values` lines
+and no `shape` line.  A last block gives one line per fixture: the
+sha256 of its model file text and its `model_hash`.
 
 Equal output on two checkouts means every answer and every trace is the
 same, bit for bit.  Nothing is timed.  `--against REF` makes the
 comparison: it extracts commit REF with `git archive` into a temporary
-directory, runs REF's own digest there with the same `--workload` and
-`--seed` options, and prints the lines in which REF and the working tree
-differ.  It exits 1 on any difference and 0 when every line is the same.
+directory, runs this script there with the same `--workload` and
+`--seed` options (so both sides print one format), and prints the lines
+in which REF and the working tree differ.  It exits 1 on any difference
+and 0 when every line is the same.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import io
 import difflib
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,21 +67,44 @@ SEEDS = (1, 2026)
 WALL = re.compile(r"wall: [0-9.]+s")
 
 
+def _update(h, label: str, value) -> None:
+    if isinstance(value, np.ndarray):
+        data = f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    else:
+        data = repr(value).encode()
+    h.update(label.encode() + b"\0" + data + b"\0")
+
+
+def infinities(value: np.ndarray) -> np.ndarray:
+    """+1 where the array holds +inf, -1 where it holds -inf, else 0."""
+    return np.isposinf(value).astype(np.int8) - np.isneginf(value)
+
+
 class Digest:
-    """sha256 over a sequence of labelled parts."""
+    """Two sha256 digests over a sequence of labelled parts: `values`
+    over every part, bit for bit, and `shape` over what a part shows
+    without the bits of its finite floats."""
 
     def __init__(self):
-        self._h = hashlib.sha256()
+        self._values = hashlib.sha256()
+        self._shape = hashlib.sha256()
 
-    def add(self, label: str, value) -> None:
-        if isinstance(value, np.ndarray):
-            data = f"{value.dtype}{value.shape}".encode() + value.tobytes()
-        else:
-            data = repr(value).encode()
-        self._h.update(label.encode() + b"\0" + data + b"\0")
+    def add(self, label: str, value, shape=None) -> None:
+        """Add ``value`` to the values digest and ``shape`` to the shape
+        digest; an array given without a shape adds its dtype, its shape
+        and its infinities there."""
+        _update(self._values, label, value)
+        if shape is None and isinstance(value, np.ndarray):
+            shape = (str(value.dtype), value.shape, infinities(value).tobytes())
+        _update(self._shape, label, shape)
 
-    def hex(self) -> str:
-        return self._h.hexdigest()[:16]
+    def add_exact(self, label: str, value) -> None:
+        """Add a part that holds no float to both digests."""
+        self.add(label, value, value)
+
+    def hex(self) -> tuple[str, str]:
+        """The shape and the values digest."""
+        return self._shape.hexdigest()[:16], self._values.hexdigest()[:16]
 
 
 def timeless(trace):
@@ -85,8 +115,16 @@ def timeless(trace):
 
 def add_trace(d: Digest, trace) -> None:
     trace = timeless(trace)
-    d.add("csv", trace_to_csv(trace))
+    d.add("csv", trace_to_csv(trace), [(row.policy, row.b_set) for row in trace.rows])
     d.add("json", trace_to_json(trace))
+
+
+def add_report(d: Digest, report) -> None:
+    d.add("report", report.summary(), [(c.name, c.passed) for c in report.checks])
+
+
+def add_certificate(d: Digest, label: str, cert) -> None:
+    d.add(label, repr(cert), (cert.iterations, sorted(cert.divergent)))
 
 
 def add_result(d: Digest, model, case, res) -> None:
@@ -95,13 +133,12 @@ def add_result(d: Digest, model, case, res) -> None:
     for name in ("J", "Q"):
         v = getattr(res, name)
         d.add(name, None if v is None else np.asarray(v, dtype=float))
-    d.add("policy", None if res.policy is None else res.policy.descriptor())
-    d.add("termination", res.termination)
-    d.add("divergent", sorted(res.divergent))
-    d.add("op_count", res.trace.op_count)
+    d.add_exact("policy", None if res.policy is None else res.policy.descriptor())
+    d.add_exact("termination", res.termination)
+    d.add_exact("divergent", sorted(res.divergent))
+    d.add_exact("op_count", res.trace.op_count)
     add_trace(d, res.trace)
-    report = totaldp.verify_certificates(model, res.trace, (case.Jstar, case.Qstar))
-    d.add("report", report.summary())
+    add_report(d, totaldp.verify_certificates(model, res.trace, (case.Jstar, case.Qstar)))
 
 
 def solve_config(kind: str, case):
@@ -131,16 +168,15 @@ def run_solve(kind: str, case, model):
 def certify(d: Digest, case, model, mixed10) -> None:
     """The certificate report and both stopping routes of `jobs._certify`."""
     theta = totaldp.Theta(mixed10.policy, frozenset(range(case.n)))
-    report = totaldp.verify_certificates(model, mixed10.trace, (case.Jstar, case.Qstar))
-    d.add("report", report.summary())
+    add_report(d, totaldp.verify_certificates(model, mixed10.trace, (case.Jstar, case.Qstar)))
     prob = totaldp.build_stopping(model, theta, mixed10.J)
     sol = totaldp.solve_stopping(prob)
     d.add("V", sol.V)
-    d.add("stopping_certificate", repr(sol.certificate))
+    add_certificate(d, "stopping_certificate", sol.certificate)
     d.add("q_route", totaldp.reconstruct_q(prob, sol.V))
     Q, cert = totaldp.q_fixed_point(model, theta, mixed10.J)
     d.add("q_fixed", Q)
-    d.add("fixed_certificate", repr(cert))
+    add_certificate(d, "fixed_certificate", cert)
 
 
 def cli(d: Digest, case, workdir: str) -> None:
@@ -159,7 +195,7 @@ def cli(d: Digest, case, workdir: str) -> None:
             code = 0
         except SystemExit as e:
             code = e.code
-    d.add("exit", code)
+    d.add_exact("exit", code)
     d.add("output", WALL.sub("wall: -", buf.getvalue().replace(workdir, "<dir>")))
     add_trace(d, read_trace(trace_path))
 
@@ -170,7 +206,7 @@ def case_lines(workload: str, seed: int, case, workdir: str):
     results = {}
     for kind in case.jobs:
         d = Digest()
-        d.add("model_hash", mh)
+        d.add_exact("model_hash", mh)
         note = ""
         try:
             if kind == "pi":
@@ -178,7 +214,8 @@ def case_lines(workload: str, seed: int, case, workdir: str):
                     mu0 = totaldp.Policy.deterministic(model, choices)
                     res = totaldp.policy_iteration(model, mu0, jobs._config(case, "pi"))
                     add_result(d, model, case, res)
-                    d.add("values", [v.tobytes() for v in res.values])
+                    d.add("values", [v.tobytes() for v in res.values],
+                          [infinities(v).tobytes() for v in res.values])
                 note = f"starts={len(case.pi_starts)}"
             elif kind == "certify":
                 if results.get("mixed10") is None:
@@ -195,9 +232,12 @@ def case_lines(workload: str, seed: int, case, workdir: str):
             if isinstance(e, totaldp.SolverCapError):
                 d.add("cap_last", repr(e.last))
                 add_trace(d, e.trace)
-            d.add("raised", f"{type(e).__name__}: {e}")
+            d.add("raised", f"{type(e).__name__}: {e}", type(e).__name__)
             note = f"raised {type(e).__name__}"
-        yield f"{workload} seed={seed} {case.name} {kind} {d.hex()} {note}".rstrip()
+        shape, values = d.hex()
+        job = f"{workload} seed={seed} {case.name} {kind}"
+        yield f"{job} shape {shape} {note}".rstrip()
+        yield f"{job} values {values}"
 
 
 def fixture_lines():
@@ -229,9 +269,12 @@ def checkout(ref: str):
 
 
 def ref_lines(ref: str, options: list[str]) -> list[str]:
-    """The digest of commit ``ref``: its own tools/digest.py run in its tree."""
+    """The digest of commit ``ref``: this script run in its tree."""
     with checkout(ref) as tree:
-        out = subprocess.run([sys.executable, os.path.join("tools", "digest.py"), *options],
+        script = Path(tree, "tools", "digest.py")
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)
+        out = subprocess.run([sys.executable, str(script), *options],
                              cwd=tree, check=True, stdout=subprocess.PIPE, text=True)
     return out.stdout.splitlines()
 
