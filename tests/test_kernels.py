@@ -48,6 +48,7 @@ from totaldp.model import (
     FamilyChoice,
     Policy,
     TotalCostModel,
+    _atomic_rows,
     induced_complement,
     induced_kernel,
     validate_policy,
@@ -495,6 +496,22 @@ class TestGatheredPolicyReads:
         same_up_to_zero_sign(got, ref.continuation_segments(det, V))
         same_up_to_zero_sign(got, reconstruct_q(mix, V))
         same_up_to_zero_sign(t_o_apply(det, V), t_o_apply(mix, V))
+
+    @given(regime_cases(), st.data())
+    def test_stop_rule_rows_gather_the_chosen_pairs(self, c, data):
+        # The stop-rule engine's chain: the rows of the pairs that
+        # continue, and the stop costs J(x) in place of the others' costs.
+        model = c.model
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=model.num_pairs(),
+                                           max_size=model.num_pairs())), dtype=bool)
+        costs = np.where(keep, model.pair_costs, c.J[model.pair_state])
+        P, g = _atomic_rows(model, c.det, costs, keep)
+        want = _atomic_rows(model, c.mix, costs, keep)
+        same_up_to_zero_sign(P, want[0])
+        same_up_to_zero_sign(g, want[1])
+        full = induced_kernel(model, c.det)[0]
+        chosen = np.flatnonzero(c.det.pair_weights)
+        same_up_to_zero_sign(P, np.where(keep[chosen][:, None], full, 0.0))
 
     @given(regime_cases())
     def test_induced_chain_and_evaluation(self, c):

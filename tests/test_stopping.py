@@ -3,7 +3,7 @@ import pytest
 
 import reference_ops as ref
 from totaldp.extreal import INF, sup_dist, xdiff
-from totaldp.model import AtomicControl, Policy, TotalCostModel
+from totaldp.model import AtomicControl, Policy, TotalCostModel, _atomic_rows, policy_mix
 from totaldp.operators import bellman_T, h_backup
 from totaldp.ftheta import Theta, f_theta_apply, q_fixed_point
 from totaldp.stopping import (
@@ -30,6 +30,43 @@ class TestBuild:
         assert np.array_equal(prob.stop_costs, np.zeros(3))
         assert np.array_equal(prob.model.pair_costs, np.array([0.0, 0.0, 1.0]))
         assert prob.b_pairs.all()
+
+    def test_kernel_rows_sum_to_one(self):
+        # A stop rule's chain on the states: each state's continuing mass
+        # (the kept pairs' rows) and its stopping mass, which leaves for
+        # the terminal, make up the policy's whole mass.
+        model, _ = random_model(101, regime="P")
+        policy = random_policy(1, model)
+        rng = np.random.default_rng(7)
+        for keep in (np.ones(model.num_pairs(), bool), np.zeros(model.num_pairs(), bool),
+                     rng.random(model.num_pairs()) < 0.5):
+            rows, _ = _atomic_rows(model, policy, None, keep)
+            stopping = policy_mix(model, policy, np.where(keep, 0.0, 1.0))
+            assert np.allclose(rows.sum(axis=1) + stopping, 1.0)
+            if not keep.any():
+                assert not rows.any()
+
+    def test_kernel_spans_only_admissible_pairs(self):
+        # control name sets differ across states, so B x C holds combos
+        # (0, "right") and (1, "left") that are not pairs of the model
+        model = TotalCostModel(
+            regime="P", discount=1.0,
+            controls=(
+                (AtomicControl("left", 0.0, np.array([1.0, 0.0])),),
+                (AtomicControl("right", 1.0, np.array([1.0, 0.0])),),
+            ),
+        )
+        theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
+        J = np.array([5.0, 5.0])
+        sol = solve_stopping(build_stopping(model, theta, J))
+        assert sol.V.shape == sol.fstar.shape == sol.stop_rule.shape == (2,)
+        # Pair (0, "left") loops for free; pair (1, "right") pays 1 and
+        # joins it: both continue.
+        assert np.array_equal(sol.V, [0.0, 1.0])
+        assert not sol.stop_rule.any()
+        b = np.ones(2, bool)
+        want, _, _ = ref.stop_rule_iteration_pairs(model, theta.policy, J, b, b)
+        assert np.array_equal(sol.V, want)
 
     def test_empty_b_makes_everything_stop_only(self):
         fx = fixture("FX-P2")
