@@ -32,7 +32,7 @@ import warnings
 import numpy as np
 
 from .model import AffineFamily, AtomicControl, TotalCostModel
-from .solvers import IterationTrace, TraceRow
+from .solvers import IterationTrace, J_SNAPSHOT, Q_SNAPSHOT, TraceRow
 
 FORMAT_VERSION = 1
 
@@ -164,39 +164,58 @@ def _family(f: AffineFamily, names: list[str]) -> str:
                    f'"transitions": {_block(trans, 6)}'], 5, "{}")
 
 
+_PAD1, _PAD2 = "\n  ", "\n    "
+
+
+def _state_entry(model: TotalCostModel, x: int, names: list[str]) -> str:
+    """State x's entry in the controls list of a model file."""
+    atomic = [_block([f'"id": {_scalar(c.name)}',
+                      f'"cost": {_scalar(encode_xreal(c.cost))}',
+                      f'"transitions": {_transitions(c.probs, names)}'], 5, "{}")
+              for c in model.controls[x]]
+    entry = [f'"state": {names[x]}', f'"atomic": {_block(atomic, 4)}']
+    if model.families[x]:
+        fams = [_family(f, names) for f in model.families[x]]
+        entry.append(f'"affine_families": {_block(fams, 4)}')
+    return _block(entry, 3, "{}")
+
+
+def _model_pieces(model: TotalCostModel, ground_truth: tuple | None = None):
+    """The text of `render_model` in pieces: the top-level fields up to
+    the controls list, one piece per state's control entry, and the rest.
+    Joined, they are that text; `model_hash` hashes them one by one, so
+    no caller but `render_model` holds the whole text."""
+    names = [_scalar(s) for s in model.state_names]
+    top = [f'"format_version": {FORMAT_VERSION}', f'"regime": {_scalar(model.regime)}',
+           f'"discount": {_scalar(model.discount)}', f'"states": {_block(names, 2)}']
+    if model.cost_bound is not None:
+        top.append(f'"cost_bound": {_scalar(model.cost_bound)}')
+    # The layout of _block(top, 1, "{}"), whose "controls" item is the
+    # list _block(entries, 2) written one entry at a time.
+    yield "{" + _PAD1 + ("," + _PAD1).join(top) + "," + _PAD1 + '"controls": '
+    for x in range(model.num_states):
+        yield ("[" if x == 0 else ",") + _PAD2 + _state_entry(model, x, names)
+    yield "\n  ]" if model.num_states else "[]"
+    if ground_truth is not None:
+        Jstar, Qstar = ground_truth
+        gt = [f'"Jstar": {_block([_scalar(v) for v in encode_vector(Jstar)], 3)}']
+        if Qstar is not None:
+            gt.append(f'"Qstar": {_block([_scalar(v) for v in encode_vector(Qstar)], 3)}')
+        yield "," + _PAD1 + f'"ground_truth": {_block(gt, 2, "{}")}'
+    yield "\n}"
+
+
 def render_model(model: TotalCostModel,
                  ground_truth: tuple | None = None) -> str:
     """Serialize a model (and optional declared optimum) to JSON text.
 
     The text is what json.dumps(doc, indent=2, allow_nan=False) writes
     for the model document, byte for byte, so `model_hash` values do not
-    depend on how it is produced; it is written directly, with each state
-    name escaped once and each transition one f-string.
+    depend on how it is produced; it is written directly
+    (`_model_pieces`), with each state name escaped once and each
+    transition one f-string.
     """
-    names = [_scalar(s) for s in model.state_names]
-    top = [f'"format_version": {FORMAT_VERSION}', f'"regime": {_scalar(model.regime)}',
-           f'"discount": {_scalar(model.discount)}', f'"states": {_block(names, 2)}']
-    if model.cost_bound is not None:
-        top.append(f'"cost_bound": {_scalar(model.cost_bound)}')
-    controls = []
-    for x in range(model.num_states):
-        atomic = [_block([f'"id": {_scalar(c.name)}',
-                          f'"cost": {_scalar(encode_xreal(c.cost))}',
-                          f'"transitions": {_transitions(c.probs, names)}'], 5, "{}")
-                  for c in model.controls[x]]
-        entry = [f'"state": {names[x]}', f'"atomic": {_block(atomic, 4)}']
-        if model.families[x]:
-            fams = [_family(f, names) for f in model.families[x]]
-            entry.append(f'"affine_families": {_block(fams, 4)}')
-        controls.append(_block(entry, 3, "{}"))
-    top.append(f'"controls": {_block(controls, 2)}')
-    if ground_truth is not None:
-        Jstar, Qstar = ground_truth
-        gt = [f'"Jstar": {_block([_scalar(v) for v in encode_vector(Jstar)], 3)}']
-        if Qstar is not None:
-            gt.append(f'"Qstar": {_block([_scalar(v) for v in encode_vector(Qstar)], 3)}')
-        top.append(f'"ground_truth": {_block(gt, 2, "{}")}')
-    return _block(top, 1, "{}")
+    return "".join(_model_pieces(model, ground_truth))
 
 
 _TOP_KEYS = {"format_version", "regime", "discount", "states", "controls",
@@ -362,7 +381,7 @@ def parse_model(text: str, strict: bool = True
 
 def write_model(path, model: TotalCostModel, ground_truth: tuple | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(render_model(model, ground_truth))
+        fh.writelines(_model_pieces(model, ground_truth))
         fh.write("\n")
 
 
@@ -372,7 +391,12 @@ def read_model(path, strict: bool = True) -> tuple[TotalCostModel, tuple | None]
 
 
 def model_hash(model: TotalCostModel) -> str:
-    return hashlib.sha256(render_model(model).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of `render_model`'s text
+    (without ground truth), fed to the hash piece by piece."""
+    digest = hashlib.sha256()
+    for piece in _model_pieces(model):
+        digest.update(piece.encode())
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +411,20 @@ def _optional_back(fn):
     return lambda v: None if v is None or v == "" else fn(v)
 
 
+# Values that _encode_tree keeps as they are, by exact type.
+_KEPT = frozenset({str, int, bool, type(None)})
+
+
 def _encode_tree(obj):
-    """A JSON-able copy of obj whose floats are encoded extended reals."""
+    """A JSON-able copy of obj whose floats are encoded extended reals.
+    A 1-D float array is encoded in one pass over its `tolist`, the same
+    floats its numpy scalars give."""
+    if type(obj) in _KEPT:
+        return obj
     if isinstance(obj, dict):
         return {k: _encode_tree(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+        return encode_vector(obj.tolist())
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_encode_tree(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
@@ -413,9 +447,18 @@ def _decode_tree(obj):
 
 
 def _decode_dict(v) -> dict:
-    """A dict field from its document value or from a CSV cell's JSON text."""
-    return _decode_tree(json.loads(v or "{}") if isinstance(v, str) else v)
+    """A dict field from its document value or from a CSV cell's JSON text.
+    A mixed row's iterate snapshots come back as the float arrays the
+    solver recorded."""
+    doc = _decode_tree(json.loads(v or "{}") if isinstance(v, str) else v)
+    for key in (J_SNAPSHOT, Q_SNAPSHOT):
+        if key in doc:
+            doc[key] = decode_vector(doc[key], key)
+    return doc
 
+
+# json.dumps(obj, allow_nan=False), without an encoder built per call.
+_json = json.JSONEncoder(allow_nan=False).encode
 
 # Field type -> (to a document value, from a document value or CSV text).
 _CODECS = {
@@ -433,9 +476,10 @@ _CODECS = {
 class _Schema:
     """The fields of one trace dataclass and their codecs, derived once.
 
-    ``values`` gives an object's field values as document values, in
-    field order; ``build`` makes the object back from a document, reading
-    only the fields it knows (an old header's ``seed`` is ignored).
+    ``doc`` gives an object as a document, ``columns`` the field values
+    of many objects as document values, one list per field; ``build``
+    makes an object back from a document, reading only the fields it
+    knows (an old header's ``seed`` is ignored).
     """
 
     def __init__(self, cls):
@@ -447,11 +491,14 @@ class _Schema:
         self.dict_fields = tuple(i for i, name in enumerate(self.names) if hints[name] is dict)
         self._get = operator.attrgetter(*self.names)
 
-    def values(self, obj) -> list:
-        return [out(v) for out, v in zip(self.outs, self._get(obj))]
+    def columns(self, objs: list) -> list[list]:
+        """The objects' field values as document values, one list per
+        field, each encoded down its whole column."""
+        return [list(map(out, map(operator.attrgetter(name), objs)))
+                for name, out in zip(self.names, self.outs)]
 
     def doc(self, obj) -> dict:
-        return dict(zip(self.names, self.values(obj)))
+        return {name: out(v) for name, out, v in zip(self.names, self.outs, self._get(obj))}
 
     def build(self, doc: dict, where: str):
         kwargs = {}
@@ -474,14 +521,13 @@ _ROW = _Schema(TraceRow)
 def trace_to_csv(trace: IterationTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["#header", json.dumps(_HEADER.doc(trace), allow_nan=False)])
+    writer.writerow(["#header", _json(_HEADER.doc(trace))])
     writer.writerow(_ROW.names)
-    for row in trace.rows:
-        # csv writes None as an empty cell and a float by its repr
-        cells = _ROW.values(row)
-        for i in _ROW.dict_fields:
-            cells[i] = json.dumps(cells[i], allow_nan=False)
-        writer.writerow(cells)
+    columns = _ROW.columns(trace.rows)
+    for i in _ROW.dict_fields:
+        columns[i] = list(map(_json, columns[i]))
+    # csv writes None as an empty cell and a float by its repr
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

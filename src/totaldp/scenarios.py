@@ -22,6 +22,7 @@ from .ftheta import Theta, f_theta_apply, q_fixed_point
 from .stopping import build_stopping, lp_upper_bound, reconstruct_q, solve_stopping
 from .solvers import (
     FullB,
+    J_SNAPSHOT,
     SolverCapError,
     SolverConfig,
     lp_variant_vpi,
@@ -521,7 +522,7 @@ def footnote5_equiv() -> Report:
     mpi = modified_policy_iteration(model, mu0, np.full(model.num_states, C), mpi_cfg)
     worst = 0.0
     for rmix, rmpi in zip(mixed.trace.rows, mpi.trace.rows):
-        Jmix = np.array(rmix.extra["J_snapshot"])
+        Jmix = rmix.extra[J_SNAPSHOT]
         Jmpi = np.array(rmpi.extra["J_greedy"])
         worst = max(worst, sup_dist(Jmix, Jmpi))
     rep.add(f"the two value sequences coincide within 1e-12 over {iters} "

@@ -137,6 +137,11 @@ BStrategy = Union[FullB, OccupationSupportB, CustomB]
 # Traces
 
 
+# The keys of a mixed row's iterate snapshots in ``TraceRow.extra``: float
+# arrays in memory and after `modelio.read_trace`, JSON lists on disk.
+J_SNAPSHOT, Q_SNAPSHOT = "J_snapshot", "Q_snapshot"
+
+
 @dataclass
 class TraceRow:
     k: int
@@ -364,17 +369,23 @@ class _Recorder:
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
-        """The run's SolveResult.  At the cap of a run that was meant to
-        stop on the tolerance, raise SolverCapError carrying it instead;
-        ``bound`` says which side of the answer the last iterate bounds."""
-        result = SolveResult(J=J, trace=self.trace, termination=termination, **fields)
+        """The run's SolveResult, holding its own copies of the final J
+        and Q: the trace's rows may hold the very arrays, and a caller
+        that edits its result must not edit them.  At the cap of a run
+        that was meant to stop on the tolerance, raise SolverCapError
+        carrying it instead; ``bound`` says which side of the answer the
+        last iterate bounds."""
+        if fields.get("Q") is not None:
+            fields["Q"] = fields["Q"].copy()
+        result = SolveResult(J=J.copy(), trace=self.trace, termination=termination,
+                             **fields)
         config = self.config
         if termination == "cap" and config.stop_on_tol:
             raise SolverCapError(
                 f"{_NAMES[self.trace.algorithm]} hit the {config.max_iter}-iteration cap "
                 f"(residual {self.trace.final_residual:g})",
-                last=J if result.Q is None else (J, result.Q), trace=self.trace,
-                bound=bound, result=result)
+                last=result.J if result.Q is None else (result.J, result.Q),
+                trace=self.trace, bound=bound, result=result)
         return result
 
 
@@ -571,7 +582,10 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     (``nk="exact"``).  ``extra["powers"]`` counts the applications that
     ran (fewer than nk once a power repeats; see `f_theta_power`).  In N
     and P, where J_k <= T^k(J0) is a guarantee, ``upper_margin`` is the
-    margin against that value-iteration envelope; in D it is None.
+    margin against that value-iteration envelope; in D it is None.  Each
+    row's ``extra`` holds J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
+    float arrays in memory, JSON lists in a trace file, and float arrays
+    again after `modelio.read_trace`.
     """
     check_admits("mixed", model)
     update = (_masked_update if config.masks is not None
@@ -603,8 +617,11 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
     of the mask schedule (one row without masks): a masked row moves one
     pair and one state, so a quiet row alone shows nothing about the
-    others.  mixed rows record J_k
-    and Q_k as ``J_snapshot``/``Q_snapshot`` lists; lp records no
+    others.  mixed rows record J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
+    the arrays the loop holds, not copies.  Every update and `_clamp`
+    returns fresh arrays and nothing here writes into J or Q, so a
+    recorded iterate never changes; the trace file holds them as JSON
+    lists, and `modelio.read_trace` gives arrays back.  lp records no
     envelope, start dominance or snapshots, adds ``cone_margin``
     (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
     iterate is a lower bound.
@@ -644,8 +661,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         if lp:
             extra["cone_margin"] = None if cone is None else margin_leq(J, cone)
         else:
-            extra["J_snapshot"] = J.tolist()
-            extra["Q_snapshot"] = Q.tolist()
+            extra[J_SNAPSHOT] = J
+            extra[Q_SNAPSHOT] = Q
         rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
                 b_set=_describe_b(theta.B, model.num_states), upper_margin=upper,
                 extra=extra)

@@ -62,10 +62,18 @@ It is kept verbatim but for its policy reads (that product kernel and
 the segment-sum mix of the sixth part), and it still prices with
 `chains._price`, so `test_stop_rules.py` checks the library's reduction
 from pairs to states against it on problems too large to enumerate.
+
+The ninth part is an oracle for J* itself: the least value, state by
+state, over every deterministic stationary policy, each evaluated by
+`evaluate_policy` of the second part.  Finite D, N and P models have an
+optimal policy of that kind (Puterman 1994, sections 6-7; Strauch 1966;
+Blackwell 1967).  It reads no solver and no chain routine of the
+library, so `test_oracle.py` checks the solvers against it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -667,3 +675,23 @@ def stop_rule_iteration_pairs(model: TotalCostModel, policy: Policy, stop: np.nd
         if nxt.tobytes() in seen:
             raise RuntimeError("stop-rule iteration returned to an earlier rule")
         cont = nxt
+
+
+# ---------------------------------------------------------------------------
+# J* by policy enumeration
+
+
+def optimal_cost(model: TotalCostModel) -> np.ndarray:
+    """J* of a small atomic model: the minimum, state by state, of the
+    exact cost (`evaluate_policy`) of every deterministic stationary
+    policy, of which there are the product of the control counts.  Every
+    cost in P is nonnegative and every cost in N nonpositive, so the
+    linear solve's round-off past zero (-1e-16 where J* = 0) is cut off."""
+    J = np.full(model.num_states, INF)
+    for choices in itertools.product(*(range(len(c)) for c in model.controls)):
+        J = np.minimum(J, evaluate_policy(model, Policy.deterministic(model, choices)).J)
+    if model.regime == "P":
+        return np.maximum(J, 0.0)
+    if model.regime == "N":
+        return np.minimum(J, 0.0)
+    return J

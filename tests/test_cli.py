@@ -103,9 +103,11 @@ class TestSolve:
 
     def test_model_hash_is_rendered_only_for_a_trace(self, runner, tmp_path, monkeypatch):
         path = _write_fixture(tmp_path, "FX-P4")
+        # render_model and model_hash both read the model's text from
+        # _model_pieces; count the pieces' generators
         renders = []
-        render = modelio.render_model
-        monkeypatch.setattr(modelio, "render_model",
+        render = modelio._model_pieces
+        monkeypatch.setattr(modelio, "_model_pieces",
                             lambda *a, **kw: renders.append(a) or render(*a, **kw))
         args = ["solve", str(path), "--algorithm", "mixed", "--j0", "cJstar:1.5"]
         out = runner.invoke(main, args)

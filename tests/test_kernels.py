@@ -17,6 +17,7 @@ forms they replaced, NaN and signed zeros included.
 """
 
 import dataclasses
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -684,6 +685,13 @@ class TestModelWriter:
             gt = (data.draw(vectors(n)),
                   data.draw(vectors(model.num_pairs())) if gt == "JQ" else None)
         assert render_model(model, gt) == json_text(model, gt)
+        # model_hash feeds the text to the hash one piece at a time
+        assert model_hash(model) == hashlib.sha256(json_text(model).encode()).hexdigest()[:16]
+
+    def test_model_without_states(self):
+        model = TotalCostModel("P", 1.0, ())
+        assert render_model(model) == json_text(model)
+        assert model_hash(model) == hashlib.sha256(json_text(model).encode()).hexdigest()[:16]
 
     @pytest.mark.parametrize("where", ["prob-nan", "prob-inf", "cost-nan", "jstar-nan"])
     def test_nan_and_infinite_floats_are_refused(self, where):

@@ -324,7 +324,8 @@ class TestTraceRoundTrip:
             k=3, residual=0.1, dist_J=-INF, dist_Q=0.0, policy="0:1,1:0", b_set="S",
             upper_margin=-0.0, lower_margin=INF, q_lower_margin=-1.5, wall_time=0.125,
             extra={"ineq_lower_margin": -INF, "cone_margin": None,
-                   "J_snapshot": [INF, -INF, 0.1], "nested": {"gap": INF, "name": "x"}}))
+                   "J_snapshot": np.array([INF, -INF, 0.1]),
+                   "nested": {"gap": INF, "name": "x"}}))
         write, read = FORMATS[fmt]
         _assert_same_trace(trace, read(write(trace)))
 
@@ -434,8 +435,8 @@ class TestParentTraces:
             trace.append(TraceRow(
                 k=k, residual=residual, dist_J=1.0, dist_Q=1.0, policy=policy, b_set="S",
                 upper_margin=0.0, lower_margin=0.0, q_lower_margin=0.0, wall_time=0.25 * k,
-                extra={"residual_Q": res_Q, "J_snapshot": [0.0, 1.0],
-                       "Q_snapshot": [0.0, 1.0, 1.0]}))
+                extra={"residual_Q": res_Q, "J_snapshot": np.array([0.0, 1.0]),
+                       "Q_snapshot": np.array([0.0, 1.0, 1.0])}))
         return trace
 
     def test_parent_csv_reads_back(self):

@@ -16,7 +16,9 @@ from totaldp.solvers import (
     ALGORITHMS,
     CustomB,
     FullB,
+    J_SNAPSHOT,
     OccupationSupportB,
+    Q_SNAPSHOT,
     SolverCapError,
     SolverConfig,
     cone_multiplier,
@@ -130,6 +132,21 @@ class TestMixed:
         for row in out.trace.rows:
             J = bellman_T(model, J)
             assert np.array_equal(np.array(row.extra["J_snapshot"]), J)
+
+    def test_rows_keep_the_arrays_and_the_result_owns_copies(self):
+        fx = fixture("FX-D")
+        J0 = np.zeros(3)
+        out = mixed_vpi(fx.model, SolverConfig(algorithm="mixed", J0=J0,
+                                               Q0=h_backup(fx.model, J0), nk=4, tol=1e-10))
+        extras = [row.extra for row in out.trace.rows]
+        snapshots = [e[key] for e in extras for key in (J_SNAPSHOT, Q_SNAPSHOT)]
+        assert all(type(v) is np.ndarray and v.dtype == float for v in snapshots)
+        assert len({id(v) for v in snapshots}) == len(snapshots)
+        last = extras[-1]
+        assert np.array_equal(out.J, last[J_SNAPSHOT]) and np.array_equal(out.Q, last[Q_SNAPSHOT])
+        out.J[:] = -1.0
+        out.Q[:] = -1.0
+        assert (last[J_SNAPSHOT] >= 0.0).all() and (last[Q_SNAPSHOT] >= 0.0).all()
 
     def test_custom_b_schedule_cycles(self):
         model, Jstar = random_model(431, regime="D")
