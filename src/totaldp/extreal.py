@@ -109,17 +109,35 @@ def expect_segments(weights: np.ndarray, values: np.ndarray,
 
 
 def xdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b for float arrays, 0 wherever a == b.
+    """a - b for float arrays (broadcast together), 0 wherever a == b.
 
     Only unequal entries are subtracted, so inf - inf is never formed:
     equal infinities are 0 apart, opposite ones are +-inf apart, and a
     NaN entry stays NaN.
     """
-    return np.subtract(a, b, out=np.zeros(a.shape), where=a != b)
+    unequal = a != b
+    return np.subtract(a, b, out=np.zeros(unequal.shape), where=unequal)
 
 
-def sup_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup-norm distance treating equal infinities as coincident.
+# `sup_dist` and `margin_leq` take two vectors of one length n, or a
+# (k, n) stack of k rows in either argument against a vector or a stack of
+# the same shape.  A stack gives an array of k results, each bit for bit
+# the one the two rows' 1-D call gives: subtraction, absolute value and
+# max are exact elementwise, so neither the fast-path choice (made once
+# for the whole stack) nor the row-wise reduction moves a bit.
+
+
+def _empty(a: np.ndarray, b: np.ndarray):
+    """The result for an empty a, of n = 0 entries or of k = 0 rows: 0.0
+    for a vector, a zero for each row of a stack.  (An empty b against a
+    nonempty a is a stack of k = 0 rows, which the reduction handles.)"""
+    rows = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    return np.zeros(rows) if rows else 0.0
+
+
+def sup_dist(a: np.ndarray, b: np.ndarray):
+    """Sup-norm distance treating equal infinities as coincident; row by
+    row for a (k, n) stack.
 
     When a holds no infinity, no inf - inf can be formed, and the plain
     difference equals `xdiff` up to the sign of a zero (an a of -0.0
@@ -128,26 +146,25 @@ def sup_dist(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0:
-        return 0.0
-    if not np.count_nonzero(np.isinf(a)):
-        d = a - b
-        return float(np.abs(d, out=d).max())
-    return float(np.abs(xdiff(a, b)).max())
+        return _empty(a, b)
+    d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
+    d = np.abs(d, out=d)
+    return float(d.max()) if d.ndim <= 1 else d.max(axis=-1)
 
 
-def margin_leq(a: np.ndarray, b: np.ndarray) -> float:
+def margin_leq(a: np.ndarray, b: np.ndarray):
     """max over entries of a - b, 0 where they are equal (infinities
     included): <= 0 exactly when a <= b elementwise, NaN aside; 0 for
-    empty vectors.
+    empty vectors; row by row for a (k, n) stack.
 
     The fast path is `sup_dist`'s, without the absolute value; adding
     +0.0 turns the -0.0 that an a of -0.0 against a b of +0.0 leaves
-    into the +0.0 that `xdiff` puts at equal entries.
+    into the +0.0 that `xdiff` puts at equal entries (`xdiff` itself
+    leaves no -0.0: unequal floats never subtract to zero).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0:
-        return 0.0
-    if not np.count_nonzero(np.isinf(a)):
-        return float((a - b).max()) + 0.0
-    return float(xdiff(a, b).max())
+        return _empty(a, b)
+    d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
+    return (float(d.max()) if d.ndim <= 1 else d.max(axis=-1)) + 0.0

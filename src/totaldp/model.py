@@ -353,6 +353,28 @@ def _point_mass(a: AtomicMix) -> bool:
     return abs(float(a.weights.max(initial=0.0)) - 1.0) <= PROB_TOL
 
 
+def _atomic_suspects(model: TotalCostModel) -> list[bool] | None:
+    """Which atomic pairs break an invariant, by one pass over the pair
+    arrays: a transition entry below -PROB_TOL, a row sum off 1 by more
+    than PROB_TOL (or NaN), or a cost that is NaN or breaks the regime's
+    sign or bound.  A row's sum over the (pairs, states) matrix is bit for
+    bit its own ``probs.sum()``.  None when some row is not n entries
+    long, so that the matrix cannot be formed; every pair is then
+    checked on its own."""
+    n = model.num_states
+    if any(c.probs.shape != (n,) for cs in model.controls for c in cs):
+        return None
+    P, g = model.pair_probs, model.pair_costs
+    bad = (P < -PROB_TOL).any(axis=1) | ~(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL)
+    if model.regime == "D":
+        bad |= ~np.isfinite(g)
+        if model.cost_bound is not None:
+            bad |= np.abs(g) > model.cost_bound + PROB_TOL
+    else:
+        bad |= np.isnan(g) | (g > 0.0 if model.regime == "N" else g < 0.0)
+    return bad.tolist()
+
+
 def validate_model(model: TotalCostModel) -> list[str]:
     """Check every model invariant; returns [] when the model is valid.
 
@@ -384,10 +406,15 @@ def validate_model(model: TotalCostModel) -> list[str]:
         elif model.regime == "P" and value < 0.0:
             bad.append(f"regime P requires g >= 0: {where} = {value}")
 
+    suspect = _atomic_suspects(model)
+    pair = 0
     for x in range(n):
-        if not model.controls[x] and not model.families[x]:
+        controls = model.controls[x]
+        if not controls and not model.families[x]:
             bad.append(f"state {x} has no atomic control and no affine family")
-        for i, c in enumerate(model.controls[x]):
+        for i, c in enumerate(controls):
+            if suspect is not None and not suspect[pair + i]:
+                continue
             where = f"state {x} control {c.name!r}"
             if c.probs.shape != (n,):
                 bad.append(f"{where}: transition row has shape {c.probs.shape}, want ({n},)")
@@ -398,6 +425,7 @@ def validate_model(model: TotalCostModel) -> list[str]:
             if not abs(total - 1.0) <= PROB_TOL:  # NaN entries make the sum NaN
                 bad.append(f"{where}: distribution sum {total!r} != 1")
             check_cost(c.cost, where)
+        pair += len(controls)
         for j, f in enumerate(model.families[x]):
             where = f"state {x} family {j}"
             if not (0.0 <= f.lo < f.hi <= 1.0):

@@ -258,7 +258,9 @@ def parse_model(text: str, strict: bool = True
 
     Every malformed structure is a ModelFileError that names where it
     is: a missing field, a value of the wrong JSON type, an unknown
-    state, and a successor listed twice in one transition list.
+    state, a successor listed twice in one transition list, and a
+    ground-truth vector whose length is not the model's (n states for
+    Jstar, one value per atomic pair for Qstar).
     """
     try:
         doc = json.loads(text)
@@ -375,6 +377,10 @@ def parse_model(text: str, strict: bool = True
         Jstar = decode_vector(_field(gdoc, "Jstar", "ground_truth"), "Jstar")
         _check_keys(gdoc, {"Jstar", "Qstar"}, "ground_truth", strict)
         Qstar = decode_vector(gdoc["Qstar"], "Qstar") if "Qstar" in gdoc else None
+        for name, star, want in (("Jstar", Jstar, n), ("Qstar", Qstar, model.num_pairs())):
+            if star is not None and star.size != want:
+                raise ModelFileError(f"ground_truth {name}: {star.size} values, "
+                                     f"the model has {want}")
         gt = (Jstar, Qstar)
     return model, gt
 

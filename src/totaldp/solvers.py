@@ -15,9 +15,12 @@ all five solvers share, has rows that carry the sup-norm residual, the
 distance to ground truth when one is supplied, policy and set
 descriptors, ordering margins against ground truth and (mixed runs in N
 and P) against the value-iteration envelope T^k(J0), the iterates J_k
-and Q_k themselves (mixed runs), and wall time.  A run that stops on the
-tolerance and reaches the iteration cap first raises SolverCapError,
-which carries the SolveResult it ends with.
+and Q_k themselves (mixed runs), and wall time.  The ground-truth
+columns are filled over the recorded iterates in blocks of rows and when
+the run ends, so no solver writes into an iterate after recording it
+(`_Recorder`).  A run that stops on the tolerance and reaches the
+iteration cap first raises SolverCapError, which carries the SolveResult
+it ends with.
 """
 
 from __future__ import annotations
@@ -315,15 +318,40 @@ _NAMES = {"vi": "value iteration", "pi": "policy iteration",
           "lp": "constraint-program iteration"}
 
 
+def _truth(values, name: str, size: int) -> np.ndarray:
+    """Ground truth as a float vector of ``size`` entries; ValueError
+    naming both shapes otherwise."""
+    star = np.asarray(values, dtype=float)
+    if star.shape != (size,):
+        raise ValueError(f"ground truth {name} has shape {star.shape}, "
+                         f"the model wants {(size,)}")
+    return star
+
+
+# Rows whose ground-truth columns wait for one stacked fill.  Held memory
+# between fills is at most this many J (and Q) iterates.
+_BLOCK = 256
+
+
 class _Recorder:
     """The trace bookkeeping every solver shares.
 
     Builds the trace header from the start (J0, Q0), keeps the ground
-    truth and the wall clock, fills each row's ground-truth columns and
-    time, and ends the run.  ``rate`` records the start's distance to
-    ground truth (dist0) and ``sandwich`` whether the start dominates it
+    truth and the wall clock, appends each row with its time, and ends
+    the run.  ``rate`` records the start's distance to ground truth
+    (dist0) and ``sandwich`` whether the start dominates it
     (initial_dominance); each start vector counts only when its ground
     truth is known, and dominance only when all of them do.
+
+    A row's ground-truth columns (dist_J, lower_margin and, with Q,
+    dist_Q, q_lower_margin) are filled later, not when it is appended:
+    the recorder keeps each row's J (and Q) by reference, and fills the
+    pending rows' columns in one stacked `sup_dist`/`margin_leq` pass
+    every `_BLOCK` rows and in `finish`, before the result is returned
+    or SolverCapError raised.  So a solver must never write into an
+    iterate after recording it, and must not read those columns of its
+    own rows while it runs.  Ground truth of the wrong shape is refused
+    here, before the first row.
     """
 
     def __init__(self, algorithm: str, model: TotalCostModel, config: SolverConfig,
@@ -332,9 +360,9 @@ class _Recorder:
         self.Jstar = self.Qstar = None
         if config.ground_truth is not None:
             Jstar, Qstar = config.ground_truth
-            self.Jstar = np.asarray(Jstar, dtype=float)
+            self.Jstar = _truth(Jstar, "Jstar", model.num_states)
             if Qstar is not None:
-                self.Qstar = np.asarray(Qstar, dtype=float)
+                self.Qstar = _truth(Qstar, "Qstar", model.num_pairs())
         J0 = None if J0 is None else np.array(J0, dtype=float)
         Q0 = None if Q0 is None else np.array(Q0, dtype=float)
         self.trace = IterationTrace(
@@ -351,21 +379,38 @@ class _Recorder:
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
+        self._pending: list[tuple[TraceRow, np.ndarray, np.ndarray | None]] = []
         self._start = time.perf_counter()
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
-            **fields) -> TraceRow:
-        """Append row k, with the ground-truth columns for J (and Q)."""
+            **fields) -> None:
+        """Append row k.  With ground truth, J (and Q) are kept by
+        reference until the row's columns are filled: the caller never
+        writes into them afterwards."""
         row = TraceRow(k=k, residual=residual, **fields)
-        if self.Jstar is not None:
-            row.dist_J = sup_dist(J, self.Jstar)
-            row.lower_margin = margin_leq(self.Jstar, J)
-            if Q is not None and self.Qstar is not None:
-                row.dist_Q = sup_dist(Q, self.Qstar)
-                row.q_lower_margin = margin_leq(self.Qstar, Q)
         row.wall_time = time.perf_counter() - self._start
         self.trace.append(row)
-        return row
+        if self.Jstar is not None:
+            self._pending.append((row, J, Q if self.Qstar is not None else None))
+            if len(self._pending) >= _BLOCK:
+                self._fill()
+
+    def _fill(self) -> None:
+        """The pending rows' ground-truth columns, from one row-wise pass
+        of each kernel over their stacked iterates."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        J = np.stack([J for _, J, _ in pending])
+        for (row, _, _), d, m in zip(pending, sup_dist(J, self.Jstar).tolist(),
+                                     margin_leq(self.Jstar, J).tolist()):
+            row.dist_J, row.lower_margin = d, m
+        with_Q = [(row, Q) for row, _, Q in pending if Q is not None]
+        if with_Q:
+            Q = np.stack([Q for _, Q in with_Q])
+            for (row, _), d, m in zip(with_Q, sup_dist(Q, self.Qstar).tolist(),
+                                      margin_leq(self.Qstar, Q).tolist()):
+                row.dist_Q, row.q_lower_margin = d, m
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
@@ -375,6 +420,7 @@ class _Recorder:
         that was meant to stop on the tolerance, raise SolverCapError
         carrying it instead; ``bound`` says which side of the answer the
         last iterate bounds."""
+        self._fill()
         if fields.get("Q") is not None:
             fields["Q"] = fields["Q"].copy()
         result = SolveResult(J=J.copy(), trace=self.trace, termination=termination,
@@ -518,9 +564,9 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         res = sup_dist(J, prev_J) if prev_J is not None else INF
         prev_J = J
         key = mu.descriptor()
-        row = rec.row(k, res, J, policy=key, extra={"improvement_gap": gap})
+        rec.row(k, res, J, policy=key, extra={"improvement_gap": gap})
         if gap <= 1e-12:
-            if row.dist_J is not None and row.dist_J <= config.tol:
+            if rec.Jstar is not None and sup_dist(J, rec.Jstar) <= config.tol:
                 return result("optimal-certified")
             return result("stuck")
         if key in seen:

@@ -69,11 +69,23 @@ state, over every deterministic stationary policy, each evaluated by
 optimal policy of that kind (Puterman 1994, sections 6-7; Strauch 1966;
 Blackwell 1967).  It reads no solver and no chain routine of the
 library, so `test_oracle.py` checks the solvers against it.
+
+The tenth part is the row-by-row form of the two residual kernels on a
+(k, n) stack: one 1-D `sup_dist` or `margin_leq` call per row, as the
+trace recorder made them before it filled its ground-truth columns in
+blocks.  `test_extreal.py` checks the stacked calls against it bit for
+bit.
+
+The eleventh part is `validate_model` as it ran before it read the
+atomic rows in one pass over the pair arrays: three or four numpy calls
+per control, kept verbatim.  `test_model.py` checks that the library
+emits the same messages in the same order on drawn models.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +96,7 @@ from totaldp.extreal import (
     expect,
     expect_rows,
     expect_segments,
+    margin_leq,
     sup_dist,
     xadd,
     xadd_vec,
@@ -93,6 +106,8 @@ from totaldp.extreal import (
 from totaldp.ftheta import FixedPointCertificate, Theta
 from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
+    PROB_TOL,
+    REGIMES,
     AtomicMix,
     FamilyChoice,
     Policy,
@@ -695,3 +710,87 @@ def optimal_cost(model: TotalCostModel) -> np.ndarray:
     if model.regime == "N":
         return np.minimum(J, 0.0)
     return J
+
+
+# ---------------------------------------------------------------------------
+# Stacked residual kernels, row by row
+
+
+def _rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """a and b broadcast to one (k, n) shape."""
+    return np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def sup_dist_rows(a, b) -> np.ndarray:
+    """`sup_dist` of each row pair of a (k, n) stack and its partner."""
+    return np.array([sup_dist(x, y) for x, y in zip(*_rows(a, b))], dtype=float)
+
+
+def margin_leq_rows(a, b) -> np.ndarray:
+    """`margin_leq` of each row pair of a (k, n) stack and its partner."""
+    return np.array([margin_leq(x, y) for x, y in zip(*_rows(a, b))], dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Model validation, control by control
+
+
+def validate_model_per_row(model: TotalCostModel) -> list[str]:
+    """Check every model invariant; returns [] when the model is valid."""
+    bad: list[str] = []
+    n = model.num_states
+    if model.regime not in REGIMES:
+        bad.append(f"regime must be one of {REGIMES}, got {model.regime!r}")
+        return bad
+    if model.regime == "D":
+        if not (0.0 <= model.discount < 1.0):
+            bad.append(f"regime D requires discount in [0, 1), got {model.discount}")
+    else:
+        if model.discount != 1.0:
+            bad.append(f"regime {model.regime} requires discount 1, got {model.discount}")
+
+    def check_cost(value: float, where: str) -> None:
+        if math.isnan(value):
+            bad.append(f"{where}: cost is NaN")
+        elif model.regime == "D":
+            if not math.isfinite(value):
+                bad.append(f"regime D requires finite costs: {where} = {value}")
+            elif model.cost_bound is not None and abs(value) > model.cost_bound + PROB_TOL:
+                bad.append(f"regime D cost bound {model.cost_bound} exceeded: {where} = {value}")
+        elif model.regime == "N" and value > 0.0:
+            bad.append(f"regime N requires g <= 0: {where} = {value}")
+        elif model.regime == "P" and value < 0.0:
+            bad.append(f"regime P requires g >= 0: {where} = {value}")
+
+    for x in range(n):
+        if not model.controls[x] and not model.families[x]:
+            bad.append(f"state {x} has no atomic control and no affine family")
+        for i, c in enumerate(model.controls[x]):
+            where = f"state {x} control {c.name!r}"
+            if c.probs.shape != (n,):
+                bad.append(f"{where}: transition row has shape {c.probs.shape}, want ({n},)")
+                continue
+            if (c.probs < -PROB_TOL).any():
+                bad.append(f"{where}: negative transition probability")
+            total = float(c.probs.sum())
+            if not abs(total - 1.0) <= PROB_TOL:  # NaN entries make the sum NaN
+                bad.append(f"{where}: distribution sum {total!r} != 1")
+            check_cost(c.cost, where)
+        for j, f in enumerate(model.families[x]):
+            where = f"state {x} family {j}"
+            if not (0.0 <= f.lo < f.hi <= 1.0):
+                bad.append(f"{where}: interval [{f.lo}, {f.hi}] not inside [0, 1] or empty")
+                continue
+            if f.p0.shape != (n,) or f.p1.shape != (n,):
+                bad.append(f"{where}: coefficient rows must have shape ({n},)")
+                continue
+            if not abs(float(f.p0.sum()) - 1.0) <= PROB_TOL:
+                bad.append(f"{where}: p0 sums to {float(f.p0.sum())!r}, want 1")
+            if not abs(float(f.p1.sum())) <= PROB_TOL:
+                bad.append(f"{where}: p1 sums to {float(f.p1.sum())!r}, want 0")
+            for t in (f.lo, f.hi):
+                probs = f.probs_at(t)
+                if (probs < -PROB_TOL).any() or (probs > 1.0 + PROB_TOL).any():
+                    bad.append(f"{where}: probabilities leave [0, 1] at t = {t}")
+                check_cost(f.cost_at(t), f"{where} at t = {t}")
+    return bad

@@ -182,6 +182,15 @@ class TestSolve:
         assert f"takes no {unread}" in out.output
         assert "Traceback" not in out.output
 
+    def test_ground_truth_of_the_wrong_length_is_a_parse_error(self, runner, tmp_path):
+        fx = fixture("FX-P2")
+        path = tmp_path / "bad.mdp"
+        write_model(path, fx.model, (np.append(fx.Jstar, 0.0), fx.Qstar))
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi"])
+        assert out.exit_code == 2, out.output
+        assert "parse error: ground_truth Jstar: 3 values, the model has 2" in out.output
+        assert "broadcast" not in out.output
+
     def test_lp_on_wrong_regime_is_usage_error(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-N2")
         out = runner.invoke(main, ["solve", str(path), "--algorithm", "lp"])

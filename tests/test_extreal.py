@@ -3,6 +3,7 @@ import struct
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import reference_ops as ref
@@ -124,3 +125,63 @@ class TestResidualKernels:
             for x, y in ((a, b), (b, a)):
                 assert same_float(sup_dist(x, y), ref.sup_dist_masked(x, y))
                 assert same_float(margin_leq(x, y), ref.margin_masked(x, y))
+
+
+@st.composite
+def residual_stacks(draw):
+    """A (k, n) stack, k and n from 0, and a partner: an n-vector or a
+    second (k, n) stack.  Each partner entry is drawn afresh, equal to the
+    stack's entry it meets (row 0's for a vector), or that entry with the
+    sign of a zero flipped."""
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    stack = np.array(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                   min_size=k, max_size=k)), dtype=float).reshape(k, n)
+    vector = draw(st.booleans())
+    met = stack[:1] if vector else stack
+    partner = []
+    for x in (met.ravel() if met.size else [draw(ENTRY) for _ in range(n if vector else 0)]):
+        kind = draw(st.sampled_from(["fresh", "tie", "flip"]))
+        partner.append(draw(ENTRY) if kind == "fresh" else -x if kind == "flip" and x == 0.0
+                       else x)
+    return stack, np.array(partner, dtype=float).reshape((n,) if vector else (k, n))
+
+
+def same_floats(x, y):
+    return x.shape == y.shape and all(same_float(u, v) for u, v in zip(x, y))
+
+
+class TestStackedResidualKernels:
+    """On a (k, n) stack in either argument, `sup_dist` and `margin_leq`
+    give each row's 1-D result, bit for bit."""
+
+    @given(residual_stacks())
+    def test_equal_to_one_call_per_row_bit_for_bit(self, pair):
+        stack, partner = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x, y in ((stack, partner), (partner, stack)):
+                assert same_floats(sup_dist(x, y), ref.sup_dist_rows(x, y))
+                assert same_floats(margin_leq(x, y), ref.margin_leq_rows(x, y))
+
+    def test_infinities_in_either_operand(self):
+        stack = np.array([[INF, 1.0], [-INF, INF], [0.0, -0.0]])
+        star = np.array([INF, -INF])
+        assert sup_dist(stack, star).tolist() == [INF, INF, INF]
+        assert margin_leq(star, stack).tolist() == [0.0, INF, INF]
+        assert margin_leq(stack, star).tolist() == [INF, INF, INF]
+        assert sup_dist(np.array([[INF, -INF]]), star).tolist() == [0.0]
+
+    @pytest.mark.parametrize("a_shape, b_shape, rows", [
+        ((0, 3), (3,), 0), ((3,), (0, 3), 0), ((2, 0), (0,), 2), ((0,), (2, 0), 2),
+        ((0, 0), (0,), 0)])
+    def test_empty_stacks(self, a_shape, b_shape, rows):
+        a, b = np.zeros(a_shape), np.zeros(b_shape)
+        for kernel in (sup_dist, margin_leq):
+            out = kernel(a, b)
+            assert isinstance(out, np.ndarray) and out.tolist() == [0.0] * rows
+
+    def test_vectors_still_give_floats(self):
+        a, b = np.array([1.0, -2.0]), np.array([0.5, 0.0])
+        assert type(sup_dist(a, b)) is float and type(margin_leq(a, b)) is float
+        assert type(sup_dist(a[:0], b[:0])) is float

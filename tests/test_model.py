@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import reference_ops as ref
 
 from totaldp.model import (
+    REGIMES,
     AffineFamily,
     AtomicControl,
     AtomicMix,
@@ -165,3 +169,84 @@ def test_induced_complement_matches_kernel():
     A, g2 = induced_complement(fx.model, pol)
     assert np.allclose(A, np.eye(3) - P)
     assert np.array_equal(g, g2)
+
+
+def _row(rng, n: int) -> np.ndarray:
+    """A distribution on n states: dense, or on a few successors."""
+    if rng.random() < 0.5:
+        return rng.dirichlet(np.ones(n))
+    row = np.zeros(n)
+    support = rng.choice(n, size=min(n, int(rng.integers(1, 6))), replace=False)
+    row[support] = rng.dirichlet(np.ones(support.size))
+    return row
+
+
+@st.composite
+def drawn_models(draw):
+    """A model with 0-3 atomic controls per state and some affine
+    families, in any regime.  Some rows and costs break an invariant:
+    a negative entry (with the sum off 1 or not), a sum off 1, NaN, an
+    infinite or wrong-signed cost, a cost past the bound, or a row of
+    the wrong length."""
+    n = draw(st.integers(1, 12))
+    regime = draw(st.sampled_from(REGIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    faults = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    sign = -1.0 if regime == "N" else 1.0
+    controls, families = [], []
+    for x in range(n):
+        cs = []
+        for i in range(int(rng.integers(0, 4))):
+            probs, cost = _row(rng, n), sign * float(rng.random() * 2.0)
+            if rng.random() < faults:
+                kind = rng.integers(0, 8)
+                if kind == 0:
+                    probs[rng.integers(n)] -= 0.5
+                elif kind == 7:  # one entry negative, the sum still 1
+                    probs[0] -= 0.5
+                    probs[-1] += 0.5
+                elif kind == 1:
+                    probs = probs * (1.0 + rng.choice([1e-13, 1e-11, -1e-6]))
+                elif kind == 2:
+                    probs[rng.integers(n)] = np.nan
+                elif kind == 3:
+                    cost = float(rng.choice([np.nan, np.inf, -np.inf]))
+                elif kind == 4:
+                    cost = -cost
+                elif kind == 5:
+                    cost = 5.0 * sign
+                else:
+                    probs = np.append(probs, 0.0)
+            cs.append(AtomicControl(f"u{i}", cost, probs))
+        controls.append(tuple(cs))
+        fams = []
+        if rng.random() < 0.15:
+            p0 = _row(rng, n)
+            p1 = np.zeros(n) if rng.random() < 0.5 else rng.normal(size=n)
+            fams.append(AffineFamily(lo=0.0, hi=float(rng.choice([0.5, 1.0, 1.5])),
+                                     lo_closed=True, hi_closed=False, c0=sign, c1=0.0,
+                                     p0=p0, p1=p1))
+        families.append(tuple(fams))
+    discount = float(rng.choice([0.9, 1.0])) if regime == "D" else 1.0
+    bound = 3.0 if regime == "D" and rng.random() < 0.5 else None
+    return TotalCostModel(regime=regime, discount=discount, controls=tuple(controls),
+                          families=tuple(families), cost_bound=bound)
+
+
+class TestValidateInOnePass:
+    """`validate_model` reads the atomic rows from the pair arrays and
+    says what the control-by-control check said, in the same order."""
+
+    @given(drawn_models())
+    def test_same_messages_as_control_by_control(self, model):
+        assert validate_model(model) == ref.validate_model_per_row(model)
+
+    @given(st.integers(1, 300), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_row_sums_of_the_pair_matrix_are_each_rows_own(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        first = tuple(AtomicControl(f"u{i}", 0.0, _row(rng, n)) for i in range(rows))
+        model = TotalCostModel(regime="P", discount=1.0,
+                               controls=(first,) + ((),) * (n - 1))
+        sums = model.pair_probs.sum(axis=1)
+        own = [c.probs.sum() for cs in model.controls for c in cs]
+        assert sums.tobytes() == np.array(own).tobytes()

@@ -150,6 +150,13 @@ class TestModelStructureErrors:
         ("FX-P2", lambda d: d.__setitem__("ground_truth", []), ["ground_truth"]),
         ("FX-P2", lambda d: d.__setitem__("ground_truth", {"Qstar": []}),
          ["ground_truth", "missing field 'Jstar'"]),
+        ("FX-P2", lambda d: d.__setitem__("ground_truth", {"Jstar": [0.0] * 3}),
+         ["ground_truth Jstar: 3 values, the model has 2"]),
+        ("FX-P2", lambda d: d.__setitem__("ground_truth", {"Jstar": [0.0]}),
+         ["ground_truth Jstar: 1 values, the model has 2"]),
+        ("FX-P2", lambda d: d.__setitem__("ground_truth", {"Jstar": [0.0] * 2,
+                                                          "Qstar": [0.0] * 2}),
+         ["ground_truth Qstar: 2 values, the model has 3"]),
         ("FX-P3a", lambda d: _family_doc(d).pop("lo"), ["state '2'", "missing field 'lo'"]),
         ("FX-P3a", lambda d: _family_doc(d).__setitem__("cost", 0.0),
          ["state '2'", "cost must be a list"]),
@@ -459,24 +466,26 @@ class TestParentTraces:
             read(text.replace(old, new, 1))
 
 
-def _one_state_model(costs) -> TotalCostModel:
+def _self_loop_model(costs) -> TotalCostModel:
+    """One absorbing state per cost, each with one control: n states and
+    n pairs, so that a Jstar and a Qstar of n values both fit it."""
+    eye = np.eye(len(costs))
     return TotalCostModel(
-        regime="P", discount=1.0, state_names=("s",), families=((),),
-        controls=(tuple(AtomicControl(f"u{i}", float(c), np.array([1.0]))
-                        for i, c in enumerate(costs)),))
+        regime="P", discount=1.0, state_names=tuple(f"s{i}" for i in range(len(costs))),
+        controls=tuple((AtomicControl("u0", float(c), eye[i]),)
+                       for i, c in enumerate(costs)))
 
 
-EXTENDED_REALS = st.lists(st.floats(allow_nan=True) | st.sampled_from([INF, -INF, -0.0]),
-                          min_size=1, max_size=8).map(
-    lambda vs: [v for v in vs if v == v])
+EXTENDED_REALS = st.lists(st.floats(allow_nan=False) | st.sampled_from([INF, -INF, -0.0]),
+                          min_size=1, max_size=8)
 
 
 class TestCodec:
     @given(EXTENDED_REALS)
     def test_extended_reals_round_trip_bit_exactly(self, values):
         values = np.array(values, dtype=float)
-        model, gt = parse_model(render_model(_one_state_model(values), (values, values)))
-        costs = np.array([c.cost for c in model.controls[0]])
+        model, gt = parse_model(render_model(_self_loop_model(values), (values, values)))
+        costs = np.array([cs[0].cost for cs in model.controls])
         for back in (costs, gt[0], gt[1]):
             assert _same(values, back)
         trace = IterationTrace(algorithm="vi", regime="P", discount=1.0, config={},

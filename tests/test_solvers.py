@@ -1,12 +1,13 @@
 import dataclasses
 import re
+import struct
 
 import numpy as np
 import pytest
 
 import reference_ops as ref
 from totaldp import solvers
-from totaldp.extreal import INF, sup_dist
+from totaldp.extreal import INF, margin_leq, sup_dist
 from totaldp.ftheta import Theta
 from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.modelio import trace_to_csv
@@ -695,3 +696,77 @@ class TestConeMultiplier:
 
     def test_infinite_optimum_never_constrains(self):
         assert cone_multiplier(np.array([5.0, 1.0]), np.array([INF, 1.0])) == 1.0
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestDeferredGroundTruthColumns:
+    """The recorder fills a row's ground-truth columns after the row is
+    appended: every `solvers._BLOCK` rows and when the run ends.  Each
+    mixed row's four columns are the 1-D kernels applied to its own
+    snapshots, bit for bit, however the run ends."""
+
+    STARTS = {"FX-D": lambda fx: np.zeros(3), "FX-N2": lambda fx: np.zeros(2),
+              "FX-P4": lambda fx: 1.5 * fx.Jstar + 1.0}
+
+    def _config(self, name, **kw):
+        fx = fixture(name)
+        J0 = self.STARTS[name](fx)
+        return fx, SolverConfig(algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=2,
+                                ground_truth=fx.ground_truth(), **kw)
+
+    @staticmethod
+    def _assert_columns(trace, fx):
+        for row in trace.rows:
+            J, Q = row.extra[J_SNAPSHOT], row.extra[Q_SNAPSHOT]
+            assert _bits(row.dist_J) == _bits(sup_dist(J, fx.Jstar))
+            assert _bits(row.lower_margin) == _bits(margin_leq(fx.Jstar, J))
+            assert _bits(row.dist_Q) == _bits(sup_dist(Q, fx.Qstar))
+            assert _bits(row.q_lower_margin) == _bits(margin_leq(fx.Qstar, Q))
+
+    @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4"])
+    def test_a_run_longer_than_a_block(self, monkeypatch, name):
+        held = []  # rows pending at each fill
+        fill = solvers._Recorder._fill
+
+        def counted(rec):
+            held.append(len(rec._pending))
+            fill(rec)
+
+        fx, cfg = self._config(name, max_iter=solvers._BLOCK + 44, stop_on_tol=False)
+        monkeypatch.setattr(solvers._Recorder, "_fill", counted)
+        out = mixed_vpi(fx.model, cfg)
+        assert len(out.trace.rows) == solvers._BLOCK + 44
+        assert held == [solvers._BLOCK, 44]
+        self._assert_columns(out.trace, fx)
+
+    def test_a_capped_run(self):
+        # FX-N2 and FX-P4 reach a zero residual within a block; FX-D does not.
+        fx, cfg = self._config("FX-D", max_iter=solvers._BLOCK + 3, tol=1e-300)
+        with pytest.raises(SolverCapError) as err:
+            mixed_vpi(fx.model, cfg)
+        trace = err.value.result.trace
+        assert len(trace.rows) == solvers._BLOCK + 3
+        self._assert_columns(trace, fx)
+
+    @pytest.mark.parametrize("algorithm", ["vi", "mixed"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_wrong_shaped_ground_truth_is_refused_before_the_first_row(
+            self, monkeypatch, algorithm, which):
+        fx = fixture("FX-D")
+        truth = [fx.Jstar, fx.Qstar]
+        truth[which] = np.append(truth[which], 0.0)
+        J0 = np.zeros(3)
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, ground_truth=tuple(truth),
+                           Q0=h_backup(fx.model, J0) if algorithm == "mixed" else None)
+
+        def no_row(*args, **kwargs):
+            raise AssertionError("a row was recorded")
+
+        monkeypatch.setattr(solvers._Recorder, "row", no_row)
+        want = [("Jstar", (4,), (3,)), ("Qstar", (7,), (6,))][which]
+        with pytest.raises(ValueError, match=re.escape(
+                f"ground truth {want[0]} has shape {want[1]}, the model wants {want[2]}")):
+            run(fx.model, cfg)
