@@ -34,13 +34,15 @@ backups that could not change it are skipped.  In the unclamped mixed
 iteration J = M Q, so min{J, Q} is J and, under a deterministic policy,
 the first power is H(J).  While the iterates rise (T J >= J, so that
 H(J) >= J on every pair), the second power reads that same J: one
-backup per mixed iteration instead of n.  `applications_run` counts the
-backups that did run.
+backup per mixed iteration instead of n.  `f_theta_power` returns the
+number of backups that did run next to its result.
+
+`masked_update` is the asynchronous form: boolean masks over the pairs
+and the states pick the coordinates that take the refreshed values.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,26 +164,17 @@ def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
                     np.asarray(J, dtype=float))
 
 
-# Backups that f_theta_power has run on this thread.  A caller that
-# reports work done reads applications_run() around its call.
-_work = threading.local()
-
-
-def applications_run() -> int:
-    """F_theta applications computed by `f_theta_power` on this thread."""
-    return getattr(_work, "applications", 0)
-
-
 def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
-                  J: np.ndarray, n: int) -> np.ndarray:
-    """n-fold composition of F_theta(.; J) starting from Q0.
+                  J: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """n-fold composition of F_theta(.; J) starting from Q0, and the
+    number of backups that ran.
 
     Each power backs up the state vector w that it reads off the current
     Q.  When the next power's w is bitwise equal to the last one (so -0.0
     and the infinities count exactly), that power and every later one
-    would return the current Q again, and the loop stops.  The result is
-    the n-fold composition; `applications_run` counts only the backups
-    that ran.
+    would return the current Q again, and the loop stops.  The Q returned
+    is the n-fold composition; the count, between 1 and n, is only the
+    backups that ran.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -197,8 +190,7 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
         w = nxt
         Q = pair_backup(model, w)
         applied += 1
-    _work.applications = applications_run() + applied
-    return Q
+    return Q, applied
 
 
 @dataclass(frozen=True)
@@ -216,8 +208,7 @@ def _certificate(model: TotalCostModel, steps: int, residual: float,
     """Certificate of an exact fixed point that one more application of
     its operator moved by ``residual``."""
     alpha, regime = model.discount, model.regime
-    err = (alpha * residual / (1.0 - alpha) if regime == "D"
-           else 0.0 if residual == 0.0 else INF)
+    err = alpha * residual / (1.0 - alpha) if regime == "D" else INF
     return FixedPointCertificate(regime, steps, residual, "two-sided", err,
                                  frozenset(np.flatnonzero(divergent).tolist()))
 
@@ -243,20 +234,31 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
     return Q, _certificate(model, steps, residual, divergent)
 
 
+def _check_masks(model: TotalCostModel, pair_mask, state_mask) -> None:
+    """Refuse masks that are not 1-D boolean arrays over the model's
+    pairs and states: an index list or a short mask would otherwise be
+    cast or broadcast."""
+    for what, mask, size in (("pair", pair_mask, model.num_pairs()),
+                             ("state", state_mask, model.num_states)):
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == (size,)):
+            got = (f"{mask.dtype} array of shape {mask.shape}"
+                   if isinstance(mask, np.ndarray) else type(mask).__name__)
+            raise ValueError(f"the {what} mask must be a 1-D boolean array of "
+                             f"{size} entries, one per {what}: got {got}")
+
+
 def masked_update(model: TotalCostModel, theta: Theta, Q: np.ndarray,
-                  J: np.ndarray, gamma_mask, s_mask,
-                  n: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Asynchronous step: refresh Q on a pair subset with F_theta^n and J
-    on a state subset with the minimization of the refreshed Q; all other
-    coordinates keep their old values."""
+                  J: np.ndarray, pair_mask: np.ndarray, state_mask: np.ndarray,
+                  n: int = 1) -> tuple[np.ndarray, np.ndarray, int]:
+    """Asynchronous step: Q takes F_theta^n(Q; J) where ``pair_mask`` is
+    set, then J takes the minimization of that Q where ``state_mask`` is
+    set; every other coordinate keeps its old value.  The masks are 1-D
+    boolean arrays of one entry per pair and per state.  Returns the new
+    Q and J (fresh arrays) and the backups that ran (`f_theta_power`)."""
+    _check_masks(model, pair_mask, state_mask)
     Q = np.asarray(Q, dtype=float)
     J = np.asarray(J, dtype=float)
-    full = f_theta_power(model, theta, Q, J, n)
-    newQ = Q.copy()
-    for x, i in gamma_mask:
-        newQ[model.pair_index[(x, i)]] = full[model.pair_index[(x, i)]]
-    minimized = m_minimize(model, newQ)
-    newJ = J.copy()
-    for x in s_mask:
-        newJ[x] = minimized[x]
-    return newQ, newJ
+    full, applied = f_theta_power(model, theta, Q, J, n)
+    Q_next = np.where(pair_mask, full, Q)
+    return Q_next, np.where(state_mask, m_minimize(model, Q_next), J), applied

@@ -111,10 +111,6 @@ class TotalCostModel:
                      for i in range(len(self.controls[x])))
 
     @cached_property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return {p: k for k, p in enumerate(self.pairs)}
-
-    @cached_property
     def pair_slices(self) -> tuple[slice, ...]:
         """Per-state slice into the pair axis."""
         out, start = [], 0

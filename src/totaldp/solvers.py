@@ -35,7 +35,7 @@ import numpy as np
 from .extreal import INF, margin_leq, sup_dist
 from .ftheta import (
     Theta,
-    applications_run,
+    _check_masks,
     f_theta_power,
     masked_update,
     q_fixed_point,
@@ -206,8 +206,37 @@ def check_admits(algorithm: str, model: TotalCostModel) -> None:
                          "vi also handles affine families")
 
 
+def _mask_rows(masks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """A mask schedule as a tuple of (pair_mask, state_mask) rows, each
+    mask a 1-D boolean array.  An empty schedule, or a row that is not
+    two such arrays (an index list like ``[(0, 0)]`` included), is a
+    ValueError: nothing is cast."""
+    rows = tuple(masks)
+    if not rows:
+        raise ValueError("a mask schedule needs at least one row")
+    for k, row in enumerate(rows):
+        if not (isinstance(row, (tuple, list)) and len(row) == 2
+                and all(isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 1
+                        for m in row)):
+            raise ValueError(f"mask row {k} must be two 1-D boolean arrays "
+                             "(pair_mask, state_mask)")
+    return tuple((row[0], row[1]) for row in rows)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """What a solver runs with; `run` picks the solver by ``algorithm``.
+
+    ``masks`` is the asynchronous schedule of mixed iteration: a sequence
+    of rows (pair_mask, state_mask), two 1-D boolean arrays with one entry
+    per pair and per state.  Row k mod len(masks) picks the coordinates
+    that iteration k updates (`ftheta.masked_update`), so a cycle is
+    len(masks) iterations.  The rows are frozen into a tuple here, and an
+    empty schedule or a row that is not two 1-D boolean arrays is
+    refused; `mixed_vpi` checks their lengths against the model and that
+    together they cover every pair and every state.
+    """
+
     algorithm: str = "mixed"
     J0: np.ndarray | None = None
     Q0: np.ndarray | None = None
@@ -216,7 +245,7 @@ class SolverConfig:
     bstrategy: BStrategy = field(default_factory=FullB)
     clamp_lo: np.ndarray | None = None
     clamp_hi: np.ndarray | None = None
-    masks: Sequence[tuple[Sequence[tuple[int, int]], Sequence[int]]] | None = None
+    masks: Sequence[tuple[np.ndarray, np.ndarray]] | None = None
     max_iter: int = 1000
     tol: float = 1e-9
     ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
@@ -240,6 +269,8 @@ class SolverConfig:
                 raise ValueError("every nk entry must be >= 1")
         if self.nk == "exact" and self.algorithm == "mpi":
             raise ValueError("modified policy iteration needs a finite nk")
+        if self.masks is not None:
+            object.__setattr__(self, "masks", _mask_rows(self.masks))
         if self.nk == "exact" and self.masks is not None:
             raise ValueError("mask schedules need a finite nk")
         if self.algorithm == "lp" and (self.masks is not None or self.epsilon > 0.0):
@@ -625,8 +656,11 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     """Mixed value-and-policy iteration (`_mixed_loop`) whose Q-update is
     nk powers of the parametrized evaluation operator, their asynchronous
     masked form under a mask schedule, or the exact fixed point
-    (``nk="exact"``).  ``extra["powers"]`` counts the applications that
-    ran (fewer than nk once a power repeats; see `f_theta_power`).  In N
+    (``nk="exact"``).  A mask schedule (`SolverConfig`) is refused before
+    the first row if a row's lengths do not fit the model or if its rows
+    together leave out a pair or a state (`_check_schedule`).
+    ``extra["powers"]`` counts the applications that ran (fewer than nk
+    once a power repeats; the count `f_theta_power` returns).  In N
     and P, where J_k <= T^k(J0) is a guarantee, ``upper_margin`` is the
     margin against that value-iteration envelope; in D it is None.  Each
     row's ``extra`` holds J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
@@ -634,9 +668,32 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     again after `modelio.read_trace`.
     """
     check_admits("mixed", model)
+    if config.masks is not None:
+        _check_schedule(model, config.masks)
     update = (_masked_update if config.masks is not None
               else _exact_update if config.nk == "exact" else _power_update)
     return _mixed_loop(model, config, "mixed", update)
+
+
+def _check_schedule(model: TotalCostModel, masks) -> None:
+    """Refuse mask rows whose lengths do not fit the model, and a schedule
+    whose rows together leave out a pair or a state, named by its
+    `pair_labels` entry or state name: the asynchronous iteration
+    converges only if every coordinate is updated in each cycle, and one
+    that never is would end "converged" at its start value."""
+    for k, (pair_mask, state_mask) in enumerate(masks):
+        try:
+            _check_masks(model, pair_mask, state_mask)
+        except ValueError as err:
+            raise ValueError(f"mask row {k}: {err}") from None
+    pairs = np.logical_or.reduce([row[0] for row in masks])
+    if not pairs.all():
+        missed = model.pair_labels[int(np.argmin(pairs))]
+        raise ValueError(f"the mask schedule never updates pair {missed}")
+    states = np.logical_or.reduce([row[1] for row in masks])
+    if not states.all():
+        missed = model.state_names[int(np.argmin(states))]
+        raise ValueError(f"the mask schedule never updates state {missed}")
 
 
 def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
@@ -661,16 +718,17 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     None, operator count, row columns).  J becomes the clamped J_next of
     a masked update, else the clamped M(Q_next).  The run converges once
     max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
-    of the mask schedule (one row without masks): a masked row moves one
-    pair and one state, so a quiet row alone shows nothing about the
-    others.  mixed rows record J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
-    the arrays the loop holds, not copies.  Every update and `_clamp`
-    returns fresh arrays and nothing here writes into J or Q, so a
-    recorded iterate never changes; the trace file holds them as JSON
-    lists, and `modelio.read_trace` gives arrays back.  lp records no
-    envelope, start dominance or snapshots, adds ``cone_margin``
-    (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
-    iterate is a lower bound.
+    of the mask schedule (one row without masks): a masked row moves only
+    the pairs and states its masks set, so a quiet row alone shows nothing
+    about the others, while a whole cycle updates every one (`mixed_vpi`
+    refuses a schedule that does not).  mixed rows record J_k and Q_k as
+    ``J_snapshot``/``Q_snapshot``: the arrays the loop holds, not copies.
+    Every update and `_clamp` returns fresh arrays and nothing here
+    writes into J or Q, so a recorded iterate never changes; the trace
+    file holds them as JSON lists, and `modelio.read_trace` gives arrays
+    back.  lp records no envelope, start dominance or snapshots, adds
+    ``cone_margin`` (max(J_k - c Jstar) for J0's cone multiplier c), and
+    its capped iterate is a lower bound.
     """
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
@@ -719,18 +777,14 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
 
 
 def _power_update(model, config, k, theta, Q, J):
-    before = applications_run()
-    Q_next = f_theta_power(model, theta, Q, J, int(config.nk_at(k)))
-    powers = applications_run() - before
+    Q_next, powers = f_theta_power(model, theta, Q, J, int(config.nk_at(k)))
     return Q_next, None, powers, {"powers": powers}
 
 
 def _masked_update(model, config, k, theta, Q, J):
-    gamma_mask, s_mask = config.masks[k % len(config.masks)]
-    before = applications_run()
-    Q_next, J_next = masked_update(model, theta, Q, J, gamma_mask, s_mask,
-                                   n=int(config.nk_at(k)))
-    powers = applications_run() - before
+    pair_mask, state_mask = config.masks[k % len(config.masks)]
+    Q_next, J_next, powers = masked_update(model, theta, Q, J, pair_mask, state_mask,
+                                           n=int(config.nk_at(k)))
     return Q_next, J_next, powers, {"powers": powers}
 
 
@@ -772,13 +826,13 @@ def _describe_b(B: frozenset[int], n: int) -> str:
     return "{" + ",".join(str(x) for x in sorted(B)) + "}"
 
 
-def round_robin_masks(model: TotalCostModel) -> list:
-    """Singleton asynchronous masks cycling through every pair and state."""
-    pairs = list(model.pairs)
-    states = list(range(model.num_states))
-    cycle = max(len(pairs), len(states))
-    return [([pairs[k % len(pairs)]], [states[k % len(states)]])
-            for k in range(cycle)]
+def round_robin_masks(model: TotalCostModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Singleton asynchronous masks cycling through every pair and state:
+    max(num_pairs, num_states) rows of boolean (pair_mask, state_mask),
+    row k setting pair k mod num_pairs and state k mod num_states."""
+    p, n = model.num_pairs(), model.num_states
+    k = np.arange(max(p, n))[:, None]
+    return list(zip(np.arange(p) == k % p, np.arange(n) == k % n))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,15 @@ class TestSolve:
         assert trace.rows[-1].lower_margin <= 0.0
         assert trace.rows[-1].upper_margin <= 0.0
 
+    def test_round_robin_masks_reach_the_optimum_from_inside_the_cone(self, runner,
+                                                                       tmp_path):
+        path = _write_fixture(tmp_path, "FX-P4")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mixed",
+                                   "--mask-schedule", "roundrobin", "--j0", "cJstar:2"])
+        assert out.exit_code == 0, out.output
+        assert "termination: converged" in out.output
+        assert "final J: [0. 1. 2.]" in out.output
+
     def test_lp_trace_with_infinite_optimum_from_zero(self, runner, tmp_path):
         # State 1 pays 1 forever: J* = (0, inf), and J0 = 0 has cone c = 0.
         model = TotalCostModel("P", 1.0, (

@@ -48,7 +48,7 @@ class TestApply:
         Q = rng.normal(size=model.num_pairs())
         out = f_theta_apply(model, theta, Q, J)
         # explicit min{J(x'), Q(x', mu(x'))} form
-        w = np.array([min(J[x], Q[model.pair_index[(x, mu.action_index(x))]])
+        w = np.array([min(J[x], Q[model.pair_starts[x] + mu.action_index(x)])
                       for x in range(model.num_states)])
         expected = model.pair_costs + model.discount * (model.pair_probs @ w)
         assert sup_dist(out, expected) <= 1e-14
@@ -103,7 +103,7 @@ class TestFullB:
         for B in (model.state_set, fresh):
             theta = Theta(policy, B)
             Q, cert = q_fixed_point(model, theta, J)
-            out = [f_theta_power(model, theta, Q0, J, 5).tobytes(), Q.tobytes(), repr(cert)]
+            out = [f_theta_power(model, theta, Q0, J, 5)[0].tobytes(), Q.tobytes(), repr(cert)]
             if regime == "P" and deterministic:
                 bound = lp_upper_bound(model, theta, J)
                 out += [bound.W.tobytes(), bound.Qbar.tobytes(), bound.B_order,
@@ -119,8 +119,9 @@ class TestPowerAndMonotonicity:
         rng = np.random.default_rng(13)
         J = rng.normal(size=model.num_states)
         Q = rng.normal(size=model.num_pairs())
-        assert np.array_equal(f_theta_power(model, theta, Q, J, 1),
-                              f_theta_apply(model, theta, Q, J))
+        Q1, applied = f_theta_power(model, theta, Q, J, 1)
+        assert applied == 1
+        assert np.array_equal(Q1, f_theta_apply(model, theta, Q, J))
 
     @pytest.mark.parametrize("regime", ["D", "N", "P"])
     def test_monotone_in_both_arguments(self, regime):
@@ -139,8 +140,8 @@ class TestPowerAndMonotonicity:
                 Q = rng.uniform(0, 3, size=model.num_pairs())
             Jp = J + rng.uniform(0, 1, size=model.num_states)
             Qp = Q + rng.uniform(0, 1, size=model.num_pairs())
-            lo = f_theta_power(model, theta, Q, J, n)
-            hi = f_theta_power(model, theta, Qp, Jp, n)
+            lo, _ = f_theta_power(model, theta, Q, J, n)
+            hi, _ = f_theta_power(model, theta, Qp, Jp, n)
             assert np.all(lo <= hi + 1e-12)
 
     def test_discounted_joint_contraction(self):
@@ -190,6 +191,17 @@ class TestFixedPoint:
         assert sup_dist(again, Q) <= cert.residual + 1e-15
         assert cert.bound == "two-sided" and cert.error_bound <= 1e-11
 
+    @pytest.mark.parametrize("name", ["FX-N2", "FX-P4"])
+    def test_undiscounted_bound_is_infinite_at_zero_residual(self, name):
+        # No a-posteriori bound exists in N or P: an exact zero residual
+        # must not read as a zero error.
+        fx = fixture(name)
+        theta = Theta(Policy.deterministic(fx.model, [0] * fx.model.num_states),
+                      fx.model.state_set)
+        _, cert = q_fixed_point(fx.model, theta, fx.Jstar)
+        assert cert.residual == 0.0
+        assert cert.error_bound == INF
+
     def test_monotone_in_stopping_costs(self):
         model, Jstar = random_model(73, regime="P")
         theta = _theta(21, model)
@@ -213,7 +225,7 @@ class TestFixedPoint:
         Qfix, _ = q_fixed_point(fx.model, theta, J)
         Q = rng.normal(size=fx.model.num_pairs())
         d0 = sup_dist(Q, Qfix)
-        Q3 = f_theta_power(fx.model, theta, Q, J, 3)
+        Q3, _ = f_theta_power(fx.model, theta, Q, J, 3)
         assert sup_dist(Q3, Qfix) <= 0.9 ** 3 * d0 + 1e-10
 
     def test_footnote_form_with_unbounded_stopping_costs(self):
@@ -224,7 +236,7 @@ class TestFixedPoint:
         Q = rng.normal(size=fx.model.num_pairs())
         Jinf = np.full(3, INF)
         out = f_theta_apply(fx.model, theta, Q, Jinf)
-        w = np.array([Q[fx.model.pair_index[(x, mu.action_index(x))]]
+        w = np.array([Q[fx.model.pair_starts[x] + mu.action_index(x)]
                       for x in range(3)])
         expected = fx.model.pair_costs + 0.9 * (fx.model.pair_probs @ w)
         assert np.array_equal(out, expected)
@@ -255,36 +267,63 @@ class TestFixedPoint:
 
 
 class TestMaskedUpdate:
+    @staticmethod
+    def _case(model_seed, theta_seed):
+        model, _ = random_model(model_seed, regime="D")
+        theta = _theta(theta_seed, model)
+        rng = np.random.default_rng(theta_seed + 1)
+        return (model, theta, rng.normal(size=model.num_states),
+                rng.normal(size=model.num_pairs()))
+
     def test_full_masks_match_one_step(self):
-        model, _ = random_model(79, regime="D")
-        theta = _theta(27, model)
-        rng = np.random.default_rng(28)
-        J = rng.normal(size=model.num_states)
-        Q = rng.normal(size=model.num_pairs())
-        newQ, newJ = masked_update(model, theta, Q, J,
-                                   list(model.pairs), range(model.num_states), n=1)
+        model, theta, J, Q = self._case(79, 27)
+        newQ, newJ, applied = masked_update(model, theta, Q, J,
+                                            np.ones(model.num_pairs(), dtype=bool),
+                                            np.ones(model.num_states, dtype=bool), n=1)
         fullQ = f_theta_apply(model, theta, Q, J)
+        assert applied == 1
         assert np.array_equal(newQ, fullQ)
         assert np.array_equal(newJ, m_minimize(model, fullQ))
 
     def test_empty_masks_are_identity(self):
-        model, _ = random_model(83, regime="D")
-        theta = _theta(29, model)
-        rng = np.random.default_rng(30)
-        J = rng.normal(size=model.num_states)
-        Q = rng.normal(size=model.num_pairs())
-        newQ, newJ = masked_update(model, theta, Q, J, [], [], n=2)
-        assert np.array_equal(newQ, Q)
-        assert np.array_equal(newJ, J)
+        model, theta, J, Q = self._case(83, 29)
+        newQ, newJ, applied = masked_update(model, theta, Q, J,
+                                            np.zeros(model.num_pairs(), dtype=bool),
+                                            np.zeros(model.num_states, dtype=bool), n=2)
+        assert 1 <= applied <= 2
+        assert np.array_equal(newQ, Q) and newQ is not Q
+        assert np.array_equal(newJ, J) and newJ is not J
 
     def test_partial_mask_touches_only_masked_entries(self):
-        model, _ = random_model(89, regime="D")
-        theta = _theta(31, model)
-        rng = np.random.default_rng(32)
-        J = rng.normal(size=model.num_states)
-        Q = rng.normal(size=model.num_pairs())
-        pair = model.pairs[2]
-        newQ, newJ = masked_update(model, theta, Q, J, [pair], [0], n=1)
-        untouched = [i for i in range(model.num_pairs()) if i != model.pair_index[pair]]
-        assert np.array_equal(newQ[untouched], Q[untouched])
+        model, theta, J, Q = self._case(89, 31)
+        pair_mask = np.zeros(model.num_pairs(), dtype=bool)
+        pair_mask[2] = True
+        state_mask = np.zeros(model.num_states, dtype=bool)
+        state_mask[0] = True
+        newQ, newJ, _ = masked_update(model, theta, Q, J, pair_mask, state_mask, n=1)
+        fullQ = f_theta_apply(model, theta, Q, J)
+        assert newQ[2] == fullQ[2]
+        assert np.array_equal(newQ[~pair_mask], Q[~pair_mask])
+        assert newJ[0] == m_minimize(model, newQ)[0]
         assert np.array_equal(newJ[1:], J[1:])
+
+    @pytest.mark.parametrize("which", ["pair-short", "state-long", "state-one",
+                                       "index-list", "int-array"])
+    def test_rejects_masks_that_do_not_fit_the_model(self, which):
+        # A one-entry mask would broadcast in np.where, and an index list
+        # would be cast: both are refused.
+        model, theta, J, Q = self._case(89, 31)
+        pair_mask = np.ones(model.num_pairs(), dtype=bool)
+        state_mask = np.ones(model.num_states, dtype=bool)
+        bad = {"pair-short": ("pair", pair_mask[:-1]),
+               "state-long": ("state", np.ones(model.num_states + 1, dtype=bool)),
+               "state-one": ("state", np.ones(1, dtype=bool)),
+               "index-list": ("state", [0]),
+               "int-array": ("pair", np.ones(model.num_pairs(), dtype=int))}
+        what, mask = bad[which]
+        if what == "pair":
+            pair_mask = mask
+        else:
+            state_mask = mask
+        with pytest.raises(ValueError, match=f"the {what} mask must be a 1-D boolean array"):
+            masked_update(model, theta, Q, J, pair_mask, state_mask)

@@ -37,7 +37,6 @@ from totaldp.ftheta import (
     Theta,
     _f_floor,
     _floor,
-    applications_run,
     f_theta_apply,
     f_theta_power,
     q_fixed_point,
@@ -290,9 +289,8 @@ class TestPowerStop:
     @given(cases(), st.integers(1, 6))
     def test_stop_is_exact(self, c, n):
         model, theta = c.model, Theta(c.policy, c.B)
-        before = applications_run()
-        got = f_theta_power(model, theta, c.Q, c.J, n)
-        assert 1 <= applications_run() - before <= n
+        got, applied = f_theta_power(model, theta, c.Q, c.J, n)
+        assert 1 <= applied <= n
         Q, old = c.Q, c.Q
         for _ in range(n):
             Q = f_theta_apply(model, theta, Q, c.J)
@@ -305,9 +303,8 @@ class TestPowerStop:
         model = fixture("FX-D").model
         J = np.array([0.0, -0.0, 1.0])
         theta = Theta(Policy.deterministic(model, [0] * model.num_states), frozenset())
-        before = applications_run()
-        got = f_theta_power(model, theta, np.full(model.num_pairs(), INF), J, 6)
-        assert applications_run() - before == 1
+        got, applied = f_theta_power(model, theta, np.full(model.num_pairs(), INF), J, 6)
+        assert applied == 1
         assert got.tobytes() == h_backup(model, J).tobytes()
 
 
@@ -404,8 +401,8 @@ class TestChoiceFastPaths:
         assert mix.chosen_pairs is None
         same_up_to_zero_sign(_floor(model, Theta(det, c.B), Q, J),
                              _floor(model, Theta(mix, c.B), Q, J))
-        same_up_to_zero_sign(f_theta_power(model, Theta(det, c.B), Q, J, n),
-                             f_theta_power(model, Theta(mix, c.B), Q, J, n))
+        same_up_to_zero_sign(f_theta_power(model, Theta(det, c.B), Q, J, n)[0],
+                             f_theta_power(model, Theta(mix, c.B), Q, J, n)[0])
         outcomes = []
         for policy in (det, mix):
             try:

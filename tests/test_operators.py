@@ -103,8 +103,8 @@ class TestQBackups:
     def test_nonpositive_fixture_q(self):
         fx = fixture("FX-N2")
         Q = h_backup(fx.model, fx.Jstar)
-        assert Q[fx.model.pair_index[(1, 0)]] == -1.0
-        assert Q[fx.model.pair_index[(1, 1)]] == -1.0
+        assert Q[fx.model.pair_starts[1] + 0] == -1.0
+        assert Q[fx.model.pair_starts[1] + 1] == -1.0
 
     def test_minimization_recovers_optimum(self):
         fx = fixture("FX-P2")
@@ -161,7 +161,7 @@ class TestGreedy:
         mu = greedy_select(model, Q, epsilon=eps)
         m = m_minimize(model, Q)
         for x in range(model.num_states):
-            assert Q[model.pair_index[(x, mu.action_index(x))]] <= m[x] + eps
+            assert Q[model.pair_starts[x] + mu.action_index(x)] <= m[x] + eps
 
 
 @settings(max_examples=25, deadline=None)

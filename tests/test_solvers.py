@@ -35,6 +35,9 @@ from totaldp.solvers import (
 )
 from totaldp.fixtures import fixture, random_model, random_policy
 
+# A one-row mask schedule: one pair and one state, as boolean masks.
+ONE_ROW = [(np.array([True]), np.array([True]))]
+
 
 class TestValueIteration:
     def test_constant_trace_on_stationary_start(self):
@@ -270,6 +273,64 @@ class TestMixed:
         assert np.abs(out.J - [0.0, 10.0]).max() <= 1e-7
         rows = out.trace.rows[-len(masks):]
         assert all(max(r.residual, r.extra["residual_Q"]) <= 1e-9 for r in rows)
+
+
+class TestMaskSchedules:
+    """A schedule is rows of two 1-D boolean masks; SolverConfig refuses
+    any other form and `mixed_vpi` a schedule that does not fit the model
+    or leaves out a pair or a state."""
+
+    @staticmethod
+    def _config(model, masks):
+        J0 = np.zeros(model.num_states)
+        return SolverConfig(algorithm="mixed", nk=1, masks=masks, J0=J0,
+                            Q0=h_backup(model, J0))
+
+    @pytest.mark.parametrize("states, missed", [([], "pair 0:0"), ([0], "state 1")],
+                             ids=["nothing", "state-0-only"])
+    def test_a_schedule_that_leaves_out_a_coordinate_is_refused(self, states, missed):
+        # On FX-D an empty row ended "converged" after one row at J = 0,
+        # and a schedule updating only state 0 after 27 rows at
+        # J = (1.82, 0, 0), where J* = (5.79, 4.86, 4.49).
+        model = fixture("FX-D").model
+        state_mask = np.zeros(model.num_states, dtype=bool)
+        state_mask[states] = True
+        pair_mask = np.full(model.num_pairs(), bool(states))
+        with pytest.raises(ValueError, match=f"never updates {missed}$"):
+            mixed_vpi(model, self._config(model, [(pair_mask, state_mask)]))
+
+    def test_the_first_missed_pair_is_named_by_its_label(self):
+        model = fixture("FX-D").model
+        rows = round_robin_masks(model)
+        with pytest.raises(ValueError, match="never updates pair 1:1$"):
+            mixed_vpi(model, self._config(model, rows[:3] + rows[4:]))
+
+    @pytest.mark.parametrize("masks", [
+        [([(0, 0)], [0])], [(np.array([0]), np.array([0]))],
+        [(np.ones((1, 6), dtype=bool), np.ones(3, dtype=bool))],
+        [(np.ones(6, dtype=bool),)], []],
+        ids=["index-lists", "int-arrays", "2-d", "one-mask", "empty"])
+    def test_other_forms_are_refused_never_cast(self, masks):
+        with pytest.raises(ValueError, match="mask row 0 must be two 1-D boolean|at least one row"):
+            SolverConfig(algorithm="mixed", nk=1, masks=masks)
+
+    @pytest.mark.parametrize("pairs, states, what", [(5, 3, "pair"), (6, 4, "state")],
+                             ids=["short-pairs", "long-states"])
+    def test_rows_of_the_wrong_length_are_refused(self, pairs, states, what):
+        model = fixture("FX-D").model
+        masks = [(np.ones(6, dtype=bool), np.ones(3, dtype=bool)),
+                 (np.ones(pairs, dtype=bool), np.ones(states, dtype=bool))]
+        with pytest.raises(ValueError, match=f"mask row 1: the {what} mask must be"):
+            mixed_vpi(model, self._config(model, masks))
+
+    def test_round_robin_rows_set_one_pair_and_one_state_and_are_frozen(self):
+        model = fixture("FX-N2").model  # 3 pairs, 2 states
+        rows = round_robin_masks(model)
+        assert [(np.flatnonzero(p).tolist(), np.flatnonzero(s).tolist())
+                for p, s in rows] == [([0], [0]), ([1], [1]), ([2], [0])]
+        assert all(p.dtype == bool and s.dtype == bool for p, s in rows)
+        frozen = SolverConfig(algorithm="mixed", nk=1, masks=rows).masks
+        assert isinstance(frozen, tuple) and len(frozen) == len(rows)
 
 
 class TestPowerCounts:
@@ -556,7 +617,7 @@ class TestRun:
             SolverConfig(algorithm="mixed", **settings)
 
     @pytest.mark.parametrize("settings", [
-        {"masks": [([(0, 0)], [0])]}, {"epsilon": 0.5}], ids=["masks", "epsilon"])
+        {"masks": ONE_ROW}, {"epsilon": 0.5}], ids=["masks", "epsilon"])
     def test_lp_refuses_the_settings_it_ignores(self, settings):
         with pytest.raises(ValueError, match="the lp variant takes no mask schedule"):
             SolverConfig(algorithm="lp", **settings)
@@ -564,7 +625,7 @@ class TestRun:
 
     @pytest.mark.parametrize("algorithm", ["vi", "pi", "mpi"])
     @pytest.mark.parametrize("settings, unread", [
-        ({"masks": [([(0, 0)], [0])]}, "mask schedule"),
+        ({"masks": ONE_ROW}, "mask schedule"),
         ({"epsilon": 0.5}, "epsilon > 0"),
         ({"clamp_lo": np.zeros(3)}, "clamp_lo"),
         ({"clamp_hi": np.ones(3)}, "clamp_hi"),

@@ -286,5 +286,5 @@ def test_plus_inf_stop_cost_in_n_is_paid_once():
     sol = solve_stopping(build_stopping(model, theta, J))
     assert np.array_equal(sol.V, np.full(3, INF))
     Q, _ = q_fixed_point(model, theta, J)
-    assert np.array_equal(Q, f_theta_power(model, theta, np.zeros(3), J, 50))
+    assert np.array_equal(Q, f_theta_power(model, theta, np.zeros(3), J, 50)[0])
     assert np.array_equal(Q, np.full(3, INF))

@@ -161,7 +161,7 @@ class TestBackup:
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx), fx.Jstar)
         V1 = t_o_apply(prob, np.zeros(3))
-        assert V1[fx.model.pair_index[(1, 0)]] == 0.0
+        assert V1[fx.model.pair_starts[1] + 0] == 0.0
 
 
 class TestSolveAndReconstruct:
