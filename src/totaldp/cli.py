@@ -3,8 +3,10 @@
 Commands: ``validate`` a model file, ``solve`` it with a configured
 algorithm and write a convergence trace, ``reproduce`` a named scripted
 scenario, ``compare`` algorithms side by side, and ``export-fixture`` a
-named fixture as a model file.  Exit codes: 0 success, 1 check or
-convergence failure, 2 usage or parse errors.  ``solve`` and
+named fixture as a model file.  Exit codes: 0 success, 2 usage or
+parse errors, and 1 an invalid model (``validate``), a missed residual
+tolerance (``solve``, whose certificate lines are only a report) or a
+failed scenario (``reproduce``).  ``solve`` and
 ``compare`` stop on the residual tolerance ``--tol`` (default 1e-9); a
 run that reaches ``--max-iter`` first reports termination "cap".  For
 the same algorithm and settings, ``compare --trace-out`` writes the

@@ -152,6 +152,25 @@ def sup_dist(a: np.ndarray, b: np.ndarray):
     return float(d.max()) if d.ndim <= 1 else d.max(axis=-1)
 
 
+def sup_dist_segments(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Segment-wise `sup_dist` of two vectors of one length: entry s is
+    the `sup_dist` of a and b over [starts[s], starts[s + 1]) (the last
+    segment runs to the end), bit for bit.
+
+    `starts` must begin at 0 and be strictly increasing, so that no
+    segment is empty.  The fast-path choice is made once for the whole
+    vector; a segment without an infinity in a may then take `xdiff`,
+    which differs from the plain difference only in the sign of a zero
+    that the absolute value drops, and the maximum is exact, so each
+    entry is the float its segment's own call gives.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
+    d = np.abs(d, out=d)
+    return np.maximum.reduceat(d, starts)
+
+
 def margin_leq(a: np.ndarray, b: np.ndarray):
     """max over entries of a - b, 0 where they are equal (infinities
     included): <= 0 exactly when a <= b elementwise, NaN aside; 0 for

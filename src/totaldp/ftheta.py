@@ -43,7 +43,7 @@ and the states pick the coordinates that take the refreshed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,11 +60,15 @@ class Theta:
 
     B = S is recognized by identity: `FullB` returns the model's
     `state_set`, and ``frozenset(B)`` of a frozenset is that same object,
-    so a Theta built from it needs no sort and no range check.
+    so a Theta built from it needs no sort and no range check.  A Theta
+    keeps the last model it passed `_check_inputs` against, so it is
+    checked once per model.
     """
 
     policy: Policy
     B: frozenset[int]
+    _fits: TotalCostModel | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "B", frozenset(self.B))
@@ -80,7 +84,14 @@ class Theta:
 def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
     """Refuse a non-atomic model or policy, a policy that does not fit the
     model, and a B with a state outside the model's.  After this check a
-    B of n states is every state."""
+    B of n states is every state.
+
+    Theta, its policy and the model are immutable, so a Theta that
+    passed keeps the model (`Theta._fits`) and is not checked against it
+    again; against any other model it is checked afresh.
+    """
+    if theta._fits is model:
+        return
     if not model.atomic_only:
         raise ValueError("F operators are defined for atomic-only models")
     if not theta.policy.atomic:
@@ -93,6 +104,7 @@ def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
         if B.size and (B[0] < 0 or B[-1] >= model.num_states):
             raise ValueError(f"B must lie in 0..{model.num_states - 1}: "
                              f"got {B.tolist()}")
+    object.__setattr__(theta, "_fits", model)
 
 
 def _check_stop_costs(model: TotalCostModel, J: np.ndarray) -> None:
@@ -129,26 +141,41 @@ def _floor(model: TotalCostModel, theta: Theta, V: np.ndarray,
     return w
 
 
-def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
-             J: np.ndarray) -> np.ndarray:
-    """The state vector that one application of F_theta(.; J) to Q backs up.
+def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
+    """The map from Q to the state vector that one application of
+    F_theta(.; J) to Q backs up.
 
-    A policy built from choices reads Q at its chosen pairs first (its
-    `policy_mix`, a gather) and then takes min{J, Q} over those states
-    only: the same operands as the minimum over every pair read at the
-    chosen ones, so the same floats, bit for bit.  The policy was checked
-    against the model by `_check_inputs`, so the gather is taken here
-    directly.
+    What does not depend on Q (the policy's chosen pairs, the full-B
+    test, J lifted onto the pairs or read on B) is read once, when the
+    map is built, so a power loop builds it once.  A policy built from
+    choices reads Q at its chosen pairs first (its `policy_mix`, a
+    gather) and then takes min{J, Q} over those states only: the same
+    operands as the minimum over every pair read at the chosen ones, so
+    the same floats, bit for bit.  The policy was checked against the
+    model by `_check_inputs`, so the gather is taken here directly.
     """
     chosen = theta.policy.chosen_pairs
     if chosen is None:
-        return _floor(model, theta, np.minimum(J[model.pair_state], Q), J)
+        lifted = J[model.pair_state]
+        return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J)
     if len(theta.B) == model.num_states:
-        return np.minimum(J, Q[chosen])
-    w = J.copy()
+        return lambda Q: np.minimum(J, Q[chosen])
     B = theta.B_index
-    w[B] = np.minimum(J[B], Q[chosen[B]])
-    return w
+    J_B, chosen_B = J[B], chosen[B]
+
+    def floor(Q: np.ndarray) -> np.ndarray:
+        w = J.copy()
+        w[B] = np.minimum(J_B, Q[chosen_B])
+        return w
+
+    return floor
+
+
+def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
+             J: np.ndarray) -> np.ndarray:
+    """The state vector that one application of F_theta(.; J) to Q
+    backs up (`_f_floor_map`)."""
+    return _f_floor_map(model, theta, J)(Q)
 
 
 def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
@@ -174,22 +201,22 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
     and the infinities count exactly), that power and every later one
     would return the current Q again, and the loop stops.  The Q returned
     is the n-fold composition; the count, between 1 and n, is only the
-    backups that ran.
+    backups that ran.  The map from Q to w is built once per call
+    (`_f_floor_map`), and the Theta is checked against the model once.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_inputs(model, theta)
-    J = np.asarray(J, dtype=float)
-    w = _f_floor(model, theta, np.asarray(Q0, dtype=float), J)
+    floor = _f_floor_map(model, theta, np.asarray(J, dtype=float))
+    w = floor(np.asarray(Q0, dtype=float))
     Q = pair_backup(model, w)
-    applied = 1
+    applied, read = 1, w.tobytes()
     while applied < n:
-        nxt = _f_floor(model, theta, Q, J)
-        if nxt.tobytes() == w.tobytes():
+        w = floor(Q)
+        if w.tobytes() == read:
             break
-        w = nxt
         Q = pair_backup(model, w)
-        applied += 1
+        applied, read = applied + 1, w.tobytes()
     return Q, applied
 
 

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import INF, margin_leq, sup_dist
+from .extreal import INF, margin_leq, sup_dist, sup_dist_segments
 from .ftheta import (
     Theta,
     _check_masks,
@@ -519,13 +519,20 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     exact and faster); models with affine families
     keep iterating the finite values so that continuum infima see the
     true finite iterates.
+
+    Each row records the iterate itself when nothing is reported apart
+    from it: before any state is flagged, and in every row of a pinned
+    run, whose iterate already holds the infinities it reports (each
+    backup is a fresh array, and the pin writes into it before it is
+    recorded).  Until the rule flags a state, a row does no flagged-state
+    bookkeeping at all: the residual is taken over every state.
     """
     config = config or SolverConfig(algorithm="vi")
     J = np.asarray(J0, dtype=float).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)
     sign = -1.0 if model.regime == "N" else 1.0
-    divergent = DivergenceRule(J)
-    flagged = np.zeros(model.num_states, dtype=bool)
+    divergent = DivergenceRule(J) if model.discount == 1.0 else None
+    flagged: np.ndarray | None = None  # the states flagged divergent, once one is
     divergent_states: list[int] = []
     live = slice(None)  # the states not flagged divergent
     pin = model.atomic_only
@@ -533,22 +540,28 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     for k in range(1, config.max_iter + 1):
         nxt = bellman_T(model, J)
         rec.trace.op_count += 1
-        if model.discount == 1.0:
-            flagged |= divergent(k, nxt)
-            if np.count_nonzero(flagged) > len(divergent_states):
-                divergent_states = np.flatnonzero(flagged).tolist()
-                live = ~flagged
-            if pin:
-                nxt[flagged] = sign * INF
-        res = sup_dist(nxt[live], J[live])
+        if divergent is not None:
+            new = divergent(k, nxt)
+            if flagged is not None:
+                flagged |= new
+            elif np.count_nonzero(new):
+                flagged = new
+            if flagged is not None:
+                if np.count_nonzero(flagged) > len(divergent_states):
+                    divergent_states = np.flatnonzero(flagged).tolist()
+                    live = ~flagged
+                if pin:
+                    nxt[flagged] = sign * INF
+        res = sup_dist(nxt[live], J[live]) if flagged is not None else sup_dist(nxt, J)
         if k == 1:
             if margin_leq(nxt, J) <= 0.0:
                 direction = "nonincreasing"
             elif margin_leq(J, nxt) <= 0.0:
                 direction = "nondecreasing"
-        J = nxt
-        reported = J.copy()
-        reported[flagged] = sign * INF
+        J = reported = nxt
+        if flagged is not None and not pin:
+            reported = J.copy()
+            reported[flagged] = sign * INF
         rec.row(k, res, reported,
                 extra={"direction": direction, "divergent": list(divergent_states)})
         if config.stop_on_tol and res <= config.tol:
@@ -661,8 +674,10 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     together leave out a pair or a state (`_check_schedule`).
     ``extra["powers"]`` counts the applications that ran (fewer than nk
     once a power repeats; the count `f_theta_power` returns).  In N
-    and P, where J_k <= T^k(J0) is a guarantee, ``upper_margin`` is the
-    margin against that value-iteration envelope; in D it is None.  Each
+    and P, ``upper_margin`` is the margin against the value-iteration
+    envelope T^k(J0); in D it is None.  J_k <= T^k(J0) is a guarantee
+    of the unmasked iteration only, so `verify_certificates` checks it
+    on unmasked traces alone.  Each
     row's ``extra`` holds J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
     float arrays in memory, JSON lists in a trace file, and float arrays
     again after `modelio.read_trace`.
@@ -726,15 +741,26 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     Every update and `_clamp` returns fresh arrays and nothing here
     writes into J or Q, so a recorded iterate never changes; the trace
     file holds them as JSON lists, and `modelio.read_trace` gives arrays
-    back.  lp records no envelope, start dominance or snapshots, adds
-    ``cone_margin`` (max(J_k - c Jstar) for J0's cone multiplier c), and
-    its capped iterate is a lower bound.
+    back.  Both residuals are taken in one pass (`sup_dist_segments`,
+    each entry its half's `sup_dist` bit for bit) over the row's [J | Q]
+    and the last row's, a concatenation kept for one row only: its two
+    halves as the row's J and Q would cost two array headers per
+    recorded row.  lp records no envelope, start dominance or
+    snapshots, adds ``cone_margin`` (max(J_k - c Jstar) for J0's cone
+    multiplier c), and its capped iterate is a lower bound.  A J0 or Q0
+    of another length than the model's states or pairs is refused.
     """
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
     lp = algorithm == "lp"
+    n = model.num_states
     J = np.asarray(config.J0, dtype=float).copy()
     Q = np.asarray(config.Q0, dtype=float).copy()
+    for name, start, size in (("J0", J, n), ("Q0", Q, model.num_pairs())):
+        if start.shape != (size,):
+            raise ValueError(f"{name} has shape {start.shape}, the model wants {(size,)}")
+    JQ = np.concatenate((J, Q))  # [J | Q] of the current iterate, for its residuals
+    halves = np.array([0, n])
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp)
     envelope = None if lp or model.regime == "D" else J.copy()
     c = None if not lp or rec.Jstar is None else cone_multiplier(J, rec.Jstar)
@@ -755,9 +781,9 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         rec.trace.op_count += ops
         qmin = m_minimize(model, Q_next) if J_next is None else None
         J_next = _clamp(J_next if qmin is None else qmin, config)
-        res_J = sup_dist(J_next, J)
-        res_Q = sup_dist(Q_next, Q)
-        J, Q = J_next, Q_next
+        nxt = np.concatenate((J_next, Q_next))
+        res_J, res_Q = sup_dist_segments(nxt, JQ, halves).tolist()
+        JQ, J, Q = nxt, J_next, Q_next
         if envelope is not None:
             envelope = bellman_T(model, envelope)
         upper = None if envelope is None else margin_leq(J, envelope)
@@ -888,24 +914,28 @@ def extract_policy_discounted(model: TotalCostModel, Q: np.ndarray, epsilon: flo
 
 
 def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
-    """Smallest c with J <= c * Jstar, infinity-aware.
+    """Smallest c >= 0 with J <= c * Jstar, infinity-aware.
 
     States with Jstar = 0 force J = 0 there; otherwise no finite c
     exists and the result is +inf.  States with infinite Jstar never
-    constrain c.
+    constrain c, nor does a ratio J/Jstar that is NaN (an infinity over
+    -inf, a NaN entry); c is the largest positive ratio, or 0.  The
+    zero set is tested first, over every state, and the ratios are
+    taken with floating-point warnings off.  So a zero-set violation
+    gives +inf even where a loop over the states in order, with
+    RuntimeWarning raised as an error, would stop at an earlier division
+    that overflows or is invalid; this form never warns.
     """
     J = np.asarray(J, dtype=float)
     Jstar = np.asarray(Jstar, dtype=float)
-    c = 0.0
-    for jx, sx in zip(J, Jstar):
-        if np.isposinf(sx):
-            continue
-        if sx == 0.0:
-            if jx != 0.0:
-                return INF
-            continue
-        c = max(c, jx / sx)
-    return c
+    zero = Jstar == 0.0
+    if np.count_nonzero(J[zero] != 0.0):
+        return INF
+    scaled = ~zero & (Jstar != INF)
+    with np.errstate(all="ignore"):
+        ratios = J[scaled] / Jstar[scaled]
+    ratios = ratios[ratios > 0.0]
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -941,7 +971,11 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
     Discounted traces check the geometric rate against the initial
     distance, with 1e-12 of room for round-off; undiscounted ones check
     the envelope sandwich Jstar <= J_k <= T^k(J0) (the lower side only
-    under certified initial dominance), with none.  With ground truth
+    under certified initial dominance), with none.  A masked trace skips
+    the geometric rate and the upper side of the sandwich: a masked row
+    refreshes only the pairs and states its masks set, so J_k may fall
+    more slowly than value iteration's T^k(J0), and neither is a
+    guarantee of the asynchronous iteration.  With ground truth
     supplied, the initial function is also tested for membership in the
     convergence cone: bounded by a finite multiple of Jstar and zero
     wherever Jstar is zero.
@@ -969,7 +1003,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
 
     if model.regime in ("N", "P"):
         ups = [row.upper_margin for row in trace.rows if row.upper_margin is not None]
-        if ups:
+        if ups and not trace.config.get("masks"):
             worst = max(ups)
             checks.append(CheckResult(
                 "envelope-upper", worst <= 0.0, worst,
@@ -1002,8 +1036,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
             c if np.isfinite(c) else INF,
             witness or f"J0 <= c Jstar with c={c:g}"))
         finite_zero = bool(nonneg and np.isfinite(trace.J0).all()
-                           and all(trace.J0[x] == 0.0
-                                   for x in range(len(Jstar)) if Jstar[x] == 0.0))
+                           and (trace.J0[Jstar == 0.0] == 0.0).all())
         checks.append(CheckResult(
             "zero-set-membership", finite_zero, 0.0 if finite_zero else INF,
             "J0 finite, nonnegative, and zero on the zero set of Jstar"))

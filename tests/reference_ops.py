@@ -80,6 +80,10 @@ The eleventh part is `validate_model` as it ran before it read the
 atomic rows in one pass over the pair arrays: three or four numpy calls
 per control, kept verbatim.  `test_model.py` checks that the library
 emits the same messages in the same order on drawn models.
+
+The twelfth part is `solvers.cone_multiplier` as a loop over the states
+in order, kept verbatim from before it became a whole-vector numpy form.
+`test_solvers.py` checks the numpy form against it on drawn edge cases.
 """
 
 from __future__ import annotations
@@ -794,3 +798,28 @@ def validate_model_per_row(model: TotalCostModel) -> list[str]:
                     bad.append(f"{where}: probabilities leave [0, 1] at t = {t}")
                 check_cost(f.cost_at(t), f"{where} at t = {t}")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# The cone multiplier, state by state
+
+
+def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
+    """Smallest c with J <= c * Jstar, infinity-aware.
+
+    States with Jstar = 0 force J = 0 there; otherwise no finite c
+    exists and the result is +inf.  States with infinite Jstar never
+    constrain c.
+    """
+    J = np.asarray(J, dtype=float)
+    Jstar = np.asarray(Jstar, dtype=float)
+    c = 0.0
+    for jx, sx in zip(J, Jstar):
+        if np.isposinf(sx):
+            continue
+        if sx == 0.0:
+            if jx != 0.0:
+                return INF
+            continue
+        c = max(c, jx / sx)
+    return c

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import (
-    INF, expect, expect_rows, margin_leq, sup_dist, xadd, xdiff, xmul)
+    INF, expect, expect_rows, margin_leq, sup_dist, sup_dist_segments, xadd, xdiff, xmul)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 extended = st.one_of(finite, st.sampled_from([INF, -INF]))
@@ -185,3 +185,40 @@ class TestStackedResidualKernels:
         a, b = np.array([1.0, -2.0]), np.array([0.5, 0.0])
         assert type(sup_dist(a, b)) is float and type(margin_leq(a, b)) is float
         assert type(sup_dist(a[:0], b[:0])) is float
+
+
+@st.composite
+def segmented_pairs(draw):
+    """Vectors a and b as in `residual_pairs`, at least one entry long,
+    and segment starts from 0: one-entry segments are common."""
+    a, b = draw(residual_pairs().filter(lambda pair: pair[0].size))
+    cuts = draw(st.lists(st.integers(0, a.size - 1), max_size=a.size))
+    return a, b, np.array(sorted({0, *cuts}), dtype=np.intp)
+
+
+class TestSegmentResiduals:
+    """`sup_dist_segments` gives each segment's `sup_dist`, bit for bit,
+    though it picks the fast path once for the whole vector."""
+
+    @given(segmented_pairs())
+    def test_each_entry_is_its_segments_sup_dist(self, case):
+        a, b, starts = case
+        ends = [*starts[1:].tolist(), a.size]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x, y in ((a, b), (b, a)):
+                got = sup_dist_segments(x, y, starts)
+                assert got.shape == starts.shape
+                want = [sup_dist(x[lo:hi], y[lo:hi]) for lo, hi in zip(starts.tolist(), ends)]
+                assert all(same_float(u, v) for u, v in zip(got.tolist(), want))
+
+    def test_an_infinity_in_one_segment_leaves_the_other_exact(self):
+        # The second segment's +inf sends the whole vector through xdiff;
+        # the first segment's -0.0 against +0.0 still reads +0.0.
+        a = np.array([-0.0, 1.0, INF, 2.0])
+        b = np.array([0.0, 1.0, INF, 3.0])
+        got = sup_dist_segments(a, b, np.array([0, 2]))
+        assert [struct.pack("<d", v) for v in got.tolist()] == \
+            [struct.pack("<d", 0.0), struct.pack("<d", 1.0)]
+        assert math.isnan(sup_dist_segments(np.array([np.nan, 1.0]), np.zeros(2),
+                                            np.array([0, 1]))[0])

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from totaldp import ftheta
 from totaldp.extreal import INF, sup_dist
 from totaldp.chains import evaluate_policy
 from totaldp.model import AtomicControl, Policy, TotalCostModel
@@ -12,6 +15,7 @@ from totaldp.ftheta import (
     masked_update,
     q_fixed_point,
 )
+from totaldp.solvers import SolverConfig, mixed_vpi
 from totaldp.stopping import StoppingProblem, build_stopping, lp_upper_bound
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
 
@@ -79,6 +83,58 @@ class TestApply:
             StoppingProblem(fx.model, theta, np.zeros(2))
         with pytest.raises(ValueError, match="B must lie in 0..1"):
             lp_upper_bound(fx.model, theta, np.zeros(2))
+
+
+class TestCheckedOncePerModel:
+    """A Theta is checked against a model once (Theta, its policy and the
+    model are immutable), and afresh against any other model."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        real = ftheta.validate_policy
+
+        def counting(model, policy):
+            calls.append(model)
+            return real(model, policy)
+
+        monkeypatch.setattr(ftheta, "validate_policy", counting)
+        return calls
+
+    def test_a_mixed_run_validates_each_policy_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        fx = fixture("FX-D")
+        J0 = np.zeros(3)
+        res = mixed_vpi(fx.model, SolverConfig(algorithm="mixed", J0=J0,
+                                               Q0=h_backup(fx.model, J0), nk=3,
+                                               tol=1e-10, max_iter=500))
+        policies = [row.policy for row in res.trace.rows]
+        runs = 1 + sum(a != b for a, b in zip(policies, policies[1:]))
+        assert len(policies) > runs  # the run repeats a policy
+        assert len(calls) == runs
+
+    def test_another_model_is_checked_afresh(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        fx = fixture("FX-P2")
+        theta = Theta(Policy.deterministic(fx.model, [0, 1]), frozenset({0}))
+        Q0, J = np.zeros(3), np.zeros(2)
+        for _ in range(3):
+            f_theta_power(fx.model, theta, Q0, J, 2)
+        q_fixed_point(fx.model, theta, J)
+        assert len(calls) == 1
+        twin = dataclasses.replace(fx.model)  # the same layout, another object
+        Q = f_theta_power(twin, theta, Q0, J, 2)[0]
+        assert len(calls) == 2 and calls[1] is twin
+        # only the last model that fitted is kept: back to the first, checked again
+        assert f_theta_power(fx.model, theta, Q0, J, 2)[0].tobytes() == Q.tobytes()
+        assert len(calls) == 3 and calls[2] is fx.model
+        other = fixture("FX-P4").model
+        for _ in range(2):  # a refusal is not kept: the check runs again
+            with pytest.raises(ValueError, match="invalid policy"):
+                f_theta_power(other, theta, np.zeros(3), np.zeros(3), 2)
+        assert len(calls) == 5 and calls[3] is calls[4] is other
+        f_theta_power(fx.model, theta, Q0, J, 2)  # the last model it fitted
+        assert len(calls) == 5
 
 
 class TestFullB:

@@ -1,9 +1,12 @@
 import dataclasses
+import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_ops as ref
 from totaldp import solvers
@@ -125,6 +128,18 @@ class TestModifiedPolicyIteration:
 
 
 class TestMixed:
+    @pytest.mark.parametrize("algorithm", ["mixed", "lp"])
+    @pytest.mark.parametrize("J0, Q0, name, shape", [
+        (np.zeros(1), np.zeros(3), "J0", "(1,)"),
+        (np.zeros(2), np.zeros(4), "Q0", "(4,)"),
+        (np.zeros(3), np.zeros(2), "J0", "(3,)")])
+    def test_refuses_starts_that_do_not_fit_the_model(self, algorithm, J0, Q0, name, shape):
+        # FX-P2: 2 states, 3 pairs; refused before the first row, J0 first
+        model = fixture("FX-P2").model
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=Q0)
+        with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}")):
+            run(model, cfg)
+
     def test_empty_b_replays_value_iteration_exactly(self):
         model, Jstar = random_model(421, regime="P")
         J0 = 1.5 * Jstar
@@ -331,6 +346,56 @@ class TestMaskSchedules:
         assert all(p.dtype == bool and s.dtype == bool for p, s in rows)
         frozen = SolverConfig(algorithm="mixed", nk=1, masks=rows).masks
         assert isinstance(frozen, tuple) and len(frozen) == len(rows)
+
+
+class TestLayerCallsPerRow:
+    """The public operators that perfbench traces, layer by layer, are
+    called once per row: a speed-up that moved their work into private
+    kernels would move it out of the traced layers, and fail here."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counting(*args, _real=getattr(solvers, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, counting)
+        return counts
+
+    @staticmethod
+    def _trap():
+        """State 1 pays 1 forever, so J* = (0, inf): the window rule flags
+        it and an atomic-only run pins it."""
+        return TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("trap", 1.0, np.array([0.0, 1.0])),)))
+
+    @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4", "FX-P3a", "trap"])
+    def test_one_bellman_T_per_value_iteration_row(self, monkeypatch, name):
+        model = self._trap() if name == "trap" else fixture(name).model
+        counts = self._count(monkeypatch, "bellman_T")
+        res = value_iteration(model, np.zeros(model.num_states), SolverConfig(
+            algorithm="vi", max_iter=150, stop_on_tol=False))
+        assert counts["bellman_T"] == len(res.trace.rows) == 150
+        if name in ("FX-P3a", "trap"):  # the flagged-state bookkeeping ran
+            assert res.divergent and res.J[sorted(res.divergent)].tolist() == [INF]
+
+    @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4"])
+    @pytest.mark.parametrize("nk", [1, 10])
+    def test_one_greedy_power_and_minimum_per_mixed_row(self, monkeypatch, name, nk):
+        fx = fixture(name)
+        J0 = np.zeros(fx.model.num_states)
+        counts = self._count(monkeypatch, "greedy_select", "f_theta_power", "m_minimize",
+                             "bellman_T")
+        res = mixed_vpi(fx.model, SolverConfig(
+            algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=nk, tol=1e-10,
+            max_iter=500))
+        rows = len(res.trace.rows)
+        assert rows > 1
+        envelope = 0 if fx.model.regime == "D" else rows
+        assert counts == {"greedy_select": rows, "f_theta_power": rows,
+                          "m_minimize": rows, "bellman_T": envelope}
 
 
 class TestPowerCounts:
@@ -675,6 +740,23 @@ class TestExtraction:
 
 
 class TestVerifyCertificates:
+    def test_masked_traces_skip_the_envelope(self):
+        # Round-robin rows refresh one pair and one state, so from 2 J* the
+        # iterate stays above T^k(J0): the margin is recorded, not checked.
+        fx = fixture("FX-P4")
+        J0 = 2.0 * fx.Jstar
+        cfg = SolverConfig(algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=10,
+                           masks=round_robin_masks(fx.model), tol=1e-9, max_iter=100,
+                           ground_truth=fx.ground_truth())
+        out = mixed_vpi(fx.model, cfg)
+        assert max(row.upper_margin for row in out.trace.rows) > 0.0
+        report = verify_certificates(fx.model, out.trace, fx.ground_truth())
+        assert report.passed
+        assert "envelope-upper" not in [c.name for c in report.checks]
+        unmasked = dataclasses.replace(out.trace, config={**out.trace.config, "masks": False})
+        check = {c.name: c for c in verify_certificates(fx.model, unmasked).checks}
+        assert not check["envelope-upper"].passed
+
     def test_discounted_trace_passes_rate_check(self):
         fx = fixture("FX-D")
         cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3),
@@ -748,6 +830,13 @@ class TestVerifyCertificates:
         assert all(c.name != "cone-membership" for c in report.checks)
 
 
+# (J, Jstar) entries: few distinct values, so that zeros of both signs,
+# infinities of both signs, NaN and overflowing or invalid ratios meet often.
+CONE_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 1.0, -1.0, 2.5,
+                                        1e300, 1e-300, -1e-300]),
+                       st.floats(-1e6, 1e6))
+
+
 class TestConeMultiplier:
     def test_finite_ratio(self):
         assert cone_multiplier(np.array([0.0, 2.0]), np.array([0.0, 1.0])) == 2.0
@@ -757,6 +846,30 @@ class TestConeMultiplier:
 
     def test_infinite_optimum_never_constrains(self):
         assert cone_multiplier(np.array([5.0, 1.0]), np.array([INF, 1.0])) == 1.0
+
+    @given(st.lists(st.tuples(CONE_ENTRY, CONE_ENTRY), max_size=8))
+    def test_equal_to_the_state_loop(self, entries):
+        J = np.array([j for j, _ in entries], dtype=float)
+        Jstar = np.array([s for _, s in entries], dtype=float)
+        with np.errstate(all="ignore"):
+            want = float(ref.cone_multiplier(J, Jstar))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = cone_multiplier(J, Jstar)
+        assert type(got) is float and _bits(got) == _bits(want)
+        if np.count_nonzero(J[Jstar == 0.0] != 0.0):
+            assert got == INF
+
+    def test_a_zero_set_violation_wins_over_an_earlier_warning(self):
+        # The loop meets 1e300 / 1e-300 (overflow) before state 1's zero-set
+        # violation, and raises there when RuntimeWarning is an error.
+        J, Jstar = np.array([1e300, 1.0]), np.array([1e-300, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning):
+                ref.cone_multiplier(J, Jstar)
+            assert cone_multiplier(J, Jstar) == INF
+            assert cone_multiplier(J[:1], Jstar[:1]) == INF  # the overflow itself
 
 
 def _bits(x) -> bytes:

@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Paired timing of one benchmark job against another commit, in one process.
+
+    python3 tools/pairtime.py --against HEAD~1 --workload p-above --job vi
+    python3 tools/pairtime.py --against HEAD~1 --workload small-many --job mixed10 --pairs 200
+
+Run from the root of a source checkout.  The script extracts commit REF
+with `digest.checkout`, imports that tree's `src/totaldp` under the
+package name `totaldp_ref` (every import inside the package is
+relative, so the two copies share nothing), and builds every model of
+the workload that runs the job with both packages, from the same
+perfbench case arrays.  Each pair solves every such model once with
+each package, in ABBA order (REF first in even pairs, the working tree
+first in odd ones), and takes the geometric mean over the models of
+the time ratio working tree / REF.  It prints the median of those
+ratios with its quartiles, each side's median time for one pass over
+the models, and whether every J (and Q) of the working tree equals
+REF's bit for bit; it exits 1 when one does not.
+
+Back-to-back processes on a loaded host can differ by tens of percent
+in one solve's time; pairs interleaved in one process see the same
+load, so their ratio is what a small change is read from.  Times are
+plain `perf_counter` seconds, not perfbench's calibrated scores, and
+nothing here is a gate.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import digest  # noqa: E402  (puts src/ and perfbench/ on the path)
+import jobs  # noqa: E402
+import numpy as np  # noqa: E402
+import totaldp  # noqa: E402
+
+SOLVE_JOBS = ("vi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp")
+
+
+def import_tree(tree: str, name: str = "totaldp_ref"):
+    """The package at ``tree``/src/totaldp, imported as ``name``."""
+    pkg_dir = Path(tree, "src", "totaldp")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_model(pkg, case):
+    """`jobs.build_model` with the classes of ``pkg``."""
+    controls = tuple(
+        tuple(pkg.AtomicControl(f"u{i}", float(case.g[s + i]), case.P[s + i])
+              for i in range(c))
+        for s, c in zip(case.starts, case.counts))
+    families = tuple((pkg.AffineFamily(**case.families[x]),) if x in case.families else ()
+                     for x in range(case.n))
+    return pkg.TotalCostModel(
+        regime=case.regime, discount=case.alpha, controls=controls, families=families,
+        cost_bound=float(np.abs(case.g).max()) if case.regime == "D" else None)
+
+
+def solver(pkg, kind: str, case, model):
+    """A zero-argument call that runs job ``kind`` as `jobs._solve` does."""
+    config = dict(tol=jobs.SOLVE_TOL, max_iter=case.max_iter)
+    if kind == "vi":
+        cfg = pkg.SolverConfig(algorithm="vi", **config)
+        return lambda: pkg.value_iteration(model, case.J0, cfg)
+    if kind == "mpi":
+        mu0 = pkg.Policy.deterministic(model, case.mu0)
+        cfg = pkg.SolverConfig(algorithm="mpi", nk=10, **config)
+        return lambda: pkg.modified_policy_iteration(model, mu0, case.J0, cfg)
+    extra = {"mixed10": dict(nk=10, bstrategy=pkg.FullB()),
+             "mixed_exact": dict(nk="exact", bstrategy=pkg.FullB()),
+             "mixed_occ": dict(nk=10, bstrategy=pkg.OccupationSupportB()),
+             "lp": dict(bstrategy=pkg.FullB())}[kind]
+    algorithm = "lp" if kind == "lp" else "mixed"
+    cfg = pkg.SolverConfig(algorithm=algorithm, J0=case.J0, Q0=case.Q0, **config, **extra)
+    run = pkg.lp_variant_vpi if kind == "lp" else pkg.mixed_vpi
+    return lambda: run(model, cfg)
+
+
+def timed(call, cap_error):
+    """Seconds of one call and its result (a capped run's result too)."""
+    t0 = time.perf_counter()
+    try:
+        out = call()
+    except cap_error as e:
+        out = e.result
+    return time.perf_counter() - t0, out
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="REF", required=True)
+    ap.add_argument("--workload", choices=jobs.WORKLOADS, required=True)
+    ap.add_argument("--job", choices=SOLVE_JOBS, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=100)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    cases = [c for c in jobs.workload_cases(args.workload, args.seed) if args.job in c.jobs]
+    if not cases:
+        ap.error(f"no model of {args.workload} runs {args.job}")
+    with digest.checkout(args.against) as tree:
+        ref = import_tree(tree)
+        sides = []  # (calls, cap error) for REF and the working tree
+        for pkg in (ref, totaldp):
+            calls = [solver(pkg, args.job, case, build_model(pkg, case)) for case in cases]
+            sides.append((calls, pkg.SolverCapError))
+        first = [[timed(call, cap)[1] for call in calls] for calls, cap in sides]
+        equal = [same_bits(a.J, b.J) and same_bits(a.Q, b.Q)
+                 for a, b in zip(*first)]
+        ratios, seconds = [], ([], [])
+        for k in range(args.pairs):
+            t = [[0.0] * len(cases), [0.0] * len(cases)]
+            for i in range(len(cases)):
+                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                    calls, cap = sides[side]
+                    t[side][i] = timed(calls[i], cap)[0]
+            ratios.append(math.exp(statistics.fmean(
+                math.log(new / old) for old, new in zip(*t))))
+            for side in (0, 1):
+                seconds[side].append(sum(t[side]))
+    lo, mid, hi = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"pairtime: {args.workload} seed {args.seed}, job {args.job}, {len(cases)} models, "
+          f"{args.pairs} pairs in ABBA order")
+    for name, secs in ((args.against, seconds[0]), ("working tree", seconds[1])):
+        print(f"  {name}: median {statistics.median(secs) * 1e3:.3f} ms per pass over the models")
+    print(f"  ratio working tree / {args.against} (geometric mean over models): "
+          f"median {mid:.3f}, quartiles {lo:.3f}-{hi:.3f}")
+    differ = [case.name for case, ok in zip(cases, equal) if not ok]
+    if differ:
+        print(f"  J or Q differs bitwise on {len(differ)} of {len(cases)} models: "
+              f"{', '.join(differ)}")
+        return 1
+    print(f"  every J and Q bitwise equal ({len(cases)} models)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
