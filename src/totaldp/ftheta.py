@@ -35,7 +35,12 @@ iteration J = M Q, so min{J, Q} is J and, under a deterministic policy,
 the first power is H(J).  While the iterates rise (T J >= J, so that
 H(J) >= J on every pair), the second power reads that same J: one
 backup per mixed iteration instead of n.  `f_theta_power` returns the
-number of backups that did run next to its result.
+number of backups that did run next to its result.  Its powers run in
+`operators._backup_power`, which decides the finite fast path once from
+the first state vector w (a policy built from choices, finite pair
+costs, no infinity in w) rather than scanning every w, and runs the
+whole power again backup by backup when the result holds a NaN, the
+trace of a value that overflowed part way.
 
 `masked_update` is the asynchronous form: boolean masks over the pairs
 and the states pick the coordinates that take the refreshed values.
@@ -51,7 +56,7 @@ import numpy as np
 from .chains import _stop_rule_iteration
 from .extreal import INF, sup_dist
 from .model import Policy, TotalCostModel, policy_mix, regime_conforming, validate_policy
-from .operators import m_minimize, pair_backup
+from .operators import _backup_power, m_minimize, pair_backup
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,8 @@ def _floor(model: TotalCostModel, theta: Theta, V: np.ndarray,
 
 def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
     """The map from Q to the state vector that one application of
-    F_theta(.; J) to Q backs up.
+    F_theta(.; J) to Q backs up, and whether it only gathers and takes
+    minima (a policy built from choices; `operators._backup_power`).
 
     What does not depend on Q (the policy's chosen pairs, the full-B
     test, J lifted onto the pairs or read on B) is read once, when the
@@ -157,9 +163,9 @@ def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
     chosen = theta.policy.chosen_pairs
     if chosen is None:
         lifted = J[model.pair_state]
-        return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J)
+        return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J), False
     if len(theta.B) == model.num_states:
-        return lambda Q: np.minimum(J, Q[chosen])
+        return lambda Q: np.minimum(J, Q[chosen]), True
     B = theta.B_index
     J_B, chosen_B = J[B], chosen[B]
 
@@ -168,14 +174,14 @@ def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
         w[B] = np.minimum(J_B, Q[chosen_B])
         return w
 
-    return floor
+    return floor, True
 
 
 def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
              J: np.ndarray) -> np.ndarray:
     """The state vector that one application of F_theta(.; J) to Q
     backs up (`_f_floor_map`)."""
-    return _f_floor_map(model, theta, J)(Q)
+    return _f_floor_map(model, theta, J)[0](Q)
 
 
 def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
@@ -202,21 +208,16 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
     would return the current Q again, and the loop stops.  The Q returned
     is the n-fold composition; the count, between 1 and n, is only the
     backups that ran.  The map from Q to w is built once per call
-    (`_f_floor_map`), and the Theta is checked against the model once.
+    (`_f_floor_map`), the Theta is checked against the model once, and
+    the finite path is chosen once, from the first w (`_backup_power`).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _check_inputs(model, theta)
-    floor = _f_floor_map(model, theta, np.asarray(J, dtype=float))
-    w = floor(np.asarray(Q0, dtype=float))
-    Q = pair_backup(model, w)
-    applied, read = 1, w.tobytes()
-    while applied < n:
-        w = floor(Q)
-        if w.tobytes() == read:
-            break
-        Q = pair_backup(model, w)
-        applied, read = applied + 1, w.tobytes()
+    if theta._fits is not model:  # spares the mixed loop a call per row
+        _check_inputs(model, theta)
+    floor, gathers = _f_floor_map(model, theta, np.asarray(J, dtype=float))
+    _, Q, applied = _backup_power(model, floor(np.asarray(Q0, dtype=float)), floor, n,
+                                  gathers, True)
     return Q, applied
 
 

@@ -10,14 +10,18 @@ Core backups for a total-cost model:
 Atomic controls are handled on the model's pair axis: every (state,
 control) pair in one flat array, state-major, with state x owning the
 contiguous segment that starts at `model.pair_starts[x]`.  H is one
-row-wise expectation plus the cost vector (`pair_backup`, the single
-"g + alpha * E[w]" kernel that the F operators, the stopping
-continuation values and the constraint-program bound also use); M, T
-and greedy selection are segment reductions of H (`np.minimum.reduceat`),
-and T_mu is the policy's mix of H (`model.policy_mix`: a gather at the
-chosen pairs of a policy built from choices, a segment sum otherwise).
-Each reduction takes a finite fast path when its input holds no
-infinity and a masked extended-real path otherwise.
+row-wise expectation plus the cost vector (`pair_backup`, whose
+"g + alpha * E[w]" arithmetic `_g_plus` is the single copy that the F
+operators, operator powers, the stopping continuation values and the
+constraint-program bound also use); M, T and greedy selection are
+segment reductions of H (`np.minimum.reduceat`), and T_mu is the
+policy's mix of H (`model.policy_mix`: a gather at the chosen pairs of a
+policy built from choices, a segment sum otherwise).  Each reduction
+takes a finite fast path when its input holds no infinity and a masked
+extended-real path otherwise.  A power of n backups (`_backup_power`,
+behind `t_mu_power_and_h` and `ftheta.f_theta_power`) makes that
+decision once, from its start, and checks its result for the NaN that
+a value overflowing part way would leave.
 
 Affine control families keep a scalar per-state path, chosen from the
 model (a state with families) or the policy (a family choice at a
@@ -40,6 +44,7 @@ from .model import (
     Policy,
     TotalCostModel,
     _built_for,
+    _chosen_pairs,
     policy_mix,
 )
 
@@ -117,23 +122,75 @@ def family_infimum(model: TotalCostModel, fam: AffineFamily, J: np.ndarray) -> f
     return affine_infimum(a, b, fam.lo, fam.hi, fam.lo_closed, fam.hi_closed).value
 
 
-def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
-    """g + alpha * E[w] over all atomic pairs, for any state vector w.
-
-    The expectation is a fresh array, so it is scaled and summed in
-    place.  With every pair cost finite (`pair_costs_finite`, read once
-    per model) no opposite infinities can meet and the sum is plain;
-    otherwise `xadd_vec` resolves them.
+def _g_plus(model: TotalCostModel, cont: np.ndarray) -> np.ndarray:
+    """g + alpha * cont over all atomic pairs, for a fresh expectation
+    array cont, which is scaled and summed in place.  The one copy of
+    the backup's arithmetic: `pair_backup` and `_backup_power` differ
+    only in how they take the expectation.  With every pair cost finite
+    (`pair_costs_finite`, read once per model) no opposite infinities
+    can meet and the sum is plain; otherwise `xadd_vec` resolves them.
     """
-    cont = expect_rows(model.pair_probs, w)
-    if model.discount == 0.0:
-        cont.fill(0.0)
-    elif model.discount != 1.0:
-        cont *= model.discount
+    alpha = model.discount
+    if alpha != 1.0:
+        if alpha == 0.0:
+            cont.fill(0.0)
+        else:
+            cont *= alpha
     if model.pair_costs_finite:
         cont += model.pair_costs
         return cont
     return xadd_vec(model.pair_costs, cont)
+
+
+def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
+    """g + alpha * E[w] over all atomic pairs, for any state vector w."""
+    return _g_plus(model, expect_rows(model.pair_probs, w))
+
+
+def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
+                  gathers: bool, stop: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """n backups, each of the state vector that ``read`` takes from the
+    last one's pair vector: H_1 = pair_backup(w), H_{i+1} =
+    pair_backup(read(H_i)).  Returns the state vector the last backup
+    took, H_n and the number of backups that ran.  With ``stop``, the
+    loop ends when read gives a vector bitwise equal to the one the last
+    backup took: every later H would repeat.
+
+    The finiteness decision is made once, from the start.  ``gathers``
+    says that read only gathers and takes minima (the read of a policy
+    built from choices), so a NaN it reads stays in w.  Then, with
+    finite pair costs and no infinity in w, every backup takes the plain
+    product P @ w with no scan for infinities.  From a finite w the
+    product is `expect_rows`' own fast path; w can hold an infinity
+    later only where a value overflowed, and there the plain product
+    differs from the masked one only by a NaN (0 * inf, or inf - inf),
+    which read carries into every later backup.  So a result without
+    NaN is the per-backup result bit for bit, and one with a NaN is
+    computed again by the per-backup path, which decides each backup
+    from its own input.  A single backup needs no such check: from a
+    finite start it is the per-backup one.  The overflow warns on both
+    paths, so with RuntimeWarning raised as an error both stop at the
+    same place; under a filter that only reports, the plain product adds
+    an "invalid value" warning before the rerun.
+    """
+    P = model.pair_probs
+    expect = (np.matmul if gathers and model.pair_costs_finite
+              and not np.count_nonzero(np.isinf(w)) else expect_rows)
+    H = _g_plus(model, expect(P, w))
+    x, applied, last = w, 1, w.tobytes() if stop else None
+    while applied < n:
+        v = read(H)
+        if stop:
+            now = v.tobytes()
+            if now == last:
+                break
+            last = now
+        x, H = v, _g_plus(model, expect(P, v))
+        applied += 1
+    if applied > 1 and expect is np.matmul and np.count_nonzero(np.isnan(H)):
+        return _backup_power(model, w, read, n, False, stop)
+    return x, H, applied
 
 
 def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
@@ -187,6 +244,28 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
         else:
             out[x] = expect(a.weights, H[model.pair_slices[x]])
     return out
+
+
+def t_mu_power_and_h(model: TotalCostModel, policy: Policy, J: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """T_mu applied n times to J, and the Q backup H of the result: bit
+    for bit the n-fold `bellman_T_mu` and `h_backup` of it.
+
+    A policy built from choices is checked against the model once, and
+    its n + 1 backups alternate with the gather at its chosen pairs
+    (`_backup_power`: the finiteness of J is decided once, from the
+    start).  Any other policy applies `bellman_T_mu` n times.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    J = np.asarray(J, dtype=float)
+    chosen = _chosen_pairs(model, policy)
+    if chosen is None:
+        for _ in range(n):
+            J = bellman_T_mu(model, policy, J)
+        return J, h_backup(model, J)
+    J, H, _ = _backup_power(model, J, lambda V: V[chosen], n + 1, True)
+    return J, H
 
 
 def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,

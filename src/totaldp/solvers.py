@@ -44,6 +44,7 @@ from .model import Policy, TotalCostModel
 from .operators import (
     bellman_T,
     bellman_T_mu,
+    t_mu_power_and_h,
     greedy_select,
     h_backup,
     m_minimize,
@@ -627,6 +628,11 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     """Optimistic policy iteration: nk fixed-policy backups per round,
     then exact greedy improvement.
 
+    The nk backups T_mu^nk and the Q backup H that follows them are one
+    power (`t_mu_power_and_h`): the policy's layout is checked and the
+    finite path chosen once per round, not once per backup, and the
+    trace's op count still grows by nk + 1.
+
     Trace rows carry both the evaluation iterate and the improvement-time
     value M(h_backup(J)); for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
@@ -645,11 +651,9 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         rec.trace.config["initial_flags"] = flags
     prev_greedy: np.ndarray | None = None
     for k in range(1, config.max_iter + 1):
-        for _ in range(int(config.nk_at(k - 1))):
-            J = bellman_T_mu(model, mu, J)
-            rec.trace.op_count += 1
-        Q = h_backup(model, J)
-        rec.trace.op_count += 1
+        nk = int(config.nk_at(k - 1))
+        J, Q = t_mu_power_and_h(model, mu, J, nk)
+        rec.trace.op_count += nk + 1
         mu = greedy_select(model, Q, epsilon=0.0, keep=mu)
         J_greedy = m_minimize(model, Q)
         res = sup_dist(J_greedy, prev_greedy) if prev_greedy is not None else INF
@@ -938,6 +942,30 @@ def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
     return float(ratios.max()) if ratios.size else 0.0
 
 
+def _cone_witness(J0: np.ndarray, Jstar: np.ndarray, c: float, nonneg: bool) -> str:
+    """Why J0 is outside the convergence cone, or "" when it is inside.
+
+    A NaN entry of J0 is named first: it fails J0 >= 0 without being
+    negative, and `cone_multiplier` ignores its ratio.  An infinite c is
+    then named at the first state that forces it: a nonzero J0 where
+    Jstar is zero, or a ratio J0/Jstar that is +inf over a finite
+    positive Jstar, because J0 is infinite or because the division
+    overflows.
+    """
+    nan = np.flatnonzero(np.isnan(J0))
+    if nan.size:
+        return f"state {nan[0]}: J0 is NaN"
+    if not np.isfinite(c):
+        for x, (jx, sx) in enumerate(zip(J0.tolist(), Jstar.tolist())):
+            if sx == 0.0 and jx != 0.0:
+                return f"state {x}: J0={jx:g} but Jstar=0"
+            if 0.0 < sx < INF and jx == INF:
+                return f"state {x}: J0 infinite over finite Jstar"
+            if 0.0 < sx < INF and jx / sx == INF:
+                return f"state {x}: J0={jx:g} over Jstar={sx:g} overflows c"
+    return "" if nonneg else "J0 has negative entries"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -1022,19 +1050,10 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
     if Jstar is not None and trace.J0 is not None and model.regime == "P":
         c = cone_multiplier(trace.J0, Jstar)
         nonneg = bool((trace.J0 >= 0.0).all())
-        witness = "" if nonneg else "J0 has negative entries"
-        if not np.isfinite(c):
-            for x, (jx, sx) in enumerate(zip(trace.J0, Jstar)):
-                if sx == 0.0 and jx != 0.0:
-                    witness = f"state {x}: J0={jx:g} but Jstar=0"
-                    break
-                if np.isfinite(sx) and sx > 0 and np.isposinf(jx):
-                    witness = f"state {x}: J0 infinite over finite Jstar"
-                    break
         checks.append(CheckResult(
             "cone-membership", bool(np.isfinite(c)) and nonneg,
             c if np.isfinite(c) else INF,
-            witness or f"J0 <= c Jstar with c={c:g}"))
+            _cone_witness(trace.J0, Jstar, c, nonneg) or f"J0 <= c Jstar with c={c:g}"))
         finite_zero = bool(nonneg and np.isfinite(trace.J0).all()
                            and (trace.J0[Jstar == 0.0] == 0.0).all())
         checks.append(CheckResult(

@@ -95,7 +95,7 @@ def test_slow_exit_at_p_1e2_stays_finite(route):
 
 @pytest.mark.parametrize("route", [
     pytest.param("vi", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 1")),
+        strict=True, raises=AssertionError, reason="ROADMAP item 2")),
     "q_fixed_point", "solve_stopping"])
 def test_slow_exit_at_p_1e3_stays_finite(route):
     p = 1e-3

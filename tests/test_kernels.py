@@ -13,17 +13,21 @@ the old rendering: same strings, same bytes, or the same floats up to
 the sign of a zero.  The mixed iteration's fast paths (the gathered
 floor, the pair-cost flag of the Q backup, greedy selection from a
 supplied minimum or by row argmin) must give the same bytes as the
-forms they replaced, NaN and signed zeros included.
+forms they replaced, NaN and signed zeros included.  Operator powers,
+which choose their finite path once from the start, must give the bytes
+of n single applications, past an overflow and from infinite starts too,
+and raise no RuntimeWarning that the single applications do not.
 """
 
 import dataclasses
 import hashlib
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from totaldp.chains import (
@@ -57,6 +61,7 @@ from totaldp.modelio import model_hash, render_model
 from totaldp.operators import (
     bellman_T,
     bellman_T_mu,
+    t_mu_power_and_h,
     greedy_select,
     h_backup,
     m_minimize,
@@ -652,6 +657,140 @@ FIXTURE_HASHES = {
 NAME = st.text(st.one_of(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
                                           "é", "☃", "\U0001f600", "a"]),
                          st.characters()), max_size=5)
+
+
+# Start entries of a power, for J and for Q: small finite values with
+# zeros of both signs, some infinities, or values near the largest float.
+# Near-largest starts meet costs of about 1e308, so that a value
+# overflows to +-inf part way through the powers and the powers' plain
+# products meet it; there J may be +inf, so that the F_theta floor
+# min{J, Q} passes the overflowed Q on.
+BIG = 1.5e308
+START_ENTRIES = {"finite": (st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]),) * 2,
+                 "infinite": (st.sampled_from([INF, -INF, 0.0, 2.0]),) * 2,
+                 "big": (st.sampled_from([BIG, -BIG, 1e308, 0.0, INF]),
+                         st.sampled_from([BIG, -BIG, 1e308, 0.0]))}
+
+
+@st.composite
+def power_cases(draw):
+    """A D (alpha = 0 or in (0, 1)), N or P model, a choice-backed or a
+    mixed policy, a full or partial B, starts of one kind of
+    START_ENTRIES (J and Q for F_theta, a state vector V for T_mu), and a
+    power count."""
+    model = draw(atomic_models())
+    kind = draw(st.sampled_from(sorted(START_ENTRIES)))
+    regime = draw(st.sampled_from(["D0", "D", "N", "P"]))
+    sign = -1.0 if regime == "N" else 1.0
+    scale = 5e307 if kind == "big" else 1.0
+    costs = st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(lambda c: sign * scale * c)
+    if regime.startswith("D"):
+        alpha = 0.0 if regime == "D0" else draw(st.sampled_from([0.5, 0.95]))
+        costs = st.one_of(costs, costs.map(lambda c: -c))
+    else:
+        alpha = 1.0
+    if draw(st.integers(0, 3)) == 0:  # now and then an infinite cost of the regime's sign
+        costs = st.one_of(costs, costs, costs, st.just(sign * INF))
+    controls = tuple(tuple(dataclasses.replace(c, cost=draw(costs)) for c in cs)
+                     for cs in model.controls)
+    model = TotalCostModel(regime=regime[0], discount=alpha, controls=controls)
+    n = model.num_states
+    J_entry, Q_entry = START_ENTRIES[kind]
+    return SimpleNamespace(
+        model=model, kind=kind, policy=draw(policies(model)),
+        B=draw(st.sampled_from([frozenset(range(n)), frozenset(range(0, n, 2))])),
+        J=np.array(draw(st.lists(J_entry, min_size=n, max_size=n))),
+        Q=np.array(draw(st.lists(Q_entry, min_size=model.num_pairs(),
+                                 max_size=model.num_pairs()))),
+        V=np.array(draw(st.lists(Q_entry, min_size=n, max_size=n))),
+        n=draw(st.integers(1, 6)))
+
+
+def outcome(call, warning_filter):
+    """The result of ``call`` under a RuntimeWarning filter, or the text
+    of the warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter, RuntimeWarning)
+        try:
+            return call()
+        except RuntimeWarning as err:
+            return str(err)
+
+
+def f_power_per_backup(model, theta, Q, J, n):
+    """`f_theta_power` as n single applications, each deciding its own
+    finite path: the backup count stops where the read state vector
+    repeats."""
+    applied, last = 0, None
+    for _ in range(n):
+        w = _f_floor(model, theta, Q, J)
+        if w.tobytes() == last:
+            break
+        Q, applied, last = pair_backup(model, w), applied + 1, w.tobytes()
+    return Q, applied
+
+
+def n_fold(apply, start, n):
+    for _ in range(n):
+        start = apply(start)
+    return start
+
+
+class TestPowers:
+    """`f_theta_power` and `t_mu_power_and_h` (T_mu^n, then H) decide the
+    finite path once, from their start, and must give the result of
+    single applications, bit for bit, also where a value overflows part
+    way and where the start holds an infinity.  Only near-largest starts
+    may warn (the overflow itself); an error-mode run then stops at the
+    same warning."""
+
+    @settings(max_examples=300)
+    @given(power_cases())
+    def test_f_theta_power_is_n_applications(self, c):
+        model, theta, J = c.model, Theta(c.policy, c.B), c.J
+        calls = (lambda: f_theta_power(model, theta, c.Q, J, c.n),
+                 lambda: f_power_per_backup(model, theta, c.Q, J, c.n),
+                 lambda: (n_fold(lambda Q: ref._f_apply(model, theta, Q, J), c.Q, c.n),))
+        if c.kind == "big":
+            got, per_backup = (outcome(call, "error") for call in calls[:2])
+            assert type(got) is type(per_backup)
+            if isinstance(got, str):
+                assert got == per_backup
+        got, per_backup, oracle = (outcome(call, "ignore" if c.kind == "big" else "error")
+                                   for call in calls)
+        assert got[1] == per_backup[1]
+        assert got[0].tobytes() == per_backup[0].tobytes()
+        # The loop oracle reads a choice-backed policy as a one-hot mix,
+        # which differs only in the sign of a zero; it sums a mix in
+        # another order.
+        if c.policy.chosen_pairs is not None:
+            same_up_to_zero_sign(got[0], oracle[0])
+        else:
+            assert_matches(got[0], oracle[0])
+
+    @settings(max_examples=300)
+    @given(power_cases())
+    def test_t_mu_power_and_h_is_n_applications(self, c):
+        model, policy, J = c.model, c.policy, c.V
+
+        def then_h(T, H):
+            V = n_fold(lambda x: T(model, policy, x), J, c.n)
+            return V, H(model, V)
+
+        calls = (lambda: t_mu_power_and_h(model, policy, J, c.n),
+                 lambda: then_h(bellman_T_mu, h_backup),
+                 lambda: then_h(ref.bellman_T_mu, ref.h_backup))
+        if c.kind == "big":
+            got, per_backup = (outcome(call, "error") for call in calls[:2])
+            assert type(got) is type(per_backup)
+            if isinstance(got, str):
+                assert got == per_backup
+        got, per_backup, oracle = (outcome(call, "ignore" if c.kind == "big" else "error")
+                                   for call in calls)
+        for got_part, per_backup_part, oracle_part in zip(got, per_backup, oracle):
+            assert got_part.tobytes() == per_backup_part.tobytes()
+            # The loop oracle takes each expectation as its own dot product.
+            assert_matches(got_part, oracle_part)
 
 
 def json_text(model, gt=None):

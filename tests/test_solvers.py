@@ -812,6 +812,33 @@ class TestVerifyCertificates:
         assert not cone.passed
         assert "state 1" in cone.detail
 
+    @pytest.mark.parametrize("J0, Jstar, margin, detail", [
+        # J0/Jstar overflows at state 1, so c = +inf without a zero-set
+        # violation or an infinite J0.
+        ([0.0, 1e300, 2.0], [0.0, 1e-10, 2.0], INF,
+         "state 1: J0=1e+300 over Jstar=1e-10 overflows c"),
+        # NaN fails J0 >= 0 without being negative; its ratio leaves c at 1.
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], 1.0, "state 1: J0 is NaN"),
+        ([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 1.0, "J0 has negative entries"),
+        ([0.0, INF, 2.0], [0.0, 1.0, 2.0], INF,
+         "state 1: J0 infinite over finite Jstar"),
+    ])
+    def test_cone_failure_names_its_cause(self, J0, Jstar, margin, detail):
+        fx = fixture("FX-P4")
+        Jstar = np.array(Jstar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                res = value_iteration(fx.model, np.array(J0), SolverConfig(
+                    algorithm="vi", tol=1e-12, max_iter=3, ground_truth=(Jstar, None)))
+            except SolverCapError as err:
+                res = err.result
+            report = verify_certificates(fx.model, res.trace, (Jstar, None))
+        cone = [c for c in report.checks if c.name == "cone-membership"][0]
+        assert not cone.passed
+        assert cone.margin == margin
+        assert cone.detail == detail
+
     def test_summary_renders(self):
         fx = fixture("FX-P4")
         res = value_iteration(fx.model, np.zeros(3),

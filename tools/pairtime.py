@@ -14,8 +14,10 @@ each package, in ABBA order (REF first in even pairs, the working tree
 first in odd ones), and takes the geometric mean over the models of
 the time ratio working tree / REF.  It prints the median of those
 ratios with its quartiles, each side's median time for one pass over
-the models, and whether every J (and Q) of the working tree equals
-REF's bit for bit; it exits 1 when one does not.
+the models, and whether every result and trace of the working tree
+equals REF's bit for bit: J and Q, the trace's op count and row count,
+and each row's residual and backup count (``powers``, on mixed rows).
+It exits 1 on any difference.
 
 Back-to-back processes on a loaded host can differ by tens of percent
 in one solve's time; pairs interleaved in one process see the same
@@ -105,6 +107,23 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def differences(a, b) -> list[str]:
+    """What differs bit for bit between two solve results: J, Q, the
+    trace's op count and row count, and the first row whose residual or
+    backup count (``powers``) differs."""
+    out = [name for name, x, y in (("J", a.J, b.J), ("Q", a.Q, b.Q)) if not same_bits(x, y)]
+    if a.trace.op_count != b.trace.op_count:
+        out.append(f"op_count {b.trace.op_count} vs {a.trace.op_count}")
+    if len(a.trace.rows) != len(b.trace.rows):
+        out.append(f"{len(b.trace.rows)} rows vs {len(a.trace.rows)}")
+    for ra, rb in zip(a.trace.rows, b.trace.rows):
+        if not same_bits(ra.residual, rb.residual) \
+                or ra.extra.get("powers") != rb.extra.get("powers"):
+            out.append(f"row {ra.k} residual or powers")
+            break
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REF", required=True)
@@ -125,8 +144,8 @@ def main(argv=None) -> int:
             calls = [solver(pkg, args.job, case, build_model(pkg, case)) for case in cases]
             sides.append((calls, pkg.SolverCapError))
         first = [[timed(call, cap)[1] for call in calls] for calls, cap in sides]
-        equal = [same_bits(a.J, b.J) and same_bits(a.Q, b.Q)
-                 for a, b in zip(*first)]
+        differ = [f"{case.name} ({', '.join(diff)})"
+                  for case, diff in zip(cases, map(differences, *first)) if diff]
         ratios, seconds = [], ([], [])
         for k in range(args.pairs):
             t = [[0.0] * len(cases), [0.0] * len(cases)]
@@ -145,12 +164,12 @@ def main(argv=None) -> int:
         print(f"  {name}: median {statistics.median(secs) * 1e3:.3f} ms per pass over the models")
     print(f"  ratio working tree / {args.against} (geometric mean over models): "
           f"median {mid:.3f}, quartiles {lo:.3f}-{hi:.3f}")
-    differ = [case.name for case, ok in zip(cases, equal) if not ok]
     if differ:
-        print(f"  J or Q differs bitwise on {len(differ)} of {len(cases)} models: "
-              f"{', '.join(differ)}")
+        print(f"  result or trace differs bitwise on {len(differ)} of {len(cases)} models: "
+              f"{'; '.join(differ)}")
         return 1
-    print(f"  every J and Q bitwise equal ({len(cases)} models)")
+    print(f"  every J, Q, op count, row count, row residual and row powers bitwise equal "
+          f"({len(cases)} models)")
     return 0
 
 
