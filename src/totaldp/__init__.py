@@ -47,7 +47,6 @@ from .stopping import (
     lp_upper_bound,
     reconstruct_q,
     solve_stopping,
-    t_o_apply,
 )
 from .solvers import (
     CustomB,

@@ -21,7 +21,8 @@ that the stopping problem admits; a state that can reach one is +inf,
 since +inf absorbs -inf.
 
 The same pricing solves Lemma A.1's stopping problem for theta = (mu, B)
-and stopping costs J: `_stop_rule_iteration` runs policy iteration over
+and stopping costs J: `_stop_rule_iteration`, which only the one
+admitted solve `ftheta._stop_rule_solve` runs, is policy iteration over
 pair-level stop rules.  A rule marks each pair as continuing or
 stopping, and is priced on a chain over the n states plus one cost-free
 terminal.  At state y the rule pays
@@ -34,7 +35,7 @@ every continuing pair's value, and a stopping pair is worth J(y).  A
 mixed policy is priced on this chain as safely as a deterministic one:
 the terminal is the free state that every stopping mass moves to, so a
 state that stops with some weight still reaches the free set, and the
-admission rule of the stopping problem (`ftheta._check_stop_costs`)
+admission rule of that solve (`ftheta._check_stop_costs`)
 gives every stop cost and pair cost the regime's sign (+inf aside), so
 each c(y) has it too and "paying" still means one sign.  No end
 component needs collapsing: a zero-cost loop that never pays is free,

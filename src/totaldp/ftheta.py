@@ -11,10 +11,10 @@ acts on Q with J held fixed.  Its monotone limit from zero is the
 continuation-value function of a two-action stopping reformulation of
 policy evaluation (Lemma A.1; see the stopping module), and
 `q_fixed_point` computes it exactly by policy iteration over that
-problem's stop rules (`chains._stop_rule_iteration`).  Each rule is
-priced as a chain on the n states plus a cost-free terminal that takes
-every stopping mass; the fixed point is one backup of the last rule's
-state values, for deterministic and mixed policies alike.
+problem's stop rules (`_stop_rule_solve`, which the stopping module's
+entries also run).  Each rule is priced as a chain on the n states plus
+a cost-free terminal that takes every stopping mass; the fixed point is
+one backup of the last rule's state values, for any atomic policy.
 
 These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
@@ -115,8 +115,8 @@ def _check_inputs(model: TotalCostModel, theta: Theta) -> None:
 def _check_stop_costs(model: TotalCostModel, J: np.ndarray) -> None:
     """Refuse stop costs J or pair costs that break the model's regime
     (`regime_conforming`), +inf entries aside: stop-rule pricing relies
-    on the regime's sign.  The one admission rule of the fixed point and
-    of the stopping problem."""
+    on the regime's sign.  The one admission rule of the fixed point, the
+    stopping problem and the constraint bound."""
     costs = np.concatenate([J, model.pair_costs])
     if not regime_conforming(model, costs[costs != INF]):
         raise ValueError("stopping costs J and pair costs must conform to the "
@@ -241,22 +241,30 @@ def _certificate(model: TotalCostModel, steps: int, residual: float,
                                  frozenset(np.flatnonzero(divergent).tolist()))
 
 
-def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
-                  ) -> tuple[np.ndarray, FixedPointCertificate]:
-    """Limit of the monotone iteration of F_theta(.; J) from the zero
-    Q-vector, exactly: the continuation values of Lemma A.1's stopping
-    problem, by stop-rule policy iteration from "continue everywhere".
-    The all-+inf J is legal in every regime and gives the fixed-policy Q.
-    A stop cost or pair cost that breaks the regime (`regime_conforming`,
-    +inf entries aside) is a ValueError, because the pricing relies on
-    the regime's sign; `build_stopping` admits by the same rule.
-    """
+def _stop_rule_solve(model: TotalCostModel, theta: Theta, J: np.ndarray,
+                     stopped: bool = False) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The stopping problem of (theta, J), admitted once (`_check_inputs`,
+    `_check_stop_costs`), solved by stop-rule policy iteration from
+    "continue everywhere" (the limit from zero) or, ``stopped``, from
+    "stop everywhere" (Lemma A.2).  Returns J as a float array, the pair
+    values, the rules priced and the pairs priced at +-inf."""
     _check_inputs(model, theta)
     J = np.asarray(J, dtype=float)
     _check_stop_costs(model, J)
     b = _pairs_in_B(model, theta)
-    V, steps, divergent = _stop_rule_iteration(model, theta.policy,
-                                               J[model.pair_state], b, b)
+    V, steps, divergent = _stop_rule_iteration(model, theta.policy, J[model.pair_state], b,
+                                               np.zeros_like(b) if stopped else b)
+    return J, V, steps, divergent
+
+
+def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
+                  ) -> tuple[np.ndarray, FixedPointCertificate]:
+    """Limit of the monotone iteration of F_theta(.; J) from the zero
+    Q-vector, exactly: one backup of the state values of Lemma A.1's
+    stopping problem (`_stop_rule_solve`).  The all-+inf J is legal in
+    every regime and gives the fixed-policy Q; a stop cost or pair cost
+    that breaks the regime (+inf entries aside) is a ValueError."""
+    J, V, steps, divergent = _stop_rule_solve(model, theta, J)
     Q = pair_backup(model, _floor(model, theta, V, J))
     residual = sup_dist(_f_apply(model, theta, Q, J), Q)
     return Q, _certificate(model, steps, residual, divergent)

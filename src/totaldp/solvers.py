@@ -1006,7 +1006,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
     guarantee of the asynchronous iteration.  With ground truth
     supplied, the initial function is also tested for membership in the
     convergence cone: bounded by a finite multiple of Jstar and zero
-    wherever Jstar is zero.
+    wherever Jstar is zero.  A failed cone check reports margin +inf.
     """
     checks: list[CheckResult] = []
     Jstar = None if ground_truth is None else np.asarray(ground_truth[0], dtype=float)
@@ -1050,9 +1050,9 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
     if Jstar is not None and trace.J0 is not None and model.regime == "P":
         c = cone_multiplier(trace.J0, Jstar)
         nonneg = bool((trace.J0 >= 0.0).all())
+        inside = bool(np.isfinite(c)) and nonneg
         checks.append(CheckResult(
-            "cone-membership", bool(np.isfinite(c)) and nonneg,
-            c if np.isfinite(c) else INF,
+            "cone-membership", inside, c if inside else INF,
             _cone_witness(trace.J0, Jstar, c, nonneg) or f"J0 <= c Jstar with c={c:g}"))
         finite_zero = bool(nonneg and np.isfinite(trace.J0).all()
                            and (trace.J0[Jstar == 0.0] == 0.0).all())

@@ -3,7 +3,8 @@
 These are the per-state loop versions of `h_backup`, `m_minimize`,
 `bellman_T`, `bellman_T_mu`, `greedy_select`, the F_theta apply and the
 stopping continuation values, kept verbatim
-from before the operators were vectorized.  They call only the scalar
+from before the operators were vectorized, and the stopping backup T_o
+(`t_o_apply`), which only tests read.  They call only the scalar
 extended-real helpers, so the property tests in `test_kernels.py` check
 the vectorized kernels against an independent implementation.
 
@@ -249,6 +250,16 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     if np.isinf(g).any() or np.isinf(cont).any():
         return np.array([xadd(a_, b_) for a_, b_ in zip(g, cont)])
     return g + cont
+
+
+def t_o_apply(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
+    """Stopping-problem optimal backup on pair values: pairs whose state
+    lies in B take min{J(x), G_V(x, u)}, the others are pinned at J(x)."""
+    m = problem.model
+    stop = problem.J[m.pair_state]
+    b = np.isin(m.pair_state, sorted(problem.theta.B))
+    G = _continuation_values(problem, np.asarray(V, dtype=float))
+    return np.where(b, np.minimum(stop, G), stop)
 
 
 # ---------------------------------------------------------------------------

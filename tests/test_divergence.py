@@ -45,8 +45,9 @@ def _run(route, model, J0, J, tol=1e-10):
     if route == "q_fixed_point":
         Q, cert = q_fixed_point(model, _theta(model), J)
     else:
-        sol = solve_stopping(build_stopping(model, _theta(model), J))
-        Q, cert = reconstruct_q(sol.problem, sol.V), sol.certificate
+        prob = build_stopping(model, _theta(model), J)
+        sol = solve_stopping(prob)
+        Q, cert = reconstruct_q(prob, sol.V), sol.certificate
     return Q, cert.divergent
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from totaldp.extreal import INF, sup_dist
 from totaldp.model import Policy
 from totaldp.operators import bellman_T
@@ -61,6 +62,15 @@ class TestRandomModels:
             for seed in (0, 1, 2):
                 model, Jstar = random_model(seed, regime=regime)
                 assert sup_dist(bellman_T(model, Jstar), Jstar) <= 1e-10
+
+    @pytest.mark.parametrize("regime", ["D", "N", "P"])
+    def test_oracle_matches_policy_enumeration(self, regime):
+        # J* by plain policy iteration against the minimum over every
+        # deterministic policy, on 30 draws of 2-6 states and 1-3 controls
+        for seed in range(30):
+            model, Jstar = random_model(seed, num_states=2 + seed % 5,
+                                        controls_per_state=1 + seed % 3, regime=regime)
+            assert np.all(np.abs(Jstar - ref.optimal_cost(model)) <= 1e-12)
 
     def test_discounted_oracle_agrees_with_policy_iteration(self):
         for seed in (3, 4, 5):

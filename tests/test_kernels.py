@@ -73,7 +73,6 @@ from totaldp.stopping import (
     lp_upper_bound,
     reconstruct_q,
     solve_stopping,
-    t_o_apply,
 )
 
 # Few distinct values, so that exact ties are common.
@@ -127,9 +126,9 @@ def vectors(size):
 
 def unchecked_problem(model, theta, J):
     """A StoppingProblem over any (theta, J), without the constructor's
-    admission checks: the continuation values and the stopping backup are
-    defined for every J, also for stop costs or models that `solve_stopping`
-    may not price and the constructor therefore refuses."""
+    admission checks: the continuation values are defined for every J,
+    also for stop costs or models that `solve_stopping` may not price and
+    the constructor therefore refuses."""
     prob = object.__new__(StoppingProblem)
     for name, value in (("model", model), ("theta", theta),
                         ("J", np.array(J, dtype=float))):
@@ -268,8 +267,6 @@ class TestParametrizedOperators:
         prob = unchecked_problem(model, theta, J)
         G = ref._continuation_values(prob, Q)
         assert_matches(reconstruct_q(prob, Q), G)
-        stop = J[model.pair_state]
-        assert_matches(t_o_apply(prob, Q), np.where(prob.b_pairs, np.minimum(stop, G), stop))
 
     @given(cases())
     def test_induced_kernel_is_the_weighted_row_sum(self, c):
@@ -498,7 +495,6 @@ class TestGatheredPolicyReads:
         got = reconstruct_q(det, V)
         same_up_to_zero_sign(got, ref.continuation_segments(det, V))
         same_up_to_zero_sign(got, reconstruct_q(mix, V))
-        same_up_to_zero_sign(t_o_apply(det, V), t_o_apply(mix, V))
 
     @given(regime_cases(), st.data())
     def test_stop_rule_rows_gather_the_chosen_pairs(self, c, data):
@@ -540,8 +536,9 @@ class TestGatheredPolicyReads:
         model, J = c.model, c.J
 
         def stopping(mu):
-            sol = solve_stopping(build_stopping(model, Theta(mu, c.B), J))
-            return sol.V, sol.fstar, repr(sol.stop_rule), sol.certificate
+            prob = build_stopping(model, Theta(mu, c.B), J)
+            sol = solve_stopping(prob)
+            return sol.V, reconstruct_q(prob, sol.V), sol.certificate
 
         def lp(mu):
             out = lp_upper_bound(model, Theta(mu, c.B), J)

@@ -817,9 +817,10 @@ class TestVerifyCertificates:
         # violation or an infinite J0.
         ([0.0, 1e300, 2.0], [0.0, 1e-10, 2.0], INF,
          "state 1: J0=1e+300 over Jstar=1e-10 overflows c"),
-        # NaN fails J0 >= 0 without being negative; its ratio leaves c at 1.
-        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], 1.0, "state 1: J0 is NaN"),
-        ([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], 1.0, "J0 has negative entries"),
+        # NaN fails J0 >= 0 without being negative; its ratio leaves c at
+        # 1, but a failed check reports margin inf, as zero-set-membership does.
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], INF, "state 1: J0 is NaN"),
+        ([0.0, -1.0, 2.0], [0.0, 1.0, 2.0], INF, "J0 has negative entries"),
         ([0.0, INF, 2.0], [0.0, 1.0, 2.0], INF,
          "state 1: J0 infinite over finite Jstar"),
     ])

@@ -39,7 +39,6 @@ from totaldp.stopping import (
     build_stopping,
     lp_upper_bound,
     solve_stopping,
-    t_o_apply,
 )
 
 # Few distinct values, so that ties are common; costs in N are negated.
@@ -188,7 +187,7 @@ def test_continue_everywhere_start_is_the_least_rule_value(case):
     assert cert.iterations == sol.certificate.iterations
     try:
         swept, sweep = ref._monotone_limit(
-            partial(t_o_apply, prob), model.num_pairs(), model.regime, model.discount,
+            partial(ref.t_o_apply, prob), model.num_pairs(), model.regime, model.discount,
             ref.FixedPointOptions(tol=1e-12, max_iter=20_000))
     except ref.FixedPointError:
         return

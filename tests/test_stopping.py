@@ -13,7 +13,6 @@ from totaldp.stopping import (
     lp_upper_bound,
     reconstruct_q,
     solve_stopping,
-    t_o_apply,
 )
 from totaldp.fixtures import fixture, random_model, random_policy, random_subset
 
@@ -24,12 +23,13 @@ def _go_theta(fx, B=None):
 
 
 class TestBuild:
-    def test_costs_on_the_paying_fixture(self):
+    def test_keeps_a_read_only_copy_of_the_stop_costs(self):
         fx = fixture("FX-P2")
-        prob = build_stopping(fx.model, _go_theta(fx), fx.Jstar)
-        assert np.array_equal(prob.stop_costs, np.zeros(3))
-        assert np.array_equal(prob.model.pair_costs, np.array([0.0, 0.0, 1.0]))
-        assert prob.b_pairs.all()
+        J = np.array([0.0, 0.5])
+        prob = build_stopping(fx.model, _go_theta(fx), J)
+        J[1] = 9.0
+        assert np.array_equal(prob.J, [0.0, 0.5])
+        assert not prob.J.flags.writeable
 
     def test_kernel_rows_sum_to_one(self):
         # A stop rule's chain on the states: each state's continuing mass
@@ -58,12 +58,14 @@ class TestBuild:
         )
         theta = Theta(Policy.deterministic(model, [0, 0]), frozenset({0, 1}))
         J = np.array([5.0, 5.0])
-        sol = solve_stopping(build_stopping(model, theta, J))
-        assert sol.V.shape == sol.fstar.shape == sol.stop_rule.shape == (2,)
+        prob = build_stopping(model, theta, J)
+        sol = solve_stopping(prob)
+        Q = reconstruct_q(prob, sol.V)
+        assert sol.V.shape == Q.shape == (2,)
         # Pair (0, "left") loops for free; pair (1, "right") pays 1 and
         # joins it: both continue.
         assert np.array_equal(sol.V, [0.0, 1.0])
-        assert not sol.stop_rule.any()
+        assert not (J[model.pair_state] <= Q).any()
         b = np.ones(2, bool)
         want, _, _ = ref.stop_rule_iteration_pairs(model, theta.policy, J, b, b)
         assert np.array_equal(sol.V, want)
@@ -72,7 +74,7 @@ class TestBuild:
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx, B=set()), fx.Jstar)
         sol = solve_stopping(prob)
-        assert np.array_equal(sol.V, prob.stop_costs)
+        assert np.array_equal(sol.V, fx.Jstar[fx.model.pair_state])
 
     def test_rejects_nonconforming_costs(self):
         fx = fixture("FX-P2")
@@ -120,14 +122,37 @@ class TestAdmission:
             assert q_route.tobytes() == fixed[0].tobytes()
 
 
+# (B, J) on FX-P4 under its only policy: a NaN stop cost off B, a stop
+# cost of the wrong sign, and a B outside the states.
+REFUSED = [({2}, [0.0, np.nan, 2.0], "conform to the model regime"),
+           ({0, 1, 2}, [0.0, -1.0, 2.0], "conform to the model regime"),
+           ({3}, [0.0, 1.0, 2.0], "B must lie in 0..2")]
+
+
+@pytest.mark.parametrize("B, J, reason", REFUSED, ids=["nan-off-B", "wrong-sign", "B-outside"])
+def test_the_three_entries_refuse_alike(B, J, reason):
+    # The fixed point, the stopping problem and the constraint bound run
+    # one admitted solve, so they refuse the same inputs with the same
+    # ValueError.
+    fx = fixture("FX-P4")
+    theta = Theta(Policy.deterministic(fx.model, [0, 0, 0]), frozenset(B))
+    errors = []
+    for entry in (q_fixed_point, build_stopping, lp_upper_bound):
+        with pytest.raises(ValueError) as err:
+            entry(fx.model, theta, np.array(J))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0][0] is ValueError and reason in errors[0][1]
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
 class TestBackup:
     def test_capped_by_stop_costs(self):
         model, _ = random_model(103, regime="P")
         theta = Theta(random_policy(4, model), random_subset(5, model))
         J = np.random.default_rng(6).uniform(0, 3, size=model.num_states)
         prob = build_stopping(model, theta, J)
-        V = prob.stop_costs
-        out = t_o_apply(prob, V)
+        V = J[model.pair_state]
+        out = ref.t_o_apply(prob, V)
         assert np.all(out <= V + 1e-15)
 
     def test_matches_two_action_model_backup(self):
@@ -153,14 +178,14 @@ class TestBackup:
                                   controls=tuple(controls))
         rng2 = np.random.default_rng(10)
         V = rng2.uniform(0, 2, size=npairs)
-        direct = t_o_apply(prob, V)
+        direct = ref.t_o_apply(prob, V)
         via_model = bellman_T(as_model, np.concatenate([V, [0.0]]))[:-1]
         assert sup_dist(direct, via_model) <= 1e-12
 
     def test_known_value_on_paying_fixture(self):
         fx = fixture("FX-P2")
         prob = build_stopping(fx.model, _go_theta(fx), fx.Jstar)
-        V1 = t_o_apply(prob, np.zeros(3))
+        V1 = ref.t_o_apply(prob, np.zeros(3))
         assert V1[fx.model.pair_starts[1] + 0] == 0.0
 
 
@@ -175,10 +200,10 @@ class TestSolveAndReconstruct:
         if regime == "D":
             J = rng.normal(size=model.num_states)
         prob = build_stopping(model, theta, J)
-        sol = solve_stopping(prob)
-        again = f_theta_apply(model, theta, sol.fstar, J)
-        b = prob.b_pairs
-        assert sup_dist(again[b], sol.fstar[b]) <= 1e-9
+        fstar = reconstruct_q(prob, solve_stopping(prob).V)
+        again = f_theta_apply(model, theta, fstar, J)
+        b = np.isin(model.pair_state, sorted(theta.B))
+        assert sup_dist(again[b], fstar[b]) <= 1e-9
 
     def test_reconstruction_agrees_with_direct_fixed_point(self):
         for seed in range(10):
@@ -208,6 +233,8 @@ class TestSolveAndReconstruct:
             J = np.random.default_rng(seed).uniform(0, 2, size=model.num_states)
             prob = build_stopping(model, theta, J)
             sol = solve_stopping(prob)
+            # stop on B where J(x) <= the continuation value; off B always
+            stop_rule = J[model.pair_state] <= reconstruct_q(prob, sol.V)
             npairs = model.num_pairs()
             K = ref.pair_kernel_one_hot(model, theta.policy)
             controls = []
@@ -219,7 +246,7 @@ class TestSolveAndReconstruct:
                         "continue", model.pair_costs[r],
                         np.concatenate([K[r], [0.0]])))
                 controls.append(tuple(acts))
-                choices.append(0 if sol.stop_rule[r] or len(acts) == 1 else 1)
+                choices.append(0 if stop_rule[r] or len(acts) == 1 else 1)
             controls.append((AtomicControl("rest", 0.0, np.eye(npairs + 1)[npairs]),))
             as_model = TotalCostModel(regime="P", discount=1.0,
                                       controls=tuple(controls))

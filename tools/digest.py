@@ -11,9 +11,11 @@ every job of every model of each workload and seed, two lines give
 sha256 digests of what the job returns.  The `values` line is taken over
 J, Q, the policy, the termination, op_count, the trace text (CSV and
 JSON, wall_time zeroed), the certificate report and `model_hash`.
-Policy iteration adds every start to its lines, `certify` its report and
-both stopping routes, and `cli` its output (the wall time and the
-temporary directory dropped) and its trace file.  The `shape` line is
+Policy iteration adds every start to its lines, `certify` its report
+and what the public entries of the one stop-rule solve return there
+(`solve_stopping`'s V and certificate, `reconstruct_q`'s Q, and
+`q_fixed_point`'s Q and certificate), and `cli` its output (the wall
+time and the temporary directory dropped) and its trace file.  The `shape` line is
 taken over the same parts without the bits of their finite floats: row
 count, termination, op count, each row's policy and B, the rules a
 certificate priced and its divergent pairs, the names and outcomes of
@@ -166,7 +168,8 @@ def run_solve(kind: str, case, model):
 
 
 def certify(d: Digest, case, model, mixed10) -> None:
-    """The certificate report and both stopping routes of `jobs._certify`."""
+    """The certificate report, the stopping entries and `q_fixed_point`
+    of `jobs._certify`."""
     theta = totaldp.Theta(mixed10.policy, frozenset(range(case.n)))
     add_report(d, totaldp.verify_certificates(model, mixed10.trace, (case.Jstar, case.Qstar)))
     prob = totaldp.build_stopping(model, theta, mixed10.J)

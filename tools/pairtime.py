@@ -3,6 +3,7 @@
 
     python3 tools/pairtime.py --against HEAD~1 --workload p-above --job vi
     python3 tools/pairtime.py --against HEAD~1 --workload small-many --job mixed10 --pairs 200
+    python3 tools/pairtime.py --against HEAD~1 --workload p-above --job certify
 
 Run from the root of a source checkout.  The script extracts commit REF
 with `digest.checkout`, imports that tree's `src/totaldp` under the
@@ -17,7 +18,12 @@ ratios with its quartiles, each side's median time for one pass over
 the models, and whether every result and trace of the working tree
 equals REF's bit for bit: J and Q, the trace's op count and row count,
 and each row's residual and backup count (``powers``, on mixed rows).
-It exits 1 on any difference.
+The ``certify`` job times the work of `jobs._certify` on each side's
+own mixed10 result (models whose mixed10 solve does not converge are
+left out, as the benchmark leaves them): the certificate report, the
+stopping route (`build_stopping`, `solve_stopping`, `reconstruct_q`)
+and `q_fixed_point`.  It compares the report's checks, both Q-vectors
+and both certificates bit for bit.  It exits 1 on any difference.
 
 Back-to-back processes on a loaded host can differ by tens of percent
 in one solve's time; pairs interleaved in one process see the same
@@ -43,7 +49,7 @@ import jobs  # noqa: E402
 import numpy as np  # noqa: E402
 import totaldp  # noqa: E402
 
-SOLVE_JOBS = ("vi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp")
+JOBS = ("vi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp", "certify")
 
 
 def import_tree(tree: str, name: str = "totaldp_ref"):
@@ -71,7 +77,10 @@ def build_model(pkg, case):
 
 
 def solver(pkg, kind: str, case, model):
-    """A zero-argument call that runs job ``kind`` as `jobs._solve` does."""
+    """A zero-argument call that runs job ``kind`` as `jobs.run_job` does
+    (`certifier` for ``certify``)."""
+    if kind == "certify":
+        return certifier(pkg, case, model)
     config = dict(tol=jobs.SOLVE_TOL, max_iter=case.max_iter)
     if kind == "vi":
         cfg = pkg.SolverConfig(algorithm="vi", **config)
@@ -88,6 +97,27 @@ def solver(pkg, kind: str, case, model):
     cfg = pkg.SolverConfig(algorithm=algorithm, J0=case.J0, Q0=case.Q0, **config, **extra)
     run = pkg.lp_variant_vpi if kind == "lp" else pkg.mixed_vpi
     return lambda: run(model, cfg)
+
+
+def certifier(pkg, case, model):
+    """A zero-argument call that runs `jobs._certify`'s work on this
+    side's mixed10 result, or None when that solve does not converge."""
+    try:
+        out = solver(pkg, "mixed10", case, model)()
+    except pkg.SolverCapError:
+        return None
+    if not out.converged:
+        return None
+    theta = pkg.Theta(out.policy, frozenset(range(case.n)))
+
+    def work():
+        report = pkg.verify_certificates(model, out.trace, (case.Jstar, case.Qstar))
+        prob = pkg.build_stopping(model, theta, out.J)
+        sol = pkg.solve_stopping(prob)
+        return (report, pkg.reconstruct_q(prob, sol.V), sol.certificate,
+                *pkg.q_fixed_point(model, theta, out.J))
+
+    return work
 
 
 def timed(call, cap_error):
@@ -124,11 +154,20 @@ def differences(a, b) -> list[str]:
     return out
 
 
+def certify_differences(a, b) -> list[str]:
+    """What differs bit for bit between two certify results: the
+    report (each check's name, outcome, margin and detail), either
+    Q-vector, or either certificate, the last three by their reprs."""
+    names = ("report", "stopping Q", "stopping certificate", "fixed Q", "fixed certificate")
+    return [name for name, x, y in zip(names, a, b)
+            if not (same_bits(x, y) if isinstance(x, np.ndarray) else repr(x) == repr(y))]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REF", required=True)
     ap.add_argument("--workload", choices=jobs.WORKLOADS, required=True)
-    ap.add_argument("--job", choices=SOLVE_JOBS, required=True)
+    ap.add_argument("--job", choices=JOBS, required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=100)
     args = ap.parse_args(argv)
@@ -139,13 +178,19 @@ def main(argv=None) -> int:
         ap.error(f"no model of {args.workload} runs {args.job}")
     with digest.checkout(args.against) as tree:
         ref = import_tree(tree)
-        sides = []  # (calls, cap error) for REF and the working tree
-        for pkg in (ref, totaldp):
-            calls = [solver(pkg, args.job, case, build_model(pkg, case)) for case in cases]
-            sides.append((calls, pkg.SolverCapError))
+        calls = [[solver(pkg, args.job, case, build_model(pkg, case)) for case in cases]
+                 for pkg in (ref, totaldp)]
+        kept = [i for i in range(len(cases)) if calls[0][i] and calls[1][i]]
+        cases = [cases[i] for i in kept]
+        if not cases:
+            ap.error(f"no mixed10 solve of {args.workload} converges to certify")
+        # (calls, cap error) for REF and the working tree
+        sides = [([c[i] for i in kept], pkg.SolverCapError)
+                 for c, pkg in zip(calls, (ref, totaldp))]
         first = [[timed(call, cap)[1] for call in calls] for calls, cap in sides]
+        compare = certify_differences if args.job == "certify" else differences
         differ = [f"{case.name} ({', '.join(diff)})"
-                  for case, diff in zip(cases, map(differences, *first)) if diff]
+                  for case, diff in zip(cases, map(compare, *first)) if diff]
         ratios, seconds = [], ([], [])
         for k in range(args.pairs):
             t = [[0.0] * len(cases), [0.0] * len(cases)]
@@ -168,8 +213,9 @@ def main(argv=None) -> int:
         print(f"  result or trace differs bitwise on {len(differ)} of {len(cases)} models: "
               f"{'; '.join(differ)}")
         return 1
-    print(f"  every J, Q, op count, row count, row residual and row powers bitwise equal "
-          f"({len(cases)} models)")
+    same = ("report, Q and certificate" if args.job == "certify" else
+            "J, Q, op count, row count, row residual and row powers")
+    print(f"  every {same} bitwise equal ({len(cases)} models)")
     return 0
 
 
