@@ -23,7 +23,7 @@ import numpy as np
 
 from .extreal import INF, sup_dist, xdiff, xmul
 from .model import Policy, validate_model
-from .operators import h_backup
+from .operators import greedy_select, h_backup
 from .solvers import (
     ALGORITHMS,
     CustomB,
@@ -172,9 +172,7 @@ def _parse_nk(spec: str) -> int | str:
 
 def _parse_mu0(spec: str, model) -> Policy:
     if spec == "greedy":
-        return Policy.deterministic(
-            model, [int(np.argmin([c.cost for c in model.controls[x]]))
-                    for x in range(model.num_states)])
+        return greedy_select(model, model.pair_costs)
     try:
         choices = [int(v) for v in spec.split(",")]
     except ValueError:

@@ -312,16 +312,11 @@ def random_policy(seed: int, model: TotalCostModel,
                   deterministic: bool = False) -> Policy:
     """Seeded random stationary policy over atomic controls."""
     rng = np.random.default_rng(seed)
+    counts = model.pair_counts().tolist()
     if deterministic:
-        return Policy.deterministic(
-            model, [int(rng.integers(len(model.controls[x])))
-                    for x in range(model.num_states)])
+        return Policy.deterministic(model, [int(rng.integers(n)) for n in counts])
     from .model import AtomicMix
-    acts = []
-    for x in range(model.num_states):
-        w = rng.dirichlet(np.ones(len(model.controls[x])))
-        acts.append(AtomicMix(w))
-    return Policy(tuple(acts))
+    return Policy(tuple(AtomicMix(rng.dirichlet(np.ones(n))) for n in counts))
 
 
 def random_subset(seed: int, model: TotalCostModel) -> frozenset[int]:

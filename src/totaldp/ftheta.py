@@ -177,26 +177,6 @@ def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
     return floor, True
 
 
-def _f_floor(model: TotalCostModel, theta: Theta, Q: np.ndarray,
-             J: np.ndarray) -> np.ndarray:
-    """The state vector that one application of F_theta(.; J) to Q
-    backs up (`_f_floor_map`)."""
-    return _f_floor_map(model, theta, J)[0](Q)
-
-
-def _f_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
-             J: np.ndarray) -> np.ndarray:
-    return pair_backup(model, _f_floor(model, theta, Q, J))
-
-
-def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
-                  J: np.ndarray) -> np.ndarray:
-    """One application of F_theta(.; J) to Q."""
-    _check_inputs(model, theta)
-    return _f_apply(model, theta, np.asarray(Q, dtype=float),
-                    np.asarray(J, dtype=float))
-
-
 def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
                   J: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """n-fold composition of F_theta(.; J) starting from Q0, and the
@@ -219,6 +199,12 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
     _, Q, applied = _backup_power(model, floor(np.asarray(Q0, dtype=float)), floor, n,
                                   gathers, True)
     return Q, applied
+
+
+def f_theta_apply(model: TotalCostModel, theta: Theta, Q: np.ndarray,
+                  J: np.ndarray) -> np.ndarray:
+    """One application of F_theta(.; J) to Q: the first power."""
+    return f_theta_power(model, theta, Q, J, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +252,7 @@ def q_fixed_point(model: TotalCostModel, theta: Theta, J: np.ndarray
     that breaks the regime (+inf entries aside) is a ValueError."""
     J, V, steps, divergent = _stop_rule_solve(model, theta, J)
     Q = pair_backup(model, _floor(model, theta, V, J))
-    residual = sup_dist(_f_apply(model, theta, Q, J), Q)
+    residual = sup_dist(f_theta_power(model, theta, Q, J, 1)[0], Q)
     return Q, _certificate(model, steps, residual, divergent)
 
 

@@ -105,35 +105,25 @@ class TotalCostModel:
         return all(len(fs) == 0 for fs in self.families)
 
     @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """All (state, control index) pairs, state-major."""
-        return tuple((x, i) for x in range(self.num_states)
-                     for i in range(len(self.controls[x])))
-
-    @cached_property
-    def pair_slices(self) -> tuple[slice, ...]:
-        """Per-state slice into the pair axis."""
-        out, start = [], 0
-        for x in range(self.num_states):
-            n = len(self.controls[x])
-            out.append(slice(start, start + n))
-            start += n
-        return tuple(out)
+    def _counts(self) -> np.ndarray:
+        """Number of atomic controls of each state, read-only: the one
+        read of the stored controls that the pair layout derives from."""
+        counts = np.array([len(cs) for cs in self.controls], dtype=np.intp)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def pair_starts(self) -> np.ndarray:
         """Index of each state's first pair: state x owns the segment
         pair_starts[x] : pair_starts[x + 1] of every pair-axis array."""
-        counts = np.array([len(cs) for cs in self.controls], dtype=np.intp)
-        starts = np.cumsum(counts) - counts
+        starts = np.cumsum(self._counts) - self._counts
         starts.setflags(write=False)
         return starts
 
     @cached_property
     def pair_state(self) -> np.ndarray:
         """State of every pair, so J[pair_state] lifts J onto the pair axis."""
-        counts = [len(cs) for cs in self.controls]
-        state = np.repeat(np.arange(self.num_states, dtype=np.intp), counts)
+        state = np.repeat(np.arange(self.num_states, dtype=np.intp), self._counts)
         state.setflags(write=False)
         return state
 
@@ -141,7 +131,13 @@ class TotalCostModel:
     def pair_labels(self) -> tuple[str, ...]:
         """"x:i" for every pair, in pair-axis order: a choice-backed
         policy's descriptor joins the labels of its chosen pairs."""
-        return tuple(f"{x}:{i}" for x, i in self.pairs)
+        return tuple(f"{x}:{i}" for x, n in enumerate(self._counts.tolist())
+                     for i in range(n))
+
+    @cached_property
+    def control_names(self) -> tuple[str, ...]:
+        """The name of every pair's control, in pair-axis order."""
+        return tuple(c.name for cs in self.controls for c in cs)
 
     @cached_property
     def pair_ids(self) -> np.ndarray:
@@ -154,7 +150,7 @@ class TotalCostModel:
     def control_width(self) -> int:
         """m when every state has the same number m of atomic controls,
         so that a pair-axis array reshapes to (num_states, m); else 0."""
-        counts = {len(cs) for cs in self.controls}
+        counts = set(self._counts.tolist())
         return counts.pop() if len(counts) == 1 else 0
 
     @cached_property
@@ -163,12 +159,12 @@ class TotalCostModel:
         return frozenset(range(self.num_states))
 
     def pair_counts(self) -> np.ndarray:
-        """Number of atomic controls of each state."""
-        return np.diff(self.pair_starts, append=self.num_pairs())
+        """Number of atomic controls of each state, read-only."""
+        return self._counts
 
     @cached_property
     def pair_costs(self) -> np.ndarray:
-        g = np.array([self.controls[x][i].cost for x, i in self.pairs], dtype=float)
+        g = np.array([c.cost for cs in self.controls for c in cs], dtype=float)
         g.setflags(write=False)
         return g
 
@@ -181,15 +177,15 @@ class TotalCostModel:
     @cached_property
     def pair_probs(self) -> np.ndarray:
         """Transition matrix over atomic pairs, shape (num pairs, num states)."""
-        if not self.pairs:
+        if not self.num_pairs():
             P = np.zeros((0, self.num_states))
         else:
-            P = np.stack([self.controls[x][i].probs for x, i in self.pairs])
+            P = np.stack([c.probs for cs in self.controls for c in cs])
         P.setflags(write=False)
         return P
 
     def num_pairs(self) -> int:
-        return len(self.pairs)
+        return self.pair_state.size
 
 
 @dataclass(frozen=True)
@@ -216,18 +212,17 @@ PolicyAction = Union[AtomicMix, FamilyChoice]
 class Policy:
     """Stationary policy: one action per state.
 
-    A policy built by `Policy.deterministic` keeps the pair index of each
-    state's chosen control and builds per-state `AtomicMix` actions only
-    when `actions` is read.  Policies are immutable: the arrays they hand
-    out are read-only, and the descriptor is rendered once per policy.
+    A policy built by `Policy.deterministic` keeps the model it was built
+    for and the pair index of each state's chosen control, and builds
+    per-state `AtomicMix` actions only when `actions` is read.  Policies
+    are immutable: the arrays they hand out are read-only, and the
+    descriptor is rendered once per policy.
     """
 
     def __init__(self, actions: Sequence[PolicyAction]):
         self._actions: tuple[PolicyAction, ...] | None = tuple(actions)
         self._chosen: np.ndarray | None = None  # chosen pair index per state
-        self._starts: np.ndarray | None = None  # pair_starts of the choices' model
-        self._labels: tuple[str, ...] = ()       # pair_labels of that model
-        self._num_pairs = 0
+        self._model: TotalCostModel | None = None  # the model they index
         self._descriptor: str | None = None
 
     @staticmethod
@@ -255,19 +250,14 @@ class Policy:
         policy = Policy.__new__(Policy)
         policy._actions = None
         policy._chosen = chosen
-        policy._starts = model.pair_starts
-        policy._labels = model.pair_labels
-        policy._num_pairs = model.num_pairs()
+        policy._model = model
         policy._descriptor = None
         return policy
 
     @staticmethod
     def uniform(model: TotalCostModel) -> "Policy":
-        acts = []
-        for x in range(model.num_states):
-            n = len(model.controls[x])
-            acts.append(AtomicMix(np.full(n, 1.0 / n)))
-        return Policy(tuple(acts))
+        return Policy(tuple(AtomicMix(np.full(n, 1.0 / n))
+                            for n in model.pair_counts().tolist()))
 
     @property
     def chosen_pairs(self) -> np.ndarray | None:
@@ -278,9 +268,10 @@ class Policy:
     @property
     def actions(self) -> tuple[PolicyAction, ...]:
         if self._actions is None:
-            counts = np.diff(self._starts, append=self._num_pairs)
+            model = self._model
             acts = []
-            for i, n in zip((self._chosen - self._starts).tolist(), counts.tolist()):
+            for i, n in zip((self._chosen - model.pair_starts).tolist(),
+                            model.pair_counts().tolist()):
                 w = np.zeros(n)
                 w[i] = 1.0
                 acts.append(AtomicMix(w))
@@ -296,7 +287,7 @@ class Policy:
     def pair_weights(self) -> np.ndarray:
         """The policy as one weight per atomic pair, in pair-axis order."""
         if self._chosen is not None:
-            w = np.zeros(self._num_pairs)
+            w = np.zeros(self._model.num_pairs())
             w[self._chosen] = 1.0
         elif not self.atomic:
             raise ValueError("only atomic-distribution policies have pair weights")
@@ -315,7 +306,7 @@ class Policy:
     def action_index(self, x: int) -> int:
         """Chosen control index at x for a deterministic atomic action."""
         if self._chosen is not None:
-            return int(self._chosen[x] - self._starts[x])
+            return int(self._chosen[x] - self._model.pair_starts[x])
         a = self.actions[x]
         if not isinstance(a, AtomicMix):
             raise ValueError(f"state {x} uses a family parameter, not an atomic control")
@@ -328,7 +319,7 @@ class Policy:
         if self._descriptor is not None:
             return self._descriptor
         if self._chosen is not None:
-            labels = self._labels
+            labels = self._model.pair_labels
             text = ",".join([labels[k] for k in self._chosen.tolist()])
         else:
             parts = []
@@ -446,11 +437,11 @@ _LAYOUT_MISMATCH = "policy choices do not match the model's pairs"
 
 
 def _built_for(model: TotalCostModel, policy: Policy) -> bool:
-    """Whether a policy built from choices was built for the model's
-    control layout, so that its chosen pairs index the model's pair axis."""
-    return (policy._starts is model.pair_starts
-            or (policy._num_pairs == model.num_pairs()
-                and np.array_equal(policy._starts, model.pair_starts)))
+    """Whether a policy built from choices was built for the model, or
+    for one with the same pair layout, so that its chosen pairs index the
+    model's pair axis."""
+    built = policy._model
+    return built is model or np.array_equal(built._counts, model._counts)
 
 
 def _chosen_pairs(model: TotalCostModel, policy: Policy) -> np.ndarray | None:
@@ -469,9 +460,10 @@ def validate_policy(model: TotalCostModel, policy: Policy) -> list[str]:
     bad: list[str] = []
     if len(policy.actions) != model.num_states:
         return [f"policy has {len(policy.actions)} actions for {model.num_states} states"]
+    counts = model.pair_counts().tolist()
     for x, a in enumerate(policy.actions):
         if isinstance(a, AtomicMix):
-            n = len(model.controls[x])
+            n = counts[x]
             if a.weights.shape != (n,):
                 bad.append(f"state {x}: weight vector shape {a.weights.shape}, want ({n},)")
                 continue
@@ -538,9 +530,8 @@ def _atomic_rows(model: TotalCostModel, policy: Policy,
     if policy.atomic:
         w = policy.pair_weights
     else:
-        w = np.concatenate([a.weights if isinstance(a, AtomicMix)
-                            else np.zeros(len(model.controls[x]))
-                            for x, a in enumerate(policy.actions)])
+        w = np.concatenate([a.weights if isinstance(a, AtomicMix) else np.zeros(n)
+                            for a, n in zip(policy.actions, model.pair_counts().tolist())])
     P = np.zeros((n, n))
     g = np.zeros(n)
     live = model.pair_counts() > 0

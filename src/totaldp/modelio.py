@@ -167,12 +167,16 @@ def _family(f: AffineFamily, names: list[str]) -> str:
 _PAD1, _PAD2 = "\n  ", "\n    "
 
 
-def _state_entry(model: TotalCostModel, x: int, names: list[str]) -> str:
-    """State x's entry in the controls list of a model file."""
-    atomic = [_block([f'"id": {_scalar(c.name)}',
-                      f'"cost": {_scalar(encode_xreal(c.cost))}',
-                      f'"transitions": {_transitions(c.probs, names)}'], 5, "{}")
-              for c in model.controls[x]]
+def _state_entry(model: TotalCostModel, x: int, pairs: range, names: list[str],
+                 costs: list[float]) -> str:
+    """State x's entry in the controls list of a model file, read off the
+    pair axis: the control name, cost and transition row of each of its
+    ``pairs``."""
+    P, ids = model.pair_probs, model.control_names
+    atomic = [_block([f'"id": {_scalar(ids[k])}',
+                      f'"cost": {_scalar(encode_xreal(costs[k]))}',
+                      f'"transitions": {_transitions(P[k], names)}'], 5, "{}")
+              for k in pairs]
     entry = [f'"state": {names[x]}', f'"atomic": {_block(atomic, 4)}']
     if model.families[x]:
         fams = [_family(f, names) for f in model.families[x]]
@@ -193,8 +197,11 @@ def _model_pieces(model: TotalCostModel, ground_truth: tuple | None = None):
     # The layout of _block(top, 1, "{}"), whose "controls" item is the
     # list _block(entries, 2) written one entry at a time.
     yield "{" + _PAD1 + ("," + _PAD1).join(top) + "," + _PAD1 + '"controls": '
+    bounds = np.append(model.pair_starts, model.num_pairs()).tolist()
+    costs = model.pair_costs.tolist()
     for x in range(model.num_states):
-        yield ("[" if x == 0 else ",") + _PAD2 + _state_entry(model, x, names)
+        yield ("[" if x == 0 else ",") + _PAD2 + _state_entry(
+            model, x, range(bounds[x], bounds[x + 1]), names, costs)
     yield "\n  ]" if model.num_states else "[]"
     if ground_truth is not None:
         Jstar, Qstar = ground_truth

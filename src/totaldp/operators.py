@@ -238,11 +238,12 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     if policy.atomic:
         return policy_mix(model, policy, H)
     out = np.empty(model.num_states)
+    bounds = np.append(model.pair_starts, H.size).tolist()
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):
             out[x] = family_pointwise(model, model.families[x][a.family], a.t, J)
         else:
-            out[x] = expect(a.weights, H[model.pair_slices[x]])
+            out[x] = expect(a.weights, H[bounds[x]:bounds[x + 1]])
     return out
 
 

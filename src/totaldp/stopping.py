@@ -29,10 +29,10 @@ from .ftheta import (
     _certificate,
     _check_inputs,
     _check_stop_costs,
-    _f_apply,
     _floor,
     _pairs_in_B,
     _stop_rule_solve,
+    f_theta_power,
 )
 from .model import TotalCostModel, policy_mix
 from .operators import pair_backup
@@ -119,15 +119,19 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray) -> LPBoun
     the stopping problem for (theta, J) (Lemma A.2), which stop-rule
     policy iteration from "stop everywhere" reaches: W is the value at
     the chosen pairs of B.  The weights do not move the answer, so none
-    is taken; they only need J finite on B (else AssumptionError).
+    is taken; they only need J finite on B.  J is admitted as the other
+    entries admit it (a NaN or negative stop cost is their ValueError),
+    so only a +inf on B is an AssumptionError.
     """
     _check_inputs(model, theta)
     if model.regime != "P":
         raise ValueError("the constraint program applies to nonnegative-cost models")
     if not theta.policy.is_deterministic():
         raise ValueError("the reduced program needs a deterministic policy")
+    J = np.asarray(J, dtype=float)
+    _check_stop_costs(model, J)
     B = theta.B_index
-    off = B[~np.isfinite(np.asarray(J, dtype=float)[B])]
+    off = B[~np.isfinite(J[B])]
     if off.size:
         raise AssumptionError(f"stopping cost is infinite on B at state {off[0]}; "
                               "the weighted program is infeasible")
@@ -135,6 +139,7 @@ def lp_upper_bound(model: TotalCostModel, theta: Theta, J: np.ndarray) -> LPBoun
     # Qbar over all pairs, reading W on B and J off B.
     wfull = _floor(model, theta, V, J)
     Qbar = pair_backup(model, wfull)
-    upper_margin = float(xdiff(_f_apply(model, theta, Qbar, J), Qbar).min(initial=0.0))
+    F, _ = f_theta_power(model, theta, Qbar, J, 1)
+    upper_margin = float(xdiff(F, Qbar).min(initial=0.0))
     return LPBoundResult(wfull[B], tuple(B.tolist()), Qbar,
                          LPBoundCertificate(steps, upper_margin))

@@ -6,7 +6,11 @@ stopping continuation values, kept verbatim
 from before the operators were vectorized, and the stopping backup T_o
 (`t_o_apply`), which only tests read.  They call only the scalar
 extended-real helpers, so the property tests in `test_kernels.py` check
-the vectorized kernels against an independent implementation.
+the vectorized kernels against an independent implementation.  An affine
+family's arm is evaluated here too, pointwise (`family_value`), and its
+infimum taken over the closed endpoints, a grid of interior parameters
+and the limits at the open ends (`family_infimum`), not by the library's
+closed form.
 
 The second part is the fixed-policy chain classification that
 `totaldp.chains` used before it decided infinities by reachability
@@ -113,6 +117,7 @@ from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
 from totaldp.model import (
     PROB_TOL,
     REGIMES,
+    AffineFamily,
     AtomicMix,
     FamilyChoice,
     Policy,
@@ -122,7 +127,7 @@ from totaldp.model import (
     induced_kernel,
     validate_policy,
 )
-from totaldp.operators import family_infimum, family_pointwise, pair_backup
+from totaldp.operators import pair_backup
 from totaldp.solvers import DivergenceRule
 from totaldp.stopping import StoppingProblem
 
@@ -148,7 +153,7 @@ def m_minimize(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
     if not model.atomic_only:
         raise ValueError("Q-space minimization is defined for atomic-only models")
     Q = np.asarray(Q, dtype=float)
-    return np.array([Q[model.pair_slices[x]].min() for x in range(model.num_states)])
+    return np.array([Q[model.pair_state == x].min() for x in range(model.num_states)])
 
 
 def bellman_T(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
@@ -157,7 +162,7 @@ def bellman_T(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
     Q = h_backup(model, J)
     out = np.empty(model.num_states)
     for x in range(model.num_states):
-        arms = list(Q[model.pair_slices[x]])
+        arms = list(Q[model.pair_state == x])
         for fam in model.families[x]:
             arms.append(family_infimum(model, fam, J))
         out[x] = min(arms)
@@ -171,7 +176,7 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     out = np.empty(model.num_states)
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):
-            out[x] = family_pointwise(model, model.families[x][a.family], a.t, J)
+            out[x] = family_value(model, model.families[x][a.family], a.t, J)
         else:
             vals = np.array([
                 xadd(c.cost, xmul(model.discount, expect(c.probs, J)))
@@ -179,6 +184,55 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
             ])
             out[x] = expect(a.weights, vals)
     return out
+
+
+def family_value(model: TotalCostModel, fam: AffineFamily, t: float,
+                 J: np.ndarray) -> float:
+    """The family arm at parameter t: c0 + c1 t plus alpha times each
+    successor's probability p0 + p1 t times its value, term by term; a
+    successor of zero probability adds nothing, whatever its value."""
+    total = fam.c0 + fam.c1 * t
+    for y, v in enumerate(J.tolist()):
+        p = fam.p0[y] + fam.p1[y] * t
+        if p != 0.0:
+            total = xadd(total, xmul(model.discount, xmul(p, v)))
+    return total
+
+
+def _family_limit(model: TotalCostModel, fam: AffineFamily, end: float,
+                  inward: float, J: np.ndarray) -> float:
+    """The limit of the arm as t tends to ``end`` from inside the
+    interval (``inward`` is +1 at lo, -1 at hi).  A finite successor
+    value enters by its probability at the end; an infinite one enters
+    whole when its probability is positive just inside the end: positive
+    at the end, or rising from there."""
+    total = fam.c0 + fam.c1 * end
+    for y, v in enumerate(J.tolist()):
+        p = fam.p0[y] + fam.p1[y] * end
+        if math.isinf(v):
+            if p > 0.0 or fam.p1[y] * inward > 0.0:
+                total = xadd(total, xmul(model.discount, v))
+        elif p != 0.0:
+            total = xadd(total, model.discount * p * v)
+    return total
+
+
+FAMILY_GRID = 9  # interior parameters per family
+
+
+def family_infimum(model: TotalCostModel, fam: AffineFamily, J: np.ndarray) -> float:
+    """The infimum of the arm over the family's interval: the least of
+    its values at the closed endpoints and at FAMILY_GRID interior
+    parameters, and its limits at the open ends.  The arm is affine in t
+    on the parameters where no infinite successor is reachable, and the
+    regime-signed infinity wherever one is, so these points find it."""
+    lo, hi = fam.lo, fam.hi
+    ts = [lo + (hi - lo) * k / (FAMILY_GRID + 1) for k in range(1, FAMILY_GRID + 1)]
+    values = [family_value(model, fam, t, J) for t in ts]
+    for end, closed, inward in ((lo, fam.lo_closed, 1.0), (hi, fam.hi_closed, -1.0)):
+        values.append(family_value(model, fam, end, J) if closed
+                      else _family_limit(model, fam, end, inward, J))
+    return min(values)
 
 
 def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0,
@@ -197,7 +251,7 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0,
     Q = np.asarray(Q, dtype=float)
     choices = []
     for x in range(model.num_states):
-        qx = Q[model.pair_slices[x]]
+        qx = Q[model.pair_state == x]
         target = xadd(qx.min(), epsilon)
         ok = np.flatnonzero((qx <= target) | (qx == qx.min()))
         choices.append(int(ok[0]))
@@ -209,7 +263,7 @@ def _mixed_floor(model: TotalCostModel, policy: Policy, Q: np.ndarray,
     """sum_u' mu(u'|x) min{J(x), Q(x, u')} at one state."""
     a = policy.actions[x]
     assert isinstance(a, AtomicMix)
-    vals = np.minimum(J[x], Q[model.pair_slices[x]])
+    vals = np.minimum(J[x], Q[model.pair_state == x])
     return expect(a.weights, vals)
 
 
@@ -240,7 +294,7 @@ def _continuation_values(problem: StoppingProblem, V: np.ndarray) -> np.ndarray:
     w = np.empty(m.num_states)
     for xp in range(m.num_states):
         a = problem.theta.policy.actions[xp]
-        w[xp] = expect(a.weights, V[m.pair_slices[xp]])
+        w[xp] = expect(a.weights, V[m.pair_state == xp])
     cont = expect_rows(m.pair_probs, w)
     if m.discount == 0.0:
         cont = np.zeros_like(cont)

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from totaldp import modelio
-from totaldp.cli import main
+from totaldp.cli import _parse_mu0, main
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
 from totaldp.model import AtomicControl, Policy, TotalCostModel
@@ -424,6 +424,17 @@ class TestCompare:
 # atomic-only algorithms on an interval-control model, lp outside P.
 REFUSED = [(a, "FX-P3a") for a in ("pi", "mpi", "mixed", "lp")] + [
     ("lp", "FX-D"), ("lp", "FX-N2")]
+
+
+def test_greedy_mu0_takes_the_first_cheapest_control_of_each_state():
+    # Uneven control counts, a tie and an infinite cost.
+    def ctl(name, cost):
+        return AtomicControl(name, cost, np.array([1.0, 0.0, 0.0]))
+    model = TotalCostModel("P", 1.0, ((ctl("a", 2.0), ctl("b", 1.0), ctl("c", 1.0)),
+                                      (ctl("d", 0.0),),
+                                      (ctl("e", INF), ctl("f", 3.0))))
+    policy = _parse_mu0("greedy", model)
+    assert [policy.action_index(x) for x in range(3)] == [1, 0, 1]
 
 
 class TestAdmission:

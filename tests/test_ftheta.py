@@ -223,7 +223,7 @@ class TestPowerAndMonotonicity:
             J = sign * rng.uniform(0, 2, size=model.num_states)
             if regime == "D":
                 J = rng.normal(size=model.num_states)
-            Q = J[[x for x, _ in model.pairs]]
+            Q = J[model.pair_state]
             F = f_theta_apply(model, theta, Q, J)
             assert np.all(F <= h_backup(model, J) + 1e-12)
             assert np.all(m_minimize(model, F) <= bellman_T(model, J) + 1e-12)

@@ -39,7 +39,7 @@ from totaldp.extreal import INF, expect, expect_segments, xadd, xadd_vec
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
     Theta,
-    _f_floor,
+    _f_floor_map,
     _floor,
     f_theta_apply,
     f_theta_power,
@@ -61,6 +61,7 @@ from totaldp.modelio import model_hash, render_model
 from totaldp.operators import (
     bellman_T,
     bellman_T_mu,
+    family_infimum,
     t_mu_power_and_h,
     greedy_select,
     h_backup,
@@ -222,20 +223,43 @@ class TestOperators:
 
 
 class TestAffineFamilies:
-    """Models with families take the scalar path: results are the reference's."""
+    """Models with families take the scalar path: results are the
+    reference's, whose family arms are evaluated pointwise (the
+    infinities exactly, finite values up to round-off)."""
 
     @given(st.sampled_from(["FX-P3a", "FX-P3b"]), st.data())
     def test_backups_match_reference(self, name, data):
         model = fixture(name).model
         J = data.draw(vectors(model.num_states).filter(
             lambda v: not ((v == INF).any() and (v == -INF).any())))
-        assert_matches(bellman_T(model, J), ref.bellman_T(model, J), exact=True)
+        assert_matches(bellman_T(model, J), ref.bellman_T(model, J))
         u = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         policy = Policy(tuple(FamilyChoice(0, u) if model.families[x]
                               else AtomicMix(np.full(len(cs), 1.0 / len(cs)))
                               for x, cs in enumerate(model.controls)))
-        assert_matches(bellman_T_mu(model, policy, J), ref.bellman_T_mu(model, policy, J),
-                       exact=True)
+        assert_matches(bellman_T_mu(model, policy, J), ref.bellman_T_mu(model, policy, J))
+
+    # A family on [0, 1] whose interior reaches state 2 (J = +inf), while
+    # one endpoint moves to state 1 (J = 3) for sure: "low" is safe at
+    # t = 0 with cost 1, "high" at t = 1 with cost 0.5.
+    SAFE_END = {"low": (1.0, 1.0, [0.0, 1.0, 0.0], [0.0, -1.0, 1.0]),
+                "high": (1.0, -0.5, [0.0, 0.0, 1.0], [0.0, 1.0, -1.0])}
+
+    @pytest.mark.parametrize("safe", ["low", "high"])
+    @pytest.mark.parametrize("lo_closed, hi_closed",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    def test_closed_endpoint_escapes_a_plus_inf_successor(self, safe, lo_closed, hi_closed):
+        c0, c1, p0, p1 = self.SAFE_END[safe]
+        fam = AffineFamily(lo=0.0, hi=1.0, lo_closed=lo_closed, hi_closed=hi_closed,
+                           c0=c0, c1=c1, p0=np.array(p0), p1=np.array(p1))
+        stay = AtomicControl("stay", 0.0, np.array([0.0, 1.0, 0.0]))
+        model = TotalCostModel("P", 1.0, ((), (stay,), (stay,)), families=((fam,), (), ()))
+        J = np.array([0.0, 3.0, INF])
+        closed = lo_closed if safe == "low" else hi_closed
+        want = (4.0 if safe == "low" else 3.5) if closed else INF
+        assert family_infimum(model, fam, J) == want
+        assert ref.family_infimum(model, fam, J) == want
+        assert bellman_T(model, J)[0] == want
 
 
     @pytest.mark.parametrize("J", [[0.0, INF, 3.0], [0.0, 2.0, INF], [INF, INF, INF]])
@@ -593,7 +617,7 @@ class TestMixedLoopFastPaths:
         J = data.draw(raw_vectors(model.num_states))
         Q = data.draw(raw_vectors(model.num_pairs()))
         theta = Theta(c.policy, c.B)
-        got = _f_floor(model, theta, Q, J)
+        got = _f_floor_map(model, theta, J)[0](Q)
         assert got.tobytes() == ref.f_floor_min_then_gather(model, theta, Q, J).tobytes()
 
     @given(st.one_of(atomic_models(), signed_models()), st.data())
@@ -720,7 +744,7 @@ def f_power_per_backup(model, theta, Q, J, n):
     repeats."""
     applied, last = 0, None
     for _ in range(n):
-        w = _f_floor(model, theta, Q, J)
+        w = _f_floor_map(model, theta, J)[0](Q)
         if w.tobytes() == last:
             break
         Q, applied, last = pair_backup(model, w), applied + 1, w.tobytes()

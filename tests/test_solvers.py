@@ -92,6 +92,23 @@ class TestPolicyIteration:
             assert out.termination == "optimal-certified"
             assert cone_multiplier(out.values[0], Jstar) < INF
 
+    def test_cap_raises_with_the_evaluated_policies(self):
+        # One round evaluates mu0 and improves it, then the cap ends the
+        # run: every evaluated policy has its value, and the improved
+        # policy, not yet evaluated, is the last one listed.
+        fx = fixture("FX-D")
+        mu0 = Policy.deterministic(fx.model, [1, 1, 1])
+        with pytest.raises(SolverCapError) as err:
+            policy_iteration(fx.model, mu0, SolverConfig(algorithm="pi", tol=1e-9, max_iter=1))
+        result = err.value.result
+        assert result.termination == "cap" and not result.converged
+        assert len(result.values) == len(result.trace.rows) == 1
+        assert len(result.policies) == 2 and result.policies[0] is mu0
+        assert result.policy is mu0 and err.value.last is result.J
+        assert np.array_equal(result.J, result.values[-1])
+        assert np.array_equal(result.values[0], evaluate_policy(fx.model, mu0).J)
+        assert result.policies[1].descriptor() == "0:0,1:0,2:0"
+
     def test_cycle_detection_reports(self):
         # a 2-cycle cannot arise with exact evaluation on these suites,
         # but the detector must at least never misfire on convergent runs
@@ -767,6 +784,26 @@ class TestVerifyCertificates:
         report = verify_certificates(fx.model, out.trace, fx.ground_truth())
         geo = [c for c in report.checks if c.name == "geometric-rate"]
         assert geo and geo[0].passed and geo[0].margin <= 0.0
+
+    def test_a_row_past_the_rate_fails_the_report(self):
+        # One row's J distance raised 1e-3 past alpha^k * dist0 breaks the
+        # geometric rate by that much (less the 1e-12 of room).
+        fx = fixture("FX-D")
+        cfg = SolverConfig(algorithm="mixed", J0=np.zeros(3),
+                           Q0=np.zeros(6), nk=5, bstrategy=FullB(),
+                           tol=1e-12, max_iter=400,
+                           ground_truth=fx.ground_truth())
+        trace = mixed_vpi(fx.model, cfg).trace
+        rows = list(trace.rows)
+        row = rows[2]
+        past = fx.model.discount ** row.k * trace.dist0 + 1e-3
+        rows[2] = dataclasses.replace(row, dist_J=past)
+        report = verify_certificates(fx.model, dataclasses.replace(trace, rows=rows),
+                                     fx.ground_truth())
+        geo = {c.name: c for c in report.checks}["geometric-rate"]
+        assert not geo.passed and not report.passed
+        assert geo.margin == pytest.approx(1e-3, abs=1e-11)
+        assert "[FAIL] geometric-rate" in report.summary()
 
     @pytest.mark.parametrize("name, checks", [
         ("FX-D", ["geometric-rate"]),

@@ -112,7 +112,8 @@ def _loop_kernel(model, policy):
     m = model.num_pairs()
     K = np.zeros((m, m))
     for r in range(m):
-        for s, (x, i) in enumerate(model.pairs):
+        for s, x in enumerate(model.pair_state.tolist()):
+            i = s - model.pair_starts[x]
             K[r, s] = model.pair_probs[r, x] * policy.actions[x].weights[i]
     return K
 
@@ -148,8 +149,8 @@ def oracle_values(model, theta, J):
     J(x) and moves to the terminal."""
     m = model.num_pairs()
     K = _loop_kernel(model, theta.policy)
-    stop = np.array([J[x] for x, _ in model.pairs])
-    in_b = [r for r, (x, _) in enumerate(model.pairs) if x in theta.B]
+    stop = J[model.pair_state]
+    in_b = [r for r, x in enumerate(model.pair_state.tolist()) if x in theta.B]
     best = np.full(m, INF)
     for choice in itertools.product([False, True], repeat=len(in_b)):
         cont = {r for r, c in zip(in_b, choice) if c}

@@ -122,14 +122,16 @@ class TestAdmission:
             assert q_route.tobytes() == fixed[0].tobytes()
 
 
-# (B, J) on FX-P4 under its only policy: a NaN stop cost off B, a stop
-# cost of the wrong sign, and a B outside the states.
+# (B, J) on FX-P4 under its only policy: a NaN stop cost off B and on
+# B, a stop cost of the wrong sign, and a B outside the states.
 REFUSED = [({2}, [0.0, np.nan, 2.0], "conform to the model regime"),
+           ({1}, [0.0, np.nan, 2.0], "conform to the model regime"),
            ({0, 1, 2}, [0.0, -1.0, 2.0], "conform to the model regime"),
            ({3}, [0.0, 1.0, 2.0], "B must lie in 0..2")]
 
 
-@pytest.mark.parametrize("B, J, reason", REFUSED, ids=["nan-off-B", "wrong-sign", "B-outside"])
+@pytest.mark.parametrize("B, J, reason", REFUSED,
+                         ids=["nan-off-B", "nan-on-B", "wrong-sign", "B-outside"])
 def test_the_three_entries_refuse_alike(B, J, reason):
     # The fixed point, the stopping problem and the constraint bound run
     # one admitted solve, so they refuse the same inputs with the same
@@ -166,7 +168,7 @@ class TestBackup:
         npairs = model.num_pairs()
         K = ref.pair_kernel_one_hot(model, theta.policy)
         controls = []
-        for r, (x, i) in enumerate(model.pairs):
+        for r, x in enumerate(model.pair_state.tolist()):
             acts = [AtomicControl("stop", J[x],
                                   np.eye(npairs + 1)[npairs])]
             if x in theta.B:
@@ -239,7 +241,7 @@ class TestSolveAndReconstruct:
             K = ref.pair_kernel_one_hot(model, theta.policy)
             controls = []
             choices = []
-            for r, (x, i) in enumerate(model.pairs):
+            for r, x in enumerate(model.pair_state.tolist()):
                 acts = [AtomicControl("stop", J[x], np.eye(npairs + 1)[npairs])]
                 if x in theta.B:
                     acts.append(AtomicControl(

@@ -24,8 +24,10 @@ or -inf.  So a change that only moves round-off changes `values` lines
 and no `shape` line.  A last block gives one line per fixture: the
 sha256 of its model file text and its `model_hash`.
 
-Equal output on two checkouts means every answer and every trace is the
-same, bit for bit.  Nothing is timed.  `--against REF` makes the
+Every solve job other than policy iteration runs through
+`jobs._solve`, so the digest solves what the benchmark solves; its
+timing is not read.  Equal output on two checkouts means every answer
+and every trace is the same, bit for bit.  `--against REF` makes the
 comparison: it extracts commit REF with `git archive` into a temporary
 directory, runs this script there with the same `--workload` and
 `--seed` options (so both sides print one format), and prints the lines
@@ -143,30 +145,6 @@ def add_result(d: Digest, model, case, res) -> None:
     add_report(d, totaldp.verify_certificates(model, res.trace, (case.Jstar, case.Qstar)))
 
 
-def solve_config(kind: str, case):
-    """The algorithm and configuration of a solve job, as `jobs._solve` runs it."""
-    extra = {"vi": {}, "mpi": dict(nk=10),
-             "mixed10": dict(nk=10, bstrategy=totaldp.FullB()),
-             "mixed_exact": dict(nk="exact", bstrategy=totaldp.FullB()),
-             "mixed_occ": dict(nk=10, bstrategy=totaldp.OccupationSupportB()),
-             "lp": dict(bstrategy=totaldp.FullB())}[kind]
-    algorithm = kind if kind in ("vi", "mpi", "lp") else "mixed"
-    if algorithm in ("mixed", "lp"):
-        extra.update(J0=case.J0, Q0=case.Q0)
-    return jobs._config(case, algorithm, **extra)
-
-
-def run_solve(kind: str, case, model):
-    cfg = solve_config(kind, case)
-    if kind == "vi":
-        return totaldp.value_iteration(model, case.J0, cfg)
-    if kind == "mpi":
-        mu0 = totaldp.Policy.deterministic(model, case.mu0)
-        return totaldp.modified_policy_iteration(model, mu0, case.J0, cfg)
-    solver = totaldp.lp_variant_vpi if kind == "lp" else totaldp.mixed_vpi
-    return solver(model, cfg)
-
-
 def certify(d: Digest, case, model, mixed10) -> None:
     """The certificate report, the stopping entries and `q_fixed_point`
     of `jobs._certify`."""
@@ -228,7 +206,10 @@ def case_lines(workload: str, seed: int, case, workdir: str):
             elif kind == "cli":
                 cli(d, case, workdir)
             else:
-                res = results[kind] = run_solve(kind, case, model)
+                out = jobs._solve(kind, case, model)
+                if out.result is None:  # a mixed run that did not converge
+                    raise RuntimeError(out.error)
+                res = results[kind] = out.result
                 add_result(d, model, case, res)
                 note = f"{res.termination} ops={res.trace.op_count} rows={len(res.trace.rows)}"
         except Exception as e:  # noqa: BLE001 - a raise is part of the answer
