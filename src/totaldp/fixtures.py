@@ -65,7 +65,6 @@ def _fx_n2() -> Fixture:
             (AtomicControl("stay", 0.0, _absorbing_row(2, 1)),
              AtomicControl("go", -1.0, _absorbing_row(2, 0))),
         ),
-        state_names=("0", "1"),
     )
     return Fixture("FX-N2", model, np.array([0.0, -1.0]),
                    np.array([0.0, -1.0, -1.0]),
@@ -84,7 +83,6 @@ def _fx_p2() -> Fixture:
             (AtomicControl("stay", 0.0, _absorbing_row(2, 1)),
              AtomicControl("go", 1.0, _absorbing_row(2, 0))),
         ),
-        state_names=("0", "1"),
     )
     Jstar = np.array([0.0, 0.0])
     return Fixture("FX-P2", model, Jstar, np.array([0.0, 0.0, 1.0]),
@@ -112,7 +110,6 @@ def _fx_p3a() -> Fixture:
             (AtomicControl("t", 1.0, _absorbing_row(3, 0)),),
         ),
         families=((), (), (fam,)),
-        state_names=("0", "1", "2"),
     )
     return Fixture("FX-P3a", model, np.array([0.0, INF, 1.0]), None,
                    "interval-control gap: the value-iteration limit from "
@@ -139,7 +136,6 @@ def _fx_p3b() -> Fixture:
             (AtomicControl("down", 1.0, _absorbing_row(3, 1)),),
         ),
         families=((), (fam,), ()),
-        state_names=("0", "1", "2"),
     )
     return Fixture("FX-P3b", model, np.array([0.0, 0.0, 1.0]), None,
                    "no stationary policy is nearly optimal; stationary "
@@ -155,7 +151,6 @@ def _fx_p4() -> Fixture:
             (AtomicControl("step", 1.0, _absorbing_row(3, 0)),),
             (AtomicControl("step", 1.0, _absorbing_row(3, 1)),),
         ),
-        state_names=("0", "1", "2"),
     )
     Jstar = np.array([0.0, 1.0, 2.0])
     return Fixture("FX-P4", model, Jstar, h_backup(model, Jstar),
@@ -177,7 +172,6 @@ def _fx_d() -> Fixture:
              AtomicControl("b", 1.0, np.array([0.0, 1.0, 0.0]))),
         ),
         cost_bound=2.0,
-        state_names=("0", "1", "2"),
     )
     Jstar = np.array([5.79239302694128, 4.857369255150471, 4.492868462757445])
     return Fixture("FX-D", model, Jstar, h_backup(model, Jstar),
@@ -277,7 +271,6 @@ def random_model(seed: int, num_states: int = 5, controls_per_state: int = 2,
         discount=discount if regime == "D" else 1.0,
         controls=tuple(controls),
         cost_bound=max(abs(lo), abs(hi)) if regime == "D" else None,
-        state_names=tuple(str(x) for x in range(n)),
     )
     return model, _policy_iteration_optimum(model)
 

@@ -6,6 +6,10 @@ intervals whose one-stage cost and transition probabilities are affine in
 the parameter.  Affine families are the finite representation of interval
 control sets such as U(x) = (0, 1).
 
+A model stores its atomic controls as pair arrays, one entry or row per
+(state, control) pair; `TotalCostModel.controls` is a view rebuilt from
+them on each read.
+
 Three problem regimes are supported:
 
     D   discounted, alpha < 1, costs bounded
@@ -19,6 +23,7 @@ package are pure functions of their inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -76,41 +81,62 @@ class AffineFamily:
         return self.p0 + self.p1 * t
 
 
-@dataclass(frozen=True)
 class TotalCostModel:
-    regime: str
-    discount: float
-    controls: tuple[tuple[AtomicControl, ...], ...]
-    families: tuple[tuple[AffineFamily, ...], ...] = None  # type: ignore[assignment]
-    state_names: tuple[str, ...] = None  # type: ignore[assignment]
-    cost_bound: float | None = None
+    """A finite total-cost MDP, stored as pair arrays: the constructor
+    packs each state's `AtomicControl`s once, state-major, into the
+    per-state counts (`pair_counts()`), `pair_costs`, the dense (pairs,
+    n) `pair_probs` and `control_names`, and keeps no control object.
+    State names are stored as their str(), as a model file names them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(tuple(cs) for cs in self.controls))
-        fams = self.families
-        if fams is None:
-            fams = tuple(() for _ in self.controls)
-        object.__setattr__(self, "families", tuple(tuple(fs) for fs in fams))
-        names = self.state_names
-        if names is None:
-            names = tuple(str(i) for i in range(len(self.controls)))
-        object.__setattr__(self, "state_names", tuple(names))
+    def __init__(self, regime: str, discount: float,
+                 controls: Sequence[Sequence[AtomicControl]],
+                 families: Sequence[Sequence[AffineFamily]] | None = None,
+                 state_names: Sequence | None = None, cost_bound: float | None = None):
+        controls = tuple(tuple(cs) for cs in controls)
+        n = len(controls)
+        families = (tuple(() for _ in controls) if families is None
+                    else tuple(tuple(fs) for fs in families))
+        names = (tuple(str(i) for i in range(n)) if state_names is None
+                 else tuple(str(s) for s in state_names))
+        for what, given in (("state_names", names), ("families", families)):
+            if len(given) != n:
+                raise ValueError(f"{what} has length {len(given)}, want one entry "
+                                 f"per state: {n}")
+        pairs = [(x, c) for x, cs in enumerate(controls) for c in cs]
+        for x, c in pairs:
+            if c.probs.shape != (n,):
+                raise ValueError(f"state {x} control {c.name!r}: transition row has "
+                                 f"shape {c.probs.shape}, want ({n},)")
+        counts = np.array([len(cs) for cs in controls], dtype=np.intp)
+        costs = np.array([c.cost for _, c in pairs], dtype=float)
+        probs = np.stack([c.probs for _, c in pairs]) if pairs else np.zeros((0, n))
+        for arr in (counts, costs, probs):
+            arr.setflags(write=False)
+        self.__dict__.update(regime=regime, discount=discount, families=families,
+                             state_names=names, cost_bound=cost_bound, _counts=counts,
+                             pair_costs=costs, pair_probs=probs,
+                             control_names=tuple(c.name for _, c in pairs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TotalCostModel is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    @property
+    def controls(self) -> tuple[tuple[AtomicControl, ...], ...]:
+        """Each state's atomic controls, rebuilt from the pair arrays on
+        every read: a derived view that the model does not keep."""
+        g, P, names = self.pair_costs.tolist(), self.pair_probs, self.control_names
+        return tuple(tuple(AtomicControl(names[k], g[k], P[k]) for k in range(s, s + m))
+                     for s, m in zip(self.pair_starts.tolist(), self._counts.tolist()))
 
     @property
     def num_states(self) -> int:
-        return len(self.controls)
+        return self._counts.size
 
     @cached_property
     def atomic_only(self) -> bool:
         return all(len(fs) == 0 for fs in self.families)
-
-    @cached_property
-    def _counts(self) -> np.ndarray:
-        """Number of atomic controls of each state, read-only: the one
-        read of the stored controls that the pair layout derives from."""
-        counts = np.array([len(cs) for cs in self.controls], dtype=np.intp)
-        counts.setflags(write=False)
-        return counts
 
     @cached_property
     def pair_starts(self) -> np.ndarray:
@@ -133,11 +159,6 @@ class TotalCostModel:
         policy's descriptor joins the labels of its chosen pairs."""
         return tuple(f"{x}:{i}" for x, n in enumerate(self._counts.tolist())
                      for i in range(n))
-
-    @cached_property
-    def control_names(self) -> tuple[str, ...]:
-        """The name of every pair's control, in pair-axis order."""
-        return tuple(c.name for cs in self.controls for c in cs)
 
     @cached_property
     def pair_ids(self) -> np.ndarray:
@@ -163,29 +184,13 @@ class TotalCostModel:
         return self._counts
 
     @cached_property
-    def pair_costs(self) -> np.ndarray:
-        g = np.array([c.cost for cs in self.controls for c in cs], dtype=float)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
     def pair_costs_finite(self) -> bool:
         """Whether every pair cost is finite, so that adding the costs to
         any vector can never meet opposite infinities."""
         return bool(np.isfinite(self.pair_costs).all())
 
-    @cached_property
-    def pair_probs(self) -> np.ndarray:
-        """Transition matrix over atomic pairs, shape (num pairs, num states)."""
-        if not self.num_pairs():
-            P = np.zeros((0, self.num_states))
-        else:
-            P = np.stack([c.probs for cs in self.controls for c in cs])
-        P.setflags(write=False)
-        return P
-
     def num_pairs(self) -> int:
-        return self.pair_state.size
+        return self.pair_costs.size
 
 
 @dataclass(frozen=True)
@@ -340,17 +345,12 @@ def _point_mass(a: AtomicMix) -> bool:
     return abs(float(a.weights.max(initial=0.0)) - 1.0) <= PROB_TOL
 
 
-def _atomic_suspects(model: TotalCostModel) -> list[bool] | None:
+def _atomic_suspects(model: TotalCostModel) -> np.ndarray:
     """Which atomic pairs break an invariant, by one pass over the pair
     arrays: a transition entry below -PROB_TOL, a row sum off 1 by more
     than PROB_TOL (or NaN), or a cost that is NaN or breaks the regime's
     sign or bound.  A row's sum over the (pairs, states) matrix is bit for
-    bit its own ``probs.sum()``.  None when some row is not n entries
-    long, so that the matrix cannot be formed; every pair is then
-    checked on its own."""
-    n = model.num_states
-    if any(c.probs.shape != (n,) for cs in model.controls for c in cs):
-        return None
+    bit the sum of that row alone."""
     P, g = model.pair_probs, model.pair_costs
     bad = (P < -PROB_TOL).any(axis=1) | ~(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL)
     if model.regime == "D":
@@ -359,14 +359,17 @@ def _atomic_suspects(model: TotalCostModel) -> list[bool] | None:
             bad |= np.abs(g) > model.cost_bound + PROB_TOL
     else:
         bad |= np.isnan(g) | (g > 0.0 if model.regime == "N" else g < 0.0)
-    return bad.tolist()
+    return bad
 
 
 def validate_model(model: TotalCostModel) -> list[str]:
     """Check every model invariant; returns [] when the model is valid.
 
     Violations are data, not exceptions: each entry names the broken
-    invariant and where it is broken.
+    invariant and where it is broken.  The atomic pairs are checked by
+    one array pass (`_atomic_suspects`); messages are rendered for the
+    pairs it flags, the states without controls and the affine families,
+    state by state.
     """
     bad: list[str] = []
     n = model.num_states
@@ -379,6 +382,9 @@ def validate_model(model: TotalCostModel) -> list[str]:
     else:
         if model.discount != 1.0:
             bad.append(f"regime {model.regime} requires discount 1, got {model.discount}")
+    for name, times in Counter(model.state_names).items():
+        if times > 1:
+            bad.append(f"state name {name!r} is listed {times} times")
 
     def check_cost(value: float, where: str) -> None:
         if math.isnan(value):
@@ -393,26 +399,24 @@ def validate_model(model: TotalCostModel) -> list[str]:
         elif model.regime == "P" and value < 0.0:
             bad.append(f"regime P requires g >= 0: {where} = {value}")
 
-    suspect = _atomic_suspects(model)
-    pair = 0
-    for x in range(n):
-        controls = model.controls[x]
-        if not controls and not model.families[x]:
+    flagged: dict[int, list[int]] = {}
+    suspects = np.flatnonzero(_atomic_suspects(model))
+    for k, x in zip(suspects.tolist(), model.pair_state[suspects].tolist()):
+        flagged.setdefault(x, []).append(k)
+    empty = np.flatnonzero(model.pair_counts() == 0).tolist()
+    with_families = [x for x, fs in enumerate(model.families) if fs]
+    P, g, names = model.pair_probs, model.pair_costs.tolist(), model.control_names
+    for x in sorted({*flagged, *empty, *with_families}):
+        if not model.pair_counts()[x] and not model.families[x]:
             bad.append(f"state {x} has no atomic control and no affine family")
-        for i, c in enumerate(controls):
-            if suspect is not None and not suspect[pair + i]:
-                continue
-            where = f"state {x} control {c.name!r}"
-            if c.probs.shape != (n,):
-                bad.append(f"{where}: transition row has shape {c.probs.shape}, want ({n},)")
-                continue
-            if (c.probs < -PROB_TOL).any():
+        for k in flagged.get(x, ()):
+            where = f"state {x} control {names[k]!r}"
+            if (P[k] < -PROB_TOL).any():
                 bad.append(f"{where}: negative transition probability")
-            total = float(c.probs.sum())
+            total = float(P[k].sum())
             if not abs(total - 1.0) <= PROB_TOL:  # NaN entries make the sum NaN
                 bad.append(f"{where}: distribution sum {total!r} != 1")
-            check_cost(c.cost, where)
-        pair += len(controls)
+            check_cost(g[k], where)
         for j, f in enumerate(model.families[x]):
             where = f"state {x} family {j}"
             if not (0.0 <= f.lo < f.hi <= 1.0):

@@ -174,13 +174,14 @@ def bellman_T_mu(model: TotalCostModel, policy: Policy, J: np.ndarray) -> np.nda
     family parameter choices."""
     J = np.asarray(J, dtype=float)
     out = np.empty(model.num_states)
+    controls = model.controls  # a view the model rebuilds on each read
     for x, a in enumerate(policy.actions):
         if isinstance(a, FamilyChoice):
             out[x] = family_value(model, model.families[x][a.family], a.t, J)
         else:
             vals = np.array([
                 xadd(c.cost, xmul(model.discount, expect(c.probs, J)))
-                for c in model.controls[x]
+                for c in controls[x]
             ])
             out[x] = expect(a.weights, vals)
     return out
@@ -588,7 +589,7 @@ def model_document(model: TotalCostModel, ground_truth: tuple | None = None) -> 
     }
     if model.cost_bound is not None:
         doc["cost_bound"] = model.cost_bound
-    controls = []
+    controls, stored = [], model.controls
     for x in range(model.num_states):
         entry: dict = {
             "state": model.state_names[x],
@@ -601,7 +602,7 @@ def model_document(model: TotalCostModel, ground_truth: tuple | None = None) -> 
                         for y, p in enumerate(c.probs) if p != 0.0
                     ],
                 }
-                for c in model.controls[x]
+                for c in stored[x]
             ],
         }
         if model.families[x]:
@@ -817,6 +818,10 @@ def validate_model_per_row(model: TotalCostModel) -> list[str]:
     else:
         if model.discount != 1.0:
             bad.append(f"regime {model.regime} requires discount 1, got {model.discount}")
+    names = model.state_names
+    for i, s in enumerate(names):
+        if names.count(s) > 1 and s not in names[:i]:
+            bad.append(f"state name {s!r} is listed {names.count(s)} times")
 
     def check_cost(value: float, where: str) -> None:
         if math.isnan(value):
@@ -831,14 +836,12 @@ def validate_model_per_row(model: TotalCostModel) -> list[str]:
         elif model.regime == "P" and value < 0.0:
             bad.append(f"regime P requires g >= 0: {where} = {value}")
 
+    controls = model.controls
     for x in range(n):
-        if not model.controls[x] and not model.families[x]:
+        if not controls[x] and not model.families[x]:
             bad.append(f"state {x} has no atomic control and no affine family")
-        for i, c in enumerate(model.controls[x]):
+        for i, c in enumerate(controls[x]):
             where = f"state {x} control {c.name!r}"
-            if c.probs.shape != (n,):
-                bad.append(f"{where}: transition row has shape {c.probs.shape}, want ({n},)")
-                continue
             if (c.probs < -PROB_TOL).any():
                 bad.append(f"{where}: negative transition probability")
             total = float(c.probs.sum())

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -122,7 +120,9 @@ class TestCheckedOncePerModel:
             f_theta_power(fx.model, theta, Q0, J, 2)
         q_fixed_point(fx.model, theta, J)
         assert len(calls) == 1
-        twin = dataclasses.replace(fx.model)  # the same layout, another object
+        m = fx.model  # the same layout, another object
+        twin = TotalCostModel(m.regime, m.discount, m.controls, m.families, m.state_names,
+                              m.cost_bound)
         Q = f_theta_power(twin, theta, Q0, J, 2)[0]
         assert len(calls) == 2 and calls[1] is twin
         # only the last model that fitted is kept: back to the first, checked again

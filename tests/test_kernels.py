@@ -644,7 +644,8 @@ class TestMixedLoopFastPaths:
     def test_row_argmin_is_the_first_qualifying_pair(self, model, data):
         # The same model with its control width hidden takes the
         # segment-reduction path.
-        general = dataclasses.replace(model)
+        general = TotalCostModel(model.regime, model.discount, model.controls,
+                                 model.families, model.state_names, model.cost_bound)
         object.__setattr__(general, "control_width", 0)
         assert model.control_width >= 1
         Q = data.draw(raw_vectors(model.num_pairs()))
@@ -835,8 +836,9 @@ class TestModelWriter:
         names = data.draw(st.lists(NAME, min_size=n, max_size=n))
         controls = tuple(tuple(dataclasses.replace(c, name=data.draw(NAME)) for c in cs)
                          for cs in model.controls)
-        model = dataclasses.replace(model, controls=controls, state_names=tuple(names),
-                                    cost_bound=data.draw(st.sampled_from([None, 5.0, 2])))
+        model = TotalCostModel(model.regime, model.discount, controls, model.families,
+                               state_names=tuple(names),
+                               cost_bound=data.draw(st.sampled_from([None, 5.0, 2])))
         gt = data.draw(st.sampled_from([None, "J", "JQ"]))
         if gt is not None:
             gt = (data.draw(vectors(n)),

@@ -1,9 +1,10 @@
-"""No module of the package but `model.py` reads how a model stores its
-pairs: the nested `controls` tuples, or a `pairs` or `pair_slices`
-attribute.  Every other module reads the pair axis the model derives
-(`pair_starts`, `pair_state`, `pair_counts()`, `pair_costs`,
-`pair_probs`, `control_names`), so the stored form can change inside
-`model.py` alone.
+"""No module of the package but `model.py` reads a model's pairs other
+than through its pair axis: not the `controls` view, which the model
+rebuilds from its stored arrays on each read, nor a `pairs` or
+`pair_slices` attribute.  Every other module reads the pair arrays the
+model stores or derives (`pair_starts`, `pair_state`, `pair_counts()`,
+`pair_costs`, `pair_probs`, `control_names`), so the stored form can
+change inside `model.py` alone.
 """
 
 import ast

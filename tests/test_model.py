@@ -18,6 +18,7 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.fixtures import fixture
+from totaldp.modelio import model_hash
 from totaldp.ftheta import Theta
 from totaldp.stopping import lp_upper_bound
 
@@ -146,12 +147,37 @@ def test_non_integer_choices_are_refused():
     assert Policy.deterministic(model, [0.0, 1.0, 1.0]).descriptor() == "0:0,1:1,2:1"
 
 
+def test_wrong_length_row_is_refused_at_construction():
+    with pytest.raises(ValueError, match=r"^state 1 control 'u': transition row has "
+                                         r"shape \(1,\), want \(2,\)$"):
+        TotalCostModel("P", 1.0, ((AtomicControl("a", 0.0, np.array([1.0, 0.0])),),
+                                  (AtomicControl("u", 0.0, np.array([1.0])),)))
+
+
+@pytest.mark.parametrize("field, value", [("state_names", ("a",)), ("families", ((),)),
+                                          ("state_names", ("a", "b", "c"))])
+def test_per_state_tuples_need_one_entry_per_state(field, value):
+    fx = fixture("FX-P2")
+    with pytest.raises(ValueError, match=f"^{field} has length {len(value)}, want one "
+                                         "entry per state: 2$"):
+        TotalCostModel("P", 1.0, fx.model.controls, **{field: value})
+
+
+def test_a_state_name_listed_twice_is_flagged():
+    fx = fixture("FX-P2")
+    model = TotalCostModel("P", 1.0, fx.model.controls, state_names=("a", "a"))
+    assert validate_model(model) == ["state name 'a' is listed 2 times"]
+    assert validate_model(model) == ref.validate_model_per_row(model)
+
+
 def test_model_arrays_are_frozen():
     fx = fixture("FX-P2")
     with pytest.raises(ValueError):
         fx.model.controls[0][0].probs[0] = 0.5
     with pytest.raises(ValueError):
         fx.model.pair_probs[0, 0] = 0.5
+    with pytest.raises(AttributeError, match="immutable"):
+        fx.model.regime = "N"
 
 
 def test_induced_kernel_mixes_controls():
@@ -186,8 +212,7 @@ def drawn_models(draw):
     """A model with 0-3 atomic controls per state and some affine
     families, in any regime.  Some rows and costs break an invariant:
     a negative entry (with the sum off 1 or not), a sum off 1, NaN, an
-    infinite or wrong-signed cost, a cost past the bound, or a row of
-    the wrong length."""
+    infinite or wrong-signed cost, or a cost past the bound."""
     n = draw(st.integers(1, 12))
     regime = draw(st.sampled_from(REGIMES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -199,10 +224,10 @@ def drawn_models(draw):
         for i in range(int(rng.integers(0, 4))):
             probs, cost = _row(rng, n), sign * float(rng.random() * 2.0)
             if rng.random() < faults:
-                kind = rng.integers(0, 8)
+                kind = rng.integers(0, 7)
                 if kind == 0:
                     probs[rng.integers(n)] -= 0.5
-                elif kind == 7:  # one entry negative, the sum still 1
+                elif kind == 6:  # one entry negative, the sum still 1
                     probs[0] -= 0.5
                     probs[-1] += 0.5
                 elif kind == 1:
@@ -213,10 +238,8 @@ def drawn_models(draw):
                     cost = float(rng.choice([np.nan, np.inf, -np.inf]))
                 elif kind == 4:
                     cost = -cost
-                elif kind == 5:
-                    cost = 5.0 * sign
                 else:
-                    probs = np.append(probs, 0.0)
+                    cost = 5.0 * sign
             cs.append(AtomicControl(f"u{i}", cost, probs))
         controls.append(tuple(cs))
         fams = []
@@ -250,3 +273,34 @@ class TestValidateInOnePass:
         sums = model.pair_probs.sum(axis=1)
         own = [c.probs.sum() for cs in model.controls for c in cs]
         assert sums.tobytes() == np.array(own).tobytes()
+
+
+def _hash_or_error(model: TotalCostModel) -> str:
+    try:
+        return model_hash(model)
+    except ValueError as err:  # a NaN cost or a NaN or infinite transition entry
+        return repr(err)
+
+
+class TestStoredForm:
+    """A model stores its pair arrays; `controls` is a view rebuilt from
+    them, and a model built from that view is the same model."""
+
+    @given(drawn_models())
+    def test_rebuilt_from_its_controls_view(self, model):
+        twin = TotalCostModel(model.regime, model.discount, model.controls,
+                              model.families, model.state_names, model.cost_bound)
+        assert twin.pair_costs.tobytes() == model.pair_costs.tobytes()
+        assert twin.pair_probs.tobytes() == model.pair_probs.tobytes()
+        assert twin.control_names == model.control_names
+        assert twin.state_names == model.state_names
+        assert _hash_or_error(twin) == _hash_or_error(model)
+
+    def test_controls_are_not_kept(self):
+        def holds_control(v) -> bool:
+            return isinstance(v, AtomicControl) or (
+                isinstance(v, tuple) and any(map(holds_control, v)))
+
+        model = fixture("FX-D").model
+        assert model.controls is not model.controls
+        assert not any(map(holds_control, vars(model).values()))

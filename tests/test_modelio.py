@@ -67,6 +67,20 @@ class TestModelRoundTrip:
         _, gt = parse_model(text)
         assert gt[0][1] == INF
 
+    def test_numeric_state_names_read_back_with_the_same_hash(self):
+        fx = fixture("FX-P2")
+        model = TotalCostModel("P", 1.0, fx.model.controls, state_names=(0, 1))
+        back, _ = parse_model(render_model(model))
+        assert back.state_names == model.state_names == ("0", "1")
+        assert model_hash(back) == model_hash(model)
+
+    def test_a_state_name_listed_twice_does_not_read_back(self):
+        # validate_model flags such a model (test_model.py)
+        fx = fixture("FX-P2")
+        model = TotalCostModel("P", 1.0, fx.model.controls, state_names=("a", "a"))
+        with pytest.raises(ModelFileError, match="duplicate state names"):
+            parse_model(render_model(model))
+
     def test_file_round_trip(self, tmp_path):
         fx = fixture("FX-P2")
         path = tmp_path / "m.mdp"
