@@ -139,15 +139,25 @@ def sup_dist(a: np.ndarray, b: np.ndarray):
     """Sup-norm distance treating equal infinities as coincident; row by
     row for a (k, n) stack.
 
-    When a holds no infinity, no inf - inf can be formed, and the plain
-    difference equals `xdiff` up to the sign of a zero (an a of -0.0
-    against a b of +0.0), which the absolute value drops.
+    When a holds no infinity, the plain difference is taken
+    (`_sup_dist`).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    return _sup_dist(a, b, not np.count_nonzero(np.isinf(a)))
+
+
+def _sup_dist(a: np.ndarray, b: np.ndarray, plain: bool):
+    """`sup_dist` of float arrays, unchecked: |a - b| by `xdiff`, or,
+    ``plain``, by the plain difference.  The two give the same floats
+    whenever a or b holds no infinity: then no inf - inf is formed, and
+    they differ only in the sign of a zero (an a of -0.0 against a b of
+    +0.0), which the absolute value drops; a NaN entry stays NaN either
+    way.  A solver that knows its last iterate b is finite passes True
+    without scanning either side."""
     if a.size == 0:
         return _empty(a, b)
-    d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
+    d = a - b if plain else xdiff(a, b)
     d = np.abs(d, out=d)
     return float(d.max()) if d.ndim <= 1 else d.max(axis=-1)
 
@@ -166,9 +176,15 @@ def sup_dist_segments(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.nd
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
-    d = np.abs(d, out=d)
-    return np.maximum.reduceat(d, starts)
+    return _sup_dist_segments(a, b, starts, not np.count_nonzero(np.isinf(a)))
+
+
+def _sup_dist_segments(a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+                       plain: bool) -> np.ndarray:
+    """`sup_dist_segments` of float vectors, unchecked; ``plain`` as in
+    `_sup_dist`."""
+    d = a - b if plain else xdiff(a, b)
+    return np.maximum.reduceat(np.abs(d, out=d), starts)
 
 
 def margin_leq(a: np.ndarray, b: np.ndarray):

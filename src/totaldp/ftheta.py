@@ -36,11 +36,15 @@ the first power is H(J).  While the iterates rise (T J >= J, so that
 H(J) >= J on every pair), the second power reads that same J: one
 backup per mixed iteration instead of n.  `f_theta_power` returns the
 number of backups that did run next to its result.  Its powers run in
-`operators._backup_power`, which decides the finite fast path once from
-the first state vector w (a policy built from choices, finite pair
-costs, no infinity in w) rather than scanning every w, and runs the
-whole power again backup by backup when the result holds a NaN, the
-trace of a value that overflowed part way.
+`operators._backup_power`, which takes the finite fast path (a policy
+built from choices, finite pair costs, a finite w) from a decision
+made once rather than by scanning every w, and runs the whole power
+again backup by backup when the result holds a NaN, the trace of a
+value that overflowed part way.  `f_theta_power` decides it from the
+first state vector w.  The mixed loop decides it once per solve, from
+J0, Q0 and the pair costs, keeps it while each row's residuals are
+finite (a finite residual from a finite iterate means a finite next
+iterate), and passes it to the kernel `_f_theta_power` without a scan.
 
 `masked_update` is the asynchronous form: boolean masks over the pairs
 and the states pick the coordinates that take the refreshed values.
@@ -56,7 +60,7 @@ import numpy as np
 from .chains import _stop_rule_iteration
 from .extreal import INF, sup_dist
 from .model import Policy, TotalCostModel, policy_mix, regime_conforming, validate_policy
-from .operators import _backup_power, m_minimize, pair_backup
+from .operators import _backup_power, _finite, _segment_min, pair_backup
 
 
 @dataclass(frozen=True)
@@ -193,11 +197,21 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    return _f_theta_power(model, theta, np.asarray(Q0, dtype=float),
+                          np.asarray(J, dtype=float), n)
+
+
+def _f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray, J: np.ndarray,
+                   n: int, finite: bool = False) -> tuple[np.ndarray, int]:
+    """`f_theta_power` of float vectors and n >= 1.  ``finite`` is the
+    caller's knowledge that `operators._finite` holds for J and Q0, hence
+    for every w read from them; without it the first w is scanned."""
     if theta._fits is not model:  # spares the mixed loop a call per row
         _check_inputs(model, theta)
-    floor, gathers = _f_floor_map(model, theta, np.asarray(J, dtype=float))
-    _, Q, applied = _backup_power(model, floor(np.asarray(Q0, dtype=float)), floor, n,
-                                  gathers, True)
+    floor, gathers = _f_floor_map(model, theta, J)
+    w = floor(Q0)
+    plain = gathers and (finite or _finite(model, w))
+    _, Q, applied = _backup_power(model, w, floor, n, plain, True)
     return Q, applied
 
 
@@ -279,8 +293,17 @@ def masked_update(model: TotalCostModel, theta: Theta, Q: np.ndarray,
     boolean arrays of one entry per pair and per state.  Returns the new
     Q and J (fresh arrays) and the backups that ran (`f_theta_power`)."""
     _check_masks(model, pair_mask, state_mask)
-    Q = np.asarray(Q, dtype=float)
-    J = np.asarray(J, dtype=float)
-    full, applied = f_theta_power(model, theta, Q, J, n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return _masked_power(model, theta, np.asarray(Q, dtype=float),
+                         np.asarray(J, dtype=float), pair_mask, state_mask, n)
+
+
+def _masked_power(model: TotalCostModel, theta: Theta, Q: np.ndarray, J: np.ndarray,
+                  pair_mask: np.ndarray, state_mask: np.ndarray, n: int,
+                  finite: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """`masked_update` on admitted arguments; ``finite`` as in
+    `_f_theta_power`."""
+    full, applied = _f_theta_power(model, theta, Q, J, n, finite)
     Q_next = np.where(pair_mask, full, Q)
-    return Q_next, np.where(state_mask, m_minimize(model, Q_next), J), applied
+    return Q_next, np.where(state_mask, _segment_min(model, Q_next), J), applied

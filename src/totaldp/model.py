@@ -86,7 +86,8 @@ class TotalCostModel:
     packs each state's `AtomicControl`s once, state-major, into the
     per-state counts (`pair_counts()`), `pair_costs`, the dense (pairs,
     n) `pair_probs` and `control_names`, and keeps no control object.
-    State names are stored as their str(), as a model file names them."""
+    State and control names are stored as their str(), as a model file
+    names them."""
 
     def __init__(self, regime: str, discount: float,
                  controls: Sequence[Sequence[AtomicControl]],
@@ -115,7 +116,7 @@ class TotalCostModel:
         self.__dict__.update(regime=regime, discount=discount, families=families,
                              state_names=names, cost_bound=cost_bound, _counts=counts,
                              pair_costs=costs, pair_probs=probs,
-                             control_names=tuple(c.name for _, c in pairs))
+                             control_names=tuple([str(c.name) for _, c in pairs]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a TotalCostModel is immutable: cannot set {name!r}")

@@ -19,9 +19,13 @@ policy's mix of H (`model.policy_mix`: a gather at the chosen pairs of a
 policy built from choices, a segment sum otherwise).  Each reduction
 takes a finite fast path when its input holds no infinity and a masked
 extended-real path otherwise.  A power of n backups (`_backup_power`,
-behind `t_mu_power_and_h` and `ftheta.f_theta_power`) makes that
+behind `t_mu_power_and_h` and `ftheta.f_theta_power`) takes that
 decision once, from its start, and checks its result for the NaN that
-a value overflowing part way would leave.
+a value overflowing part way would leave.  Value iteration and the mixed
+loop decide it once per solve (`_finite`, then each row's residual) and
+call the private kernels behind the public entries (`_bellman_T`,
+`_greedy_select`, `_segment_min`) with it: each public entry is its
+argument checks plus its kernel.
 
 Affine control families keep a scalar per-state path, chosen from the
 model (a state with families) or the policy (a family choice at a
@@ -147,8 +151,16 @@ def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
     return _g_plus(model, expect_rows(model.pair_probs, w))
 
 
+def _finite(model: TotalCostModel, w: np.ndarray) -> bool:
+    """Whether the pair costs are finite (`pair_costs_finite`) and so is
+    every entry of w, no infinity and no NaN: then a backup of w may take
+    the plain product P @ w, which is `expect_rows`' own path for such a
+    w.  One scan, made once per power or once per solve."""
+    return model.pair_costs_finite and np.count_nonzero(np.isfinite(w)) == w.size
+
+
 def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
-                  gathers: bool, stop: bool = False
+                  plain: bool, stop: bool = False
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """n backups, each of the state vector that ``read`` takes from the
     last one's pair vector: H_1 = pair_backup(w), H_{i+1} =
@@ -157,26 +169,27 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     loop ends when read gives a vector bitwise equal to the one the last
     backup took: every later H would repeat.
 
-    The finiteness decision is made once, from the start.  ``gathers``
-    says that read only gathers and takes minima (the read of a policy
-    built from choices), so a NaN it reads stays in w.  Then, with
-    finite pair costs and no infinity in w, every backup takes the plain
-    product P @ w with no scan for infinities.  From a finite w the
-    product is `expect_rows`' own fast path; w can hold an infinity
-    later only where a value overflowed, and there the plain product
-    differs from the masked one only by a NaN (0 * inf, or inf - inf),
-    which read carries into every later backup.  So a result without
-    NaN is the per-backup result bit for bit, and one with a NaN is
-    computed again by the per-backup path, which decides each backup
-    from its own input.  A single backup needs no such check: from a
-    finite start it is the per-backup one.  The overflow warns on both
-    paths, so with RuntimeWarning raised as an error both stop at the
-    same place; under a filter that only reports, the plain product adds
-    an "invalid value" warning before the rerun.
+    The finiteness decision is the caller's, made once: ``plain`` says
+    that read only gathers and takes minima (the read of a policy built
+    from choices), so a NaN it reads stays in w, and that `_finite`
+    holds for the start w.  A power entry scans w for it; the mixed loop
+    knows it from the solve's start and its residuals, and passes it
+    without a scan.  Then every backup takes the plain product P @ w
+    with no scan for infinities.  From a finite w the product is
+    `expect_rows`' own fast path; w can hold an infinity later only
+    where a value overflowed, and there the plain product differs from
+    the masked one only by a NaN (0 * inf, or inf - inf), which read
+    carries into every later backup.  So a result without NaN is the
+    per-backup result bit for bit, and one with a NaN is computed again
+    by the per-backup path, which decides each backup from its own
+    input.  A single backup needs no such check: from a finite start it
+    is the per-backup one.  The overflow warns on both paths, so with
+    RuntimeWarning raised as an error both stop at the same place; under
+    a filter that only reports, the plain product adds an "invalid
+    value" warning before the rerun.
     """
     P = model.pair_probs
-    expect = (np.matmul if gathers and model.pair_costs_finite
-              and not np.count_nonzero(np.isinf(w)) else expect_rows)
+    expect = np.matmul if plain else expect_rows
     H = _g_plus(model, expect(P, w))
     x, applied, last = w, 1, w.tobytes() if stop else None
     while applied < n:
@@ -193,12 +206,17 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     return x, H, applied
 
 
-def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
-    """Q-factor backup over all atomic pairs: g + alpha * E[J]."""
+def _state_vector(model: TotalCostModel, J) -> np.ndarray:
+    """J as a float array, refused unless it has one entry per state."""
     J = np.asarray(J, dtype=float)
     if J.shape != (model.num_states,):
         raise ValueError(f"J has shape {J.shape}, want ({model.num_states},)")
-    return pair_backup(model, J)
+    return J
+
+
+def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
+    """Q-factor backup over all atomic pairs: g + alpha * E[J]."""
+    return pair_backup(model, _state_vector(model, J))
 
 
 def _segment_min(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
@@ -221,8 +239,16 @@ def m_minimize(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
 
 def bellman_T(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
     """Optimal-cost backup over atomic controls and affine families."""
-    J = np.asarray(J, dtype=float)
-    out = _segment_min(model, h_backup(model, J))
+    return _bellman_T(model, _state_vector(model, J))
+
+
+def _bellman_T(model: TotalCostModel, J: np.ndarray, finite: bool = False) -> np.ndarray:
+    """`bellman_T` of a float vector of one entry per state, unchecked.
+    ``finite`` says that `_finite` holds for J on an atomic-only model,
+    so the backup takes the plain product without a scan."""
+    if finite:
+        return _segment_min(model, _g_plus(model, model.pair_probs @ J))
+    out = _segment_min(model, pair_backup(model, J))
     if not model.atomic_only:
         for x, fams in enumerate(model.families):
             for fam in fams:
@@ -265,7 +291,7 @@ def t_mu_power_and_h(model: TotalCostModel, policy: Policy, J: np.ndarray,
         for _ in range(n):
             J = bellman_T_mu(model, policy, J)
         return J, h_backup(model, J)
-    J, H, _ = _backup_power(model, J, lambda V: V[chosen], n + 1, True)
+    J, H, _ = _backup_power(model, J, lambda V: V[chosen], n + 1, _finite(model, J))
     return J, H
 
 
@@ -297,11 +323,19 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
         raise ValueError(f"Q has shape {Q.shape}, want ({model.num_pairs()},)")
     if qmin is not None and qmin.shape != (model.num_states,):
         raise ValueError(f"qmin has shape {qmin.shape}, want ({model.num_states},)")
+    return _greedy_select(model, Q, epsilon, qmin, keep)
+
+
+def _greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float,
+                   qmin: np.ndarray | None, keep: Policy | None,
+                   finite: bool = False) -> Policy:
+    """`greedy_select` on admitted arguments, unchecked.  ``finite`` says
+    that every entry of Q is finite, so the NaN check is skipped."""
     starts, width = model.pair_starts, model.control_width
     if epsilon == 0.0 and width:
         first = Q.reshape(-1, width).argmin(axis=1)
         first += starts
-        nan = np.count_nonzero(np.isnan(Q[first]))
+        nan = not finite and np.count_nonzero(np.isnan(Q[first]))
     else:
         state = model.pair_state
         if qmin is None:
@@ -311,7 +345,7 @@ def greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float = 0.0, *,
         else:
             ok = (Q <= xadd_vec(qmin, epsilon)[state]) | (Q == qmin[state])
         first = np.minimum.reduceat(np.where(ok, model.pair_ids, Q.size), starts)
-        nan = first.size and first.max() == Q.size
+        nan = not finite and first.size and first.max() == Q.size
     if nan:
         raise ValueError("Q is NaN at a state: no control qualifies")
     if keep is not None:

@@ -32,16 +32,28 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import INF, margin_leq, sup_dist, sup_dist_segments
+from .extreal import (
+    INF,
+    _sup_dist,
+    _sup_dist_segments,
+    margin_leq,
+    sup_dist,
+    sup_dist_segments,
+)
 from .ftheta import (
     Theta,
     _check_masks,
-    f_theta_power,
-    masked_update,
+    _f_theta_power,
+    _masked_power,
     q_fixed_point,
 )
 from .model import Policy, TotalCostModel
 from .operators import (
+    _bellman_T,
+    _finite,
+    _greedy_select,
+    _segment_min,
+    _state_vector,
     bellman_T,
     bellman_T_mu,
     t_mu_power_and_h,
@@ -88,10 +100,12 @@ class OccupationSupportB:
     """B is the support of the policy's discounted visitation measure.
 
     The support is every state whose measure exceeds ``threshold``.  The
-    measure is at least (1 - beta) * rho(x) at each state, so with the
-    default uniform rho every state passes, and B = S, whenever
-    threshold < (1 - beta) / n.  A proper subset needs a concentrated
-    rho or a larger threshold.
+    measure is at least (1 - beta) * rho(x) at each state, so when
+    (1 - beta) * min(rho) > threshold every state passes, and B = S is
+    returned without solving for the measure.  With the default uniform
+    rho that holds whenever threshold < (1 - beta) / n; a proper subset
+    needs a concentrated rho or a larger threshold.  A rho of another
+    length than the model's states is refused.
     """
 
     beta: float = 0.5
@@ -110,11 +124,15 @@ class OccupationSupportB:
     def resolve(self, model, policy, k):
         if self._last[0] is model and self._last[1] is policy:
             return self._last[2]
-        rho = self.rho
-        if rho is None:
-            rho = np.full(model.num_states, 1.0 / model.num_states)
-        keep = occupation_measure(model, policy, rho, self.beta) > self.threshold
-        B = model.state_set if keep.all() else frozenset(np.flatnonzero(keep).tolist())
+        n = model.num_states
+        rho = np.full(n, 1.0 / n) if self.rho is None else np.asarray(self.rho, dtype=float)
+        if rho.shape != (n,):
+            raise ValueError(f"rho has shape {rho.shape}, the model wants {(n,)}")
+        if (1.0 - self.beta) * rho.min() > self.threshold:
+            B = model.state_set
+        else:
+            keep = occupation_measure(model, policy, rho, self.beta) > self.threshold
+            B = model.state_set if keep.all() else frozenset(np.flatnonzero(keep).tolist())
         object.__setattr__(self, "_last", (model, policy, B))
         return B
 
@@ -527,9 +545,23 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     backup is a fresh array, and the pin writes into it before it is
     recorded).  Until the rule flags a state, a row does no flagged-state
     bookkeeping at all: the residual is taken over every state.
+
+    Finiteness is decided once per solve and carried in the residuals.
+    The run starts finite when the model is atomic-only and its pair
+    costs and J0 are finite, no infinity and no NaN (`operators._finite`,
+    one scan).  A finite row backs up with the plain product P @ J
+    (`_bellman_T`) and takes the plain max |T(J) - J| as its residual,
+    with no scan.  This is bit for bit what the checked kernels give:
+    `expect_rows` takes this same product for a J without infinity, and
+    against a finite J the plain difference is `xdiff`'s after the
+    absolute value, whatever T(J) holds.  A finite residual from a finite J means a finite T(J):
+    an infinity in T(J) gives an infinite residual and a NaN a NaN one.
+    So the run stays finite while ``res < inf``, and drops to the checked
+    path for the rest of the solve on an infinite or NaN residual, or
+    once the rule flags a state.
     """
     config = config or SolverConfig(algorithm="vi")
-    J = np.asarray(J0, dtype=float).copy()
+    J = _state_vector(model, J0).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)
     sign = -1.0 if model.regime == "N" else 1.0
     divergent = DivergenceRule(J) if model.discount == 1.0 else None
@@ -537,9 +569,10 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     divergent_states: list[int] = []
     live = slice(None)  # the states not flagged divergent
     pin = model.atomic_only
+    finite = pin and _finite(model, J)
     direction: str | None = None
     for k in range(1, config.max_iter + 1):
-        nxt = bellman_T(model, J)
+        nxt = _bellman_T(model, J, finite)
         rec.trace.op_count += 1
         if divergent is not None:
             new = divergent(k, nxt)
@@ -553,7 +586,11 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                     live = ~flagged
                 if pin:
                     nxt[flagged] = sign * INF
-        res = sup_dist(nxt[live], J[live]) if flagged is not None else sup_dist(nxt, J)
+        if flagged is not None:
+            res = sup_dist(nxt[live], J[live])
+        else:
+            res = _sup_dist(nxt, J, True) if finite else sup_dist(nxt, J)
+        finite = finite and flagged is None and res < INF
         if k == 1:
             if margin_leq(nxt, J) <= 0.0:
                 direction = "nonincreasing"
@@ -733,15 +770,16 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     initial one at k = 0, if given, else greedy from Q with the configured
     epsilon, reusing M(Q) when the last iteration took it, and keeping the
     policy and its Theta while the choice repeats), resolve B, and let
-    ``update(model, config, k, theta, Q, J)`` return (Q_next, J_next or
-    None, operator count, row columns).  J becomes the clamped J_next of
-    a masked update, else the clamped M(Q_next).  The run converges once
-    max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
-    of the mask schedule (one row without masks): a masked row moves only
-    the pairs and states its masks set, so a quiet row alone shows nothing
-    about the others, while a whole cycle updates every one (`mixed_vpi`
-    refuses a schedule that does not).  mixed rows record J_k and Q_k as
-    ``J_snapshot``/``Q_snapshot``: the arrays the loop holds, not copies.
+    ``update(model, config, k, theta, Q, J, finite)`` return (Q_next,
+    J_next or None, operator count, row columns).  J becomes the clamped
+    J_next of a masked update, else the clamped M(Q_next).  The run
+    converges once max(res_J, res_Q) <= tol on each of the last rows of
+    a whole cycle of the mask schedule (one row without masks): a masked
+    row moves only the pairs and states its masks set, so a quiet row
+    alone shows nothing about the others, while a whole cycle updates
+    every one (`mixed_vpi` refuses a schedule that does not).  mixed
+    rows record J_k and Q_k as ``J_snapshot``/``Q_snapshot``: the arrays
+    the loop holds, not copies.
     Every update and `_clamp` returns fresh arrays and nothing here
     writes into J or Q, so a recorded iterate never changes; the trace
     file holds them as JSON lists, and `modelio.read_trace` gives arrays
@@ -753,6 +791,23 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     snapshots, adds ``cone_margin`` (max(J_k - c Jstar) for J0's cone
     multiplier c), and its capped iterate is a lower bound.  A J0 or Q0
     of another length than the model's states or pairs is refused.
+
+    Finiteness is decided once per solve and carried in the residuals.
+    The run starts finite when the pair costs, J0 and Q0 are finite, no
+    infinity and no NaN (`operators._finite`, one scan), and stays finite
+    while both residuals of each row are finite: from a finite [J | Q], an
+    infinity in the next one gives an infinite residual and a NaN a NaN
+    one.  A finite row calls the kernels unchecked: greedy selection
+    skips its NaN check (a finite Q holds none), the powers take the
+    plain product without scanning w (`ftheta._f_theta_power`, whose
+    NaN rerun after a multi-backup power stays), and the residuals are
+    the plain max |[J | Q]_next - [J | Q]|.  Bit for bit, every checked
+    kernel takes this same plain path from a finite previous iterate:
+    `expect_rows` and `_backup_power`'s start check find no infinity in
+    a w read off finite J and Q, `greedy_select`'s NaN check finds none,
+    and against a finite [J | Q] the plain difference is `xdiff`'s after
+    the absolute value.  An infinite or NaN residual drops the run to
+    the checked kernels for the rest of the solve.
     """
     if config.J0 is None or config.Q0 is None:
         raise ValueError("config must provide J0 and Q0")
@@ -765,6 +820,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
             raise ValueError(f"{name} has shape {start.shape}, the model wants {(size,)}")
     JQ = np.concatenate((J, Q))  # [J | Q] of the current iterate, for its residuals
     halves = np.array([0, n])
+    finite = _finite(model, JQ)
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp)
     envelope = None if lp or model.regime == "D" else J.copy()
     c = None if not lp or rec.Jstar is None else cone_multiplier(J, rec.Jstar)
@@ -779,14 +835,16 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
     for k in range(config.max_iter):
         if k > 0 or policy is None:
-            policy = greedy_select(model, Q, config.epsilon, qmin=qmin, keep=policy)
+            policy = _greedy_select(model, Q, config.epsilon, qmin, policy, finite)
         theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
-        Q_next, J_next, ops, columns = update(model, config, k, theta, Q, J)
+        Q_next, J_next, ops, columns = update(model, config, k, theta, Q, J, finite)
         rec.trace.op_count += ops
-        qmin = m_minimize(model, Q_next) if J_next is None else None
+        qmin = _segment_min(model, Q_next) if J_next is None else None
         J_next = _clamp(J_next if qmin is None else qmin, config)
         nxt = np.concatenate((J_next, Q_next))
-        res_J, res_Q = sup_dist_segments(nxt, JQ, halves).tolist()
+        res_J, res_Q = (_sup_dist_segments(nxt, JQ, halves, True) if finite
+                        else sup_dist_segments(nxt, JQ, halves)).tolist()
+        finite = finite and res_J < INF and res_Q < INF
         JQ, J, Q = nxt, J_next, Q_next
         if envelope is not None:
             envelope = bellman_T(model, envelope)
@@ -806,24 +864,24 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
 
 
-def _power_update(model, config, k, theta, Q, J):
-    Q_next, powers = f_theta_power(model, theta, Q, J, int(config.nk_at(k)))
+def _power_update(model, config, k, theta, Q, J, finite):
+    Q_next, powers = _f_theta_power(model, theta, Q, J, int(config.nk_at(k)), finite)
     return Q_next, None, powers, {"powers": powers}
 
 
-def _masked_update(model, config, k, theta, Q, J):
+def _masked_update(model, config, k, theta, Q, J, finite):
     pair_mask, state_mask = config.masks[k % len(config.masks)]
-    Q_next, J_next, powers = masked_update(model, theta, Q, J, pair_mask, state_mask,
-                                           n=int(config.nk_at(k)))
+    Q_next, J_next, powers = _masked_power(model, theta, Q, J, pair_mask, state_mask,
+                                           int(config.nk_at(k)), finite)
     return Q_next, J_next, powers, {"powers": powers}
 
 
-def _exact_update(model, config, k, theta, Q, J):
+def _exact_update(model, config, k, theta, Q, J, finite):
     Q_next, cert = q_fixed_point(model, theta, J)
     return Q_next, None, cert.iterations, {"powers": cert.iterations}
 
 
-def _program_update(model, config, k, theta, Q, J):
+def _program_update(model, config, k, theta, Q, J, finite):
     bound = lp_upper_bound(model, theta, J)
     Q_fix, cert = q_fixed_point(model, theta, J)
     columns = {"ineq_lower_margin": margin_leq(Q_fix, bound.Qbar),   # <= 0: above Q_fix

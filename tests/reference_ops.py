@@ -89,6 +89,14 @@ emits the same messages in the same order on drawn models.
 The twelfth part is `solvers.cone_multiplier` as a loop over the states
 in order, kept verbatim from before it became a whole-vector numpy form.
 `test_solvers.py` checks the numpy form against it on drawn edge cases.
+
+The thirteenth part holds the rows of value iteration and of mixed
+iteration (finite nk) as short loops over the library's public checked
+entries: `bellman_T` and `sup_dist`; `greedy_select`, `f_theta_power`,
+`m_minimize` and `sup_dist`.  Each entry checks its own inputs for
+infinities and NaN, as every solver row did before the solvers decided
+finiteness once per solve and carried it in their residuals.
+`test_solvers.py` checks the solvers' traces against them bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from totaldp import ftheta, operators
 from totaldp.chains import EvalResult, _price
 from totaldp.extreal import (
     INF,
@@ -891,3 +900,69 @@ def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
             continue
         c = max(c, jx / sx)
     return c
+
+
+# ---------------------------------------------------------------------------
+# Solver rows from the public checked entries
+
+
+def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
+                         tol: float) -> list[tuple[np.ndarray, float]]:
+    """(J_k, residual) of every row of value iteration on an atomic-only
+    model: J_k = T(J_{k-1}), with the states that `DivergenceRule` has
+    flagged pinned to the regime-signed infinity, and the residual over
+    the unflagged states; the run stops at the first residual <= tol."""
+    J = np.array(J0, dtype=float)
+    rule = DivergenceRule(J) if model.discount == 1.0 else None
+    flagged = np.zeros(J.shape, dtype=bool)
+    sign = -1.0 if model.regime == "N" else 1.0
+    rows = []
+    for k in range(1, max_iter + 1):
+        nxt = operators.bellman_T(model, J)
+        if rule is not None:
+            flagged = flagged | rule(k, nxt)
+            nxt[flagged] = sign * INF
+        res = sup_dist(nxt[~flagged], J[~flagged])
+        rows.append((nxt, res))
+        J = nxt
+        if res <= tol:
+            break
+    return rows
+
+
+def mixed_rows(model: TotalCostModel, config) -> list[dict]:
+    """Every row of mixed iteration with a finite nk, as a dict of J, Q,
+    residual, residual_Q, powers and the policy descriptor: the greedy
+    policy of Q (the initial policy at k = 0, if given), B from the
+    configured strategy, nk powers of F_theta and J = M(Q), or under a
+    mask schedule the masked coordinates of both; J clamped; the run stops
+    once a whole cycle of the schedule has rows within tol."""
+    J = np.array(config.J0, dtype=float)
+    Q = np.array(config.Q0, dtype=float)
+    policy = config.initial_policy
+    masks = config.masks
+    cycle = 1 if masks is None else len(masks)
+    rows, quiet = [], 0
+    for k in range(config.max_iter):
+        if k > 0 or policy is None:
+            policy = operators.greedy_select(model, Q, config.epsilon)
+        theta = Theta(policy, config.bstrategy.resolve(model, policy, k))
+        full, powers = ftheta.f_theta_power(model, theta, Q, J, config.nk_at(k))
+        if masks is None:
+            Q_next, J_next = full, operators.m_minimize(model, full)
+        else:
+            pair_mask, state_mask = masks[k % cycle]
+            Q_next = np.where(pair_mask, full, Q)
+            J_next = np.where(state_mask, operators.m_minimize(model, Q_next), J)
+        if config.clamp_hi is not None:
+            J_next = np.minimum(J_next, config.clamp_hi)
+        if config.clamp_lo is not None:
+            J_next = np.maximum(J_next, config.clamp_lo)
+        res_J, res_Q = sup_dist(J_next, J), sup_dist(Q_next, Q)
+        J, Q = J_next, Q_next
+        rows.append({"J": J, "Q": Q, "residual": res_J, "residual_Q": res_Q,
+                     "powers": powers, "policy": policy.descriptor()})
+        quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
+        if quiet >= cycle:
+            break
+    return rows

@@ -74,6 +74,15 @@ class TestModelRoundTrip:
         assert back.state_names == model.state_names == ("0", "1")
         assert model_hash(back) == model_hash(model)
 
+    def test_numeric_control_names_read_back_with_the_same_hash(self):
+        fx = fixture("FX-P2")
+        controls = tuple(tuple(dataclasses.replace(c, name=name) for c, name in zip(cs, names))
+                         for cs, names in zip(fx.model.controls, ((0,), (0, 1))))
+        model = TotalCostModel("P", 1.0, controls)
+        back, _ = parse_model(render_model(model))
+        assert back.control_names == model.control_names == ("0", "0", "1")
+        assert model_hash(back) == model_hash(model)
+
     def test_a_state_name_listed_twice_does_not_read_back(self):
         # validate_model flags such a model (test_model.py)
         fx = fixture("FX-P2")

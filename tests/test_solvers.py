@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from totaldp import solvers
@@ -366,9 +366,11 @@ class TestMaskSchedules:
 
 
 class TestLayerCallsPerRow:
-    """The public operators that perfbench traces, layer by layer, are
-    called once per row: a speed-up that moved their work into private
-    kernels would move it out of the traced layers, and fail here."""
+    """Each row of value iteration and of the mixed loop runs its
+    operators once, through the private kernels behind the public
+    entries (`operators._bellman_T`, `_greedy_select`, `_segment_min`,
+    `ftheta._f_theta_power`), checked or not; the N/P envelope column
+    still calls the public `bellman_T` once per row."""
 
     @staticmethod
     def _count(monkeypatch, *names):
@@ -391,10 +393,11 @@ class TestLayerCallsPerRow:
     @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4", "FX-P3a", "trap"])
     def test_one_bellman_T_per_value_iteration_row(self, monkeypatch, name):
         model = self._trap() if name == "trap" else fixture(name).model
-        counts = self._count(monkeypatch, "bellman_T")
+        counts = self._count(monkeypatch, "_bellman_T", "bellman_T")
         res = value_iteration(model, np.zeros(model.num_states), SolverConfig(
             algorithm="vi", max_iter=150, stop_on_tol=False))
-        assert counts["bellman_T"] == len(res.trace.rows) == 150
+        assert counts["_bellman_T"] == len(res.trace.rows) == 150
+        assert counts["bellman_T"] == 0
         if name in ("FX-P3a", "trap"):  # the flagged-state bookkeeping ran
             assert res.divergent and res.J[sorted(res.divergent)].tolist() == [INF]
 
@@ -403,16 +406,16 @@ class TestLayerCallsPerRow:
     def test_one_greedy_power_and_minimum_per_mixed_row(self, monkeypatch, name, nk):
         fx = fixture(name)
         J0 = np.zeros(fx.model.num_states)
-        counts = self._count(monkeypatch, "greedy_select", "f_theta_power", "m_minimize",
-                             "bellman_T")
+        counts = self._count(monkeypatch, "_greedy_select", "_f_theta_power",
+                             "_segment_min", "bellman_T")
         res = mixed_vpi(fx.model, SolverConfig(
             algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=nk, tol=1e-10,
             max_iter=500))
         rows = len(res.trace.rows)
         assert rows > 1
         envelope = 0 if fx.model.regime == "D" else rows
-        assert counts == {"greedy_select": rows, "f_theta_power": rows,
-                          "m_minimize": rows, "bellman_T": envelope}
+        assert counts == {"_greedy_select": rows, "_f_theta_power": rows,
+                          "_segment_min": rows, "bellman_T": envelope}
 
 
 class TestPowerCounts:
@@ -450,6 +453,169 @@ class TestPowerCounts:
             powers = [row.extra["powers"] for row in trace.rows]
             assert sum(powers) == trace.op_count
             assert all(p >= 1 and (most is None or p <= most) for p in powers)
+
+
+# Start entries of a solve, for J0 and Q0: small finite values with zeros
+# of both signs, values with infinities, values with NaN, or values near
+# the largest float against costs up to 1e308, so that an iterate
+# overflows part way.
+BIG = 1.5e308
+SOLVE_STARTS = {"finite": st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]),
+                "infinite": st.sampled_from([INF, -INF, 0.0, 2.0]),
+                "nan": st.sampled_from([math.nan, 0.0, 0.0, 1.0]),
+                "big": st.sampled_from([BIG, -BIG, 1e308, 0.0])}
+
+
+@st.composite
+def finite_path_cases(draw):
+    """An atomic D, N or P model with sparse rows, now and then an
+    infinite cost of the regime's sign, and starts J0, Q0 of one kind of
+    SOLVE_STARTS."""
+    n = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    regime = draw(st.sampled_from(["D", "N", "P"]))
+    kind = draw(st.sampled_from(sorted(SOLVE_STARTS)))
+    sign = -1.0 if regime == "N" else 1.0
+    scale = 5e307 if kind == "big" else 1.0
+    cost = st.sampled_from([0.0, 0.5, 1.0, 2.0]).map(lambda c: sign * scale * c)
+    alpha = 1.0
+    if regime == "D":
+        alpha = draw(st.sampled_from([0.5, 0.95]))
+        cost = st.one_of(cost, cost.map(lambda c: -c))
+    if draw(st.integers(0, 3)) == 0:
+        cost = st.one_of(cost, cost, st.just(sign * INF))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    controls = []
+    for m in counts:
+        row = []
+        for i in range(m):
+            raw = rng.random(n) * (rng.random(n) < 0.5)
+            raw[rng.integers(n)] += 0.1
+            row.append(AtomicControl(f"c{i}", draw(cost), raw / raw.sum()))
+        controls.append(tuple(row))
+    model = TotalCostModel(regime, alpha, tuple(controls))
+    start = SOLVE_STARTS[kind]
+    return (model, np.array(draw(st.lists(start, min_size=n, max_size=n))),
+            np.array(draw(st.lists(start, min_size=model.num_pairs(),
+                                   max_size=model.num_pairs()))))
+
+
+def _array_bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _quietly(call):
+    """What ``call`` returns with RuntimeWarning ignored (the result a
+    SolverCapError carries too), or the text of the ValueError it
+    raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return call()
+        except SolverCapError as err:
+            return err.result
+        except ValueError as err:
+            return str(err)
+
+
+def _recorded_rows(solve):
+    """The J and Q of every row that a solve records, and `_quietly`'s
+    outcome of the solve."""
+    rows = []
+    real = solvers._Recorder.row
+
+    def row(self, k, residual, J, Q=None, **fields):
+        rows.append((J.copy(), None if Q is None else Q.copy()))
+        return real(self, k, residual, J, Q, **fields)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._Recorder, "row", row)
+        return rows, _quietly(solve)
+
+
+class TestFiniteRows:
+    """Value iteration and the mixed loop decide finiteness once per solve
+    and carry it in their residuals, running finite rows on unchecked
+    kernels.  Every row must be the row of a loop over the public checked
+    entries (`reference_ops.value_iteration_rows`, `mixed_rows`), bit for
+    bit, or both must raise the same ValueError: from finite starts, from
+    starts with infinities or NaN, and from starts near the largest
+    float, whose iterates overflow part way and move the run to the
+    checked path."""
+
+    @staticmethod
+    def _check_value_iteration(model, J0, max_iter):
+        cfg = SolverConfig(algorithm="vi", max_iter=max_iter, tol=1e-9)
+        rows, result = _recorded_rows(lambda: value_iteration(model, J0, cfg))
+        want = _quietly(lambda: ref.value_iteration_rows(model, J0, max_iter, 1e-9))
+        assert len(rows) == len(result.trace.rows) == len(want)
+        for (J, _), row, (J_ref, res_ref) in zip(rows, result.trace.rows, want):
+            assert _array_bits(J) == _array_bits(J_ref)
+            assert _array_bits(row.residual) == _array_bits(res_ref)
+        return result
+
+    @settings(max_examples=300)
+    @given(finite_path_cases(), st.sampled_from([5, 40, 120]))
+    def test_value_iteration_rows(self, case, max_iter):
+        model, J0, _ = case
+        self._check_value_iteration(model, J0, max_iter)
+
+    @pytest.mark.parametrize("regime", ["N", "P"])
+    def test_value_iteration_rows_past_a_pin(self, regime):
+        # State 1 pays -1 or 1 forever; the window rule flags it, the run
+        # pins it to the regime's infinity and takes the checked path on,
+        # while state 3 still moves (it leaves with probability 0.01).
+        c = -1.0 if regime == "N" else 1.0
+        model = TotalCostModel(regime, 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0, 0.0, 0.0])),),
+            (AtomicControl("trap", c, np.array([0.0, 1.0, 0.0, 0.0])),),
+            (AtomicControl("on", 0.0, np.array([0.0, 0.5, 0.5, 0.0])),
+             AtomicControl("off", c, np.array([1.0, 0.0, 0.0, 0.0]))),
+            (AtomicControl("slow", c, np.array([0.01, 0.0, 0.0, 0.99])),)))
+        assert self._check_value_iteration(model, np.zeros(4), 150).divergent
+
+    @settings(max_examples=300)
+    @given(finite_path_cases(), st.data())
+    def test_mixed_rows(self, case, data):
+        model, J0, Q0 = case
+        n = model.num_states
+        draw = data.draw
+        masks = draw(st.sampled_from([None, "round-robin", "halves"]))
+        if masks == "round-robin":
+            masks = round_robin_masks(model)
+        elif masks == "halves":
+            pairs, states = model.pair_ids % 2 == 0, np.arange(n) % 2 == 0
+            masks = [(pairs, states), (~pairs, ~states)]
+        clamp_lo = clamp_hi = None
+        if draw(st.booleans()):
+            clamp_lo = np.array(draw(st.lists(st.sampled_from([-INF, -1.0, 0.0]),
+                                              min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            clamp_hi = np.array(draw(st.lists(st.sampled_from([0.5, 4.0, INF]),
+                                              min_size=n, max_size=n)))
+        subsets = st.frozensets(st.integers(0, n - 1))
+        cfg = SolverConfig(
+            algorithm="mixed", J0=J0, Q0=Q0,
+            nk=draw(st.sampled_from([1, 10, (1, 3, 10)])),
+            epsilon=draw(st.sampled_from([0.0, 0.5])),
+            bstrategy=draw(st.one_of(st.just(FullB()), st.lists(
+                subsets, min_size=1, max_size=2).map(lambda b: CustomB(tuple(b))))),
+            clamp_lo=clamp_lo, clamp_hi=clamp_hi, masks=masks,
+            initial_policy=draw(st.sampled_from([None, Policy.uniform(model)])),
+            max_iter=30, tol=1e-9)
+        rows, result = _recorded_rows(lambda: mixed_vpi(model, cfg))
+        want = _quietly(lambda: ref.mixed_rows(model, cfg))
+        if isinstance(want, str):  # greedy selection met a NaN
+            assert result == want and "NaN" in want
+            return
+        assert len(rows) == len(result.trace.rows) == len(want)
+        for (J, Q), row, w in zip(rows, result.trace.rows, want):
+            assert _array_bits(J) == _array_bits(w["J"]) == _array_bits(row.extra[J_SNAPSHOT])
+            assert _array_bits(Q) == _array_bits(w["Q"]) == _array_bits(row.extra[Q_SNAPSHOT])
+            assert _array_bits(row.residual) == _array_bits(w["residual"])
+            assert _array_bits(row.extra["residual_Q"]) == _array_bits(w["residual_Q"])
+            assert row.extra["powers"] == w["powers"]
+            assert row.policy == w["policy"]
 
 
 @pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed", "lp"])
@@ -507,23 +673,23 @@ class TestLPVariant:
 
 
 class TestGreedyCalls:
-    """One greedy selection per trace row, none at k = 0 when an initial
-    policy is given; from k = 1 on it reuses the M(Q) the last row took,
-    which must be M(Q) bit for bit, clamped or not."""
+    """One greedy selection per trace row (the loop calls the kernel
+    `operators._greedy_select`), none at k = 0 when an initial policy is
+    given; from k = 1 on it reuses the M(Q) the last row took, which must
+    be M(Q) bit for bit, clamped or not."""
 
     @staticmethod
     def _calls(monkeypatch, algorithm, name, initial_policy=None, **kw):
         calls = []
-        real = solvers.greedy_select
+        real = solvers._greedy_select
 
-        def counting(model, Q, *args, **kwargs):
-            qmin = kwargs.get("qmin")
+        def counting(model, Q, epsilon, qmin, keep, finite=False):
             if qmin is not None:
                 assert qmin.tobytes() == m_minimize(model, Q).tobytes()
             calls.append(qmin is not None)
-            return real(model, Q, *args, **kwargs)
+            return real(model, Q, epsilon, qmin, keep, finite)
 
-        monkeypatch.setattr(solvers, "greedy_select", counting)
+        monkeypatch.setattr(solvers, "_greedy_select", counting)
         fx = fixture(name)
         J0 = 1.5 * fx.Jstar + 1.0
         res = run(fx.model, SolverConfig(
@@ -567,18 +733,21 @@ class TestPolicyReuse:
     def test_one_policy_and_theta_per_distinct_choice(self, monkeypatch, algorithm,
                                                       regime):
         picked, thetas = [], []
-        real = solvers.greedy_select
 
-        def recording(*args, **kwargs):
-            picked.append(real(*args, **kwargs))
-            return picked[-1]
+        def recording(real):
+            def call(*args, **kwargs):
+                picked.append(real(*args, **kwargs))
+                return picked[-1]
+            return call
 
         class CountingTheta(Theta):
             def __post_init__(self):
                 super().__post_init__()
                 thetas.append(self)
 
-        monkeypatch.setattr(solvers, "greedy_select", recording)
+        # mpi calls the public entry, mixed and lp its kernel.
+        for name in ("greedy_select", "_greedy_select"):
+            monkeypatch.setattr(solvers, name, recording(getattr(solvers, name)))
         monkeypatch.setattr(solvers, "Theta", CountingTheta)
         model, _ = random_model(8, num_states=8, controls_per_state=3, regime=regime)
         # A randomized mix, which greedy selection never keeps; the lp
@@ -605,7 +774,9 @@ class TestPolicyReuse:
 class TestOccupationReuse:
     """`OccupationSupportB` solves one occupation measure per policy
     object, so a mixed run solves once per run of equal rows, and with a
-    proper subset B the loop also keeps its Theta."""
+    proper subset B the loop also keeps its Theta.  With the default rho
+    the measure's own bound (1 - beta) rho clears the threshold, and no
+    measure is solved at all."""
 
     @pytest.mark.parametrize("concentrated", [False, True])
     def test_one_solve_per_distinct_choice(self, monkeypatch, concentrated):
@@ -636,11 +807,52 @@ class TestOccupationReuse:
         rows = res.trace.rows
         changes = sum(a.policy != b.policy for a, b in zip(rows, rows[1:]))
         assert 1 <= changes < len(rows) - 2
-        assert len(solves) == len(thetas) == changes + 1
-        assert [p.descriptor() for p in solves] == [
-            r.policy for i, r in enumerate(rows) if i == 0 or r.policy != rows[i - 1].policy]
+        assert len(thetas) == changes + 1
+        if concentrated:
+            assert [p.descriptor() for p in solves] == [
+                r.policy for i, r in enumerate(rows)
+                if i == 0 or r.policy != rows[i - 1].policy]
+        else:
+            assert solves == []
         assert {r.b_set for r in rows} == ({"{0}"} if concentrated else {"S"})
         assert repr(bstrategy) == repr(OccupationSupportB(rho=rho))
+
+    @pytest.mark.parametrize("beta, threshold, rho, solved", [
+        (0.5, 1e-12, None, False),            # the default: 0.5 / 8 clears 1e-12
+        (0.9, 0.0124, None, False),           # 0.1 / 8 = 0.0125 > 0.0124
+        (0.9, 0.0125, None, True),            # the bound does not clear it: solve
+        (0.5, 1e-12, "e0", True),             # min(rho) = 0
+        (0.5, 1e-12, "positive", False),      # a nonuniform rho with every entry > 0
+    ])
+    def test_the_bound_spares_the_solve(self, monkeypatch, beta, threshold, rho, solved):
+        solves = []
+        real = solvers.occupation_measure
+
+        def counting(*args, **kwargs):
+            solves.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "occupation_measure", counting)
+        model, _ = random_model(8, num_states=8, controls_per_state=3, regime="P")
+        if rho == "e0":
+            rho = np.eye(model.num_states)[0]
+        elif rho == "positive":
+            rho = np.arange(1.0, model.num_states + 1) / 36.0
+        policy = Policy.deterministic(model, [0] * model.num_states)
+        strategy = OccupationSupportB(beta=beta, threshold=threshold, rho=rho)
+        B = strategy.resolve(model, policy, 0)
+        assert len(solves) == int(solved)
+        measure = real(model, policy, strategy.rho if rho is not None
+                       else np.full(model.num_states, 1.0 / model.num_states), beta)
+        assert B == frozenset(np.flatnonzero(measure > threshold).tolist())
+        if not solved:
+            assert B is model.state_set
+
+    def test_a_rho_of_another_length_is_refused(self):
+        model, _ = random_model(8, num_states=8, controls_per_state=3, regime="P")
+        policy = Policy.deterministic(model, [0] * model.num_states)
+        with pytest.raises(ValueError, match=r"rho has shape \(3,\), the model wants \(8,\)"):
+            OccupationSupportB(rho=np.full(3, 1 / 3)).resolve(model, policy, 0)
 
 
 def _direct_call(algorithm, model, cfg):

@@ -4,6 +4,7 @@
     python3 tools/pairtime.py --against HEAD~1 --workload p-above --job vi
     python3 tools/pairtime.py --against HEAD~1 --workload small-many --job mixed10 --pairs 200
     python3 tools/pairtime.py --against HEAD~1 --workload p-above --job certify
+    python3 tools/pairtime.py --against HEAD~1 --workload sparse-d-zero --job cli
 
 Run from the root of a source checkout.  The script extracts commit REF
 with `digest.checkout`, imports that tree's `src/totaldp` under the
@@ -18,11 +19,17 @@ ratios with its quartiles, each side's median time for one pass over
 the models, and whether every result and trace of the working tree
 equals REF's bit for bit: J and Q, the trace's op count and row count,
 and each row's residual and backup count (``powers``, on mixed rows).
-The ``certify`` job times the work of `jobs._certify` on each side's
-own mixed10 result (models whose mixed10 solve does not converge are
-left out, as the benchmark leaves them): the certificate report, the
-stopping route (`build_stopping`, `solve_stopping`, `reconstruct_q`)
-and `q_fixed_point`.  It compares the report's checks, both Q-vectors
+The ``pi`` job solves policy iteration from every start of the model, as
+`jobs._pi` does, and compares each start's result so.  The ``cli`` job
+runs `jobs._cli`'s command (``totaldp solve FILE --algorithm vi ...
+--trace-out ...``) through each side's own CLI on one model file, and
+compares the printed output (the final J included; the wall time and
+the trace file's path left out) and the trace file (its ``wall_time``
+column zeroed) bit for bit.  The ``certify`` job times the work of
+`jobs._certify` on each side's own mixed10 result (models whose mixed10
+solve does not converge are left out, as the benchmark leaves them):
+the certificate report, the stopping route (`build_stopping`,
+`solve_stopping`, `reconstruct_q`) and `q_fixed_point`.  It compares the report's checks, both Q-vectors
 and both certificates bit for bit.  It exits 1 on any difference.
 
 Back-to-back processes on a loaded host can differ by tens of percent
@@ -35,10 +42,14 @@ nothing here is a gate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import math
+import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,7 +60,7 @@ import jobs  # noqa: E402
 import numpy as np  # noqa: E402
 import totaldp  # noqa: E402
 
-JOBS = ("vi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp", "certify")
+JOBS = ("vi", "pi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp", "certify", "cli")
 
 
 def import_tree(tree: str, name: str = "totaldp_ref"):
@@ -76,15 +87,23 @@ def build_model(pkg, case):
         cost_bound=float(np.abs(case.g).max()) if case.regime == "D" else None)
 
 
-def solver(pkg, kind: str, case, model):
+def solver(pkg, kind: str, case, model, workdir: str | None = None):
     """A zero-argument call that runs job ``kind`` as `jobs.run_job` does
-    (`certifier` for ``certify``)."""
+    (`certifier` for ``certify``, `cli_call` for ``cli``, which runs in
+    ``workdir``)."""
     if kind == "certify":
         return certifier(pkg, case, model)
+    if kind == "cli":
+        return cli_call(pkg, case, workdir)
     config = dict(tol=jobs.SOLVE_TOL, max_iter=case.max_iter)
     if kind == "vi":
         cfg = pkg.SolverConfig(algorithm="vi", **config)
         return lambda: pkg.value_iteration(model, case.J0, cfg)
+    if kind == "pi":
+        cfg = pkg.SolverConfig(algorithm="pi", **config)
+        starts = [pkg.Policy.deterministic(model, choices) for choices in case.pi_starts]
+        return lambda: [timed(lambda: pkg.policy_iteration(model, mu0, cfg),
+                              pkg.SolverCapError)[1] for mu0 in starts]
     if kind == "mpi":
         mu0 = pkg.Policy.deterministic(model, case.mu0)
         cfg = pkg.SolverConfig(algorithm="mpi", nk=10, **config)
@@ -120,6 +139,29 @@ def certifier(pkg, case, model):
     return work
 
 
+def cli_call(pkg, case, workdir: str):
+    """A zero-argument call that runs `jobs._cli`'s command through the
+    CLI of ``pkg`` on the model file in ``workdir``, and returns what it
+    printed and the path of the trace file it wrote (one per side)."""
+    main = importlib.import_module(f"{pkg.__name__}.cli").main
+    trace_path = os.path.join(workdir, f"{case.name}.{pkg.__name__}.trace.csv")
+    j0 = "cJstar:1.5" if case.start == "above" else "zero"
+    args = ["solve", os.path.join(workdir, f"{case.name}.json"), "--algorithm", "vi",
+            "--j0", j0, "--tol", repr(jobs.SOLVE_TOL), "--max-iter", str(case.max_iter),
+            "--trace-out", trace_path]
+
+    def run():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            try:
+                main.main(args=args, prog_name="totaldp", standalone_mode=False)
+            except SystemExit:
+                pass
+        return buf.getvalue(), trace_path
+
+    return run
+
+
 def timed(call, cap_error):
     """Seconds of one call and its result (a capped run's result too)."""
     t0 = time.perf_counter()
@@ -138,9 +180,13 @@ def same_bits(a, b) -> bool:
 
 
 def differences(a, b) -> list[str]:
-    """What differs bit for bit between two solve results: J, Q, the
-    trace's op count and row count, and the first row whose residual or
-    backup count (``powers``) differs."""
+    """What differs bit for bit between two solve results (or two lists
+    of them, one per start): J, Q, the trace's op count and row count,
+    and the first row whose residual or backup count (``powers``)
+    differs."""
+    if isinstance(a, list):
+        return [f"start {k} {diff}" for k, (x, y) in enumerate(zip(a, b))
+                for diff in differences(x, y)]
     out = [name for name, x, y in (("J", a.J, b.J), ("Q", a.Q, b.Q)) if not same_bits(x, y)]
     if a.trace.op_count != b.trace.op_count:
         out.append(f"op_count {b.trace.op_count} vs {a.trace.op_count}")
@@ -163,6 +209,22 @@ def certify_differences(a, b) -> list[str]:
             if not (same_bits(x, y) if isinstance(x, np.ndarray) else repr(x) == repr(y))]
 
 
+def cli_differences(a, b) -> list[str]:
+    """What differs between two CLI runs: the printed output, without
+    the wall time and the trace file's path, and the trace file, its
+    ``wall_time`` column zeroed (`digest.timeless`)."""
+    (text_a, path_a), (text_b, path_b) = a, b
+    out = []
+    if digest.WALL.sub("", text_a.replace(path_a, "")) != \
+            digest.WALL.sub("", text_b.replace(path_b, "")):
+        out.append("output")
+    traces = [digest.trace_to_csv(digest.timeless(digest.read_trace(path)))
+              for path in (path_a, path_b)]
+    if traces[0] != traces[1]:
+        out.append("trace file")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="REF", required=True)
@@ -176,10 +238,13 @@ def main(argv=None) -> int:
     cases = [c for c in jobs.workload_cases(args.workload, args.seed) if args.job in c.jobs]
     if not cases:
         ap.error(f"no model of {args.workload} runs {args.job}")
-    with digest.checkout(args.against) as tree:
+    with digest.checkout(args.against) as tree, tempfile.TemporaryDirectory() as workdir:
         ref = import_tree(tree)
-        calls = [[solver(pkg, args.job, case, build_model(pkg, case)) for case in cases]
-                 for pkg in (ref, totaldp)]
+        if args.job == "cli":
+            for case in cases:
+                jobs.write_model_file(case, workdir)
+        calls = [[solver(pkg, args.job, case, build_model(pkg, case), workdir)
+                  for case in cases] for pkg in (ref, totaldp)]
         kept = [i for i in range(len(cases)) if calls[0][i] and calls[1][i]]
         cases = [cases[i] for i in kept]
         if not cases:
@@ -188,7 +253,8 @@ def main(argv=None) -> int:
         sides = [([c[i] for i in kept], pkg.SolverCapError)
                  for c, pkg in zip(calls, (ref, totaldp))]
         first = [[timed(call, cap)[1] for call in calls] for calls, cap in sides]
-        compare = certify_differences if args.job == "certify" else differences
+        compare = {"certify": certify_differences, "cli": cli_differences}.get(
+            args.job, differences)
         differ = [f"{case.name} ({', '.join(diff)})"
                   for case, diff in zip(cases, map(compare, *first)) if diff]
         ratios, seconds = [], ([], [])
@@ -213,8 +279,9 @@ def main(argv=None) -> int:
         print(f"  result or trace differs bitwise on {len(differ)} of {len(cases)} models: "
               f"{'; '.join(differ)}")
         return 1
-    same = ("report, Q and certificate" if args.job == "certify" else
-            "J, Q, op count, row count, row residual and row powers")
+    same = {"certify": "report, Q and certificate",
+            "cli": "printed output and trace file"}.get(
+        args.job, "J, Q, op count, row count, row residual and row powers")
     print(f"  every {same} bitwise equal ({len(cases)} models)")
     return 0
 
