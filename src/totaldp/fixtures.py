@@ -251,25 +251,23 @@ def random_model(seed: int, num_states: int = 5, controls_per_state: int = 2,
 
     rng = np.random.default_rng(seed)
     n = num_states
-    controls: list[tuple[AtomicControl, ...]] = [
-        (AtomicControl("absorb", 0.0, _absorbing_row(n, 0)),)
-    ]
+    rows, costs = [_absorbing_row(n, 0)], [0.0]
     for x in range(1, n):
-        row_controls = []
-        for i in range(controls_per_state):
+        for _ in range(controls_per_state):
             probs = rng.dirichlet(np.ones(n))
             if absorbing:
                 toward = np.zeros(n)
                 toward[:x] = 1.0 / x
                 probs = (1.0 - pull) * probs + pull * toward
-            probs = probs / probs.sum()
-            cost = float(rng.uniform(lo, hi))
-            row_controls.append(AtomicControl(f"u{i}", cost, probs))
-        controls.append(tuple(row_controls))
-    model = TotalCostModel(
+            rows.append(probs / probs.sum())
+            costs.append(float(rng.uniform(lo, hi)))
+    model = TotalCostModel.from_arrays(
         regime=regime,
         discount=discount if regime == "D" else 1.0,
-        controls=tuple(controls),
+        counts=[1] + [controls_per_state] * (n - 1),
+        pair_costs=costs,
+        pair_probs=np.stack(rows),
+        control_names=["absorb"] + [f"u{i}" for i in range(controls_per_state)] * (n - 1),
         cost_bound=max(abs(lo), abs(hi)) if regime == "D" else None,
     )
     return model, _policy_iteration_optimum(model)

@@ -7,8 +7,9 @@ the parameter.  Affine families are the finite representation of interval
 control sets such as U(x) = (0, 1).
 
 A model stores its atomic controls as pair arrays, one entry or row per
-(state, control) pair; `TotalCostModel.controls` is a view rebuilt from
-them on each read.
+(state, control) pair, built by `TotalCostModel.from_arrays` or, from
+`AtomicControl`s, by the constructor; `TotalCostModel.controls` is a
+view rebuilt from them on each read.
 
 Three problem regimes are supported:
 
@@ -82,10 +83,12 @@ class AffineFamily:
 
 
 class TotalCostModel:
-    """A finite total-cost MDP, stored as pair arrays: the constructor
-    packs each state's `AtomicControl`s once, state-major, into the
-    per-state counts (`pair_counts()`), `pair_costs`, the dense (pairs,
-    n) `pair_probs` and `control_names`, and keeps no control object.
+    """A finite total-cost MDP, stored as pair arrays: the per-state
+    counts (`pair_counts()`), `pair_costs`, the dense (pairs, n)
+    `pair_probs` and `control_names`, state-major, stored by one packer
+    (`_pack`).  `from_arrays` hands it copies of given arrays, checked
+    against the counts; the constructor is an adapter that hands it the
+    arrays of each state's `AtomicControl`s and keeps no control object.
     State and control names are stored as their str(), as a model file
     names them."""
 
@@ -95,7 +98,49 @@ class TotalCostModel:
                  state_names: Sequence | None = None, cost_bound: float | None = None):
         controls = tuple(tuple(cs) for cs in controls)
         n = len(controls)
-        families = (tuple(() for _ in controls) if families is None
+        pairs = [(x, c) for x, cs in enumerate(controls) for c in cs]
+        for x, c in pairs:
+            if c.probs.shape != (n,):
+                raise ValueError(f"state {x} control {c.name!r}: transition row has "
+                                 f"shape {c.probs.shape}, want ({n},)")
+        self._pack(regime, discount, np.array([len(cs) for cs in controls], dtype=np.intp),
+                   np.array([c.cost for _, c in pairs], dtype=float),
+                   np.stack([c.probs for _, c in pairs]) if pairs else np.zeros((0, n)),
+                   tuple([str(c.name) for _, c in pairs]), families, state_names, cost_bound)
+
+    @classmethod
+    def from_arrays(cls, regime: str, discount: float, counts, pair_costs, pair_probs,
+                    control_names: Sequence,
+                    families: Sequence[Sequence[AffineFamily]] | None = None,
+                    state_names: Sequence | None = None,
+                    cost_bound: float | None = None) -> "TotalCostModel":
+        """The model whose state x has counts[x] atomic controls, given
+        state-major as pair arrays: one cost, one transition row of the
+        (pairs, n) ``pair_probs`` and one name per (state, control) pair.
+        The arrays are copied, and refused when they do not fit the
+        counts."""
+        counts = np.array(counts, dtype=np.intp)
+        costs = np.array(pair_costs, dtype=float)
+        probs = np.array(pair_probs, dtype=float)
+        names = tuple(map(str, control_names))
+        m = int(counts.sum())
+        if counts.ndim != 1 or (counts < 0).any() or costs.shape != (m,) \
+                or len(names) != m or probs.shape != (m, counts.size):
+            raise ValueError(f"pair arrays do not fit the counts {counts.tolist()}: "
+                             f"{costs.size} costs, {len(names)} names, transition "
+                             f"rows of shape {probs.shape}")
+        model = cls.__new__(cls)
+        model._pack(regime, discount, counts, costs, probs, names, families, state_names,
+                    cost_bound)
+        return model
+
+    def _pack(self, regime, discount, counts: np.ndarray, costs: np.ndarray,
+              probs: np.ndarray, control_names: tuple[str, ...], families, state_names,
+              cost_bound) -> None:
+        """Store pair arrays that fit one another and that the model now
+        owns: it freezes them."""
+        n = counts.size
+        families = (((),) * n if families is None
                     else tuple(tuple(fs) for fs in families))
         names = (tuple(str(i) for i in range(n)) if state_names is None
                  else tuple(str(s) for s in state_names))
@@ -103,20 +148,12 @@ class TotalCostModel:
             if len(given) != n:
                 raise ValueError(f"{what} has length {len(given)}, want one entry "
                                  f"per state: {n}")
-        pairs = [(x, c) for x, cs in enumerate(controls) for c in cs]
-        for x, c in pairs:
-            if c.probs.shape != (n,):
-                raise ValueError(f"state {x} control {c.name!r}: transition row has "
-                                 f"shape {c.probs.shape}, want ({n},)")
-        counts = np.array([len(cs) for cs in controls], dtype=np.intp)
-        costs = np.array([c.cost for _, c in pairs], dtype=float)
-        probs = np.stack([c.probs for _, c in pairs]) if pairs else np.zeros((0, n))
         for arr in (counts, costs, probs):
             arr.setflags(write=False)
         self.__dict__.update(regime=regime, discount=discount, families=families,
                              state_names=names, cost_bound=cost_bound, _counts=counts,
                              pair_costs=costs, pair_probs=probs,
-                             control_names=tuple([str(c.name) for _, c in pairs]))
+                             control_names=control_names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a TotalCostModel is immutable: cannot set {name!r}")

@@ -9,12 +9,21 @@ ModelFileError.  Model files, both trace layouts and the CLI's vector
 files all use it.
 
 Models are JSON documents; unknown fields fail parsing in strict mode
-and warn otherwise.  A trace is one document: the IterationTrace fields
-as a header object plus one object per TraceRow, whose field names and
-codecs are derived once from the two dataclasses.  The JSON layout
-writes that document as it is.  The CSV layout writes the header as a
-``#header`` row, then a column-name row and one row per TraceRow; it
-reads columns by the file's own column-name row.
+and warn otherwise.  They are read and written by the array: the reader
+walks the document's structure, decodes every atomic control's
+transition list in one flat pass into the (pairs, n) transition matrix
+and packs the model with `TotalCostModel.from_arrays`; only a malformed
+file is decoded entry by entry, to name its first bad entry.  The
+writer renders the transitions of a block of states from one pass over
+the nonzero entries of their rows of that matrix, as the text
+json.dumps(doc, indent=2) gives, one block at a time.
+
+A trace is one document: the IterationTrace fields as a header object
+plus one object per TraceRow, whose field names and codecs are derived
+once from the two dataclasses.  The JSON layout writes that document as
+it is.  The CSV layout writes the header as a ``#header`` row, then a
+column-name row and one row per TraceRow, each field encoded down its
+whole column; it reads columns by the file's own column-name row.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -31,7 +41,7 @@ import warnings
 
 import numpy as np
 
-from .model import AffineFamily, AtomicControl, TotalCostModel
+from .model import AffineFamily, TotalCostModel
 from .solvers import IterationTrace, J_SNAPSHOT, Q_SNAPSHOT, TraceRow
 
 FORMAT_VERSION = 1
@@ -139,18 +149,58 @@ def _block(items: list[str], depth: int, brackets: str = "[]") -> str:
             + "\n" + "  " * (depth - 1) + brackets[1])
 
 
-# An atomic control's transitions are items at depth 6 of a model file.
-_PAD6, _PAD7 = "\n" + "  " * 6, "\n" + "  " * 7
+# A newline and the indent of depth d, for the depths a model file uses.
+_PAD1, _PAD2, _PAD5, _PAD6, _PAD7 = ("\n" + "  " * d for d in (1, 2, 5, 6, 7))
+# One {"state", "prob"} item of an atomic control's transitions, at depth 6
+# of a model file: the text before the state name, between it and the
+# probability, and after the probability up to the next item's text.
+_ITEM_HEAD = "{" + _PAD7 + '"state": '
+_ITEM_MID = "," + _PAD7 + '"prob": '
+_ITEM_SEP = _PAD6 + "}," + _PAD6
+_ITEMS_END = _PAD6 + "}" + _PAD5 + "]"
 
 
-def _transitions(row: np.ndarray, names: list[str]) -> str:
-    """The nonzero entries of a transition row as {"state", "prob"} items."""
-    nz = np.flatnonzero(row)  # NaN counts as nonzero and is refused below
-    probs = row[nz].tolist()
-    if not all(map(math.isfinite, probs)):
-        raise ValueError("Out of range float values are not JSON compliant")
-    return _block([f'{{{_PAD7}"state": {names[y]},{_PAD7}"prob": {p!r}{_PAD6}}}'
-                   for y, p in zip(nz.tolist(), probs)], 6)
+def _transition_lists(block: np.ndarray, heads: list[str]) -> list[str | None]:
+    """The transitions list, as model-file text, of each pair of a block
+    of `pair_probs` rows: the nonzero entries of its row as {"state",
+    "prob"} items, with ``heads[y]`` the text before state y's
+    probability.  The entries come from one `np.nonzero` pass over the
+    block and their text from one batch of `float.__repr__`; a pair with
+    a NaN or infinite probability gets None, which `_state_entry`
+    refuses when it reaches that pair."""
+    rows, cols = np.nonzero(block)  # NaN counts as nonzero
+    values = block[rows, cols]
+    items = list(map(operator.add, map(heads.__getitem__, cols.tolist()),
+                     map(float.__repr__, values.tolist())))
+    bounds = np.searchsorted(rows, np.arange(block.shape[0] + 1)).tolist()
+    lists = ["[" + _PAD6 + _ITEM_SEP.join(items[s:e]) + _ITEMS_END if e > s else "[]"
+             for s, e in zip(bounds, bounds[1:])]
+    for k in rows[~np.isfinite(values)].tolist():
+        lists[k] = None
+    return lists
+
+
+# The most `pair_probs` cells whose transitions lists are rendered at
+# once, unless one state's rows hold more: the perfbench models fit in
+# one block, while a large model is rendered a few states at a time.
+_BLOCK_CELLS = 1 << 12
+
+
+def _state_transitions(P: np.ndarray, bounds: list[int], heads: list[str]):
+    """Each state's transitions lists, in state order, where state x's
+    pairs are bounds[x]:bounds[x + 1].  They are rendered a block of
+    consecutive states at a time (`_transition_lists`), as many as fit in
+    `_BLOCK_CELLS` cells of P and at least one, so only one block's text
+    is alive at a time."""
+    n, x = len(bounds) - 1, 0
+    while x < n:
+        y = x + 1
+        while y < n and (bounds[y + 1] - bounds[x]) * P.shape[1] <= _BLOCK_CELLS:
+            y += 1
+        lists = _transition_lists(P[bounds[x]:bounds[y]], heads)
+        for z in range(x, y):
+            yield lists[bounds[z] - bounds[x]:bounds[z + 1] - bounds[x]]
+        x = y
 
 
 def _family(f: AffineFamily, names: list[str]) -> str:
@@ -164,19 +214,22 @@ def _family(f: AffineFamily, names: list[str]) -> str:
                    f'"transitions": {_block(trans, 6)}'], 5, "{}")
 
 
-_PAD1, _PAD2 = "\n  ", "\n    "
+def _transitions_text(text: str | None) -> str:
+    if text is None:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
 
 
 def _state_entry(model: TotalCostModel, x: int, pairs: range, names: list[str],
-                 costs: list[float]) -> str:
+                 costs: list[float], transitions: list[str | None]) -> str:
     """State x's entry in the controls list of a model file, read off the
-    pair axis: the control name, cost and transition row of each of its
-    ``pairs``."""
-    P, ids = model.pair_probs, model.control_names
-    atomic = [_block([f'"id": {_scalar(ids[k])}',
+    pair axis: the control name, cost and transitions list of each of its
+    ``pairs``, whose transitions lists are ``transitions`` in order."""
+    ids = model.control_names
+    atomic = [_block([f'"id": {_ascii(ids[k])}',
                       f'"cost": {_scalar(encode_xreal(costs[k]))}',
-                      f'"transitions": {_transitions(P[k], names)}'], 5, "{}")
-              for k in pairs]
+                      f'"transitions": {_transitions_text(text)}'], 5, "{}")
+              for k, text in zip(pairs, transitions)]
     entry = [f'"state": {names[x]}', f'"atomic": {_block(atomic, 4)}']
     if model.families[x]:
         fams = [_family(f, names) for f in model.families[x]]
@@ -188,7 +241,9 @@ def _model_pieces(model: TotalCostModel, ground_truth: tuple | None = None):
     """The text of `render_model` in pieces: the top-level fields up to
     the controls list, one piece per state's control entry, and the rest.
     Joined, they are that text; `model_hash` hashes them one by one, so
-    no caller but `render_model` holds the whole text."""
+    no caller but `render_model` holds the whole text.  The transitions
+    lists are rendered a block of states at a time
+    (`_state_transitions`)."""
     names = [_scalar(s) for s in model.state_names]
     top = [f'"format_version": {FORMAT_VERSION}', f'"regime": {_scalar(model.regime)}',
            f'"discount": {_scalar(model.discount)}', f'"states": {_block(names, 2)}']
@@ -199,9 +254,10 @@ def _model_pieces(model: TotalCostModel, ground_truth: tuple | None = None):
     yield "{" + _PAD1 + ("," + _PAD1).join(top) + "," + _PAD1 + '"controls": '
     bounds = np.append(model.pair_starts, model.num_pairs()).tolist()
     costs = model.pair_costs.tolist()
-    for x in range(model.num_states):
+    heads = [_ITEM_HEAD + name + _ITEM_MID for name in names]
+    for x, transitions in enumerate(_state_transitions(model.pair_probs, bounds, heads)):
         yield ("[" if x == 0 else ",") + _PAD2 + _state_entry(
-            model, x, range(bounds[x], bounds[x + 1]), names, costs)
+            model, x, range(bounds[x], bounds[x + 1]), names, costs, transitions)
     yield "\n  ]" if model.num_states else "[]"
     if ground_truth is not None:
         Jstar, Qstar = ground_truth
@@ -232,14 +288,16 @@ _ATOMIC_KEYS = {"id", "cost", "transitions"}
 _FAMILY_KEYS = {"id", "lo", "hi", "lo_closed", "hi_closed", "cost", "transitions"}
 
 
-def _check_keys(obj: dict, allowed: set, where: str, strict: bool) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed: set, where: str, strict: bool,
+                warn=warnings.warn) -> None:
+    """Refuse (strict) or ``warn`` about the fields of obj not allowed."""
+    unknown = obj.keys() - allowed
     if not unknown:
         return
     msg = f"{where}: unknown field(s) {sorted(unknown)}"
     if strict:
         raise ModelFileError(msg)
-    warnings.warn(msg)
+    warn(msg)
 
 
 def _field(obj, key: str, where: str):
@@ -259,6 +317,47 @@ def _objects(value, where: str) -> list:
     return value
 
 
+_STATE, _PROB = operator.itemgetter("state"), operator.itemgetter("prob")
+
+
+def _flat_rows(lists: list, index: dict, n: int) -> np.ndarray | None:
+    """The (len(lists), n) transition matrix whose row k holds the
+    {"state", "prob"} entries of lists[k], decoded in one flat pass over
+    every entry of every list; None when any entry is malformed (a list
+    that is not one, an entry that is not an object or lacks a field, an
+    unknown state, a successor listed twice in one list, or a value that
+    `decode_xreal` refuses), so that the caller can name the first."""
+    if not all(type(entries) is list for entries in lists):
+        return None
+    flat = list(itertools.chain.from_iterable(lists))
+    try:
+        states, values = list(map(_STATE, flat)), list(map(_PROB, flat))
+    except (KeyError, TypeError):
+        return None
+    try:
+        ys = list(map(index.__getitem__, states))
+    except (KeyError, TypeError):  # a reference that is not a state name as written
+        try:
+            ys = [index[s if type(s) is str else str(s)] for s in states]
+        except KeyError:
+            return None
+    try:
+        if not set(map(type, values)) <= {float}:  # ints and numeric strings
+            values = list(map(decode_xreal, values))
+    except ModelFileError:
+        return None
+    probs = np.array(values, dtype=float)
+    if np.isnan(probs).any():
+        return None
+    lengths = np.fromiter(map(len, lists), np.intp, len(lists))
+    at = np.repeat(np.arange(len(lists)) * n, lengths) + np.array(ys, dtype=np.intp)
+    if at.size and np.bincount(at).max() > 1:
+        return None
+    P = np.zeros((len(lists), n))
+    P.reshape(-1)[at] = probs
+    return P
+
+
 def parse_model(text: str, strict: bool = True
                 ) -> tuple[TotalCostModel, tuple | None]:
     """Parse model JSON; returns the model and any declared optimum.
@@ -268,6 +367,16 @@ def parse_model(text: str, strict: bool = True
     state, a successor listed twice in one transition list, and a
     ground-truth vector whose length is not the model's (n states for
     Jstar, one value per atomic pair for Qstar).
+
+    A structural walk reads every field but the atomic controls'
+    transition lists, which it collects; one flat pass (`_flat_rows`)
+    decodes all of them into the pair transition matrix, and
+    `TotalCostModel.from_arrays` packs the model.  When the flat pass
+    meets a malformed entry, or the walk a malformed field, the lists
+    collected are decoded one entry at a time (`trans_row`) in document
+    order, so that the error raised is the first in the document.  The
+    walk's unknown-field warnings (lenient mode) wait for that decode, so
+    that the ones issued are those the document holds before the error.
     """
     try:
         doc = json.loads(text)
@@ -326,55 +435,88 @@ def parse_model(text: str, strict: bool = True
             return ModelFileError(f"{where}: unknown state {s!r}")
         return ModelFileError(f"{where} transition to {s!r}: missing field {key!r}")
 
-    controls: list[tuple[AtomicControl, ...]] = []
+    # Per atomic pair, in document order: the cost, the name, the state's
+    # label and the transitions list, left undecoded.
+    costs: list[float] = []
+    control_names: list[str] = []
+    pair_where: list[str] = []
+    lists: list = []
+    counts: list[int] = []
     families: list[tuple[AffineFamily, ...]] = []
-    entries = _objects(doc["controls"], "controls")
-    if len(entries) != n:
-        raise ModelFileError(f"'controls' lists {len(entries)} states, want {n}")
-    for entry in entries:
-        _check_keys(entry, _STATE_KEYS, f"state entry {entry.get('state')!r}", strict)
-        s = entry.get("state")
-        x = index.get(str(s)) if "state" in entry else None
-        if x is None:
-            raise ModelFileError(f"control entry for unknown state {s!r}")
-        where = f"state {names[x]!r}"
-        atomics = []
-        for a in _objects(entry.get("atomic", []), f"{where} atomic"):
-            _check_keys(a, _ATOMIC_KEYS, f"{where} atomic control", strict)
-            name = str(a.get("id", f"u{len(atomics)}"))
-            at = f"{where} control {name!r}"
-            try:
-                cost, trans = a["cost"], a["transitions"]
-            except KeyError as err:
-                raise ModelFileError(f"{at}: missing field {err.args[0]!r}") from None
-            atomics.append(AtomicControl(name, decode_xreal(cost, f"{at} cost"),
-                                         trans_row(trans, "prob", None, at)))
-        fams = []
-        for fdoc in _objects(entry.get("affine_families", []), f"{where} affine_families"):
-            _check_keys(fdoc, _FAMILY_KEYS, f"{where} affine family", strict)
-            at = f"{where} family {str(fdoc.get('id', 'family'))!r}"
-            cost = _field(fdoc, "cost", at)
-            if not isinstance(cost, list) or len(cost) != 2:
-                raise ModelFileError(f"{at}: cost must be a list [c0, c1]")
-            c0, c1 = cost
-            trans = _field(fdoc, "transitions", at)
-            fams.append(AffineFamily(
-                lo=decode_xreal(_field(fdoc, "lo", at), f"{at} lo"),
-                hi=decode_xreal(_field(fdoc, "hi", at), f"{at} hi"),
-                lo_closed=bool(_field(fdoc, "lo_closed", at)),
-                hi_closed=bool(_field(fdoc, "hi_closed", at)),
-                c0=decode_xreal(c0, f"{at} cost"), c1=decode_xreal(c1, f"{at} cost"),
-                p0=trans_row(trans, "p0", 0.0, at),
-                p1=trans_row(trans, "p1", 0.0, at),
-                name=str(fdoc.get("id", "family"))))
-        controls.append(tuple(atomics))
-        families.append(tuple(fams))
-    model = TotalCostModel(
+    held: list[tuple[int, str]] = []  # (lists collected before it, warning)
+
+    def check_keys(obj: dict, allowed: set, where: str) -> None:
+        _check_keys(obj, allowed, where, strict, lambda msg: held.append((len(lists), msg)))
+
+    walk_error = None
+    try:
+        entries = _objects(doc["controls"], "controls")
+        if len(entries) != n:
+            raise ModelFileError(f"'controls' lists {len(entries)} states, want {n}")
+        for entry in entries:
+            check_keys(entry, _STATE_KEYS, f"state entry {entry.get('state')!r}")
+            s = entry.get("state")
+            x = index.get(str(s)) if "state" in entry else None
+            if x is None:
+                raise ModelFileError(f"control entry for unknown state {s!r}")
+            where = f"state {names[x]!r}"
+            atomics = _objects(entry.get("atomic", []), f"{where} atomic")
+            for i, a in enumerate(atomics):
+                check_keys(a, _ATOMIC_KEYS, f"{where} atomic control")
+                name = str(a.get("id", f"u{i}"))
+                try:
+                    cost, trans = a["cost"], a["transitions"]
+                except KeyError as err:
+                    raise ModelFileError(f"{where} control {name!r}: missing field "
+                                         f"{err.args[0]!r}") from None
+                costs.append(decode_xreal(cost, f"{where} control {name!r} cost"))
+                control_names.append(name)
+                pair_where.append(where)
+                lists.append(trans)
+            counts.append(len(atomics))
+            fams = []
+            for fdoc in _objects(entry.get("affine_families", []),
+                                 f"{where} affine_families"):
+                check_keys(fdoc, _FAMILY_KEYS, f"{where} affine family")
+                at = f"{where} family {str(fdoc.get('id', 'family'))!r}"
+                cost = _field(fdoc, "cost", at)
+                if not isinstance(cost, list) or len(cost) != 2:
+                    raise ModelFileError(f"{at}: cost must be a list [c0, c1]")
+                c0, c1 = cost
+                trans = _field(fdoc, "transitions", at)
+                fams.append(AffineFamily(
+                    lo=decode_xreal(_field(fdoc, "lo", at), f"{at} lo"),
+                    hi=decode_xreal(_field(fdoc, "hi", at), f"{at} hi"),
+                    lo_closed=bool(_field(fdoc, "lo_closed", at)),
+                    hi_closed=bool(_field(fdoc, "hi_closed", at)),
+                    c0=decode_xreal(c0, f"{at} cost"), c1=decode_xreal(c1, f"{at} cost"),
+                    p0=trans_row(trans, "p0", 0.0, at),
+                    p1=trans_row(trans, "p1", 0.0, at),
+                    name=str(fdoc.get("id", "family"))))
+            families.append(tuple(fams))
+    except ModelFileError as err:
+        walk_error = err
+    P = None if walk_error is not None else _flat_rows(lists, index, n)
+    told = 0  # warnings issued
+    if P is None:
+        # Entry by entry, warning what the walk met before each list.
+        rows = []
+        for k, trans in enumerate(lists):
+            while told < len(held) and held[told][0] <= k:
+                warnings.warn(held[told][1])
+                told += 1
+            rows.append(trans_row(trans, "prob", None,
+                                  f"{pair_where[k]} control {control_names[k]!r}"))
+        P = np.stack(rows) if rows else np.zeros((0, n))
+    for _, msg in held[told:]:
+        warnings.warn(msg)
+    if walk_error is not None:
+        raise walk_error
+    model = TotalCostModel.from_arrays(
         regime=str(doc["regime"]),
         discount=decode_xreal(doc["discount"], "discount"),
-        controls=tuple(controls),
-        families=tuple(families),
-        state_names=tuple(names),
+        counts=counts, pair_costs=costs, pair_probs=P, control_names=control_names,
+        families=families, state_names=names,
         cost_bound=(decode_xreal(doc["cost_bound"], "cost_bound")
                     if "cost_bound" in doc else None),
     )
@@ -470,8 +612,29 @@ def _decode_dict(v) -> dict:
     return doc
 
 
-# json.dumps(obj, allow_nan=False), without an encoder built per call.
-_json = json.JSONEncoder(allow_nan=False).encode
+# json.dumps(obj, allow_nan=False) by one encoder built once, whose
+# `default` hook encodes a numpy value as `_encode_tree` does.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _numpy_default(obj):
+    out = _encode_tree(obj)
+    return _ENCODER.default(obj) if out is obj else out
+
+
+_json = json.JSONEncoder(allow_nan=False, default=_numpy_default).encode
+
+
+def _tree_json(obj) -> str:
+    """The JSON text of `_encode_tree(obj)`.  The encoder writes a float
+    (a numpy float64 too) by `float.__repr__`, as `encode_xreal` has it
+    written, and refuses only an infinite or NaN one; so obj is written
+    as it is, and encoded first only when that fails."""
+    try:
+        return _json(obj)
+    except ValueError:
+        return _json(_encode_tree(obj))
+
 
 # Field type -> (to a document value, from a document value or CSV text).
 _CODECS = {
@@ -485,14 +648,43 @@ _CODECS = {
     bool | None: (_optional(bool), _optional(bool)),
 }
 
+_FLOATS, _NONES = frozenset({float, np.float64}), frozenset({type(None)})
+
+
+def _float_cells(out, none_ok: bool):
+    """The CSV cells of a float column whose value codec is ``out``.  A
+    column of floats that are all finite is checked by one numpy call
+    and written as its `tolist`, the Python floats `encode_xreal` gives;
+    a column that is all None (``none_ok``) is kept, as csv writes None
+    as an empty cell; any other column is encoded value by value."""
+    def cells(values: list) -> list:
+        kinds = set(map(type, values))
+        if kinds <= _FLOATS:
+            floats = np.array(values, dtype=float)
+            if np.isfinite(floats).all():
+                return floats.tolist()
+        elif none_ok and kinds <= _NONES:
+            return values
+        return list(map(out, values))
+    return cells
+
+
+# Field type -> its CSV cells from its column of values, where a whole
+# column is encoded at once; every other field is encoded value by value.
+_CELLS = {
+    float: _float_cells(encode_xreal, none_ok=False),
+    float | None: _float_cells(_CODECS[float | None][0], none_ok=True),
+    dict: lambda values: list(map(_tree_json, values)),
+}
+
 
 class _Schema:
     """The fields of one trace dataclass and their codecs, derived once.
 
-    ``doc`` gives an object as a document, ``columns`` the field values
-    of many objects as document values, one list per field; ``build``
-    makes an object back from a document, reading only the fields it
-    knows (an old header's ``seed`` is ignored).
+    ``doc`` gives an object as a document, ``cells`` the field values of
+    many objects as CSV cells, one list per field, each encoded down its
+    whole column; ``build`` makes an object back from a document, reading
+    only the fields it knows (an old header's ``seed`` is ignored).
     """
 
     def __init__(self, cls):
@@ -501,14 +693,14 @@ class _Schema:
         self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "rows")
         self.outs = tuple(_CODECS[hints[name]][0] for name in self.names)
         self.backs = tuple(_CODECS[hints[name]][1] for name in self.names)
-        self.dict_fields = tuple(i for i, name in enumerate(self.names) if hints[name] is dict)
+        self.column_cells = tuple(
+            _CELLS.get(hints[name], lambda values, out=out: list(map(out, values)))
+            for name, out in zip(self.names, self.outs))
         self._get = operator.attrgetter(*self.names)
 
-    def columns(self, objs: list) -> list[list]:
-        """The objects' field values as document values, one list per
-        field, each encoded down its whole column."""
-        return [list(map(out, map(operator.attrgetter(name), objs)))
-                for name, out in zip(self.names, self.outs)]
+    def cells(self, objs: list) -> list[list]:
+        return [cells(list(map(operator.attrgetter(name), objs)))
+                for name, cells in zip(self.names, self.column_cells)]
 
     def doc(self, obj) -> dict:
         return {name: out(v) for name, out, v in zip(self.names, self.outs, self._get(obj))}
@@ -536,11 +728,8 @@ def trace_to_csv(trace: IterationTrace) -> str:
     writer = csv.writer(buf)
     writer.writerow(["#header", _json(_HEADER.doc(trace))])
     writer.writerow(_ROW.names)
-    columns = _ROW.columns(trace.rows)
-    for i in _ROW.dict_fields:
-        columns[i] = list(map(_json, columns[i]))
     # csv writes None as an empty cell and a float by its repr
-    writer.writerows(zip(*columns))
+    writer.writerows(zip(*_ROW.cells(trace.rows)))
     return buf.getvalue()
 
 

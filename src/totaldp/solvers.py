@@ -214,10 +214,13 @@ ALGORITHMS = ("vi", "pi", "mpi", "mixed", "lp")
 def check_admits(algorithm: str, model: TotalCostModel) -> None:
     """Raise ValueError unless ``algorithm`` can run on ``model``.
 
-    The lp variant needs a nonnegative-cost (P) model, and every
-    algorithm but vi needs an atomic-only one: the operators they apply
-    to Q-vectors are defined on atomic pairs only.
+    Every algorithm needs a model with at least one state.  The lp
+    variant needs a nonnegative-cost (P) model, and every algorithm but
+    vi needs an atomic-only one: the operators they apply to Q-vectors
+    are defined on atomic pairs only.
     """
+    if model.num_states == 0:
+        raise ValueError("the model has no state")
     if algorithm == "lp" and model.regime != "P":
         raise ValueError("the lp variant needs a nonnegative-cost (P) model")
     if algorithm != "vi" and not model.atomic_only:
@@ -560,6 +563,7 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     path for the rest of the solve on an infinite or NaN residual, or
     once the rule flags a state.
     """
+    check_admits("vi", model)
     config = config or SolverConfig(algorithm="vi")
     J = _state_vector(model, J0).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)

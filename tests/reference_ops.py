@@ -97,12 +97,28 @@ entries: `bellman_T` and `sup_dist`; `greedy_select`, `f_theta_power`,
 infinities and NaN, as every solver row did before the solvers decided
 finiteness once per solve and carried it in their residuals.
 `test_solvers.py` checks the solvers' traces against them bit for bit.
+
+The fourteenth part holds the model-file reader and the trace CSV writer
+as they ran before they worked on whole arrays: `parse_model`, which
+decoded each transition entry into its control's row as it walked the
+document and packed the model from `AtomicControl`s, and `trace_to_csv`,
+which encoded every cell of the trace by its field's codec, one value
+at a time, and each row's ``extra`` by a fresh `json.JSONEncoder.encode`
+call.  Both are kept verbatim, with the parser's helpers.
+`test_modelio.py` checks the library's one-pass reader and column-wise
+writer against them on drawn documents and traces.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
+import operator
+import typing
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +138,21 @@ from totaldp.extreal import (
     xmul,
 )
 from totaldp.ftheta import FixedPointCertificate, Theta
-from totaldp.modelio import FORMAT_VERSION, encode_vector, encode_xreal
+from totaldp.modelio import (
+    _HEADER,
+    _ROW,
+    FORMAT_VERSION,
+    ModelFileError,
+    decode_vector,
+    decode_xreal,
+    encode_vector,
+    encode_xreal,
+)
 from totaldp.model import (
     PROB_TOL,
     REGIMES,
     AffineFamily,
+    AtomicControl,
     AtomicMix,
     FamilyChoice,
     Policy,
@@ -137,7 +163,7 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.operators import pair_backup
-from totaldp.solvers import DivergenceRule
+from totaldp.solvers import DivergenceRule, IterationTrace, TraceRow
 from totaldp.stopping import StoppingProblem
 
 
@@ -966,3 +992,196 @@ def mixed_rows(model: TotalCostModel, config) -> list[dict]:
         if quiet >= cycle:
             break
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The per-entry model reader and the per-value trace CSV writer
+
+
+_TOP_KEYS = {"format_version", "regime", "discount", "states", "controls",
+             "cost_bound", "ground_truth"}
+_STATE_KEYS = {"state", "atomic", "affine_families"}
+_ATOMIC_KEYS = {"id", "cost", "transitions"}
+_FAMILY_KEYS = {"id", "lo", "hi", "lo_closed", "hi_closed", "cost", "transitions"}
+
+
+def _check_keys(obj: dict, allowed: set, where: str, strict: bool) -> None:
+    unknown = set(obj) - allowed
+    if not unknown:
+        return
+    msg = f"{where}: unknown field(s) {sorted(unknown)}"
+    if strict:
+        raise ModelFileError(msg)
+    warnings.warn(msg)
+
+
+def _field(obj, key: str, where: str):
+    """obj[key] of a JSON object; a ModelFileError naming ``where`` and
+    the key when obj is not an object or lacks the key."""
+    if not isinstance(obj, dict):
+        raise ModelFileError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ModelFileError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _objects(value, where: str) -> list:
+    """A JSON list of JSON objects."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ModelFileError(f"{where}: expected a list of objects")
+    return value
+
+
+def parse_model(text: str, strict: bool = True
+                ) -> tuple[TotalCostModel, tuple | None]:
+    """Parse model JSON; returns the model and any declared optimum.
+
+    Every malformed structure is a ModelFileError that names where it
+    is: a missing field, a value of the wrong JSON type, an unknown
+    state, a successor listed twice in one transition list, and a
+    ground-truth vector whose length is not the model's (n states for
+    Jstar, one value per atomic pair for Qstar).
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFileError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from e
+    if not isinstance(doc, dict):
+        raise ModelFileError("top level must be an object")
+    _check_keys(doc, _TOP_KEYS, "top level", strict)
+    for key in ("format_version", "regime", "discount", "states", "controls"):
+        if key not in doc:
+            raise ModelFileError(f"missing required field {key!r}")
+    if doc["format_version"] != FORMAT_VERSION:
+        raise ModelFileError(f"unsupported format_version {doc['format_version']!r}")
+    if not isinstance(doc["states"], list):
+        raise ModelFileError("states: expected a list")
+    names = [str(s) for s in doc["states"]]
+    index = {s: i for i, s in enumerate(names)}
+    if len(index) != len(names):
+        raise ModelFileError("duplicate state names")
+    n = len(names)
+
+    def trans_row(entries, key: str, default, where: str) -> np.ndarray:
+        """The entries' `key` values at their states; an entry lacking the
+        key reads as `default` (None: the key is required).  Each successor
+        may be listed at most once."""
+        if not isinstance(entries, list):
+            raise ModelFileError(f"{where} transitions: expected a list of objects")
+        row = np.zeros(n)
+        seen = set()
+        label = f"{where} {key}"
+        for e in entries:
+            try:
+                s = e["state"]
+                # A reference names the state whose "states" entry has the
+                # same str(); a string is looked up as it is.
+                y = index[s if type(s) is str else str(s)]
+                v = e[key] if default is None else e.get(key, default)
+            except (KeyError, TypeError):
+                raise transition_error(e, key, where) from None
+            if y in seen:
+                raise ModelFileError(f"{where}: successor {names[y]!r} listed twice "
+                                     "in transitions")
+            seen.add(y)
+            row[y] = decode_xreal(v, label)
+        return row
+
+    def transition_error(e, key: str, where: str) -> ModelFileError:
+        """What is wrong with a transition entry that `trans_row` could
+        not read."""
+        if not isinstance(e, dict):
+            return ModelFileError(f"{where} transitions: expected a list of objects")
+        if "state" not in e:
+            return ModelFileError(f"{where} transition: missing field 'state'")
+        s = e["state"]
+        if str(s) not in index:
+            return ModelFileError(f"{where}: unknown state {s!r}")
+        return ModelFileError(f"{where} transition to {s!r}: missing field {key!r}")
+
+    controls: list[tuple[AtomicControl, ...]] = []
+    families: list[tuple[AffineFamily, ...]] = []
+    entries = _objects(doc["controls"], "controls")
+    if len(entries) != n:
+        raise ModelFileError(f"'controls' lists {len(entries)} states, want {n}")
+    for entry in entries:
+        _check_keys(entry, _STATE_KEYS, f"state entry {entry.get('state')!r}", strict)
+        s = entry.get("state")
+        x = index.get(str(s)) if "state" in entry else None
+        if x is None:
+            raise ModelFileError(f"control entry for unknown state {s!r}")
+        where = f"state {names[x]!r}"
+        atomics = []
+        for a in _objects(entry.get("atomic", []), f"{where} atomic"):
+            _check_keys(a, _ATOMIC_KEYS, f"{where} atomic control", strict)
+            name = str(a.get("id", f"u{len(atomics)}"))
+            at = f"{where} control {name!r}"
+            try:
+                cost, trans = a["cost"], a["transitions"]
+            except KeyError as err:
+                raise ModelFileError(f"{at}: missing field {err.args[0]!r}") from None
+            atomics.append(AtomicControl(name, decode_xreal(cost, f"{at} cost"),
+                                         trans_row(trans, "prob", None, at)))
+        fams = []
+        for fdoc in _objects(entry.get("affine_families", []), f"{where} affine_families"):
+            _check_keys(fdoc, _FAMILY_KEYS, f"{where} affine family", strict)
+            at = f"{where} family {str(fdoc.get('id', 'family'))!r}"
+            cost = _field(fdoc, "cost", at)
+            if not isinstance(cost, list) or len(cost) != 2:
+                raise ModelFileError(f"{at}: cost must be a list [c0, c1]")
+            c0, c1 = cost
+            trans = _field(fdoc, "transitions", at)
+            fams.append(AffineFamily(
+                lo=decode_xreal(_field(fdoc, "lo", at), f"{at} lo"),
+                hi=decode_xreal(_field(fdoc, "hi", at), f"{at} hi"),
+                lo_closed=bool(_field(fdoc, "lo_closed", at)),
+                hi_closed=bool(_field(fdoc, "hi_closed", at)),
+                c0=decode_xreal(c0, f"{at} cost"), c1=decode_xreal(c1, f"{at} cost"),
+                p0=trans_row(trans, "p0", 0.0, at),
+                p1=trans_row(trans, "p1", 0.0, at),
+                name=str(fdoc.get("id", "family"))))
+        controls.append(tuple(atomics))
+        families.append(tuple(fams))
+    model = TotalCostModel(
+        regime=str(doc["regime"]),
+        discount=decode_xreal(doc["discount"], "discount"),
+        controls=tuple(controls),
+        families=tuple(families),
+        state_names=tuple(names),
+        cost_bound=(decode_xreal(doc["cost_bound"], "cost_bound")
+                    if "cost_bound" in doc else None),
+    )
+    gt = None
+    if "ground_truth" in doc:
+        gdoc = doc["ground_truth"]
+        Jstar = decode_vector(_field(gdoc, "Jstar", "ground_truth"), "Jstar")
+        _check_keys(gdoc, {"Jstar", "Qstar"}, "ground_truth", strict)
+        Qstar = decode_vector(gdoc["Qstar"], "Qstar") if "Qstar" in gdoc else None
+        for name, star, want in (("Jstar", Jstar, n), ("Qstar", Qstar, model.num_pairs())):
+            if star is not None and star.size != want:
+                raise ModelFileError(f"ground_truth {name}: {star.size} values, "
+                                     f"the model has {want}")
+        gt = (Jstar, Qstar)
+    return model, gt
+
+
+# json.dumps(obj, allow_nan=False), without an encoder built per call.
+_json = json.JSONEncoder(allow_nan=False).encode
+
+# The columns of the TraceRow fields that hold a dict, written as JSON text.
+_DICT_FIELDS = tuple(i for i, name in enumerate(_ROW.names)
+                     if typing.get_type_hints(TraceRow)[name] is dict)
+
+
+def trace_to_csv(trace: IterationTrace) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["#header", _json(_HEADER.doc(trace))])
+    writer.writerow(_ROW.names)
+    columns = [list(map(out, map(operator.attrgetter(name), trace.rows)))
+               for name, out in zip(_ROW.names, _ROW.outs)]
+    for i in _DICT_FIELDS:
+        columns[i] = list(map(_json, columns[i]))
+    # csv writes None as an empty cell and a float by its repr
+    writer.writerows(zip(*columns))
+    return buf.getvalue()

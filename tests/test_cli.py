@@ -476,3 +476,14 @@ class TestExportFixture:
         out = runner.invoke(main, ["export-fixture", "nope",
                                    str(tmp_path / "x.mdp")])
         assert out.exit_code == 2
+
+
+class TestEmptyModel:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_solve_refuses_a_file_without_states(self, runner, tmp_path, algorithm):
+        path = tmp_path / "empty.mdp"
+        write_model(path, TotalCostModel("P", 1.0, ()))
+        assert '"states": []' in path.read_text()
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", algorithm])
+        assert out.exit_code == 2, out.output
+        assert "the model has no state" in out.output

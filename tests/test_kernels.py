@@ -22,6 +22,7 @@ and raise no RuntimeWarning that the single applications do not.
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -851,6 +852,26 @@ class TestModelWriter:
         model = TotalCostModel("P", 1.0, ())
         assert render_model(model) == json_text(model)
         assert model_hash(model) == hashlib.sha256(json_text(model).encode()).hexdigest()[:16]
+
+    def test_a_large_model_is_hashed_a_few_states_at_a_time(self):
+        # Its transitions span many render blocks; model_hash holds one
+        # block's text at a time, not the whole file.
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 4, size=300)
+        m = int(counts.sum())
+        probs = rng.random((m, 300)) * (rng.random((m, 300)) < 0.5)
+        model = TotalCostModel.from_arrays("P", 1.0, counts, rng.random(m), probs,
+                                           [f"u{k}" for k in range(m)])
+        text = json_text(model)
+        assert render_model(model) == text
+        tracemalloc.start()
+        try:
+            digest = model_hash(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert peak < len(text) / 5
 
     @pytest.mark.parametrize("where", ["prob-nan", "prob-inf", "cost-nan", "jstar-nan"])
     def test_nan_and_infinite_floats_are_refused(self, where):

@@ -304,3 +304,53 @@ class TestStoredForm:
         model = fixture("FX-D").model
         assert model.controls is not model.controls
         assert not any(map(holds_control, vars(model).values()))
+
+
+class TestArrayPacker:
+    """`TotalCostModel.from_arrays` is the one packer; the constructor
+    hands it the arrays of its controls."""
+
+    @given(drawn_models())
+    def test_constructor_and_packer_build_the_same_model(self, model):
+        twin = TotalCostModel.from_arrays(
+            model.regime, model.discount, model.pair_counts(), model.pair_costs,
+            model.pair_probs, model.control_names, model.families, model.state_names,
+            model.cost_bound)
+        for name in ("regime", "discount", "cost_bound", "families", "state_names",
+                     "control_names"):
+            assert getattr(twin, name) == getattr(model, name)
+        for name in ("pair_costs", "pair_probs"):
+            a, b = getattr(twin, name), getattr(model, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert twin.pair_counts().tobytes() == model.pair_counts().tobytes()
+        assert _hash_or_error(twin) == _hash_or_error(model)
+
+    def test_arrays_are_copied_and_frozen(self):
+        g, P = np.array([0.0, 1.0]), np.eye(2)
+        model = TotalCostModel.from_arrays("P", 1.0, [1, 1], g, P, ["a", 7],
+                                           state_names=["x", 0])
+        g[0], P[0, 0] = 5.0, 0.5
+        assert model.pair_costs.tolist() == [0.0, 1.0]
+        assert model.pair_probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert (model.control_names, model.state_names) == (("a", "7"), ("x", "0"))
+        with pytest.raises(ValueError):
+            model.pair_probs[0, 0] = 0.5
+        assert validate_model(model) == []
+
+    @pytest.mark.parametrize("counts, costs, names, probs", [
+        ([1, 1], [0.0], ["a", "b"], np.eye(2)),
+        ([1, 1], [0.0, 1.0], ["a"], np.eye(2)),
+        ([1, 1], [0.0, 1.0], ["a", "b"], np.eye(2)[:1]),
+        ([2, 0], [0.0, 1.0], ["a", "b"], np.eye(3)[:2]),
+        ([3, -1], [0.0, 1.0], ["a", "b"], np.eye(2)),
+        ([[1, 1]], [0.0, 1.0], ["a", "b"], np.eye(2)),
+    ], ids=["costs", "names", "rows", "columns", "negative-count", "counts-2d"])
+    def test_arrays_that_do_not_fit_are_refused(self, counts, costs, names, probs):
+        with pytest.raises(ValueError, match="pair arrays do not fit the counts"):
+            TotalCostModel.from_arrays("P", 1.0, counts, costs, probs, names)
+
+    def test_per_state_tuples_need_one_entry_per_state(self):
+        with pytest.raises(ValueError, match="^families has length 1, want one entry "
+                                             "per state: 2$"):
+            TotalCostModel.from_arrays("P", 1.0, [1, 1], [0.0, 1.0], np.eye(2), ["a", "b"],
+                                       families=((),))

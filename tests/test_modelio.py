@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import reference_ops as ref
 
 from totaldp.extreal import INF
 from totaldp.solvers import (
@@ -12,9 +15,10 @@ from totaldp.solvers import (
     SolverConfig,
     TraceRow,
     mixed_vpi,
+    run,
     value_iteration,
 )
-from totaldp.model import AtomicControl, TotalCostModel
+from totaldp.model import AtomicControl, Policy, TotalCostModel
 from totaldp.operators import h_backup
 from totaldp.fixtures import fixture, fixture_names, random_model
 from totaldp.modelio import (
@@ -558,3 +562,312 @@ class TestCodec:
         for bad in (True, None, [1.0], {"v": 1}):
             with pytest.raises(ModelFileError):
                 decode_xreal(bad)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader and the column-wise writer against their oracles
+
+
+def _parsed(parse, text: str, strict: bool):
+    """What a parser makes of a model file: the model's pair arrays,
+    names, families and hash (or the ValueError rendering refuses), and
+    the declared optimum, or the exact text of its ModelFileError; with
+    the messages of the warnings it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model, gt = parse(text, strict=strict)
+        except ModelFileError as err:
+            return "error", str(err), [str(w.message) for w in caught]
+    try:
+        digest = model_hash(model)
+    except ValueError as err:  # an infinite transition probability
+        digest = repr(err)
+    families = [(f.name, f.lo, f.hi, f.lo_closed, f.hi_closed, f.c0, f.c1,
+                 f.p0.tobytes(), f.p1.tobytes()) for fs in model.families for f in fs]
+    stars = None if gt is None else [None if v is None else v.tobytes() for v in gt]
+    return (model.regime, model.discount, model.cost_bound, model.pair_counts().tobytes(),
+            model.pair_costs.tobytes(), model.pair_probs.tobytes(), model.control_names,
+            model.state_names, families, digest, stars, [str(w.message) for w in caught])
+
+
+# Values a probability or a cost may be written as, good and bad.
+_LITERALS = [True, False, None, float("nan"), "inf", "-inf", "1.5", "nan", "x", 1, 0, -0.0,
+             [0.5], 10 ** 400]
+
+
+@st.composite
+def model_documents(draw):
+    """A model file: a valid document, or one with a few drawn faults.
+    States are named "s0", "s1", ... or "0", "1", ...  (then referenced
+    as strings or as numbers).  A fault is an unknown, numeric or
+    repeated successor; a missing "state", "prob" or "cost"; a literal
+    of `_LITERALS` as a probability or a cost; an entry or a transition
+    list that is not one; an unknown field; a family's missing bound.
+    State entries may come in any order; some states carry an affine
+    family and some documents a ground truth."""
+    n = draw(st.integers(0, 5))
+    digits = draw(st.booleans())
+    names = [str(i) if digits else f"s{i}" for i in range(n)]
+
+    def ref(y):
+        return int(names[y]) if digits and draw(st.booleans()) else names[y]
+
+    prob = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 1, 0.25])
+    cost = st.floats(-3.0, 3.0) | st.sampled_from([INF, -INF, 0.0, -0.0, 2])
+    controls, lists = [], []
+    for x in range(n):
+        entry = {"state": ref(x), "atomic": []}
+        for i in range(draw(st.integers(0, 3))):
+            succ = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            trans = [{"state": ref(y), "prob": draw(prob)} for y in succ]
+            control = {"cost": draw(cost), "transitions": trans}
+            if draw(st.booleans()):
+                control["id"] = draw(st.sampled_from([f"u{i}", 7, "é"]))
+            entry["atomic"].append(control)
+            lists.append((control, trans))
+        if draw(st.integers(0, 5)) == 0:
+            entry["affine_families"] = [{
+                "id": "f", "lo": 0.0, "hi": 1.0, "lo_closed": True, "hi_closed": False,
+                "cost": [1.0, draw(cost)],
+                "transitions": [{"state": ref(y), "p0": draw(prob), "p1": draw(cost)}
+                                for y in draw(st.lists(st.integers(0, n - 1), unique=True,
+                                                       max_size=n))]}]
+        controls.append(entry)
+    controls = draw(st.permutations(controls))
+    doc = {"format_version": 1, "regime": draw(st.sampled_from(["P", "D", "N"])),
+           "discount": draw(st.sampled_from([1.0, 0.9])), "states": names,
+           "controls": controls}
+    if draw(st.booleans()):
+        doc["cost_bound"] = 3.0
+    if draw(st.booleans()):
+        pairs = sum(len(c["atomic"]) for c in controls)
+        doc["ground_truth"] = {"Jstar": [draw(cost) for _ in range(n)]}
+        if draw(st.booleans()):
+            doc["ground_truth"]["Qstar"] = [1.0] * draw(st.sampled_from([pairs, pairs + 1]))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["unknown", "numeric", "twice", "no-state", "no-prob", "no-cost", "literal",
+             "literal", "literal", "cost-literal", "cost-literal", "not-an-object",
+             "not-a-list", "unknown-field", "state-field", "family"]))
+        if kind == "unknown-field":
+            place = draw(st.sampled_from([doc] + [control for control, _ in lists]))
+            place[draw(st.sampled_from(["wat", "zz"]))] = 1
+            continue
+        if kind == "state-field" and controls:
+            draw(st.sampled_from(controls))["wat"] = 1
+            continue
+        if kind == "family":
+            fams = [e["affine_families"][0] for e in controls if "affine_families" in e]
+            if fams:
+                draw(st.sampled_from(fams)).pop(draw(st.sampled_from(["lo", "cost"])))
+            continue
+        if not lists:
+            continue
+        control, trans = draw(st.sampled_from(lists))
+        if kind == "no-cost":
+            control.pop("cost", None)
+        elif kind == "cost-literal":
+            control["cost"] = draw(st.sampled_from(_LITERALS))
+        elif kind == "not-a-list":
+            control["transitions"] = draw(st.sampled_from([{"s0": 1.0}, 1.0, None]))
+        elif not trans:  # no entry to spoil: an unknown field instead
+            control[draw(st.sampled_from(["wat", "zz"]))] = 1
+        else:
+            e = draw(st.sampled_from(trans))
+            if kind == "unknown":
+                e["state"] = draw(st.sampled_from(["nowhere", 99, 1.0, ["s0"]]))
+            elif kind == "numeric":
+                e["state"] = draw(st.integers(0, n))
+            elif kind == "twice":
+                trans.append(dict(e))
+            elif kind == "no-state":
+                e.pop("state", None)
+            elif kind == "no-prob":
+                e.pop("prob", None)
+            elif kind == "literal":
+                e["prob"] = draw(st.sampled_from(_LITERALS))
+            else:
+                trans[trans.index(e)] = draw(st.sampled_from([1.0, "s0", [1]]))
+    return json.dumps(doc)
+
+
+class TestReaderAgainstOracle:
+    """`parse_model` decodes the transition lists in one flat pass; on
+    every document it gives the per-entry reader's model, hash, warnings
+    and optimum, or its exact error."""
+
+    @settings(max_examples=500)
+    @given(model_documents(), st.booleans())
+    def test_same_model_or_same_error(self, text, strict):
+        assert _parsed(parse_model, text, strict) == _parsed(ref.parse_model, text, strict)
+
+    @pytest.mark.parametrize("name", sorted(fixture_names()))
+    def test_fixture_files(self, name):
+        fx = fixture(name)
+        text = render_model(fx.model, (fx.Jstar, fx.Qstar))
+        assert _parsed(parse_model, text, True) == _parsed(ref.parse_model, text, True)
+
+    @pytest.mark.parametrize("field", ["prob", "cost"])
+    @pytest.mark.parametrize("literal", _LITERALS, ids=repr)
+    def test_every_literal(self, literal, field):
+        doc = json.loads(render_model(fixture("FX-P2").model))
+        control = _control(doc, 1, 1)
+        (control["transitions"][0] if field == "prob" else control)[field] = literal
+        text = json.dumps(doc)
+        assert _parsed(parse_model, text, True) == _parsed(ref.parse_model, text, True)
+
+
+def _two_state_file(bad_transition, cost_in_state_1, unknown_fields=()) -> str:
+    """FX-P2's file with a bad transition in state 0 (if given), state 1's
+    control "stay" without its cost (if not ``cost_in_state_1``) and an
+    unknown field "wat" at each place named in ``unknown_fields``."""
+    doc = json.loads(render_model(fixture("FX-P2").model))
+    state0, state1 = doc["controls"]
+    if bad_transition is not None:
+        state0["atomic"][0]["transitions"][0] = bad_transition
+    if not cost_in_state_1:
+        state1["atomic"][0].pop("cost")
+    places = {"top": doc, "state 0": state0, "control 0": state0["atomic"][0],
+              "state 1": state1, "control 1": state1["atomic"][1]}
+    for place in unknown_fields:
+        places[place]["wat"] = 1
+    return json.dumps(doc)
+
+
+class TestErrorOrder:
+    """The first malformed place in the document is the one reported,
+    whichever pass of the reader meets it."""
+
+    @pytest.mark.parametrize("bad, words", [
+        ({"state": "0", "prob": "x"}, "state '0' control 'loop' prob: bad numeric literal 'x'"),
+        ({"state": "9", "prob": 1.0}, "state '0' control 'loop': unknown state '9'"),
+        ({"prob": 1.0}, "state '0' control 'loop' transition: missing field 'state'"),
+    ])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_bad_transition_in_state_0_before_missing_cost_in_state_1(self, bad, words,
+                                                                      strict):
+        text = _two_state_file(bad, cost_in_state_1=False)
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, strict=strict)
+        assert str(err.value) == words
+        with pytest.raises(ModelFileError) as err:
+            parse_model(_two_state_file(None, cost_in_state_1=False), strict=strict)
+        assert str(err.value) == "state '1' control 'stay': missing field 'cost'"
+
+    def test_lenient_mode_warns_for_the_fields_before_the_error(self):
+        text = _two_state_file({"state": "9", "prob": 1.0}, cost_in_state_1=False,
+                               unknown_fields=("top", "control 0", "control 1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ModelFileError, match="unknown state '9'"):
+                parse_model(text, strict=False)
+        assert [str(w.message) for w in caught] == [
+            "top level: unknown field(s) ['wat']",
+            "state '0' atomic control: unknown field(s) ['wat']"]
+        with pytest.raises(ModelFileError, match="top level: unknown field"):
+            parse_model(text)
+
+    def test_lenient_mode_warns_once_per_unknown_field(self):
+        places = ("top", "state 0", "control 0", "state 1", "control 1")
+        text = _two_state_file(None, cost_in_state_1=True, unknown_fields=places)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model, _ = parse_model(text, strict=False)
+        assert [str(w.message) for w in caught] == [
+            "top level: unknown field(s) ['wat']",
+            "state entry '0': unknown field(s) ['wat']",
+            "state '0' atomic control: unknown field(s) ['wat']",
+            "state entry '1': unknown field(s) ['wat']",
+            "state '1' atomic control: unknown field(s) ['wat']"]
+        assert model_hash(model) == model_hash(fixture("FX-P2").model)
+
+
+def _solver_traces() -> list[IterationTrace]:
+    """One trace of each algorithm on FX-P2 from 1.5 J* (mixed from J0 =
+    (0, inf) too), ground truth given, so that every column is filled."""
+    fx = fixture("FX-P2")
+    J0 = 1.5 * fx.Jstar
+    traces = []
+    for algorithm in ("vi", "pi", "mpi", "mixed", "lp"):
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(fx.model, J0),
+                           initial_policy=Policy.deterministic(fx.model, [0, 0]),
+                           tol=1e-10, max_iter=50, ground_truth=fx.ground_truth())
+        traces.append(run(fx.model, cfg).trace)
+    J0 = np.array([0.0, INF])
+    traces.append(mixed_vpi(fx.model, SolverConfig(
+        algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=2,
+        ground_truth=fx.ground_truth())).trace)
+    return traces
+
+
+TRACES = _solver_traces()
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(TraceRow)
+                 if f.type in ("float", "float | None")]
+_SPECIALS = st.sampled_from([INF, -INF, -0.0, 0.0, np.float64(-0.0), np.float64(INF),
+                             np.float64(2.5), 3])
+_CELL = st.floats(allow_nan=False) | _SPECIALS
+_EXTRA_VALUE = st.recursive(
+    _CELL | st.none() | st.sampled_from(["x", True, np.int64(4), np.float32(0.5)])
+    | st.lists(st.floats(allow_nan=False), max_size=3).map(np.array),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "b"]), inner, max_size=2), max_leaves=6)
+
+
+@st.composite
+def drawn_traces(draw):
+    """A solver trace whose float columns are each kept, all None, all
+    finite, or mixed with None, +-inf and -0.0, with some rows' extra
+    replaced by a drawn dict; now and then a NaN or a None in a column
+    that may not hold one."""
+    trace = draw(st.sampled_from(TRACES))
+    rows = [dataclasses.replace(row, extra=dict(row.extra)) for row in trace.rows]
+    for name in _FLOAT_FIELDS:
+        mode = draw(st.sampled_from(["keep", "none", "finite", "mixed"]))
+        optional = name not in ("residual", "wall_time")
+        for row in rows:
+            if mode == "none" and optional:
+                setattr(row, name, None)
+            elif mode == "finite":
+                setattr(row, name, draw(st.floats(-1e300, 1e300) | st.just(-0.0)))
+            elif mode == "mixed":
+                setattr(row, name, draw(_CELL | st.none()) if optional else draw(_CELL))
+    for row in rows:
+        if draw(st.integers(0, 3)) == 0:
+            row.extra = draw(st.dictionaries(st.sampled_from(["v", "residual_Q", "divergent"]),
+                                             _EXTRA_VALUE, max_size=3))
+    if rows and draw(st.integers(0, 9)) == 0:
+        row = draw(st.sampled_from(rows))
+        setattr(row, draw(st.sampled_from(_FLOAT_FIELDS)), draw(st.sampled_from(
+            [float("nan"), None])))
+    return dataclasses.replace(trace, rows=rows)
+
+
+def _written(write, trace):
+    try:
+        return write(trace)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+
+
+class TestWriterAgainstOracle:
+    """`trace_to_csv` encodes whole columns; its text is the per-value
+    writer's, and so is its error."""
+
+    @settings(max_examples=300)
+    @given(drawn_traces())
+    def test_same_text_or_same_error(self, trace):
+        assert _written(trace_to_csv, trace) == _written(ref.trace_to_csv, trace)
+
+    @pytest.mark.parametrize("k", range(len(TRACES)))
+    def test_solver_traces(self, k):
+        assert trace_to_csv(TRACES[k]) == ref.trace_to_csv(TRACES[k])
+
+    def test_equal_extras_of_opposite_zeros_keep_their_signs(self):
+        trace = IterationTrace(algorithm="vi", regime="P", discount=1.0, config={})
+        for k, v in enumerate((0.0, -0.0, 0.0), start=1):
+            trace.append(TraceRow(k=k, residual=v, extra={"v": v}))
+        text = trace_to_csv(trace)
+        assert text == ref.trace_to_csv(trace)
+        assert [row.extra["v"] for row in trace_from_csv(text).rows] == [0.0, -0.0, 0.0]
+        assert '""v"": -0.0' in text

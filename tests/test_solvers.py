@@ -1221,3 +1221,25 @@ class TestDeferredGroundTruthColumns:
         with pytest.raises(ValueError, match=re.escape(
                 f"ground truth {want[0]} has shape {want[1]}, the model wants {want[2]}")):
             run(fx.model, cfg)
+
+
+class TestEmptyModel:
+    """A model with no state is refused with a message by every solver,
+    value iteration included."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_algorithm_refuses_it(self, algorithm):
+        model = TotalCostModel("P", 1.0, ())
+        cfg = SolverConfig(algorithm=algorithm, J0=np.zeros(0), Q0=np.zeros(0),
+                           initial_policy=Policy.deterministic(model, []))
+        with pytest.raises(ValueError, match="^the model has no state$"):
+            run(model, cfg)
+        with pytest.raises(ValueError, match="^the model has no state$"):
+            _direct_call(algorithm, model, cfg)
+
+    def test_vi_and_mixed_refuse_it_in_d(self):
+        model = TotalCostModel("D", 0.5, ())
+        with pytest.raises(ValueError, match="^the model has no state$"):
+            value_iteration(model, np.zeros(0))
+        with pytest.raises(ValueError, match="^the model has no state$"):
+            mixed_vpi(model, SolverConfig(algorithm="mixed", J0=np.zeros(0), Q0=np.zeros(0)))

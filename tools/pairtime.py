@@ -5,6 +5,7 @@
     python3 tools/pairtime.py --against HEAD~1 --workload small-many --job mixed10 --pairs 200
     python3 tools/pairtime.py --against HEAD~1 --workload p-above --job certify
     python3 tools/pairtime.py --against HEAD~1 --workload sparse-d-zero --job cli
+    python3 tools/pairtime.py --against HEAD~1 --workload p-above --job io
 
 Run from the root of a source checkout.  The script extracts commit REF
 with `digest.checkout`, imports that tree's `src/totaldp` under the
@@ -30,7 +31,14 @@ column zeroed) bit for bit.  The ``certify`` job times the work of
 solve does not converge are left out, as the benchmark leaves them):
 the certificate report, the stopping route (`build_stopping`,
 `solve_stopping`, `reconstruct_q`) and `q_fixed_point`.  It compares the report's checks, both Q-vectors
-and both certificates bit for bit.  It exits 1 on any difference.
+and both certificates bit for bit.  The ``io`` job times the file layer
+of the ``cli`` job part by part, on each model file of the workload:
+`parse_model` of the file's text, `model_hash` of the model read, and
+`trace_to_csv` of that model's value-iteration trace (its ``wall_time``
+column zeroed).  It prints one ratio per part, and compares what each
+part returns bytewise: the model read (its pair arrays, names and
+rendered text, with the declared optimum), the hash and the CSV text.
+It exits 1 on any difference.
 
 Back-to-back processes on a loaded host can differ by tens of percent
 in one solve's time; pairs interleaved in one process see the same
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import math
@@ -60,7 +69,10 @@ import jobs  # noqa: E402
 import numpy as np  # noqa: E402
 import totaldp  # noqa: E402
 
-JOBS = ("vi", "pi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp", "certify", "cli")
+JOBS = ("vi", "pi", "mpi", "mixed10", "mixed_exact", "mixed_occ", "lp", "certify", "cli",
+        "io")
+# The parts of the io job, each timed and compared on its own.
+IO_PARTS = ("parse_model", "model_hash", "trace_to_csv")
 
 
 def import_tree(tree: str, name: str = "totaldp_ref"):
@@ -162,6 +174,48 @@ def cli_call(pkg, case, workdir: str):
     return run
 
 
+def io_calls(pkg, case, workdir: str) -> tuple:
+    """Zero-argument calls of the file layer of ``pkg``, one per part of
+    `IO_PARTS`, on the case's model file in ``workdir``: `parse_model`
+    of its text, `model_hash` of the model read from it, and
+    `trace_to_csv` of that model's value-iteration trace from the case's
+    start, its ``wall_time`` column zeroed."""
+    modelio = importlib.import_module(f"{pkg.__name__}.modelio")
+    with open(os.path.join(workdir, f"{case.name}.json")) as fh:
+        text = fh.read()
+    model, _ = modelio.parse_model(text)
+    cfg = pkg.SolverConfig(algorithm="vi", tol=jobs.SOLVE_TOL, max_iter=case.max_iter)
+    trace = timed(lambda: pkg.value_iteration(model, case.J0, cfg),
+                  pkg.SolverCapError)[1].trace
+    trace = dataclasses.replace(
+        trace, rows=[dataclasses.replace(row, wall_time=0.0) for row in trace.rows])
+    return (lambda: (modelio.parse_model(text), modelio.render_model),
+            lambda: modelio.model_hash(model),
+            lambda: modelio.trace_to_csv(trace))
+
+
+def parsed_bytes(out) -> bytes:
+    """What `parse_model` returned, as bytes: the model's pair arrays,
+    names and rendered text with the declared optimum."""
+    (model, gt), render = out
+    parts = [model.pair_counts().tobytes(), model.pair_costs.tobytes(),
+             model.pair_probs.tobytes(), repr((model.control_names, model.state_names))]
+    try:
+        parts.append(render(model, gt))
+    except ValueError as err:  # a probability the writer refuses
+        parts.append(repr(err))
+    return b"\0".join(p if isinstance(p, bytes) else p.encode() for p in parts)
+
+
+def io_differences(part: str):
+    """What differs bytewise between two results of one io part."""
+    def compare(a, b) -> list[str]:
+        if part == "parse_model":
+            a, b = parsed_bytes(a), parsed_bytes(b)
+        return [] if a == b else [part]
+    return compare
+
+
 def timed(call, cap_error):
     """Seconds of one call and its result (a capped run's result too)."""
     t0 = time.perf_counter()
@@ -235,52 +289,67 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    cases = [c for c in jobs.workload_cases(args.workload, args.seed) if args.job in c.jobs]
+    runs = "cli" if args.job == "io" else args.job  # io reads the cli job's model files
+    cases = [c for c in jobs.workload_cases(args.workload, args.seed) if runs in c.jobs]
     if not cases:
-        ap.error(f"no model of {args.workload} runs {args.job}")
+        ap.error(f"no model of {args.workload} runs {runs}")
     with digest.checkout(args.against) as tree, tempfile.TemporaryDirectory() as workdir:
         ref = import_tree(tree)
-        if args.job == "cli":
+        if args.job in ("cli", "io"):
             for case in cases:
                 jobs.write_model_file(case, workdir)
-        calls = [[solver(pkg, args.job, case, build_model(pkg, case), workdir)
-                  for case in cases] for pkg in (ref, totaldp)]
-        kept = [i for i in range(len(cases)) if calls[0][i] and calls[1][i]]
-        cases = [cases[i] for i in kept]
-        if not cases:
-            ap.error(f"no mixed10 solve of {args.workload} converges to certify")
-        # (calls, cap error) for REF and the working tree
-        sides = [([c[i] for i in kept], pkg.SolverCapError)
-                 for c, pkg in zip(calls, (ref, totaldp))]
-        first = [[timed(call, cap)[1] for call in calls] for calls, cap in sides]
-        compare = {"certify": certify_differences, "cli": cli_differences}.get(
-            args.job, differences)
-        differ = [f"{case.name} ({', '.join(diff)})"
-                  for case, diff in zip(cases, map(compare, *first)) if diff]
-        ratios, seconds = [], ([], [])
+        if args.job == "io":
+            made = [[io_calls(pkg, case, workdir) for case in cases] for pkg in (ref, totaldp)]
+            # (part, its calls per side, its comparison)
+            groups = [(part, [[c[j] for c in side] for side in made], io_differences(part))
+                      for j, part in enumerate(IO_PARTS)]
+        else:
+            calls = [[solver(pkg, args.job, case, build_model(pkg, case), workdir)
+                      for case in cases] for pkg in (ref, totaldp)]
+            kept = [i for i in range(len(cases)) if calls[0][i] and calls[1][i]]
+            cases = [cases[i] for i in kept]
+            if not cases:
+                ap.error(f"no mixed10 solve of {args.workload} converges to certify")
+            compare = {"certify": certify_differences, "cli": cli_differences}.get(
+                args.job, differences)
+            groups = [(args.job, [[c[i] for i in kept] for c in calls], compare)]
+        caps = (ref.SolverCapError, totaldp.SolverCapError)
+        differ = []
+        for part, sides, compare in groups:
+            first = [[timed(call, cap)[1] for call in side] for side, cap in zip(sides, caps)]
+            differ += [f"{case.name} ({', '.join(diff)})"
+                       for case, diff in zip(cases, map(compare, *first)) if diff]
+        # per group: the pair ratios and each side's time per pass
+        ratios = [[] for _ in groups]
+        seconds = [([], []) for _ in groups]
         for k in range(args.pairs):
-            t = [[0.0] * len(cases), [0.0] * len(cases)]
-            for i in range(len(cases)):
-                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    calls, cap = sides[side]
-                    t[side][i] = timed(calls[i], cap)[0]
-            ratios.append(math.exp(statistics.fmean(
-                math.log(new / old) for old, new in zip(*t))))
-            for side in (0, 1):
-                seconds[side].append(sum(t[side]))
-    lo, mid, hi = statistics.quantiles(ratios, n=4, method="inclusive")
+            for g, (_, sides, _) in enumerate(groups):
+                t = [[0.0] * len(cases), [0.0] * len(cases)]
+                for i in range(len(cases)):
+                    for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                        t[side][i] = timed(sides[side][i], caps[side])[0]
+                ratios[g].append(math.exp(statistics.fmean(
+                    math.log(new / old) for old, new in zip(*t))))
+                for side in (0, 1):
+                    seconds[g][side].append(sum(t[side]))
     print(f"pairtime: {args.workload} seed {args.seed}, job {args.job}, {len(cases)} models, "
           f"{args.pairs} pairs in ABBA order")
-    for name, secs in ((args.against, seconds[0]), ("working tree", seconds[1])):
-        print(f"  {name}: median {statistics.median(secs) * 1e3:.3f} ms per pass over the models")
-    print(f"  ratio working tree / {args.against} (geometric mean over models): "
-          f"median {mid:.3f}, quartiles {lo:.3f}-{hi:.3f}")
+    for (part, _, _), part_ratios, part_seconds in zip(groups, ratios, seconds):
+        lo, mid, hi = statistics.quantiles(part_ratios, n=4, method="inclusive")
+        if len(groups) > 1:
+            print(f"  {part}:")
+        for name, secs in ((args.against, part_seconds[0]), ("working tree", part_seconds[1])):
+            print(f"  {name}: median {statistics.median(secs) * 1e3:.3f} ms per pass over "
+                  "the models")
+        print(f"  ratio working tree / {args.against} (geometric mean over models): "
+              f"median {mid:.3f}, quartiles {lo:.3f}-{hi:.3f}")
     if differ:
         print(f"  result or trace differs bitwise on {len(differ)} of {len(cases)} models: "
               f"{'; '.join(differ)}")
         return 1
     same = {"certify": "report, Q and certificate",
-            "cli": "printed output and trace file"}.get(
+            "cli": "printed output and trace file",
+            "io": "model read, hash and trace CSV text"}.get(
         args.job, "J, Q, op count, row count, row residual and row powers")
     print(f"  every {same} bitwise equal ({len(cases)} models)")
     return 0
