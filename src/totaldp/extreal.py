@@ -153,8 +153,7 @@ def _sup_dist(a: np.ndarray, b: np.ndarray, plain: bool):
     whenever a or b holds no infinity: then no inf - inf is formed, and
     they differ only in the sign of a zero (an a of -0.0 against a b of
     +0.0), which the absolute value drops; a NaN entry stays NaN either
-    way.  A solver that knows its last iterate b is finite passes True
-    without scanning either side."""
+    way."""
     if a.size == 0:
         return _empty(a, b)
     d = a - b if plain else xdiff(a, b)

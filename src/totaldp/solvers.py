@@ -34,7 +34,6 @@ import numpy as np
 
 from .extreal import (
     INF,
-    _sup_dist,
     _sup_dist_segments,
     margin_leq,
     sup_dist,
@@ -496,37 +495,70 @@ class _Recorder:
 # regime-signed infinity.  DivergenceRule decides which finite
 # coordinates count as divergent: after DIVERGENCE_WARMUP iterations,
 # those whose increment is at least DIVERGENCE_FLOOR and has not shrunk
-# by 10% over DIVERGENCE_WINDOW iterations.  The window test can also
-# flag a coordinate that converges slowly, such as one that leaves a
-# unit-cost state with probability 1e-3 per step.
+# by 10% over DIVERGENCE_WINDOW iterations.  Each row's increment
+# |J_k - J_{k-1}| is formed once: on a finite row by value iteration,
+# which also takes its residual from it, and otherwise by the rule.
+# The rule turns it into a threshold max(0.9 * increment,
+# DIVERGENCE_FLOOR), NaN where the increment is not finite, and keeps a
+# ring of the last DIVERGENCE_WINDOW + 1, so that its test on row k is
+# one comparison of the increment with row k - DIVERGENCE_WINDOW's
+# threshold.  It holds no iterate.  Its decisions are bit for bit those
+# of differencing the two iterates DIVERGENCE_WINDOW rows back again
+# (`tests/reference_ops.py` keeps that form as its oracle).  The window
+# test can also flag a coordinate that converges slowly, such as one
+# that leaves a unit-cost state with probability 1e-3 per step, and
+# miss a periodic one; ROADMAP item 2 replaces the rule with a decision
+# on the model's graph.
 DIVERGENCE_WINDOW = 40
 DIVERGENCE_WARMUP = 80
 DIVERGENCE_FLOOR = 1e-9
 
 
 class DivergenceRule:
-    """Divergence test over the iterates of one monotone sequence.
+    """Divergence test over the increments of one monotone sequence.
 
-    Built on the start iterate and called with iterate k at iteration k,
-    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
-    returns the boolean mask of coordinates it flags.  Only finite
-    coordinates are ever flagged.
+    Called once per iterate, on every row in order: with iterate x at
+    iteration k, the previous iterate and, when the caller has formed it
+    and found it finite, the increment |x - previous|; on other rows the
+    rule forms the increment itself.  Before DIVERGENCE_WARMUP it
+    returns None, and from row DIVERGENCE_WARMUP - DIVERGENCE_WINDOW on
+    it records each row's threshold.  From DIVERGENCE_WARMUP on it
+    returns the boolean mask of the finite coordinates of x whose
+    increment reaches the threshold of row k - DIVERGENCE_WINDOW, or
+    None when no increment does.  The ring holds DIVERGENCE_WINDOW + 1
+    thresholds, fresh arrays of its own, and no iterate, so a caller
+    may write into an iterate after the call.
+
+    The decisions are those of the form that kept the last
+    DIVERGENCE_WINDOW + 2 iterates and differenced the oldest two again:
+    that difference is the increment of row k - DIVERGENCE_WINDOW,
+    except at coordinates that value iteration's pin wrote into after
+    that row, and those are flagged already.
     """
 
-    def __init__(self, start: np.ndarray):
-        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
+    def __init__(self):
+        self._ring: deque[np.ndarray] = deque(maxlen=DIVERGENCE_WINDOW + 1)
 
-    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
-        history = self._history
-        history.append(x)
-        if k < DIVERGENCE_WARMUP or len(history) < history.maxlen:
-            return np.zeros(x.shape, dtype=bool)
-        with np.errstate(invalid="ignore"):
-            inc = np.abs(x - history[-2])
-            old_inc = np.abs(history[1] - history[0])
-            flagged = ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
-                       & (inc >= 0.9 * old_inc))
-        return flagged & np.isfinite(x)
+    def __call__(self, k: int, x: np.ndarray, prev: np.ndarray,
+                 inc: np.ndarray | None = None) -> np.ndarray | None:
+        if k < DIVERGENCE_WARMUP - DIVERGENCE_WINDOW:
+            return None
+        checked = inc is None
+        if checked:
+            with np.errstate(invalid="ignore"):
+                inc = np.abs(x - prev)
+        threshold = np.multiply(inc, 0.9)
+        np.maximum(threshold, DIVERGENCE_FLOOR, out=threshold)
+        if checked:
+            threshold[np.isinf(inc)] = np.nan
+        ring = self._ring
+        ring.append(threshold)
+        if k < DIVERGENCE_WARMUP:
+            return None
+        hit = inc >= ring[0]
+        if not np.count_nonzero(hit):
+            return None
+        return hit & np.isfinite(x)
 
 
 def value_iteration(model: TotalCostModel, J0: np.ndarray,
@@ -546,29 +578,34 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     from it: before any state is flagged, and in every row of a pinned
     run, whose iterate already holds the infinities it reports (each
     backup is a fresh array, and the pin writes into it before it is
-    recorded).  Until the rule flags a state, a row does no flagged-state
-    bookkeeping at all: the residual is taken over every state.
+    recorded; the rule holds no iterate).  Until the rule flags a
+    state, a row does no flagged-state bookkeeping at all: the residual
+    is taken over every state.  Rows share their ``divergent`` list
+    until a flag replaces it; no list is written into.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair
     costs and J0 are finite, no infinity and no NaN (`operators._finite`,
     one scan).  A finite row backs up with the plain product P @ J
-    (`_bellman_T`) and takes the plain max |T(J) - J| as its residual,
-    with no scan.  This is bit for bit what the checked kernels give:
-    `expect_rows` takes this same product for a J without infinity, and
-    against a finite J the plain difference is `xdiff`'s after the
-    absolute value, whatever T(J) holds.  A finite residual from a finite J means a finite T(J):
-    an infinity in T(J) gives an infinite residual and a NaN a NaN one.
-    So the run stays finite while ``res < inf``, and drops to the checked
-    path for the rest of the solve on an infinite or NaN residual, or
-    once the rule flags a state.
+    (`_bellman_T`) and forms its increment |T(J) - J| once, with the
+    plain difference and no scan: its maximum is the row's residual,
+    and the window rule takes the increment itself.  This is bit for
+    bit what the checked kernels give: `expect_rows` takes this same
+    product for a J without infinity, and against a finite J the plain
+    difference is `xdiff`'s after the absolute value, whatever T(J)
+    holds.  A finite residual from a finite J means a finite T(J) and a
+    finite increment: an infinity in T(J) gives an infinite residual
+    and a NaN a NaN one.  So the run stays finite while ``res < inf``,
+    and drops to the checked path (`sup_dist`, and the rule forming its
+    own increment) for the rest of the solve on an infinite or NaN
+    residual, or once the rule flags a state.
     """
     check_admits("vi", model)
     config = config or SolverConfig(algorithm="vi")
     J = _state_vector(model, J0).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)
     sign = -1.0 if model.regime == "N" else 1.0
-    divergent = DivergenceRule(J) if model.discount == 1.0 else None
+    rule = DivergenceRule() if model.discount == 1.0 else None
     flagged: np.ndarray | None = None  # the states flagged divergent, once one is
     divergent_states: list[int] = []
     live = slice(None)  # the states not flagged divergent
@@ -578,12 +615,16 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     for k in range(1, config.max_iter + 1):
         nxt = _bellman_T(model, J, finite)
         rec.trace.op_count += 1
-        if divergent is not None:
-            new = divergent(k, nxt)
-            if flagged is not None:
-                flagged |= new
-            elif np.count_nonzero(new):
-                flagged = new
+        if finite:
+            inc = np.subtract(nxt, J)
+            res = float(np.maximum.reduce(np.abs(inc, out=inc)))
+        if rule is not None:
+            new = rule(k, nxt, J, inc if finite and res < INF else None)
+            if new is not None:
+                if flagged is not None:
+                    flagged |= new
+                elif np.count_nonzero(new):
+                    flagged = new
             if flagged is not None:
                 if np.count_nonzero(flagged) > len(divergent_states):
                     divergent_states = np.flatnonzero(flagged).tolist()
@@ -592,8 +633,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                     nxt[flagged] = sign * INF
         if flagged is not None:
             res = sup_dist(nxt[live], J[live])
-        else:
-            res = _sup_dist(nxt, J, True) if finite else sup_dist(nxt, J)
+        elif not finite:
+            res = sup_dist(nxt, J)
         finite = finite and flagged is None and res < INF
         if k == 1:
             if margin_leq(nxt, J) <= 0.0:
@@ -605,7 +646,7 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
             reported = J.copy()
             reported[flagged] = sign * INF
         rec.row(k, res, reported,
-                extra={"direction": direction, "divergent": list(divergent_states)})
+                extra={"direction": direction, "divergent": divergent_states})
         if config.stop_on_tol and res <= config.tol:
             return rec.finish("converged", reported, divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")

@@ -28,7 +28,13 @@ F_theta or the stopping backup from zero, sending the coordinates that
 value iteration's window rule flags to infinity, and the downward
 iteration of the constraint map that found the program's maximal
 solution.  `test_stop_rules.py` checks the policy iteration against
-them.
+them.  The window rule they call is the part's own copy of value
+iteration's divergence rule as it ran before it kept a ring of
+thresholds: the last DIVERGENCE_WINDOW + 2 iterates, whose oldest two
+it differenced again on every call (`IterateWindowRule`, verbatim).
+`test_divergence.py` checks the library's rule against it on drawn
+monotone sequences, and the thirteenth part's value-iteration rows
+call it too.
 
 The fourth part holds two renderings kept verbatim from before they were
 sped up: the per-state f-string policy descriptor, which choice-backed
@@ -92,8 +98,9 @@ in order, kept verbatim from before it became a whole-vector numpy form.
 
 The thirteenth part holds the rows of value iteration and of mixed
 iteration (finite nk) as short loops over the library's public checked
-entries: `bellman_T` and `sup_dist`; `greedy_select`, `f_theta_power`,
-`m_minimize` and `sup_dist`.  Each entry checks its own inputs for
+entries: `bellman_T`, `sup_dist` and the third part's
+`IterateWindowRule`; `greedy_select`, `f_theta_power`, `m_minimize`
+and `sup_dist`.  Each entry checks its own inputs for
 infinities and NaN, as every solver row did before the solvers decided
 finiteness once per solve and carried it in their residuals.
 `test_solvers.py` checks the solvers' traces against them bit for bit.
@@ -119,6 +126,7 @@ import math
 import operator
 import typing
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +171,13 @@ from totaldp.model import (
     validate_policy,
 )
 from totaldp.operators import pair_backup
-from totaldp.solvers import DivergenceRule, IterationTrace, TraceRow
+from totaldp.solvers import (
+    DIVERGENCE_FLOOR,
+    DIVERGENCE_WARMUP,
+    DIVERGENCE_WINDOW,
+    IterationTrace,
+    TraceRow,
+)
 from totaldp.stopping import StoppingProblem
 
 
@@ -515,6 +529,31 @@ class FixedPointError(RuntimeError):
         self.bound = bound
 
 
+class IterateWindowRule:
+    """Divergence test over the iterates of one monotone sequence.
+
+    Built on the start iterate and called with iterate k at iteration k,
+    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
+    returns the boolean mask of coordinates it flags.  Only finite
+    coordinates are ever flagged.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
+
+    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
+        history = self._history
+        history.append(x)
+        if k < DIVERGENCE_WARMUP or len(history) < history.maxlen:
+            return np.zeros(x.shape, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            inc = np.abs(x - history[-2])
+            old_inc = np.abs(history[1] - history[0])
+            flagged = ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
+                       & (inc >= 0.9 * old_inc))
+        return flagged & np.isfinite(x)
+
+
 @dataclass(frozen=True)
 class FixedPointOptions:
     tol: float = 1e-10
@@ -529,14 +568,14 @@ def _monotone_limit(step, size: int, regime: str, alpha: float,
     In D the iteration stops when the contraction bound
     alpha * r / (1 - alpha) on the remaining error drops below tol.  In N
     and P it runs monotonically (down for N, up for P) until the residual
-    passes tol, sending the coordinates that DivergenceRule flags to the
+    passes tol, sending the coordinates that IterateWindowRule flags to the
     regime-signed infinity on the way.
     """
     X = np.zeros(size)
     sign = -1.0 if regime == "N" else 1.0
     bound = "upper" if regime == "N" else "lower"
     promoted: list[int] = []
-    divergent = DivergenceRule(X)
+    divergent = IterateWindowRule(X)
     for k in range(1, opts.max_iter + 1):
         nxt = step(X)
         if promoted:
@@ -933,25 +972,35 @@ def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
 
 
 def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
-                         tol: float) -> list[tuple[np.ndarray, float]]:
-    """(J_k, residual) of every row of value iteration on an atomic-only
-    model: J_k = T(J_{k-1}), with the states that `DivergenceRule` has
-    flagged pinned to the regime-signed infinity, and the residual over
-    the unflagged states; the run stops at the first residual <= tol."""
+                         tol: float, stop_on_tol: bool = True
+                         ) -> list[tuple[np.ndarray, float, list[int]]]:
+    """(J_k, residual, divergent states) of every row of value iteration:
+    J_k = T(J_{k-1}), with the states that `IterateWindowRule` has
+    flagged at the regime-signed infinity, and the residual over the
+    unflagged states; with ``stop_on_tol`` the run stops at the first
+    residual <= tol.  On an atomic-only model the flagged states are
+    pinned into the iterate; on a model with affine families the
+    iteration goes on over the finite values and each row reports a
+    pinned copy."""
     J = np.array(J0, dtype=float)
-    rule = DivergenceRule(J) if model.discount == 1.0 else None
+    rule = IterateWindowRule(J) if model.discount == 1.0 else None
     flagged = np.zeros(J.shape, dtype=bool)
     sign = -1.0 if model.regime == "N" else 1.0
     rows = []
     for k in range(1, max_iter + 1):
         nxt = operators.bellman_T(model, J)
+        reported = nxt
         if rule is not None:
             flagged = flagged | rule(k, nxt)
-            nxt[flagged] = sign * INF
+            if model.atomic_only:
+                nxt[flagged] = sign * INF
+            elif flagged.any():
+                reported = nxt.copy()
+                reported[flagged] = sign * INF
         res = sup_dist(nxt[~flagged], J[~flagged])
-        rows.append((nxt, res))
+        rows.append((reported, res, np.flatnonzero(flagged).tolist()))
         J = nxt
-        if res <= tol:
+        if stop_on_tol and res <= tol:
             break
     return rows
 

@@ -544,14 +544,18 @@ class TestFiniteRows:
     checked path."""
 
     @staticmethod
-    def _check_value_iteration(model, J0, max_iter):
-        cfg = SolverConfig(algorithm="vi", max_iter=max_iter, tol=1e-9)
+    def _check_value_iteration(model, J0, max_iter, stop_on_tol=True):
+        cfg = SolverConfig(algorithm="vi", max_iter=max_iter, tol=1e-9,
+                           stop_on_tol=stop_on_tol)
         rows, result = _recorded_rows(lambda: value_iteration(model, J0, cfg))
-        want = _quietly(lambda: ref.value_iteration_rows(model, J0, max_iter, 1e-9))
+        want = _quietly(lambda: ref.value_iteration_rows(model, J0, max_iter, 1e-9,
+                                                         stop_on_tol))
         assert len(rows) == len(result.trace.rows) == len(want)
-        for (J, _), row, (J_ref, res_ref) in zip(rows, result.trace.rows, want):
+        for (J, _), row, (J_ref, res_ref, div_ref) in zip(rows, result.trace.rows, want):
             assert _array_bits(J) == _array_bits(J_ref)
             assert _array_bits(row.residual) == _array_bits(res_ref)
+            assert row.extra["divergent"] == div_ref
+        assert result.divergent == frozenset(want[-1][2])
         return result
 
     @settings(max_examples=300)
@@ -573,6 +577,20 @@ class TestFiniteRows:
              AtomicControl("off", c, np.array([1.0, 0.0, 0.0, 0.0]))),
             (AtomicControl("slow", c, np.array([0.01, 0.0, 0.0, 0.99])),)))
         assert self._check_value_iteration(model, np.zeros(4), 150).divergent
+
+    @pytest.mark.parametrize("stop_on_tol", [True, False])
+    @pytest.mark.parametrize("start", ["zero", "above"])
+    @pytest.mark.parametrize("name", ["FX-P3a", "FX-P3b"])
+    def test_value_iteration_rows_with_families(self, name, start, stop_on_tol):
+        # Affine families: no pin and no finite rows.  From 1.5 J* FX-P3a
+        # carries J(1) = inf, whose increment inf - inf is NaN, so the
+        # window rule's thresholds there are NaN; from zero the rule
+        # flags state 1 at row 80 and the run iterates its finite values on.
+        fx = fixture(name)
+        J0 = np.zeros(3) if start == "zero" else 1.5 * fx.Jstar
+        result = self._check_value_iteration(fx.model, J0, 130, stop_on_tol)
+        assert result.divergent == (frozenset({1}) if (name, start) == ("FX-P3a", "zero")
+                                    else frozenset())
 
     @settings(max_examples=300)
     @given(finite_path_cases(), st.data())

@@ -18,8 +18,12 @@ first in odd ones), and takes the geometric mean over the models of
 the time ratio working tree / REF.  It prints the median of those
 ratios with its quartiles, each side's median time for one pass over
 the models, and whether every result and trace of the working tree
-equals REF's bit for bit: J and Q, the trace's op count and row count,
-and each row's residual and backup count (``powers``, on mixed rows).
+equals REF's bit for bit: J and Q, the divergent states (value
+iteration), the trace's op count and row count, and each row's
+residual, backup count (``powers``, on mixed rows), divergent states
+and direction (``divergent`` and ``direction``, on value-iteration
+rows), so a paired value-iteration run checks the window rule's
+decisions as well as its residuals.
 The ``pi`` job solves policy iteration from every start of the model, as
 `jobs._pi` does, and compares each start's result so.  The ``cli`` job
 runs `jobs._cli`'s command (``totaldp solve FILE --algorithm vi ...
@@ -233,23 +237,32 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# The row fields compared as they are: mixed rows' backup counts, and
+# value-iteration rows' divergent states and direction.
+ROW_FIELDS = ("powers", "divergent", "direction")
+
+
 def differences(a, b) -> list[str]:
     """What differs bit for bit between two solve results (or two lists
-    of them, one per start): J, Q, the trace's op count and row count,
-    and the first row whose residual or backup count (``powers``)
-    differs."""
+    of them, one per start): J, Q, the divergent states (value
+    iteration), the trace's op count and row count, and the first row
+    whose residual or one of `ROW_FIELDS` differs."""
     if isinstance(a, list):
         return [f"start {k} {diff}" for k, (x, y) in enumerate(zip(a, b))
                 for diff in differences(x, y)]
     out = [name for name, x, y in (("J", a.J, b.J), ("Q", a.Q, b.Q)) if not same_bits(x, y)]
+    if a.divergent != b.divergent:
+        out.append(f"divergent {sorted(b.divergent)} vs {sorted(a.divergent)}")
     if a.trace.op_count != b.trace.op_count:
         out.append(f"op_count {b.trace.op_count} vs {a.trace.op_count}")
     if len(a.trace.rows) != len(b.trace.rows):
         out.append(f"{len(b.trace.rows)} rows vs {len(a.trace.rows)}")
     for ra, rb in zip(a.trace.rows, b.trace.rows):
-        if not same_bits(ra.residual, rb.residual) \
-                or ra.extra.get("powers") != rb.extra.get("powers"):
-            out.append(f"row {ra.k} residual or powers")
+        fields = [f for f in ROW_FIELDS if ra.extra.get(f) != rb.extra.get(f)]
+        if not same_bits(ra.residual, rb.residual):
+            fields.insert(0, "residual")
+        if fields:
+            out.append(f"row {ra.k} {', '.join(fields)}")
             break
     return out
 
@@ -350,7 +363,8 @@ def main(argv=None) -> int:
     same = {"certify": "report, Q and certificate",
             "cli": "printed output and trace file",
             "io": "model read, hash and trace CSV text"}.get(
-        args.job, "J, Q, op count, row count, row residual and row powers")
+        args.job, "J, Q, divergent states, op count, row count, row residual, powers, "
+                  "divergent and direction")
     print(f"  every {same} bitwise equal ({len(cases)} models)")
     return 0
 
