@@ -163,13 +163,12 @@ def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
     operands as the minimum over every pair read at the chosen ones, so
     the same floats, bit for bit.  The policy was checked against the
     model by `_check_inputs`, so the gather is taken here directly.
+    (`_f_theta_power` reads B = S under such a policy without a map.)
     """
     chosen = theta.policy.chosen_pairs
     if chosen is None:
         lifted = J[model.pair_state]
         return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J), False
-    if len(theta.B) == model.num_states:
-        return lambda Q: np.minimum(J, Q[chosen]), True
     B = theta.B_index
     J_B, chosen_B = J[B], chosen[B]
 
@@ -202,16 +201,29 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
 
 
 def _f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray, J: np.ndarray,
-                   n: int, finite: bool = False) -> tuple[np.ndarray, int]:
+                   n: int, finite: bool = False, out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, int]:
     """`f_theta_power` of float vectors and n >= 1.  ``finite`` is the
     caller's knowledge that `operators._finite` holds for J and Q0, hence
-    for every w read from them; without it the first w is scanned."""
+    for every w read from them; without it the first w is scanned.  With
+    ``out``, a pair vector that shares no memory with Q0 or J, the
+    result is written into it (`_backup_power`).
+
+    With B = S, a policy built from choices reads min{J, Q} at its
+    chosen pairs: `_backup_power` takes that read as the pair (chosen,
+    J) and no map is built (the mixed loop's row, one per iteration);
+    any other Theta reads through `_f_floor_map`."""
     if theta._fits is not model:  # spares the mixed loop a call per row
         _check_inputs(model, theta)
-    floor, gathers = _f_floor_map(model, theta, J)
-    w = floor(Q0)
+    chosen = theta.policy.chosen_pairs
+    if chosen is not None and len(theta.B) == model.num_states:
+        read, gathers = (chosen, J), True
+        w = np.minimum(J, Q0[chosen])
+    else:
+        read, gathers = _f_floor_map(model, theta, J)
+        w = read(Q0)
     plain = gathers and (finite or _finite(model, w))
-    _, Q, applied = _backup_power(model, w, floor, n, plain, True)
+    _, Q, applied = _backup_power(model, w, read, n, plain, True, out)
     return Q, applied
 
 

@@ -259,7 +259,7 @@ class Policy:
     for and the pair index of each state's chosen control, and builds
     per-state `AtomicMix` actions only when `actions` is read.  Policies
     are immutable: the arrays they hand out are read-only, and the
-    descriptor is rendered once per policy.
+    descriptor and the control-index bytes are made once per policy.
     """
 
     def __init__(self, actions: Sequence[PolicyAction]):
@@ -267,6 +267,7 @@ class Policy:
         self._chosen: np.ndarray | None = None  # chosen pair index per state
         self._model: TotalCostModel | None = None  # the model they index
         self._descriptor: str | None = None
+        self._controls: bytes | None = None
 
     @staticmethod
     def deterministic(model: TotalCostModel, choices: Sequence[int]) -> "Policy":
@@ -295,6 +296,7 @@ class Policy:
         policy._chosen = chosen
         policy._model = model
         policy._descriptor = None
+        policy._controls = None
         return policy
 
     @staticmethod
@@ -354,6 +356,16 @@ class Policy:
         if not isinstance(a, AtomicMix):
             raise ValueError(f"state {x} uses a family parameter, not an atomic control")
         return int(np.argmax(a.weights))
+
+    def _control_bytes(self) -> bytes:
+        """For a policy built from choices, the control index of each
+        state's choice (its chosen pair less the state's first pair) as
+        intp bytes: what a row-wise argmin over a uniform layout gives.
+        Computed on the first call and kept."""
+        if self._controls is None:
+            starts = self._model.pair_starts
+            self._controls = np.subtract(self._chosen, starts, dtype=np.intp).tobytes()
+        return self._controls
 
     def descriptor(self) -> str:
         """The policy as "x:i" per state ("x:t=..." for a family

@@ -160,14 +160,18 @@ def _finite(model: TotalCostModel, w: np.ndarray) -> bool:
 
 
 def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
-                  plain: bool, stop: bool = False
+                  plain: bool, stop: bool = False, out: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """n backups, each of the state vector that ``read`` takes from the
     last one's pair vector: H_1 = pair_backup(w), H_{i+1} =
     pair_backup(read(H_i)).  Returns the state vector the last backup
     took, H_n and the number of backups that ran.  With ``stop``, the
     loop ends when read gives a vector bitwise equal to the one the last
-    backup took: every later H would repeat.
+    backup took: every later H would repeat.  ``read`` is a function of
+    H or, for the read of a policy built from choices, a pair (chosen,
+    floor): the gather H[chosen], then np.minimum(floor, H[chosen])
+    unless floor is None.  A pair spares its caller building a function
+    per power.
 
     The finiteness decision is the caller's, made once: ``plain`` says
     that read only gathers and takes minima (the read of a policy built
@@ -187,23 +191,43 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     RuntimeWarning raised as an error both stop at the same place; under
     a filter that only reports, the plain product adds an "invalid
     value" warning before the rerun.
+
+    With ``out``, a pair vector of the model's length that neither w nor
+    any vector read returns shares memory with, every backup is written
+    into it and H_n is ``out`` itself: the plain product by
+    `np.matmul`'s ``out``, scaled and summed in place, the per-backup
+    one copied in (the rerun too).  Each read takes its vector before
+    the next backup overwrites ``out``, so the floats are those of fresh
+    arrays, bit for bit.
     """
     P = model.pair_probs
-    expect = np.matmul if plain else expect_rows
-    H = _g_plus(model, expect(P, w))
+    H = _g_plus(model, np.matmul(P, w, out=out)) if plain else _backup(model, w, out)
     x, applied, last = w, 1, w.tobytes() if stop else None
+    chosen, floor = read if isinstance(read, tuple) else (None, None)
     while applied < n:
-        v = read(H)
+        v = (read(H) if chosen is None else H[chosen] if floor is None
+             else np.minimum(floor, H[chosen]))
         if stop:
             now = v.tobytes()
             if now == last:
                 break
             last = now
-        x, H = v, _g_plus(model, expect(P, v))
+        x, H = v, (_g_plus(model, np.matmul(P, v, out=out)) if plain
+                   else _backup(model, v, out))
         applied += 1
-    if applied > 1 and expect is np.matmul and np.count_nonzero(np.isnan(H)):
-        return _backup_power(model, w, read, n, False, stop)
+    if applied > 1 and plain and np.count_nonzero(np.isnan(H)):
+        return _backup_power(model, w, read, n, False, stop, out)
     return x, H, applied
+
+
+def _backup(model: TotalCostModel, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A backup of `_backup_power` off the plain path: `pair_backup`,
+    copied into ``out`` when given."""
+    H = pair_backup(model, w)
+    if out is None:
+        return H
+    out[...] = H
+    return out
 
 
 def _state_vector(model: TotalCostModel, J) -> np.ndarray:
@@ -219,11 +243,15 @@ def h_backup(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
     return pair_backup(model, _state_vector(model, J))
 
 
-def _segment_min(model: TotalCostModel, Q: np.ndarray) -> np.ndarray:
-    """Per-state minimum over the atomic pairs; +inf at a state without any."""
+def _segment_min(model: TotalCostModel, Q: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Per-state minimum over the atomic pairs; +inf at a state without
+    any.  Written into ``out``, a state vector, when given."""
     if model.atomic_only:
-        return np.minimum.reduceat(Q, model.pair_starts)
-    out = np.full(model.num_states, INF)
+        return np.minimum.reduceat(Q, model.pair_starts, out=out)
+    if out is None:
+        out = np.empty(model.num_states)
+    out.fill(INF)
     live = model.pair_counts() > 0
     if live.any():
         out[live] = np.minimum.reduceat(Q, model.pair_starts[live])
@@ -291,7 +319,7 @@ def t_mu_power_and_h(model: TotalCostModel, policy: Policy, J: np.ndarray,
         for _ in range(n):
             J = bellman_T_mu(model, policy, J)
         return J, h_backup(model, J)
-    J, H, _ = _backup_power(model, J, lambda V: V[chosen], n + 1, _finite(model, J))
+    J, H, _ = _backup_power(model, J, (chosen, None), n + 1, _finite(model, J))
     return J, H
 
 
@@ -330,10 +358,17 @@ def _greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float,
                    qmin: np.ndarray | None, keep: Policy | None,
                    finite: bool = False) -> Policy:
     """`greedy_select` on admitted arguments, unchecked.  ``finite`` says
-    that every entry of Q is finite, so the NaN check is skipped."""
+    that every entry of Q is finite, so the NaN check is skipped; then a
+    row argmin that repeats ``keep``'s control indices returns ``keep``
+    before it is turned into pair indices."""
     starts, width = model.pair_starts, model.control_width
     if epsilon == 0.0 and width:
         first = Q.reshape(-1, width).argmin(axis=1)
+        # A finite Q holds no NaN to refuse, so a kept policy is known by
+        # its control indices before they are made pair indices.
+        if finite and keep is not None and keep.chosen_pairs is not None \
+                and keep._control_bytes() == first.tobytes() and _built_for(model, keep):
+            return keep
         first += starts
         nan = not finite and np.count_nonzero(np.isnan(Q[first]))
     else:

@@ -25,9 +25,9 @@ it ends with.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Sequence, Union
 
 import numpy as np
@@ -163,7 +163,7 @@ BStrategy = Union[FullB, OccupationSupportB, CustomB]
 J_SNAPSHOT, Q_SNAPSHOT = "J_snapshot", "Q_snapshot"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     k: int
     residual: float
@@ -393,7 +393,11 @@ class _Recorder:
     the run.  ``rate`` records the start's distance to ground truth
     (dist0) and ``sandwich`` whether the start dominates it
     (initial_dominance); each start vector counts only when its ground
-    truth is known, and dominance only when all of them do.
+    truth is known, and dominance only when all of them do.  A row is
+    built positionally, its wall time passed in, and appended to the
+    trace's row list directly: the solvers number their rows 1, 2, ...
+    themselves, so `IterationTrace.append`'s order check, which any
+    other caller still meets, is not run again.
 
     A row's ground-truth columns (dist_J, lower_margin and, with Q,
     dist_Q, q_lower_margin) are filled later, not when it is appended:
@@ -432,16 +436,17 @@ class _Recorder:
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
         self._pending: list[tuple[TraceRow, np.ndarray, np.ndarray | None]] = []
-        self._start = time.perf_counter()
+        self._start = perf_counter()
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
-            **fields) -> None:
-        """Append row k.  With ground truth, J (and Q) are kept by
-        reference until the row's columns are filled: the caller never
-        writes into them afterwards."""
-        row = TraceRow(k=k, residual=residual, **fields)
-        row.wall_time = time.perf_counter() - self._start
-        self.trace.append(row)
+            policy: str = "", b_set: str = "", upper_margin: float | None = None,
+            extra: dict | None = None) -> None:
+        """Append row k, which follows the last row's k.  With ground
+        truth, J (and Q) are kept by reference until the row's columns
+        are filled: the caller never writes into them afterwards."""
+        row = TraceRow(k, residual, None, None, policy, b_set, upper_margin, None, None,
+                       perf_counter() - self._start, {} if extra is None else extra)
+        self.trace.rows.append(row)
         if self.Jstar is not None:
             self._pending.append((row, J, Q if self.Qstar is not None else None))
             if len(self._pending) >= _BLOCK:
@@ -718,11 +723,12 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     Trace rows carry both the evaluation iterate and the improvement-time
     value M(h_backup(J)); for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
-    in the header.
+    in the header.  A J0 of another shape than the model's states is
+    refused before the first round.
     """
     check_admits("mpi", model)
     config = config or SolverConfig(algorithm="mpi", nk=10)
-    J = np.asarray(J0, dtype=float).copy()
+    J = _state_vector(model, J0).copy()
     mu = mu0
     rec = _Recorder("mpi", model, config, J0=J, rate=False)
     if model.regime == "P":
@@ -815,27 +821,34 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     initial one at k = 0, if given, else greedy from Q with the configured
     epsilon, reusing M(Q) when the last iteration took it, and keeping the
     policy and its Theta while the choice repeats), resolve B, and let
-    ``update(model, config, k, theta, Q, J, finite)`` return (Q_next,
-    J_next or None, operator count, row columns).  J becomes the clamped
+    ``update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next)``
+    write Q_next (and, for a masked update, J_next) and return (operator
+    count, whether it wrote J_next, lp's row columns).  J becomes the clamped
     J_next of a masked update, else the clamped M(Q_next).  The run
     converges once max(res_J, res_Q) <= tol on each of the last rows of
     a whole cycle of the mask schedule (one row without masks): a masked
     row moves only the pairs and states its masks set, so a quiet row
     alone shows nothing about the others, while a whole cycle updates
-    every one (`mixed_vpi` refuses a schedule that does not).  mixed
-    rows record J_k and Q_k as ``J_snapshot``/``Q_snapshot``: the arrays
-    the loop holds, not copies.
-    Every update and `_clamp` returns fresh arrays and nothing here
-    writes into J or Q, so a recorded iterate never changes; the trace
-    file holds them as JSON lists, and `modelio.read_trace` gives arrays
-    back.  Both residuals are taken in one pass (`sup_dist_segments`,
-    each entry its half's `sup_dist` bit for bit) over the row's [J | Q]
-    and the last row's, a concatenation kept for one row only: its two
-    halves as the row's J and Q would cost two array headers per
-    recorded row.  lp records no envelope, start dominance or
-    snapshots, adds ``cone_margin`` (max(J_k - c Jstar) for J0's cone
-    multiplier c), and its capped iterate is a lower bound.  A J0 or Q0
-    of another length than the model's states or pairs is refused.
+    every one (`mixed_vpi` refuses a schedule that does not).  lp records
+    no envelope, start dominance or snapshots, adds ``cone_margin``
+    (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
+    iterate is a lower bound.  A J0, Q0, clamp_lo or clamp_hi of another
+    shape than the model's states or pairs is refused before the first
+    row.
+
+    Each row allocates one buffer [J | Q] of n + pairs floats, and every
+    update writes into its halves J_next and Q_next: the power its last
+    backup into the Q half (`_f_theta_power`'s ``out``), M(Q) goes into
+    the J half and the clamp runs there in place, and the masked, exact
+    and lp updates copy their fresh results in.  Both residuals are then
+    one pass over the buffer against the last row's (`sup_dist_segments`,
+    each entry its half's `sup_dist` bit for bit).  mixed rows record the
+    two halves as ``J_snapshot``/``Q_snapshot``; no later row writes into
+    a row's buffer, so a recorded iterate never changes, and the result
+    holds copies of its own.  The trace file holds the snapshots as JSON
+    lists, and `modelio.read_trace` gives arrays back.  What stays fixed
+    for the solve is taken once: the clamp bounds as float arrays, an
+    int nk, and the policy's and B's text once per Theta.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the pair costs, J0 and Q0 are finite, no
@@ -858,12 +871,19 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         raise ValueError("config must provide J0 and Q0")
     lp = algorithm == "lp"
     n = model.num_states
-    J = np.asarray(config.J0, dtype=float).copy()
-    Q = np.asarray(config.Q0, dtype=float).copy()
-    for name, start, size in (("J0", J, n), ("Q0", Q, model.num_pairs())):
-        if start.shape != (size,):
-            raise ValueError(f"{name} has shape {start.shape}, the model wants {(size,)}")
-    JQ = np.concatenate((J, Q))  # [J | Q] of the current iterate, for its residuals
+    size = n + model.num_pairs()
+    for name, given, length in (("J0", config.J0, n), ("Q0", config.Q0, size - n),
+                                ("clamp_lo", config.clamp_lo, n),
+                                ("clamp_hi", config.clamp_hi, n)):
+        if given is not None and np.shape(given) != (length,):
+            raise ValueError(f"{name} has shape {np.shape(given)}, "
+                             f"the model wants {(length,)}")
+    lo, hi = (None if bound is None else np.asarray(bound, dtype=float)
+              for bound in (config.clamp_lo, config.clamp_hi))
+    # [J | Q] of the current iterate, and its two halves
+    JQ = np.concatenate((np.asarray(config.J0, dtype=float),
+                         np.asarray(config.Q0, dtype=float)))
+    J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
     finite = _finite(model, JQ)
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp)
@@ -873,20 +893,36 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     # Jstar as NaN only when c = 0 (J0 = 0 wherever Jstar is finite).
     cone = (None if c is None or not np.isfinite(c)
             else np.zeros(J.shape) if c == 0.0 else c * rec.Jstar)
+    nk = config.nk if isinstance(config.nk, int) else None
+    resolve, epsilon, tol = config.bstrategy.resolve, config.epsilon, config.tol
     policy = config.initial_policy
-    theta = None
+    theta = policy_text = b_set = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
     for k in range(config.max_iter):
         if k > 0 or policy is None:
-            policy = _greedy_select(model, Q, config.epsilon, qmin, policy, finite)
-        theta = _theta(theta, policy, config.bstrategy.resolve(model, policy, k))
-        Q_next, J_next, ops, columns = update(model, config, k, theta, Q, J, finite)
+            policy = _greedy_select(model, Q, epsilon, qmin, policy, finite)
+        B = resolve(model, policy, k)
+        # Greedy selection hands back the policy it kept, and a B strategy
+        # its last B, so a run builds (and describes) one Theta per
+        # distinct policy and B.
+        if theta is None or theta.policy is not policy or theta.B is not B:
+            theta = Theta(policy, B)
+            policy_text, b_set = policy.descriptor(), _describe_b(theta.B, n)
+        nxt = np.empty(size)
+        J_next, Q_next = nxt[:n], nxt[n:]
+        ops, set_J, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
+                                     theta, Q, J, finite, J_next, Q_next)
         rec.trace.op_count += ops
-        qmin = _segment_min(model, Q_next) if J_next is None else None
-        J_next = _clamp(J_next if qmin is None else qmin, config)
-        nxt = np.concatenate((J_next, Q_next))
+        if set_J:
+            qmin = None
+            _clamp(J_next, lo, hi, J_next)
+        elif lo is None and hi is None:
+            qmin = _segment_min(model, Q_next, J_next)
+        else:
+            qmin = _segment_min(model, Q_next)
+            _clamp(qmin, lo, hi, J_next)
         res_J, res_Q = (_sup_dist_segments(nxt, JQ, halves, True) if finite
                         else sup_dist_segments(nxt, JQ, halves)).tolist()
         finite = finite and res_J < INF and res_Q < INF
@@ -894,61 +930,63 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         if envelope is not None:
             envelope = bellman_T(model, envelope)
         upper = None if envelope is None else margin_leq(J, envelope)
-        extra = {"residual_Q": res_Q, **columns}
         if lp:
-            extra["cone_margin"] = None if cone is None else margin_leq(J, cone)
+            extra = {"residual_Q": res_Q, **columns,
+                     "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
-            extra[J_SNAPSHOT] = J
-            extra[Q_SNAPSHOT] = Q
-        rec.row(k + 1, res_J, J, Q, policy=policy.descriptor(),
-                b_set=_describe_b(theta.B, model.num_states), upper_margin=upper,
+            extra = {"residual_Q": res_Q, "powers": ops, J_SNAPSHOT: J, Q_SNAPSHOT: Q}
+        rec.row(k + 1, res_J, J, Q, policy=policy_text, b_set=b_set, upper_margin=upper,
                 extra=extra)
-        quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
+        quiet = quiet + 1 if max(res_J, res_Q) <= tol else 0
         if config.stop_on_tol and quiet >= cycle:
             return rec.finish("converged", J, Q=Q, policy=policy)
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
 
 
-def _power_update(model, config, k, theta, Q, J, finite):
-    Q_next, powers = _f_theta_power(model, theta, Q, J, int(config.nk_at(k)), finite)
-    return Q_next, None, powers, {"powers": powers}
+# The Q-updates of `_mixed_loop`, called with the row's power count nk and
+# the halves J_next, Q_next of its buffer.  The three of `mixed_vpi` have
+# one row column, ``powers``: their operator count, which the loop writes
+# itself, so they return None for the columns.
 
 
-def _masked_update(model, config, k, theta, Q, J, finite):
+def _power_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
+    return _f_theta_power(model, theta, Q, J, nk, finite, Q_next)[1], False, None
+
+
+def _masked_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
     pair_mask, state_mask = config.masks[k % len(config.masks)]
-    Q_next, J_next, powers = _masked_power(model, theta, Q, J, pair_mask, state_mask,
-                                           int(config.nk_at(k)), finite)
-    return Q_next, J_next, powers, {"powers": powers}
+    Q_new, J_new, powers = _masked_power(model, theta, Q, J, pair_mask, state_mask,
+                                         nk, finite)
+    Q_next[...] = Q_new
+    J_next[...] = J_new
+    return powers, True, None
 
 
-def _exact_update(model, config, k, theta, Q, J, finite):
-    Q_next, cert = q_fixed_point(model, theta, J)
-    return Q_next, None, cert.iterations, {"powers": cert.iterations}
+def _exact_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
+    Q_fix, cert = q_fixed_point(model, theta, J)
+    Q_next[...] = Q_fix
+    return cert.iterations, False, None
 
 
-def _program_update(model, config, k, theta, Q, J, finite):
+def _program_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
     bound = lp_upper_bound(model, theta, J)
     Q_fix, cert = q_fixed_point(model, theta, J)
+    Q_next[...] = bound.Qbar
     columns = {"ineq_lower_margin": margin_leq(Q_fix, bound.Qbar),   # <= 0: above Q_fix
                "ineq_upper_margin": bound.certificate.upper_margin}  # >= 0: below F
-    return bound.Qbar, None, cert.iterations + bound.certificate.iterations, columns
+    return cert.iterations + bound.certificate.iterations, False, columns
 
 
-def _clamp(J: np.ndarray, config: SolverConfig) -> np.ndarray:
-    if config.clamp_hi is not None:
-        J = np.minimum(J, np.asarray(config.clamp_hi, dtype=float))
-    if config.clamp_lo is not None:
-        J = np.maximum(J, np.asarray(config.clamp_lo, dtype=float))
-    return J
-
-
-def _theta(theta: Theta | None, policy: Policy, B: frozenset[int]) -> Theta:
-    """Theta(policy, B), or ``theta`` itself when it holds these very
-    objects: greedy selection hands back the policy it kept, so a run
-    builds one Theta per distinct policy and B."""
-    if theta is not None and theta.policy is policy and theta.B is B:
-        return theta
-    return Theta(policy, B)
+def _clamp(J: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None,
+           out: np.ndarray) -> None:
+    """max(min(J, hi), lo), a bound that is None left out, written into
+    ``out`` (which may be J itself)."""
+    if hi is not None:
+        np.minimum(J, hi, out=out)
+    elif J is not out:
+        out[...] = J
+    if lo is not None:
+        np.maximum(out, lo, out=out)
 
 
 def _describe_b(B: frozenset[int], n: int) -> str:

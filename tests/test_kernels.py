@@ -41,6 +41,7 @@ from totaldp.fixtures import fixture, fixture_names
 from totaldp.ftheta import (
     Theta,
     _f_floor_map,
+    _f_theta_power,
     _floor,
     f_theta_apply,
     f_theta_power,
@@ -60,6 +61,10 @@ from totaldp.model import (
 )
 from totaldp.modelio import model_hash, render_model
 from totaldp.operators import (
+    _backup_power,
+    _finite,
+    _greedy_select,
+    _segment_min,
     bellman_T,
     bellman_T_mu,
     family_infimum,
@@ -659,6 +664,26 @@ class TestMixedLoopFastPaths:
                 outcomes.append(str(err))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
+    @given(atomic_models(uniform=True), st.data())
+    def test_finite_greedy_keeps_exactly_a_policy_with_the_same_controls(self, model, data):
+        # On a finite Q the mixed loop's selection knows a kept policy by
+        # its control indices; it must keep exactly the policy that the
+        # checked selection keeps, and otherwise build the same pairs.
+        Q = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]),
+                               min_size=model.num_pairs(),
+                               max_size=model.num_pairs()).map(np.array))
+        fresh = greedy_select(model, Q)
+        width = model.control_width
+        other = Policy.deterministic(model, [data.draw(st.integers(0, width - 1))
+                                            for _ in range(model.num_states)])
+        same = Policy.deterministic(model, [fresh.action_index(x)
+                                            for x in range(model.num_states)])
+        for keep in (same, other, Policy.uniform(model)):
+            got = _greedy_select(model, Q, 0.0, None, keep, True)
+            assert (got is keep) == (greedy_select(model, Q, keep=keep) is keep)
+            assert got.chosen_pairs.tobytes() == fresh.chosen_pairs.tobytes()
+        assert _greedy_select(model, Q, 0.0, None, same, True) is same
+
     def test_greedy_refuses_a_minimum_of_the_wrong_shape(self):
         model = fixture("FX-D").model
         Q = np.zeros(model.num_pairs())
@@ -814,6 +839,85 @@ class TestPowers:
             assert got_part.tobytes() == per_backup_part.tobytes()
             # The loop oracle takes each expectation as its own dot product.
             assert_matches(got_part, oracle_part)
+
+    @settings(max_examples=300)
+    @given(power_cases(), st.booleans())
+    def test_buffer_powers_are_the_fresh_ones(self, c, stop):
+        # `_backup_power` writing into a pair-length buffer (the Q half of
+        # a mixed row's [J | Q]) against the same power into fresh arrays:
+        # every read form (a function, a gather with and without a floor),
+        # with and without stop, on the path `_f_theta_power` picks and on
+        # the per-backup one.  The J half is never written.
+        model, chosen = c.model, c.policy.chosen_pairs
+        reads = [_f_floor_map(model, Theta(c.policy, c.B), c.J)]
+        if chosen is not None:  # F_theta's read with B = S, and T_mu's
+            reads += [((chosen, c.J), True), ((chosen, None), True)]
+        filt = "ignore" if c.kind == "big" else "error"
+        for read, gathers in reads:
+            floor = read[1] if isinstance(read, tuple) else None
+            w = (read(c.Q) if not isinstance(read, tuple) else c.Q[chosen] if floor is None
+                 else np.minimum(floor, c.Q[chosen]))
+            for plain in {False, gathers and _finite(model, w)}:
+                buf = np.full(model.num_states + model.num_pairs(), 12345.0)
+                out = buf[model.num_states:]
+
+                def into_buffer():
+                    return _backup_power(model, w, read, c.n, plain, stop, out)
+
+                def fresh():
+                    return _backup_power(model, w, read, c.n, plain, stop)
+
+                if c.kind == "big":
+                    got, want = outcome(into_buffer, "error"), outcome(fresh, "error")
+                    assert type(got) is type(want)
+                    if isinstance(got, str):
+                        assert got == want
+                got, want = outcome(into_buffer, filt), outcome(fresh, filt)
+                assert got[1] is out
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[0].tobytes() == want[0].tobytes() and got[2] == want[2]
+                assert (buf[:model.num_states] == 12345.0).all()
+
+    def test_a_buffer_power_that_overflows_part_way_is_run_again_into_the_buffer(self):
+        # State 0 pays 1e308 and stays, state 1 is free and stays.  From
+        # Q = (1e308, 0) the first backup overflows to (inf, 0); the plain
+        # product of the second meets inf with state 1's zero weight and
+        # leaves a NaN, so the power runs again backup by backup, now
+        # writing into the buffer, and stops when the read repeats.
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("up", 1e308, np.array([1.0, 0.0])),),
+            (AtomicControl("rest", 0.0, np.array([0.0, 1.0])),)))
+        theta = Theta(Policy.deterministic(model, [0, 0]), model.state_set)
+        J, Q = np.full(2, INF), np.array([1e308, 0.0])
+        buf = np.full(4, 12345.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            plain = model.pair_probs @ np.array([INF, 0.0])  # the second backup's product
+            got, applied = _f_theta_power(model, theta, Q, J, 3, out=buf[2:])
+            want = f_power_per_backup(model, theta, Q, J, 3)
+        assert np.isnan(plain).any()
+        assert np.shares_memory(got, buf) and applied == want[1] == 2
+        assert got.tobytes() == want[0].tobytes() == np.array([INF, 0.0]).tobytes()
+        assert buf[2:].tobytes() == got.tobytes() and (buf[:2] == 12345.0).all()
+
+    @given(st.one_of(atomic_models(), signed_models()), st.data())
+    def test_buffer_segment_minimum_is_the_fresh_one(self, model, data):
+        Q = data.draw(raw_vectors(model.num_pairs()))  # NaN and signed zeros too
+        buf = np.full(model.num_states + 2, 12345.0)
+        got = _segment_min(model, Q, buf[1:-1])
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == _segment_min(model, Q).tobytes() == buf[1:-1].tobytes()
+        assert buf[0] == buf[-1] == 12345.0
+
+    def test_buffer_segment_minimum_with_a_state_without_pairs(self):
+        # FX-P3b's state 1 has an affine family and no atomic pair: +inf there
+        model = fixture("FX-P3b").model
+        Q = np.array([2.0, -0.0])
+        buf = np.full(5, 12345.0)
+        got = _segment_min(model, Q, buf[1:4])
+        assert got.tobytes() == _segment_min(model, Q).tobytes() == \
+            np.array([2.0, INF, -0.0]).tobytes()
+        assert np.shares_memory(got, buf) and buf[0] == buf[4] == 12345.0
 
 
 def json_text(model, gt=None):

@@ -143,6 +143,17 @@ class TestModifiedPolicyIteration:
             SolverConfig(algorithm="mpi", nk=20, tol=1e-12, max_iter=500))
         assert sup_dist(out.J, fx.Jstar) <= 1e-9
 
+    @pytest.mark.parametrize("J0, shape", [(np.zeros(3), "(3,)"), (np.zeros((4, 1)), "(4, 1)")])
+    def test_refuses_a_start_that_does_not_fit_the_model(self, J0, shape):
+        # as value iteration does, naming both shapes, before the first round
+        model, _ = random_model(441, num_states=4, regime="P")
+        mu0 = Policy.deterministic(model, [0] * 4)
+        for solve in (modified_policy_iteration, value_iteration):
+            args = (model, mu0, J0) if solve is modified_policy_iteration else (model, J0)
+            with pytest.raises(ValueError) as err:
+                solve(*args)
+            assert str(err.value) == f"J has shape {shape}, want (4,)"
+
 
 class TestMixed:
     @pytest.mark.parametrize("algorithm", ["mixed", "lp"])
@@ -156,6 +167,26 @@ class TestMixed:
         cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=Q0)
         with pytest.raises(ValueError, match=re.escape(f"{name} has shape {shape}")):
             run(model, cfg)
+
+    @pytest.mark.parametrize("algorithm", ["mixed", "lp"])
+    @pytest.mark.parametrize("name", ["clamp_lo", "clamp_hi"])
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (1,)])
+    def test_refuses_clamp_bounds_that_do_not_fit_the_model(self, monkeypatch, algorithm,
+                                                            name, shape):
+        # A bound of 3 entries would die mid-solve in numpy, one of (4, 1)
+        # would broadcast into a matrix and one of (1,) would broadcast
+        # silently; each is refused before the first row, as J0 and Q0 are.
+        model, _ = random_model(441, num_states=4, regime="P")
+        J0 = np.zeros(4)
+        cfg = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
+                           **{name: np.zeros(shape)})
+        selections = []
+        monkeypatch.setattr(solvers, "_greedy_select",
+                            lambda *args: selections.append(args))
+        with pytest.raises(ValueError) as err:
+            run(model, cfg)
+        assert str(err.value) == f"{name} has shape {shape}, the model wants (4,)"
+        assert not selections
 
     def test_empty_b_replays_value_iteration_exactly(self):
         model, Jstar = random_model(421, regime="P")
@@ -453,6 +484,80 @@ class TestPowerCounts:
             powers = [row.extra["powers"] for row in trace.rows]
             assert sum(powers) == trace.op_count
             assert all(p >= 1 and (most is None or p <= most) for p in powers)
+
+
+class TestRecordedIterates:
+    """A row keeps the iterates it records by reference (the recorder
+    fills its ground-truth columns later, and mixed rows hold them as
+    snapshots), so they must stay isolated: no two rows' iterates share
+    memory (a mixed row's J and Q are the two halves of its own buffer),
+    no row is written into after it is recorded, and writing into a
+    returned J or Q, or into `SolverCapError.last`, leaves every
+    recorded row unchanged."""
+
+    KINDS = {"vi": dict(algorithm="vi"),
+             "power": dict(algorithm="mixed", nk=3),
+             "masked": dict(algorithm="mixed", nk=2, masks="round-robin"),
+             "exact": dict(algorithm="mixed", nk="exact"),
+             "lp": dict(algorithm="lp")}
+
+    @staticmethod
+    def _solve(kind, capped):
+        """The solve's outcome (its result, or the SolverCapError it
+        raised) and every (J, Q) it recorded, by reference, with the
+        bytes each held when recorded."""
+        # State 1 pays 1 per step and leaves for the free state 0 with
+        # probability 1e-3: every kind rises by about 1 per row, so no
+        # run of 12 rows converges, and J* = (0, 1000).
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("stay", 1.0, np.array([1e-3, 1.0 - 1e-3])),
+             AtomicControl("wait", 2.0, np.array([0.0, 1.0])))))
+        Jstar = np.array([0.0, 1000.0])
+        J0 = np.zeros(model.num_states)
+        kw = dict(TestRecordedIterates.KINDS[kind])
+        if kw.pop("masks", None):
+            kw["masks"] = round_robin_masks(model)
+        if kw["algorithm"] != "vi":
+            kw.update(J0=J0, Q0=h_backup(model, J0))
+        cfg = SolverConfig(**kw, max_iter=12, tol=1e-300, stop_on_tol=capped,
+                           ground_truth=(Jstar, h_backup(model, Jstar)))
+        recorded = []
+        real = solvers._Recorder.row
+
+        def row(self, k, residual, J, Q=None, **fields):
+            recorded.append([(v, v.tobytes()) for v in (J, Q) if v is not None])
+            return real(self, k, residual, J, Q, **fields)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers._Recorder, "row", row)
+            try:
+                out = value_iteration(model, J0, cfg) if kind == "vi" else run(model, cfg)
+            except SolverCapError as err:
+                out = err
+        return out, recorded
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["returned", "raised"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_rows_share_no_memory_and_outlive_writes_into_the_answer(self, kind, capped):
+        out, recorded = self._solve(kind, capped)
+        assert isinstance(out, SolverCapError) == capped
+        result = out.result if capped else out
+        assert len(recorded) == len(result.trace.rows) == 12
+        arrays = [(k, v) for k, row in enumerate(recorded) for v, _ in row]
+        for i, (k, a) in enumerate(arrays):
+            for j, b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b), (k, j)
+        if kind in ("power", "masked", "exact"):
+            for row, ((J, _), (Q, _)) in zip(result.trace.rows, recorded):
+                assert row.extra[J_SNAPSHOT] is J and row.extra[Q_SNAPSHOT] is Q
+        answers = (out.last if isinstance(out.last, tuple) else (out.last,)) if capped \
+            else (result.J,) if result.Q is None else (result.J, result.Q)
+        for v in answers:
+            assert not any(np.shares_memory(v, a) for _, a in arrays)
+            v[...] = -7.0
+        assert all(v.tobytes() == bits for row in recorded for v, bits in row)
+        assert all(row.dist_J is not None for row in result.trace.rows)
 
 
 # Start entries of a solve, for J0 and Q0: small finite values with zeros

@@ -20,10 +20,13 @@ ratios with its quartiles, each side's median time for one pass over
 the models, and whether every result and trace of the working tree
 equals REF's bit for bit: J and Q, the divergent states (value
 iteration), the trace's op count and row count, and each row's
-residual, backup count (``powers``, on mixed rows), divergent states
-and direction (``divergent`` and ``direction``, on value-iteration
-rows), so a paired value-iteration run checks the window rule's
-decisions as well as its residuals.
+residual, policy, ``b_set`` and ``upper_margin``, and the entries of
+its ``extra`` that `ROW_EXTRA` names: the backup count, Q residual and
+iterate snapshots of mixed rows (``powers``, ``residual_Q``,
+``J_snapshot``, ``Q_snapshot``) and the divergent states and direction
+of value-iteration rows (``divergent``, ``direction``).  So a paired
+value-iteration run checks the window rule's decisions as well as its
+residuals, and a paired mixed run every iterate it records.
 The ``pi`` job solves policy iteration from every start of the model, as
 `jobs._pi` does, and compares each start's result so.  The ``cli`` job
 runs `jobs._cli`'s command (``totaldp solve FILE --algorithm vi ...
@@ -237,16 +240,27 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# The row fields compared as they are: mixed rows' backup counts, and
-# value-iteration rows' divergent states and direction.
-ROW_FIELDS = ("powers", "divergent", "direction")
+def same_value(a, b) -> bool:
+    """Floats and arrays bit for bit (`same_bits`), anything else by
+    equality."""
+    if isinstance(a, (float, np.ndarray)) or isinstance(b, (float, np.ndarray)):
+        return same_bits(a, b)
+    return a == b
+
+
+# The row fields compared: attributes of every row, and the entries of a
+# row's ``extra`` (those of mixed rows: backup count, Q residual and
+# iterate snapshots; of value-iteration rows: divergent states and
+# direction), each missing on both sides where a solver records none.
+ROW_ATTRS = ("residual", "policy", "b_set", "upper_margin")
+ROW_EXTRA = ("powers", "residual_Q", "J_snapshot", "Q_snapshot", "divergent", "direction")
 
 
 def differences(a, b) -> list[str]:
     """What differs bit for bit between two solve results (or two lists
     of them, one per start): J, Q, the divergent states (value
     iteration), the trace's op count and row count, and the first row
-    whose residual or one of `ROW_FIELDS` differs."""
+    of which one of `ROW_ATTRS` or `ROW_EXTRA` differs."""
     if isinstance(a, list):
         return [f"start {k} {diff}" for k, (x, y) in enumerate(zip(a, b))
                 for diff in differences(x, y)]
@@ -258,9 +272,8 @@ def differences(a, b) -> list[str]:
     if len(a.trace.rows) != len(b.trace.rows):
         out.append(f"{len(b.trace.rows)} rows vs {len(a.trace.rows)}")
     for ra, rb in zip(a.trace.rows, b.trace.rows):
-        fields = [f for f in ROW_FIELDS if ra.extra.get(f) != rb.extra.get(f)]
-        if not same_bits(ra.residual, rb.residual):
-            fields.insert(0, "residual")
+        fields = [f for f in ROW_ATTRS if not same_value(getattr(ra, f), getattr(rb, f))]
+        fields += [f for f in ROW_EXTRA if not same_value(ra.extra.get(f), rb.extra.get(f))]
         if fields:
             out.append(f"row {ra.k} {', '.join(fields)}")
             break
@@ -363,8 +376,8 @@ def main(argv=None) -> int:
     same = {"certify": "report, Q and certificate",
             "cli": "printed output and trace file",
             "io": "model read, hash and trace CSV text"}.get(
-        args.job, "J, Q, divergent states, op count, row count, row residual, powers, "
-                  "divergent and direction")
+        args.job, "J, Q, divergent states, op count, row count and row field "
+                  f"({', '.join(ROW_ATTRS + ROW_EXTRA)})")
     print(f"  every {same} bitwise equal ({len(cases)} models)")
     return 0
 
