@@ -301,8 +301,14 @@ class Policy:
 
     @staticmethod
     def uniform(model: TotalCostModel) -> "Policy":
-        return Policy(tuple(AtomicMix(np.full(n, 1.0 / n))
-                            for n in model.pair_counts().tolist()))
+        """The policy that mixes each state's atomic controls with equal
+        weights; refused when a state has none to mix (its controls are
+        all affine families)."""
+        counts = model.pair_counts()
+        if not counts.all():
+            empty = model.state_names[int(np.argmin(counts))]
+            raise ValueError(f"state {empty} has no atomic control to mix uniformly")
+        return Policy(tuple(AtomicMix(np.full(n, 1.0 / n)) for n in counts.tolist()))
 
     @property
     def chosen_pairs(self) -> np.ndarray | None:

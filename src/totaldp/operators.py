@@ -21,10 +21,12 @@ takes a finite fast path when its input holds no infinity and a masked
 extended-real path otherwise.  A power of n backups (`_backup_power`,
 behind `t_mu_power_and_h` and `ftheta.f_theta_power`) takes that
 decision once, from its start, and checks its result for the NaN that
-a value overflowing part way would leave.  Value iteration and the mixed
-loop decide it once per solve (`_finite`, then each row's residual) and
-call the private kernels behind the public entries (`_bellman_T`,
-`_greedy_select`, `_segment_min`) with it: each public entry is its
+a value overflowing part way would leave.  Value iteration, the mixed
+loop and optimistic policy iteration decide it once per solve (one scan,
+then each row's residual) and call the private kernels behind the
+public entries (`_bellman_T`, `_greedy_select`, `_segment_min`) with
+it; policy iteration backs up each value once (`h_backup`) and reads T,
+T_mu and the greedy policy off that one H.  Each public entry is its
 argument checks plus its kernel.
 
 Affine control families keep a scalar per-state path, chosen from the
@@ -358,13 +360,15 @@ def _greedy_select(model: TotalCostModel, Q: np.ndarray, epsilon: float,
                    qmin: np.ndarray | None, keep: Policy | None,
                    finite: bool = False) -> Policy:
     """`greedy_select` on admitted arguments, unchecked.  ``finite`` says
-    that every entry of Q is finite, so the NaN check is skipped; then a
-    row argmin that repeats ``keep``'s control indices returns ``keep``
-    before it is turned into pair indices."""
+    that Q holds no NaN, so the NaN check is skipped: the mixed loop
+    knows that every entry of Q is finite, optimistic policy iteration
+    that every state's minimum M(Q) is, which a NaN in Q would make NaN.
+    Then a row argmin that repeats ``keep``'s control indices returns
+    ``keep`` before it is turned into pair indices."""
     starts, width = model.pair_starts, model.control_width
     if epsilon == 0.0 and width:
         first = Q.reshape(-1, width).argmin(axis=1)
-        # A finite Q holds no NaN to refuse, so a kept policy is known by
+        # Such a Q holds no NaN to refuse, so a kept policy is known by
         # its control indices before they are made pair indices.
         if finite and keep is not None and keep.chosen_pairs is not None \
                 and keep._control_bytes() == first.tobytes() and _built_for(model, keep):

@@ -34,6 +34,7 @@ import numpy as np
 
 from .extreal import (
     INF,
+    _sup_dist,
     _sup_dist_segments,
     margin_leq,
     sup_dist,
@@ -46,7 +47,7 @@ from .ftheta import (
     _masked_power,
     q_fixed_point,
 )
-from .model import Policy, TotalCostModel
+from .model import Policy, TotalCostModel, policy_mix
 from .operators import (
     _bellman_T,
     _finite,
@@ -58,7 +59,6 @@ from .operators import (
     t_mu_power_and_h,
     greedy_select,
     h_backup,
-    m_minimize,
 )
 from .chains import evaluate_policy, occupation_measure
 from .stopping import lp_upper_bound
@@ -672,6 +672,15 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     ground truth supplied, a stuck point matching it upgrades the reason
     to "optimal-certified".  Policy cycles are detected exactly through
     the full history of deterministic policies.
+
+    Each iteration backs up its value J once: H = `h_backup(model, J)`,
+    and T(J), T_mu(J) and the next greedy policy are read off H (the
+    segment minimum `_segment_min`, the policy's mix `policy_mix` and
+    the kernel `_greedy_select`), bit for bit what `bellman_T`,
+    `bellman_T_mu` and `greedy_select` of a fresh backup each give on
+    an atomic-only model.  The op count still grows by 2 for T and T_mu
+    and by 1 for the improvement: it counts the paper's operators, not
+    backups.
     """
     check_admits("pi", model)
     config = config or SolverConfig(algorithm="pi")
@@ -689,8 +698,9 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     for k in range(1, config.max_iter + 1):
         J = evaluate_policy(model, mu).J
         values.append(J)
-        TJ = bellman_T(model, J)
-        TmuJ = bellman_T_mu(model, mu, J)
+        H = h_backup(model, J)
+        TJ = _segment_min(model, H)
+        TmuJ = policy_mix(model, mu, H)
         rec.trace.op_count += 2
         gap = sup_dist(TmuJ, TJ)
         res = sup_dist(J, prev_J) if prev_J is not None else INF
@@ -704,7 +714,7 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         if key in seen:
             return result("cycle")
         seen[key] = k
-        mu = greedy_select(model, h_backup(model, J), epsilon=0.0)
+        mu = _greedy_select(model, H, 0.0, None, None)
         rec.trace.op_count += 1
         policies.append(mu)
     return result("cap")
@@ -719,6 +729,22 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     power (`t_mu_power_and_h`): the policy's layout is checked and the
     finite path chosen once per round, not once per backup, and the
     trace's op count still grows by nk + 1.
+
+    The rest of a round calls the kernels behind the public entries:
+    M(Q) is `_segment_min`, the residual `_sup_dist` and the selection
+    `_greedy_select` with ``keep=mu``.  Finiteness is carried in the
+    residual of J_greedy = M(Q), as in `value_iteration`: the first
+    J_greedy is scanned once, and a later one is finite (no infinity,
+    no NaN) while the last one was and the residual between them is
+    below +inf, since an infinity in J_greedy gives an infinite residual
+    and a NaN a NaN one.  Against a finite last J_greedy the residual is
+    the plain max |a - b|, `sup_dist`'s floats bit for bit.  A finite
+    J_greedy also means a Q without NaN (the segment minimum carries a
+    NaN into it), so the selection skips its NaN check; the residual is
+    therefore taken before the selection, which neither reads nor
+    changes it.  A J_greedy says nothing about the evaluation iterate
+    J that starts the next power, so `t_mu_power_and_h` still scans it
+    once per round.
 
     Trace rows carry both the evaluation iterate and the improvement-time
     value M(h_backup(J)); for nonnegative-cost runs with ground truth the
@@ -738,13 +764,20 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             flags["cone_c"] = cone_multiplier(J, rec.Jstar)
         rec.trace.config["initial_flags"] = flags
     prev_greedy: np.ndarray | None = None
+    finite = False  # whether prev_greedy holds no infinity and no NaN
     for k in range(1, config.max_iter + 1):
         nk = int(config.nk_at(k - 1))
         J, Q = t_mu_power_and_h(model, mu, J, nk)
         rec.trace.op_count += nk + 1
-        mu = greedy_select(model, Q, epsilon=0.0, keep=mu)
-        J_greedy = m_minimize(model, Q)
-        res = sup_dist(J_greedy, prev_greedy) if prev_greedy is not None else INF
+        J_greedy = _segment_min(model, Q)
+        if prev_greedy is None:
+            res = INF
+            finite = np.count_nonzero(np.isfinite(J_greedy)) == J_greedy.size
+        else:
+            res = (_sup_dist(J_greedy, prev_greedy, True) if finite
+                   else sup_dist(J_greedy, prev_greedy))
+            finite = finite and res < INF
+        mu = _greedy_select(model, Q, 0.0, None, mu, finite)
         prev_greedy = J_greedy
         rec.row(k, res, J_greedy, policy=mu.descriptor(),
                 extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()})

@@ -96,14 +96,19 @@ The twelfth part is `solvers.cone_multiplier` as a loop over the states
 in order, kept verbatim from before it became a whole-vector numpy form.
 `test_solvers.py` checks the numpy form against it on drawn edge cases.
 
-The thirteenth part holds the rows of value iteration and of mixed
-iteration (finite nk) as short loops over the library's public checked
-entries: `bellman_T`, `sup_dist` and the third part's
-`IterateWindowRule`; `greedy_select`, `f_theta_power`, `m_minimize`
-and `sup_dist`.  Each entry checks its own inputs for
-infinities and NaN, as every solver row did before the solvers decided
-finiteness once per solve and carried it in their residuals.
-`test_solvers.py` checks the solvers' traces against them bit for bit.
+The thirteenth part holds the rows of value iteration, of mixed
+iteration (finite nk), of policy iteration and of optimistic policy
+iteration as short loops over the library's public checked entries:
+`bellman_T`, `sup_dist` and the third part's `IterateWindowRule`;
+`greedy_select`, `f_theta_power`, `m_minimize` and `sup_dist`; the
+library's `evaluate_policy`, then `bellman_T`, `bellman_T_mu` and
+`h_backup` + `greedy_select`, each of its own backup; nk `bellman_T_mu`
+calls, `h_backup`, `greedy_select` with ``keep``, `m_minimize` and
+`sup_dist`.  Each entry checks its own inputs for infinities and NaN,
+as every solver row did before the solvers decided finiteness once per
+solve and carried it in their residuals, and before policy iteration
+read T, T_mu and its greedy policy off one backup.  `test_solvers.py`
+checks the solvers' traces against them bit for bit.
 
 The fourteenth part holds the model-file reader and the trace CSV writer
 as they ran before they worked on whole arrays: `parse_model`, which
@@ -131,7 +136,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from totaldp import ftheta, operators
+from totaldp import chains, ftheta, operators
 from totaldp.chains import EvalResult, _price
 from totaldp.extreal import (
     INF,
@@ -1041,6 +1046,64 @@ def mixed_rows(model: TotalCostModel, config) -> list[dict]:
         if quiet >= cycle:
             break
     return rows
+
+
+def policy_iteration_rows(model: TotalCostModel, mu0: Policy, max_iter: int
+                          ) -> tuple[list[dict], str, int]:
+    """Every row of exact policy iteration without ground truth, as a
+    dict of J, residual, policy and improvement_gap, with the run's
+    termination and op count.  Row k prices mu by the library's
+    `evaluate_policy`, takes T(J) and T_mu(J) each from its own backup,
+    and ends the run "stuck" on a gap <= 1e-12 or "cycle" on a policy
+    seen before; otherwise the next policy is greedy for a third backup
+    `h_backup(J)`."""
+    mu, prev = mu0, None
+    rows, seen, ops = [], set(), 0
+    for _ in range(max_iter):
+        J = chains.evaluate_policy(model, mu).J
+        gap = sup_dist(operators.bellman_T_mu(model, mu, J), operators.bellman_T(model, J))
+        ops += 2
+        res = INF if prev is None else sup_dist(J, prev)
+        prev = J
+        key = mu.descriptor()
+        rows.append({"J": J, "residual": res, "policy": key, "improvement_gap": gap})
+        if gap <= 1e-12:
+            return rows, "stuck", ops
+        if key in seen:
+            return rows, "cycle", ops
+        seen.add(key)
+        mu = operators.greedy_select(model, operators.h_backup(model, J))
+        ops += 1
+    return rows, "cap", ops
+
+
+def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
+                    ) -> tuple[list[dict], str, int]:
+    """Every row of optimistic policy iteration, as a dict of J (the
+    greedy value M(Q)), residual, policy, J_eval and J_greedy, with the
+    run's termination and op count.  Row k applies `bellman_T_mu` nk
+    times to J, backs the result up (`h_backup`), selects greedily with
+    the current policy as ``keep``, and takes M(Q) and its distance to
+    the last row's; with ``config.stop_on_tol`` the run stops at the
+    first residual <= tol."""
+    J = np.array(J0, dtype=float)
+    mu, prev = mu0, None
+    rows, ops = [], 0
+    for k in range(config.max_iter):
+        nk = int(config.nk_at(k))
+        for _ in range(nk):
+            J = operators.bellman_T_mu(model, mu, J)
+        Q = operators.h_backup(model, J)
+        ops += nk + 1
+        mu = operators.greedy_select(model, Q, keep=mu)
+        J_greedy = operators.m_minimize(model, Q)
+        res = INF if prev is None else sup_dist(J_greedy, prev)
+        prev = J_greedy
+        rows.append({"J": J_greedy, "residual": res, "policy": mu.descriptor(),
+                     "J_eval": J, "J_greedy": J_greedy})
+        if config.stop_on_tol and res <= config.tol:
+            return rows, "converged", ops
+    return rows, "cap", ops
 
 
 # ---------------------------------------------------------------------------

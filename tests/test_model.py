@@ -59,6 +59,22 @@ def test_state_without_controls_is_flagged():
     assert any("no atomic control" in p for p in validate_model(bad))
 
 
+def test_uniform_policy_names_a_state_without_atomic_controls():
+    # State 1's only control is a closed affine family: the model is
+    # valid, but there is no atomic control to mix at state 1.
+    fam = AffineFamily(lo=0.0, hi=1.0, lo_closed=True, hi_closed=True,
+                       c0=1.0, c1=0.0,
+                       p0=np.array([1.0, 0.0]), p1=np.array([-1.0, 1.0]))
+    model = TotalCostModel(regime="P", discount=1.0,
+                           controls=((AtomicControl("rest", 0.0, np.array([1.0, 0.0])),), ()),
+                           families=((), (fam,)), state_names=("home", "away"))
+    assert validate_model(model) == []
+    with pytest.raises(ValueError, match="state away has no atomic control"):
+        Policy.uniform(model)
+    fx = fixture("FX-P2")
+    assert Policy.uniform(fx.model).descriptor() == "0:0,1:mix"
+
+
 def test_family_coefficient_rules():
     fam = AffineFamily(lo=0.0, hi=1.0, lo_closed=False, hi_closed=False,
                        c0=0.0, c1=0.0,

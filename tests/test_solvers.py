@@ -638,15 +638,32 @@ def _recorded_rows(solve):
         return rows, _quietly(solve)
 
 
+def _trap_model(regime: str) -> TotalCostModel:
+    """State 0 is free and absorbing; state 1 pays c forever ("trap") or
+    2c once to reach 0 ("exit"); state 2 moves to 1 free ("wait") or
+    pays c to reach 0 ("leave"), with c = -1 in N and 1 in P.  The
+    policy that traps and waits is priced at c * inf on states 1 and 2."""
+    c = -1.0 if regime == "N" else 1.0
+    return TotalCostModel(regime, 1.0, (
+        (AtomicControl("rest", 0.0, np.array([1.0, 0.0, 0.0])),),
+        (AtomicControl("trap", c, np.array([0.0, 1.0, 0.0])),
+         AtomicControl("exit", 2 * c, np.array([1.0, 0.0, 0.0]))),
+        (AtomicControl("wait", 0.0, np.array([0.0, 1.0, 0.0])),
+         AtomicControl("leave", c, np.array([1.0, 0.0, 0.0])))))
+
+
 class TestFiniteRows:
-    """Value iteration and the mixed loop decide finiteness once per solve
-    and carry it in their residuals, running finite rows on unchecked
-    kernels.  Every row must be the row of a loop over the public checked
-    entries (`reference_ops.value_iteration_rows`, `mixed_rows`), bit for
-    bit, or both must raise the same ValueError: from finite starts, from
-    starts with infinities or NaN, and from starts near the largest
-    float, whose iterates overflow part way and move the run to the
-    checked path."""
+    """Value iteration, the mixed loop and optimistic policy iteration
+    decide finiteness once per solve and carry it in their residuals,
+    running finite rows on unchecked kernels, and policy iteration reads
+    T, T_mu and its greedy policy off one backup per iteration.  Every
+    row must be the row of a loop over the public checked entries
+    (`reference_ops.value_iteration_rows`, `mixed_rows`,
+    `policy_iteration_rows`, `optimistic_rows`), bit for bit, or both
+    must raise the same ValueError: from finite starts, from starts with
+    infinities or NaN, from policies priced at an infinity, and from
+    starts near the largest float, whose iterates overflow part way and
+    move the run to the checked path."""
 
     @staticmethod
     def _check_value_iteration(model, J0, max_iter, stop_on_tol=True):
@@ -739,6 +756,81 @@ class TestFiniteRows:
             assert _array_bits(row.extra["residual_Q"]) == _array_bits(w["residual_Q"])
             assert row.extra["powers"] == w["powers"]
             assert row.policy == w["policy"]
+
+    @staticmethod
+    def _check_policy_rows(solve, oracle, extras):
+        """The rows of ``solve`` against the oracle's (rows, termination,
+        op count): J, residual, policy and the ``extra`` entries named by
+        ``extras`` bit for bit, or the same ValueError text."""
+        rows, result = _recorded_rows(solve)
+        want = _quietly(oracle)
+        if isinstance(want, str):
+            assert result == want
+            return None
+        want_rows, termination, op_count = want
+        assert len(rows) == len(result.trace.rows) == len(want_rows)
+        for (J, _), row, w in zip(rows, result.trace.rows, want_rows):
+            assert _array_bits(J) == _array_bits(w["J"])
+            assert _array_bits(row.residual) == _array_bits(w["residual"])
+            assert row.policy == w["policy"]
+            for key in extras:
+                assert _array_bits(row.extra[key]) == _array_bits(w[key])
+        assert result.termination == termination
+        assert result.trace.op_count == op_count
+        return result
+
+    def _check_policy_iteration(self, model, mu0, max_iter=20):
+        cfg = SolverConfig(algorithm="pi", max_iter=max_iter)
+        return self._check_policy_rows(
+            lambda: policy_iteration(model, mu0, cfg),
+            lambda: ref.policy_iteration_rows(model, mu0, max_iter), ["improvement_gap"])
+
+    @staticmethod
+    def _draw_policy(model, draw):
+        if draw(st.booleans()):
+            return Policy.uniform(model)
+        return Policy.deterministic(model, [draw(st.integers(0, c - 1))
+                                            for c in model.pair_counts().tolist()])
+
+    @settings(max_examples=300)
+    @given(finite_path_cases(), st.data())
+    def test_policy_iteration_rows(self, case, data):
+        model = case[0]
+        self._check_policy_iteration(model, self._draw_policy(model, data.draw))
+
+    @pytest.mark.parametrize("regime", ["N", "P"])
+    def test_policy_iteration_rows_from_an_infinite_price(self, regime):
+        model = _trap_model(regime)
+        result = self._check_policy_iteration(model, Policy.deterministic(model, [0, 0, 0]))
+        assert np.isinf(result.values[0]).tolist() == [False, True, True]
+        self._check_policy_iteration(model, Policy.uniform(model))
+        for name in ("FX-N2", "FX-P2", "FX-P4"):
+            fx = fixture(name)
+            self._check_policy_iteration(fx.model, Policy.uniform(fx.model))
+
+    def _check_optimistic(self, model, mu0, J0, nk, stop_on_tol=True):
+        cfg = SolverConfig(algorithm="mpi", nk=nk, max_iter=30, tol=1e-9,
+                           stop_on_tol=stop_on_tol)
+        return self._check_policy_rows(
+            lambda: modified_policy_iteration(model, mu0, J0, cfg),
+            lambda: ref.optimistic_rows(model, mu0, J0, cfg), ["J_eval", "J_greedy"])
+
+    @settings(max_examples=300)
+    @given(finite_path_cases(), st.data())
+    def test_optimistic_rows(self, case, data):
+        model, J0, _ = case
+        draw = data.draw
+        self._check_optimistic(model, self._draw_policy(model, draw), J0,
+                               draw(st.sampled_from([1, 3, (1, 3, 10)])),
+                               stop_on_tol=draw(st.booleans()))
+
+    @pytest.mark.parametrize("regime", ["N", "P"])
+    def test_optimistic_rows_from_an_infinite_price(self, regime):
+        model = _trap_model(regime)
+        sign = -1.0 if regime == "N" else 1.0
+        for mu0 in (Policy.deterministic(model, [0, 0, 0]), Policy.uniform(model)):
+            for J0 in (np.zeros(3), np.array([0.0, sign * INF, sign * INF])):
+                self._check_optimistic(model, mu0, J0, 3)
 
 
 @pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed", "lp"])

@@ -23,10 +23,16 @@ iteration), the trace's op count and row count, and each row's
 residual, policy, ``b_set`` and ``upper_margin``, and the entries of
 its ``extra`` that `ROW_EXTRA` names: the backup count, Q residual and
 iterate snapshots of mixed rows (``powers``, ``residual_Q``,
-``J_snapshot``, ``Q_snapshot``) and the divergent states and direction
-of value-iteration rows (``divergent``, ``direction``).  So a paired
-value-iteration run checks the window rule's decisions as well as its
-residuals, and a paired mixed run every iterate it records.
+``J_snapshot``, ``Q_snapshot``), the two inequality margins and the
+cone margin of lp rows (``ineq_lower_margin``, ``ineq_upper_margin``,
+``cone_margin``), the divergent states and direction of
+value-iteration rows (``divergent``, ``direction``), the improvement
+gap of policy-iteration rows (``improvement_gap``) and the evaluation
+and greedy iterates of optimistic policy-iteration rows (``J_eval``,
+``J_greedy``), lists compared entry by entry, floats bit for bit.  So a
+paired value-iteration run checks the window rule's decisions as well
+as its residuals, and a paired mixed, lp, pi or mpi run every iterate
+and margin it records.
 The ``pi`` job solves policy iteration from every start of the model, as
 `jobs._pi` does, and compares each start's result so.  The ``cli`` job
 runs `jobs._cli`'s command (``totaldp solve FILE --algorithm vi ...
@@ -241,19 +247,26 @@ def same_bits(a, b) -> bool:
 
 
 def same_value(a, b) -> bool:
-    """Floats and arrays bit for bit (`same_bits`), anything else by
-    equality."""
+    """Floats and arrays bit for bit (`same_bits`), lists entry by entry,
+    anything else by equality."""
     if isinstance(a, (float, np.ndarray)) or isinstance(b, (float, np.ndarray)):
         return same_bits(a, b)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same_value, a, b))
     return a == b
 
 
 # The row fields compared: attributes of every row, and the entries of a
 # row's ``extra`` (those of mixed rows: backup count, Q residual and
-# iterate snapshots; of value-iteration rows: divergent states and
-# direction), each missing on both sides where a solver records none.
+# iterate snapshots; of lp rows: Q residual, inequality and cone margins;
+# of value-iteration rows: divergent states and direction; of
+# policy-iteration rows: the improvement gap; of optimistic
+# policy-iteration rows: the evaluation and greedy iterates), each
+# missing on both sides where a solver records none.
 ROW_ATTRS = ("residual", "policy", "b_set", "upper_margin")
-ROW_EXTRA = ("powers", "residual_Q", "J_snapshot", "Q_snapshot", "divergent", "direction")
+ROW_EXTRA = ("powers", "residual_Q", "J_snapshot", "Q_snapshot", "ineq_lower_margin",
+             "ineq_upper_margin", "cone_margin", "divergent", "direction",
+             "improvement_gap", "J_eval", "J_greedy")
 
 
 def differences(a, b) -> list[str]:
