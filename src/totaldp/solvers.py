@@ -244,6 +244,13 @@ def _mask_rows(masks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple((row[0], row[1]) for row in rows)
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1: a Python or numpy integer,
+    not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """What a solver runs with; `run` picks the solver by ``algorithm``.
@@ -276,18 +283,19 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if isinstance(self.nk, str):
-            if self.nk != "exact":
-                raise ValueError("nk must be a positive int, a tuple, or 'exact'")
-        elif isinstance(self.nk, int):
-            if self.nk < 1:
-                raise ValueError("nk must be >= 1")
-        else:
-            object.__setattr__(self, "nk", tuple(int(v) for v in self.nk))
-            if any(v < 1 for v in self.nk):
-                raise ValueError("every nk entry must be >= 1")
+        if not _is_count(self.max_iter):
+            raise ValueError(f"max_iter must be an integer >= 1: got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        if _is_count(self.nk):
+            object.__setattr__(self, "nk", int(self.nk))
+        elif not (isinstance(self.nk, str) and self.nk == "exact"):
+            sequence = (isinstance(self.nk, (list, tuple, range))
+                        or isinstance(self.nk, np.ndarray) and self.nk.ndim == 1)
+            entries = tuple(self.nk) if sequence else ()
+            if not entries or not all(map(_is_count, entries)):
+                raise ValueError("nk must be an integer >= 1, a non-empty sequence of "
+                                 f"them, or 'exact': got {self.nk!r}")
+            object.__setattr__(self, "nk", tuple(int(v) for v in entries))
         if self.nk == "exact" and self.algorithm == "mpi":
             raise ValueError("modified policy iteration needs a finite nk")
         if self.masks is not None:

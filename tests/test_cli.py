@@ -238,6 +238,9 @@ class TestSolve:
                      ["--algorithm", "vi", "--tol", "nan"], ["--tol", "0"],
                      ["--clamp-lo", "nan"], ["--clamp-hi", "nan"],
                      ["--epsilon", "nan"], ["--epsilon", "-1"],
+                     ["--j0", "cJstar:abc"], ["--j0", "bogus"], ["--q0", "bogus"],
+                     ["--algorithm", "pi", "--mu0", "0,x,0"],
+                     ["--algorithm", "pi", "--mu0", "0,0"],
                      *(["--bstrategy", spec] for spec in (
                          "occupation:abc", "occupation:2", "occupation:0.5:nan",
                          "occupation:0.5:-1", "occupation:0.5:0:1", "occupationx"))):
@@ -271,6 +274,30 @@ class TestSolve:
             assert "Traceback" not in out.output
         out = runner.invoke(main, [*args, "--tol", "1e-8"])
         assert out.exit_code == 0, out.output
+
+    def test_cjstar_start_needs_a_ground_truth_block(self, runner, tmp_path):
+        path = tmp_path / "p4.mdp"
+        write_model(path, fixture("FX-P4").model)
+        out = runner.invoke(main, ["solve", str(path), "--j0", "cJstar:1.5"])
+        assert out.exit_code == 2, out.output
+        assert "cJstar start needs a ground_truth block" in out.output
+        assert "Traceback" not in out.output
+
+    def test_invalid_model_exits_two(self, runner, tmp_path):
+        path = tmp_path / "bad.mdp"
+        path.write_text(render_model(fixture("FX-P2").model)
+                        .replace('"cost": 1.0,', '"cost": -1.0,'))
+        out = runner.invoke(main, ["solve", str(path)])
+        assert out.exit_code == 2, out.output
+        assert out.output.startswith("invalid model: regime P requires g >= 0")
+
+    @pytest.mark.parametrize("q0", ["zero", "inf"])
+    def test_constant_q0_reaches_the_optimum(self, runner, tmp_path, q0):
+        path = _write_fixture(tmp_path, "FX-P4")
+        out = runner.invoke(main, ["solve", str(path), "--algorithm", "mixed", "--q0", q0])
+        assert out.exit_code == 0, out.output
+        assert "termination: converged" in out.output
+        assert "final J: [0. 1. 2.]" in out.output
 
     def test_bad_vector_files_are_usage_errors(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-P4")
@@ -363,7 +390,8 @@ class TestCompare:
         path = _write_fixture(tmp_path, "FX-D")
         for args in (*(["--algorithms", "vi,mpi", "--nk", nk] for nk in ("exact", "abc", "0")),
                      ["--algorithms", ""], ["--algorithms", " , "],
-                     ["--algorithms", "vi,vi"], ["--algorithms", "vi, mixed ,vi"]):
+                     ["--algorithms", "vi,vi"], ["--algorithms", "vi, mixed ,vi"],
+                     ["--algorithms", "vi,bogus"]):
             out = runner.invoke(main, ["compare", str(path), *args,
                                        "--trace-out", str(tmp_path / "t")])
             assert out.exit_code == 2, (args, out.output)

@@ -4,8 +4,8 @@ import pytest
 from totaldp import ftheta
 from totaldp.extreal import INF, sup_dist
 from totaldp.chains import evaluate_policy
-from totaldp.model import AtomicControl, Policy, TotalCostModel
-from totaldp.operators import bellman_T, h_backup, m_minimize
+from totaldp.model import AtomicControl, AtomicMix, FamilyChoice, Policy, TotalCostModel
+from totaldp.operators import bellman_T, h_backup, m_minimize, t_mu_power_and_h
 from totaldp.ftheta import (
     Theta,
     f_theta_apply,
@@ -61,6 +61,23 @@ class TestApply:
             f_theta_apply(fx.model, Theta(Policy.deterministic(fx.model, [0, 0, 0]),
                                           frozenset()),
                           np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("entry", ["f_theta_apply", "f_theta_power", "masked_update",
+                                       "q_fixed_point"])
+    def test_rejects_a_policy_with_a_family_choice(self, entry):
+        # An atomic-only model whose policy still names a family choice.
+        fx = fixture("FX-P2")
+        theta = Theta(Policy((AtomicMix(np.array([1.0])), FamilyChoice(0, 0.5))),
+                      frozenset({0, 1}))
+        Q, J = np.zeros(3), np.zeros(2)
+        calls = {"f_theta_apply": lambda: f_theta_apply(fx.model, theta, Q, J),
+                 "f_theta_power": lambda: f_theta_power(fx.model, theta, Q, J, 2),
+                 "masked_update": lambda: masked_update(fx.model, theta, Q, J,
+                                                        np.ones(3, dtype=bool),
+                                                        np.ones(2, dtype=bool)),
+                 "q_fixed_point": lambda: q_fixed_point(fx.model, theta, J)}
+        with pytest.raises(ValueError, match="atomic-distribution policy"):
+            calls[entry]()
 
     # {0, 2} and {-1, 1} have as many states as the model: a size test
     # alone would read them as every state.
@@ -169,6 +186,20 @@ class TestFullB:
 
 
 class TestPowerAndMonotonicity:
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("entry", ["f_theta_power", "masked_update", "t_mu_power_and_h"])
+    def test_a_power_count_below_one_is_refused(self, entry, n):
+        fx = fixture("FX-P2")
+        mu = Policy.deterministic(fx.model, [0, 1])
+        theta, Q, J = Theta(mu, frozenset({0, 1})), np.zeros(3), np.zeros(2)
+        calls = {"f_theta_power": lambda: f_theta_power(fx.model, theta, Q, J, n),
+                 "masked_update": lambda: masked_update(fx.model, theta, Q, J,
+                                                        np.ones(3, dtype=bool),
+                                                        np.ones(2, dtype=bool), n),
+                 "t_mu_power_and_h": lambda: t_mu_power_and_h(fx.model, mu, J, n)}
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            calls[entry]()
+
     def test_power_one_is_single_application(self):
         model, _ = random_model(53, regime="D")
         theta = _theta(12, model)

@@ -146,6 +146,11 @@ class TestGreedy:
         with pytest.raises(ValueError, match="epsilon"):
             greedy_select(fx.model, fx.Qstar, epsilon=eps)
 
+    def test_interval_models_are_refused(self):
+        fx = fixture("FX-P3a")
+        with pytest.raises(ValueError, match="atomic-only"):
+            greedy_select(fx.model, np.zeros(fx.model.num_pairs()))
+
     def test_nan_or_misshapen_q_is_refused(self):
         fx = fixture("FX-P2")
         with pytest.raises(ValueError, match="NaN"):

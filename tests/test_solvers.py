@@ -1115,15 +1115,38 @@ class TestRun:
                     SolverConfig(algorithm="mpi", J0=np.zeros(3))):
             with pytest.raises(ValueError):
                 run(fx.model, cfg)
+        with pytest.raises(ValueError, match="config must provide J0 and Q0"):
+            mixed_vpi(fx.model, SolverConfig(algorithm="mixed", J0=np.zeros(3)))
 
+    # Each refusal names the setting it refuses: the first key of its case.
     @pytest.mark.parametrize("settings", [
         {"tol": np.nan}, {"tol": 0.0}, {"epsilon": np.nan}, {"epsilon": -1.0},
         {"clamp_lo": np.array([0.0, np.nan])}, {"clamp_hi": np.array([np.nan, 1.0])},
+        {"clamp_lo": np.array([0.0, 2.0]), "clamp_hi": np.array([1.0, 1.0])},
+        {"nk": ()}, {"nk": 2.0}, {"nk": True}, {"nk": "fast"}, {"nk": (3, 0)}, {"nk": 0},
+        {"nk": np.array(5)}, {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": 0},
     ], ids=["tol-nan", "tol-zero", "epsilon-nan", "epsilon-negative",
-            "clamp-lo-nan", "clamp-hi-nan"])
+            "clamp-lo-nan", "clamp-hi-nan", "clamp-lo-above-hi",
+            "nk-empty", "nk-float", "nk-bool", "nk-word", "nk-zero-entry", "nk-zero",
+            "nk-0d-array", "max-iter-float", "max-iter-bool", "max-iter-zero"])
     def test_rejects_nan_and_out_of_range_settings(self, settings):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(settings))):
             SolverConfig(algorithm="mixed", **settings)
+
+    def test_numpy_integer_counts_run(self):
+        # A numpy integer nk or max_iter is read as the Python int it
+        # holds: the run and its trace (config echo included) are those of
+        # the plain int.
+        fx = fixture("FX-D")
+        J0 = 1.5 * fx.Jstar
+        runs = [mixed_vpi(fx.model, SolverConfig(algorithm="mixed", J0=J0,
+                                                 Q0=h_backup(fx.model, J0), nk=nk,
+                                                 max_iter=max_iter, tol=1e-10))
+                for nk, max_iter in ((np.int64(5), np.int32(500)), (5, 500))]
+        assert runs[0].converged
+        assert type(runs[0].trace.config["nk"]) is int
+        assert np.array_equal(runs[0].J, runs[1].J)
+        assert runs[0].trace.config == runs[1].trace.config
 
     @pytest.mark.parametrize("settings", [
         {"masks": ONE_ROW}, {"epsilon": 0.5}], ids=["masks", "epsilon"])

@@ -32,7 +32,9 @@ comparison: it extracts commit REF with `git archive` into a temporary
 directory, runs this script there with the same `--workload` and
 `--seed` options (so both sides print one format), and prints the lines
 in which REF and the working tree differ.  It exits 1 on any difference
-and 0 when every line is the same.
+and 0 when every line is the same.  `tools/pairtime.py` compares two
+packages in one process by the same lines (`case_lines`, which runs
+each job through the `jobs` module it is given).
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
-import io
 import difflib
+import hashlib
+import importlib
+import io
 import os
 import re
 import shutil
@@ -57,15 +60,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import jobs  # noqa: E402
-
-totaldp = jobs.totaldp
-from totaldp.modelio import (  # noqa: E402
-    model_hash,
-    read_trace,
-    render_model,
-    trace_to_csv,
-    trace_to_json,
-)
 
 SEEDS = (1, 2026)
 WALL = re.compile(r"wall: [0-9.]+s")
@@ -117,10 +111,12 @@ def timeless(trace):
     return dataclasses.replace(trace, rows=rows)
 
 
-def add_trace(d: Digest, trace) -> None:
+def add_trace(d: Digest, pkg, trace) -> None:
+    modelio = modelio_of(pkg)
     trace = timeless(trace)
-    d.add("csv", trace_to_csv(trace), [(row.policy, row.b_set) for row in trace.rows])
-    d.add("json", trace_to_json(trace))
+    d.add("csv", modelio.trace_to_csv(trace),
+          [(row.policy, row.b_set) for row in trace.rows])
+    d.add("json", modelio.trace_to_json(trace))
 
 
 def add_report(d: Digest, report) -> None:
@@ -131,9 +127,9 @@ def add_certificate(d: Digest, label: str, cert) -> None:
     d.add(label, repr(cert), (cert.iterations, sorted(cert.divergent)))
 
 
-def add_result(d: Digest, model, case, res) -> None:
+def add_result(d: Digest, pkg, model, case, res) -> None:
     """J, Q, policy, termination, op_count, trace text and certificate
-    report of one SolveResult."""
+    report of one SolveResult of package ``pkg``."""
     for name in ("J", "Q"):
         v = getattr(res, name)
         d.add(name, None if v is None else np.asarray(v, dtype=float))
@@ -141,26 +137,26 @@ def add_result(d: Digest, model, case, res) -> None:
     d.add_exact("termination", res.termination)
     d.add_exact("divergent", sorted(res.divergent))
     d.add_exact("op_count", res.trace.op_count)
-    add_trace(d, res.trace)
-    add_report(d, totaldp.verify_certificates(model, res.trace, (case.Jstar, case.Qstar)))
+    add_trace(d, pkg, res.trace)
+    add_report(d, pkg.verify_certificates(model, res.trace, (case.Jstar, case.Qstar)))
 
 
-def certify(d: Digest, case, model, mixed10) -> None:
+def certify(d: Digest, pkg, case, model, mixed10) -> None:
     """The certificate report, the stopping entries and `q_fixed_point`
     of `jobs._certify`."""
-    theta = totaldp.Theta(mixed10.policy, frozenset(range(case.n)))
-    add_report(d, totaldp.verify_certificates(model, mixed10.trace, (case.Jstar, case.Qstar)))
-    prob = totaldp.build_stopping(model, theta, mixed10.J)
-    sol = totaldp.solve_stopping(prob)
+    theta = pkg.Theta(mixed10.policy, frozenset(range(case.n)))
+    add_report(d, pkg.verify_certificates(model, mixed10.trace, (case.Jstar, case.Qstar)))
+    prob = pkg.build_stopping(model, theta, mixed10.J)
+    sol = pkg.solve_stopping(prob)
     d.add("V", sol.V)
     add_certificate(d, "stopping_certificate", sol.certificate)
-    d.add("q_route", totaldp.reconstruct_q(prob, sol.V))
-    Q, cert = totaldp.q_fixed_point(model, theta, mixed10.J)
+    d.add("q_route", pkg.reconstruct_q(prob, sol.V))
+    Q, cert = pkg.q_fixed_point(model, theta, mixed10.J)
     d.add("q_fixed", Q)
     add_certificate(d, "fixed_certificate", cert)
 
 
-def cli(d: Digest, case, workdir: str) -> None:
+def cli(d: Digest, jobs, case, workdir: str) -> None:
     """`jobs._cli`'s command: its output without the wall time, and its
     trace file without wall_time."""
     jobs.write_model_file(case, workdir)
@@ -172,29 +168,42 @@ def cli(d: Digest, case, workdir: str) -> None:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
         try:
-            totaldp.cli.main.main(args=args, prog_name="totaldp", standalone_mode=False)
+            jobs.totaldp.cli.main.main(args=args, prog_name="totaldp",
+                                       standalone_mode=False)
             code = 0
         except SystemExit as e:
             code = e.code
     d.add_exact("exit", code)
     d.add("output", WALL.sub("wall: -", buf.getvalue().replace(workdir, "<dir>")))
-    add_trace(d, read_trace(trace_path))
+    add_trace(d, jobs.totaldp, modelio_of(jobs.totaldp).read_trace(trace_path))
 
 
-def case_lines(workload: str, seed: int, case, workdir: str):
+def modelio_of(pkg):
+    """The `modelio` module of package ``pkg``."""
+    return importlib.import_module(f"{pkg.__name__}.modelio")
+
+
+def case_lines(jobs, workload: str, seed: int, case, workdir: str, kinds=None):
+    """The two lines of each job of ``case`` (of those in ``kinds``, when
+    given), each job run through ``jobs``: perfbench's jobs module, or a
+    copy of it whose `totaldp` is another package."""
+    pkg = jobs.totaldp
     model = jobs.build_model(case)
-    mh = model_hash(model)
+    mh = modelio_of(pkg).model_hash(model)
+    wanted = set(case.jobs if kinds is None else kinds)
+    if "certify" in wanted:
+        wanted.add("mixed10")  # the result that certify digests
     results = {}
-    for kind in case.jobs:
+    for kind in (k for k in case.jobs if k in wanted):
         d = Digest()
         d.add_exact("model_hash", mh)
         note = ""
         try:
             if kind == "pi":
                 for k, choices in enumerate(case.pi_starts):
-                    mu0 = totaldp.Policy.deterministic(model, choices)
-                    res = totaldp.policy_iteration(model, mu0, jobs._config(case, "pi"))
-                    add_result(d, model, case, res)
+                    mu0 = pkg.Policy.deterministic(model, choices)
+                    res = pkg.policy_iteration(model, mu0, jobs._config(case, "pi"))
+                    add_result(d, pkg, model, case, res)
                     d.add("values", [v.tobytes() for v in res.values],
                           [infinities(v).tobytes() for v in res.values])
                 note = f"starts={len(case.pi_starts)}"
@@ -202,22 +211,24 @@ def case_lines(workload: str, seed: int, case, workdir: str):
                 if results.get("mixed10") is None:
                     note = "no mixed10 result"
                 else:
-                    certify(d, case, model, results["mixed10"])
+                    certify(d, pkg, case, model, results["mixed10"])
             elif kind == "cli":
-                cli(d, case, workdir)
+                cli(d, jobs, case, workdir)
             else:
                 out = jobs._solve(kind, case, model)
                 if out.result is None:  # a mixed run that did not converge
                     raise RuntimeError(out.error)
                 res = results[kind] = out.result
-                add_result(d, model, case, res)
+                add_result(d, pkg, model, case, res)
                 note = f"{res.termination} ops={res.trace.op_count} rows={len(res.trace.rows)}"
         except Exception as e:  # noqa: BLE001 - a raise is part of the answer
-            if isinstance(e, totaldp.SolverCapError):
+            if isinstance(e, pkg.SolverCapError):
                 d.add("cap_last", repr(e.last))
-                add_trace(d, e.trace)
+                add_trace(d, pkg, e.trace)
             d.add("raised", f"{type(e).__name__}: {e}", type(e).__name__)
             note = f"raised {type(e).__name__}"
+        if kinds is not None and kind not in kinds:
+            continue
         shape, values = d.hex()
         job = f"{workload} seed={seed} {case.name} {kind}"
         yield f"{job} shape {shape} {note}".rstrip()
@@ -225,11 +236,12 @@ def case_lines(workload: str, seed: int, case, workdir: str):
 
 
 def fixture_lines():
+    totaldp, modelio = jobs.totaldp, modelio_of(jobs.totaldp)
     for name in totaldp.fixture_names():
         fx = totaldp.fixture(name)
-        text = render_model(fx.model, (fx.Jstar, fx.Qstar))
+        text = modelio.render_model(fx.model, (fx.Jstar, fx.Qstar))
         yield (f"fixture {name} {hashlib.sha256(text.encode()).hexdigest()[:16]} "
-               f"model_hash={model_hash(fx.model)}")
+               f"model_hash={modelio.model_hash(fx.model)}")
 
 
 def digest_lines(workloads, seeds):
@@ -237,7 +249,7 @@ def digest_lines(workloads, seeds):
         for workload in workloads:
             for seed in seeds:
                 for case in jobs.workload_cases(workload, seed):
-                    yield from case_lines(workload, seed, case, workdir)
+                    yield from case_lines(jobs, workload, seed, case, workdir)
     yield from fixture_lines()
 
 
