@@ -4,11 +4,14 @@ Commands: ``validate`` a model file, ``solve`` it with a configured
 algorithm and write a convergence trace, ``reproduce`` a named scripted
 scenario, ``compare`` algorithms side by side, and ``export-fixture`` a
 named fixture as a model file.  Exit codes: 0 success, 2 usage or
-parse errors, and 1 an invalid model (``validate``), a missed residual
-tolerance (``solve``, whose certificate lines are only a report) or a
-failed scenario (``reproduce``).  ``solve`` and
-``compare`` stop on the residual tolerance ``--tol`` (default 1e-9); a
-run that reaches ``--max-iter`` first reports termination "cap".  For
+parse errors, and 1 an invalid model (``validate``), a missed tolerance
+(``solve``, whose certificate lines are only a report) or a failed
+scenario (``reproduce``).  ``solve`` and ``compare`` stop on the
+tolerance ``--tol`` (default 1e-9): in D, where vi, mpi and unmasked
+mixed stop on the MacQueen-Porteus bracket, it bounds the error of the
+returned J, and ``solve`` prints that bound; elsewhere it bounds the
+residual.  A run that reaches ``--max-iter`` first reports termination
+"cap".  For
 the same algorithm and settings, ``compare --trace-out`` writes the
 trace file that ``solve --trace-out`` writes.
 """
@@ -267,6 +270,8 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     click.echo(f"final J: {np.array2string(np.asarray(J), precision=10)}")
     if Q is not None:
         click.echo(f"final Q: {np.array2string(np.asarray(Q), precision=10)}")
+    if res.error_bound is not None:
+        click.echo(f"error bound: {res.error_bound:g}")
     click.echo(f"iterations: {len(trace.rows)}, residual: {trace.final_residual:g}, "
                f"backups: {trace.op_count}, wall: {time.perf_counter() - t0:.3f}s")
     if gt is not None:
@@ -280,7 +285,7 @@ def solve(path, algorithm, j0, q0, nk, epsilon, bstrategy, mu0, tol, max_iter,
     if report.checks:
         click.echo(report.summary())
     if not res.converged:
-        click.echo("did not reach the residual tolerance", err=True)
+        click.echo("did not reach the tolerance", err=True)
         sys.exit(1)
     sys.exit(0)
 

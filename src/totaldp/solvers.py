@@ -20,7 +20,10 @@ columns are filled over the recorded iterates in blocks of rows and when
 the run ends, so no solver writes into an iterate after recording it
 (`_Recorder`).  A run that stops on the tolerance and reaches the
 iteration cap first raises SolverCapError, which carries the SolveResult
-it ends with.
+it ends with.  In D, value iteration, optimistic policy iteration and
+the unmasked mixed loop stop on the MacQueen-Porteus bracket of a row
+and return its upper end, with its error bound (`_bracket_stop`); every
+other run stops on its residual.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .stopping import lp_upper_bound
 
 
 class SolverCapError(RuntimeError):
-    """Iteration cap reached before the residual target.
+    """Iteration cap reached before the stop rule was met.
 
     The last iterate is still a valid one-sided bound in the monotone
     regimes: a lower bound for nonnegative costs, an upper bound for
@@ -192,6 +195,8 @@ class IterationTrace:
     model_hash: str = ""
     rows: list[TraceRow] = field(default_factory=list)
     op_count: int = 0
+    # The result's error bound; the header leaves it out while it is None.
+    error_bound: float | None = field(default=None, metadata={"omit_none": True})
 
     def append(self, row: TraceRow) -> None:
         if self.rows and row.k <= self.rows[-1].k:
@@ -351,12 +356,19 @@ class SolverConfig:
 class SolveResult:
     """What every solver returns.
 
-    ``termination`` is "converged" (residual within tol), "cap"
+    ``termination`` is "converged" (the stop rule met), "cap"
     (iteration cap reached), or for policy iteration "optimal-certified",
-    "stuck" or "cycle".  ``Q`` is set by the mixed and constraint-program
-    methods, ``divergent`` by value iteration, and ``values``/``policies``
-    (every evaluated value and every policy, in order) by policy
-    iteration, whose ``J`` and ``policy`` are the last evaluated ones.
+    "stuck" or "cycle".  The stop rule of value iteration, optimistic
+    policy iteration and the unmasked mixed loop in D is the bracket
+    (`_bracket_stop`): ``J`` is then the bracket's upper end, at or
+    above J* and within ``error_bound`` <= tol of it (exact arithmetic
+    plus the stated rounding allowance, not a sound mode), and a mixed
+    run's ``Q`` is H of it.  Every other run stops on a residual within tol,
+    and its ``error_bound`` is None.  ``Q`` is set by the mixed and
+    constraint-program methods, ``divergent`` by value iteration, and
+    ``values``/``policies`` (every evaluated value and every policy, in
+    order) by policy iteration, whose ``J`` and ``policy`` are the last
+    evaluated ones.
     """
 
     J: np.ndarray
@@ -367,6 +379,7 @@ class SolveResult:
     divergent: frozenset[int] = frozenset()
     values: Sequence[np.ndarray] = ()
     policies: Sequence[Policy] = ()
+    error_bound: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -481,13 +494,15 @@ class _Recorder:
                **fields) -> SolveResult:
         """The run's SolveResult, holding its own copies of the final J
         and Q: the trace's rows may hold the very arrays, and a caller
-        that edits its result must not edit them.  At the cap of a run
-        that was meant to stop on the tolerance, raise SolverCapError
-        carrying it instead; ``bound`` says which side of the answer the
-        last iterate bounds."""
+        that edits its result must not edit them.  An ``error_bound``
+        among the fields goes into the trace's header too.  At the cap
+        of a run that was meant to stop on the tolerance, raise
+        SolverCapError carrying it instead; ``bound`` says which side of
+        the answer the last iterate bounds."""
         self._fill()
         if fields.get("Q") is not None:
             fields["Q"] = fields["Q"].copy()
+        self.trace.error_bound = fields.get("error_bound")
         result = SolveResult(J=J.copy(), trace=self.trace, termination=termination,
                              **fields)
         config = self.config
@@ -498,6 +513,87 @@ class _Recorder:
                 last=result.J if result.Q is None else (result.J, result.Q),
                 trace=self.trace, bound=bound, result=result)
         return result
+
+
+# ---------------------------------------------------------------------------
+# The discounted stop
+#
+# With alpha < 1 and finite costs, every J brackets J*: with d = T(J) - J
+# and c = alpha / (1 - alpha),
+#
+#     T(J) + c min(d) <= J* <= T(J) + c max(d)   elementwise
+#
+# (MacQueen 1966, Porteus 1971; Puterman 1994, section 6.6.3).  A finite
+# row of value iteration, optimistic policy iteration or the unmasked
+# mixed loop stops once the gap c span(d) plus a rounding allowance
+# meets tol, and returns the upper end U = T(J) + c max(d).  U is within
+# the gap of J*, and it is a supersolution, T(U) <= U: so U >= J*, and
+# a policy greedy for U costs at most U.  Its residual T(U) - U has one
+# sign.  The midpoint, within half the gap, has a residual of both signs
+# at about alpha span(d) / 2, the scale of the stop-rule engine's
+# switching slack (`chains._stop_rule_iteration`), and a stopping problem
+# built on it priced up to 8 rules where U needs 2.  The bound holds in
+# exact arithmetic plus the allowance: it is derived from the row, not
+# a fixed slack, and it is not a sound mode, since the floats of T(J)
+# are not rounded outward.
+
+# The unit roundoff of a double.
+_U = 2.0 ** -53
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): m roundings each of relative
+    error at most u compound to at most gamma_m (Higham 2002, Accuracy
+    and Stability of Numerical Algorithms, section 3.1)."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _brackets(model: TotalCostModel, config: SolverConfig) -> bool:
+    """Whether a solve's rows on the finite path stop on `_bracket_stop`:
+    it stops on tol, in D with a discount below 1, finite pair costs and
+    no mask schedule.  Every other row stops on its residual."""
+    return (config.stop_on_tol and model.regime == "D" and 0.0 <= model.discount < 1.0
+            and model.pair_costs_finite and config.masks is None)
+
+
+def _bracket_stop(model: TotalCostModel, TJ: np.ndarray, J: np.ndarray, lo: float,
+                  hi: float, tol: float) -> tuple[np.ndarray, float] | None:
+    """The upper end of the bracket and its error bound, or None.
+
+    TJ and J are T(J) and J of a row on the finite path, and lo, hi =
+    min(d), max(d) of d = T(J) - J.  None unless the gap c (hi - lo)
+    meets tol; then the rounding allowance
+
+        rho = (1 + c) gamma_{n+4} G + c gamma_16 max|d|,
+
+    G = the largest |g| + alpha |P| |J| over the pairs, one more product
+    on that row only.  The first term is Higham's bound on the backup
+    that formed T(J) (n products and sums, alpha's product, g's sum)
+    carried through the bracket's 1 + c, with one rounding more for the
+    add that forms U and one for rho's own sums.  The second covers the
+    rounding of d, of c, of the gap (at most 2 c max|d|) and of the
+    shift c max(d).  None again unless gap + rho, the error bound, meets
+    tol.  A NaN or an infinity in d gives a NaN or infinite gap, and no
+    stop.
+    """
+    alpha = model.discount
+    c = alpha / (1.0 - alpha)
+    gap = c * (hi - lo)
+    if not gap <= tol:
+        return None
+    with np.errstate(over="ignore"):  # an infinite G is no stop
+        G = float(np.maximum.reduce(np.abs(model.pair_costs) + alpha
+                                    * (np.abs(model.pair_probs) @ np.abs(J))))
+    bound = (gap + (1.0 + c) * _gamma(model.num_states + 4) * G
+             + c * _gamma(16) * max(abs(lo), abs(hi)))
+    if not bound <= tol:
+        return None
+    return TJ + c * hi, bound
+
+
+def _extremes(d: np.ndarray) -> tuple[float, float]:
+    """min(d) and max(d), NaN when d holds one."""
+    return float(np.minimum.reduce(d)), float(np.maximum.reduce(d))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +676,12 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
 
     Undiscounted runs classify states whose iterates grow without bound
     (by `DivergenceRule`) and report them at the regime-signed
-    infinity; the remaining states stop on the residual.  For
+    infinity; the remaining states stop on the residual.  A discounted
+    run stops on the residual only off the finite path; a finite row
+    stops on the bracket of T(J) (`_bracket_stop`), from the min and max
+    of its increment T(J) - J, and the run returns the bracket's upper
+    end with its error bound.  The end is T(J) plus a constant, so its
+    greedy policy is that of T(J).  For
     atomic-only models a classified state is pinned to infinity
     immediately (finite minima commute with monotone limits, so this is
     exact and faster); models with affine families
@@ -602,7 +703,10 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     one scan).  A finite row backs up with the plain product P @ J
     (`_bellman_T`) and forms its increment |T(J) - J| once, with the
     plain difference and no scan: its maximum is the row's residual,
-    and the window rule takes the increment itself.  This is bit for
+    and the window rule takes the increment itself.  A discounted row
+    takes the increment's min and max instead, and its residual is
+    max(|min|, |max|), the same float; it forms no absolute value.
+    This is bit for
     bit what the checked kernels give: `expect_rows` takes this same
     product for a J without infinity, and against a finite J the plain
     difference is `xdiff`'s after the absolute value, whatever T(J)
@@ -624,13 +728,18 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     live = slice(None)  # the states not flagged divergent
     pin = model.atomic_only
     finite = pin and _finite(model, J)
+    bracket = _brackets(model, config)
     direction: str | None = None
     for k in range(1, config.max_iter + 1):
         nxt = _bellman_T(model, J, finite)
         rec.trace.op_count += 1
         if finite:
             inc = np.subtract(nxt, J)
-            res = float(np.maximum.reduce(np.abs(inc, out=inc)))
+            if not bracket:
+                res = float(np.maximum.reduce(np.abs(inc, out=inc)))
+            else:
+                lo, hi = _extremes(inc)
+                res = max(abs(lo), abs(hi))
         if rule is not None:
             new = rule(k, nxt, J, inc if finite and res < INF else None)
             if new is not None:
@@ -654,13 +763,18 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                 direction = "nonincreasing"
             elif margin_leq(J, nxt) <= 0.0:
                 direction = "nondecreasing"
-        J = reported = nxt
+        prev, J = J, nxt
+        reported = J
         if flagged is not None and not pin:
             reported = J.copy()
             reported[flagged] = sign * INF
         rec.row(k, res, reported,
                 extra={"direction": direction, "divergent": divergent_states})
-        if config.stop_on_tol and res <= config.tol:
+        if bracket and finite:
+            stop = _bracket_stop(model, J, prev, lo, hi, config.tol)
+            if stop is not None:
+                return rec.finish("converged", stop[0], error_bound=stop[1])
+        elif config.stop_on_tol and res <= config.tol:
             return rec.finish("converged", reported, divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
     return rec.finish("cap", reported, bound, divergent=frozenset(divergent_states))
@@ -754,6 +868,12 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     J that starts the next power, so `t_mu_power_and_h` still scans it
     once per round.
 
+    In D, J_greedy = M(H(J)) is T(J) of the evaluation iterate J, so a
+    row on the finite path (every J_greedy so far finite, and finite
+    costs) stops on the bracket of d = J_greedy - J (`_bracket_stop`)
+    instead of the residual, and the run returns the bracket's upper end
+    J_greedy + c max(d) with its error bound.
+
     Trace rows carry both the evaluation iterate and the improvement-time
     value M(h_backup(J)); for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
@@ -773,6 +893,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         rec.trace.config["initial_flags"] = flags
     prev_greedy: np.ndarray | None = None
     finite = False  # whether prev_greedy holds no infinity and no NaN
+    bracket = _brackets(model, config)
     for k in range(1, config.max_iter + 1):
         nk = int(config.nk_at(k - 1))
         J, Q = t_mu_power_and_h(model, mu, J, nk)
@@ -789,7 +910,11 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         prev_greedy = J_greedy
         rec.row(k, res, J_greedy, policy=mu.descriptor(),
                 extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()})
-        if config.stop_on_tol and res <= config.tol:
+        if bracket and finite:
+            stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J), config.tol)
+            if stop is not None:
+                return rec.finish("converged", stop[0], policy=mu, error_bound=stop[1])
+        elif config.stop_on_tol and res <= config.tol:
             return rec.finish("converged", J_greedy, policy=mu)
     return rec.finish("cap", J_greedy, policy=mu)
 
@@ -865,9 +990,15 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     ``update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next)``
     write Q_next (and, for a masked update, J_next) and return (operator
     count, whether it wrote J_next, lp's row columns).  J becomes the clamped
-    J_next of a masked update, else the clamped M(Q_next).  The run
-    converges once max(res_J, res_Q) <= tol on each of the last rows of
-    a whole cycle of the mask schedule (one row without masks): a masked
+    J_next of a masked update, else the clamped M(Q_next).  In D without
+    a mask schedule, a row on the finite path stops on the bracket of
+    its J (`_bracket_stop`), which holds for any J, clamped or
+    epsilon-greedy ones too: it pays one `_bellman_T(J)` per row, not
+    counted in the op count, and on a stop returns the upper end U and
+    Q = H(U), the upper end H(T(J)) + alpha c max(d) of the Q* bracket,
+    with the bound; one backup more.  Every other run converges once
+    max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
+    of the mask schedule (one row without masks): a masked
     row moves only the pairs and states its masks set, so a quiet row
     alone shows nothing about the others, while a whole cycle updates
     every one (`mixed_vpi` refuses a schedule that does not).  lp records
@@ -941,6 +1072,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
+    bracket = not lp and _brackets(model, config)
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = _greedy_select(model, Q, epsilon, qmin, policy, finite)
@@ -978,9 +1110,16 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
             extra = {"residual_Q": res_Q, "powers": ops, J_SNAPSHOT: J, Q_SNAPSHOT: Q}
         rec.row(k + 1, res_J, J, Q, policy=policy_text, b_set=b_set, upper_margin=upper,
                 extra=extra)
-        quiet = quiet + 1 if max(res_J, res_Q) <= tol else 0
-        if config.stop_on_tol and quiet >= cycle:
-            return rec.finish("converged", J, Q=Q, policy=policy)
+        if bracket and finite:
+            TJ = _bellman_T(model, J, True)
+            stop = _bracket_stop(model, TJ, J, *_extremes(TJ - J), tol)
+            if stop is not None:
+                return rec.finish("converged", stop[0], Q=h_backup(model, stop[0]),
+                                  policy=policy, error_bound=stop[1])
+        else:
+            quiet = quiet + 1 if max(res_J, res_Q) <= tol else 0
+            if config.stop_on_tol and quiet >= cycle:
+                return rec.finish("converged", J, Q=Q, policy=policy)
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
 
 

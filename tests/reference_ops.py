@@ -133,6 +133,7 @@ import typing
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -861,6 +862,71 @@ def optimal_cost(model: TotalCostModel) -> np.ndarray:
     return J
 
 
+def _exact_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """x with A x = b, by Gaussian elimination in exact rationals; A is
+    square and nonsingular."""
+    n = len(b)
+    rows = [A[i][:] + [b[i]] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / head[col]
+            if factor:
+                rows[r] = [a - factor * h for a, h in zip(rows[r], head)]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / rows[i][i]
+    return x
+
+
+def exact_policy_cost(model: TotalCostModel, choices) -> list:
+    """The cost of the deterministic policy that takes control choices[x]
+    at state x, with no round-off: every float of the model is the
+    rational it stores.  In D the entry of state x is a Fraction solving
+    (I - alpha P) J = g.  In N and P the divergent states (this file's
+    graph classification: those that reach a recurrent state of nonzero
+    cost, or an infinite cost) are the regime-signed float infinity, the
+    other recurrent states 0, and the transient finite ones solve
+    (I - P) J = g on themselves."""
+    n = model.num_states
+    rows = [int(s) + c for s, c in zip(model.pair_starts.tolist(), choices)]
+    P, g = model.pair_probs[rows], model.pair_costs[rows]
+    if model.regime == "D":
+        alpha = Fraction(model.discount)
+        A = [[Fraction(x == y) - alpha * Fraction(P[x, y]) for y in range(n)]
+             for x in range(n)]
+        return _exact_solve(A, [Fraction(v) for v in g.tolist()])
+    rec = recurrent_states(P)
+    divergent = _divergent_states(model.regime, P, g, rec)
+    sign = 1.0 if model.regime == "P" else -1.0
+    J: list = [sign * INF if x in divergent else Fraction(0) for x in range(n)]
+    transient = [x for x in range(n) if x not in rec and x not in divergent]
+    if transient:
+        A = [[Fraction(x == y) - Fraction(P[x, y]) for y in transient] for x in transient]
+        for x, v in zip(transient, _exact_solve(A, [Fraction(g[x]) for x in transient])):
+            J[x] = v
+    return J
+
+
+def exact_optimal_cost(model: TotalCostModel) -> list:
+    """J* of an atomic model of at most 6 states and 3 controls a state,
+    with no round-off: the least `exact_policy_cost`, state by state,
+    over every deterministic stationary policy (at most 729).  Finite
+    entries are Fractions and infinite ones float infinities, which
+    compare with them exactly.  It reads the model's arrays and no
+    solver, operator or chain routine of the library."""
+    counts = model.pair_counts().tolist()
+    if model.num_states > 6 or max(counts, default=0) > 3 or not model.atomic_only:
+        raise ValueError("exact_optimal_cost takes atomic models of at most 6 states "
+                         "and 3 controls a state")
+    best: list = [INF] * model.num_states
+    for choices in itertools.product(*(range(m) for m in counts)):
+        best = [min(b, v) for b, v in zip(best, exact_policy_cost(model, choices))]
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Stacked residual kernels, row by row
 
@@ -976,21 +1042,64 @@ def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
 # Solver rows from the public checked entries
 
 
+def bracket_answer(model: TotalCostModel, J: np.ndarray, TJ: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, float] | None:
+    """The discounted stop of one row, written out from its statement:
+    with d = T(J) - J and c = alpha / (1 - alpha), J* lies between
+    T(J) + c min(d) and T(J) + c max(d) (MacQueen 1966; Porteus 1971).
+    The answer is the upper end, and its bound the distance between the
+    ends plus the rounding allowance rho = (1 + c) gamma_{n+4} G +
+    c gamma_16 max|d|, G the largest |g(p)| + alpha sum_y |P(p, y)| |J(y)|
+    over the pairs p, summed here pair by pair.  None unless both the
+    distance and the bound are at most tol."""
+    alpha = model.discount
+    c = alpha / (1.0 - alpha)
+    d = TJ - J
+    low, high = float(d.min()), float(d.max())
+    upper_minus_lower = (high - low) * c
+    if not upper_minus_lower <= tol:
+        return None
+
+    def gamma(m: int) -> float:
+        return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+
+    scale = max(abs(g) + alpha * sum(abs(p) * abs(j) for p, j in zip(row, J.tolist()))
+                for g, row in zip(model.pair_costs.tolist(), model.pair_probs.tolist()))
+    bound = upper_minus_lower + ((1.0 + c) * gamma(model.num_states + 4) * scale
+                                 + c * gamma(16) * max(high, -low))
+    if not bound <= tol:
+        return None
+    return TJ + high * c, bound
+
+
+def _bracket_rows(model: TotalCostModel, stop_on_tol: bool, masks=None) -> bool:
+    """Whether a run's rows on the finite path stop on `bracket_answer`:
+    a discounted model with finite costs, a run that stops on tol, no
+    mask schedule."""
+    return (model.regime == "D" and model.discount < 1.0 and stop_on_tol
+            and bool(np.isfinite(model.pair_costs).all()) and masks is None)
+
+
 def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
                          tol: float, stop_on_tol: bool = True
-                         ) -> list[tuple[np.ndarray, float, list[int]]]:
-    """(J_k, residual, divergent states) of every row of value iteration:
+                         ) -> tuple[list[tuple[np.ndarray, float, list[int]]],
+                                    tuple[np.ndarray, float] | None]:
+    """(J_k, residual, divergent states) of every row of value iteration,
+    and the answer (J, error bound) of a run that stops on the bracket:
     J_k = T(J_{k-1}), with the states that `IterateWindowRule` has
     flagged at the regime-signed infinity, and the residual over the
-    unflagged states; with ``stop_on_tol`` the run stops at the first
-    residual <= tol.  On an atomic-only model the flagged states are
-    pinned into the iterate; on a model with affine families the
-    iteration goes on over the finite values and each row reports a
-    pinned copy."""
+    unflagged states.  With ``stop_on_tol`` the run stops at the first
+    residual <= tol, but a discounted run on an atomic model with finite
+    costs stops on `bracket_answer` instead while J_0, ..., J_k are all
+    finite.  On an atomic-only model the flagged states are pinned into
+    the iterate; on a model with affine families the iteration goes on
+    over the finite values and each row reports a pinned copy."""
     J = np.array(J0, dtype=float)
     rule = IterateWindowRule(J) if model.discount == 1.0 else None
     flagged = np.zeros(J.shape, dtype=bool)
     sign = -1.0 if model.regime == "N" else 1.0
+    bracket = (model.atomic_only and bool(np.isfinite(J).all())
+               and _bracket_rows(model, stop_on_tol))
     rows = []
     for k in range(1, max_iter + 1):
         nxt = operators.bellman_T(model, J)
@@ -1004,25 +1113,37 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
                 reported[flagged] = sign * INF
         res = sup_dist(nxt[~flagged], J[~flagged])
         rows.append((reported, res, np.flatnonzero(flagged).tolist()))
-        J = nxt
-        if stop_on_tol and res <= tol:
+        bracket = bracket and bool(np.isfinite(nxt).all())
+        if bracket:
+            answer = bracket_answer(model, J, nxt, tol)
+            if answer is not None:
+                return rows, answer
+        elif stop_on_tol and res <= tol:
             break
-    return rows
+        J = nxt
+    return rows, None
 
 
-def mixed_rows(model: TotalCostModel, config) -> list[dict]:
+def mixed_rows(model: TotalCostModel, config
+               ) -> tuple[list[dict], tuple[np.ndarray, np.ndarray, float] | None]:
     """Every row of mixed iteration with a finite nk, as a dict of J, Q,
-    residual, residual_Q, powers and the policy descriptor: the greedy
-    policy of Q (the initial policy at k = 0, if given), B from the
-    configured strategy, nk powers of F_theta and J = M(Q), or under a
-    mask schedule the masked coordinates of both; J clamped; the run stops
-    once a whole cycle of the schedule has rows within tol."""
+    residual, residual_Q, powers and the policy descriptor, and the
+    answer (J, Q, error bound) of a run that stops on the bracket: the
+    greedy policy of Q (the initial policy at k = 0, if given), B from
+    the configured strategy, nk powers of F_theta and J = M(Q), or under
+    a mask schedule the masked coordinates of both; J clamped.  The run
+    stops once a whole cycle of the schedule has rows within tol; a
+    discounted unmasked run with finite costs stops instead on
+    `bracket_answer` of J and `bellman_T(J)` while every J and Q so far
+    is finite, and answers the upper end and its `h_backup`."""
     J = np.array(config.J0, dtype=float)
     Q = np.array(config.Q0, dtype=float)
     policy = config.initial_policy
     masks = config.masks
     cycle = 1 if masks is None else len(masks)
     rows, quiet = [], 0
+    bracket = (_bracket_rows(model, config.stop_on_tol, masks)
+               and bool(np.isfinite(J).all() and np.isfinite(Q).all()))
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = operators.greedy_select(model, Q, config.epsilon)
@@ -1042,10 +1163,16 @@ def mixed_rows(model: TotalCostModel, config) -> list[dict]:
         J, Q = J_next, Q_next
         rows.append({"J": J, "Q": Q, "residual": res_J, "residual_Q": res_Q,
                      "powers": powers, "policy": policy.descriptor()})
+        bracket = bracket and bool(np.isfinite(J).all() and np.isfinite(Q).all())
+        if bracket:
+            answer = bracket_answer(model, J, operators.bellman_T(model, J), config.tol)
+            if answer is not None:
+                return rows, (answer[0], operators.h_backup(model, answer[0]), answer[1])
+            continue
         quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
         if quiet >= cycle:
             break
-    return rows
+    return rows, None
 
 
 def policy_iteration_rows(model: TotalCostModel, mu0: Policy, max_iter: int
@@ -1078,17 +1205,21 @@ def policy_iteration_rows(model: TotalCostModel, mu0: Policy, max_iter: int
 
 
 def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
-                    ) -> tuple[list[dict], str, int]:
+                    ) -> tuple[list[dict], str, int, tuple[np.ndarray, float] | None]:
     """Every row of optimistic policy iteration, as a dict of J (the
     greedy value M(Q)), residual, policy, J_eval and J_greedy, with the
-    run's termination and op count.  Row k applies `bellman_T_mu` nk
-    times to J, backs the result up (`h_backup`), selects greedily with
-    the current policy as ``keep``, and takes M(Q) and its distance to
-    the last row's; with ``config.stop_on_tol`` the run stops at the
-    first residual <= tol."""
+    run's termination, op count and the answer (J, error bound) of a run
+    that stops on the bracket.  Row k applies `bellman_T_mu` nk times to
+    J, backs the result up (`h_backup`), selects greedily with the
+    current policy as ``keep``, and takes M(Q) and its distance to the
+    last row's; with ``config.stop_on_tol`` the run stops at the first
+    residual <= tol.  A discounted run with finite costs stops instead
+    on `bracket_answer` of J_eval and J_greedy = T(J_eval) while every
+    J_greedy so far is finite."""
     J = np.array(J0, dtype=float)
     mu, prev = mu0, None
     rows, ops = [], 0
+    bracket = _bracket_rows(model, config.stop_on_tol)
     for k in range(config.max_iter):
         nk = int(config.nk_at(k))
         for _ in range(nk):
@@ -1101,9 +1232,14 @@ def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
         prev = J_greedy
         rows.append({"J": J_greedy, "residual": res, "policy": mu.descriptor(),
                      "J_eval": J, "J_greedy": J_greedy})
-        if config.stop_on_tol and res <= config.tol:
-            return rows, "converged", ops
-    return rows, "cap", ops
+        bracket = bracket and bool(np.isfinite(J_greedy).all())
+        if bracket:
+            answer = bracket_answer(model, J, J_greedy, config.tol)
+            if answer is not None:
+                return rows, "converged", ops, answer
+        elif config.stop_on_tol and res <= config.tol:
+            return rows, "converged", ops, None
+    return rows, "cap", ops, None
 
 
 # ---------------------------------------------------------------------------

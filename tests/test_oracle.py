@@ -19,16 +19,31 @@ P it may be a larger fixed point, the stall that FX-P2 documents.  In N
 improvement need not lower the value, so it may also return to an
 earlier policy ("cycle"); where it stops at a fixed point of T, that is
 J* (the largest fixed point at or below zero).
+
+`reference_ops.exact_optimal_cost` prices the same policies with no
+round-off, in rationals.  It agrees with the float enumeration, and it
+judges the error bound of a discounted run: value iteration, optimistic
+policy iteration and mixed iteration (nk of 1, 10 and "exact", clamped,
+epsilon-greedy, from an initial policy) stop on the MacQueen-Porteus
+bracket, and the J they return (its upper end) is within their
+`error_bound` of the exact J*, a bound within tol; the Q of a mixed run
+is within alpha times it, plus the rounding of its one backup.  The
+bound must hold at the edges of float arithmetic too: from a start near
+the largest float, whose first bracket is one cancellation, and at a
+tol below what the floats can show, where the run must reach its cap.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from test_trace_pins import _configs
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.model import AtomicControl, Policy, TotalCostModel
+from totaldp.operators import h_backup
 from totaldp.solvers import (
     SolverCapError,
     SolverConfig,
@@ -210,3 +225,136 @@ def test_masked_mixed_in_p_ends_where_the_unmasked_run_does(name):
     checks = {c.name: c for c in verify_certificates(fx.model, masked.trace,
                                                      fx.ground_truth()).checks}
     assert not checks["cone-membership"].passed
+
+
+# ---------------------------------------------------------------------------
+# The exact oracle and the discounted error bound
+
+
+@given(tiny_models())
+def test_exact_enumeration_agrees_with_the_float_one(model):
+    exact = ref.exact_optimal_cost(model)
+    assert_close([float(v) for v in exact], ref.optimal_cost(model), "exact vs float")
+
+
+@st.composite
+def discounted_models(draw):
+    """1-4 discounted states with 1-3 controls each: costs in [-2, 2]
+    and rows over 1-4 successors, with small integer weights (ties and
+    exact values) or with full-precision random ones."""
+    n = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([0.0, 0.5, 0.9, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = draw(st.booleans())
+    controls = []
+    for _ in range(n):
+        row = []
+        for i in range(draw(st.integers(1, 3))):
+            support = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            probs = np.zeros(n)
+            probs[support] = (rng.integers(1, 5, support.size) if coarse
+                              else rng.random(support.size) + 0.01)
+            cost = float(rng.integers(-4, 5) / 2 if coarse else rng.uniform(-2.0, 2.0))
+            row.append(AtomicControl(f"u{i}", cost, probs / probs.sum()))
+        controls.append(tuple(row))
+    return TotalCostModel("D", alpha, tuple(controls))
+
+
+BOUND_TOL = 1e-9
+
+
+def _exact_error(values: np.ndarray, exact) -> Fraction:
+    """max |values - exact| with no round-off."""
+    return max(abs(Fraction(v) - e) for v, e in zip(values.tolist(), exact))
+
+
+def _check_bound(model, config, exact, floats, what: str):
+    """The run ends on the bracket: its J within its error bound of the
+    exact J*, a bound within tol, and within the bound of the float
+    enumeration too, up to that oracle's own round-off; a mixed run's Q
+    within alpha times the bound of the exact Q*, plus Higham's bound on
+    the backup H(J) that formed it."""
+    res = run(model, config)
+    assert res.termination == "converged", what
+    bound = res.error_bound
+    assert bound is not None and 0.0 <= bound <= config.tol, (what, bound)
+    assert _exact_error(res.J, exact) <= Fraction(bound), (what, bound)
+    assert (np.abs(res.J - floats) <= bound + 1e-12 * (1.0 + np.abs(floats))).all(), what
+    if res.Q is not None:
+        alpha = Fraction(model.discount)
+        Qstar = [Fraction(g) + alpha * sum(Fraction(p) * j for p, j in zip(row, exact))
+                 for g, row in zip(model.pair_costs.tolist(), model.pair_probs.tolist())]
+        m = model.num_states + 2
+        gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+        scale = float(np.max(np.abs(model.pair_costs) + model.discount
+                             * (np.abs(model.pair_probs) @ np.abs(res.J))))
+        slack = alpha * Fraction(bound) + Fraction(gamma) * Fraction(scale) * Fraction(1 + 1e-12)
+        assert _exact_error(res.Q, Qstar) <= slack, (what, bound)
+    return res
+
+
+@settings(max_examples=60)
+@given(discounted_models(), st.data())
+def test_discounted_answers_lie_within_their_error_bound(model, data):
+    draw = data.draw
+    exact = ref.exact_optimal_cost(model)
+    floats = ref.optimal_cost(model)
+    n = model.num_states
+    start = draw(st.sampled_from(["zero", "above", "below", "random"]))
+    J0 = {"zero": np.zeros(n), "above": 1.5 * np.abs(floats) + 1.0,
+          "below": -1.5 * np.abs(floats) - 1.0,
+          "random": np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+          }[start]
+    policy = Policy.deterministic(model, [draw(st.integers(0, m - 1))
+                                          for m in model.pair_counts().tolist()])
+    common = dict(J0=J0, tol=BOUND_TOL, max_iter=5000)
+    _check_bound(model, SolverConfig(algorithm="vi", **common), exact, floats, "vi")
+    nk = draw(st.sampled_from([1, 10]))
+    _check_bound(model, SolverConfig(algorithm="mpi", nk=nk, initial_policy=policy, **common),
+                 exact, floats, f"mpi nk={nk}")
+    mixed = dict(algorithm="mixed", Q0=h_backup(model, J0),
+                 nk=draw(st.sampled_from([1, 10, "exact"])),
+                 epsilon=draw(st.sampled_from([0.0, 0.0, 0.25])),
+                 initial_policy=draw(st.sampled_from([None, policy])), **common)
+    if draw(st.booleans()):
+        mixed.update(clamp_lo=floats - draw(st.sampled_from([0.0, 0.5, 3.0])),
+                     clamp_hi=floats + draw(st.sampled_from([0.0, 0.5, 3.0])))
+    _check_bound(model, SolverConfig(**mixed), exact, floats, f"mixed {mixed}")
+
+
+# One state that pays 1 and stays, discount 0.5: J* = 2.
+ONE_STATE = TotalCostModel("D", 0.5, ((AtomicControl("stay", 1.0, np.array([1.0])),),))
+
+
+def _one_config(algorithm, J0, **kw):
+    return SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(ONE_STATE, J0),
+                        initial_policy=Policy.deterministic(ONE_STATE, [0]), **kw)
+
+
+@pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed"])
+def test_a_start_near_the_largest_float_stops_only_once_the_floats_can_show_it(algorithm):
+    # span(d) is 0 on every row of a one-state model, and from 1.5e308 the
+    # first answer T(J) + c d is a cancellation of two numbers near
+    # 0.75e308: without a rounding allowance the run would stop there,
+    # with an error near 2.  It stops only once |J| is small enough for
+    # the bracket's rounding to fit in tol.
+    J0 = np.array([1.5e308])
+    res = run(ONE_STATE, _one_config(algorithm, J0, tol=1e-9, max_iter=5000))
+    assert res.termination == "converged" and len(res.trace.rows) > 100
+    assert _exact_error(res.J, [Fraction(2)]) <= Fraction(res.error_bound) <= 1e-9
+
+
+@pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed"])
+@pytest.mark.parametrize("name", ["FX-D", "one-state"])
+def test_a_tolerance_below_round_off_reaches_the_cap(algorithm, name):
+    # At tol 1e-300 the gap reaches exactly 0 in floats, but the
+    # rounding allowance of a row never fits: every run ends at its cap.
+    model = fixture(name).model if name == "FX-D" else ONE_STATE
+    J0 = np.zeros(model.num_states)
+    config = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
+                          initial_policy=Policy.deterministic(model, [0] * model.num_states),
+                          tol=1e-300, max_iter=300)
+    with pytest.raises(SolverCapError) as err:
+        run(model, config)
+    assert err.value.result.error_bound is None
+    assert err.value.result.trace.error_bound is None

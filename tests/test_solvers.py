@@ -209,11 +209,22 @@ class TestMixed:
         snapshots = [e[key] for e in extras for key in (J_SNAPSHOT, Q_SNAPSHOT)]
         assert all(type(v) is np.ndarray and v.dtype == float for v in snapshots)
         assert len({id(v) for v in snapshots}) == len(snapshots)
+        # FX-D is discounted: the run stops on the bracket, and answers its
+        # upper end T(J_k) + c max(d) for the last row's J_k and Q = H of
+        # it, arrays of the result's own.
         last = extras[-1]
-        assert np.array_equal(out.J, last[J_SNAPSHOT]) and np.array_equal(out.Q, last[Q_SNAPSHOT])
+        J_k = last[J_SNAPSHOT]
+        TJ = bellman_T(fx.model, J_k)
+        c = fx.model.discount / (1.0 - fx.model.discount)
+        assert out.error_bound is not None
+        assert np.array_equal(out.J, TJ + c * (TJ - J_k).max())
+        assert np.array_equal(out.Q, h_backup(fx.model, out.J))
+        assert out.J.base is None and out.Q.base is None
+        snapshot = [v.copy() for v in (last[J_SNAPSHOT], last[Q_SNAPSHOT])]
         out.J[:] = -1.0
         out.Q[:] = -1.0
-        assert (last[J_SNAPSHOT] >= 0.0).all() and (last[Q_SNAPSHOT] >= 0.0).all()
+        assert np.array_equal(last[J_SNAPSHOT], snapshot[0])
+        assert np.array_equal(last[Q_SNAPSHOT], snapshot[1])
 
     def test_custom_b_schedule_cycles(self):
         model, Jstar = random_model(431, regime="D")
@@ -663,21 +674,38 @@ class TestFiniteRows:
     must raise the same ValueError: from finite starts, from starts with
     infinities or NaN, from policies priced at an infinity, and from
     starts near the largest float, whose iterates overflow part way and
-    move the run to the checked path."""
+    move the run to the checked path.  A discounted run on the finite
+    path stops on the oracles' own bracket stop
+    (`reference_ops.bracket_answer`): on the same row, with the same
+    answer bit for bit and the same error bound up to the order of its
+    sums; any other run has no error bound."""
 
     @staticmethod
-    def _check_value_iteration(model, J0, max_iter, stop_on_tol=True):
+    def _check_answer(result, answer, Q=False):
+        """The result of a run that the oracle stops on the bracket with
+        ``answer`` (J, [Q,] bound), or of one it does not (None)."""
+        if answer is None:
+            assert result.error_bound is None
+            return
+        assert result.termination == "converged"
+        assert _array_bits(result.J) == _array_bits(answer[0])
+        if Q:
+            assert _array_bits(result.Q) == _array_bits(answer[1])
+        assert result.error_bound == pytest.approx(answer[-1], rel=1e-12, abs=0.0)
+
+    def _check_value_iteration(self, model, J0, max_iter, stop_on_tol=True):
         cfg = SolverConfig(algorithm="vi", max_iter=max_iter, tol=1e-9,
                            stop_on_tol=stop_on_tol)
         rows, result = _recorded_rows(lambda: value_iteration(model, J0, cfg))
-        want = _quietly(lambda: ref.value_iteration_rows(model, J0, max_iter, 1e-9,
-                                                         stop_on_tol))
+        want, answer = _quietly(lambda: ref.value_iteration_rows(model, J0, max_iter, 1e-9,
+                                                                 stop_on_tol))
         assert len(rows) == len(result.trace.rows) == len(want)
         for (J, _), row, (J_ref, res_ref, div_ref) in zip(rows, result.trace.rows, want):
             assert _array_bits(J) == _array_bits(J_ref)
             assert _array_bits(row.residual) == _array_bits(res_ref)
             assert row.extra["divergent"] == div_ref
         assert result.divergent == frozenset(want[-1][2])
+        self._check_answer(result, answer)
         return result
 
     @settings(max_examples=300)
@@ -748,6 +776,8 @@ class TestFiniteRows:
         if isinstance(want, str):  # greedy selection met a NaN
             assert result == want and "NaN" in want
             return
+        want, answer = want
+        self._check_answer(result, answer, Q=True)
         assert len(rows) == len(result.trace.rows) == len(want)
         for (J, Q), row, w in zip(rows, result.trace.rows, want):
             assert _array_bits(J) == _array_bits(w["J"]) == _array_bits(row.extra[J_SNAPSHOT])
@@ -757,17 +787,19 @@ class TestFiniteRows:
             assert row.extra["powers"] == w["powers"]
             assert row.policy == w["policy"]
 
-    @staticmethod
-    def _check_policy_rows(solve, oracle, extras):
+    def _check_policy_rows(self, solve, oracle, extras):
         """The rows of ``solve`` against the oracle's (rows, termination,
-        op count): J, residual, policy and the ``extra`` entries named by
-        ``extras`` bit for bit, or the same ValueError text."""
+        op count[, bracket answer]): J, residual, policy and the
+        ``extra`` entries named by ``extras`` bit for bit, or the same
+        ValueError text."""
         rows, result = _recorded_rows(solve)
         want = _quietly(oracle)
         if isinstance(want, str):
             assert result == want
             return None
-        want_rows, termination, op_count = want
+        want_rows, termination, op_count, *answer = want
+        if answer:
+            self._check_answer(result, answer[0])
         assert len(rows) == len(result.trace.rows) == len(want_rows)
         for (J, _), row, w in zip(rows, result.trace.rows, want_rows):
             assert _array_bits(J) == _array_bits(w["J"])

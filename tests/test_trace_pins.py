@@ -20,7 +20,14 @@ mixed-exact pin when stop rules came to be priced on the states (its
 rows and policies stayed, values moved by round-off), and the
 mixed-masked pins of FX-N2, FX-P2 and FX-P4 when a masked run came to
 stop only after a whole cycle of quiet rows (each had stopped after its
-first row).
+first row).  Eight FX-D pins were retaken when discounted runs came to
+stop on the MacQueen-Porteus bracket instead of the residual: mixed
+with nk 10, 1, "exact", the occupation B, both clamps and the initial
+policy, and mpi.  Each now ends on the first row whose bracket is
+within tol, fewer rows than before, and its header records the
+``error_bound``; the rows it keeps are the rows it had, bit for bit.
+FX-D's masked and schedule-eps runs, which keep to their cap, and its
+pi runs kept their pins, as did every N and P run.
 """
 
 import dataclasses
@@ -126,16 +133,16 @@ def pinned_runs():
 
 # (csv sha256, json sha256), first 16 hex digits.
 PINS = {
-    "FX-D/mixed-nk10": ("1d5f603380b2119b", "120ec6886bbabdde"),
-    "FX-D/mixed-nk1": ("72db1114e2d99f35", "dc299c54615f2d3a"),
-    "FX-D/mixed-exact": ("a1f8ecccd50df56b", "66d458402a5e9bcc"),
+    "FX-D/mixed-nk10": ("a455982469f1fe73", "fdccee25b9717182"),
+    "FX-D/mixed-nk1": ("bed72422ef38f3ef", "95433152ecb1b81b"),
+    "FX-D/mixed-exact": ("cb3b5dc6ef0b0907", "481376431be9e3b1"),
     "FX-D/mixed-schedule-eps": ("735b4b020af1fce6", "d62e31eabb66758c"),
-    "FX-D/mixed-occupation": ("4bb7e65cdc91901e", "128c76a5927b6a93"),
-    "FX-D/mixed-clamped": ("beb575095602c1a0", "1f81ccb5825e1c0c"),
-    "FX-D/mixed-clamp-binds": ("ebf30d3c67f1525b", "538ab34f25296b17"),
+    "FX-D/mixed-occupation": ("dbdb64379a545988", "d30d331c6bd6fae9"),
+    "FX-D/mixed-clamped": ("0b0035ee996c275a", "3f95c35ebf9bcbc1"),
+    "FX-D/mixed-clamp-binds": ("a2a8f757b698f3d7", "399224797722ff2e"),
     "FX-D/mixed-masked": ("1f2f29bd1be661ec", "b0915272fa0d33b8"),
-    "FX-D/mixed-initial-policy": ("6252badb48f7277b", "9535c03f78b53d9d"),
-    "FX-D/mpi-nk10": ("18bb6b7279c1acb1", "72214c306eae9336"),
+    "FX-D/mixed-initial-policy": ("99304d3cd88811eb", "d15f1441888358c5"),
+    "FX-D/mpi-nk10": ("fad5fc4927c8f17e", "fa15369ca3c3da12"),
     "FX-D/pi-cheapest": ("4c3c8a9a2b3176da", "b6458fffeedea6f5"),
     "FX-D/pi-greedy": ("aa179f864c996cd1", "7b50befb8b8f48b6"),
     "FX-N2/mixed-nk10": ("db10f8d0bf6db95c", "4c6c18bbbf931015"),

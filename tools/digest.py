@@ -9,8 +9,10 @@ Run from the root of a source checkout: the library is imported from
 `src/` of that checkout, and the models from `perfbench/jobs.py`.  For
 every job of every model of each workload and seed, two lines give
 sha256 digests of what the job returns.  The `values` line is taken over
-J, Q, the policy, the termination, op_count, the trace text (CSV and
-JSON, wall_time zeroed), the certificate report and `model_hash`.
+J, Q, the error bound of a run that set one (a discounted run that
+stopped on its bracket), the policy, the termination, op_count, the
+trace text (CSV and JSON, wall_time zeroed), the certificate report and
+`model_hash`.
 Policy iteration adds every start to its lines, `certify` its report
 and what the public entries of the one stop-rule solve return there
 (`solve_stopping`'s V and certificate, `reconstruct_q`'s Q, and
@@ -128,11 +130,16 @@ def add_certificate(d: Digest, label: str, cert) -> None:
 
 
 def add_result(d: Digest, pkg, model, case, res) -> None:
-    """J, Q, policy, termination, op_count, trace text and certificate
-    report of one SolveResult of package ``pkg``."""
+    """J, Q, the error bound when the run set one, policy, termination,
+    op_count, trace text and certificate report of one SolveResult of
+    package ``pkg``."""
     for name in ("J", "Q"):
         v = getattr(res, name)
         d.add(name, None if v is None else np.asarray(v, dtype=float))
+    # getattr: `--against` runs this script on commits whose results
+    # have no error_bound.
+    if getattr(res, "error_bound", None) is not None:
+        d.add("error_bound", res.error_bound)
     d.add_exact("policy", None if res.policy is None else res.policy.descriptor())
     d.add_exact("termination", res.termination)
     d.add_exact("divergent", sorted(res.divergent))
