@@ -763,8 +763,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                 direction = "nonincreasing"
             elif margin_leq(J, nxt) <= 0.0:
                 direction = "nondecreasing"
-        prev, J = J, nxt
-        reported = J
+        prev = J
+        J = reported = nxt
         if flagged is not None and not pin:
             reported = J.copy()
             reported[flagged] = sign * INF
@@ -1072,7 +1072,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
-    bracket = not lp and _brackets(model, config)
+    bracket = _brackets(model, config)
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = _greedy_select(model, Q, epsilon, qmin, policy, finite)
