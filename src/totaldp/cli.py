@@ -9,7 +9,8 @@ parse errors, and 1 an invalid model (``validate``), a missed tolerance
 scenario (``reproduce``).  ``solve`` and ``compare`` stop on the
 tolerance ``--tol`` (default 1e-9): in D, where vi, mpi and unmasked
 mixed stop on the MacQueen-Porteus bracket, it bounds the error of the
-returned J, and ``solve`` prints that bound; elsewhere it bounds the
+returned J, and ``solve`` prints that bound; elsewhere, and for a tol
+below what a row's rounding allowance can certify, it bounds the
 residual.  A run that reaches ``--max-iter`` first reports termination
 "cap".  For
 the same algorithm and settings, ``compare --trace-out`` writes the

@@ -227,6 +227,12 @@ class TotalCostModel:
         any vector can never meet opposite infinities."""
         return bool(np.isfinite(self.pair_costs).all())
 
+    @cached_property
+    def max_successors(self) -> int:
+        """The most nonzero entries of one pair_probs row: the most
+        products any pair's expectation sums, zeros adding exactly."""
+        return int(np.count_nonzero(self.pair_probs, axis=1).max(initial=0))
+
     def num_pairs(self) -> int:
         return self.pair_costs.size
 

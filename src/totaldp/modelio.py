@@ -681,20 +681,16 @@ _CELLS = {
 class _Schema:
     """The fields of one trace dataclass and their codecs, derived once.
 
-    ``doc`` gives an object as a document, leaving out a field marked
-    ``omit_none`` in its metadata while it is None; ``cells`` the field
-    values of many objects as CSV cells, one list per field, each
-    encoded down its whole column; ``build`` makes an object back from a
-    document, reading only the fields it knows (an old header's ``seed``
-    is ignored) and leaving a field it does not find at its default.
+    ``doc`` gives an object as a document, ``cells`` the field values of
+    many objects as CSV cells, one list per field, each encoded down its
+    whole column; ``build`` makes an object back from a document, reading
+    only the fields it knows (an old header's ``seed`` is ignored).
     """
 
     def __init__(self, cls):
         hints = typing.get_type_hints(cls)
         self.cls = cls
         self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "rows")
-        self.omit_none = frozenset(f.name for f in dataclasses.fields(cls)
-                                   if f.metadata.get("omit_none"))
         self.outs = tuple(_CODECS[hints[name]][0] for name in self.names)
         self.backs = tuple(_CODECS[hints[name]][1] for name in self.names)
         self.column_cells = tuple(
@@ -707,8 +703,7 @@ class _Schema:
                 for name, cells in zip(self.names, self.column_cells)]
 
     def doc(self, obj) -> dict:
-        return {name: out(v) for name, out, v in zip(self.names, self.outs, self._get(obj))
-                if v is not None or name not in self.omit_none}
+        return {name: out(v) for name, out, v in zip(self.names, self.outs, self._get(obj))}
 
     def build(self, doc: dict, where: str):
         kwargs = {}

@@ -195,8 +195,6 @@ class IterationTrace:
     model_hash: str = ""
     rows: list[TraceRow] = field(default_factory=list)
     op_count: int = 0
-    # The result's error bound; the header leaves it out while it is None.
-    error_bound: float | None = field(default=None, metadata={"omit_none": True})
 
     def append(self, row: TraceRow) -> None:
         if self.rows and row.k <= self.rows[-1].k:
@@ -362,10 +360,13 @@ class SolveResult:
     policy iteration and the unmasked mixed loop in D is the bracket
     (`_bracket_stop`): ``J`` is then the bracket's upper end, at or
     above J* and within ``error_bound`` <= tol of it (exact arithmetic
-    plus the stated rounding allowance, not a sound mode), and a mixed
-    run's ``Q`` is H of it.  Every other run stops on a residual within tol,
-    and its ``error_bound`` is None.  ``Q`` is set by the mixed and
-    constraint-program methods, ``divergent`` by value iteration, and
+    plus the stated rounding allowance, not a sound mode), a mixed
+    run's ``Q`` is H of it, and the ``policy`` of optimistic policy
+    iteration (greedy for the row's J) and of the mixed loop (greedy
+    for that Q) costs at most ``J``.  Every other run, and a bracketed
+    row whose tol is below what its allowance can certify, stops on a
+    residual within tol, and its ``error_bound`` is None.  ``Q`` is set
+    by the mixed and constraint-program methods, ``divergent`` by value iteration, and
     ``values``/``policies`` (every evaluated value and every policy, in
     order) by policy iteration, whose ``J`` and ``policy`` are the last
     evaluated ones.
@@ -495,14 +496,15 @@ class _Recorder:
         """The run's SolveResult, holding its own copies of the final J
         and Q: the trace's rows may hold the very arrays, and a caller
         that edits its result must not edit them.  An ``error_bound``
-        among the fields goes into the trace's header too.  At the cap
-        of a run that was meant to stop on the tolerance, raise
-        SolverCapError carrying it instead; ``bound`` says which side of
-        the answer the last iterate bounds."""
+        among the fields that is set goes into the trace's config too.
+        At the cap of a run that was meant to stop on the tolerance,
+        raise SolverCapError carrying it instead; ``bound`` says which
+        side of the answer the last iterate bounds."""
         self._fill()
         if fields.get("Q") is not None:
             fields["Q"] = fields["Q"].copy()
-        self.trace.error_bound = fields.get("error_bound")
+        if fields.get("error_bound") is not None:
+            self.trace.config["error_bound"] = fields["error_bound"]
         result = SolveResult(J=J.copy(), trace=self.trace, termination=termination,
                              **fields)
         config = self.config
@@ -525,17 +527,23 @@ class _Recorder:
 #
 # (MacQueen 1966, Porteus 1971; Puterman 1994, section 6.6.3).  A finite
 # row of value iteration, optimistic policy iteration or the unmasked
-# mixed loop stops once the gap c span(d) plus a rounding allowance
+# mixed loop stops once the gap c span(d) plus a rounding allowance rho
 # meets tol, and returns the upper end U = T(J) + c max(d).  U is within
 # the gap of J*, and it is a supersolution, T(U) <= U: so U >= J*, and
-# a policy greedy for U costs at most U.  Its residual T(U) - U has one
-# sign.  The midpoint, within half the gap, has a residual of both signs
-# at about alpha span(d) / 2, the scale of the stop-rule engine's
-# switching slack (`chains._stop_rule_iteration`), and a stopping problem
-# built on it priced up to 8 rules where U needs 2.  The bound holds in
-# exact arithmetic plus the allowance: it is derived from the row, not
-# a fixed slack, and it is not a sound mode, since the floats of T(J)
-# are not rounded outward.
+# a policy greedy for U, or for J, costs at most U.  Its residual
+# T(U) - U has one sign.  The midpoint, within half the gap, has a
+# residual of both signs at about alpha span(d) / 2, the scale of the
+# stop-rule engine's switching slack (`chains._stop_rule_iteration`),
+# and a stopping problem built on it priced up to 8 rules where U needs
+# 2.  The bound holds in exact arithmetic plus the allowance: it is
+# derived from the row, not a fixed slack, and it is not a sound mode,
+# since the floats of T(J) are not rounded outward.
+#
+# The gap's own floats carry up to about 2 rho of rounding, so the
+# bracket may never meet a tol below 3 rho.  A row whose residual stop
+# is met while 3 rho > tol therefore stops on its residual, as the run
+# would off the finite path, and reports no error bound: a tol that
+# the residual reaches is never turned into a cap.
 
 # The unit roundoff of a double.
 _U = 2.0 ** -53
@@ -557,38 +565,44 @@ def _brackets(model: TotalCostModel, config: SolverConfig) -> bool:
 
 
 def _bracket_stop(model: TotalCostModel, TJ: np.ndarray, J: np.ndarray, lo: float,
-                  hi: float, tol: float) -> tuple[np.ndarray, float] | None:
-    """The upper end of the bracket and its error bound, or None.
+                  hi: float, settled: bool, tol: float
+                  ) -> tuple[np.ndarray, float] | tuple[None, None] | None:
+    """How a row on the finite path stops: (U, bound) on the bracket,
+    (None, None) on its residual, or None when it goes on.
 
-    TJ and J are T(J) and J of a row on the finite path, and lo, hi =
-    min(d), max(d) of d = T(J) - J.  None unless the gap c (hi - lo)
-    meets tol; then the rounding allowance
+    TJ and J are T(J) and J of the row, lo, hi = min(d), max(d) of
+    d = T(J) - J, and ``settled`` says whether the row meets its
+    residual stop.  The rounding allowance
 
-        rho = (1 + c) gamma_{n+4} G + c gamma_16 max|d|,
+        rho = (1 + c) gamma_{m+4} G + c gamma_16 max|d|,
 
-    G = the largest |g| + alpha |P| |J| over the pairs, one more product
-    on that row only.  The first term is Higham's bound on the backup
-    that formed T(J) (n products and sums, alpha's product, g's sum)
-    carried through the bracket's 1 + c, with one rounding more for the
-    add that forms U and one for rho's own sums.  The second covers the
-    rounding of d, of c, of the gap (at most 2 c max|d|) and of the
-    shift c max(d).  None again unless gap + rho, the error bound, meets
-    tol.  A NaN or an infinity in d gives a NaN or infinite gap, and no
-    stop.
+    m = `max_successors` and G = the largest |g| + alpha |P| |J| over
+    the pairs, is one more product, taken only on a row whose gap
+    c (hi - lo) meets tol or that is settled.  The first term is
+    Higham's bound on the backup that formed T(J) (m products and sums,
+    alpha's product, g's sum) carried through the bracket's 1 + c, with
+    one rounding more for the add that forms U and one for rho's own
+    sums.  The second covers the rounding of d, of c, of the gap (at
+    most 2 c max|d|) and of the shift c max(d).  The row stops on the
+    bracket when gap + rho, the error bound, meets tol, and on its
+    residual when it is settled and 3 rho > tol.  A NaN or an infinity
+    in d gives a NaN or infinite gap, and no bracket stop.
     """
     alpha = model.discount
     c = alpha / (1.0 - alpha)
     gap = c * (hi - lo)
-    if not gap <= tol:
+    if not (gap <= tol or settled):
         return None
-    with np.errstate(over="ignore"):  # an infinite G is no stop
+    with np.errstate(over="ignore"):  # an infinite G is no bracket stop
         G = float(np.maximum.reduce(np.abs(model.pair_costs) + alpha
                                     * (np.abs(model.pair_probs) @ np.abs(J))))
-    bound = (gap + (1.0 + c) * _gamma(model.num_states + 4) * G
-             + c * _gamma(16) * max(abs(lo), abs(hi)))
-    if not bound <= tol:
-        return None
-    return TJ + c * hi, bound
+    rho = ((1.0 + c) * _gamma(model.max_successors + 4) * G
+           + c * _gamma(16) * max(abs(lo), abs(hi)))
+    if gap + rho <= tol:
+        return TJ + c * hi, gap + rho
+    if settled and not 3.0 * rho <= tol:
+        return None, None
+    return None
 
 
 def _extremes(d: np.ndarray) -> tuple[float, float]:
@@ -680,8 +694,10 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     run stops on the residual only off the finite path; a finite row
     stops on the bracket of T(J) (`_bracket_stop`), from the min and max
     of its increment T(J) - J, and the run returns the bracket's upper
-    end with its error bound.  The end is T(J) plus a constant, so its
-    greedy policy is that of T(J).  For
+    end with its error bound; where tol is below what the row's rounding
+    allowance can certify, it stops on the residual after all, with no
+    bound.  The end is T(J) plus a constant, so its greedy policy is
+    that of T(J).  For
     atomic-only models a classified state is pinned to infinity
     immediately (finite minima commute with monotone limits, so this is
     exact and faster); models with affine families
@@ -771,9 +787,10 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
         rec.row(k, res, reported,
                 extra={"direction": direction, "divergent": divergent_states})
         if bracket and finite:
-            stop = _bracket_stop(model, J, prev, lo, hi, config.tol)
+            stop = _bracket_stop(model, J, prev, lo, hi, res <= config.tol, config.tol)
             if stop is not None:
-                return rec.finish("converged", stop[0], error_bound=stop[1])
+                U, bound = stop
+                return rec.finish("converged", J if U is None else U, error_bound=bound)
         elif config.stop_on_tol and res <= config.tol:
             return rec.finish("converged", reported, divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
@@ -872,7 +889,10 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     row on the finite path (every J_greedy so far finite, and finite
     costs) stops on the bracket of d = J_greedy - J (`_bracket_stop`)
     instead of the residual, and the run returns the bracket's upper end
-    J_greedy + c max(d) with its error bound.
+    J_greedy + c max(d) with its error bound and the row's policy, which
+    is greedy for J and so costs at most that end.  Where tol is below
+    what the row's rounding allowance can certify, it stops on the
+    residual after all, with no bound.
 
     Trace rows carry both the evaluation iterate and the improvement-time
     value M(h_backup(J)); for nonnegative-cost runs with ground truth the
@@ -911,9 +931,12 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         rec.row(k, res, J_greedy, policy=mu.descriptor(),
                 extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()})
         if bracket and finite:
-            stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J), config.tol)
+            stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J),
+                                 res <= config.tol, config.tol)
             if stop is not None:
-                return rec.finish("converged", stop[0], policy=mu, error_bound=stop[1])
+                U, bound = stop
+                return rec.finish("converged", J_greedy if U is None else U, policy=mu,
+                                  error_bound=bound)
         elif config.stop_on_tol and res <= config.tol:
             return rec.finish("converged", J_greedy, policy=mu)
     return rec.finish("cap", J_greedy, policy=mu)
@@ -994,9 +1017,12 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     a mask schedule, a row on the finite path stops on the bracket of
     its J (`_bracket_stop`), which holds for any J, clamped or
     epsilon-greedy ones too: it pays one `_bellman_T(J)` per row, not
-    counted in the op count, and on a stop returns the upper end U and
+    counted in the op count, and on a stop returns the upper end U,
     Q = H(U), the upper end H(T(J)) + alpha c max(d) of the Q* bracket,
-    with the bound; one backup more.  Every other run converges once
+    the policy greedy for that Q, which costs at most U, and the bound;
+    one backup more.  Where tol is below what the row's rounding
+    allowance can certify, the row keeps the residual stop below.
+    Every other run converges once
     max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
     of the mask schedule (one row without masks): a masked
     row moves only the pairs and states its masks set, so a quiet row
@@ -1112,10 +1138,15 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                 extra=extra)
         if bracket and finite:
             TJ = _bellman_T(model, J, True)
-            stop = _bracket_stop(model, TJ, J, *_extremes(TJ - J), tol)
+            stop = _bracket_stop(model, TJ, J, *_extremes(TJ - J), max(res_J, res_Q) <= tol,
+                                 tol)
             if stop is not None:
-                return rec.finish("converged", stop[0], Q=h_backup(model, stop[0]),
-                                  policy=policy, error_bound=stop[1])
+                U, bound = stop
+                if U is None:
+                    return rec.finish("converged", J, Q=Q, policy=policy)
+                Q = h_backup(model, U)
+                return rec.finish("converged", U, Q=Q, policy=_greedy_select(
+                    model, Q, 0.0, None, policy, True), error_bound=bound)
         else:
             quiet = quiet + 1 if max(res_J, res_Q) <= tol else 0
             if config.stop_on_tol and quiet >= cycle:

@@ -1042,34 +1042,40 @@ def cone_multiplier(J: np.ndarray, Jstar: np.ndarray) -> float:
 # Solver rows from the public checked entries
 
 
-def bracket_answer(model: TotalCostModel, J: np.ndarray, TJ: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, float] | None:
+def bracket_answer(model: TotalCostModel, J: np.ndarray, TJ: np.ndarray, settled: bool,
+                   tol: float) -> tuple[np.ndarray, float] | tuple[None, None] | None:
     """The discounted stop of one row, written out from its statement:
     with d = T(J) - J and c = alpha / (1 - alpha), J* lies between
     T(J) + c min(d) and T(J) + c max(d) (MacQueen 1966; Porteus 1971).
     The answer is the upper end, and its bound the distance between the
-    ends plus the rounding allowance rho = (1 + c) gamma_{n+4} G +
-    c gamma_16 max|d|, G the largest |g(p)| + alpha sum_y |P(p, y)| |J(y)|
-    over the pairs p, summed here pair by pair.  None unless both the
-    distance and the bound are at most tol."""
+    ends plus the rounding allowance rho = (1 + c) gamma_{m+4} G +
+    c gamma_16 max|d|, m the most nonzero probabilities of one pair and
+    G the largest |g(p)| + alpha sum_y |P(p, y)| |J(y)| over the pairs p,
+    both counted here pair by pair.  (U, bound) when the bound is at
+    most tol; else (None, None), a stop on the residual, when the row
+    is ``settled`` (its residual stop is met) and 3 rho exceeds tol;
+    else None."""
     alpha = model.discount
     c = alpha / (1.0 - alpha)
     d = TJ - J
     low, high = float(d.min()), float(d.max())
     upper_minus_lower = (high - low) * c
-    if not upper_minus_lower <= tol:
+    if not (upper_minus_lower <= tol or settled):
         return None
 
     def gamma(m: int) -> float:
         return m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
 
+    probs = model.pair_probs.tolist()
+    widest = max(sum(1 for p in row if p != 0.0) for row in probs)
     scale = max(abs(g) + alpha * sum(abs(p) * abs(j) for p, j in zip(row, J.tolist()))
-                for g, row in zip(model.pair_costs.tolist(), model.pair_probs.tolist()))
-    bound = upper_minus_lower + ((1.0 + c) * gamma(model.num_states + 4) * scale
-                                 + c * gamma(16) * max(high, -low))
-    if not bound <= tol:
-        return None
-    return TJ + high * c, bound
+                for g, row in zip(model.pair_costs.tolist(), probs))
+    rho = (1.0 + c) * gamma(widest + 4) * scale + c * gamma(16) * max(high, -low)
+    if upper_minus_lower + rho <= tol:
+        return TJ + high * c, upper_minus_lower + rho
+    if settled and rho * 3.0 > tol:
+        return None, None
+    return None
 
 
 def _bracket_rows(model: TotalCostModel, stop_on_tol: bool, masks=None) -> bool:
@@ -1091,7 +1097,8 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
     unflagged states.  With ``stop_on_tol`` the run stops at the first
     residual <= tol, but a discounted run on an atomic model with finite
     costs stops on `bracket_answer` instead while J_0, ..., J_k are all
-    finite.  On an atomic-only model the flagged states are pinned into
+    finite (where it stops on the residual after all, there is no
+    answer).  On an atomic-only model the flagged states are pinned into
     the iterate; on a model with affine families the iteration goes on
     over the finite values and each row reports a pinned copy."""
     J = np.array(J0, dtype=float)
@@ -1115,9 +1122,9 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
         rows.append((reported, res, np.flatnonzero(flagged).tolist()))
         bracket = bracket and bool(np.isfinite(nxt).all())
         if bracket:
-            answer = bracket_answer(model, J, nxt, tol)
+            answer = bracket_answer(model, J, nxt, res <= tol, tol)
             if answer is not None:
-                return rows, answer
+                return rows, None if answer[0] is None else answer
         elif stop_on_tol and res <= tol:
             break
         J = nxt
@@ -1125,17 +1132,18 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
 
 
 def mixed_rows(model: TotalCostModel, config
-               ) -> tuple[list[dict], tuple[np.ndarray, np.ndarray, float] | None]:
+               ) -> tuple[list[dict], tuple[np.ndarray, np.ndarray, Policy, float] | None]:
     """Every row of mixed iteration with a finite nk, as a dict of J, Q,
     residual, residual_Q, powers and the policy descriptor, and the
-    answer (J, Q, error bound) of a run that stops on the bracket: the
+    answer (J, Q, policy, error bound) of a run that stops on the bracket: the
     greedy policy of Q (the initial policy at k = 0, if given), B from
     the configured strategy, nk powers of F_theta and J = M(Q), or under
     a mask schedule the masked coordinates of both; J clamped.  The run
     stops once a whole cycle of the schedule has rows within tol; a
     discounted unmasked run with finite costs stops instead on
     `bracket_answer` of J and `bellman_T(J)` while every J and Q so far
-    is finite, and answers the upper end and its `h_backup`."""
+    is finite, and answers the upper end, its `h_backup` and the policy
+    greedy for that, the row's policy kept on a tie."""
     J = np.array(config.J0, dtype=float)
     Q = np.array(config.Q0, dtype=float)
     policy = config.initial_policy
@@ -1165,10 +1173,15 @@ def mixed_rows(model: TotalCostModel, config
                      "powers": powers, "policy": policy.descriptor()})
         bracket = bracket and bool(np.isfinite(J).all() and np.isfinite(Q).all())
         if bracket:
-            answer = bracket_answer(model, J, operators.bellman_T(model, J), config.tol)
-            if answer is not None:
-                return rows, (answer[0], operators.h_backup(model, answer[0]), answer[1])
-            continue
+            answer = bracket_answer(model, J, operators.bellman_T(model, J),
+                                    max(res_J, res_Q) <= config.tol, config.tol)
+            if answer is None:
+                continue
+            U, bound = answer
+            if U is None:
+                break
+            Q_U = operators.h_backup(model, U)
+            return rows, (U, Q_U, operators.greedy_select(model, Q_U, keep=policy), bound)
         quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
         if quiet >= cycle:
             break
@@ -1234,9 +1247,9 @@ def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
                      "J_eval": J, "J_greedy": J_greedy})
         bracket = bracket and bool(np.isfinite(J_greedy).all())
         if bracket:
-            answer = bracket_answer(model, J, J_greedy, config.tol)
+            answer = bracket_answer(model, J, J_greedy, res <= config.tol, config.tol)
             if answer is not None:
-                return rows, "converged", ops, answer
+                return rows, "converged", ops, None if answer[0] is None else answer
         elif config.stop_on_tol and res <= config.tol:
             return rows, "converged", ops, None
     return rows, "cap", ops, None

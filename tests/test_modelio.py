@@ -319,16 +319,18 @@ class TestTraceRoundTrip:
 
     @pytest.mark.parametrize("name", ["FX-D", "FX-P4"])
     def test_the_header_holds_an_error_bound_only_when_one_is_set(self, name):
-        # FX-D's run stops on the bracket and sets a bound; FX-P4's stops
-        # on its residual, and its header has no error_bound key at all.
+        # FX-D's run stops on the bracket and its config records the
+        # bound; FX-P4's stops on its residual, and its config has no
+        # error_bound key at all.
         fx = fixture(name)
         res = value_iteration(fx.model, 1.5 * fx.Jstar + 1.0,
                               SolverConfig(algorithm="vi", max_iter=500))
         assert (res.error_bound is not None) == (name == "FX-D")
-        assert ("error_bound" in json.loads(trace_to_json(res.trace))) == (name == "FX-D")
+        header = json.loads(trace_to_json(res.trace))
+        assert header["config"].get("error_bound") == res.error_bound
         for back in (trace_from_csv(trace_to_csv(res.trace)),
                      trace_from_json(trace_to_json(res.trace))):
-            assert back.error_bound == res.error_bound
+            assert back.config.get("error_bound") == res.error_bound
 
     def test_rows_strictly_increasing(self):
         trace = _sample_trace()

@@ -27,10 +27,15 @@ policy iteration and mixed iteration (nk of 1, 10 and "exact", clamped,
 epsilon-greedy, from an initial policy) stop on the MacQueen-Porteus
 bracket, and the J they return (its upper end) is within their
 `error_bound` of the exact J*, a bound within tol; the Q of a mixed run
-is within alpha times it, plus the rounding of its one backup.  The
-bound must hold at the edges of float arithmetic too: from a start near
-the largest float, whose first bracket is one cancellation, and at a
-tol below what the floats can show, where the run must reach its cap.
+is within alpha times it, plus the rounding of its one backup, and the
+policy of an optimistic or mixed run costs at most twice the bound above
+J*.  The bound must hold at the edges of float arithmetic too: from a
+start near the largest float, whose first bracket is one cancellation,
+and with costs large enough that the allowance must be taken over the
+products a row sums, not over every state.  A tol below what a row's
+rounding allowance can certify keeps the residual stop: the run ends
+where that stop ends it, with no bound, and never turns a tol the
+residual reaches into a cap.
 """
 
 from fractions import Fraction
@@ -290,7 +295,21 @@ def _check_bound(model, config, exact, floats, what: str):
                              * (np.abs(model.pair_probs) @ np.abs(res.J))))
         slack = alpha * Fraction(bound) + Fraction(gamma) * Fraction(scale) * Fraction(1 + 1e-12)
         assert _exact_error(res.Q, Qstar) <= slack, (what, bound)
+    if res.policy is not None:
+        _check_policy(model, res.policy, exact, 2.0 * bound, what)
     return res
+
+
+def _check_policy(model, policy, exact, within: float, what: str):
+    """The policy is deterministic and costs at most ``within`` above the
+    exact J*.  In exact arithmetic a policy greedy for J costs at most
+    the bracket's upper end; the floats of its selection may pick a
+    control whose backup is up to about one more allowance above the
+    least, hence twice the bound."""
+    assert policy.chosen_pairs is not None, what
+    choices = (policy.chosen_pairs - model.pair_starts).tolist()
+    cost = ref.exact_policy_cost(model, choices)
+    assert max(c - e for c, e in zip(cost, exact)) <= Fraction(within), (what, within)
 
 
 @settings(max_examples=60)
@@ -344,17 +363,102 @@ def test_a_start_near_the_largest_float_stops_only_once_the_floats_can_show_it(a
     assert _exact_error(res.J, [Fraction(2)]) <= Fraction(res.error_bound) <= 1e-9
 
 
+def _quiet_row(res) -> bool:
+    """Whether the last row meets the residual stop at tol."""
+    row = res.trace.rows[-1]
+    return max(row.residual, row.extra.get("residual_Q", 0.0)) <= res.trace.config["tol"]
+
+
+# Where each run of the next test ends at tol 1e-300: the residual stop
+# is met only at a float fixed point, which FX-D's vi and mixed do not
+# reach in 300 rows (every row's residual stays above 1e-300).
+BELOW_ROUND_OFF = {("FX-D", "vi"): "cap", ("FX-D", "mpi"): "converged",
+                   ("FX-D", "mixed"): "cap", ("one-state", "vi"): "converged",
+                   ("one-state", "mpi"): "converged", ("one-state", "mixed"): "converged"}
+
+
 @pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed"])
 @pytest.mark.parametrize("name", ["FX-D", "one-state"])
-def test_a_tolerance_below_round_off_reaches_the_cap(algorithm, name):
-    # At tol 1e-300 the gap reaches exactly 0 in floats, but the
-    # rounding allowance of a row never fits: every run ends at its cap.
+def test_a_tolerance_below_round_off_keeps_the_residual_stop(algorithm, name):
+    # At tol 1e-300 the gap reaches exactly 0 in floats, but the rounding
+    # allowance of a row never fits: no run stops on its bracket, and
+    # each ends where the residual stop ends it, with no error bound.
     model = fixture(name).model if name == "FX-D" else ONE_STATE
     J0 = np.zeros(model.num_states)
     config = SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0),
                           initial_policy=Policy.deterministic(model, [0] * model.num_states),
                           tol=1e-300, max_iter=300)
-    with pytest.raises(SolverCapError) as err:
-        run(model, config)
-    assert err.value.result.error_bound is None
-    assert err.value.result.trace.error_bound is None
+    try:
+        res = run(model, config)
+    except SolverCapError as err:
+        res = err.result
+    assert res.termination == BELOW_ROUND_OFF[name, algorithm]
+    assert res.error_bound is None and "error_bound" not in res.trace.config
+    if res.termination == "converged":
+        assert _quiet_row(res) and res.trace.final_residual == 0.0
+
+
+def _sparse_model(seed: int, n: int, width: int, alpha: float, cost_hi: float):
+    """n discounted states with 3 controls each, every row over ``width``
+    random successors with Dirichlet weights, costs uniform in
+    [0, cost_hi]."""
+    rng = np.random.default_rng(seed)
+    controls = []
+    for _ in range(n):
+        row = []
+        for i in range(3):
+            probs = np.zeros(n)
+            probs[rng.choice(n, size=width, replace=False)] = rng.dirichlet(np.ones(width))
+            row.append(AtomicControl(f"u{i}", float(rng.uniform(0.0, cost_hi)),
+                                     probs / probs.sum()))
+        controls.append(tuple(row))
+    return TotalCostModel("D", alpha, tuple(controls))
+
+
+def _from_zero(model, algorithm):
+    n = model.num_states
+    J0 = np.zeros(n)
+    return run(model, SolverConfig(algorithm=algorithm, J0=J0, Q0=h_backup(model, J0), nk=10,
+                                   initial_policy=Policy.deterministic(model, [0] * n),
+                                   tol=BOUND_TOL, max_iter=20000))
+
+
+@pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed"])
+def test_large_costs_on_sparse_rows_stop_on_the_bracket(algorithm):
+    # 32 states, 5 successors a row, alpha 0.95 and costs up to 2000:
+    # J* reaches about 1.3e4.  An allowance taken over all 32 states,
+    # 20 gamma_36 1.3e4 = 1e-9, never fit in tol, and each run reached
+    # its cap; over the 5 products a row sums, 20 gamma_9 1.3e4 =
+    # 2.6e-10, it does, and the run stops on the bracket with its answer
+    # within the bound of the exact J*.
+    model = _sparse_model(1, 32, 5, 0.95, 2000.0)
+    res = _from_zero(model, algorithm)
+    assert res.termination == "converged"
+    assert res.error_bound is not None and res.error_bound <= BOUND_TOL
+    pi = policy_iteration(model, Policy.deterministic(model, [0] * 32),
+                          SolverConfig(algorithm="pi", max_iter=100))
+    exact = ref.exact_policy_cost(model, (pi.policy.chosen_pairs - model.pair_starts).tolist())
+    alpha = Fraction(model.discount)
+    # exact is J*: no pair's exact backup of it lies below it.
+    for g, row, x in zip(model.pair_costs.tolist(), model.pair_probs.tolist(),
+                         model.pair_state.tolist()):
+        assert Fraction(g) + alpha * sum(Fraction(p) * j for p, j in zip(row, exact)
+                                         if p) >= exact[x]
+    assert _exact_error(res.J, exact) <= Fraction(res.error_bound)
+    if res.policy is not None:
+        _check_policy(model, res.policy, exact, 2.0 * res.error_bound, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["vi", "mpi", "mixed"])
+def test_a_tolerance_the_allowance_cannot_certify_keeps_the_residual_stop(algorithm):
+    # 10 states, dense rows, alpha 0.99 and costs up to 1000: J* is about
+    # 1.9e4, so the rounding allowance, about 100 gamma_14 1.9e4 = 3e-9,
+    # is above tol, though the residual reaches 1e-9.  Each run stops on
+    # its first row that meets the residual stop, with no error bound,
+    # where a bracket-only stop would run to its cap.
+    model = _sparse_model(3, 10, 10, 0.99, 1000.0)
+    res = _from_zero(model, algorithm)
+    assert res.termination == "converged" and res.error_bound is None
+    assert _quiet_row(res)
+    assert not any(max(row.residual, row.extra.get("residual_Q", 0.0)) <= BOUND_TOL
+                   for row in res.trace.rows[:-1])

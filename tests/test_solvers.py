@@ -456,7 +456,10 @@ class TestLayerCallsPerRow:
         rows = len(res.trace.rows)
         assert rows > 1
         envelope = 0 if fx.model.regime == "D" else rows
-        assert counts == {"_greedy_select": rows, "_f_theta_power": rows,
+        # FX-D stops on its bracket, and selects the answer's policy once
+        # more, greedy for the answer's Q.
+        answer = 1 if fx.model.regime == "D" else 0
+        assert counts == {"_greedy_select": rows + answer, "_f_theta_power": rows,
                           "_segment_min": rows, "bellman_T": envelope}
 
 
@@ -683,7 +686,7 @@ class TestFiniteRows:
     @staticmethod
     def _check_answer(result, answer, Q=False):
         """The result of a run that the oracle stops on the bracket with
-        ``answer`` (J, [Q,] bound), or of one it does not (None)."""
+        ``answer`` (J, [Q, policy,] bound), or of one it does not (None)."""
         if answer is None:
             assert result.error_bound is None
             return
@@ -691,6 +694,7 @@ class TestFiniteRows:
         assert _array_bits(result.J) == _array_bits(answer[0])
         if Q:
             assert _array_bits(result.Q) == _array_bits(answer[1])
+            assert result.policy.descriptor() == answer[2].descriptor()
         assert result.error_bound == pytest.approx(answer[-1], rel=1e-12, abs=0.0)
 
     def _check_value_iteration(self, model, J0, max_iter, stop_on_tol=True):

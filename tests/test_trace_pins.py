@@ -24,7 +24,7 @@ first row).  Eight FX-D pins were retaken when discounted runs came to
 stop on the MacQueen-Porteus bracket instead of the residual: mixed
 with nk 10, 1, "exact", the occupation B, both clamps and the initial
 policy, and mpi.  Each now ends on the first row whose bracket is
-within tol, fewer rows than before, and its header records the
+within tol, fewer rows than before, and its config records the
 ``error_bound``; the rows it keeps are the rows it had, bit for bit.
 FX-D's masked and schedule-eps runs, which keep to their cap, and its
 pi runs kept their pins, as did every N and P run.
@@ -133,16 +133,16 @@ def pinned_runs():
 
 # (csv sha256, json sha256), first 16 hex digits.
 PINS = {
-    "FX-D/mixed-nk10": ("a455982469f1fe73", "fdccee25b9717182"),
-    "FX-D/mixed-nk1": ("bed72422ef38f3ef", "95433152ecb1b81b"),
-    "FX-D/mixed-exact": ("cb3b5dc6ef0b0907", "481376431be9e3b1"),
+    "FX-D/mixed-nk10": ("08c7253b7c4f85be", "c16d716f3f81dd7e"),
+    "FX-D/mixed-nk1": ("c78bc71c0590c349", "f839da8632362d2d"),
+    "FX-D/mixed-exact": ("2ec7fdb17ed40f5d", "5d557328637e55dc"),
     "FX-D/mixed-schedule-eps": ("735b4b020af1fce6", "d62e31eabb66758c"),
-    "FX-D/mixed-occupation": ("dbdb64379a545988", "d30d331c6bd6fae9"),
-    "FX-D/mixed-clamped": ("0b0035ee996c275a", "3f95c35ebf9bcbc1"),
-    "FX-D/mixed-clamp-binds": ("a2a8f757b698f3d7", "399224797722ff2e"),
+    "FX-D/mixed-occupation": ("ded153f8893c053f", "24d7749746d872b9"),
+    "FX-D/mixed-clamped": ("c768c0d5a57627f1", "ba6b0f42638cdde2"),
+    "FX-D/mixed-clamp-binds": ("50e18e9954359e86", "060e80de449a47ca"),
     "FX-D/mixed-masked": ("1f2f29bd1be661ec", "b0915272fa0d33b8"),
-    "FX-D/mixed-initial-policy": ("99304d3cd88811eb", "d15f1441888358c5"),
-    "FX-D/mpi-nk10": ("fad5fc4927c8f17e", "fa15369ca3c3da12"),
+    "FX-D/mixed-initial-policy": ("01ce7eeb7e01ec41", "11d4b041191586f3"),
+    "FX-D/mpi-nk10": ("10a85a205a7a10d7", "037b86e234e95f80"),
     "FX-D/pi-cheapest": ("4c3c8a9a2b3176da", "b6458fffeedea6f5"),
     "FX-D/pi-greedy": ("aa179f864c996cd1", "7b50befb8b8f48b6"),
     "FX-N2/mixed-nk10": ("db10f8d0bf6db95c", "4c6c18bbbf931015"),
