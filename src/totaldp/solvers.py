@@ -366,10 +366,10 @@ class SolveResult:
     for that Q) costs at most ``J``.  Every other run, and a bracketed
     row whose tol is below what its allowance can certify, stops on a
     residual within tol, and its ``error_bound`` is None.  ``Q`` is set
-    by the mixed and constraint-program methods, ``divergent`` by value iteration, and
-    ``values``/``policies`` (every evaluated value and every policy, in
-    order) by policy iteration, whose ``J`` and ``policy`` are the last
-    evaluated ones.
+    by the mixed and constraint-program methods, ``divergent`` by value
+    iteration, and ``values``/``policies`` (every evaluated value and
+    every policy, in order) by policy iteration, whose ``J`` and
+    ``policy`` are the last evaluated ones.
     """
 
     J: np.ndarray
