@@ -1,4 +1,4 @@
-"""Byte-identity pins of the mixed, lp, mpi and pi traces on every fixture.
+"""Byte-identity pins of the vi, mixed, lp, mpi and pi traces on every fixture.
 
 Each run below writes its trace as CSV and as JSON, with every row's
 wall_time zeroed, and the sha256 of each text must equal the value
@@ -8,7 +8,7 @@ supplied M(Q) of `greedy_select`, the per-run B index), so they show
 that those paths leave every recorded float, policy, B set and count
 unchanged.  The runs cover the finite-nk, exact, masked, clamped,
 epsilon-greedy and partial-B paths; the affine fixtures admit none of
-these algorithms.  The pi pins (policy iteration from the cheapest
+these algorithms but vi.  The pi pins (policy iteration from the cheapest
 control and from the greedy policy for J0) were taken before a policy
 built from choices was read by gathering at its chosen pairs, in T_mu
 and the induced chain.  The lp pins with clamps and with an initial
@@ -28,6 +28,12 @@ within tol, fewer rows than before, and its config records the
 ``error_bound``; the rows it keeps are the rows it had, bit for bit.
 FX-D's masked and schedule-eps runs, which keep to their cap, and its
 pi runs kept their pins, as did every N and P run.
+
+The vi pins cover every fixture, the affine FX-P3a and FX-P3b too, from
+`_start` and from zero, with a 120-row cap; FX-P3a from zero ends on
+row 80, where the window rule flags state 1 and the row's ``divergent``
+is [1].  They were taken while a trace still held one `TraceRow` object
+per row, before a trace came to hold its rows as columns.
 """
 
 import dataclasses
@@ -61,13 +67,22 @@ def _start(fx):
 
 
 def _configs(fx):
-    """Label -> SolverConfig of every pinned run on the fixture."""
+    """Label -> SolverConfig of every pinned run on the fixture: value
+    iteration from `_start` and from zero on every fixture, the other
+    algorithms on the fixtures that admit them."""
     model = fx.model
     n = model.num_states
     J0, Q0 = _start(fx)
+    vi = dict(algorithm="vi", ground_truth=fx.ground_truth(), max_iter=120)
+    out = {"vi-start": SolverConfig(J0=J0, **vi),
+           "vi-zero": SolverConfig(J0=np.zeros(n), **vi)}
+    try:
+        check_admits("mixed", model)
+    except ValueError:
+        return out
     common = dict(J0=J0, Q0=Q0, ground_truth=fx.ground_truth(), max_iter=60)
     half = CustomB((frozenset(range(0, n, 2)), frozenset(), frozenset(range(n))))
-    out = {
+    out |= {
         "mixed-nk10": SolverConfig(algorithm="mixed", nk=10, **common),
         "mixed-nk1": SolverConfig(algorithm="mixed", nk=1, **common),
         "mixed-exact": SolverConfig(algorithm="mixed", nk="exact", **common),
@@ -115,20 +130,9 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _admitted():
-    names = []
-    for name in fixture_names():
-        try:
-            check_admits("mixed", fixture(name).model)
-        except ValueError:
-            continue
-        names.append(name)
-    return names
-
-
 def pinned_runs():
     """(fixture, label) of every pinned run."""
-    return [(name, label) for name in _admitted() for label in _configs(fixture(name))]
+    return [(name, label) for name in fixture_names() for label in _configs(fixture(name))]
 
 
 # (csv sha256, json sha256), first 16 hex digits.
@@ -188,6 +192,18 @@ PINS = {
     "FX-P4/lp": ("4702661c77a8fa81", "782d8ca37275479f"),
     "FX-P4/lp-partial": ("d1043919a7ded45a", "aded6dbd1e3fa398"),
     "FX-P4/lp-clamped": ("a1500252d5189352", "d4e61bd382da45b5"),
+    "FX-D/vi-start": ("147ed1aedd4d9af2", "a2c6a655ebdbd7cf"),
+    "FX-D/vi-zero": ("13c8d8648b6cd621", "9403c9068f1ba418"),
+    "FX-N2/vi-start": ("61ff95fe188cea11", "286fc4150ea474d9"),
+    "FX-N2/vi-zero": ("61ff95fe188cea11", "286fc4150ea474d9"),
+    "FX-P2/vi-start": ("b977bfbc5efad9f3", "fb5ae76ccc8c1a52"),
+    "FX-P2/vi-zero": ("968ddae1e31badb0", "9dbec60416cbed19"),
+    "FX-P3a/vi-start": ("66537f6b5775d125", "4a59de69876f26c4"),
+    "FX-P3a/vi-zero": ("ab0153733ea7c6d0", "f4f7a8d149b2599a"),
+    "FX-P3b/vi-start": ("5b3aa611de3cd3a6", "ada032f03e911f58"),
+    "FX-P3b/vi-zero": ("af72d25af8eb5360", "967b4be5811ece1b"),
+    "FX-P4/vi-start": ("b1338cfb8580cd65", "abe921d471492f3a"),
+    "FX-P4/vi-zero": ("6c2ccf1b8365f027", "18288ada382745c7"),
 }
 
 
