@@ -19,11 +19,13 @@ the nonzero entries of their rows of that matrix, as the text
 json.dumps(doc, indent=2) gives, one block at a time.
 
 A trace is one document: the IterationTrace fields as a header object
-plus one object per TraceRow, whose field names and codecs are derived
-once from the two dataclasses.  The JSON layout writes that document as
-it is.  The CSV layout writes the header as a ``#header`` row, then a
-column-name row and one row per TraceRow, each field encoded down its
-whole column; it reads columns by the file's own column-name row.
+plus one object per row with the TraceRow fields, whose codecs follow
+their types.  The JSON layout writes that document as it is.  The CSV
+layout writes the header as a ``#header`` row, then a column-name row
+and one row per iteration, and reads columns by the file's own
+column-name row.  Both encode each field down the trace's column of it
+and decode a file into the columns directly; a malformed file is a
+ModelFileError naming its line or row.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import warnings
 import numpy as np
 
 from .model import AffineFamily, TotalCostModel
-from .solvers import IterationTrace, J_SNAPSHOT, Q_SNAPSHOT, TraceRow
+from .solvers import ITERATE_KEYS, IterationTrace, TraceRow
 
 FORMAT_VERSION = 1
 
@@ -602,37 +604,31 @@ def _decode_tree(obj):
 
 
 def _decode_dict(v) -> dict:
-    """A dict field from its document value or from a CSV cell's JSON text.
-    A mixed row's iterate snapshots come back as the float arrays the
+    """A dict field from its document value or from a CSV cell's JSON
+    text.  A row's recorded iterates come back as the float arrays the
     solver recorded."""
     doc = _decode_tree(json.loads(v or "{}") if isinstance(v, str) else v)
-    for key in (J_SNAPSHOT, Q_SNAPSHOT):
+    if not isinstance(doc, dict):
+        raise ValueError("expected an object")
+    for key in ITERATE_KEYS:
         if key in doc:
             doc[key] = decode_vector(doc[key], key)
     return doc
 
 
-# json.dumps(obj, allow_nan=False) by one encoder built once, whose
-# `default` hook encodes a numpy value as `_encode_tree` does.
-_ENCODER = json.JSONEncoder(allow_nan=False)
-
-
-def _numpy_default(obj):
-    out = _encode_tree(obj)
-    return _ENCODER.default(obj) if out is obj else out
-
-
-_json = json.JSONEncoder(allow_nan=False, default=_numpy_default).encode
+# json.dumps(obj, allow_nan=False), by one encoder built once.
+_json = json.JSONEncoder(allow_nan=False).encode
 
 
 def _tree_json(obj) -> str:
     """The JSON text of `_encode_tree(obj)`.  The encoder writes a float
     (a numpy float64 too) by `float.__repr__`, as `encode_xreal` has it
-    written, and refuses only an infinite or NaN one; so obj is written
-    as it is, and encoded first only when that fails."""
+    written, and refuses an infinite or NaN one and any other numpy
+    value; so obj is written as it is, and encoded first only when that
+    fails."""
     try:
         return _json(obj)
-    except ValueError:
+    except (ValueError, TypeError):
         return _json(_encode_tree(obj))
 
 
@@ -648,118 +644,146 @@ _CODECS = {
     bool | None: (_optional(bool), _optional(bool)),
 }
 
-_FLOATS, _NONES = frozenset({float, np.float64}), frozenset({type(None)})
+# The header fields with their codecs; the row fields in file order with
+# their types, and the file value of a field that a file leaves out (None
+# for k and residual, which every row must give).
+_HEADER = tuple((name, *_CODECS[kind]) for name, kind in typing.get_type_hints(
+    IterationTrace).items() if name != "columns")
+_ROW_TYPES = typing.get_type_hints(TraceRow)
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+_ROW_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": "", "b_set": "",
+                 "upper_margin": None, "lower_margin": None, "q_lower_margin": None,
+                 "wall_time": 0.0, "extra": {}}
 
 
-def _float_cells(out, none_ok: bool):
-    """The CSV cells of a float column whose value codec is ``out``.  A
-    column of floats that are all finite is checked by one numpy call
-    and written as its `tolist`, the Python floats `encode_xreal` gives;
-    a column that is all None (``none_ok``) is kept, as csv writes None
-    as an empty cell; any other column is encoded value by value."""
-    def cells(values: list) -> list:
-        kinds = set(map(type, values))
-        if kinds <= _FLOATS:
-            floats = np.array(values, dtype=float)
-            if np.isfinite(floats).all():
-                return floats.tolist()
-        elif none_ok and kinds <= _NONES:
-            return values
-        return list(map(out, values))
+def _header_doc(trace: IterationTrace) -> dict:
+    return {name: out(getattr(trace, name)) for name, out, _ in _HEADER}
+
+
+def _header(doc) -> IterationTrace:
+    """A trace, without rows, from its header document; only the fields
+    it knows are read (an old header's ``seed`` is ignored)."""
+    if not isinstance(doc, dict):
+        raise ModelFileError("trace header: expected an object")
+    kwargs = {}
+    for name, _, back in _HEADER:
+        if name in doc:
+            try:
+                kwargs[name] = back(doc[name])
+            except (ValueError, TypeError) as err:
+                raise ModelFileError(f"trace header field {name!r}: {err}") from None
+    try:
+        return IterationTrace(**kwargs)
+    except TypeError as err:
+        raise ModelFileError(f"trace header: {err}") from None
+
+
+def _number_cells(values: list, optional: bool) -> list:
+    """A float column as file values: a float when finite, "inf" or
+    "-inf", and None where an ``optional`` column has no value.  A
+    column of None is kept; otherwise one numpy pass finds the entries
+    that are not finite floats, and only those are encoded one by one, a
+    NaN (or a None in a column that must hold a number) refused as
+    `encode_xreal` refuses it."""
+    if optional and values.count(None) == len(values):
+        return values
+    column = np.array(values, dtype=float)
+    cells = column.tolist()
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = None if optional and values[i] is None else encode_xreal(values[i])
     return cells
 
 
-# Field type -> its CSV cells from its column of values, where a whole
-# column is encoded at once; every other field is encoded value by value.
-_CELLS = {
-    float: _float_cells(encode_xreal, none_ok=False),
-    float | None: _float_cells(_CODECS[float | None][0], none_ok=True),
-    dict: lambda values: list(map(_tree_json, values)),
-}
+def _row_values(trace: IterationTrace, extra_out) -> list[list]:
+    """The rows' file values, one list per field in `ROW_FIELDS` order,
+    each encoded down its whole column; each row's extra by
+    ``extra_out``, its recorded iterates as lists."""
+    columns = trace.columns
+    values = []
+    for name in ROW_FIELDS:
+        kind, column = _ROW_TYPES[name], columns.entries(name)
+        if kind is dict:
+            values.append(list(map(extra_out, columns.extras())))
+        elif kind is str:
+            values.append(list(map(columns.texts.__getitem__, column)))
+        elif kind is int:
+            values.append(column)
+        else:
+            values.append(_number_cells(column, kind is not float))
+    return values
 
 
-class _Schema:
-    """The fields of one trace dataclass and their codecs, derived once.
-
-    ``doc`` gives an object as a document, ``cells`` the field values of
-    many objects as CSV cells, one list per field, each encoded down its
-    whole column; ``build`` makes an object back from a document, reading
-    only the fields it knows (an old header's ``seed`` is ignored).
-    """
-
-    def __init__(self, cls):
-        hints = typing.get_type_hints(cls)
-        self.cls = cls
-        self.names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "rows")
-        self.outs = tuple(_CODECS[hints[name]][0] for name in self.names)
-        self.backs = tuple(_CODECS[hints[name]][1] for name in self.names)
-        self.column_cells = tuple(
-            _CELLS.get(hints[name], lambda values, out=out: list(map(out, values)))
-            for name, out in zip(self.names, self.outs))
-        self._get = operator.attrgetter(*self.names)
-
-    def cells(self, objs: list) -> list[list]:
-        return [cells(list(map(operator.attrgetter(name), objs)))
-                for name, cells in zip(self.names, self.column_cells)]
-
-    def doc(self, obj) -> dict:
-        return {name: out(v) for name, out, v in zip(self.names, self.outs, self._get(obj))}
-
-    def build(self, doc: dict, where: str):
-        kwargs = {}
-        for name, back in zip(self.names, self.backs):
-            if name in doc:
-                try:
-                    kwargs[name] = back(doc[name])
-                except (ValueError, TypeError) as err:
-                    raise ModelFileError(f"{where} field {name!r}: {err}") from None
-        try:
-            return self.cls(**kwargs)
-        except TypeError as err:
-            raise ModelFileError(f"{where}: {err}") from None
-
-
-_HEADER = _Schema(IterationTrace)
-_ROW = _Schema(TraceRow)
+def _row_columns(trace: IterationTrace, cells: dict, where: list[str]) -> IterationTrace:
+    """``trace`` with its rows, from each field's file values, one row
+    per entry of ``where``, the row's place in the file.  A bad value, or
+    a k that does not increase, is a ModelFileError naming its row."""
+    values = {}
+    for name, column in cells.items():
+        back = _CODECS[_ROW_TYPES[name]][1]
+        values[name] = []
+        for place, cell in zip(where, column):
+            try:
+                values[name].append(back(cell))
+            except (ValueError, TypeError) as err:
+                raise ModelFileError(f"{place} field {name!r}: {err}") from None
+    k = values["k"]
+    for place, before, after in zip(where[1:], k, k[1:]):
+        if after <= before:
+            raise ModelFileError(f"{place}: k={after} does not follow k={before}")
+    trace.columns.extend(values)
+    return trace
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["#header", _json(_HEADER.doc(trace))])
-    writer.writerow(_ROW.names)
+    writer.writerow(["#header", _json(_header_doc(trace))])
+    writer.writerow(ROW_FIELDS)
     # csv writes None as an empty cell and a float by its repr
-    writer.writerows(zip(*_ROW.cells(trace.rows)))
+    writer.writerows(zip(*_row_values(trace, _tree_json)))
     return buf.getvalue()
 
 
 def trace_from_csv(text: str) -> IterationTrace:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2 or len(rows[0]) != 2 or rows[0][0] != "#header":
+    records = list(csv.reader(io.StringIO(text)))
+    if len(records) < 2 or len(records[0]) != 2 or records[0][0] != "#header":
         raise ModelFileError("missing trace header")
-    trace = _HEADER.build(json.loads(rows[0][1]), "trace header")
-    columns = rows[1]
-    for line, rec in enumerate(rows[2:], start=3):
-        if not rec:
-            continue
-        if len(rec) != len(columns):
-            raise ModelFileError(f"line {line}: {len(rec)} cells for {len(columns)} columns")
-        trace.append(_ROW.build(dict(zip(columns, rec)), f"line {line}"))
-    return trace
+    try:
+        header = json.loads(records[0][1])
+    except json.JSONDecodeError as e:
+        raise ModelFileError(f"line 1: the header is not valid JSON: {e.msg}") from None
+    names = records[1]
+    rows = [(f"line {line}", rec) for line, rec in enumerate(records[2:], start=3) if rec]
+    for place, rec in rows:
+        if len(rec) != len(names):
+            raise ModelFileError(f"{place}: {len(rec)} cells for {len(names)} columns")
+    columns = dict(zip(names, zip(*(rec for _, rec in rows))))
+    cells = {name: columns.get(name, [_ROW_DEFAULTS.get(name)] * len(rows))
+             for name in ROW_FIELDS}
+    return _row_columns(_header(header), cells, [place for place, _ in rows])
 
 
 def trace_to_json(trace: IterationTrace) -> str:
-    doc = _HEADER.doc(trace)
-    doc["rows"] = [_ROW.doc(row) for row in trace.rows]
+    doc = _header_doc(trace)
+    doc["rows"] = [dict(zip(ROW_FIELDS, row)) for row in zip(*_row_values(trace, _encode_tree))]
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def trace_from_json(text: str) -> IterationTrace:
-    doc = json.loads(text)
-    trace = _HEADER.build(doc, "trace header")
-    for i, rec in enumerate(doc.get("rows", [])):
-        trace.append(_ROW.build(rec, f"row {i}"))
-    return trace
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFileError(f"not valid JSON: {e.msg}", e.lineno, e.colno) from None
+    trace = _header(doc)
+    rows = doc.get("rows", [])
+    if not isinstance(rows, list):
+        raise ModelFileError("trace field 'rows': expected a list")
+    for i, rec in enumerate(rows):
+        if not isinstance(rec, dict):
+            raise ModelFileError(f"row {i}: expected an object")
+    cells = {name: [rec.get(name, _ROW_DEFAULTS.get(name)) for rec in rows]
+             for name in ROW_FIELDS}
+    return _row_columns(trace, cells, [f"row {i}" for i in range(len(rows))])
 
 
 def write_trace(path, trace: IterationTrace, fmt: str = "csv") -> None:

@@ -22,6 +22,7 @@ from .ftheta import Theta, f_theta_apply, q_fixed_point
 from .stopping import build_stopping, lp_upper_bound, reconstruct_q, solve_stopping
 from .solvers import (
     FullB,
+    J_GREEDY,
     J_SNAPSHOT,
     SolverCapError,
     SolverConfig,
@@ -260,9 +261,11 @@ def theorem42() -> Report:
                            bstrategy=FullB(), tol=1e-11, max_iter=3000,
                            ground_truth=(Jstar, Qstar))
         out = mixed_vpi(model, cfg)
-        for row in out.trace.rows:
-            worst_env = max(worst_env, row.upper_margin)
-            worst_dom = max(worst_dom, row.lower_margin, row.q_lower_margin)
+        columns = out.trace.columns
+        worst_env = np.fmax.reduce(columns.column("upper_margin"), initial=worst_env)
+        worst_dom = np.fmax.reduce(np.concatenate((columns.column("lower_margin"),
+                                                   columns.column("q_lower_margin"))),
+                                   initial=worst_dom)
         dist = max(sup_dist(out.J, Jstar), sup_dist(out.Q, Qstar))
         return dist
 
@@ -396,11 +399,12 @@ def theorem53() -> Report:
         out = lp_variant_vpi(model, cfg)
         worst_dist = max(worst_dist, sup_dist(out.J, Jstar),
                          sup_dist(out.Q, h_backup(model, Jstar)))
-        for row in out.trace.rows:
-            worst_lower = max(worst_lower, row.extra["ineq_lower_margin"])
-            worst_upper = min(worst_upper, row.extra["ineq_upper_margin"])
-            if row.extra["cone_margin"] is not None:
-                worst_cone = max(worst_cone, row.extra["cone_margin"])
+        columns = out.trace.columns
+        worst_lower = np.fmax.reduce(columns.extra_column("ineq_lower_margin"),
+                                     initial=worst_lower)
+        worst_upper = np.fmin.reduce(columns.extra_column("ineq_upper_margin"),
+                                     initial=worst_upper)
+        worst_cone = np.fmax.reduce(columns.extra_column("cone_margin"), initial=worst_cone)
     rep.add("constraint-program iteration converges within 1e-8",
             worst_dist <= 1e-8, f"worst dist={worst_dist:g}")
     rep.add("upper-bound inequality Q_{k+1} >= Q_fixed holds within 1e-10",
@@ -520,11 +524,10 @@ def footnote5_equiv() -> Report:
     mpi_cfg = SolverConfig(algorithm="mpi", nk=m, tol=1e-15, max_iter=iters,
                            stop_on_tol=False)
     mpi = modified_policy_iteration(model, mu0, np.full(model.num_states, C), mpi_cfg)
-    worst = 0.0
-    for rmix, rmpi in zip(mixed.trace.rows, mpi.trace.rows):
-        Jmix = rmix.extra[J_SNAPSHOT]
-        Jmpi = np.array(rmpi.extra["J_greedy"])
-        worst = max(worst, sup_dist(Jmix, Jmpi))
+    Jmix = mixed.trace.columns.iterates(J_SNAPSHOT)
+    Jmpi = mpi.trace.columns.iterates(J_GREEDY)
+    rows = min(len(Jmix), len(Jmpi))
+    worst = float(sup_dist(Jmix[:rows], Jmpi[:rows]).max(initial=0.0))
     rep.add(f"the two value sequences coincide within 1e-12 over {iters} "
             "iterations", worst <= 1e-12, f"worst gap={worst:g}")
     return rep

@@ -11,14 +11,14 @@ solution of the stop/continue constraint program (`lp_variant_vpi`).
 ``run(model, config)`` picks the solver named by ``config.algorithm``.
 Every solver is deterministic given its configuration and returns a
 SolveResult.  Its append-only IterationTrace, kept by one recorder that
-all five solvers share, has rows that carry the sup-norm residual, the
-distance to ground truth when one is supplied, policy and set
-descriptors, ordering margins against ground truth and (mixed runs in N
-and P) against the value-iteration envelope T^k(J0), the iterates J_k
-and Q_k themselves (mixed runs), and wall time.  The ground-truth
-columns are filled over the recorded iterates in blocks of rows and when
-the run ends, so no solver writes into an iterate after recording it
-(`_Recorder`).  A run that stops on the tolerance and reaches the
+all five solvers share, holds its rows as columns (`TraceColumns`): the
+sup-norm residual, the distance to ground truth when one is supplied,
+policy and set descriptors, ordering margins against ground truth and
+(mixed runs in N and P) against the value-iteration envelope T^k(J0),
+wall time, and the iterates that mixed and optimistic policy iteration
+rows record.  The recorder writes its pending rows into the columns in
+blocks of rows and when the run ends (`_Recorder`).  A run that stops
+on the tolerance and reaches the
 iteration cap first raises SolverCapError, which carries the SolveResult
 it ends with.  In D, value iteration, optimistic policy iteration and
 the unmasked mixed loop stop on the MacQueen-Porteus bracket of a row
@@ -28,10 +28,15 @@ other run stops on its residual.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import itertools
+import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -161,9 +166,13 @@ BStrategy = Union[FullB, OccupationSupportB, CustomB]
 # Traces
 
 
-# The keys of a mixed row's iterate snapshots in ``TraceRow.extra``: float
-# arrays in memory and after `modelio.read_trace`, JSON lists on disk.
+# The keys of the iterates a row records in ``TraceRow.extra``: J_k and
+# Q_k of a mixed row, the evaluation iterate and the greedy value of an
+# optimistic policy iteration row.  Float arrays in memory and after
+# `modelio.read_trace`, JSON lists on disk.
 J_SNAPSHOT, Q_SNAPSHOT = "J_snapshot", "Q_snapshot"
+J_EVAL, J_GREEDY = "J_eval", "J_greedy"
+ITERATE_KEYS = (J_SNAPSHOT, Q_SNAPSHOT, J_EVAL, J_GREEDY)
 
 
 @dataclass(slots=True)
@@ -181,8 +190,128 @@ class TraceRow:
     extra: dict = field(default_factory=dict)
 
 
+# The fields of a row, and the column entry of each that a trace may
+# leave out (policy and b_set as codes, "" being code 0).
+_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": 0, "b_set": 0, "upper_margin": None,
+             "lower_margin": None, "q_lower_margin": None, "wall_time": 0.0}
+
+
+class TraceColumns(Sequence):
+    """The rows of a trace, held as columns and read as `TraceRow`s.
+
+    ``lists`` holds one list per field of `TraceRow` that the rows give,
+    with an entry per row, policy and b_set as codes into ``texts``, the
+    distinct strings in order of first use; a field that the trace
+    leaves out takes its default in every row.  `column` gives a field
+    as an array.  The iterates a solver records sit side by side in the
+    rows of ``block``, named with their column ranges by ``block_keys``,
+    which grows by doubling; a row's `TraceRow.extra` lists them, as
+    views of the block, after its dict's own keys.
+    """
+
+    def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
+        self.lists: dict[str, list] = {"k": [], "residual": [], "wall_time": [], "extra": []}
+        self.texts, self._codes = [""], {"": 0}
+        self.block_keys = block_keys
+        self.block = np.empty((16, block_keys[-1][2])) if block_keys else None
+
+    def __len__(self) -> int:
+        return len(self.lists["k"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        values = {name: column[i] for name, column in self.lists.items()}
+        for name in ("policy", "b_set"):
+            if name in values:
+                values[name] = self.texts[values[name]]
+        if self.block_keys:
+            row = self.block[i % len(self)]
+            values["extra"] = {**values["extra"],
+                               **{key: row[lo:hi] for key, lo, hi in self.block_keys}}
+        return TraceRow(**values)
+
+    def entries(self, name: str) -> list:
+        """One field's entry in every row: its list, or its default."""
+        column = self.lists.get(name)
+        return [_DEFAULTS[name]] * len(self) if column is None else column
+
+    def column(self, name: str) -> np.ndarray:
+        """A float field as a float array, NaN for None; k, policy and
+        b_set (as codes) as an int array."""
+        kind = np.int64 if name in ("k", "policy", "b_set") else float
+        return np.array(self.entries(name), dtype=kind)
+
+    def extra_column(self, key: str) -> np.ndarray:
+        """One number of every row's extra as a float array, NaN for None."""
+        return np.array(list(map(operator.itemgetter(key), self.lists["extra"])), dtype=float)
+
+    def iterates(self, key: str) -> np.ndarray:
+        """The (rows, width) block of one recorded iterate."""
+        (lo, hi), = [(lo, hi) for name, lo, hi in self.block_keys if name == key]
+        return self.block[:len(self), lo:hi]
+
+    def extras(self) -> list[dict]:
+        """Every row's extra as `TraceRow.extra` holds it, but with its
+        recorded iterates as lists of floats: what a trace file writes."""
+        if not self.block_keys:
+            return self.lists["extra"]
+        parts = [(key, self.block[:len(self), lo:hi].tolist())
+                 for key, lo, hi in self.block_keys]
+        return [{**extra, **{key: rows[i] for key, rows in parts}}
+                for i, extra in enumerate(self.lists["extra"])]
+
+    def code(self, text: str) -> int:
+        """The code of ``text`` in ``texts``, added there at first use."""
+        if text not in self._codes:
+            self._codes[text] = len(self.texts)
+            self.texts.append(text)
+        return self._codes[text]
+
+    def reserve(self, rows: int) -> None:
+        """Grow the block, by doubling, to hold ``rows`` rows."""
+        if rows > len(self.block):
+            block = np.empty((max(2 * len(self.block), rows), self.block.shape[1]))
+            block[:len(self.block)] = self.block
+            self.block = block
+
+    def extend(self, values: dict[str, list]) -> None:
+        """Append rows given as one list per field of `TraceRow`, every
+        field; a column that the trace left out so far starts with its
+        default in the earlier rows.  The caller keeps k increasing
+        (`append` checks it); the block's rows are the recorder's to
+        write."""
+        rows = len(self)
+        for name, column in values.items():
+            if name not in self.lists:
+                self.lists[name] = [_DEFAULTS[name]] * rows
+            self.lists[name] += (map(self.code, column) if name in ("policy", "b_set")
+                                 else column)
+
+    def append(self, row: TraceRow) -> None:
+        """Append a row whose k follows the last row's; ValueError otherwise."""
+        if self.block_keys:
+            raise ValueError("a trace that holds recorded iterates takes its rows "
+                             "from its solver")
+        if len(self) and not row.k > self.lists["k"][-1]:
+            raise ValueError("trace rows must be strictly increasing in k")
+        self.extend({name: [getattr(row, name)] for name in _FIELDS})
+
+    def copy(self) -> TraceColumns:
+        """A copy that shares no list or block with this one."""
+        other = copy.copy(self)
+        other.lists = {name: list(column) for name, column in self.lists.items()}
+        other.texts, other._codes = list(self.texts), dict(self._codes)
+        other.block = None if self.block is None else self.block.copy()
+        return other
+
+
 @dataclass
 class IterationTrace:
+    """A run's header and its rows: ``columns`` holds them, and ``rows``
+    reads them as `TraceRow`s."""
+
     algorithm: str
     regime: str
     discount: float
@@ -193,17 +322,26 @@ class IterationTrace:
     initial_dominance: bool | None = None
     ground_truth_known: bool = False
     model_hash: str = ""
-    rows: list[TraceRow] = field(default_factory=list)
     op_count: int = 0
+    columns: TraceColumns = field(default_factory=TraceColumns, repr=False)
+
+    @property
+    def rows(self) -> TraceColumns:
+        return self.columns
 
     def append(self, row: TraceRow) -> None:
-        if self.rows and row.k <= self.rows[-1].k:
-            raise ValueError("trace rows must be strictly increasing in k")
-        self.rows.append(row)
+        self.columns.append(row)
 
     @property
     def final_residual(self) -> float:
-        return self.rows[-1].residual if self.rows else INF
+        residual = self.columns.lists["residual"]
+        return residual[-1] if residual else INF
+
+    def timeless(self) -> IterationTrace:
+        """A copy whose wall_time column is zero, for comparing two runs."""
+        columns = self.columns.copy()
+        columns.lists["wall_time"] = [0.0] * len(columns)
+        return dataclasses.replace(self, columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -411,29 +549,29 @@ class _Recorder:
     """The trace bookkeeping every solver shares.
 
     Builds the trace header from the start (J0, Q0), keeps the ground
-    truth and the wall clock, appends each row with its time, and ends
+    truth and the wall clock, records each row with its time, and ends
     the run.  ``rate`` records the start's distance to ground truth
     (dist0) and ``sandwich`` whether the start dominates it
     (initial_dominance); each start vector counts only when its ground
-    truth is known, and dominance only when all of them do.  A row is
-    built positionally, its wall time passed in, and appended to the
-    trace's row list directly: the solvers number their rows 1, 2, ...
-    themselves, so `IterationTrace.append`'s order check, which any
-    other caller still meets, is not run again.
+    truth is known, and dominance only when all of them do.  A solver
+    that records iterates names them with their column ranges in
+    ``iterates``, and writes each row's into `block_row` before
+    recording the row.
 
-    A row's ground-truth columns (dist_J, lower_margin and, with Q,
-    dist_Q, q_lower_margin) are filled later, not when it is appended:
-    the recorder keeps each row's J (and Q) by reference, and fills the
-    pending rows' columns in one stacked `sup_dist`/`margin_leq` pass
-    every `_BLOCK` rows and in `finish`, before the result is returned
-    or SolverCapError raised.  So a solver must never write into an
-    iterate after recording it, and must not read those columns of its
-    own rows while it runs.  Ground truth of the wrong shape is refused
-    here, before the first row.
+    A row appends its values to the trace's columns, and the recorder
+    holds its J (and Q) by reference until `_fill`, every `_BLOCK` rows
+    and in `finish`, appends the held rows' ground-truth columns
+    (dist_J, lower_margin and, with Q, dist_Q, q_lower_margin) from one
+    stacked `sup_dist`/`margin_leq` pass.  So a solver never writes into
+    an iterate after recording it, does not read its own trace's rows
+    while it runs, and gives policy, b_set and upper_margin on every row
+    or on none.  Ground truth of the wrong shape is refused here, before
+    the first row.
     """
 
     def __init__(self, algorithm: str, model: TotalCostModel, config: SolverConfig,
-                 J0=None, Q0=None, rate: bool = True, sandwich: bool = False):
+                 J0=None, Q0=None, rate: bool = True, sandwich: bool = False,
+                 iterates: tuple[tuple[str, int, int], ...] = ()):
         self.config = config
         self.Jstar = self.Qstar = None
         if config.ground_truth is not None:
@@ -443,10 +581,11 @@ class _Recorder:
                 self.Qstar = _truth(Qstar, "Qstar", model.num_pairs())
         J0 = None if J0 is None else np.array(J0, dtype=float)
         Q0 = None if Q0 is None else np.array(Q0, dtype=float)
+        self.columns = TraceColumns(iterates)
         self.trace = IterationTrace(
             algorithm=algorithm, regime=model.regime, discount=model.discount,
             config=config.echo(), J0=J0, Q0=Q0,
-            ground_truth_known=self.Jstar is not None)
+            ground_truth_known=self.Jstar is not None, columns=self.columns)
         if self.Jstar is not None and J0 is not None:
             starts = [(self.Jstar, J0)]
             if Q0 is not None:
@@ -457,39 +596,63 @@ class _Recorder:
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
-        self._pending: list[tuple[TraceRow, np.ndarray, np.ndarray | None]] = []
+        # The columns each row appends to; `_fill` drops those the rows
+        # leave empty.
+        lists = self.columns.lists
+        lists.update(policy=[], b_set=[], upper_margin=[])
+        self._k, self._residual, self._wall_time = lists["k"], lists["residual"], lists["wall_time"]
+        self._policy, self._b_set = lists["policy"], lists["b_set"]
+        self._upper_margin, self._extra = lists["upper_margin"], lists["extra"]
+        self._codes, self._code = self.columns._codes, self.columns.code
+        self._held_J: list[np.ndarray] = []
+        self._held_Q: list[np.ndarray] = []
         self._start = perf_counter()
+
+    def block_row(self) -> np.ndarray:
+        """The row of the trace's block that the next row records."""
+        i = len(self._k)
+        if i == len(self.columns.block):
+            self.columns.reserve(i + 1)
+        return self.columns.block[i]
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
             policy: str = "", b_set: str = "", upper_margin: float | None = None,
             extra: dict | None = None) -> None:
-        """Append row k, which follows the last row's k.  With ground
-        truth, J (and Q) are kept by reference until the row's columns
+        """Record row k, which follows the last row's k.  With ground
+        truth, J (and Q) are held by reference until the row's columns
         are filled: the caller never writes into them afterwards."""
-        row = TraceRow(k, residual, None, None, policy, b_set, upper_margin, None, None,
-                       perf_counter() - self._start, {} if extra is None else extra)
-        self.trace.rows.append(row)
+        self._k.append(k)
+        self._residual.append(residual)
+        self._wall_time.append(perf_counter() - self._start)
+        codes = self._codes
+        if policy:
+            self._policy.append(codes[policy] if policy in codes else self._code(policy))
+        if b_set:
+            self._b_set.append(codes[b_set] if b_set in codes else self._code(b_set))
+        if upper_margin is not None:
+            self._upper_margin.append(upper_margin)
+        self._extra.append({} if extra is None else extra)
         if self.Jstar is not None:
-            self._pending.append((row, J, Q if self.Qstar is not None else None))
-            if len(self._pending) >= _BLOCK:
+            self._held_J.append(J)
+            if Q is not None and self.Qstar is not None:
+                self._held_Q.append(Q)
+            if len(self._held_J) >= _BLOCK:
                 self._fill()
 
     def _fill(self) -> None:
-        """The pending rows' ground-truth columns, from one row-wise pass
-        of each kernel over their stacked iterates."""
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        J = np.stack([J for _, J, _ in pending])
-        for (row, _, _), d, m in zip(pending, sup_dist(J, self.Jstar).tolist(),
-                                     margin_leq(self.Jstar, J).tolist()):
-            row.dist_J, row.lower_margin = d, m
-        with_Q = [(row, Q) for row, _, Q in pending if Q is not None]
-        if with_Q:
-            Q = np.stack([Q for _, Q in with_Q])
-            for (row, _), d, m in zip(with_Q, sup_dist(Q, self.Qstar).tolist(),
-                                      margin_leq(self.Qstar, Q).tolist()):
-                row.dist_Q, row.q_lower_margin = d, m
+        """The held rows' ground-truth columns, from one row-wise pass of
+        each kernel over their stacked iterates; a column that the rows
+        have left empty is dropped."""
+        lists = self.columns.lists
+        for star, held, dist, margin in ((self.Jstar, self._held_J, "dist_J", "lower_margin"),
+                                         (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
+            if held:
+                stack = np.array(held)
+                lists.setdefault(dist, []).extend(sup_dist(stack, star).tolist())
+                lists.setdefault(margin, []).extend(margin_leq(star, stack).tolist())
+                held.clear()
+        if self._k:
+            self.columns.lists = {name: column for name, column in lists.items() if column}
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
@@ -704,14 +867,14 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     keep iterating the finite values so that continuum infima see the
     true finite iterates.
 
-    Each row records the iterate itself when nothing is reported apart
-    from it: before any state is flagged, and in every row of a pinned
-    run, whose iterate already holds the infinities it reports (each
-    backup is a fresh array, and the pin writes into it before it is
-    recorded; the rule holds no iterate).  Until the rule flags a
-    state, a row does no flagged-state bookkeeping at all: the residual
-    is taken over every state.  Rows share their ``divergent`` list
-    until a flag replaces it; no list is written into.
+    Each row hands the recorder the iterate itself when nothing is
+    reported apart from it: before any state is flagged, and in every
+    row of a pinned run, whose iterate already holds the infinities it
+    reports (each backup is a fresh array, and the pin writes into it
+    before it is recorded; the rule holds no iterate).  Until the rule
+    flags a state, a row does no flagged-state bookkeeping at all: the
+    residual is taken over every state.  Rows share their ``divergent``
+    list until a flag replaces it; no list is written into.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair
@@ -894,8 +1057,10 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     what the row's rounding allowance can certify, it stops on the
     residual after all, with no bound.
 
-    Trace rows carry both the evaluation iterate and the improvement-time
-    value M(h_backup(J)); for nonnegative-cost runs with ground truth the
+    Each row records the evaluation iterate and the improvement-time
+    value M(h_backup(J)) as ``J_eval``/``J_greedy`` in a row of the
+    trace's block, the latter written there by the segment minimum
+    itself; for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
     in the header.  A J0 of another shape than the model's states is
     refused before the first round.
@@ -904,7 +1069,9 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     config = config or SolverConfig(algorithm="mpi", nk=10)
     J = _state_vector(model, J0).copy()
     mu = mu0
-    rec = _Recorder("mpi", model, config, J0=J, rate=False)
+    n = model.num_states
+    rec = _Recorder("mpi", model, config, J0=J, rate=False,
+                    iterates=((J_EVAL, 0, n), (J_GREEDY, n, 2 * n)))
     if model.regime == "P":
         flags = {"superharmonic_start": bool(
             margin_leq(bellman_T_mu(model, mu0, J), J) <= 1e-12)}
@@ -918,7 +1085,9 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         nk = int(config.nk_at(k - 1))
         J, Q = t_mu_power_and_h(model, mu, J, nk)
         rec.trace.op_count += nk + 1
-        J_greedy = _segment_min(model, Q)
+        recorded = rec.block_row()
+        recorded[:n] = J
+        J_greedy = _segment_min(model, Q, recorded[n:])
         if prev_greedy is None:
             res = INF
             finite = np.count_nonzero(np.isfinite(J_greedy)) == J_greedy.size
@@ -928,8 +1097,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             finite = finite and res < INF
         mu = _greedy_select(model, Q, 0.0, None, mu, finite)
         prev_greedy = J_greedy
-        rec.row(k, res, J_greedy, policy=mu.descriptor(),
-                extra={"J_eval": J.tolist(), "J_greedy": J_greedy.tolist()})
+        rec.row(k, res, J_greedy, policy=mu.descriptor())
         if bracket and finite:
             stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J),
                                  res <= config.tol, config.tol)
@@ -958,10 +1126,8 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     and P, ``upper_margin`` is the margin against the value-iteration
     envelope T^k(J0); in D it is None.  J_k <= T^k(J0) is a guarantee
     of the unmasked iteration only, so `verify_certificates` checks it
-    on unmasked traces alone.  Each
-    row's ``extra`` holds J_k and Q_k as ``J_snapshot``/``Q_snapshot``:
-    float arrays in memory, JSON lists in a trace file, and float arrays
-    again after `modelio.read_trace`.
+    on unmasked traces alone.  Each row records J_k and Q_k as
+    ``J_snapshot``/``Q_snapshot``.
     """
     check_admits("mixed", model)
     if config.masks is not None:
@@ -1034,17 +1200,15 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     shape than the model's states or pairs is refused before the first
     row.
 
-    Each row allocates one buffer [J | Q] of n + pairs floats, and every
-    update writes into its halves J_next and Q_next: the power its last
-    backup into the Q half (`_f_theta_power`'s ``out``), M(Q) goes into
-    the J half and the clamp runs there in place, and the masked, exact
-    and lp updates copy their fresh results in.  Both residuals are then
-    one pass over the buffer against the last row's (`sup_dist_segments`,
-    each entry its half's `sup_dist` bit for bit).  mixed rows record the
-    two halves as ``J_snapshot``/``Q_snapshot``; no later row writes into
-    a row's buffer, so a recorded iterate never changes, and the result
-    holds copies of its own.  The trace file holds the snapshots as JSON
-    lists, and `modelio.read_trace` gives arrays back.  What stays fixed
+    Each row's [J | Q] is one buffer of n + pairs floats, a row of the
+    trace's block (mixed) or a fresh array (lp), and every update writes
+    into its halves J_next and Q_next: the power its last backup into the
+    Q half (`_f_theta_power`'s ``out``), M(Q) goes into the J half and the
+    clamp runs there in place, and the masked, exact and lp updates copy
+    their fresh results in.  Both residuals are then one pass over the
+    buffer against the last row's (`sup_dist_segments`, each entry its
+    half's `sup_dist` bit for bit).  No later row writes into a row's
+    buffer, and the result holds copies of its own.  What stays fixed
     for the solve is taken once: the clamp bounds as float arrays, an
     int nk, and the policy's and B's text once per Theta.
 
@@ -1084,7 +1248,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
     finite = _finite(model, JQ)
-    rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp)
+    rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp,
+                    iterates=() if lp else ((J_SNAPSHOT, 0, n), (Q_SNAPSHOT, n, size)))
     envelope = None if lp or model.regime == "D" else J.copy()
     c = None if not lp or rec.Jstar is None else cone_multiplier(J, rec.Jstar)
     # c * Jstar with 0 * inf = 0.  A finite c >= 0 meets an infinity of
@@ -1109,7 +1274,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         if theta is None or theta.policy is not policy or theta.B is not B:
             theta = Theta(policy, B)
             policy_text, b_set = policy.descriptor(), _describe_b(theta.B, n)
-        nxt = np.empty(size)
+        nxt = np.empty(size) if lp else rec.block_row()
         J_next, Q_next = nxt[:n], nxt[n:]
         ops, set_J, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
                                      theta, Q, J, finite, J_next, Q_next)
@@ -1133,7 +1298,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
             extra = {"residual_Q": res_Q, **columns,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
-            extra = {"residual_Q": res_Q, "powers": ops, J_SNAPSHOT: J, Q_SNAPSHOT: Q}
+            extra = {"residual_Q": res_Q, "powers": ops}
         rec.row(k + 1, res_J, J, Q, policy=policy_text, b_set=b_set, upper_margin=upper,
                 extra=extra)
         if bracket and finite:
@@ -1343,6 +1508,17 @@ class CertReport:
         return "\n".join(lines)
 
 
+def _known(column: np.ndarray) -> np.ndarray:
+    """The entries of a float column that rows hold, NaN (None) left out."""
+    return column[~np.isnan(column)]
+
+
+def _first_max(values: np.ndarray) -> float:
+    """The largest entry, the first of equal ones as Python's max takes
+    it (so a -0.0 before a 0.0 is kept)."""
+    return float(values[np.argmax(values)])
+
+
 def verify_certificates(model: TotalCostModel, trace: IterationTrace,
                         ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
                         ) -> CertReport:
@@ -1362,39 +1538,36 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
     """
     checks: list[CheckResult] = []
     Jstar = None if ground_truth is None else np.asarray(ground_truth[0], dtype=float)
+    columns = trace.columns
 
     if (model.regime == "D" and trace.dist0 is not None
             and not trace.config.get("masks")):
-        worst = -INF
-        ok = True
         alpha = model.discount
-        for row in trace.rows:
-            dists = [d for d in (row.dist_J, row.dist_Q) if d is not None]
-            if not dists:
-                continue
-            bound = alpha ** row.k * trace.dist0 + 1e-12
-            margin = max(dists) - bound
-            worst = max(worst, margin)
-            if margin > 0.0:
-                ok = False
+        dist = np.fmax(columns.column("dist_J"), columns.column("dist_Q"))
+        known = ~np.isnan(dist)
+        # alpha ** k by Python's pow, which numpy's power may differ from
+        # in the last bit
+        powers = np.fromiter(map(pow, itertools.repeat(alpha),
+                                 columns.column("k")[known].tolist()), float)
+        margins = dist[known] - (powers * trace.dist0 + 1e-12)
+        margins = margins[~np.isnan(margins)]
+        worst = _first_max(margins) if margins.size else -INF
         checks.append(CheckResult(
-            "geometric-rate", ok, worst if worst > -INF else 0.0,
+            "geometric-rate", not (margins > 0.0).any(), worst if worst > -INF else 0.0,
             f"alpha={alpha}, dist0={trace.dist0:g}"))
 
     if model.regime in ("N", "P"):
-        ups = [row.upper_margin for row in trace.rows if row.upper_margin is not None]
-        if ups and not trace.config.get("masks"):
-            worst = max(ups)
+        ups = _known(columns.column("upper_margin"))
+        if ups.size and not trace.config.get("masks"):
+            worst = _first_max(ups)
             checks.append(CheckResult(
                 "envelope-upper", worst <= 0.0, worst,
                 "J_k <= T^k(J0) elementwise"))
         if trace.initial_dominance:
-            lows = [row.lower_margin for row in trace.rows
-                    if row.lower_margin is not None]
-            qlows = [row.q_lower_margin for row in trace.rows
-                     if row.q_lower_margin is not None]
-            if lows:
-                worst = max(lows + qlows)
+            lows = _known(columns.column("lower_margin"))
+            if lows.size:
+                worst = _first_max(np.concatenate(
+                    (lows, _known(columns.column("q_lower_margin")))))
                 checks.append(CheckResult(
                     "dominance-lower", worst <= 0.0, worst,
                     "Jstar <= J_k and Qstar <= Q_k elementwise"))

@@ -116,9 +116,18 @@ decoded each transition entry into its control's row as it walked the
 document and packed the model from `AtomicControl`s, and `trace_to_csv`,
 which encoded every cell of the trace by its field's codec, one value
 at a time, and each row's ``extra`` by a fresh `json.JSONEncoder.encode`
-call.  Both are kept verbatim, with the parser's helpers.
-`test_modelio.py` checks the library's one-pass reader and column-wise
-writer against them on drawn documents and traces.
+call.  The parser is kept verbatim, with its helpers.  The writer reads
+the trace's rows as `TraceRow`s and keeps its own list of the header and
+row fields and its own codecs, so it shares nothing with the library's
+file layer but `encode_xreal` and `encode_vector`.  `test_modelio.py`
+checks the library's one-pass reader and column-wise writer against them
+on drawn documents and traces.
+
+The fifteenth part is `verify_certificates` as it ran before a trace
+held its rows as columns: a walk over the trace's `TraceRow`s, kept
+verbatim.  `test_trace_pins.py` checks that the library's replay over
+the columns gives the same report, margins bit for bit, on every pinned
+run and after a round trip through each file layout.
 """
 
 from __future__ import annotations
@@ -129,7 +138,6 @@ import itertools
 import json
 import math
 import operator
-import typing
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -153,8 +161,6 @@ from totaldp.extreal import (
 )
 from totaldp.ftheta import FixedPointCertificate, Theta
 from totaldp.modelio import (
-    _HEADER,
-    _ROW,
     FORMAT_VERSION,
     ModelFileError,
     decode_vector,
@@ -181,8 +187,11 @@ from totaldp.solvers import (
     DIVERGENCE_FLOOR,
     DIVERGENCE_WARMUP,
     DIVERGENCE_WINDOW,
+    CertReport,
+    CheckResult,
     IterationTrace,
-    TraceRow,
+    _cone_witness,
+    cone_multiplier,
 )
 from totaldp.stopping import StoppingProblem
 
@@ -1429,20 +1438,123 @@ def parse_model(text: str, strict: bool = True
 # json.dumps(obj, allow_nan=False), without an encoder built per call.
 _json = json.JSONEncoder(allow_nan=False).encode
 
-# The columns of the TraceRow fields that hold a dict, written as JSON text.
-_DICT_FIELDS = tuple(i for i, name in enumerate(_ROW.names)
-                     if typing.get_type_hints(TraceRow)[name] is dict)
+
+def _optional(encode):
+    return lambda v: None if v is None else encode(v)
+
+
+def _tree(obj):
+    """obj with every float an encoded extended real and every array or
+    tuple a list; strings, ints, bools and None as they are."""
+    if isinstance(obj, dict):
+        return {k: _tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_tree(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return encode_xreal(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+# The header fields and the row fields of a trace file, in file order,
+# each with its codec; a row's extra is written as JSON text.
+_HEADER_FIELDS = (
+    ("algorithm", str), ("regime", str), ("discount", encode_xreal), ("config", _tree),
+    ("J0", _optional(encode_vector)), ("Q0", _optional(encode_vector)),
+    ("dist0", _optional(encode_xreal)), ("initial_dominance", _optional(bool)),
+    ("ground_truth_known", bool), ("model_hash", str), ("op_count", int))
+_ROW_FIELDS = (
+    ("k", int), ("residual", encode_xreal), ("dist_J", _optional(encode_xreal)),
+    ("dist_Q", _optional(encode_xreal)), ("policy", str), ("b_set", str),
+    ("upper_margin", _optional(encode_xreal)), ("lower_margin", _optional(encode_xreal)),
+    ("q_lower_margin", _optional(encode_xreal)), ("wall_time", encode_xreal),
+    ("extra", lambda extra: _json(_tree(extra))))
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["#header", _json(_HEADER.doc(trace))])
-    writer.writerow(_ROW.names)
+    header = {name: out(getattr(trace, name)) for name, out in _HEADER_FIELDS}
+    writer.writerow(["#header", _json(header)])
+    writer.writerow([name for name, _ in _ROW_FIELDS])
     columns = [list(map(out, map(operator.attrgetter(name), trace.rows)))
-               for name, out in zip(_ROW.names, _ROW.outs)]
-    for i in _DICT_FIELDS:
-        columns[i] = list(map(_json, columns[i]))
+               for name, out in _ROW_FIELDS]
     # csv writes None as an empty cell and a float by its repr
     writer.writerows(zip(*columns))
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The certificate replay, row by row
+
+
+def verify_certificates(model: TotalCostModel, trace: IterationTrace,
+                        ground_truth: tuple[np.ndarray, np.ndarray | None] | None = None
+                        ) -> CertReport:
+    """Replay the convergence guarantees recorded in a trace.
+
+    Discounted traces check the geometric rate against the initial
+    distance, with 1e-12 of room for round-off; undiscounted ones check
+    the envelope sandwich Jstar <= J_k <= T^k(J0) (the lower side only
+    under certified initial dominance), with none.  A masked trace skips
+    the geometric rate and the upper side of the sandwich: a masked row
+    refreshes only the pairs and states its masks set, so J_k may fall
+    more slowly than value iteration's T^k(J0), and neither is a
+    guarantee of the asynchronous iteration.  With ground truth
+    supplied, the initial function is also tested for membership in the
+    convergence cone: bounded by a finite multiple of Jstar and zero
+    wherever Jstar is zero.  A failed cone check reports margin +inf.
+    """
+    checks: list[CheckResult] = []
+    Jstar = None if ground_truth is None else np.asarray(ground_truth[0], dtype=float)
+
+    if (model.regime == "D" and trace.dist0 is not None
+            and not trace.config.get("masks")):
+        worst = -INF
+        ok = True
+        alpha = model.discount
+        for row in trace.rows:
+            dists = [d for d in (row.dist_J, row.dist_Q) if d is not None]
+            if not dists:
+                continue
+            bound = alpha ** row.k * trace.dist0 + 1e-12
+            margin = max(dists) - bound
+            worst = max(worst, margin)
+            if margin > 0.0:
+                ok = False
+        checks.append(CheckResult(
+            "geometric-rate", ok, worst if worst > -INF else 0.0,
+            f"alpha={alpha}, dist0={trace.dist0:g}"))
+
+    if model.regime in ("N", "P"):
+        ups = [row.upper_margin for row in trace.rows if row.upper_margin is not None]
+        if ups and not trace.config.get("masks"):
+            worst = max(ups)
+            checks.append(CheckResult(
+                "envelope-upper", worst <= 0.0, worst,
+                "J_k <= T^k(J0) elementwise"))
+        if trace.initial_dominance:
+            lows = [row.lower_margin for row in trace.rows
+                    if row.lower_margin is not None]
+            qlows = [row.q_lower_margin for row in trace.rows
+                     if row.q_lower_margin is not None]
+            if lows:
+                worst = max(lows + qlows)
+                checks.append(CheckResult(
+                    "dominance-lower", worst <= 0.0, worst,
+                    "Jstar <= J_k and Qstar <= Q_k elementwise"))
+
+    if Jstar is not None and trace.J0 is not None and model.regime == "P":
+        c = cone_multiplier(trace.J0, Jstar)
+        nonneg = bool((trace.J0 >= 0.0).all())
+        inside = bool(np.isfinite(c)) and nonneg
+        checks.append(CheckResult(
+            "cone-membership", inside, c if inside else INF,
+            _cone_witness(trace.J0, Jstar, c, nonneg) or f"J0 <= c Jstar with c={c:g}"))
+        finite_zero = bool(nonneg and np.isfinite(trace.J0).all()
+                           and (trace.J0[Jstar == 0.0] == 0.0).all())
+        checks.append(CheckResult(
+            "zero-set-membership", finite_zero, 0.0 if finite_zero else INF,
+            "J0 finite, nonnegative, and zero on the zero set of Jstar"))
+    return CertReport(tuple(checks))

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -424,13 +423,9 @@ class TestCompare:
         out = runner.invoke(main, ["solve", str(path), "--algorithm", algorithm,
                                    "--trace-out", str(solo)])
         assert out.exit_code == 0, out.output
-
-        def timeless(trace):
-            rows = [dataclasses.replace(row, wall_time=0.0) for row in trace.rows]
-            return dataclasses.replace(trace, rows=rows)
-
         compared = read_trace(tmp_path / f"P.{algorithm}.csv")
-        assert trace_to_csv(timeless(compared)) == trace_to_csv(timeless(read_trace(solo)))
+        assert (trace_to_csv(compared.timeless())
+                == trace_to_csv(read_trace(solo).timeless()))
         assert compared.model_hash == "7fa8dc1e70c628f8"  # test_kernels.FIXTURE_HASHES
         assert all(("J_snapshot" in row.extra) == (algorithm == "mixed")
                    for row in compared.rows)

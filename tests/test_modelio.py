@@ -13,6 +13,7 @@ from totaldp.solvers import (
     FullB,
     IterationTrace,
     SolverConfig,
+    TraceColumns,
     TraceRow,
     mixed_vpi,
     run,
@@ -285,8 +286,9 @@ def _same(a, b) -> bool:
 
 
 def _assert_same_trace(a, b):
+    """The same header and the same rows, read as `TraceRow`s, bit for bit."""
     for f in dataclasses.fields(IterationTrace):
-        if f.name != "rows":
+        if f.name != "columns":
             assert _same(getattr(a, f.name), getattr(b, f.name)), f.name
     assert len(a.rows) == len(b.rows)
     for ra, rb in zip(a.rows, b.rows):
@@ -494,17 +496,37 @@ class TestParentTraces:
     def test_parent_json_reads_back(self):
         _assert_same_trace(self._expected(), trace_from_json(PARENT_JSON))
 
-    @pytest.mark.parametrize("read, text, old, new", [
-        (trace_from_csv, PARENT_CSV, '""dist0"": ""inf""', '""dist0"": ""nan""'),
-        (trace_from_csv, PARENT_CSV, "1,inf,1.0", "1,nan,1.0"),
-        (trace_from_csv, PARENT_CSV, '""residual_Q"": ""inf""', '""residual_Q"": NaN'),
-        (trace_from_json, PARENT_JSON, '"dist0": "inf"', '"dist0": NaN'),
-        (trace_from_json, PARENT_JSON, '"residual": "inf"', '"residual": "nan"'),
-        (trace_from_json, PARENT_JSON, '"residual_Q": "inf"', '"residual_Q": NaN'),
+    @pytest.mark.parametrize("read, text, old, new, where", [
+        (trace_from_csv, PARENT_CSV, '""dist0"": ""inf""', '""dist0"": ""nan""',
+         "trace header field 'dist0'"),
+        (trace_from_csv, PARENT_CSV, "1,inf,1.0", "1,nan,1.0", "line 3 field 'residual'"),
+        (trace_from_csv, PARENT_CSV, '""residual_Q"": ""inf""', '""residual_Q"": NaN',
+         "line 3 field 'extra'"),
+        (trace_from_json, PARENT_JSON, '"dist0": "inf"', '"dist0": NaN',
+         "trace header field 'dist0'"),
+        (trace_from_json, PARENT_JSON, '"residual": "inf"', '"residual": "nan"',
+         "row 0 field 'residual'"),
+        (trace_from_json, PARENT_JSON, '"residual_Q": "inf"', '"residual_Q": NaN',
+         "row 0 field 'extra'"),
+        # rows that are not a list, a row that is not an object
+        (trace_from_json, PARENT_JSON, '"rows": [', '"rows": 5, "x": [',
+         "trace field 'rows': expected a list"),
+        (trace_from_json, PARENT_JSON, '"rows": [', '"rows": [7, ', "row 0: expected an object"),
+        # a k that does not increase
+        (trace_from_csv, PARENT_CSV, "\n2,0.0,", "\n1,0.0,", "line 4: k=1 does not follow k=1"),
+        (trace_from_json, PARENT_JSON, '"k": 2,', '"k": 0,', "row 1: k=0 does not follow k=1"),
+        # invalid JSON, in a JSON trace and in the CSV header cell
+        (trace_from_json, PARENT_JSON, '"rows": [', '"rows": [,', r"not valid JSON.*\(line 30, "),
+        (trace_from_csv, PARENT_CSV, '""dist0"": ""inf""', '""dist0"": inf',
+         "line 1: the header is not valid JSON"),
+        # an extra that is not an object, a row without its k
+        (trace_from_csv, PARENT_CSV, '"{""residual_Q"": ""inf"", ""J_snapshot"": [0.0, 1.0], '
+         '""Q_snapshot"": [0.0, 1.0, 1.0]}"', "[1]", "line 3 field 'extra': expected an object"),
+        (trace_from_json, PARENT_JSON, '"k": 2,', '', "row 1 field 'k'"),
     ])
-    def test_nan_in_a_trace_file_is_rejected(self, read, text, old, new):
+    def test_a_malformed_trace_file_is_rejected(self, read, text, old, new, where):
         assert old in text
-        with pytest.raises(ModelFileError):
+        with pytest.raises(ModelFileError, match=where):
             read(text.replace(old, new, 1))
 
 
@@ -834,9 +856,10 @@ def drawn_traces(draw):
     """A solver trace whose float columns are each kept, all None, all
     finite, or mixed with None, +-inf and -0.0, with some rows' extra
     replaced by a drawn dict; now and then a NaN or a None in a column
-    that may not hold one."""
+    that may not hold one.  The rows are appended to a fresh trace."""
     trace = draw(st.sampled_from(TRACES))
     rows = [dataclasses.replace(row, extra=dict(row.extra)) for row in trace.rows]
+    trace = dataclasses.replace(trace, columns=TraceColumns())
     for name in _FLOAT_FIELDS:
         mode = draw(st.sampled_from(["keep", "none", "finite", "mixed"]))
         optional = name not in ("residual", "wall_time")
@@ -855,7 +878,9 @@ def drawn_traces(draw):
         row = draw(st.sampled_from(rows))
         setattr(row, draw(st.sampled_from(_FLOAT_FIELDS)), draw(st.sampled_from(
             [float("nan"), None])))
-    return dataclasses.replace(trace, rows=rows)
+    for row in rows:
+        trace.append(row)
+    return trace
 
 
 def _written(write, trace):

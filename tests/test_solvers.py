@@ -260,9 +260,8 @@ class TestMixed:
                                stop_on_tol=False,
                                ground_truth=(Jstar, h_backup(model, Jstar)))
             out = run(model, cfg)
-            rows = [repr(dataclasses.replace(r, wall_time=0.0)) for r in out.trace.rows]
             outs.append((out.J.tobytes(), out.Q.tobytes(), out.termination,
-                         out.trace.op_count, rows))
+                         out.trace.op_count, list(map(repr, out.trace.timeless().rows))))
         assert outs[0] == outs[1]
 
     def test_custom_b_needs_a_set(self):
@@ -501,12 +500,13 @@ class TestPowerCounts:
 
 
 class TestRecordedIterates:
-    """A row keeps the iterates it records by reference (the recorder
-    fills its ground-truth columns later, and mixed rows hold them as
-    snapshots), so they must stay isolated: no two rows' iterates share
-    memory (a mixed row's J and Q are the two halves of its own buffer),
-    no row is written into after it is recorded, and writing into a
-    returned J or Q, or into `SolverCapError.last`, leaves every
+    """The recorder holds the iterates a row records by reference until
+    it fills their ground-truth columns, and mixed rows record theirs in
+    the rows of the trace's block, so they must stay isolated: no two
+    rows' iterates share memory (a mixed row's J and Q are the two halves
+    of its own block row), no row is written into after it is recorded,
+    a mixed row's snapshots are the iterates it recorded, and writing
+    into a returned J or Q, or into `SolverCapError.last`, leaves every
     recorded row unchanged."""
 
     KINDS = {"vi": dict(algorithm="vi"),
@@ -563,8 +563,9 @@ class TestRecordedIterates:
             for j, b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b), (k, j)
         if kind in ("power", "masked", "exact"):
-            for row, ((J, _), (Q, _)) in zip(result.trace.rows, recorded):
-                assert row.extra[J_SNAPSHOT] is J and row.extra[Q_SNAPSHOT] is Q
+            for row, ((_, J_bits), (_, Q_bits)) in zip(result.trace.rows, recorded):
+                assert row.extra[J_SNAPSHOT].tobytes() == J_bits
+                assert row.extra[Q_SNAPSHOT].tobytes() == Q_bits
         answers = (out.last if isinstance(out.last, tuple) else (out.last,)) if capped \
             else (result.J,) if result.Q is None else (result.J, result.Q)
         for v in answers:
@@ -1280,12 +1281,9 @@ class TestVerifyCertificates:
                            tol=1e-12, max_iter=400,
                            ground_truth=fx.ground_truth())
         trace = mixed_vpi(fx.model, cfg).trace
-        rows = list(trace.rows)
-        row = rows[2]
-        past = fx.model.discount ** row.k * trace.dist0 + 1e-3
-        rows[2] = dataclasses.replace(row, dist_J=past)
-        report = verify_certificates(fx.model, dataclasses.replace(trace, rows=rows),
-                                     fx.ground_truth())
+        past = fx.model.discount ** trace.rows[2].k * trace.dist0 + 1e-3
+        trace.columns.lists["dist_J"][2] = past
+        report = verify_certificates(fx.model, trace, fx.ground_truth())
         geo = {c.name: c for c in report.checks}["geometric-rate"]
         assert not geo.passed and not report.passed
         assert geo.margin == pytest.approx(1e-3, abs=1e-11)
@@ -1457,7 +1455,7 @@ class TestDeferredGroundTruthColumns:
         fill = solvers._Recorder._fill
 
         def counted(rec):
-            held.append(len(rec._pending))
+            held.append(len(rec._held_J))
             fill(rec)
 
         fx, cfg = self._config(name, max_iter=solvers._BLOCK + 44, stop_on_tol=False)

@@ -36,15 +36,15 @@ is [1].  They were taken while a trace still held one `TraceRow` object
 per row, before a trace came to hold its rows as columns.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from totaldp.fixtures import fixture, fixture_names
 from totaldp.model import Policy
-from totaldp.modelio import trace_to_csv, trace_to_json
+from totaldp.modelio import trace_from_csv, trace_from_json, trace_to_csv, trace_to_json
 from totaldp.operators import greedy_select, h_backup
 from totaldp.solvers import (
     CustomB,
@@ -55,6 +55,7 @@ from totaldp.solvers import (
     check_admits,
     round_robin_masks,
     run,
+    verify_certificates,
 )
 
 
@@ -121,8 +122,7 @@ def _configs(fx):
 
 
 def _texts(trace):
-    rows = [dataclasses.replace(row, wall_time=0.0) for row in trace.rows]
-    trace = dataclasses.replace(trace, rows=rows)
+    trace = trace.timeless()
     return trace_to_csv(trace), trace_to_json(trace)
 
 
@@ -211,11 +211,33 @@ def test_every_run_is_pinned():
     assert set(PINS) == {f"{name}/{label}" for name, label in pinned_runs()}
 
 
+def _result(fx, label):
+    try:
+        return run(fx.model, _configs(fx)[label])
+    except SolverCapError as err:  # a capped run's trace is pinned too
+        return err.result
+
+
 @pytest.mark.parametrize("name, label", pinned_runs())
 def test_trace_text_is_pinned(name, label):
     fx = fixture(name)
-    try:
-        res = run(fx.model, _configs(fx)[label])
-    except SolverCapError as err:  # a capped run's trace is pinned too
-        res = err.result
+    res = _result(fx, label)
     assert tuple(_digest(t) for t in _texts(res.trace)) == PINS[f"{name}/{label}"]
+
+
+def _report_bits(report):
+    return [(c.name, c.passed, np.float64(c.margin).tobytes(), c.detail)
+            for c in report.checks]
+
+
+@pytest.mark.parametrize("name, label", pinned_runs())
+def test_certificate_replay_matches_the_row_walk(name, label):
+    # The same checks, outcomes, margins (bit for bit) and details as the
+    # row-walking replay, on the run's trace and on its round trips.
+    fx = fixture(name)
+    trace = _result(fx, label).trace
+    for back in (trace, trace_from_csv(trace_to_csv(trace)),
+                 trace_from_json(trace_to_json(trace))):
+        got = verify_certificates(fx.model, back, fx.ground_truth())
+        want = ref.verify_certificates(fx.model, back, fx.ground_truth())
+        assert _report_bits(got) == _report_bits(want)

@@ -108,7 +108,12 @@ class Digest:
 
 
 def timeless(trace):
-    """The trace with every row's wall_time set to zero."""
+    """The trace with its wall_time column zeroed, by
+    `IterationTrace.timeless`.  A trace of a package from before traces
+    held their rows as columns has no such method (`tools/pairtime.py`
+    may load one); its rows are zeroed one by one."""
+    if hasattr(trace, "timeless"):
+        return trace.timeless()
     rows = [dataclasses.replace(row, wall_time=0.0) for row in trace.rows]
     return dataclasses.replace(trace, rows=rows)
 

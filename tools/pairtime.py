@@ -47,7 +47,6 @@ nothing here is a gate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import statistics
 import sys
@@ -113,8 +112,7 @@ def io_calls(pkg, case, workdir: str) -> tuple:
         trace = pkg.value_iteration(model, case.J0, cfg).trace
     except pkg.SolverCapError as e:
         trace = e.result.trace
-    trace = dataclasses.replace(
-        trace, rows=[dataclasses.replace(row, wall_time=0.0) for row in trace.rows])
+    trace = digest.timeless(trace)
     return (lambda: (modelio.parse_model(text), modelio.render_model),
             lambda: modelio.model_hash(model),
             lambda: modelio.trace_to_csv(trace))
