@@ -704,9 +704,7 @@ def _row_values(trace: IterationTrace, extra_out) -> list[list]:
         kind, column = _ROW_TYPES[name], columns.entries(name)
         if kind is dict:
             values.append(list(map(extra_out, columns.extras())))
-        elif kind is str:
-            values.append(list(map(columns.texts.__getitem__, column)))
-        elif kind is int:
+        elif kind in (str, int):
             values.append(column)
         else:
             values.append(_number_cells(column, kind is not float))

@@ -16,14 +16,14 @@ sup-norm residual, the distance to ground truth when one is supplied,
 policy and set descriptors, ordering margins against ground truth and
 (mixed runs in N and P) against the value-iteration envelope T^k(J0),
 wall time, and the iterates that mixed and optimistic policy iteration
-rows record.  The recorder writes its pending rows into the columns in
-blocks of rows and when the run ends (`_Recorder`).  A run that stops
-on the tolerance and reaches the
-iteration cap first raises SolverCapError, which carries the SolveResult
-it ends with.  In D, value iteration, optimistic policy iteration and
-the unmasked mixed loop stop on the MacQueen-Porteus bracket of a row
-and return its upper end, with its error bound (`_bracket_stop`); every
-other run stops on its residual.
+rows record.  Each row appends to the columns; the ground-truth columns
+are filled in blocks of rows and when the run ends (`_Recorder`).  A
+run that stops on the tolerance and reaches the iteration cap first
+raises SolverCapError, which carries the SolveResult it ends with.  In
+D, value iteration, optimistic policy iteration and the unmasked mixed
+loop stop on the MacQueen-Porteus bracket of a row and return its upper
+end, with its error bound (`_bracket_stop`); every other run stops on
+its residual.
 """
 
 from __future__ import annotations
@@ -190,9 +190,11 @@ class TraceRow:
     extra: dict = field(default_factory=dict)
 
 
-# The fields of a row, and the column entry of each that a trace may
-# leave out (policy and b_set as codes, "" being code 0).
+# The fields of a row, those held as codes into a table of strings, and
+# the column entry of each field that a trace may leave out ("" being
+# code 0).
 _FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+_TEXTS = ("policy", "b_set")
 _DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": 0, "b_set": 0, "upper_margin": None,
              "lower_margin": None, "q_lower_margin": None, "wall_time": 0.0}
 
@@ -201,18 +203,18 @@ class TraceColumns(Sequence):
     """The rows of a trace, held as columns and read as `TraceRow`s.
 
     ``lists`` holds one list per field of `TraceRow` that the rows give,
-    with an entry per row, policy and b_set as codes into ``texts``, the
-    distinct strings in order of first use; a field that the trace
-    leaves out takes its default in every row.  `column` gives a field
+    with an entry per row, policy and b_set as codes: ``codes`` maps
+    each distinct string to its code, in order of first use; a field
+    that the trace leaves out takes its default in every row.  `column` gives a field
     as an array.  The iterates a solver records sit side by side in the
-    rows of ``block``, named with their column ranges by ``block_keys``,
-    which grows by doubling; a row's `TraceRow.extra` lists them, as
+    rows of ``block``, which grows by doubling, named with their column
+    ranges by ``block_keys``; a row's `TraceRow.extra` lists them, as
     views of the block, after its dict's own keys.
     """
 
     def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
         self.lists: dict[str, list] = {"k": [], "residual": [], "wall_time": [], "extra": []}
-        self.texts, self._codes = [""], {"": 0}
+        self.codes = {"": 0}
         self.block_keys = block_keys
         self.block = np.empty((16, block_keys[-1][2])) if block_keys else None
 
@@ -223,9 +225,9 @@ class TraceColumns(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         values = {name: column[i] for name, column in self.lists.items()}
-        for name in ("policy", "b_set"):
+        for name in _TEXTS:
             if name in values:
-                values[name] = self.texts[values[name]]
+                values[name] = list(self.codes)[values[name]]
         if self.block_keys:
             row = self.block[i % len(self)]
             values["extra"] = {**values["extra"],
@@ -233,15 +235,15 @@ class TraceColumns(Sequence):
         return TraceRow(**values)
 
     def entries(self, name: str) -> list:
-        """One field's entry in every row: its list, or its default."""
-        column = self.lists.get(name)
-        return [_DEFAULTS[name]] * len(self) if column is None else column
+        """One field's entry in every row, as `TraceRow` has it; for
+        extra, without the recorded iterates (`extras` adds them)."""
+        column = self.lists.get(name, [_DEFAULTS.get(name)] * len(self))
+        return list(map(list(self.codes).__getitem__, column)) if name in _TEXTS else column
 
     def column(self, name: str) -> np.ndarray:
-        """A float field as a float array, NaN for None; k, policy and
-        b_set (as codes) as an int array."""
-        kind = np.int64 if name in ("k", "policy", "b_set") else float
-        return np.array(self.entries(name), dtype=kind)
+        """A numeric field as an array: k as ints, a float field as floats
+        with NaN for None."""
+        return np.array(self.entries(name), dtype=np.int64 if name == "k" else float)
 
     def extra_column(self, key: str) -> np.ndarray:
         """One number of every row's extra as a float array, NaN for None."""
@@ -263,11 +265,8 @@ class TraceColumns(Sequence):
                 for i, extra in enumerate(self.lists["extra"])]
 
     def code(self, text: str) -> int:
-        """The code of ``text`` in ``texts``, added there at first use."""
-        if text not in self._codes:
-            self._codes[text] = len(self.texts)
-            self.texts.append(text)
-        return self._codes[text]
+        """The code of ``text``, given it at its first use."""
+        return self.codes.setdefault(text, len(self.codes))
 
     def reserve(self, rows: int) -> None:
         """Grow the block, by doubling, to hold ``rows`` rows."""
@@ -280,29 +279,19 @@ class TraceColumns(Sequence):
         """Append rows given as one list per field of `TraceRow`, every
         field; a column that the trace left out so far starts with its
         default in the earlier rows.  The caller keeps k increasing
-        (`append` checks it); the block's rows are the recorder's to
-        write."""
+        (`IterationTrace.append` checks it); the block's rows are the
+        recorder's to write."""
         rows = len(self)
         for name, column in values.items():
             if name not in self.lists:
                 self.lists[name] = [_DEFAULTS[name]] * rows
-            self.lists[name] += (map(self.code, column) if name in ("policy", "b_set")
-                                 else column)
-
-    def append(self, row: TraceRow) -> None:
-        """Append a row whose k follows the last row's; ValueError otherwise."""
-        if self.block_keys:
-            raise ValueError("a trace that holds recorded iterates takes its rows "
-                             "from its solver")
-        if len(self) and not row.k > self.lists["k"][-1]:
-            raise ValueError("trace rows must be strictly increasing in k")
-        self.extend({name: [getattr(row, name)] for name in _FIELDS})
+            self.lists[name] += map(self.code, column) if name in _TEXTS else column
 
     def copy(self) -> TraceColumns:
         """A copy that shares no list or block with this one."""
         other = copy.copy(self)
         other.lists = {name: list(column) for name, column in self.lists.items()}
-        other.texts, other._codes = list(self.texts), dict(self._codes)
+        other.codes = dict(self.codes)
         other.block = None if self.block is None else self.block.copy()
         return other
 
@@ -330,7 +319,14 @@ class IterationTrace:
         return self.columns
 
     def append(self, row: TraceRow) -> None:
-        self.columns.append(row)
+        """Append a row whose k follows the last row's; ValueError otherwise."""
+        columns = self.columns
+        if columns.block_keys:
+            raise ValueError("a trace that holds recorded iterates takes its rows "
+                             "from its solver")
+        if len(columns) and not row.k > columns.lists["k"][-1]:
+            raise ValueError("trace rows must be strictly increasing in k")
+        columns.extend({name: [getattr(row, name)] for name in _FIELDS})
 
     @property
     def final_residual(self) -> float:
@@ -558,9 +554,10 @@ class _Recorder:
     ``iterates``, and writes each row's into `block_row` before
     recording the row.
 
-    A row appends its values to the trace's columns, and the recorder
-    holds its J (and Q) by reference until `_fill`, every `_BLOCK` rows
-    and in `finish`, appends the held rows' ground-truth columns
+    A row appends its values to the trace's columns (policy, b_set and
+    upper_margin join them in `_fill`), and the recorder holds its J
+    (and Q) by reference until `_fill`, every `_BLOCK` rows and in
+    `finish`, appends the held rows' ground-truth columns
     (dist_J, lower_margin and, with Q, dist_Q, q_lower_margin) from one
     stacked `sup_dist`/`margin_leq` pass.  So a solver never writes into
     an iterate after recording it, does not read its own trace's rows
@@ -596,14 +593,13 @@ class _Recorder:
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
-        # The columns each row appends to; `_fill` drops those the rows
-        # leave empty.
+        # The columns each row appends to; policy, b_set and
+        # upper_margin join the trace's columns in `_fill` if rows gave them.
         lists = self.columns.lists
-        lists.update(policy=[], b_set=[], upper_margin=[])
         self._k, self._residual, self._wall_time = lists["k"], lists["residual"], lists["wall_time"]
-        self._policy, self._b_set = lists["policy"], lists["b_set"]
-        self._upper_margin, self._extra = lists["upper_margin"], lists["extra"]
-        self._codes, self._code = self.columns._codes, self.columns.code
+        self._extra = lists["extra"]
+        self._policy, self._b_set, self._upper_margin = [], [], []
+        self._code = self.columns.code
         self._held_J: list[np.ndarray] = []
         self._held_Q: list[np.ndarray] = []
         self._start = perf_counter()
@@ -624,11 +620,10 @@ class _Recorder:
         self._k.append(k)
         self._residual.append(residual)
         self._wall_time.append(perf_counter() - self._start)
-        codes = self._codes
         if policy:
-            self._policy.append(codes[policy] if policy in codes else self._code(policy))
+            self._policy.append(self._code(policy))
         if b_set:
-            self._b_set.append(codes[b_set] if b_set in codes else self._code(b_set))
+            self._b_set.append(self._code(b_set))
         if upper_margin is not None:
             self._upper_margin.append(upper_margin)
         self._extra.append({} if extra is None else extra)
@@ -641,8 +636,8 @@ class _Recorder:
 
     def _fill(self) -> None:
         """The held rows' ground-truth columns, from one row-wise pass of
-        each kernel over their stacked iterates; a column that the rows
-        have left empty is dropped."""
+        each kernel over their stacked iterates, and the columns of
+        policy, b_set and upper_margin that the rows give."""
         lists = self.columns.lists
         for star, held, dist, margin in ((self.Jstar, self._held_J, "dist_J", "lower_margin"),
                                          (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
@@ -651,8 +646,10 @@ class _Recorder:
                 lists.setdefault(dist, []).extend(sup_dist(stack, star).tolist())
                 lists.setdefault(margin, []).extend(margin_leq(star, stack).tolist())
                 held.clear()
-        if self._k:
-            self.columns.lists = {name: column for name, column in lists.items() if column}
+        for name, column in (("policy", self._policy), ("b_set", self._b_set),
+                             ("upper_margin", self._upper_margin)):
+            if column:
+                lists[name] = column
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:

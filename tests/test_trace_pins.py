@@ -34,6 +34,12 @@ The vi pins cover every fixture, the affine FX-P3a and FX-P3b too, from
 row 80, where the window rule flags state 1 and the row's ``divergent``
 is [1].  They were taken while a trace still held one `TraceRow` object
 per row, before a trace came to hold its rows as columns.
+
+Every pinned run also replays its certificates: `verify_certificates`,
+which takes vector maxima over the trace's columns, must give the
+report of the row walk kept in `tests/reference_ops.py` (names,
+outcomes, details and margins bit for bit), on the run's trace and on
+its CSV and JSON round trips.
 """
 
 import hashlib
