@@ -763,7 +763,8 @@ def trace_from_csv(text: str) -> IterationTrace:
 
 def trace_to_json(trace: IterationTrace) -> str:
     doc = _header_doc(trace)
-    doc["rows"] = [dict(zip(ROW_FIELDS, row)) for row in zip(*_row_values(trace, _encode_tree))]
+    doc["rows"] = [dict(zip(ROW_FIELDS, row))
+                   for row in zip(*_row_values(trace, _encode_tree))]
     return json.dumps(doc, indent=2, allow_nan=False)
 
 

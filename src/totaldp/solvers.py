@@ -204,12 +204,12 @@ class TraceColumns(Sequence):
 
     ``lists`` holds one list per field of `TraceRow` that the rows give,
     with an entry per row, policy and b_set as codes: ``codes`` maps
-    each distinct string to its code, in order of first use; a field
-    that the trace leaves out takes its default in every row.  `column` gives a field
-    as an array.  The iterates a solver records sit side by side in the
-    rows of ``block``, which grows by doubling, named with their column
-    ranges by ``block_keys``; a row's `TraceRow.extra` lists them, as
-    views of the block, after its dict's own keys.
+    each distinct string to its code, in order of first use.  A field
+    that the trace leaves out takes its default in every row.  `column`
+    gives a field as an array.  The iterates a solver records sit side
+    by side in the rows of ``block``, which grows by doubling, named with
+    their column ranges by ``block_keys``; a row's `TraceRow.extra`
+    lists them, as views of the block, after its dict's own keys.
     """
 
     def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
@@ -247,7 +247,8 @@ class TraceColumns(Sequence):
 
     def extra_column(self, key: str) -> np.ndarray:
         """One number of every row's extra as a float array, NaN for None."""
-        return np.array(list(map(operator.itemgetter(key), self.lists["extra"])), dtype=float)
+        values = list(map(operator.itemgetter(key), self.lists["extra"]))
+        return np.array(values, dtype=float)
 
     def iterates(self, key: str) -> np.ndarray:
         """The (rows, width) block of one recorded iterate."""
@@ -596,8 +597,8 @@ class _Recorder:
         # The columns each row appends to; policy, b_set and
         # upper_margin join the trace's columns in `_fill` if rows gave them.
         lists = self.columns.lists
-        self._k, self._residual, self._wall_time = lists["k"], lists["residual"], lists["wall_time"]
-        self._extra = lists["extra"]
+        self._k, self._residual = lists["k"], lists["residual"]
+        self._wall_time, self._extra = lists["wall_time"], lists["extra"]
         self._policy, self._b_set, self._upper_margin = [], [], []
         self._code = self.columns.code
         self._held_J: list[np.ndarray] = []
@@ -864,14 +865,14 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     keep iterating the finite values so that continuum infima see the
     true finite iterates.
 
-    Each row hands the recorder the iterate itself when nothing is
-    reported apart from it: before any state is flagged, and in every
-    row of a pinned run, whose iterate already holds the infinities it
-    reports (each backup is a fresh array, and the pin writes into it
-    before it is recorded; the rule holds no iterate).  Until the rule
-    flags a state, a row does no flagged-state bookkeeping at all: the
-    residual is taken over every state.  Rows share their ``divergent``
-    list until a flag replaces it; no list is written into.
+    Each row records the iterate itself when nothing is reported apart
+    from it: before any state is flagged, and in every row of a pinned
+    run, whose iterate already holds the infinities it reports (each
+    backup is a fresh array, and the pin writes into it before it is
+    recorded; the rule holds no iterate).  Until the rule flags a
+    state, a row does no flagged-state bookkeeping at all: the residual
+    is taken over every state.  Rows share their ``divergent`` list
+    until a flag replaces it; no list is written into.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair

@@ -335,10 +335,20 @@ class TestTraceRoundTrip:
             assert back.config.get("error_bound") == res.error_bound
 
     def test_rows_strictly_increasing(self):
+        trace = IterationTrace(algorithm="vi", regime="P", discount=1.0, config={})
+        trace.append(TraceRow(k=2, residual=0.0))
+        for k in (2, 1):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                trace.append(TraceRow(k=k, residual=0.0))
+        assert len(trace.rows) == 1
+
+    def test_a_trace_with_recorded_iterates_takes_no_appended_row(self):
+        # a mixed trace's snapshots live in its block, which only the
+        # solver writes
         trace = _sample_trace()
-        from totaldp.solvers import TraceRow
-        with pytest.raises(ValueError):
-            trace.append(TraceRow(k=trace.rows[-1].k, residual=0.0))
+        with pytest.raises(ValueError, match="recorded iterates"):
+            trace.append(TraceRow(k=trace.rows[-1].k + 1, residual=0.0))
+        assert len(trace.rows) == trace.rows[-1].k
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_infinities_in_extra_round_trip(self, fmt):
@@ -822,7 +832,9 @@ class TestErrorOrder:
 
 def _solver_traces() -> list[IterationTrace]:
     """One trace of each algorithm on FX-P2 from 1.5 J* (mixed from J0 =
-    (0, inf) too), ground truth given, so that every column is filled."""
+    (0, inf) too), ground truth given, so that every column is filled,
+    and one of vi without it, whose trace leaves out the ground-truth,
+    policy, B and envelope columns."""
     fx = fixture("FX-P2")
     J0 = 1.5 * fx.Jstar
     traces = []
@@ -835,6 +847,7 @@ def _solver_traces() -> list[IterationTrace]:
     traces.append(mixed_vpi(fx.model, SolverConfig(
         algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=2,
         ground_truth=fx.ground_truth())).trace)
+    traces.append(value_iteration(fx.model, 1.5 * fx.Jstar, SolverConfig(algorithm="vi")).trace)
     return traces
 
 
