@@ -1056,9 +1056,8 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     residual after all, with no bound.
 
     Each row records the evaluation iterate and the improvement-time
-    value M(h_backup(J)) as ``J_eval``/``J_greedy`` in a row of the
-    trace's block, the latter written there by the segment minimum
-    itself; for nonnegative-cost runs with ground truth the
+    value M(h_backup(J)) as ``J_eval``/``J_greedy``, copied into a row of
+    the trace's block; for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
     in the header.  A J0 of another shape than the model's states is
     refused before the first round.
@@ -1083,9 +1082,9 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
         nk = int(config.nk_at(k - 1))
         J, Q = t_mu_power_and_h(model, mu, J, nk)
         rec.trace.op_count += nk + 1
+        J_greedy = _segment_min(model, Q)
         recorded = rec.block_row()
-        recorded[:n] = J
-        J_greedy = _segment_min(model, Q, recorded[n:])
+        recorded[:n], recorded[n:] = J, J_greedy
         if prev_greedy is None:
             res = INF
             finite = np.count_nonzero(np.isfinite(J_greedy)) == J_greedy.size
