@@ -20,11 +20,13 @@ from totaldp.solvers import (
     ALGORITHMS,
     CustomB,
     FullB,
+    IterationTrace,
     J_SNAPSHOT,
     OccupationSupportB,
     Q_SNAPSHOT,
     SolverCapError,
     SolverConfig,
+    TraceRow,
     cone_multiplier,
     extract_policy_discounted,
     lp_variant_vpi,
@@ -1271,6 +1273,22 @@ class TestVerifyCertificates:
         report = verify_certificates(fx.model, out.trace, fx.ground_truth())
         geo = [c for c in report.checks if c.name == "geometric-rate"]
         assert geo and geo[0].passed and geo[0].margin <= 0.0
+
+    def test_a_row_at_the_rate_bound_passes_bit_for_bit(self):
+        # Every row's distance is alpha^k dist0 + 1e-12 by Python's pow, so
+        # every margin is 0.0.  numpy's vector power puts 0.9^12 one ulp
+        # off Python's here, which would fail row 12 by 5.6e-17.
+        fx = fixture("FX-D")
+        alpha = fx.model.discount
+        assert alpha == 0.9
+        trace = IterationTrace(algorithm="mixed", regime="D", discount=alpha, config={},
+                               dist0=1.0)
+        for k in range(1, 13):
+            trace.append(TraceRow(k=k, residual=0.0, dist_J=alpha ** k + 1e-12))
+        report = verify_certificates(fx.model, trace)
+        geo = {c.name: c for c in report.checks}["geometric-rate"]
+        assert geo.passed and np.float64(geo.margin).tobytes() == np.float64(0.0).tobytes()
+        assert report == ref.verify_certificates(fx.model, trace)
 
     def test_a_row_past_the_rate_fails_the_report(self):
         # One row's J distance raised 1e-3 past alpha^k * dist0 breaks the
