@@ -202,18 +202,18 @@ _DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": 0, "b_set": 0, "upper_mar
 class TraceColumns(Sequence):
     """The rows of a trace, held as columns and read as `TraceRow`s.
 
-    ``lists`` holds one list per field of `TraceRow` that the rows give,
-    with an entry per row, policy and b_set as codes: ``codes`` maps
-    each distinct string to its code, in order of first use.  A field
-    that the trace leaves out takes its default in every row.  `column`
-    gives a field as an array.  The iterates a solver records sit side
+    ``lists`` holds one list per field of `TraceRow`, with an entry per
+    row, policy and b_set as codes: ``codes`` maps each distinct string
+    to its code, in order of first use.  A list left empty is a field
+    that the rows leave out, which takes its default in every row.
+    `column` gives a field as an array.  The iterates a solver records sit side
     by side in the rows of ``block``, which grows by doubling, named with
     their column ranges by ``block_keys``; a row's `TraceRow.extra`
     lists them, as views of the block, after its dict's own keys.
     """
 
     def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
-        self.lists: dict[str, list] = {"k": [], "residual": [], "wall_time": [], "extra": []}
+        self.lists: dict[str, list] = {name: [] for name in _FIELDS}
         self.codes = {"": 0}
         self.block_keys = block_keys
         self.block = np.empty((16, block_keys[-1][2])) if block_keys else None
@@ -224,7 +224,7 @@ class TraceColumns(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        values = {name: column[i] for name, column in self.lists.items()}
+        values = {name: column[i] for name, column in self.lists.items() if column}
         for name in _TEXTS:
             if name in values:
                 values[name] = list(self.codes)[values[name]]
@@ -237,7 +237,7 @@ class TraceColumns(Sequence):
     def entries(self, name: str) -> list:
         """One field's entry in every row, as `TraceRow` has it; for
         extra, without the recorded iterates (`extras` adds them)."""
-        column = self.lists.get(name, [_DEFAULTS.get(name)] * len(self))
+        column = self.lists[name] or [_DEFAULTS.get(name)] * len(self)
         return list(map(list(self.codes).__getitem__, column)) if name in _TEXTS else column
 
     def column(self, name: str) -> np.ndarray:
@@ -267,7 +267,10 @@ class TraceColumns(Sequence):
 
     def code(self, text: str) -> int:
         """The code of ``text``, given it at its first use."""
-        return self.codes.setdefault(text, len(self.codes))
+        code = self.codes.get(text)
+        if code is None:
+            code = self.codes[text] = len(self.codes)
+        return code
 
     def reserve(self, rows: int) -> None:
         """Grow the block, by doubling, to hold ``rows`` rows."""
@@ -284,7 +287,7 @@ class TraceColumns(Sequence):
         recorder's to write."""
         rows = len(self)
         for name, column in values.items():
-            if name not in self.lists:
+            if rows and not self.lists[name]:
                 self.lists[name] = [_DEFAULTS[name]] * rows
             self.lists[name] += map(self.code, column) if name in _TEXTS else column
 
@@ -553,12 +556,12 @@ class _Recorder:
     truth is known, and dominance only when all of them do.  A solver
     that records iterates names them with their column ranges in
     ``iterates``, and writes each row's into `block_row` before
-    recording the row.
+    recording the row; it gives a row's policy and B text by their
+    `code`, which the mixed loop takes once per Theta.
 
-    A row appends its values to the trace's columns (policy, b_set and
-    upper_margin join them in `_fill`), and the recorder holds its J
-    (and Q) by reference until `_fill`, every `_BLOCK` rows and in
-    `finish`, appends the held rows' ground-truth columns
+    A row appends its values to the trace's columns, and the recorder
+    holds its J (and Q) by reference until `_fill`, every `_BLOCK` rows
+    and in `finish`, appends the held rows' ground-truth columns
     (dist_J, lower_margin and, with Q, dist_Q, q_lower_margin) from one
     stacked `sup_dist`/`margin_leq` pass.  So a solver never writes into
     an iterate after recording it, does not read its own trace's rows
@@ -594,13 +597,13 @@ class _Recorder:
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
-        # The columns each row appends to; policy, b_set and
-        # upper_margin join the trace's columns in `_fill` if rows gave them.
+        # The columns each row appends to.
         lists = self.columns.lists
         self._k, self._residual = lists["k"], lists["residual"]
         self._wall_time, self._extra = lists["wall_time"], lists["extra"]
-        self._policy, self._b_set, self._upper_margin = [], [], []
-        self._code = self.columns.code
+        self._policy, self._b_set = lists["policy"], lists["b_set"]
+        self._upper_margin = lists["upper_margin"]
+        self.code = self.columns.code
         self._held_J: list[np.ndarray] = []
         self._held_Q: list[np.ndarray] = []
         self._start = perf_counter()
@@ -613,18 +616,18 @@ class _Recorder:
         return self.columns.block[i]
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
-            policy: str = "", b_set: str = "", upper_margin: float | None = None,
-            extra: dict | None = None) -> None:
+            policy: int | None = None, b_set: int | None = None,
+            upper_margin: float | None = None, extra: dict | None = None) -> None:
         """Record row k, which follows the last row's k.  With ground
         truth, J (and Q) are held by reference until the row's columns
         are filled: the caller never writes into them afterwards."""
         self._k.append(k)
         self._residual.append(residual)
         self._wall_time.append(perf_counter() - self._start)
-        if policy:
-            self._policy.append(self._code(policy))
-        if b_set:
-            self._b_set.append(self._code(b_set))
+        if policy is not None:
+            self._policy.append(policy)
+        if b_set is not None:
+            self._b_set.append(b_set)
         if upper_margin is not None:
             self._upper_margin.append(upper_margin)
         self._extra.append({} if extra is None else extra)
@@ -637,20 +640,17 @@ class _Recorder:
 
     def _fill(self) -> None:
         """The held rows' ground-truth columns, from one row-wise pass of
-        each kernel over their stacked iterates, and the columns of
-        policy, b_set and upper_margin that the rows give."""
+        each kernel over their stacked iterates."""
+        if self.Jstar is None:
+            return
         lists = self.columns.lists
         for star, held, dist, margin in ((self.Jstar, self._held_J, "dist_J", "lower_margin"),
                                          (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
             if held:
                 stack = np.array(held)
-                lists.setdefault(dist, []).extend(sup_dist(stack, star).tolist())
-                lists.setdefault(margin, []).extend(margin_leq(star, stack).tolist())
+                lists[dist] += sup_dist(stack, star).tolist()
+                lists[margin] += margin_leq(star, stack).tolist()
                 held.clear()
-        for name, column in (("policy", self._policy), ("b_set", self._b_set),
-                             ("upper_margin", self._upper_margin)):
-            if column:
-                lists[name] = column
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
@@ -1006,7 +1006,7 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         res = sup_dist(J, prev_J) if prev_J is not None else INF
         prev_J = J
         key = mu.descriptor()
-        rec.row(k, res, J, policy=key, extra={"improvement_gap": gap})
+        rec.row(k, res, J, policy=rec.code(key), extra={"improvement_gap": gap})
         if gap <= 1e-12:
             if rec.Jstar is not None and sup_dist(J, rec.Jstar) <= config.tol:
                 return result("optimal-certified")
@@ -1094,7 +1094,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             finite = finite and res < INF
         mu = _greedy_select(model, Q, 0.0, None, mu, finite)
         prev_greedy = J_greedy
-        rec.row(k, res, J_greedy, policy=mu.descriptor())
+        rec.row(k, res, J_greedy, policy=rec.code(mu.descriptor()))
         if bracket and finite:
             stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J),
                                  res <= config.tol, config.tol)
@@ -1207,7 +1207,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     half's `sup_dist` bit for bit).  No later row writes into a row's
     buffer, and the result holds copies of its own.  What stays fixed
     for the solve is taken once: the clamp bounds as float arrays, an
-    int nk, and the policy's and B's text once per Theta.
+    int nk, and the codes of the policy's and B's text once per Theta.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the pair costs, J0 and Q0 are finite, no
@@ -1256,7 +1256,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     nk = config.nk if isinstance(config.nk, int) else None
     resolve, epsilon, tol = config.bstrategy.resolve, config.epsilon, config.tol
     policy = config.initial_policy
-    theta = policy_text = b_set = None
+    theta = policy_code = b_code = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
@@ -1270,7 +1270,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         # distinct policy and B.
         if theta is None or theta.policy is not policy or theta.B is not B:
             theta = Theta(policy, B)
-            policy_text, b_set = policy.descriptor(), _describe_b(theta.B, n)
+            policy_code = rec.code(policy.descriptor())
+            b_code = rec.code(_describe_b(theta.B, n))
         nxt = np.empty(size) if lp else rec.block_row()
         J_next, Q_next = nxt[:n], nxt[n:]
         ops, set_J, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
@@ -1296,7 +1297,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
             extra = {"residual_Q": res_Q, "powers": ops}
-        rec.row(k + 1, res_J, J, Q, policy=policy_text, b_set=b_set, upper_margin=upper,
+        rec.row(k + 1, res_J, J, Q, policy=policy_code, b_set=b_code, upper_margin=upper,
                 extra=extra)
         if bracket and finite:
             TJ = _bellman_T(model, J, True)
