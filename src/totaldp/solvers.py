@@ -206,10 +206,11 @@ class TraceColumns(Sequence):
     row, policy and b_set as codes: ``codes`` maps each distinct string
     to its code, in order of first use.  A list left empty is a field
     that the rows leave out, which takes its default in every row.
-    `column` gives a field as an array.  The iterates a solver records sit side
-    by side in the rows of ``block``, which grows by doubling, named with
-    their column ranges by ``block_keys``; a row's `TraceRow.extra`
-    lists them, as views of the block, after its dict's own keys.
+    `column` gives a field as an array.  The iterates a solver records
+    sit side by side in the rows of ``block``, which grows by doubling,
+    named with their column ranges by ``block_keys``; a row's
+    `TraceRow.extra` lists them, as views of the block, after its dict's
+    own keys.
     """
 
     def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
@@ -644,8 +645,9 @@ class _Recorder:
         if self.Jstar is None:
             return
         lists = self.columns.lists
-        for star, held, dist, margin in ((self.Jstar, self._held_J, "dist_J", "lower_margin"),
-                                         (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
+        for star, held, dist, margin in (
+                (self.Jstar, self._held_J, "dist_J", "lower_margin"),
+                (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
             if held:
                 stack = np.array(held)
                 lists[dist] += sup_dist(stack, star).tolist()
