@@ -225,6 +225,8 @@ class TraceColumns(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("trace row index out of range")
         values = {name: column[i] for name, column in self.lists.items() if column}
         for name in _TEXTS:
             if name in values:

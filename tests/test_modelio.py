@@ -342,6 +342,16 @@ class TestTraceRoundTrip:
                 trace.append(TraceRow(k=k, residual=0.0))
         assert len(trace.rows) == 1
 
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_a_trace_without_rows_round_trips(self, fmt):
+        trace = IterationTrace(algorithm="vi", regime="P", discount=1.0, config={})
+        write, read = FORMATS[fmt]
+        back = read(write(trace))
+        assert list(back.rows) == [] and back.final_residual == INF
+        with pytest.raises(IndexError):
+            back.rows[-1]
+        _assert_same_trace(trace, back)
+
     def test_a_trace_with_recorded_iterates_takes_no_appended_row(self):
         # a mixed trace's snapshots live in its block, which only the
         # solver writes
