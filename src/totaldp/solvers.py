@@ -270,10 +270,7 @@ class TraceColumns(Sequence):
 
     def code(self, text: str) -> int:
         """The code of ``text``, given it at its first use."""
-        code = self.codes.get(text)
-        if code is None:
-            code = self.codes[text] = len(self.codes)
-        return code
+        return self.codes.setdefault(text, len(self.codes))
 
     def reserve(self, rows: int) -> None:
         """Grow the block, by doubling, to hold ``rows`` rows."""
