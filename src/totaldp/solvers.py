@@ -597,7 +597,6 @@ class _Recorder:
             if sandwich and len(known) == len(starts):
                 self.trace.initial_dominance = all(
                     margin_leq(star, v) <= 0.0 for star, v in known)
-        # The columns each row appends to.
         lists = self.columns.lists
         self._k, self._residual = lists["k"], lists["residual"]
         self._wall_time, self._extra = lists["wall_time"], lists["extra"]
@@ -618,9 +617,10 @@ class _Recorder:
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
             policy: int | None = None, b_set: int | None = None,
             upper_margin: float | None = None, extra: dict | None = None) -> None:
-        """Record row k, which follows the last row's k.  With ground
-        truth, J (and Q) are held by reference until the row's columns
-        are filled: the caller never writes into them afterwards."""
+        """Record row k, which follows the last row's k, with the codes
+        of its policy and B text.  With ground truth, J (and Q) are held
+        by reference until the row's columns are filled: the caller
+        never writes into them afterwards."""
         self._k.append(k)
         self._residual.append(residual)
         self._wall_time.append(perf_counter() - self._start)
