@@ -46,6 +46,24 @@ solution, Lemma A.2) a tie never enters it.  The policy is read through
 from choices or the segment sum of any other.  `state_marginal` and
 `occupation_measure` give a policy's n-step and discounted state
 distributions.
+
+`infinite_optimum` decides the same question for the optimum J* of an N
+or P model, on the model's graph alone, with no policy enumerated and
+no iterate read (Baier & Katoen 2008, ch. 10).  Its edges are the
+pairs' positive transition probabilities; an affine family adds one
+pair for its open interior (the support there, and the infimum of its
+cost over the interval) and one for each closed endpoint.  In P, J*(x)
+is finite iff x can reach, almost surely, the largest set Z that
+zero-cost pairs keep closed, using pairs of finite cost (de Alfaro
+1997's nested fixed point): on Z, J* = 0, and a stationary strategy that
+reaches Z almost surely reaches it in a time with a geometric tail.  In
+N, J*(x) = -inf iff x can reach, with positive probability, a state
+with a -inf cost, or an end component holding a negative-cost pair:
+the largest set W from each of whose states pairs that keep to W reach
+a negative pair that keeps to W, so that some strategy pays a negative
+cost infinitely often.  Each outer step of a nested fixed point
+removes states, so it takes at most n reachability sweeps over the pair
+mask, and one to three on the models tried.
 """
 
 from __future__ import annotations
@@ -73,19 +91,24 @@ class EvalResult:
     divergent: frozenset[int] = frozenset()
 
 
-def _can_reach(edge: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _can_reach(edge: np.ndarray, targets: np.ndarray,
+               owner: np.ndarray | None = None) -> np.ndarray:
     """Mask of the states that reach `targets` in >= 0 steps.
 
-    ``edge`` is the boolean kernel mask P > 0.  A backward frontier
-    search over its columns: each state joins the frontier once, so the
-    cost is one pass over the n x n mask.
+    ``edge`` is the boolean kernel mask P > 0, or, given ``owner``, a
+    mask with one row per pair, which state owner[r] may take.  A
+    backward frontier search over its columns: each state joins the
+    frontier once, so the cost is one pass over the mask.
     """
     reached = targets.copy()
-    frontier = np.flatnonzero(targets)
+    frontier = targets.nonzero()[0]
     while frontier.size:
-        new = edge[:, frontier].any(axis=1) & ~reached
+        hit = edge[:, frontier].any(axis=1)
+        if owner is not None:
+            hit = _owned(owner, hit, reached.size)
+        new = hit & ~reached
         reached |= new
-        frontier = np.flatnonzero(new)
+        frontier = new.nonzero()[0]
     return reached
 
 
@@ -125,6 +148,96 @@ def _price(regime: str, P: np.ndarray, g: np.ndarray, A: np.ndarray
     if rest.size:
         J[rest] = np.linalg.solve(A[np.ix_(rest, rest)], g[rest])
     return J, divergent
+
+
+def _graph(model: TotalCostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(support mask, cost, owning state) of every pair of the model's
+    graph: the atomic pairs, then per affine family its open interior,
+    with the infimum of its cost over the interval, and each closed
+    endpoint (module docstring)."""
+    supp, cost, owner = model.pair_probs > 0.0, model.pair_costs, model.pair_state
+    extra = []
+    for x, families in enumerate(model.families):
+        for f in families:
+            extra.append((f.probs_at(0.5 * (f.lo + f.hi)) > 0.0,
+                          min(f.cost_at(f.lo), f.cost_at(f.hi)), x))
+            extra += [(f.probs_at(t) > 0.0, f.cost_at(t), x)
+                      for t, closed in ((f.lo, f.lo_closed), (f.hi, f.hi_closed)) if closed]
+    if extra:
+        rows, costs, owners = zip(*extra)
+        supp = np.vstack((supp, rows))
+        cost = np.append(cost, costs)
+        owner = np.append(owner, np.array(owners, dtype=np.intp))
+    return supp, cost, owner
+
+
+def _staying(supp: np.ndarray, owner: np.ndarray, pairs: np.ndarray,
+             inside: np.ndarray) -> np.ndarray:
+    """The pairs among ``pairs`` that states of ``inside`` own and whose
+    support lies in ``inside``."""
+    return pairs & inside[owner] & ~supp[:, ~inside].any(axis=1)
+
+
+def _owned(owner: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the states that own one of ``pairs``."""
+    states = np.zeros(n, dtype=bool)
+    states[owner[pairs]] = True
+    return states
+
+
+def _keep_closed(supp: np.ndarray, owner: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The largest set of states each of which has one of ``pairs`` with
+    its support in the set.  Each state leaves once, and its leaving
+    strikes the pairs that can step to it."""
+    inside = _owned(owner, pairs, supp.shape[1])
+    pairs = _staying(supp, owner, pairs, inside)
+    while True:
+        out = (inside & ~_owned(owner, pairs, inside.size)).nonzero()[0]
+        if not out.size:
+            return inside
+        inside[out] = False
+        pairs &= ~supp[:, out].any(axis=1)
+
+
+def infinite_optimum(model: TotalCostModel) -> np.ndarray:
+    """Mask of the states where J* is the regime-signed infinity, from
+    the model's graph alone (module docstring): none in D.  A model
+    caches it (`TotalCostModel.infinite_optimum`)."""
+    n = model.num_states
+    if model.regime == "D":
+        return np.zeros(n, dtype=bool)
+    supp, cost, owner = _graph(model)
+    usable = cost < INF
+    # Each pass of a loop below keeps a subset of the last, so the two
+    # are equal when their counts are.
+    if model.regime == "P":
+        # Z, then the states that reach Z almost surely by pairs that
+        # stay among them
+        zero = _keep_closed(supp, owner, usable & (cost == 0.0))
+        sure, kept = np.ones(n, dtype=bool), usable
+        while True:
+            reach = _can_reach(supp[kept], zero, owner[kept])
+            if np.count_nonzero(reach) == np.count_nonzero(sure):
+                return ~sure
+            sure = reach
+            kept = _staying(supp, owner, usable, sure)
+    # W: the states that reach a negative pair by pairs that stay in W;
+    # then the states that reach W or a -inf cost
+    recur, kept, negative = np.ones(n, dtype=bool), usable, usable & (cost < 0.0)
+    while True:
+        paying = kept & negative
+        if not np.count_nonzero(paying):
+            recur = np.zeros(n, dtype=bool)
+            break
+        reach = _can_reach(supp[kept], _owned(owner, paying, n), owner[kept])
+        if np.count_nonzero(reach) == np.count_nonzero(recur):
+            break
+        recur = reach
+        kept = _staying(supp, owner, usable, recur)
+    targets = recur | _owned(owner, cost == -INF, n)
+    if not np.count_nonzero(targets):
+        return targets
+    return _can_reach(supp[usable], targets, owner[usable])
 
 
 def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:

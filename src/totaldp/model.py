@@ -233,6 +233,16 @@ class TotalCostModel:
         products any pair's expectation sums, zeros adding exactly."""
         return int(np.count_nonzero(self.pair_probs, axis=1).max(initial=0))
 
+    @cached_property
+    def infinite_optimum(self) -> np.ndarray:
+        """Mask of the states where J* is the regime-signed infinity,
+        decided once from the model's graph (`chains.infinite_optimum`);
+        read-only."""
+        from .chains import infinite_optimum
+        infinite = infinite_optimum(self)
+        infinite.setflags(write=False)
+        return infinite
+
     def num_pairs(self) -> int:
         return self.pair_costs.size
 

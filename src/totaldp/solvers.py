@@ -32,7 +32,6 @@ import copy
 import dataclasses
 import itertools
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -254,9 +253,17 @@ class TraceColumns(Sequence):
         return np.array(values, dtype=float)
 
     def iterates(self, key: str) -> np.ndarray:
-        """The (rows, width) block of one recorded iterate."""
-        (lo, hi), = [(lo, hi) for name, lo, hi in self.block_keys if name == key]
-        return self.block[:len(self), lo:hi]
+        """One recorded iterate of every row as a (rows, width) array: a
+        view of the block, or, for a trace read from a file, which keeps
+        its iterates in each row's extra, their stack.  KeyError naming
+        the key when a row does not record it."""
+        for name, lo, hi in self.block_keys:
+            if name == key:
+                return self.block[:len(self), lo:hi]
+        extras = self.lists["extra"]
+        if not extras or not all(key in extra for extra in extras):
+            raise KeyError(f"not every row of the trace records {key!r}")
+        return np.array([extra[key] for extra in extras], dtype=float)
 
     def extras(self) -> list[dict]:
         """Every row's extra as `TraceRow.extra` holds it, but with its
@@ -507,7 +514,11 @@ class SolveResult:
     by the mixed and constraint-program methods, ``divergent`` by value
     iteration, and ``values``/``policies`` (every evaluated value and
     every policy, in order) by policy iteration, whose ``J`` and
-    ``policy`` are the last evaluated ones.
+    ``policy`` are the last evaluated ones.  ``divergent`` holds the
+    states value iteration pinned at the regime-signed infinity from its
+    first row: where J* is infinite, as the model's graph decides it
+    (`TotalCostModel.infinite_optimum`), or none when its start bounds
+    J*, whose iterates then keep J*'s infinities themselves.
     """
 
     J: np.ndarray
@@ -775,135 +786,90 @@ def _extremes(d: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Value iteration
 
-# Divergence in the undiscounted regimes.  There value iteration is
-# monotone, and each coordinate tends to a finite limit or to the
-# regime-signed infinity.  DivergenceRule decides which finite
-# coordinates count as divergent: after DIVERGENCE_WARMUP iterations,
-# those whose increment is at least DIVERGENCE_FLOOR and has not shrunk
-# by 10% over DIVERGENCE_WINDOW iterations.  Each row's increment
-# |J_k - J_{k-1}| is formed once: on a finite row by value iteration,
-# which also takes its residual from it, and otherwise by the rule.
-# The rule turns it into a threshold max(0.9 * increment,
-# DIVERGENCE_FLOOR), NaN where the increment is not finite, and keeps a
-# ring of the last DIVERGENCE_WINDOW + 1, so that its test on row k is
-# one comparison of the increment with row k - DIVERGENCE_WINDOW's
-# threshold.  It holds no iterate.  Its decisions are bit for bit those
-# of differencing the two iterates DIVERGENCE_WINDOW rows back again
-# (`tests/reference_ops.py` keeps that form as its oracle).  The window
-# test can also flag a coordinate that converges slowly, such as one
-# that leaves a unit-cost state with probability 1e-3 per step, and
-# miss a periodic one; ROADMAP item 2 replaces the rule with a decision
-# on the model's graph.
-DIVERGENCE_WINDOW = 40
-DIVERGENCE_WARMUP = 80
-DIVERGENCE_FLOOR = 1e-9
+# Infinities in the undiscounted regimes.  There J* may be the
+# regime-signed infinity, which no finite number of rows reaches from a
+# finite start.  The model's graph decides where (`chains.infinite_optimum`,
+# cached on the model), and a run pins those states from its first row,
+# unless its start bounds J* so that its own iterates keep J*'s
+# infinities: in P a J0 >= 0 with T(J0) <= J0 (then J* <= T^k(J0), so
+# T^k(J0) is +inf wherever J* is), in N a J0 <= 0 with T(J0) >= J0 (then
+# T^k(J0) <= J*, so T^k(J0) is -inf wherever J* is).  T(J0) is value
+# iteration's first row and the mixed loop's first envelope step, so the
+# test costs no backup of its own.
 
 
-class DivergenceRule:
-    """Divergence test over the increments of one monotone sequence.
+def _bounds_optimum(regime: str, J0: np.ndarray, TJ0: np.ndarray) -> bool:
+    """Whether J0, with TJ0 = T(J0), bounds J* so that its iterates keep
+    J*'s infinities themselves; a NaN entry fails the test."""
+    if regime == "P":
+        return bool((J0 >= 0.0).all() and (TJ0 <= J0).all())
+    return bool((J0 <= 0.0).all() and (TJ0 >= J0).all())
 
-    Called once per iterate, on every row in order: with iterate x at
-    iteration k, the previous iterate and, when the caller has formed it
-    and found it finite, the increment |x - previous|; on other rows the
-    rule forms the increment itself.  Before DIVERGENCE_WARMUP it
-    returns None, and from row DIVERGENCE_WARMUP - DIVERGENCE_WINDOW on
-    it records each row's threshold.  From DIVERGENCE_WARMUP on it
-    returns the boolean mask of the finite coordinates of x whose
-    increment reaches the threshold of row k - DIVERGENCE_WINDOW, or
-    None when no increment does.  The ring holds DIVERGENCE_WINDOW + 1
-    thresholds, fresh arrays of its own, and no iterate, so a caller
-    may write into an iterate after the call.
 
-    The decisions are those of the form that kept the last
-    DIVERGENCE_WINDOW + 2 iterates and differenced the oldest two again:
-    that difference is the increment of row k - DIVERGENCE_WINDOW,
-    except at coordinates that value iteration's pin wrote into after
-    that row, and those are flagged already.
-    """
-
-    def __init__(self):
-        self._ring: deque[np.ndarray] = deque(maxlen=DIVERGENCE_WINDOW + 1)
-
-    def __call__(self, k: int, x: np.ndarray, prev: np.ndarray,
-                 inc: np.ndarray | None = None) -> np.ndarray | None:
-        if k < DIVERGENCE_WARMUP - DIVERGENCE_WINDOW:
-            return None
-        checked = inc is None
-        if checked:
-            with np.errstate(invalid="ignore"):
-                inc = np.abs(x - prev)
-        threshold = np.multiply(inc, 0.9)
-        np.maximum(threshold, DIVERGENCE_FLOOR, out=threshold)
-        if checked:
-            threshold[np.isinf(inc)] = np.nan
-        ring = self._ring
-        ring.append(threshold)
-        if k < DIVERGENCE_WARMUP:
-            return None
-        hit = inc >= ring[0]
-        if not np.count_nonzero(hit):
-            return None
-        return hit & np.isfinite(x)
+def _pinned(model: TotalCostModel, J0: np.ndarray, TJ0: np.ndarray) -> np.ndarray | None:
+    """The states an undiscounted run pins at the regime-signed infinity
+    from its start J0 with T(J0) = TJ0, or None when it pins none."""
+    if model.regime == "D" or _bounds_optimum(model.regime, J0, TJ0):
+        return None
+    infinite = model.infinite_optimum
+    return infinite if np.count_nonzero(infinite) else None
 
 
 def value_iteration(model: TotalCostModel, J0: np.ndarray,
                     config: SolverConfig | None = None) -> SolveResult:
     """Iterate the optimal-cost backup from J0.
 
-    Undiscounted runs classify states whose iterates grow without bound
-    (by `DivergenceRule`) and report them at the regime-signed
-    infinity; the remaining states stop on the residual.  A discounted
+    An undiscounted run reads T(J0) off its first row.  Unless J0
+    bounds J* (`_bounds_optimum`), it pins the states where J* is the
+    regime-signed infinity (`TotalCostModel.infinite_optimum`, decided
+    on the model's graph) from that row on and reports them as
+    ``divergent``.  On an atomic-only model the pin is written into
+    every iterate, and the residual is taken over every state: the
+    pins' own move makes row 1's residual infinite unless J0 held them
+    already.
+    On a model with affine families the iteration goes on over the
+    finite values, so that continuum infima see the true finite iterates
+    (the gap of FX-P3a from zero), each row reports a pinned copy, and
+    from row 2 on the residual is taken over the states not pinned.  A discounted
     run stops on the residual only off the finite path; a finite row
     stops on the bracket of T(J) (`_bracket_stop`), from the min and max
     of its increment T(J) - J, and the run returns the bracket's upper
     end with its error bound; where tol is below what the row's rounding
     allowance can certify, it stops on the residual after all, with no
     bound.  The end is T(J) plus a constant, so its greedy policy is
-    that of T(J).  For
-    atomic-only models a classified state is pinned to infinity
-    immediately (finite minima commute with monotone limits, so this is
-    exact and faster); models with affine families
-    keep iterating the finite values so that continuum infima see the
-    true finite iterates.
+    that of T(J).
 
-    Each row records the iterate itself when nothing is reported apart
-    from it: before any state is flagged, and in every row of a pinned
-    run, whose iterate already holds the infinities it reports (each
-    backup is a fresh array, and the pin writes into it before it is
-    recorded; the rule holds no iterate).  Until the rule flags a
-    state, a row does no flagged-state bookkeeping at all: the residual
-    is taken over every state.  Rows share their ``divergent`` list
-    until a flag replaces it; no list is written into.
+    Each row records the iterate itself, which holds the pins of an
+    atomic-only model, or the pinned copy; each backup is a fresh
+    array.  Every row shares one ``extra`` dict, its direction and
+    ``divergent`` list set on row 1, and nothing writes into it.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair
     costs and J0 are finite, no infinity and no NaN (`operators._finite`,
     one scan).  A finite row backs up with the plain product P @ J
-    (`_bellman_T`) and forms its increment |T(J) - J| once, with the
-    plain difference and no scan: its maximum is the row's residual,
-    and the window rule takes the increment itself.  A discounted row
-    takes the increment's min and max instead, and its residual is
-    max(|min|, |max|), the same float; it forms no absolute value.
-    This is bit for
-    bit what the checked kernels give: `expect_rows` takes this same
-    product for a J without infinity, and against a finite J the plain
-    difference is `xdiff`'s after the absolute value, whatever T(J)
-    holds.  A finite residual from a finite J means a finite T(J) and a
-    finite increment: an infinity in T(J) gives an infinite residual
-    and a NaN a NaN one.  So the run stays finite while ``res < inf``,
-    and drops to the checked path (`sup_dist`, and the rule forming its
-    own increment) for the rest of the solve on an infinite or NaN
-    residual, or once the rule flags a state.
+    (`_bellman_T`) and forms its increment T(J) - J once, with the plain
+    difference and no scan: the maximum of its absolute value is the
+    row's residual.  A discounted row takes the increment's min and max
+    instead, and its residual is max(|min|, |max|), the same float; it
+    forms no absolute value.  This is bit for bit what the checked
+    kernels give: `expect_rows` takes this same product for a J without
+    infinity, and against a finite J the plain difference is `xdiff`'s
+    after the absolute value, whatever T(J) holds.  A finite residual
+    from a finite J means a finite T(J) and a finite increment: an
+    infinity in T(J) gives an infinite residual and a NaN a NaN one.  So
+    the run stays finite while ``res < inf``, and drops to the checked
+    path (`sup_dist`) for the rest of the solve on an infinite or NaN
+    residual, or when it pins a state.
     """
     check_admits("vi", model)
     config = config or SolverConfig(algorithm="vi")
     J = _state_vector(model, J0).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)
     sign = -1.0 if model.regime == "N" else 1.0
-    rule = DivergenceRule() if model.discount == 1.0 else None
-    flagged: np.ndarray | None = None  # the states flagged divergent, once one is
+    pinned: np.ndarray | None = None  # the states pinned at infinity, if any
     divergent_states: list[int] = []
-    live = slice(None)  # the states not flagged divergent
+    live = slice(None)  # the states the residual reads from row 2 on
     pin = model.atomic_only
     finite = pin and _finite(model, J)
     bracket = _brackets(model, config)
@@ -918,36 +884,33 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
             else:
                 lo, hi = _extremes(inc)
                 res = max(abs(lo), abs(hi))
-        if rule is not None:
-            new = rule(k, nxt, J, inc if finite and res < INF else None)
-            if new is not None:
-                if flagged is not None:
-                    flagged |= new
-                elif np.count_nonzero(new):
-                    flagged = new
-            if flagged is not None:
-                if np.count_nonzero(flagged) > len(divergent_states):
-                    divergent_states = np.flatnonzero(flagged).tolist()
-                    live = ~flagged
-                if pin:
-                    nxt[flagged] = sign * INF
-        if flagged is not None:
-            res = sup_dist(nxt[live], J[live])
+        if k == 1:
+            pinned = _pinned(model, J, nxt)
+            if pinned is not None:
+                divergent_states = np.flatnonzero(pinned).tolist()
+                finite = False
+                if not pin:
+                    live = ~pinned
+        if pinned is not None:
+            if pin:
+                nxt[pinned] = sign * INF
+            # row 1's residual shows the pins' own move
+            res = sup_dist(nxt, J) if k == 1 else sup_dist(nxt[live], J[live])
         elif not finite:
             res = sup_dist(nxt, J)
-        finite = finite and flagged is None and res < INF
+        finite = finite and res < INF
         if k == 1:
             if margin_leq(nxt, J) <= 0.0:
                 direction = "nonincreasing"
             elif margin_leq(J, nxt) <= 0.0:
                 direction = "nondecreasing"
+            extra = {"direction": direction, "divergent": divergent_states}
         prev = J
         J = reported = nxt
-        if flagged is not None and not pin:
+        if pinned is not None and not pin:
             reported = J.copy()
-            reported[flagged] = sign * INF
-        rec.row(k, res, reported,
-                extra={"direction": direction, "divergent": divergent_states})
+            reported[pinned] = sign * INF
+        rec.row(k, res, reported, extra=extra)
         if bracket and finite:
             stop = _bracket_stop(model, J, prev, lo, hi, res <= config.tol, config.tol)
             if stop is not None:
@@ -1198,6 +1161,18 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     shape than the model's states or pairs is refused before the first
     row.
 
+    In N and P, mixed takes T(J0), the first step of its envelope
+    T^k(J0), before the first row.  Unless J0 bounds J*
+    (`_bounds_optimum`), it pins the states where J* is infinite
+    (`TotalCostModel.infinite_optimum`) at the regime's infinity in J0,
+    and in Q0 every pair that costs that infinity or steps to a pinned
+    state with positive probability, where Q* = H(J*) is infinite too;
+    the trace's header records this pinned start, from which the
+    envelope then runs.  So a finite nk reaches J* = -inf.  lp does not
+    pin: its constraint program refuses an infinite stop cost on B
+    (`lp_upper_bound`), so a pinned run would refuse itself at its first
+    row, where an unpinned one runs on to its cap, a lower bound.
+
     Each row's [J | Q] is one buffer of n + pairs floats, a row of the
     trace's block (mixed) or a fresh array (lp), and every update writes
     into its halves J_next and Q_next: the power its last backup into the
@@ -1245,10 +1220,17 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                          np.asarray(config.Q0, dtype=float)))
     J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
+    envelope = None if lp or model.regime == "D" else bellman_T(model, J)
+    pinned = None if envelope is None else _pinned(model, J, envelope)
+    if pinned is not None:
+        infinity = -INF if model.regime == "N" else INF
+        J[pinned] = infinity
+        Q[(model.pair_probs[:, pinned] > 0.0).any(axis=1)
+          | (model.pair_costs == infinity)] = infinity
+        envelope = bellman_T(model, J)
     finite = _finite(model, JQ)
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp,
                     iterates=() if lp else ((J_SNAPSHOT, 0, n), (Q_SNAPSHOT, n, size)))
-    envelope = None if lp or model.regime == "D" else J.copy()
     c = None if not lp or rec.Jstar is None else cone_multiplier(J, rec.Jstar)
     # c * Jstar with 0 * inf = 0.  A finite c >= 0 meets an infinity of
     # Jstar as NaN only when c = 0 (J0 = 0 wherever Jstar is finite).
@@ -1290,7 +1272,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                         else sup_dist_segments(nxt, JQ, halves)).tolist()
         finite = finite and res_J < INF and res_Q < INF
         JQ, J, Q = nxt, J_next, Q_next
-        if envelope is not None:
+        if envelope is not None and k:
             envelope = bellman_T(model, envelope)
         upper = None if envelope is None else margin_leq(J, envelope)
         if lp:

@@ -22,19 +22,13 @@ transient finite states.  `evaluate_policy` here is kept verbatim, so
 one.
 
 The third part holds the sweep oracles of the stopping problem, kept
-verbatim from before it was solved by stop-rule policy iteration: the
-monotone-limit loop (with its options and cap error) that iterated
-F_theta or the stopping backup from zero, sending the coordinates that
-value iteration's window rule flags to infinity, and the downward
-iteration of the constraint map that found the program's maximal
-solution.  `test_stop_rules.py` checks the policy iteration against
-them.  The window rule they call is the part's own copy of value
-iteration's divergence rule as it ran before it kept a ring of
-thresholds: the last DIVERGENCE_WINDOW + 2 iterates, whose oldest two
-it differenced again on every call (`IterateWindowRule`, verbatim).
-`test_divergence.py` checks the library's rule against it on drawn
-monotone sequences, and the thirteenth part's value-iteration rows
-call it too.
+from before it was solved by stop-rule policy iteration: the
+monotone-limit loop (with its options and cap error) that iterates
+F_theta or the stopping backup from zero, and the downward iteration of
+the constraint map that found the program's maximal solution.
+`test_stop_rules.py` checks the policy iteration against them.  The
+loop decides no infinity: its caller hands it the enumerated oracle's
+own answer, whose infinities it pins from the start.
 
 The fourth part holds two renderings kept verbatim from before they were
 sped up: the per-state f-string policy descriptor, which choice-backed
@@ -79,7 +73,10 @@ state, over every deterministic stationary policy, each evaluated by
 `evaluate_policy` of the second part.  Finite D, N and P models have an
 optimal policy of that kind (Puterman 1994, sections 6-7; Strauch 1966;
 Blackwell 1967).  It reads no solver and no chain routine of the
-library, so `test_oracle.py` checks the solvers against it.
+library, so `test_oracle.py` checks the solvers, and the graph pass that
+decides J*'s infinities, against it.  `exact_optimal_cost` prices the
+same policies in rationals, and `exact_optimal_q` backs its J* up once
+to Q* = H(J*), also in rationals.
 
 The tenth part is the row-by-row form of the two residual kernels on a
 (k, n) stack: one 1-D `sup_dist` or `margin_leq` call per row, as the
@@ -99,7 +96,9 @@ in order, kept verbatim from before it became a whole-vector numpy form.
 The thirteenth part holds the rows of value iteration, of mixed
 iteration (finite nk), of policy iteration and of optimistic policy
 iteration as short loops over the library's public checked entries:
-`bellman_T`, `sup_dist` and the third part's `IterateWindowRule`;
+`bellman_T`, `sup_dist` and the model's graph infinities
+(`TotalCostModel.infinite_optimum`), pinned from the first row unless
+the start bounds J*;
 `greedy_select`, `f_theta_power`, `m_minimize` and `sup_dist`; the
 library's `evaluate_policy`, then `bellman_T`, `bellman_T_mu` and
 `h_backup` + `greedy_select`, each of its own backup; nk `bellman_T_mu`
@@ -139,7 +138,6 @@ import json
 import math
 import operator
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,9 +182,6 @@ from totaldp.model import (
 )
 from totaldp.operators import pair_backup
 from totaldp.solvers import (
-    DIVERGENCE_FLOOR,
-    DIVERGENCE_WARMUP,
-    DIVERGENCE_WINDOW,
     CertReport,
     CheckResult,
     IterationTrace,
@@ -544,31 +539,6 @@ class FixedPointError(RuntimeError):
         self.bound = bound
 
 
-class IterateWindowRule:
-    """Divergence test over the iterates of one monotone sequence.
-
-    Built on the start iterate and called with iterate k at iteration k,
-    it keeps the last DIVERGENCE_WINDOW + 2 iterates (by reference) and
-    returns the boolean mask of coordinates it flags.  Only finite
-    coordinates are ever flagged.
-    """
-
-    def __init__(self, start: np.ndarray):
-        self._history = deque([start], maxlen=DIVERGENCE_WINDOW + 2)
-
-    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
-        history = self._history
-        history.append(x)
-        if k < DIVERGENCE_WARMUP or len(history) < history.maxlen:
-            return np.zeros(x.shape, dtype=bool)
-        with np.errstate(invalid="ignore"):
-            inc = np.abs(x - history[-2])
-            old_inc = np.abs(history[1] - history[0])
-            flagged = ((inc >= DIVERGENCE_FLOOR) & np.isfinite(old_inc)
-                       & (inc >= 0.9 * old_inc))
-        return flagged & np.isfinite(x)
-
-
 @dataclass(frozen=True)
 class FixedPointOptions:
     tol: float = 1e-10
@@ -576,25 +546,23 @@ class FixedPointOptions:
 
 
 def _monotone_limit(step, size: int, regime: str, alpha: float,
-                    opts: FixedPointOptions
+                    opts: FixedPointOptions, limit: np.ndarray
                     ) -> tuple[np.ndarray, FixedPointCertificate]:
-    """Iterate `step` from the zero vector to its limit.
+    """Iterate `step` from the zero vector to its limit, with the
+    infinite entries of ``limit`` (the caller's oracle for it) pinned in
+    every iterate.
 
     In D the iteration stops when the contraction bound
     alpha * r / (1 - alpha) on the remaining error drops below tol.  In N
     and P it runs monotonically (down for N, up for P) until the residual
-    passes tol, sending the coordinates that IterateWindowRule flags to the
-    regime-signed infinity on the way.
+    passes tol.
     """
-    X = np.zeros(size)
-    sign = -1.0 if regime == "N" else 1.0
+    pins = np.isinf(limit)
+    X = np.where(pins, limit, 0.0)
     bound = "upper" if regime == "N" else "lower"
-    promoted: list[int] = []
-    divergent = IterateWindowRule(X)
     for k in range(1, opts.max_iter + 1):
         nxt = step(X)
-        if promoted:
-            nxt[promoted] = sign * INF
+        nxt[pins] = limit[pins]
         res = sup_dist(nxt, X)
         X = nxt
         if regime == "D":
@@ -605,11 +573,7 @@ def _monotone_limit(step, size: int, regime: str, alpha: float,
         if res <= opts.tol:
             return X, FixedPointCertificate(
                 regime, k, res, bound, 0.0 if res == 0.0 else INF,
-                frozenset(promoted))
-        new = divergent(k, X)
-        if np.count_nonzero(new):
-            promoted += np.flatnonzero(new).tolist()
-            X[new] = sign * INF
+                frozenset(np.flatnonzero(pins).tolist()))
     raise FixedPointError(
         f"no fixed point within {opts.max_iter} iterations (residual left)",
         last=X, bound=bound)
@@ -936,6 +900,25 @@ def exact_optimal_cost(model: TotalCostModel) -> list:
     return best
 
 
+def exact_optimal_q(model: TotalCostModel) -> list:
+    """Q* = H(J*) of a model `exact_optimal_cost` takes, with no
+    round-off: g + alpha sum_y p(y) J*(y) per pair, in Fractions, with
+    0 * inf = 0 (a successor of probability zero adds nothing) and
+    inf - inf = +inf.  Finite entries are Fractions and infinite ones
+    float infinities."""
+    Jstar = exact_optimal_cost(model)
+    alpha = Fraction(model.discount)
+    Q: list = []
+    for g, row in zip(model.pair_costs.tolist(), model.pair_probs.tolist()):
+        terms = [(p, v) for p, v in zip(row, Jstar) if p != 0.0]
+        infinities = {v for v in [g] + [v for _, v in terms] if v in (INF, -INF)}
+        if infinities:
+            Q.append(INF if INF in infinities else -INF)
+        else:
+            Q.append(Fraction(g) + alpha * sum(Fraction(p) * v for p, v in terms))
+    return Q
+
+
 # ---------------------------------------------------------------------------
 # Stacked residual kernels, row by row
 
@@ -1095,24 +1078,38 @@ def _bracket_rows(model: TotalCostModel, stop_on_tol: bool, masks=None) -> bool:
             and bool(np.isfinite(model.pair_costs).all()) and masks is None)
 
 
+def pinned_states(model: TotalCostModel, J0: np.ndarray) -> np.ndarray:
+    """The states an undiscounted run from J0 pins at the regime-signed
+    infinity: `TotalCostModel.infinite_optimum`, unless J0 bounds J* (in
+    P, J0 >= 0 and T(J0) <= J0; in N, J0 <= 0 and T(J0) >= J0); none
+    in D."""
+    none = np.zeros(model.num_states, dtype=bool)
+    if model.regime == "D":
+        return none
+    TJ0 = operators.bellman_T(model, J0)
+    bounded = ((J0 >= 0.0).all() and (TJ0 <= J0).all() if model.regime == "P"
+               else (J0 <= 0.0).all() and (TJ0 >= J0).all())
+    return none if bounded else model.infinite_optimum.copy()
+
+
 def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
                          tol: float, stop_on_tol: bool = True
                          ) -> tuple[list[tuple[np.ndarray, float, list[int]]],
                                     tuple[np.ndarray, float] | None]:
     """(J_k, residual, divergent states) of every row of value iteration,
     and the answer (J, error bound) of a run that stops on the bracket:
-    J_k = T(J_{k-1}), with the states that `IterateWindowRule` has
-    flagged at the regime-signed infinity, and the residual over the
-    unflagged states.  With ``stop_on_tol`` the run stops at the first
-    residual <= tol, but a discounted run on an atomic model with finite
+    J_k = T(J_{k-1}), with the states of `pinned_states` at the
+    regime-signed infinity from the first row on, and the residual over
+    every state (on a model with affine families, from row 2 on, over
+    the states not pinned).  With ``stop_on_tol`` the run stops at the
+    first residual <= tol, but a discounted run on an atomic model with finite
     costs stops on `bracket_answer` instead while J_0, ..., J_k are all
     finite (where it stops on the residual after all, there is no
-    answer).  On an atomic-only model the flagged states are pinned into
+    answer).  On an atomic-only model the pinned states are written into
     the iterate; on a model with affine families the iteration goes on
     over the finite values and each row reports a pinned copy."""
     J = np.array(J0, dtype=float)
-    rule = IterateWindowRule(J) if model.discount == 1.0 else None
-    flagged = np.zeros(J.shape, dtype=bool)
+    pinned = pinned_states(model, J)
     sign = -1.0 if model.regime == "N" else 1.0
     bracket = (model.atomic_only and bool(np.isfinite(J).all())
                and _bracket_rows(model, stop_on_tol))
@@ -1120,15 +1117,14 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
     for k in range(1, max_iter + 1):
         nxt = operators.bellman_T(model, J)
         reported = nxt
-        if rule is not None:
-            flagged = flagged | rule(k, nxt)
-            if model.atomic_only:
-                nxt[flagged] = sign * INF
-            elif flagged.any():
-                reported = nxt.copy()
-                reported[flagged] = sign * INF
-        res = sup_dist(nxt[~flagged], J[~flagged])
-        rows.append((reported, res, np.flatnonzero(flagged).tolist()))
+        if model.atomic_only:
+            nxt[pinned] = sign * INF
+        elif pinned.any():
+            reported = nxt.copy()
+            reported[pinned] = sign * INF
+        live = ~pinned if k > 1 and not model.atomic_only else slice(None)
+        res = sup_dist(nxt[live], J[live])
+        rows.append((reported, res, np.flatnonzero(pinned).tolist()))
         bracket = bracket and bool(np.isfinite(nxt).all())
         if bracket:
             answer = bracket_answer(model, J, nxt, res <= tol, tol)
@@ -1152,9 +1148,18 @@ def mixed_rows(model: TotalCostModel, config
     discounted unmasked run with finite costs stops instead on
     `bracket_answer` of J and `bellman_T(J)` while every J and Q so far
     is finite, and answers the upper end, its `h_backup` and the policy
-    greedy for that, the row's policy kept on a tie."""
+    greedy for that, the row's policy kept on a tie.  The states of
+    `pinned_states`, if any, start at the regime-signed infinity, and so
+    do the pairs that cost it or step to one of them with positive
+    probability."""
     J = np.array(config.J0, dtype=float)
     Q = np.array(config.Q0, dtype=float)
+    pinned = pinned_states(model, J)
+    if pinned.any():
+        infinity = -INF if model.regime == "N" else INF
+        J[pinned] = infinity
+        Q[[model.pair_costs[r] == infinity or model.pair_probs[r][pinned].any()
+           for r in range(model.num_pairs())]] = infinity
     policy = config.initial_policy
     masks = config.masks
     cycle = 1 if masks is None else len(masks)

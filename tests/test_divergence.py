@@ -1,27 +1,25 @@
 """Infinite and slowly converging values, run through every route.
 
-Value iteration decides which coordinates of its monotone undiscounted
-iteration are infinite with its window rule; the F_theta fixed point and
+Value iteration pins the states where J* is infinite, decided on the
+model's graph, unless its start bounds J*; the F_theta fixed point and
 the stopping solve price stop rules exactly and decide them by
 reachability.  Each case here is a two-state chain whose state 0 is an
 absorbing cost-free exit, run through all three routes: VI from J0, and
 the fixed-point routes with stopping costs J under the only policy,
 trusted on every state (one control per state, so pair x is state x).
-
-The last test checks the window rule itself: the library's rule, which
-keeps one threshold per row, against `reference_ops.IterateWindowRule`,
-which kept the iterates and differenced them again, on drawn sequences.
+The slow exits, whose J(1) = 1/p is finite however slowly VI reaches
+it, are checked against `reference_ops.optimal_cost`.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import INF
+from totaldp.fixtures import fixture
 from totaldp.ftheta import Theta, q_fixed_point
 from totaldp.model import AtomicControl, Policy, TotalCostModel
-from totaldp.solvers import DivergenceRule, SolverConfig, value_iteration
+from totaldp.solvers import SolverCapError, SolverConfig, value_iteration
 from totaldp.stopping import build_stopping, reconstruct_q, solve_stopping
 
 ROUTES = ("vi", "q_fixed_point", "solve_stopping")
@@ -75,7 +73,7 @@ def test_n_negative_cycle_is_minus_infinity(route):
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_large_cost_trap_is_plus_infinity(route):
-    # VI flags it through the window at k = 80; the exact routes by
+    # VI pins it from its first row, the exact routes price it: both by
     # reachability
     model = _two_state("P", 1e12, 1.0)
     values, divergent = _run(route, model, [0.0, 0.0], [0.0, INF])
@@ -91,92 +89,54 @@ def test_finite_values_beyond_the_cap_stay_finite(route):
     assert values[1] == pytest.approx(1e14, rel=1e-9)
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_slow_exit_at_p_1e2_stays_finite(route):
-    p = 1e-2
+def _slow_exit(route, p):
+    """The slow exit's J(1) by one route, against the enumeration's 1/p."""
     model = _two_state("P", 1.0, 1.0 - p)
+    Jstar = ref.optimal_cost(model)
+    assert Jstar[1] == pytest.approx(1.0 / p, rel=1e-12)
     values, divergent = _run(route, model, [0.0, 1.5 / p], [0.0, 1.5 / p])
-    assert values[1] == pytest.approx(1.0 / p, abs=1e-6)
+    assert values[1] == pytest.approx(Jstar[1], abs=1e-6)
     assert divergent == frozenset()
 
 
-@pytest.mark.parametrize("route", [
-    pytest.param("vi", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 2")),
-    "q_fixed_point", "solve_stopping"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_slow_exit_at_p_1e2_stays_finite(route):
+    _slow_exit(route, 1e-2)
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_slow_exit_at_p_1e3_stays_finite(route):
-    p = 1e-3
+    _slow_exit(route, 1e-3)
+
+
+@pytest.mark.parametrize("start", ["above", "zero"])
+def test_slow_exit_at_p_1e4_ends_at_the_cap_not_at_infinity(start):
+    # J(1) = 1e4 is finite; 50,000 rows leave VI about 34 (from above)
+    # or 67 (from zero) away from it, and the run says so: it ends at
+    # its cap on the side it came from, and never reports +inf.
+    p = 1e-4
     model = _two_state("P", 1.0, 1.0 - p)
-    values, _ = _run(route, model, [0.0, 1.5 / p], [0.0, 1.5 / p])
-    assert values[1] == pytest.approx(1.0 / p, abs=1e-6)
+    assert np.isfinite(ref.optimal_cost(model)).all()
+    J0 = np.array([0.0, 1.5 / p if start == "above" else 0.0])
+    with pytest.raises(SolverCapError) as err:
+        value_iteration(model, J0, SolverConfig(algorithm="vi", tol=1e-10,
+                                                max_iter=50_000))
+    result = err.value.result
+    assert err.value.bound == ("upper" if start == "above" else "lower")
+    assert np.isfinite(result.J).all() and result.divergent == frozenset()
+    assert result.trace.columns.entries("extra")[-1]["divergent"] == []
 
 
-@st.composite
-def window_sequences(draw):
-    """A sequence of 130 to 200 iterates after its start, monotone but
-    for its infinities and NaN, as a (rows + 1, n) array of 1 to 4
-    coordinates.  Each coordinate moves by
-    steps a * r**k (some overflowing to infinity), by a every second or
-    third row, or by whole numbers held for blocks of 39 to 41 rows, so
-    that its increments are exact and an increment 40 rows on can equal
-    the threshold 0.9 * 10 = 9 exactly.  From a drawn row on, or at
-    that row and every 40th after it, a coordinate may sit at +inf,
-    -inf or NaN.  Also whether flagged coordinates are pinned, whether
-    a pinned coordinate stays at infinity in later iterates, and whether
-    the caller hands the rule the increments it finds finite."""
-    n = draw(st.integers(1, 4))
-    rows = draw(st.integers(130, 200))
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    k = np.arange(1, rows + 1)
-    X = np.empty((rows + 1, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(n):
-            a = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 1.0, 1e307]))
-            shape = draw(st.sampled_from(["geometric", "every 2", "every 3", "blocks"]))
-            if shape == "geometric":
-                r = draw(st.sampled_from([1.0, 0.999, 0.9 ** (1 / 40), 0.99, 0.5, 1.05]))
-                steps = a * r ** k
-            elif shape == "blocks":
-                length = draw(st.integers(39, 41))
-                held = draw(st.lists(st.sampled_from([0.0, 8.0, 9.0, 10.0, 11.0, 1000.0]),
-                                     min_size=rows // length + 1, max_size=rows // length + 1))
-                steps = np.repeat(held, length)[:rows]
-            else:
-                steps = np.where(k % int(shape[-1]) == 0, a, 0.0)
-            X[0, x] = draw(st.sampled_from([0.0, 1.0, -3.0]))
-            X[1:, x] = X[0, x] + sign * np.cumsum(steps)
-            event = draw(st.sampled_from([None, None, None, INF, -INF, np.nan]))
-            if event is not None:
-                at = draw(st.integers(0, rows))
-                X[at::40 if draw(st.booleans()) else 1, x] = event
-    return X, sign, draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
-
-
-@settings(max_examples=300)
-@given(window_sequences())
-def test_window_rule_flags_what_the_iterate_window_flagged(case):
-    # Both rules see the same iterates, each handed over before the pin
-    # writes the flagged coordinates into it, as value iteration does;
-    # the cumulative flagged sets must agree at every row, and the rule
-    # must keep no array that the caller handed it.
-    X, sign, pin, stay, hand_inc = case
-    rule, want = DivergenceRule(), ref.IterateWindowRule(X[0].copy())
-    flagged, want_flagged = np.zeros(X.shape[1], dtype=bool), np.zeros(X.shape[1], dtype=bool)
-    prev = X[0].copy()
-    for k in range(1, len(X)):
-        x = X[k].copy()
-        if pin and stay:
-            x[want_flagged] = sign * INF
-        with np.errstate(invalid="ignore", over="ignore"):
-            inc = np.abs(x - prev)
-        given_inc = inc if hand_inc and np.isfinite(inc).all() else None
-        want_flagged |= want(k, x)
-        new = rule(k, x, prev, given_inc)
-        if new is not None:
-            flagged |= new
-        assert flagged.tolist() == want_flagged.tolist(), f"row {k}"
-        assert not any(np.shares_memory(kept, handed) for kept in rule._ring
-                       for handed in (x, prev, inc))
-        if pin:
-            x[want_flagged] = sign * INF
-        prev = x
+def test_fx_p3a_from_zero_reports_the_trap_from_row_1_and_keeps_the_gap():
+    # Affine family at state 2: the graph puts J*(1) = inf (the trap
+    # that every interior parameter reaches) and keeps state 2 finite
+    # (its unit-cost exit).  The iterate stays unpinned, so the family's
+    # infimum sees finite J(1) and value iteration keeps its limit 0 at
+    # state 2, below J*(2) = 1: the paper's gap.
+    fx = fixture("FX-P3a")
+    assert fx.model.infinite_optimum.tolist() == [False, True, False]
+    res = value_iteration(fx.model, np.zeros(3), SolverConfig(algorithm="vi", tol=1e-12,
+                                                              max_iter=400))
+    assert res.termination == "converged" and res.divergent == frozenset({1})
+    assert res.J.tolist() == [0.0, INF, 0.0]
+    assert all(row.extra["divergent"] == [1] for row in res.trace.rows)

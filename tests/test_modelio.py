@@ -361,6 +361,30 @@ class TestTraceRoundTrip:
         assert len(trace.rows) == trace.rows[-1].k
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("algorithm", ["mixed", "mpi"])
+    def test_recorded_iterates_read_the_same_in_both_layouts(self, algorithm, fmt):
+        # In memory the iterates are a block; read from a file, each row's
+        # extra holds them.  Both give the same (rows, width) array, and a
+        # key no row records is a KeyError naming it.
+        fx = fixture("FX-P4")
+        J0 = 1.5 * fx.Jstar + 1.0
+        trace = run(fx.model, SolverConfig(
+            algorithm=algorithm, J0=J0, Q0=h_backup(fx.model, J0), nk=2,
+            initial_policy=Policy.deterministic(fx.model, [0, 0, 0]))).trace
+        write, read = FORMATS[fmt]
+        back = read(write(trace))
+        keys = {"mixed": ("J_snapshot", "Q_snapshot"), "mpi": ("J_eval", "J_greedy")}
+        for key in keys[algorithm]:
+            for t in (trace, back):
+                got = t.columns.iterates(key)
+                assert got.shape == (len(trace.rows), trace.columns.iterates(key).shape[1])
+                assert _same(got, np.array([row.extra[key] for row in trace.rows]))
+        other = keys["mpi" if algorithm == "mixed" else "mixed"][0]
+        for t in (trace, back):
+            with pytest.raises(KeyError, match=other):
+                t.columns.iterates(other)
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_infinities_in_extra_round_trip(self, fmt):
         # mixed on FX-P2 from J0 = (0, inf): the first Q residual is inf
         fx = fixture("FX-P2")

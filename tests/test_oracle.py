@@ -5,14 +5,16 @@ over every deterministic stationary policy, and reads no solver and no
 chain routine of the library.  Each solver runs from a start its
 convergence results cover: value iteration from zero in every regime
 (in N and P with finitely many controls, T^k(0) tends to J*); mixed
-iteration from zero in D, from zero in N but -inf where J* is (zero
-lies above J*), and from 2 J* in P (between J* and a finite multiple of
-it, zero where J* is zero, +inf where J* is); policy iteration from
-each state's first control.  Value and mixed
-iteration must end "converged" at J* (and mixed at Q* = H(J*)), with
-every infinity in place, also under a round-robin mask schedule
-with nk of 1 and 2; value iteration's window rule can miss an
-infinity in N and P, a defect that a strict xfail below shows.  Every
+iteration from zero in D and N (zero lies above J* in N), and from 2 J*
+in P (between J* and a finite multiple of it, zero where J* is zero,
++inf where J* is); policy iteration from each state's first control.
+Value and mixed iteration must end "converged" at J* (and mixed at
+Q* = H(J*)), with every infinity in place, also under a round-robin
+mask schedule with nk of 1 and 2: from zero in N and P both pin the
+states where J* is infinite, which the model's graph decides
+(`TotalCostModel.infinite_optimum`), and that decision must equal the
+infinite entries of the enumeration, on `tiny_models` and on models
+with a planted infinity or slow exit (`planted_models`).  Every
 value policy iteration evaluates bounds J* from above.  In D and P it
 stops where its value is a fixed point of T: that is J* in D, while in
 P it may be a larger fixed point, the stall that FX-P2 documents.  In N
@@ -21,7 +23,10 @@ earlier policy ("cycle"); where it stops at a fixed point of T, that is
 J* (the largest fixed point at or below zero).
 
 `reference_ops.exact_optimal_cost` prices the same policies with no
-round-off, in rationals.  It agrees with the float enumeration, and it
+round-off, in rationals, and `exact_optimal_q` backs it up to Q*.  They
+agree with the float enumeration and its backup, with the fixtures' Q*,
+with the F_theta fixed point at J* under a greedy policy and B = S,
+and with the Q of converged mixed runs.  The exact J*
 judges the error bound of a discounted run: value iteration, optimistic
 policy iteration and mixed iteration (nk of 1, 10 and "exact", clamped,
 epsilon-greedy, from an initial policy) stop on the MacQueen-Porteus
@@ -46,9 +51,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from test_trace_pins import _configs
+from totaldp.extreal import INF
 from totaldp.fixtures import fixture, fixture_names
+from totaldp.ftheta import Theta, q_fixed_point
 from totaldp.model import AtomicControl, Policy, TotalCostModel
-from totaldp.operators import h_backup
+from totaldp.operators import greedy_select, h_backup
 from totaldp.solvers import (
     SolverCapError,
     SolverConfig,
@@ -70,27 +77,78 @@ COSTS = {"D": (-1.0, 0.0, 0.5, 1.0), "N": (0.0, 0.0, -0.5, -1.0),
          "P": (0.0, 0.0, 0.5, 1.0)}
 
 
+def _random_row(draw, n: int, regime: str, name: str) -> AtomicControl:
+    """A control over 1-3 of n successors with small integer weights."""
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                            max_size=min(n, 3), unique=True))
+    probs = np.zeros(n)
+    probs[support] = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                   max_size=len(support)))
+    return AtomicControl(name, draw(st.sampled_from(COSTS[regime])), probs / probs.sum())
+
+
 @st.composite
-def tiny_models(draw):
+def tiny_models(draw, regimes=("D", "N", "P")):
     """1-5 states with 1-3 controls each, in D, N or P: rows over 1-3
     successors with small integer weights, so traps, zero-cost cycles,
     exact ties and infinite optima of either sign are common."""
-    regime = draw(st.sampled_from(["D", "N", "P"]))
+    regime = draw(st.sampled_from(regimes))
     n = draw(st.integers(1, 5))
-    controls = []
-    for _ in range(n):
-        row = []
-        for i in range(draw(st.integers(1, 3))):
-            support = draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                    max_size=min(n, 3), unique=True))
-            probs = np.zeros(n)
-            probs[support] = draw(st.lists(st.integers(1, 4), min_size=len(support),
-                                           max_size=len(support)))
-            row.append(AtomicControl(f"u{i}", draw(st.sampled_from(COSTS[regime])),
-                                     probs / probs.sum()))
-        controls.append(tuple(row))
+    controls = [tuple(_random_row(draw, n, regime, f"u{i}")
+                      for i in range(draw(st.integers(1, 3))))
+                for _ in range(n)]
     alpha = draw(st.sampled_from([0.5, 0.9])) if regime == "D" else 1.0
     return TotalCostModel(regime=regime, discount=alpha, controls=tuple(controls))
+
+
+def _row(n: int, weights: dict) -> np.ndarray:
+    probs = np.zeros(n)
+    for y, w in weights.items():
+        probs[y] = w
+    return probs / probs.sum()
+
+
+@st.composite
+def planted_models(draw):
+    """A gadget of 2-3 states planted among 0-3 states drawn as
+    `tiny_models` draws them, whose rows may step into the gadget:
+    - "trap" (P): a free self-loop 0, a trap 1 paying 0.5, 1 or +inf
+      forever, and a state 2 that steps to both with positive
+      probability, with or without a unit-cost exit to 0;
+    - "negative loop" (N): a free self-loop 0, a loop 1 paying -0.5, -1
+      or -inf forever, and a state 2 that steps to both;
+    - "period two" (N or P): 0 steps to 1 for free, 1 steps back to 0
+      paying c, so J* is c inf on both;
+    - "slow exit" (N or P): 0 is a free self-loop, and 1 pays c and
+      leaves for 0 with probability 1/2, 1/10 or 1/100, so J*(1) = c/p
+      is finite however slowly value iteration reaches it.
+    The gadget's states keep their own controls, so its infinity (or
+    its finite slow value) stays planted."""
+    kind = draw(st.sampled_from(["trap", "negative loop", "period two", "slow exit"]))
+    regime = {"trap": "P", "negative loop": "N"}.get(kind) or draw(st.sampled_from("NP"))
+    sign = -1.0 if regime == "N" else 1.0
+    c = sign * draw(st.sampled_from([0.5, 1.0]))
+    extra = draw(st.integers(0, 3))
+    g = 2 if kind in ("period two", "slow exit") else 3
+    n = g + extra
+    if kind in ("trap", "negative loop"):
+        loop = sign * draw(st.sampled_from([0.5, 1.0, INF]))
+        both = {0: draw(st.integers(1, 4)), 1: draw(st.integers(1, 4))}
+        gadget = [[AtomicControl("rest", 0.0, _row(n, {0: 1}))],
+                  [AtomicControl("loop", loop, _row(n, {1: 1}))],
+                  [AtomicControl("risk", 0.0, _row(n, both))]]
+        if kind == "trap" and draw(st.booleans()):
+            gadget[2].append(AtomicControl("exit", 1.0, _row(n, {0: 1})))
+    elif kind == "period two":
+        gadget = [[AtomicControl("go", 0.0, _row(n, {1: 1}))],
+                  [AtomicControl("back", c, _row(n, {0: 1}))]]
+    else:
+        stay = draw(st.sampled_from([1, 9, 99]))
+        gadget = [[AtomicControl("rest", 0.0, _row(n, {0: 1}))],
+                  [AtomicControl("go", c, _row(n, {0: 1, 1: stay}))]]
+    rest = [[_random_row(draw, n, regime, f"u{i}") for i in range(draw(st.integers(1, 3)))]
+            for _ in range(extra)]
+    return TotalCostModel(regime, 1.0, tuple(map(tuple, gadget + rest)))
 
 
 def assert_close(got, want, what: str) -> None:
@@ -112,12 +170,11 @@ def assert_above(J, Jstar, what: str) -> None:
 
 
 def mixed_start(model: TotalCostModel, Jstar: np.ndarray) -> np.ndarray:
-    """2 J* in P, else zero; in N, -inf where J* is (as 2 J* holds J*'s
-    +inf in P).  A finite start in N cannot reach J* = -inf in finitely
-    many rows: see `test_mixed_from_zero_reaches_minus_infinity`."""
+    """2 J* in P, else zero: from zero in N the run pins J* = -inf
+    (`test_mixed_from_zero_reaches_minus_infinity`)."""
     if model.regime == "P":
         return 2.0 * Jstar
-    return np.where(np.isneginf(Jstar), -np.inf, 0.0)
+    return np.zeros(model.num_states)
 
 
 def check_solvers(model: TotalCostModel, Jstar: np.ndarray) -> None:
@@ -125,11 +182,7 @@ def check_solvers(model: TotalCostModel, Jstar: np.ndarray) -> None:
     res = value_iteration(model, np.zeros(n),
                           SolverConfig(algorithm="vi", tol=1e-12, max_iter=100_000))
     assert res.termination == "converged"
-    # The window rule can end the run at a finite value where J* is
-    # infinite (`test_value_iteration_on_a_cycle_of_period_two`); every
-    # other entry must be J*'s, and no infinity may be invented.
-    missed = np.isinf(Jstar) & np.isfinite(res.J)
-    assert_close(np.where(missed, Jstar, res.J), Jstar, "vi")
+    assert_close(res.J, Jstar, "vi")
 
     J0 = mixed_start(model, Jstar)
     Qstar = ref.h_backup(model, Jstar)
@@ -175,12 +228,29 @@ def test_solvers_reach_the_enumerated_optimum(model):
     check_solvers(model, ref.optimal_cost(model))
 
 
+@given(planted_models())
+def test_solvers_reach_a_planted_optimum(model):
+    check_solvers(model, ref.optimal_cost(model))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_the_graph_decides_each_fixture_s_infinities(name):
+    fx = fixture(name)
+    assert np.array_equal(fx.model.infinite_optimum, np.isinf(fx.Jstar))
+    if fx.model.atomic_only:
+        assert np.array_equal(fx.model.infinite_optimum, np.isinf(ref.optimal_cost(fx.model)))
+
+
+@settings(max_examples=1200)
+@given(st.one_of(tiny_models(regimes=("N", "P")), planted_models()))
+def test_the_graph_decides_the_enumerated_infinities(model):
+    assert np.array_equal(model.infinite_optimum, np.isinf(ref.optimal_cost(model)))
+
+
 # A two-state cycle that pays c every second step: J* = (c inf, c inf).
-# The increments of value iteration from zero alternate between 0 and c,
-# so the window rule flags state 0 alone, and the residual of state 1 on
-# that step is 0: the run ends "converged" after 80 rows at (c inf, 40 c).
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the window rule misses an infinity on a periodic chain")
+# The increments of value iteration from zero alternate between 0 and c;
+# the graph sees the cycle, and the run pins both states from row 1.  Row
+# 1's residual shows the pins' move from zero, row 2's is 0.
 @pytest.mark.parametrize("regime, cost", [("N", -1.0), ("P", 1.0)])
 def test_value_iteration_on_a_cycle_of_period_two(regime, cost):
     model = TotalCostModel(regime, 1.0, ((AtomicControl("go", 0.0, np.array([0.0, 1.0])),),
@@ -190,18 +260,14 @@ def test_value_iteration_on_a_cycle_of_period_two(regime, cost):
     res = value_iteration(model, np.zeros(2), SolverConfig(algorithm="vi", tol=1e-12,
                                                            max_iter=100_000))
     assert_close(res.J, Jstar, f"vi on the {regime} cycle")
+    assert res.divergent == frozenset({0, 1}) and len(res.trace.rows) == 2
 
 
 # From a finite start, a finite number of powers moves J(x) by a finite
-# step per row, so where J* = -inf the run can only end at its cap; the
-# exact fixed point prices the -inf at once.  Value iteration reaches it
-# through its divergence window; mixed iteration has no such rule.
-CAPPED = pytest.mark.xfail(strict=True, raises=SolverCapError,
-                           reason="finite nk from zero cannot reach J* = -inf")
-
-
-@pytest.mark.parametrize("nk", [pytest.param(1, marks=CAPPED),
-                                pytest.param(10, marks=CAPPED), "exact"])
+# step per row, so no row reaches J* = -inf on its own; the exact fixed
+# point prices the -inf at once, and a finite nk reaches it because the
+# run pins it in J0 and Q0, as the model's graph decides.
+@pytest.mark.parametrize("nk", [1, 10, "exact"])
 def test_mixed_from_zero_reaches_minus_infinity(nk):
     # One state that pays -1 and stays: J* = -inf.
     model = TotalCostModel("N", 1.0, ((AtomicControl("pay", -1.0, np.array([1.0])),),))
@@ -240,6 +306,50 @@ def test_masked_mixed_in_p_ends_where_the_unmasked_run_does(name):
 def test_exact_enumeration_agrees_with_the_float_one(model):
     exact = ref.exact_optimal_cost(model)
     assert_close([float(v) for v in exact], ref.optimal_cost(model), "exact vs float")
+
+
+def assert_exact(got, exact, what: str) -> None:
+    """The same infinities as the exact values, and finite entries within
+    1e-9 relative of them, measured in rationals."""
+    got = np.asarray(got, dtype=float)
+    assert_close(got, [float(v) for v in exact], what)
+    for v, e in zip(got.tolist(), exact):
+        if np.isfinite(v):
+            assert abs(Fraction(v) - e) <= Fraction(1, 10**9) * (1 + abs(e)), (what, got)
+
+
+@given(st.one_of(tiny_models(), planted_models()))
+def test_exact_q_agrees_with_the_float_backup_of_the_float_optimum(model):
+    # the Q* that `check_solvers` judges mixed runs by
+    assert_exact(ref.h_backup(model, ref.optimal_cost(model)), ref.exact_optimal_q(model),
+                 "H(J*) in floats")
+
+
+@pytest.mark.parametrize("name", [name for name in ATOMIC_FIXTURES if fixture(name).Qstar
+                                  is not None])
+def test_exact_q_agrees_with_each_fixture_s_q(name):
+    fx = fixture(name)
+    assert_exact(fx.Qstar, ref.exact_optimal_q(fx.model), name)
+
+
+@given(st.one_of(tiny_models(), planted_models()))
+def test_the_f_theta_fixed_point_at_the_optimum_is_the_exact_q(model):
+    # B = S and a policy greedy for Q*: Q* = H(J*) is then a fixed point
+    # of F_theta(.; J*), and the stopping solve finds it.
+    Jstar = ref.optimal_cost(model)
+    greedy = greedy_select(model, h_backup(model, Jstar))
+    Q, _ = q_fixed_point(model, Theta(greedy, model.state_set), Jstar)
+    assert_exact(Q, ref.exact_optimal_q(model), "q_fixed_point at J*")
+
+
+@settings(max_examples=50)
+@given(st.one_of(tiny_models(), planted_models()), st.sampled_from([1, 10, "exact"]))
+def test_converged_mixed_runs_end_at_the_exact_q(model, nk):
+    J0 = mixed_start(model, ref.optimal_cost(model))
+    res = mixed_vpi(model, SolverConfig(algorithm="mixed", J0=J0, Q0=ref.h_backup(model, J0),
+                                        nk=nk, tol=1e-12, max_iter=100_000))
+    assert res.termination == "converged"
+    assert_exact(res.Q, ref.exact_optimal_q(model), f"mixed nk={nk}")
 
 
 @st.composite

@@ -427,8 +427,8 @@ class TestLayerCallsPerRow:
 
     @staticmethod
     def _trap():
-        """State 1 pays 1 forever, so J* = (0, inf): the window rule flags
-        it and an atomic-only run pins it."""
+        """State 1 pays 1 forever, so J* = (0, inf): the model's graph
+        says so, and an atomic-only run from zero pins it."""
         return TotalCostModel("P", 1.0, (
             (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
             (AtomicControl("trap", 1.0, np.array([0.0, 1.0])),)))
@@ -441,7 +441,7 @@ class TestLayerCallsPerRow:
             algorithm="vi", max_iter=150, stop_on_tol=False))
         assert counts["_bellman_T"] == len(res.trace.rows) == 150
         assert counts["bellman_T"] == 0
-        if name in ("FX-P3a", "trap"):  # the flagged-state bookkeeping ran
+        if name in ("FX-P3a", "trap"):  # the pinned-state bookkeeping ran
             assert res.divergent and res.J[sorted(res.divergent)].tolist() == [INF]
 
     @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4"])
@@ -723,9 +723,10 @@ class TestFiniteRows:
 
     @pytest.mark.parametrize("regime", ["N", "P"])
     def test_value_iteration_rows_past_a_pin(self, regime):
-        # State 1 pays -1 or 1 forever; the window rule flags it, the run
-        # pins it to the regime's infinity and takes the checked path on,
-        # while state 3 still moves (it leaves with probability 0.01).
+        # State 1 pays -1 or 1 forever; the run pins it (in N with state
+        # 2, which can reach it) to the regime's infinity from row 1 and
+        # takes the checked path on, while state 3 still moves (it leaves
+        # with probability 0.01).
         c = -1.0 if regime == "N" else 1.0
         model = TotalCostModel(regime, 1.0, (
             (AtomicControl("rest", 0.0, np.array([1.0, 0.0, 0.0, 0.0])),),
@@ -739,10 +740,10 @@ class TestFiniteRows:
     @pytest.mark.parametrize("start", ["zero", "above"])
     @pytest.mark.parametrize("name", ["FX-P3a", "FX-P3b"])
     def test_value_iteration_rows_with_families(self, name, start, stop_on_tol):
-        # Affine families: no pin and no finite rows.  From 1.5 J* FX-P3a
-        # carries J(1) = inf, whose increment inf - inf is NaN, so the
-        # window rule's thresholds there are NaN; from zero the rule
-        # flags state 1 at row 80 and the run iterates its finite values on.
+        # Affine families: no pin in the iterate and no finite rows.  From
+        # 1.5 J* the start bounds J* (FX-P3a's carries J(1) = inf), so
+        # nothing is pinned; from zero FX-P3a reports state 1 pinned from
+        # row 1 and the run iterates its finite values on.
         fx = fixture(name)
         J0 = np.zeros(3) if start == "zero" else 1.5 * fx.Jstar
         result = self._check_value_iteration(fx.model, J0, 130, stop_on_tol)

@@ -30,10 +30,12 @@ FX-D's masked and schedule-eps runs, which keep to their cap, and its
 pi runs kept their pins, as did every N and P run.
 
 The vi pins cover every fixture, the affine FX-P3a and FX-P3b too, from
-`_start` and from zero, with a 120-row cap; FX-P3a from zero ends on
-row 80, where the window rule flags state 1 and the row's ``divergent``
-is [1].  They were taken while a trace still held one `TraceRow` object
-per row, before a trace came to hold its rows as columns.
+`_start` and from zero, with a 120-row cap.  They were taken while a
+trace still held one `TraceRow` object per row, before a trace came to
+hold its rows as columns.  FX-P3a's pin from zero was retaken when value
+iteration came to pin J*'s infinities from the model's graph: every
+row's ``divergent`` is [1] from row 1, and the run ends on row 2 at
+(0, inf, 0), where a window rule had flagged state 1 at row 80.
 
 Every pinned run also replays its certificates: `verify_certificates`,
 which takes vector maxima over the trace's columns, must give the
@@ -205,7 +207,7 @@ PINS = {
     "FX-P2/vi-start": ("b977bfbc5efad9f3", "fb5ae76ccc8c1a52"),
     "FX-P2/vi-zero": ("968ddae1e31badb0", "9dbec60416cbed19"),
     "FX-P3a/vi-start": ("66537f6b5775d125", "4a59de69876f26c4"),
-    "FX-P3a/vi-zero": ("ab0153733ea7c6d0", "f4f7a8d149b2599a"),
+    "FX-P3a/vi-zero": ("1e5943e035f12114", "85f34e518737dc4d"),
     "FX-P3b/vi-start": ("5b3aa611de3cd3a6", "ada032f03e911f58"),
     "FX-P3b/vi-zero": ("af72d25af8eb5360", "967b4be5811ece1b"),
     "FX-P4/vi-start": ("b1338cfb8580cd65", "abe921d471492f3a"),
