@@ -185,20 +185,6 @@ def _owned(owner: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
     return states
 
 
-def _keep_closed(supp: np.ndarray, owner: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The largest set of states each of which has one of ``pairs`` with
-    its support in the set.  Each state leaves once, and its leaving
-    strikes the pairs that can step to it."""
-    inside = _owned(owner, pairs, supp.shape[1])
-    pairs = _staying(supp, owner, pairs, inside)
-    while True:
-        out = (inside & ~_owned(owner, pairs, inside.size)).nonzero()[0]
-        if not out.size:
-            return inside
-        inside[out] = False
-        pairs &= ~supp[:, out].any(axis=1)
-
-
 def infinite_optimum(model: TotalCostModel) -> np.ndarray:
     """Mask of the states where J* is the regime-signed infinity, from
     the model's graph alone (module docstring): none in D.  A model
@@ -213,7 +199,12 @@ def infinite_optimum(model: TotalCostModel) -> np.ndarray:
     if model.regime == "P":
         # Z, then the states that reach Z almost surely by pairs that
         # stay among them
-        zero = _keep_closed(supp, owner, usable & (cost == 0.0))
+        zero, free = np.ones(n, dtype=bool), usable & (cost == 0.0)
+        while True:
+            held = _owned(owner, _staying(supp, owner, free, zero), n)
+            if np.count_nonzero(held) == np.count_nonzero(zero):
+                break
+            zero = held
         sure, kept = np.ones(n, dtype=bool), usable
         while True:
             reach = _can_reach(supp[kept], zero, owner[kept])
