@@ -124,7 +124,26 @@ def xdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # the same shape.  A stack gives an array of k results, each bit for bit
 # the one the two rows' 1-D call gives: subtraction, absolute value and
 # max are exact elementwise, so neither the fast-path choice (made once
-# for the whole stack) nor the row-wise reduction moves a bit.
+# for the whole stack) nor the row-wise reduction (`_row_max`) moves a bit.
+
+
+def _row_max(d: np.ndarray) -> np.ndarray:
+    """The max of each row of a (k, n) stack.  A stack of at least 32
+    rows, at least twice as many rows as columns and at most 48 columns
+    is copied to its contiguous transpose and reduced over axis 0, k
+    maxima at a time; any other is reduced along its rows.  Timed on
+    stacks of random floats (timeit, 2-core shared host), the transpose
+    took 0.2-0.6 of the row-wise time per row at k = 256 and n <= 48,
+    0.75-0.9 at k = 32-64 and n <= 32, about a break-even near k = 2n,
+    and lost at k = 8 (1.15-1.25), at n = 64 and 128 (1.1-1.8; powers
+    of two) and from n = 150 on (1.3-1.7).  The maximum is exact and NaN
+    wins in both, so the two give the same floats, but for which of
+    -0.0 and +0.0 a row with both returns: `sup_dist`'s rows hold no
+    -0.0, and `margin_leq` adds +0.0 to its results."""
+    k, n = d.shape
+    if n <= 48 and k >= max(32, 2 * n):
+        return np.ascontiguousarray(d.T).max(axis=0)
+    return d.max(axis=-1)
 
 
 def _empty(a: np.ndarray, b: np.ndarray):
@@ -158,7 +177,7 @@ def _sup_dist(a: np.ndarray, b: np.ndarray, plain: bool):
         return _empty(a, b)
     d = a - b if plain else xdiff(a, b)
     d = np.abs(d, out=d)
-    return float(d.max()) if d.ndim <= 1 else d.max(axis=-1)
+    return float(d.max()) if d.ndim <= 1 else _row_max(d)
 
 
 def sup_dist_segments(a: np.ndarray, b: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -201,4 +220,4 @@ def margin_leq(a: np.ndarray, b: np.ndarray):
     if a.size == 0:
         return _empty(a, b)
     d = a - b if not np.count_nonzero(np.isinf(a)) else xdiff(a, b)
-    return (float(d.max()) if d.ndim <= 1 else d.max(axis=-1)) + 0.0
+    return (float(d.max()) if d.ndim <= 1 else _row_max(d)) + 0.0

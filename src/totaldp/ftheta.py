@@ -34,7 +34,9 @@ backups that could not change it are skipped.  In the unclamped mixed
 iteration J = M Q, so min{J, Q} is J and, under a deterministic policy,
 the first power is H(J).  While the iterates rise (T J >= J, so that
 H(J) >= J on every pair), the second power reads that same J: one
-backup per mixed iteration instead of n.  `f_theta_power` returns the
+backup per mixed iteration instead of n.  In D that backup is the one
+the mixed loop's bracket made already (the kernel's ``first``), so the
+row takes none of its own.  `f_theta_power` returns the
 number of backups that did run next to its result.  Its powers run in
 `operators._backup_power`, which takes the finite fast path (a policy
 built from choices, finite pair costs, a finite w) from a decision
@@ -201,13 +203,21 @@ def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
 
 
 def _f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray, J: np.ndarray,
-                   n: int, finite: bool = False, out: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, int]:
+                   n: int, finite: bool = False, out: np.ndarray | None = None,
+                   first: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """`f_theta_power` of float vectors and n >= 1.  ``finite`` is the
     caller's knowledge that `operators._finite` holds for J and Q0, hence
     for every w read from them; without it the first w is scanned.  With
     ``out``, a pair vector that shares no memory with Q0 or J, the
     result is written into it (`_backup_power`).
+
+    ``first`` is the caller's H(J), made already, which may hold
+    ``out``'s memory.  When the first w is J byte for byte, the first
+    power is ``first`` and is not backed up again, and the result is
+    ``first`` itself when the power stopped there, so the caller tells
+    that case by identity.  Otherwise ``first`` is left out.  In the
+    unclamped mixed iteration with epsilon = 0, w is J on every row,
+    signed zeros aside (`_mixed_loop` hands in its bracket's H(J)).
 
     With B = S, a policy built from choices reads min{J, Q} at its
     chosen pairs: `_backup_power` takes that read as the pair (chosen,
@@ -222,8 +232,10 @@ def _f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray, J: np.nd
     else:
         read, gathers = _f_floor_map(model, theta, J)
         w = read(Q0)
+    if first is not None and w.tobytes() != J.tobytes():
+        first = None
     plain = gathers and (finite or _finite(model, w))
-    _, Q, applied = _backup_power(model, w, read, n, plain, True, out)
+    _, Q, applied = _backup_power(model, w, read, n, plain, True, out, first)
     return Q, applied
 
 

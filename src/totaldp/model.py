@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import expect_segments
+from .extreal import expect_segments, xadd_vec
 
 PROB_TOL = 1e-12
 
@@ -82,6 +82,28 @@ class AffineFamily:
         return self.p0 + self.p1 * t
 
 
+def _g_plus(alpha: float, scale: np.ndarray, costs: np.ndarray, finite: bool,
+            cont: np.ndarray) -> np.ndarray:
+    """g + alpha * cont over all atomic pairs, for a fresh expectation
+    array cont, which is scaled and summed in place: the one copy of the
+    backup's arithmetic, which every backup applies as its model's
+    `TotalCostModel._g_plus` (`operators.pair_backup` and
+    `operators._plain_backup` differ only in how they take the
+    expectation).  With every pair cost finite (``finite``) no opposite
+    infinities can meet and the sum is plain; otherwise `xadd_vec`
+    resolves them.  ``scale`` is alpha as a 0-d array: its product is
+    the float's bit for bit and spares numpy converting a Python scalar
+    on every backup."""
+    if alpha != 1.0:
+        if alpha == 0.0:
+            cont.fill(0.0)
+        else:
+            np.multiply(cont, scale, out=cont)
+    if finite:
+        return np.add(cont, costs, out=cont)
+    return xadd_vec(costs, cont)
+
+
 class TotalCostModel:
     """A finite total-cost MDP, stored as pair arrays: the per-state
     counts (`pair_counts()`), `pair_costs`, the dense (pairs, n)
@@ -90,7 +112,13 @@ class TotalCostModel:
     against the counts; the constructor is an adapter that hands it the
     arrays of each state's `AtomicControl`s and keeps no control object.
     State and control names are stored as their str(), as a model file
-    names them."""
+    names them.
+
+    Packing also binds what every backup reads of the model: whether
+    every pair cost is finite (`pair_costs_finite`), so that adding the
+    costs to any vector can never meet opposite infinities, and the map
+    cont -> g + alpha * cont (`_g_plus`, the module's `_g_plus` with the
+    model's alpha and costs bound)."""
 
     def __init__(self, regime: str, discount: float,
                  controls: Sequence[Sequence[AtomicControl]],
@@ -150,10 +178,13 @@ class TotalCostModel:
                                  f"per state: {n}")
         for arr in (counts, costs, probs):
             arr.setflags(write=False)
+        finite = bool(np.isfinite(costs).all())
         self.__dict__.update(regime=regime, discount=discount, families=families,
                              state_names=names, cost_bound=cost_bound, _counts=counts,
                              pair_costs=costs, pair_probs=probs,
-                             control_names=control_names)
+                             control_names=control_names, pair_costs_finite=finite,
+                             _g_plus=partial(_g_plus, discount, np.array(discount), costs,
+                                             finite))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a TotalCostModel is immutable: cannot set {name!r}")
@@ -220,12 +251,6 @@ class TotalCostModel:
     def pair_counts(self) -> np.ndarray:
         """Number of atomic controls of each state, read-only."""
         return self._counts
-
-    @cached_property
-    def pair_costs_finite(self) -> bool:
-        """Whether every pair cost is finite, so that adding the costs to
-        any vector can never meet opposite infinities."""
-        return bool(np.isfinite(self.pair_costs).all())
 
     @cached_property
     def max_successors(self) -> int:

@@ -697,13 +697,17 @@ def _number_cells(values: list, optional: bool) -> list:
 def _row_values(trace: IterationTrace, extra_out) -> list[list]:
     """The rows' file values, one list per field in `ROW_FIELDS` order,
     each encoded down its whole column; each row's extra by
-    ``extra_out``, its recorded iterates as lists."""
+    ``extra_out``, its recorded iterates as lists, once per distinct
+    dict (every value-iteration row shares one)."""
     columns = trace.columns
     values = []
     for name in ROW_FIELDS:
         kind, column = _ROW_TYPES[name], columns.entries(name)
         if kind is dict:
-            values.append(list(map(extra_out, columns.extras())))
+            extras = columns.extras()
+            distinct = {id(extra): extra for extra in extras}
+            encoded = {key: extra_out(extra) for key, extra in distinct.items()}
+            values.append([encoded[id(extra)] for extra in extras])
         elif kind in (str, int):
             values.append(column)
         else:

@@ -11,17 +11,18 @@ Atomic controls are handled on the model's pair axis: every (state,
 control) pair in one flat array, state-major, with state x owning the
 contiguous segment that starts at `model.pair_starts[x]`.  H is one
 row-wise expectation plus the cost vector (`pair_backup`, whose
-"g + alpha * E[w]" arithmetic `_g_plus` is the single copy that the F
-operators, operator powers, the stopping continuation values and the
-constraint-program bound also use); M, T and greedy selection are
-segment reductions of H (`np.minimum.reduceat`), and T_mu is the
-policy's mix of H (`model.policy_mix`: a gather at the chosen pairs of a
-policy built from choices, a segment sum otherwise).  Each reduction
-takes a finite fast path when its input holds no infinity and a masked
-extended-real path otherwise.  A power of n backups (`_backup_power`,
+"g + alpha * E[w]" arithmetic, `model._g_plus`, is the single copy that
+the F operators, operator powers, the stopping continuation values and
+the constraint-program bound also use, bound once per model); M, T and
+greedy selection are segment reductions of H (`np.minimum.reduceat`),
+and T_mu is the policy's mix of H (`model.policy_mix`: a gather at the
+chosen pairs of a policy built from choices, a segment sum otherwise).
+Each reduction takes a finite fast path when its input holds no
+infinity and a masked extended-real path otherwise.  A power of n backups (`_backup_power`,
 behind `t_mu_power_and_h` and `ftheta.f_theta_power`) takes that
-decision once, from its start, and checks its result for the NaN that
-a value overflowing part way would leave.  Value iteration, the mixed
+decision once, from its start, runs a policy's gathers and plain
+products in one tight loop, and checks its result for the NaN that a
+value overflowing part way would leave.  Value iteration, the mixed
 loop and optimistic policy iteration decide it once per solve (one scan,
 then each row's residual) and call the private kernels behind the
 public entries (`_bellman_T`, `_greedy_select`, `_segment_min`) with
@@ -128,29 +129,18 @@ def family_infimum(model: TotalCostModel, fam: AffineFamily, J: np.ndarray) -> f
     return affine_infimum(a, b, fam.lo, fam.hi, fam.lo_closed, fam.hi_closed).value
 
 
-def _g_plus(model: TotalCostModel, cont: np.ndarray) -> np.ndarray:
-    """g + alpha * cont over all atomic pairs, for a fresh expectation
-    array cont, which is scaled and summed in place.  The one copy of
-    the backup's arithmetic: `pair_backup` and `_backup_power` differ
-    only in how they take the expectation.  With every pair cost finite
-    (`pair_costs_finite`, read once per model) no opposite infinities
-    can meet and the sum is plain; otherwise `xadd_vec` resolves them.
-    """
-    alpha = model.discount
-    if alpha != 1.0:
-        if alpha == 0.0:
-            cont.fill(0.0)
-        else:
-            cont *= alpha
-    if model.pair_costs_finite:
-        cont += model.pair_costs
-        return cont
-    return xadd_vec(model.pair_costs, cont)
-
-
 def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
     """g + alpha * E[w] over all atomic pairs, for any state vector w."""
-    return _g_plus(model, expect_rows(model.pair_probs, w))
+    return model._g_plus(expect_rows(model.pair_probs, w))
+
+
+def _plain_backup(model: TotalCostModel, w: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """`pair_backup` of a w for which `_finite` holds, by the plain
+    product P @ w (`np.dot`, as the matrix's own `dot`, into ``out``
+    when given), which is `expect_rows`' own path for such a w: the
+    same product, bit for bit."""
+    return model._g_plus(model.pair_probs.dot(w, out=out))
 
 
 def _finite(model: TotalCostModel, w: np.ndarray) -> bool:
@@ -162,18 +152,20 @@ def _finite(model: TotalCostModel, w: np.ndarray) -> bool:
 
 
 def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
-                  plain: bool, stop: bool = False, out: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
+                  plain: bool, stop: bool = False, out: np.ndarray | None = None,
+                  first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """n backups, each of the state vector that ``read`` takes from the
     last one's pair vector: H_1 = pair_backup(w), H_{i+1} =
     pair_backup(read(H_i)).  Returns the state vector the last backup
-    took, H_n and the number of backups that ran.  With ``stop``, the
-    loop ends when read gives a vector bitwise equal to the one the last
-    backup took: every later H would repeat.  ``read`` is a function of
-    H or, for the read of a policy built from choices, a pair (chosen,
-    floor): the gather H[chosen], then np.minimum(floor, H[chosen])
-    unless floor is None.  A pair spares its caller building a function
-    per power.
+    took, H_n and the number of backups, a handed-in first among them.
+    With ``stop``, the loop ends when read gives a vector bitwise equal
+    to the one the last backup took: every later H would repeat.
+    ``read`` is a function of H or, for the read of a policy built from
+    choices, a pair (chosen, floor): the gather H[chosen], then
+    np.minimum(floor, H[chosen]) unless floor is None.  A pair spares
+    its caller building a function per power.  With ``first``, H_1
+    made already by the caller, the loop starts from it, and it is
+    returned itself when the power stops there.
 
     The finiteness decision is the caller's, made once: ``plain`` says
     that read only gathers and takes minima (the read of a policy built
@@ -181,44 +173,86 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     holds for the start w.  A power entry scans w for it; the mixed loop
     knows it from the solve's start and its residuals, and passes it
     without a scan.  Then every backup takes the plain product P @ w
-    with no scan for infinities.  From a finite w the product is
-    `expect_rows`' own fast path; w can hold an infinity later only
-    where a value overflowed, and there the plain product differs from
-    the masked one only by a NaN (0 * inf, or inf - inf), which read
-    carries into every later backup.  So a result without NaN is the
-    per-backup result bit for bit, and one with a NaN is computed again
-    by the per-backup path, which decides each backup from its own
-    input.  A single backup needs no such check: from a finite start it
-    is the per-backup one.  The overflow warns on both paths, so with
-    RuntimeWarning raised as an error both stop at the same place; under
-    a filter that only reports, the plain product adds an "invalid
-    value" warning before the rerun.
+    with no scan for infinities (`_plain_backup`).  From a finite w the
+    product is `expect_rows`' own fast path; w can hold an infinity
+    later only where a value overflowed, and there the plain product
+    differs from the masked one only by a NaN (0 * inf, or inf - inf),
+    which read carries into every later backup.  So a result without
+    NaN is the per-backup result bit for bit, and one with a NaN is
+    computed again by the per-backup path, which decides each backup
+    from its own input.  A single backup needs no such check: from a
+    finite start it is the per-backup one.  The overflow warns on both
+    paths, so with RuntimeWarning raised as an error both stop at the
+    same place; under a filter that only reports, the plain product
+    adds an "invalid value" warning before the rerun.
+
+    On the plain path a pair read runs one tight loop (`_gather_power`);
+    a read function, and the per-backup path, run `_read_power`.
 
     With ``out``, a pair vector of the model's length that neither w nor
     any vector read returns shares memory with, every backup is written
-    into it and H_n is ``out`` itself: the plain product by
-    `np.matmul`'s ``out``, scaled and summed in place, the per-backup
-    one copied in (the rerun too).  Each read takes its vector before
-    the next backup overwrites ``out``, so the floats are those of fresh
-    arrays, bit for bit.
+    into it and H_n is ``out`` itself, or ``first`` when the power
+    stopped there (``first`` may hold ``out``'s memory): the plain
+    product by `np.dot`'s ``out``, scaled and summed in place, the
+    per-backup one copied in (the rerun too).  Each read takes its
+    vector before the next backup overwrites ``out``, so the floats are
+    those of fresh arrays, bit for bit.
     """
-    P = model.pair_probs
-    H = _g_plus(model, np.matmul(P, w, out=out)) if plain else _backup(model, w, out)
+    if plain and isinstance(read, tuple):
+        x, H, applied = _gather_power(model, w, read, n, stop, out, first)
+    else:
+        x, H, applied = _read_power(model, w, read, n, plain, stop, out, first)
+    if applied > 1 and plain and np.count_nonzero(np.isnan(H)):
+        return _read_power(model, w, read, n, False, stop, out, None)
+    return x, H, applied
+
+
+def _gather_power(model: TotalCostModel, w: np.ndarray, read: tuple, n: int, stop: bool,
+                  out: np.ndarray | None, first: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_backup_power`'s plain path for a pair read (chosen, floor): per
+    power the gather, the floor taken in place on it, the stop test and
+    the plain backup (`_plain_backup`'s product and `model._g_plus`), with
+    what they read bound once."""
+    chosen, floor = read
+    dot, g_plus, minimum = model.pair_probs.dot, model._g_plus, np.minimum
+    H = g_plus(dot(w, out=out)) if first is None else first
+    x, last = w, w.tobytes() if stop else None
+    for applied in range(1, n):
+        v = H[chosen]
+        if floor is not None:
+            minimum(floor, v, out=v)
+        if stop:
+            now = v.tobytes()
+            if now == last:
+                return x, H, applied
+            last = now
+        x, H = v, g_plus(dot(v, out=out))
+    return x, H, n
+
+
+def _read_power(model: TotalCostModel, w: np.ndarray, read, n: int, plain: bool,
+                stop: bool, out: np.ndarray | None, first: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """`_backup_power` through a read function (a pair read is made one),
+    each backup plain (`_plain_backup`) or, off the plain path, a
+    `pair_backup` copied into ``out`` when given (`_backup`)."""
+    if isinstance(read, tuple):
+        chosen, floor = read
+        read = ((lambda H: H[chosen]) if floor is None
+                else (lambda H: np.minimum(floor, H[chosen])))
+    backup = _plain_backup if plain else _backup
+    H = backup(model, w, out) if first is None else first
     x, applied, last = w, 1, w.tobytes() if stop else None
-    chosen, floor = read if isinstance(read, tuple) else (None, None)
     while applied < n:
-        v = (read(H) if chosen is None else H[chosen] if floor is None
-             else np.minimum(floor, H[chosen]))
+        v = read(H)
         if stop:
             now = v.tobytes()
             if now == last:
                 break
             last = now
-        x, H = v, (_g_plus(model, np.matmul(P, v, out=out)) if plain
-                   else _backup(model, v, out))
+        x, H = v, backup(model, v, out)
         applied += 1
-    if applied > 1 and plain and np.count_nonzero(np.isnan(H)):
-        return _backup_power(model, w, read, n, False, stop, out)
     return x, H, applied
 
 
@@ -275,9 +309,10 @@ def bellman_T(model: TotalCostModel, J: np.ndarray) -> np.ndarray:
 def _bellman_T(model: TotalCostModel, J: np.ndarray, finite: bool = False) -> np.ndarray:
     """`bellman_T` of a float vector of one entry per state, unchecked.
     ``finite`` says that `_finite` holds for J on an atomic-only model,
-    so the backup takes the plain product without a scan."""
+    so the backup takes the plain product without a scan
+    (`_plain_backup`), the product of the power loop."""
     if finite:
-        return _segment_min(model, _g_plus(model, model.pair_probs @ J))
+        return _segment_min(model, _plain_backup(model, J))
     out = _segment_min(model, pair_backup(model, J))
     if not model.atomic_only:
         for x, fams in enumerate(model.families):

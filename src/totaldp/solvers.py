@@ -59,9 +59,9 @@ from .operators import (
     _bellman_T,
     _finite,
     _greedy_select,
+    _plain_backup,
     _segment_min,
     _state_vector,
-    bellman_T,
     bellman_T_mu,
     t_mu_power_and_h,
     greedy_select,
@@ -571,14 +571,16 @@ class _Recorder:
     `code`, which the mixed loop takes once per Theta.
 
     A row appends its values to the trace's columns, and the recorder
-    holds its J (and Q) by reference until `_fill`, every `_BLOCK` rows
-    and in `finish`, appends the held rows' ground-truth columns
-    (dist_J, lower_margin and, with Q, dist_Q, q_lower_margin) from one
-    stacked `sup_dist`/`margin_leq` pass.  So a solver never writes into
-    an iterate after recording it, does not read its own trace's rows
-    while it runs, and gives policy, b_set and upper_margin on every row
-    or on none.  Ground truth of the wrong shape is refused here, before
-    the first row.
+    holds its J (and Q, and the envelope the mixed loop gives in N and
+    P) by reference until `_fill`, every `_BLOCK` rows and in `finish`,
+    appends the held rows' columns from one stacked `sup_dist`/
+    `margin_leq` pass each: upper_margin = max(J_k - T^k(J0)) against
+    the envelope, and the ground-truth columns (dist_J, lower_margin
+    and, with Q, dist_Q, q_lower_margin).  So a solver never writes into
+    an iterate or an envelope after recording it, does not read its own
+    trace's rows while it runs, and gives policy, b_set and the
+    envelope on every row or on none.  Ground truth of the wrong shape
+    is refused here, before the first row.
     """
 
     def __init__(self, algorithm: str, model: TotalCostModel, config: SolverConfig,
@@ -612,10 +614,10 @@ class _Recorder:
         self._k, self._residual = lists["k"], lists["residual"]
         self._wall_time, self._extra = lists["wall_time"], lists["extra"]
         self._policy, self._b_set = lists["policy"], lists["b_set"]
-        self._upper_margin = lists["upper_margin"]
         self.code = self.columns.code
         self._held_J: list[np.ndarray] = []
         self._held_Q: list[np.ndarray] = []
+        self._held_envelope: list[np.ndarray] = []
         self._start = perf_counter()
 
     def block_row(self) -> np.ndarray:
@@ -627,11 +629,12 @@ class _Recorder:
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
             policy: int | None = None, b_set: int | None = None,
-            upper_margin: float | None = None, extra: dict | None = None) -> None:
+            envelope: np.ndarray | None = None, extra: dict | None = None) -> None:
         """Record row k, which follows the last row's k, with the codes
-        of its policy and B text.  With ground truth, J (and Q) are held
-        by reference until the row's columns are filled: the caller
-        never writes into them afterwards."""
+        of its policy and B text.  With ground truth or an envelope, J
+        (and Q, and the envelope) are held by reference until the row's
+        columns are filled: the caller never writes into them
+        afterwards."""
         self._k.append(k)
         self._residual.append(residual)
         self._wall_time.append(perf_counter() - self._start)
@@ -639,30 +642,36 @@ class _Recorder:
             self._policy.append(policy)
         if b_set is not None:
             self._b_set.append(b_set)
-        if upper_margin is not None:
-            self._upper_margin.append(upper_margin)
         self._extra.append({} if extra is None else extra)
-        if self.Jstar is not None:
-            self._held_J.append(J)
-            if Q is not None and self.Qstar is not None:
-                self._held_Q.append(Q)
-            if len(self._held_J) >= _BLOCK:
-                self._fill()
+        if envelope is not None:
+            self._held_envelope.append(envelope)
+        elif self.Jstar is None:
+            return
+        self._held_J.append(J)
+        if Q is not None and self.Qstar is not None:
+            self._held_Q.append(Q)
+        if len(self._held_J) >= _BLOCK:
+            self._fill()
 
     def _fill(self) -> None:
-        """The held rows' ground-truth columns, from one row-wise pass of
-        each kernel over their stacked iterates."""
-        if self.Jstar is None:
+        """The held rows' upper_margin and ground-truth columns, from one
+        row-wise pass of each kernel over their stacked iterates."""
+        if not self._held_J:
             return
         lists = self.columns.lists
-        for star, held, dist, margin in (
-                (self.Jstar, self._held_J, "dist_J", "lower_margin"),
-                (self.Qstar, self._held_Q, "dist_Q", "q_lower_margin")):
-            if held:
-                stack = np.array(held)
-                lists[dist] += sup_dist(stack, star).tolist()
-                lists[margin] += margin_leq(star, stack).tolist()
-                held.clear()
+        stack = np.array(self._held_J)
+        if self._held_envelope:
+            envelopes = np.array(self._held_envelope)
+            lists["upper_margin"] += margin_leq(stack, envelopes).tolist()
+        if self.Jstar is not None:
+            lists["dist_J"] += sup_dist(stack, self.Jstar).tolist()
+            lists["lower_margin"] += margin_leq(self.Jstar, stack).tolist()
+        if self._held_Q:
+            stack = np.array(self._held_Q)
+            lists["dist_Q"] += sup_dist(stack, self.Qstar).tolist()
+            lists["q_lower_margin"] += margin_leq(self.Qstar, stack).tolist()
+        for held in (self._held_J, self._held_Q, self._held_envelope):
+            held.clear()
 
     def finish(self, termination: str, J: np.ndarray, bound: str | None = None,
                **fields) -> SolveResult:
@@ -1137,19 +1146,24 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     initial one at k = 0, if given, else greedy from Q with the configured
     epsilon, reusing M(Q) when the last iteration took it, and keeping the
     policy and its Theta while the choice repeats), resolve B, and let
-    ``update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next)``
-    write Q_next (and, for a masked update, J_next) and return (operator
-    count, whether it wrote J_next, lp's row columns).  J becomes the clamped
-    J_next of a masked update, else the clamped M(Q_next).  In D without
-    a mask schedule, a row on the finite path stops on the bracket of
-    its J (`_bracket_stop`), which holds for any J, clamped or
-    epsilon-greedy ones too: it pays one `_bellman_T(J)` per row, not
-    counted in the op count, and on a stop returns the upper end U,
-    Q = H(U), the upper end H(T(J)) + alpha c max(d) of the Q* bracket,
-    the policy greedy for that Q, which costs at most U, and the bound;
-    one backup more.  Where tol is below what the row's rounding
-    allowance can certify, the row keeps the residual stop below.
-    Every other run converges once
+    ``update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next,
+    first)`` write Q_next and J_next and return (operator count, M(Q_next)
+    or None when J_next is a masked update's own J, lp's row columns).
+    J becomes the clamped J_next.  In D without a mask schedule, a row
+    on the finite path stops on the bracket of its J (`_bracket_stop`),
+    which holds for any J, clamped or epsilon-greedy ones too.  The
+    bracket backs up H(J) once, not counted in the op count, into the
+    next row's Q half, and T(J) = M(H(J)) into its J half: that row's
+    power starts from this H when it reads J byte for byte, which every
+    unclamped epsilon = 0 row does, signed zeros aside (``first``,
+    `ftheta._f_theta_power`), and a power that stops there leaves
+    M(Q_next) = T(J) made.  So a row whose iterates rise takes one
+    backup and one minimum in all.  On a stop the row returns the upper
+    end U, Q = H(U), the upper end H(T(J)) + alpha c max(d) of the Q*
+    bracket, the policy greedy for that Q, which costs at most U, and
+    the bound; one backup more.  Where tol is below what the row's
+    rounding allowance can certify, the row keeps the residual stop
+    below.  Every other run converges once
     max(res_J, res_Q) <= tol on each of the last rows of a whole cycle
     of the mask schedule (one row without masks): a masked
     row moves only the pairs and states its masks set, so a quiet row
@@ -1178,10 +1192,14 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     into its halves J_next and Q_next: the power its last backup into the
     Q half (`_f_theta_power`'s ``out``), M(Q) goes into the J half and the
     clamp runs there in place, and the masked, exact and lp updates copy
-    their fresh results in.  Both residuals are then one pass over the
-    buffer against the last row's (`sup_dist_segments`, each entry its
-    half's `sup_dist` bit for bit).  No later row writes into a row's
-    buffer, and the result holds copies of its own.  What stays fixed
+    their fresh results in.  The N/P envelope steps on the finite path
+    while it holds no infinity and no NaN (`_bellman_T` with a flag,
+    rescanned after each step until it fails), and the recorder fills
+    each row's upper_margin against it by block.  Both residuals are
+    then one pass over the buffer against the last row's
+    (`sup_dist_segments`, each entry its half's `sup_dist` bit for bit).
+    No later row writes into a row's buffer, and the result holds copies
+    of its own.  What stays fixed
     for the solve is taken once: the clamp bounds as float arrays, an
     int nk, and the codes of the policy's and B's text once per Theta.
 
@@ -1220,14 +1238,17 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                          np.asarray(config.Q0, dtype=float)))
     J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
-    envelope = None if lp or model.regime == "D" else bellman_T(model, J)
+    envelope = (None if lp or model.regime == "D"
+                else _bellman_T(model, J, _finite(model, J)))
     pinned = None if envelope is None else _pinned(model, J, envelope)
     if pinned is not None:
         infinity = -INF if model.regime == "N" else INF
         J[pinned] = infinity
         Q[(model.pair_probs[:, pinned] > 0.0).any(axis=1)
           | (model.pair_costs == infinity)] = infinity
-        envelope = bellman_T(model, J)
+        envelope = _bellman_T(model, J)
+    # whether the envelope holds no infinity and no NaN, rescanned while it does
+    envelope_finite = envelope is not None and _finite(model, envelope)
     finite = _finite(model, JQ)
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp,
                     iterates=() if lp else ((J_SNAPSHOT, 0, n), (Q_SNAPSHOT, n, size)))
@@ -1244,6 +1265,9 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
     bracket = _brackets(model, config)
+    # The next row's [J | Q] buffer and H(J) in its Q half, when the bracket
+    # wrote them (with T(J) in its J half)
+    nxt = first = None
     for k in range(config.max_iter):
         if k > 0 or policy is None:
             policy = _greedy_select(model, Q, epsilon, qmin, policy, finite)
@@ -1255,35 +1279,36 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
             theta = Theta(policy, B)
             policy_code = rec.code(policy.descriptor())
             b_code = rec.code(_describe_b(theta.B, n))
-        nxt = np.empty(size) if lp else rec.block_row()
+        if nxt is None:
+            nxt = np.empty(size) if lp else rec.block_row()
         J_next, Q_next = nxt[:n], nxt[n:]
-        ops, set_J, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
-                                     theta, Q, J, finite, J_next, Q_next)
+        ops, qmin, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
+                                    theta, Q, J, finite, J_next, Q_next, first)
         rec.trace.op_count += ops
-        if set_J:
-            qmin = None
+        if lo is not None or hi is not None:
+            qmin = None if qmin is None else qmin.copy()
             _clamp(J_next, lo, hi, J_next)
-        elif lo is None and hi is None:
-            qmin = _segment_min(model, Q_next, J_next)
-        else:
-            qmin = _segment_min(model, Q_next)
-            _clamp(qmin, lo, hi, J_next)
         res_J, res_Q = (_sup_dist_segments(nxt, JQ, halves, True) if finite
                         else sup_dist_segments(nxt, JQ, halves)).tolist()
         finite = finite and res_J < INF and res_Q < INF
         JQ, J, Q = nxt, J_next, Q_next
+        nxt = first = None
         if envelope is not None and k:
-            envelope = bellman_T(model, envelope)
-        upper = None if envelope is None else margin_leq(J, envelope)
+            envelope = _bellman_T(model, envelope, envelope_finite)
+            envelope_finite = envelope_finite and _finite(model, envelope)
         if lp:
             extra = {"residual_Q": res_Q, **columns,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
             extra = {"residual_Q": res_Q, "powers": ops}
-        rec.row(k + 1, res_J, J, Q, policy=policy_code, b_set=b_code, upper_margin=upper,
+        rec.row(k + 1, res_J, J, Q, policy=policy_code, b_set=b_code, envelope=envelope,
                 extra=extra)
         if bracket and finite:
-            TJ = _bellman_T(model, J, True)
+            # H(J) and T(J) = M(H(J)) go into the next row's buffer, whose
+            # power starts from that H when it reads J
+            nxt = np.empty(size) if lp else rec.block_row()
+            first = _plain_backup(model, J, nxt[n:])
+            TJ = _segment_min(model, first, nxt[:n])
             stop = _bracket_stop(model, TJ, J, *_extremes(TJ - J), max(res_J, res_Q) <= tol,
                                  tol)
             if stop is not None:
@@ -1300,38 +1325,45 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
 
 
-# The Q-updates of `_mixed_loop`, called with the row's power count nk and
-# the halves J_next, Q_next of its buffer.  The three of `mixed_vpi` have
-# one row column, ``powers``: their operator count, which the loop writes
-# itself, so they return None for the columns.
+# The Q-updates of `_mixed_loop`, called with the row's power count nk, the
+# halves J_next, Q_next of its buffer and the bracket's H(J) (``first``,
+# in Q_next's memory, or None).  Each writes Q_next and J_next and returns
+# its operator count, M(Q_next) (J_next itself) or None when J_next is
+# the masked update's own J, and lp's row columns.  The three of
+# `mixed_vpi` have one row column, ``powers``: their operator count,
+# which the loop writes itself, so they return None for the columns.
 
 
-def _power_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
-    return _f_theta_power(model, theta, Q, J, nk, finite, Q_next)[1], False, None
+def _power_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
+    Q_new, powers = _f_theta_power(model, theta, Q, J, nk, finite, Q_next, first)
+    # a power that stopped at the bracket's H(J) finds M(H(J)) = T(J) in J_next
+    qmin = J_next if Q_new is first else _segment_min(model, Q_next, J_next)
+    return powers, qmin, None
 
 
-def _masked_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
+def _masked_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
     pair_mask, state_mask = config.masks[k % len(config.masks)]
     Q_new, J_new, powers = _masked_power(model, theta, Q, J, pair_mask, state_mask,
                                          nk, finite)
     Q_next[...] = Q_new
     J_next[...] = J_new
-    return powers, True, None
+    return powers, None, None
 
 
-def _exact_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
+def _exact_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
     Q_fix, cert = q_fixed_point(model, theta, J)
     Q_next[...] = Q_fix
-    return cert.iterations, False, None
+    return cert.iterations, _segment_min(model, Q_next, J_next), None
 
 
-def _program_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next):
+def _program_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
     bound = lp_upper_bound(model, theta, J)
     Q_fix, cert = q_fixed_point(model, theta, J)
     Q_next[...] = bound.Qbar
     columns = {"ineq_lower_margin": margin_leq(Q_fix, bound.Qbar),   # <= 0: above Q_fix
                "ineq_upper_margin": bound.certificate.upper_margin}  # >= 0: below F
-    return cert.iterations + bound.certificate.iterations, False, columns
+    return (cert.iterations + bound.certificate.iterations,
+            _segment_min(model, Q_next, J_next), columns)
 
 
 def _clamp(J: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None,

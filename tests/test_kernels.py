@@ -790,7 +790,9 @@ class TestPowers:
     single applications, bit for bit, also where a value overflows part
     way and where the start holds an infinity.  Only near-largest starts
     may warn (the overflow itself); an error-mode run then stops at the
-    same warning."""
+    same warning.  A policy built from choices runs its plain powers in
+    `operators._gather_power`'s loop, which both entries reach, and the
+    kernel `_f_theta_power` may start from a handed-in H(J)."""
 
     @settings(max_examples=300)
     @given(power_cases())
@@ -877,6 +879,65 @@ class TestPowers:
                 assert got[1].tobytes() == want[1].tobytes()
                 assert got[0].tobytes() == want[0].tobytes() and got[2] == want[2]
                 assert (buf[:model.num_states] == 12345.0).all()
+
+    @settings(max_examples=300)
+    @given(power_cases(), st.booleans(), st.booleans())
+    def test_buffer_power_from_a_handed_first_backup(self, c, handed, lift):
+        # `_f_theta_power` into the Q half of a mixed row's buffer, with
+        # and without H(J) handed in, in that memory under another view
+        # (the mixed loop's bracket), against single applications.  With
+        # ``lift`` Q is raised to J on its pairs, so that the first w is
+        # J, and the handed H is the first power, more often.
+        model, theta, J = c.model, Theta(c.policy, c.B), c.J
+        n = model.num_states
+        Q = np.maximum(c.Q, J[model.pair_state]) if lift else c.Q
+        filt = "ignore" if c.kind == "big" else "error"
+        buf = np.full(n + model.num_pairs(), 12345.0)
+        out = buf[n:]
+
+        def into_buffer():
+            first = None
+            if handed:
+                first = buf[n:]
+                first[...] = outcome(lambda: pair_backup(model, J), "ignore")
+            return _f_theta_power(model, theta, Q, J, c.n, out=out, first=first), first
+
+        if c.kind == "big" and not handed:  # a handed H warned where it was made
+            got = outcome(lambda: into_buffer()[0], "error")
+            want = outcome(lambda: f_power_per_backup(model, theta, Q, J, c.n), "error")
+            assert type(got) is type(want)
+            if isinstance(got, str):
+                assert got == want
+        (got, applied), first = outcome(into_buffer, filt)
+        want = outcome(lambda: f_power_per_backup(model, theta, Q, J, c.n), filt)
+        assert applied == want[1]
+        assert got.tobytes() == want[0].tobytes() == out.tobytes()
+        assert np.shares_memory(got, buf) and (buf[:n] == 12345.0).all()
+        w = _f_floor_map(model, theta, J)[0](Q)
+        # the handed H is the result itself exactly when the power stopped at it
+        assert (got is first) == (handed and w.tobytes() == J.tobytes() and applied == 1)
+
+    @pytest.mark.parametrize("shape", [(6, 2), (90, 30), (96, 32), (400, 200)])
+    def test_dot_and_matmul_agree_on_the_kernels_layouts(self, shape):
+        # The plain backups take P.dot (np.dot's product), the checked
+        # ones `expect_rows`' P @ w: from a finite w they must be the same
+        # floats.  The kernels pass a contiguous vector (a gather, a
+        # minimum) or a row's J half in the mixed loop's block, and write
+        # into a row's Q half or a fresh array.
+        m, n = shape
+        rng = np.random.default_rng(m)
+        P = rng.random((m, n)) * (rng.random((m, n)) < 0.4)
+        P[np.arange(m), rng.integers(n, size=m)] += 0.1
+        P /= P.sum(axis=1, keepdims=True)
+        P.setflags(write=False)
+        block = np.empty((3, n + m))
+        for scale in (1.0, 1e-300, 1e300):
+            block[:, :n] = rng.standard_normal((3, n)) * scale
+            vectors = (np.ascontiguousarray(block[1, :n]), block[1, :n])
+            for w in vectors:
+                want = (P @ w).tobytes()
+                assert np.dot(P, w).tobytes() == P.dot(w).tobytes() == want
+                assert P.dot(w, out=block[2, n:]).tobytes() == want
 
     def test_a_buffer_power_that_overflows_part_way_is_run_again_into_the_buffer(self):
         # State 0 pays 1e308 and stays, state 1 is free and stays.  From

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from totaldp.model import (
 )
 from totaldp.fixtures import fixture
 from totaldp.modelio import model_hash
+from totaldp.operators import h_backup
 from totaldp.ftheta import Theta
 from totaldp.stopping import lp_upper_bound
 
@@ -320,6 +323,15 @@ class TestStoredForm:
         model = fixture("FX-D").model
         assert model.controls is not model.controls
         assert not any(map(holds_control, vars(model).values()))
+
+    def test_a_model_pickles_with_its_backup_map(self):
+        # The model keeps the map its backups apply (`model._g_plus`),
+        # which must not stop it from being pickled, as for a process pool.
+        model = fixture("FX-D").model
+        J = np.array([1.0, -2.0, 0.5])
+        H = h_backup(model, J)
+        twin = pickle.loads(pickle.dumps(model))
+        assert h_backup(twin, J).tobytes() == H.tobytes()
 
 
 class TestArrayPacker:

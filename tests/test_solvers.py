@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
-from totaldp import solvers
+from totaldp import operators, solvers
 from totaldp.extreal import INF, margin_leq, sup_dist
 from totaldp.ftheta import Theta
 from totaldp.model import AtomicControl, Policy, TotalCostModel
@@ -412,17 +412,35 @@ class TestLayerCallsPerRow:
     """Each row of value iteration and of the mixed loop runs its
     operators once, through the private kernels behind the public
     entries (`operators._bellman_T`, `_greedy_select`, `_segment_min`,
-    `ftheta._f_theta_power`), checked or not; the N/P envelope column
-    still calls the public `bellman_T` once per row."""
+    `ftheta._f_theta_power`), checked or not.  The N/P envelope steps by
+    `_bellman_T` too, once per row.  A D mixed row takes one backup and
+    one `_segment_min` in all, its bracket's: the next row's power
+    starts from the bracket's H(J) and, stopping there, finds
+    M(H(J)) = T(J) made."""
 
     @staticmethod
-    def _count(monkeypatch, *names):
+    def _count(monkeypatch, *names, module=solvers):
         counts = dict.fromkeys(names, 0)
         for name in names:
-            def counting(*args, _real=getattr(solvers, name), _name=name, **kwargs):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(solvers, name, counting)
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @staticmethod
+    def _count_backups(monkeypatch, model):
+        """Count the backups of ``model``: each applies the model's
+        `_g_plus` map once, and the count replaces it on this model
+        for the test alone."""
+        counts = {"backups": 0}
+        real = model._g_plus
+
+        def g_plus(cont):
+            counts["backups"] += 1
+            return real(cont)
+
+        monkeypatch.setitem(vars(model), "_g_plus", g_plus)
         return counts
 
     @staticmethod
@@ -436,11 +454,12 @@ class TestLayerCallsPerRow:
     @pytest.mark.parametrize("name", ["FX-D", "FX-N2", "FX-P4", "FX-P3a", "trap"])
     def test_one_bellman_T_per_value_iteration_row(self, monkeypatch, name):
         model = self._trap() if name == "trap" else fixture(name).model
-        counts = self._count(monkeypatch, "_bellman_T", "bellman_T")
+        counts = self._count(monkeypatch, "_bellman_T")
+        public = self._count(monkeypatch, "bellman_T", module=operators)
         res = value_iteration(model, np.zeros(model.num_states), SolverConfig(
             algorithm="vi", max_iter=150, stop_on_tol=False))
         assert counts["_bellman_T"] == len(res.trace.rows) == 150
-        assert counts["bellman_T"] == 0
+        assert public["bellman_T"] == 0
         if name in ("FX-P3a", "trap"):  # the pinned-state bookkeeping ran
             assert res.divergent and res.J[sorted(res.divergent)].tolist() == [INF]
 
@@ -449,19 +468,31 @@ class TestLayerCallsPerRow:
     def test_one_greedy_power_and_minimum_per_mixed_row(self, monkeypatch, name, nk):
         fx = fixture(name)
         J0 = np.zeros(fx.model.num_states)
+        Q0 = h_backup(fx.model, J0)
         counts = self._count(monkeypatch, "_greedy_select", "_f_theta_power",
-                             "_segment_min", "bellman_T")
+                             "_segment_min", "_bellman_T")
+        public = self._count(monkeypatch, "bellman_T", module=operators)
+        backups = self._count_backups(monkeypatch, fx.model)
         res = mixed_vpi(fx.model, SolverConfig(
-            algorithm="mixed", J0=J0, Q0=h_backup(fx.model, J0), nk=nk, tol=1e-10,
-            max_iter=500))
+            algorithm="mixed", J0=J0, Q0=Q0, nk=nk, tol=1e-10, max_iter=500))
         rows = len(res.trace.rows)
         assert rows > 1
-        envelope = 0 if fx.model.regime == "D" else rows
-        # FX-D stops on its bracket, and selects the answer's policy once
-        # more, greedy for the answer's Q.
-        answer = 1 if fx.model.regime == "D" else 0
-        assert counts == {"_greedy_select": rows + answer, "_f_theta_power": rows,
-                          "_segment_min": rows, "bellman_T": envelope}
+        powers = res.trace.op_count
+        if fx.model.regime == "D":
+            # FX-D's iterates rise, so every power stops at its first,
+            # and a row after the first takes the bracket's H(J) and T(J):
+            # the first row backs up and minimizes once more, and the stop
+            # backs up its answer U and selects its policy once more.
+            assert res.error_bound is not None and powers == rows
+            want = {"_greedy_select": rows + 1, "_f_theta_power": rows,
+                    "_segment_min": rows + 1, "_bellman_T": 0, "backups": rows + 2}
+        else:
+            # the power's backups, one envelope step per row and T(J0)
+            want = {"_greedy_select": rows, "_f_theta_power": rows,
+                    "_segment_min": rows, "_bellman_T": rows,
+                    "backups": powers + rows}
+        assert {**counts, **backups} == want
+        assert public["bellman_T"] == 0
 
 
 class TestPowerCounts:
@@ -1445,10 +1476,11 @@ def _bits(x) -> bytes:
 
 
 class TestDeferredGroundTruthColumns:
-    """The recorder fills a row's ground-truth columns after the row is
-    appended: every `solvers._BLOCK` rows and when the run ends.  Each
-    mixed row's four columns are the 1-D kernels applied to its own
-    snapshots, bit for bit, however the run ends."""
+    """The recorder fills a row's ground-truth columns, and the upper
+    margin against the N/P envelope, after the row is appended: every
+    `solvers._BLOCK` rows and when the run ends.  Each mixed row's
+    columns are the 1-D kernels applied to its own snapshots, bit for
+    bit, however the run ends."""
 
     STARTS = {"FX-D": lambda fx: np.zeros(3), "FX-N2": lambda fx: np.zeros(2),
               "FX-P4": lambda fx: 1.5 * fx.Jstar + 1.0}
@@ -1483,6 +1515,34 @@ class TestDeferredGroundTruthColumns:
         assert len(out.trace.rows) == solvers._BLOCK + 44
         assert held == [solvers._BLOCK, 44]
         self._assert_columns(out.trace, fx)
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_upper_margins_of_a_run_longer_than_two_blocks(self, clamped):
+        # The slow exit at p = 1e-3 from above, J(1) = 1/p, with no ground
+        # truth: 600 rows of nk = 10 leave J(1) about 1.2 above 1/p, at or
+        # below the envelope.  Clamped at 1.35/p, J(1) stays above the
+        # envelope once the envelope falls below it (row 357), so the margins
+        # vary.  Each row's upper_margin is the oracle's margin of its
+        # J_k against T^k(J0), the envelope stepped by the oracle's T.
+        p = 1e-3
+        model = TotalCostModel("P", 1.0, (
+            (AtomicControl("rest", 0.0, np.array([1.0, 0.0])),),
+            (AtomicControl("go", 1.0, np.array([p, 1.0 - p])),)))
+        J0 = np.array([0.0, 1.5 / p])
+        out = mixed_vpi(model, SolverConfig(
+            algorithm="mixed", J0=J0, Q0=h_backup(model, J0), nk=10, max_iter=600,
+            stop_on_tol=False, clamp_lo=np.array([0.0, 1.35 / p]) if clamped else None))
+        columns = out.trace.columns
+        assert len(columns) == 600 > 2 * solvers._BLOCK
+        envelope, want = J0, []
+        for J in columns.iterates(J_SNAPSHOT):
+            envelope = ref.bellman_T(model, envelope)
+            want.append(ref.margin_masked(J, envelope))
+        assert _array_bits(columns.column("upper_margin")) == _array_bits(want)
+        if clamped:
+            assert len(set(want)) > 200 and max(want) > 50.0
+        else:
+            assert 1.0 / p < out.J[1] < 1.0 / p + 2.0 and max(want) == 0.0
 
     def test_a_capped_run(self):
         # FX-N2 and FX-P4 reach a zero residual within a block; FX-D does not.
