@@ -20,10 +20,10 @@ These operators are defined for atomic-only models; the all-plus-infinity
 J vector is a legal input and turns the B = S deterministic form into the
 plain fixed-policy Q backup.  One application is a few pair-axis array
 operations: lift J onto the pairs, take min{J, Q} and mix it per state
-with the policy (`model.policy_mix`), or, for a policy built from
-choices, read Q at the chosen pairs (the same mix, a gather) and take
-min{J, Q} on those states; then run the shared Q backup of the operators
-module against the result.
+with the policy (`model.policy_mix`) on B, or, for a policy built from
+choices and B = S, read Q at the chosen pairs (the same mix, a gather)
+and take min{J, Q} on those states; then run the shared Q backup of the
+operators module against the result.
 
 An application reads Q only through that state vector w (J off B, the
 policy's mix of min{J, Q} on B), and the backup is a deterministic
@@ -36,13 +36,13 @@ the first power is H(J).  While the iterates rise (T J >= J, so that
 H(J) >= J on every pair), the second power reads that same J: one
 backup per mixed iteration instead of n.  In D that backup is the one
 the mixed loop's bracket made already (the kernel's ``first``), so the
-row takes none of its own.  `f_theta_power` returns the
-number of backups that did run next to its result.  Its powers run in
+row takes none of its own.  `f_theta_power` returns the number of
+backups that did run next to its result.  Its powers run in
 `operators._backup_power`, which takes the finite fast path (a policy
-built from choices, finite pair costs, a finite w) from a decision
-made once rather than by scanning every w, and runs the whole power
-again backup by backup when the result holds a NaN, the trace of a
-value that overflowed part way.  `f_theta_power` decides it from the
+built from choices with B = S, finite pair costs, a finite w) from a
+decision made once rather than by scanning every w, and runs the whole
+power again backup by backup when the result holds a NaN, the trace of
+a value that overflowed part way.  `f_theta_power` decides it from the
 first state vector w.  The mixed loop decides it once per solve, from
 J0, Q0 and the pair costs, keeps it while each row's residuals are
 finite (a finite residual from a finite iterate means a finite next
@@ -154,32 +154,12 @@ def _floor(model: TotalCostModel, theta: Theta, V: np.ndarray,
 
 def _f_floor_map(model: TotalCostModel, theta: Theta, J: np.ndarray):
     """The map from Q to the state vector that one application of
-    F_theta(.; J) to Q backs up, and whether it only gathers and takes
-    minima (a policy built from choices; `operators._backup_power`).
-
-    What does not depend on Q (the policy's chosen pairs, the full-B
-    test, J lifted onto the pairs or read on B) is read once, when the
-    map is built, so a power loop builds it once.  A policy built from
-    choices reads Q at its chosen pairs first (its `policy_mix`, a
-    gather) and then takes min{J, Q} over those states only: the same
-    operands as the minimum over every pair read at the chosen ones, so
-    the same floats, bit for bit.  The policy was checked against the
-    model by `_check_inputs`, so the gather is taken here directly.
-    (`_f_theta_power` reads B = S under such a policy without a map.)
-    """
-    chosen = theta.policy.chosen_pairs
-    if chosen is None:
-        lifted = J[model.pair_state]
-        return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J), False
-    B = theta.B_index
-    J_B, chosen_B = J[B], chosen[B]
-
-    def floor(Q: np.ndarray) -> np.ndarray:
-        w = J.copy()
-        w[B] = np.minimum(J_B, Q[chosen_B])
-        return w
-
-    return floor, True
+    F_theta(.; J) to Q backs up: the policy's mix of min{J, Q} on B, J
+    off B (`_floor`).  J is lifted onto the pairs once, when the map is
+    built, so a power loop lifts it once.  (`_f_theta_power` reads B = S
+    under a policy built from choices without a map.)"""
+    lifted = J[model.pair_state]
+    return lambda Q: _floor(model, theta, np.minimum(lifted, Q), J)
 
 
 def f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray,
@@ -221,16 +201,21 @@ def _f_theta_power(model: TotalCostModel, theta: Theta, Q0: np.ndarray, J: np.nd
 
     With B = S, a policy built from choices reads min{J, Q} at its
     chosen pairs: `_backup_power` takes that read as the pair (chosen,
-    J) and no map is built (the mixed loop's row, one per iteration);
-    any other Theta reads through `_f_floor_map`."""
+    J), on the finite fast path when w is finite, and no map is built
+    (the mixed loop's row, one per iteration).  Any other Theta, a
+    policy built from choices with a B smaller than every state among
+    them, reads through `_f_floor_map` on the per-backup path: its
+    `policy_mix` gathers the same chosen pairs, so the floats are the
+    same.  No benchmark workload runs such a Theta."""
     if theta._fits is not model:  # spares the mixed loop a call per row
         _check_inputs(model, theta)
     chosen = theta.policy.chosen_pairs
-    if chosen is not None and len(theta.B) == model.num_states:
-        read, gathers = (chosen, J), True
+    gathers = chosen is not None and len(theta.B) == model.num_states
+    if gathers:
+        read = (chosen, J)
         w = np.minimum(J, Q0[chosen])
     else:
-        read, gathers = _f_floor_map(model, theta, J)
+        read = _f_floor_map(model, theta, J)
         w = read(Q0)
     if first is not None and w.tobytes() != J.tobytes():
         first = None

@@ -31,7 +31,6 @@ ModelFileError naming its line or row.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -44,7 +43,7 @@ import warnings
 import numpy as np
 
 from .model import AffineFamily, TotalCostModel
-from .solvers import ITERATE_KEYS, IterationTrace, TraceRow
+from .solvers import ITERATE_KEYS, ROW_DEFAULTS, ROW_FIELDS, IterationTrace, TraceRow
 
 FORMAT_VERSION = 1
 
@@ -620,18 +619,6 @@ def _decode_dict(v) -> dict:
 _json = json.JSONEncoder(allow_nan=False).encode
 
 
-def _tree_json(obj) -> str:
-    """The JSON text of `_encode_tree(obj)`.  The encoder writes a float
-    (a numpy float64 too) by `float.__repr__`, as `encode_xreal` has it
-    written, and refuses an infinite or NaN one and any other numpy
-    value; so obj is written as it is, and encoded first only when that
-    fails."""
-    try:
-        return _json(obj)
-    except (ValueError, TypeError):
-        return _json(_encode_tree(obj))
-
-
 # Field type -> (to a document value, from a document value or CSV text).
 _CODECS = {
     float: (encode_xreal, decode_xreal),
@@ -644,16 +631,10 @@ _CODECS = {
     bool | None: (_optional(bool), _optional(bool)),
 }
 
-# The header fields with their codecs; the row fields in file order with
-# their types, and the file value of a field that a file leaves out (None
-# for k and residual, which every row must give).
+# The header fields with their codecs, and the row fields' types.
 _HEADER = tuple((name, *_CODECS[kind]) for name, kind in typing.get_type_hints(
     IterationTrace).items() if name != "columns")
 _ROW_TYPES = typing.get_type_hints(TraceRow)
-ROW_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
-_ROW_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": "", "b_set": "",
-                 "upper_margin": None, "lower_margin": None, "q_lower_margin": None,
-                 "wall_time": 0.0, "extra": {}}
 
 
 def _header_doc(trace: IterationTrace) -> dict:
@@ -742,7 +723,7 @@ def trace_to_csv(trace: IterationTrace) -> str:
     writer.writerow(["#header", _json(_header_doc(trace))])
     writer.writerow(ROW_FIELDS)
     # csv writes None as an empty cell and a float by its repr
-    writer.writerows(zip(*_row_values(trace, _tree_json)))
+    writer.writerows(zip(*_row_values(trace, lambda extra: _json(_encode_tree(extra)))))
     return buf.getvalue()
 
 
@@ -760,7 +741,7 @@ def trace_from_csv(text: str) -> IterationTrace:
         if len(rec) != len(names):
             raise ModelFileError(f"{place}: {len(rec)} cells for {len(names)} columns")
     columns = dict(zip(names, zip(*(rec for _, rec in rows))))
-    cells = {name: columns.get(name, [_ROW_DEFAULTS.get(name)] * len(rows))
+    cells = {name: columns.get(name, [ROW_DEFAULTS.get(name)] * len(rows))
              for name in ROW_FIELDS}
     return _row_columns(_header(header), cells, [place for place, _ in rows])
 
@@ -784,7 +765,7 @@ def trace_from_json(text: str) -> IterationTrace:
     for i, rec in enumerate(rows):
         if not isinstance(rec, dict):
             raise ModelFileError(f"row {i}: expected an object")
-    cells = {name: [rec.get(name, _ROW_DEFAULTS.get(name)) for rec in rows]
+    cells = {name: [rec.get(name, ROW_DEFAULTS.get(name)) for rec in rows]
              for name in ROW_FIELDS}
     return _row_columns(trace, cells, [f"row {i}" for i in range(len(rows))])
 

@@ -168,11 +168,10 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     returned itself when the power stops there.
 
     The finiteness decision is the caller's, made once: ``plain`` says
-    that read only gathers and takes minima (the read of a policy built
-    from choices), so a NaN it reads stays in w, and that `_finite`
-    holds for the start w.  A power entry scans w for it; the mixed loop
-    knows it from the solve's start and its residuals, and passes it
-    without a scan.  Then every backup takes the plain product P @ w
+    that read is a pair read, which only gathers and takes minima, so a
+    NaN it reads stays in w, and that `_finite` holds for the start w.
+    A power entry scans w for it; the mixed loop knows it from the
+    solve's start and its residuals, and passes it without a scan.  Then every backup takes the plain product P @ w
     with no scan for infinities (`_plain_backup`).  From a finite w the
     product is `expect_rows`' own fast path; w can hold an infinity
     later only where a value overflowed, and there the plain product
@@ -186,8 +185,8 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     same place; under a filter that only reports, the plain product
     adds an "invalid value" warning before the rerun.
 
-    On the plain path a pair read runs one tight loop (`_gather_power`);
-    a read function, and the per-backup path, run `_read_power`.
+    The plain path runs one tight loop (`_gather_power`); the per-backup
+    path, the only one for a read function, runs `_read_power`.
 
     With ``out``, a pair vector of the model's length that neither w nor
     any vector read returns shares memory with, every backup is written
@@ -198,12 +197,11 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     vector before the next backup overwrites ``out``, so the floats are
     those of fresh arrays, bit for bit.
     """
-    if plain and isinstance(read, tuple):
-        x, H, applied = _gather_power(model, w, read, n, stop, out, first)
-    else:
-        x, H, applied = _read_power(model, w, read, n, plain, stop, out, first)
-    if applied > 1 and plain and np.count_nonzero(np.isnan(H)):
-        return _read_power(model, w, read, n, False, stop, out, None)
+    if not plain:
+        return _read_power(model, w, read, n, stop, out, first)
+    x, H, applied = _gather_power(model, w, read, n, stop, out, first)
+    if applied > 1 and np.count_nonzero(np.isnan(H)):
+        return _read_power(model, w, read, n, stop, out, None)
     return x, H, applied
 
 
@@ -231,18 +229,17 @@ def _gather_power(model: TotalCostModel, w: np.ndarray, read: tuple, n: int, sto
     return x, H, n
 
 
-def _read_power(model: TotalCostModel, w: np.ndarray, read, n: int, plain: bool,
-                stop: bool, out: np.ndarray | None, first: np.ndarray | None
+def _read_power(model: TotalCostModel, w: np.ndarray, read, n: int, stop: bool,
+                out: np.ndarray | None, first: np.ndarray | None
                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_backup_power` through a read function (a pair read is made one),
-    each backup plain (`_plain_backup`) or, off the plain path, a
-    `pair_backup` copied into ``out`` when given (`_backup`)."""
+    """`_backup_power`'s per-backup path, through a read function (a pair
+    read is made one): each backup a `pair_backup`, copied into ``out``
+    when given (`_backup`)."""
     if isinstance(read, tuple):
         chosen, floor = read
         read = ((lambda H: H[chosen]) if floor is None
                 else (lambda H: np.minimum(floor, H[chosen])))
-    backup = _plain_backup if plain else _backup
-    H = backup(model, w, out) if first is None else first
+    H = _backup(model, w, out) if first is None else first
     x, applied, last = w, 1, w.tobytes() if stop else None
     while applied < n:
         v = read(H)
@@ -251,14 +248,14 @@ def _read_power(model: TotalCostModel, w: np.ndarray, read, n: int, plain: bool,
             if now == last:
                 break
             last = now
-        x, H = v, backup(model, v, out)
+        x, H = v, _backup(model, v, out)
         applied += 1
     return x, H, applied
 
 
 def _backup(model: TotalCostModel, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A backup of `_backup_power` off the plain path: `pair_backup`,
-    copied into ``out`` when given."""
+    """A backup of `_read_power`: `pair_backup`, copied into ``out``
+    when given."""
     H = pair_backup(model, w)
     if out is None:
         return H

@@ -189,22 +189,21 @@ class TraceRow:
     extra: dict = field(default_factory=dict)
 
 
-# The fields of a row, those held as codes into a table of strings, and
-# the column entry of each field that a trace may leave out ("" being
-# code 0).
-_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
-_TEXTS = ("policy", "b_set")
-_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": 0, "b_set": 0, "upper_margin": None,
-             "lower_margin": None, "q_lower_margin": None, "wall_time": 0.0}
+# The fields of a row, in trace file order, and the entry of each field
+# that a trace or a trace file may leave out (k and residual every row
+# must give).
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+ROW_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": "", "b_set": "",
+                "upper_margin": None, "lower_margin": None, "q_lower_margin": None,
+                "wall_time": 0.0, "extra": {}}
 
 
 class TraceColumns(Sequence):
     """The rows of a trace, held as columns and read as `TraceRow`s.
 
     ``lists`` holds one list per field of `TraceRow`, with an entry per
-    row, policy and b_set as codes: ``codes`` maps each distinct string
-    to its code, in order of first use.  A list left empty is a field
-    that the rows leave out, which takes its default in every row.
+    row.  A list left empty is a field that the rows leave out, which
+    takes its default in every row.
     `column` gives a field as an array.  The iterates a solver records
     sit side by side in the rows of ``block``, which grows by doubling,
     named with their column ranges by ``block_keys``; a row's
@@ -213,8 +212,7 @@ class TraceColumns(Sequence):
     """
 
     def __init__(self, block_keys: tuple[tuple[str, int, int], ...] = ()):
-        self.lists: dict[str, list] = {name: [] for name in _FIELDS}
-        self.codes = {"": 0}
+        self.lists: dict[str, list] = {name: [] for name in ROW_FIELDS}
         self.block_keys = block_keys
         self.block = np.empty((16, block_keys[-1][2])) if block_keys else None
 
@@ -227,9 +225,6 @@ class TraceColumns(Sequence):
         if not -len(self) <= i < len(self):
             raise IndexError("trace row index out of range")
         values = {name: column[i] for name, column in self.lists.items() if column}
-        for name in _TEXTS:
-            if name in values:
-                values[name] = list(self.codes)[values[name]]
         if self.block_keys:
             row = self.block[i % len(self)]
             values["extra"] = {**values["extra"],
@@ -239,8 +234,7 @@ class TraceColumns(Sequence):
     def entries(self, name: str) -> list:
         """One field's entry in every row, as `TraceRow` has it; for
         extra, without the recorded iterates (`extras` adds them)."""
-        column = self.lists[name] or [_DEFAULTS.get(name)] * len(self)
-        return list(map(list(self.codes).__getitem__, column)) if name in _TEXTS else column
+        return self.lists[name] or [ROW_DEFAULTS.get(name)] * len(self)
 
     def column(self, name: str) -> np.ndarray:
         """A numeric field as an array: k as ints, a float field as floats
@@ -275,10 +269,6 @@ class TraceColumns(Sequence):
         return [{**extra, **{key: rows[i] for key, rows in parts}}
                 for i, extra in enumerate(self.lists["extra"])]
 
-    def code(self, text: str) -> int:
-        """The code of ``text``, given it at its first use."""
-        return self.codes.setdefault(text, len(self.codes))
-
     def reserve(self, rows: int) -> None:
         """Grow the block, by doubling, to hold ``rows`` rows."""
         if rows > len(self.block):
@@ -295,14 +285,13 @@ class TraceColumns(Sequence):
         rows = len(self)
         for name, column in values.items():
             if rows and not self.lists[name]:
-                self.lists[name] = [_DEFAULTS[name]] * rows
-            self.lists[name] += map(self.code, column) if name in _TEXTS else column
+                self.lists[name] = [ROW_DEFAULTS[name]] * rows
+            self.lists[name] += column
 
     def copy(self) -> TraceColumns:
         """A copy that shares no list or block with this one."""
         other = copy.copy(self)
         other.lists = {name: list(column) for name, column in self.lists.items()}
-        other.codes = dict(self.codes)
         other.block = None if self.block is None else self.block.copy()
         return other
 
@@ -337,7 +326,7 @@ class IterationTrace:
                              "from its solver")
         if len(columns) and not row.k > columns.lists["k"][-1]:
             raise ValueError("trace rows must be strictly increasing in k")
-        columns.extend({name: [getattr(row, name)] for name in _FIELDS})
+        columns.extend({name: [getattr(row, name)] for name in ROW_FIELDS})
 
     @property
     def final_residual(self) -> float:
@@ -567,8 +556,10 @@ class _Recorder:
     truth is known, and dominance only when all of them do.  A solver
     that records iterates names them with their column ranges in
     ``iterates``, and writes each row's into `block_row` before
-    recording the row; it gives a row's policy and B text by their
-    `code`, which the mixed loop takes once per Theta.
+    recording the row.  A config made for another algorithm than the
+    solver's is refused here, before the first row: the solver would
+    ignore what it set for that algorithm, and its echo would name the
+    wrong algorithm in the trace.
 
     A row appends its values to the trace's columns, and the recorder
     holds its J (and Q, and the envelope the mixed loop gives in N and
@@ -586,6 +577,9 @@ class _Recorder:
     def __init__(self, algorithm: str, model: TotalCostModel, config: SolverConfig,
                  J0=None, Q0=None, rate: bool = True, sandwich: bool = False,
                  iterates: tuple[tuple[str, int, int], ...] = ()):
+        if config.algorithm != algorithm:
+            raise ValueError(f"{_NAMES[algorithm]} was given a config for "
+                             f"{_NAMES[config.algorithm]} ({config.algorithm!r})")
         self.config = config
         self.Jstar = self.Qstar = None
         if config.ground_truth is not None:
@@ -614,7 +608,6 @@ class _Recorder:
         self._k, self._residual = lists["k"], lists["residual"]
         self._wall_time, self._extra = lists["wall_time"], lists["extra"]
         self._policy, self._b_set = lists["policy"], lists["b_set"]
-        self.code = self.columns.code
         self._held_J: list[np.ndarray] = []
         self._held_Q: list[np.ndarray] = []
         self._held_envelope: list[np.ndarray] = []
@@ -628,10 +621,10 @@ class _Recorder:
         return self.columns.block[i]
 
     def row(self, k: int, residual: float, J: np.ndarray, Q: np.ndarray | None = None,
-            policy: int | None = None, b_set: int | None = None,
+            policy: str | None = None, b_set: str | None = None,
             envelope: np.ndarray | None = None, extra: dict | None = None) -> None:
-        """Record row k, which follows the last row's k, with the codes
-        of its policy and B text.  With ground truth or an envelope, J
+        """Record row k, which follows the last row's k, with the text
+        of its policy and B.  With ground truth or an envelope, J
         (and Q, and the envelope) are held by reference until the row's
         columns are filled: the caller never writes into them
         afterwards."""
@@ -979,7 +972,7 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
         res = sup_dist(J, prev_J) if prev_J is not None else INF
         prev_J = J
         key = mu.descriptor()
-        rec.row(k, res, J, policy=rec.code(key), extra={"improvement_gap": gap})
+        rec.row(k, res, J, policy=key, extra={"improvement_gap": gap})
         if gap <= 1e-12:
             if rec.Jstar is not None and sup_dist(J, rec.Jstar) <= config.tol:
                 return result("optimal-certified")
@@ -1067,7 +1060,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
             finite = finite and res < INF
         mu = _greedy_select(model, Q, 0.0, None, mu, finite)
         prev_greedy = J_greedy
-        rec.row(k, res, J_greedy, policy=rec.code(mu.descriptor()))
+        rec.row(k, res, J_greedy, policy=mu.descriptor())
         if bracket and finite:
             stop = _bracket_stop(model, J_greedy, J, *_extremes(J_greedy - J),
                                  res <= config.tol, config.tol)
@@ -1201,7 +1194,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     No later row writes into a row's buffer, and the result holds copies
     of its own.  What stays fixed
     for the solve is taken once: the clamp bounds as float arrays, an
-    int nk, and the codes of the policy's and B's text once per Theta.
+    int nk, and the text of the policy and of B once per Theta.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the pair costs, J0 and Q0 are finite, no
@@ -1260,7 +1253,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     nk = config.nk if isinstance(config.nk, int) else None
     resolve, epsilon, tol = config.bstrategy.resolve, config.epsilon, config.tol
     policy = config.initial_policy
-    theta = policy_code = b_code = None
+    theta = policy_text = b_text = None
     qmin = None  # M(Q) of the current Q, when the last iteration computed it
     cycle = 1 if config.masks is None else len(config.masks)
     quiet = 0  # rows in a row with max(res_J, res_Q) <= tol
@@ -1277,8 +1270,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         # distinct policy and B.
         if theta is None or theta.policy is not policy or theta.B is not B:
             theta = Theta(policy, B)
-            policy_code = rec.code(policy.descriptor())
-            b_code = rec.code(_describe_b(theta.B, n))
+            policy_text = policy.descriptor()
+            b_text = _describe_b(theta.B, n)
         if nxt is None:
             nxt = np.empty(size) if lp else rec.block_row()
         J_next, Q_next = nxt[:n], nxt[n:]
@@ -1301,7 +1294,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
             extra = {"residual_Q": res_Q, "powers": ops}
-        rec.row(k + 1, res_J, J, Q, policy=policy_code, b_set=b_code, envelope=envelope,
+        rec.row(k + 1, res_J, J, Q, policy=policy_text, b_set=b_text, envelope=envelope,
                 extra=extra)
         if bracket and finite:
             # H(J) and T(J) = M(H(J)) go into the next row's buffer, whose

@@ -8,7 +8,9 @@ absorbing cost-free exit, run through all three routes: VI from J0, and
 the fixed-point routes with stopping costs J under the only policy,
 trusted on every state (one control per state, so pair x is state x).
 The slow exits, whose J(1) = 1/p is finite however slowly VI reaches
-it, are checked against `reference_ops.optimal_cost`.
+it, are checked against `reference_ops.optimal_cost`.  The last case,
+value iteration on a model with an affine family, is a known wrong
+answer, kept as a strict xfail.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ import reference_ops as ref
 from totaldp.extreal import INF
 from totaldp.fixtures import fixture
 from totaldp.ftheta import Theta, q_fixed_point
-from totaldp.model import AtomicControl, Policy, TotalCostModel
+from totaldp.model import AffineFamily, AtomicControl, Policy, TotalCostModel
 from totaldp.solvers import SolverCapError, SolverConfig, value_iteration
 from totaldp.stopping import build_stopping, reconstruct_q, solve_stopping
 
@@ -140,3 +142,26 @@ def test_fx_p3a_from_zero_reports_the_trap_from_row_1_and_keeps_the_gap():
     assert res.termination == "converged" and res.divergent == frozenset({1})
     assert res.J.tolist() == [0.0, INF, 0.0]
     assert all(row.extra["divergent"] == [1] for row in res.trace.rows)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "value iteration with an affine family stops on a quiet row of a period-two chain "
+    "and leaves J(3) = 0 below J*(3) = 5; what the loop does on family models waits on "
+    "ROADMAP item 9"))
+def test_vi_with_a_family_state_is_not_stopped_by_a_periodic_chain():
+    # State 0 is a cost-free exit; 1 -> 2 costs 0 and 2 -> 1 costs 1, so
+    # J*(1) = J*(2) = inf while T^k(0) on them moves only every second
+    # row.  State 3 takes the risk into that chain for free or exits at
+    # cost 5: J*(3) = 5, and 200 plain T rows from zero give 5 there.
+    # State 4's open family goes to 0 w.p. 1 - t and to 1 w.p. t.
+    e = np.eye(5)
+    family = AffineFamily(lo=0.0, hi=1.0, lo_closed=False, hi_closed=False, c0=0.0,
+                          c1=0.0, p0=e[0], p1=e[1] - e[0])
+    model = TotalCostModel("P", 1.0, (
+        (AtomicControl("rest", 0.0, e[0]),),
+        (AtomicControl("go", 0.0, e[2]),),
+        (AtomicControl("back", 1.0, e[1]),),
+        (AtomicControl("risk", 0.0, e[1]), AtomicControl("exit", 5.0, e[0])),
+        ()), families=((), (), (), (), (family,)))
+    res = value_iteration(model, np.zeros(5), SolverConfig(algorithm="vi"))
+    assert res.J[3] == 5.0

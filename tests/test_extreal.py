@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import (
@@ -147,6 +147,21 @@ def residual_stacks(draw, max_rows=4):
     return stack, np.array(partner, dtype=float).reshape((n,) if vector else (k, n))
 
 
+def shaped_stack(k, n, vector, seed):
+    """A (k, n) stack of `ENTRY`'s special values and random floats, and a
+    partner as `residual_stacks` makes it, at a size the strategy does
+    not draw."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, INF, -INF, math.nan, 1.0, -1.0, 2.5])
+    stack = np.where(rng.random((k, n)) < 0.5, rng.choice(special, (k, n)),
+                     rng.uniform(-1e6, 1e6, (k, n)))
+    met = stack[:1] if vector else stack
+    kind = rng.integers(3, size=met.shape)
+    fresh = rng.choice(special, met.shape)
+    partner = np.where(kind == 0, fresh, np.where((kind == 2) & (met == 0.0), -met, met))
+    return stack, partner[0] if vector else partner
+
+
 def same_floats(x, y):
     return x.shape == y.shape and all(same_float(u, v) for u, v in zip(x, y))
 
@@ -155,9 +170,16 @@ class TestStackedResidualKernels:
     """On a (k, n) stack in either argument, `sup_dist` and `margin_leq`
     give each row's 1-D result, bit for bit."""
 
-    # A stack of k >= 32 rows, and k >= 2n, is reduced as its transpose
-    # (`extreal._row_max`), any other along its rows.
+    # Besides the drawn stacks, the shapes the solvers' ground-truth fills
+    # reduce: a long value-iteration trace (up to 256 rows of a few dozen
+    # states), a short one, and one of a model with 60 states.
     @given(st.one_of(residual_stacks(), residual_stacks(max_rows=40)))
+    @example(shaped_stack(220, 30, True, 1))
+    @example(shaped_stack(220, 30, False, 2))
+    @example(shaped_stack(25, 30, True, 3))
+    @example(shaped_stack(25, 30, False, 4))
+    @example(shaped_stack(100, 60, True, 5))
+    @example(shaped_stack(100, 60, False, 6))
     def test_equal_to_one_call_per_row_bit_for_bit(self, pair):
         stack, partner = pair
         with warnings.catch_warnings():

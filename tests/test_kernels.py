@@ -623,7 +623,7 @@ class TestMixedLoopFastPaths:
         J = data.draw(raw_vectors(model.num_states))
         Q = data.draw(raw_vectors(model.num_pairs()))
         theta = Theta(c.policy, c.B)
-        got = _f_floor_map(model, theta, J)[0](Q)
+        got = _f_floor_map(model, theta, J)(Q)
         assert got.tobytes() == ref.f_floor_min_then_gather(model, theta, Q, J).tobytes()
 
     @given(st.one_of(atomic_models(), signed_models()), st.data())
@@ -723,9 +723,9 @@ START_ENTRIES = {"finite": (st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]),) * 2,
 @st.composite
 def power_cases(draw):
     """A D (alpha = 0 or in (0, 1)), N or P model, a choice-backed or a
-    mixed policy, a full or partial B, starts of one kind of
-    START_ENTRIES (J and Q for F_theta, a state vector V for T_mu), and a
-    power count."""
+    mixed policy, a full, partial, empty or one-state B, starts of one
+    kind of START_ENTRIES (J and Q for F_theta, a state vector V for
+    T_mu), and a power count."""
     model = draw(atomic_models())
     kind = draw(st.sampled_from(sorted(START_ENTRIES)))
     regime = draw(st.sampled_from(["D0", "D", "N", "P"]))
@@ -746,7 +746,8 @@ def power_cases(draw):
     J_entry, Q_entry = START_ENTRIES[kind]
     return SimpleNamespace(
         model=model, kind=kind, policy=draw(policies(model)),
-        B=draw(st.sampled_from([frozenset(range(n)), frozenset(range(0, n, 2))])),
+        B=draw(st.sampled_from([frozenset(range(n)), frozenset(range(0, n, 2)), frozenset(),
+                                frozenset({n - 1})])),
         J=np.array(draw(st.lists(J_entry, min_size=n, max_size=n))),
         Q=np.array(draw(st.lists(Q_entry, min_size=model.num_pairs(),
                                  max_size=model.num_pairs()))),
@@ -771,7 +772,7 @@ def f_power_per_backup(model, theta, Q, J, n):
     repeats."""
     applied, last = 0, None
     for _ in range(n):
-        w = _f_floor_map(model, theta, J)[0](Q)
+        w = _f_floor_map(model, theta, J)(Q)
         if w.tobytes() == last:
             break
         Q, applied, last = pair_backup(model, w), applied + 1, w.tobytes()
@@ -790,9 +791,11 @@ class TestPowers:
     single applications, bit for bit, also where a value overflows part
     way and where the start holds an infinity.  Only near-largest starts
     may warn (the overflow itself); an error-mode run then stops at the
-    same warning.  A policy built from choices runs its plain powers in
-    `operators._gather_power`'s loop, which both entries reach, and the
-    kernel `_f_theta_power` may start from a handed-in H(J)."""
+    same warning.  A policy built from choices with B = S runs its plain
+    powers in `operators._gather_power`'s loop, which both entries reach,
+    and any other Theta (such a policy with an empty, one-state or partial
+    B too) the per-backup path through its floor map.  The kernel
+    `_f_theta_power` may start from a handed-in H(J)."""
 
     @settings(max_examples=300)
     @given(power_cases())
@@ -851,7 +854,7 @@ class TestPowers:
         # with and without stop, on the path `_f_theta_power` picks and on
         # the per-backup one.  The J half is never written.
         model, chosen = c.model, c.policy.chosen_pairs
-        reads = [_f_floor_map(model, Theta(c.policy, c.B), c.J)]
+        reads = [(_f_floor_map(model, Theta(c.policy, c.B), c.J), False)]
         if chosen is not None:  # F_theta's read with B = S, and T_mu's
             reads += [((chosen, c.J), True), ((chosen, None), True)]
         filt = "ignore" if c.kind == "big" else "error"
@@ -913,7 +916,7 @@ class TestPowers:
         assert applied == want[1]
         assert got.tobytes() == want[0].tobytes() == out.tobytes()
         assert np.shares_memory(got, buf) and (buf[:n] == 12345.0).all()
-        w = _f_floor_map(model, theta, J)[0](Q)
+        w = _f_floor_map(model, theta, J)(Q)
         # the handed H is the result itself exactly when the power stopped at it
         assert (got is first) == (handed and w.tobytes() == J.tobytes() and applied == 1)
 

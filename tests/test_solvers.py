@@ -1173,6 +1173,25 @@ class TestRun:
         assert via_run.trace.op_count == direct.trace.op_count
         assert via_run.termination == direct.termination
 
+    # Each entry refuses a config made for another algorithm, naming
+    # both: it would ignore that algorithm's settings and echo them into
+    # its trace.
+    @pytest.mark.parametrize("algorithm, other, names", [
+        ("vi", "mixed", "value iteration was given a config for mixed iteration"),
+        ("pi", "mpi", "policy iteration was given a config for modified policy iteration"),
+        ("mpi", "pi", "modified policy iteration was given a config for policy iteration"),
+        ("mixed", "lp", "mixed iteration was given a config for constraint-program"),
+        ("lp", "mixed", "constraint-program iteration was given a config for mixed"),
+    ])
+    def test_refuses_a_config_for_another_algorithm(self, algorithm, other, names):
+        fx = fixture("FX-P2")
+        J0 = 1.5 * fx.Jstar
+        cfg = SolverConfig(algorithm=other, J0=J0, Q0=h_backup(fx.model, J0),
+                           initial_policy=Policy.deterministic(fx.model, [0, 1]),
+                           epsilon=0.5 if other == "mixed" else 0.0)
+        with pytest.raises(ValueError, match=f"{names} .*'{other}'"):
+            _direct_call(algorithm, fx.model, cfg)
+
     def test_rejects_incomplete_configs(self):
         fx = fixture("FX-D")
         with pytest.raises(ValueError):
