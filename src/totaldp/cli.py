@@ -79,7 +79,16 @@ def validate(path, lenient):
         click.echo("ground truth block present")
 
 
-def _vector_file(spec: str, length: int, what: str) -> np.ndarray:
+def _read_start(spec: str, length: int, model, what: str, usage: str) -> np.ndarray:
+    """The start vector of ``length`` entries named by spec ``zero``, ``inf``
+    (the regime-signed infinity) or ``file:<path>``, which ``what`` names
+    in the file's usage errors; any other spec is the usage error ``usage``."""
+    if spec == "zero":
+        return np.zeros(length)
+    if spec == "inf":
+        return np.full(length, -INF if model.regime == "N" else INF)
+    if not spec.startswith("file:"):
+        raise click.UsageError(usage)
     path = spec.split(":", 1)[1]
     try:
         vec = read_vector(path)
@@ -93,12 +102,6 @@ def _vector_file(spec: str, length: int, what: str) -> np.ndarray:
 
 
 def _parse_vector(spec: str, model, gt) -> np.ndarray:
-    n = model.num_states
-    if spec == "zero":
-        return np.zeros(n)
-    if spec == "inf":
-        sign = -1.0 if model.regime == "N" else 1.0
-        return np.full(n, sign * INF)
     if spec.startswith("cJstar:"):
         if gt is None:
             raise click.UsageError("cJstar start needs a ground_truth block in the model file")
@@ -107,23 +110,15 @@ def _parse_vector(spec: str, model, gt) -> np.ndarray:
         except ModelFileError as err:
             raise click.UsageError(str(err))
         return np.array([xmul(c, v) for v in gt[0]])
-    if spec.startswith("file:"):
-        return _vector_file(spec, n, "J0")
-    raise click.UsageError(f"bad vector spec {spec!r} "
-                           "(use zero | inf | cJstar:<c> | file:<path>)")
+    return _read_start(spec, model.num_states, model, "J0", f"bad vector spec {spec!r} "
+                       "(use zero | inf | cJstar:<c> | file:<path>)")
 
 
 def _parse_q0(spec: str, model, J0: np.ndarray) -> np.ndarray:
     if spec == "hbackup":
         return h_backup(model, J0)
-    if spec == "zero":
-        return np.zeros(model.num_pairs())
-    if spec == "inf":
-        sign = -1.0 if model.regime == "N" else 1.0
-        return np.full(model.num_pairs(), sign * INF)
-    if spec.startswith("file:"):
-        return _vector_file(spec, model.num_pairs(), "Q0")
-    raise click.UsageError(f"bad Q spec {spec!r} (use hbackup | zero | inf | file:<path>)")
+    return _read_start(spec, model.num_pairs(), model, "Q0",
+                       f"bad Q spec {spec!r} (use hbackup | zero | inf | file:<path>)")
 
 
 def _parse_bstrategy(spec: str):

@@ -75,9 +75,11 @@ def expect(weights: np.ndarray, values: np.ndarray) -> float:
 
 
 def expect_rows(P: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise `expect` for a nonnegative matrix P against one vector."""
+    """Row-wise `expect` for a nonnegative matrix P against one vector:
+    without an infinity in values, `P.dot(values)`, the very call of the
+    operators' plain backups, so a checked backup is theirs by construction."""
     if not np.count_nonzero(np.isinf(values)):
-        return P @ values
+        return P.dot(values)
     finite = np.isfinite(values)
     out = P[:, finite] @ values[finite]
     neg = (P[:, np.isneginf(values)] > 0.0).any(axis=1)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .extreal import INF, sup_dist
 from .model import (
+    REGIMES,
     AffineFamily,
     AtomicControl,
     Policy,
@@ -220,27 +221,23 @@ def fixture_names() -> tuple[str, ...]:
 
 def random_model(seed: int, num_states: int = 5, controls_per_state: int = 2,
                  regime: str = "P", cost_range: tuple[float, float] | None = None,
-                 absorbing: bool = True, discount: float = 0.9,
-                 pull: float = 0.3) -> tuple[TotalCostModel, np.ndarray]:
+                 discount: float = 0.9) -> tuple[TotalCostModel, np.ndarray]:
     """Seeded random model plus its oracle optimal cost vector.
 
-    With ``absorbing`` set (always on for undiscounted regimes), every
-    control at every state mixes a ``pull`` fraction of its transition
-    mass uniformly over strictly lower-indexed states, and state 0 is
+    Every control at every state mixes 0.3 of its transition mass
+    uniformly over strictly lower-indexed states, and state 0 is
     cost-free and absorbing.  Every policy then reaches state 0 with
     probability one, so undiscounted optimal costs are finite and value
     iteration from zero converges to them geometrically.
 
     Oracle: exact policy iteration (`_policy_iteration_optimum`).
     """
-    if regime not in ("D", "N", "P"):
+    if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if num_states < 2:
         raise ValueError("need at least two states")
     if controls_per_state < 1:
         raise ValueError("need at least one control per state")
-    if regime != "D":
-        absorbing = True
     if cost_range is None:
         cost_range = (-2.0, 0.0) if regime == "N" else (0.0, 2.0)
     lo, hi = cost_range
@@ -253,12 +250,10 @@ def random_model(seed: int, num_states: int = 5, controls_per_state: int = 2,
     n = num_states
     rows, costs = [_absorbing_row(n, 0)], [0.0]
     for x in range(1, n):
+        toward = np.zeros(n)
+        toward[:x] = 1.0 / x
         for _ in range(controls_per_state):
-            probs = rng.dirichlet(np.ones(n))
-            if absorbing:
-                toward = np.zeros(n)
-                toward[:x] = 1.0 / x
-                probs = (1.0 - pull) * probs + pull * toward
+            probs = 0.7 * rng.dirichlet(np.ones(n)) + 0.3 * toward
             rows.append(probs / probs.sum())
             costs.append(float(rng.uniform(lo, hi)))
     model = TotalCostModel.from_arrays(

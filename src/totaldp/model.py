@@ -446,16 +446,13 @@ def _atomic_suspects(model: TotalCostModel) -> np.ndarray:
     """Which atomic pairs break an invariant, by one pass over the pair
     arrays: a transition entry below -PROB_TOL, a row sum off 1 by more
     than PROB_TOL (or NaN), or a cost that is NaN or breaks the regime's
-    sign or bound.  A row's sum over the (pairs, states) matrix is bit for
-    bit the sum of that row alone."""
+    sign (`_off_regime`) or bound.  A row's sum over the (pairs, states)
+    matrix is bit for bit the sum of that row alone."""
     P, g = model.pair_probs, model.pair_costs
     bad = (P < -PROB_TOL).any(axis=1) | ~(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL)
-    if model.regime == "D":
-        bad |= ~np.isfinite(g)
-        if model.cost_bound is not None:
-            bad |= np.abs(g) > model.cost_bound + PROB_TOL
-    else:
-        bad |= np.isnan(g) | (g > 0.0 if model.regime == "N" else g < 0.0)
+    bad |= _off_regime(model, g)
+    if model.regime == "D" and model.cost_bound is not None:
+        bad |= np.abs(g) > model.cost_bound + PROB_TOL
     return bad
 
 
@@ -682,11 +679,14 @@ def induced_complement(model: TotalCostModel, policy: Policy,
     return A, g
 
 
-def regime_conforming(model: TotalCostModel, J: np.ndarray) -> bool:
-    """Whether J satisfies the regime's sign/boundedness constraint."""
-    J = np.asarray(J, dtype=float)
+def _off_regime(model: TotalCostModel, v: np.ndarray) -> np.ndarray:
+    """Which entries of a float array break the regime's sign rule: in D an
+    infinity or a NaN, in N a value not <= 0, in P one not >= 0 (NaN too)."""
     if model.regime == "D":
-        return bool(np.isfinite(J).all())
-    if model.regime == "N":
-        return bool((J <= 0.0).all())
-    return bool((J >= 0.0).all())
+        return ~np.isfinite(v)
+    return ~(v <= 0.0) if model.regime == "N" else ~(v >= 0.0)
+
+
+def regime_conforming(model: TotalCostModel, J: np.ndarray) -> bool:
+    """Whether J satisfies the regime's sign rule (`_off_regime`)."""
+    return not np.count_nonzero(_off_regime(model, np.asarray(J, dtype=float)))

@@ -137,17 +137,16 @@ def pair_backup(model: TotalCostModel, w: np.ndarray) -> np.ndarray:
 def _plain_backup(model: TotalCostModel, w: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """`pair_backup` of a w for which `_finite` holds, by the plain
-    product P @ w (`np.dot`, as the matrix's own `dot`, into ``out``
-    when given), which is `expect_rows`' own path for such a w: the
-    same product, bit for bit."""
+    product `P.dot(w)` (into ``out`` when given): the call that
+    `expect_rows` makes for such a w, without its scan."""
     return model._g_plus(model.pair_probs.dot(w, out=out))
 
 
 def _finite(model: TotalCostModel, w: np.ndarray) -> bool:
     """Whether the pair costs are finite (`pair_costs_finite`) and so is
     every entry of w, no infinity and no NaN: then a backup of w may take
-    the plain product P @ w, which is `expect_rows`' own path for such a
-    w.  One scan, made once per power or once per solve."""
+    `_plain_backup`, the call of `expect_rows` without its scan.  One
+    scan, made once per power or once per solve."""
     return model.pair_costs_finite and np.count_nonzero(np.isfinite(w)) == w.size
 
 
@@ -171,15 +170,15 @@ def _backup_power(model: TotalCostModel, w: np.ndarray, read, n: int,
     that read is a pair read, which only gathers and takes minima, so a
     NaN it reads stays in w, and that `_finite` holds for the start w.
     A power entry scans w for it; the mixed loop knows it from the
-    solve's start and its residuals, and passes it without a scan.  Then every backup takes the plain product P @ w
-    with no scan for infinities (`_plain_backup`).  From a finite w the
-    product is `expect_rows`' own fast path; w can hold an infinity
-    later only where a value overflowed, and there the plain product
-    differs from the masked one only by a NaN (0 * inf, or inf - inf),
-    which read carries into every later backup.  So a result without
-    NaN is the per-backup result bit for bit, and one with a NaN is
-    computed again by the per-backup path, which decides each backup
-    from its own input.  A single backup needs no such check: from a
+    solve's start and its residuals, and passes it without a scan.
+    Then every backup takes the plain product `P.dot(w)` with no scan
+    for infinities (`_plain_backup`), the call `expect_rows` makes from
+    a finite w.  w can hold an infinity later only where a value
+    overflowed, and there the plain product differs from the masked one
+    only by a NaN (0 * inf, or inf - inf), which read carries into every
+    later backup.  So a result without NaN is the per-backup result bit
+    for bit, and one with a NaN is computed again by the per-backup
+    path, which decides each backup from its own input.  A single backup needs no such check: from a
     finite start it is the per-backup one.  The overflow warns on both
     paths, so with RuntimeWarning raised as an error both stop at the
     same place; under a filter that only reports, the plain product
@@ -307,7 +306,7 @@ def _bellman_T(model: TotalCostModel, J: np.ndarray, finite: bool = False) -> np
     """`bellman_T` of a float vector of one entry per state, unchecked.
     ``finite`` says that `_finite` holds for J on an atomic-only model,
     so the backup takes the plain product without a scan
-    (`_plain_backup`), the product of the power loop."""
+    (`_plain_backup`): the call that `expect_rows` makes for such a J."""
     if finite:
         return _segment_min(model, _plain_backup(model, J))
     out = _segment_min(model, pair_backup(model, J))

@@ -110,8 +110,10 @@ class OccupationSupportB:
     (1 - beta) * min(rho) > threshold every state passes, and B = S is
     returned without solving for the measure.  With the default uniform
     rho that holds whenever threshold < (1 - beta) / n; a proper subset
-    needs a concentrated rho or a larger threshold.  A rho of another
-    length than the model's states is refused.
+    needs a concentrated rho or a larger threshold.  A rho with an entry
+    that is negative, infinite or NaN is refused when the strategy is
+    made, and one of another length than the model's states when it
+    resolves.
     """
 
     beta: float = 0.5
@@ -126,10 +128,19 @@ class OccupationSupportB:
             raise ValueError("beta must lie in (0, 1)")
         if not self.threshold >= 0.0:
             raise ValueError("threshold must be nonnegative")
+        if self.rho is not None:
+            rho = np.asarray(self.rho, dtype=float).ravel()
+            bad = np.flatnonzero(~(np.isfinite(rho) & (rho >= 0.0)))
+            if bad.size:
+                raise ValueError("rho must be a nonnegative finite vector: "
+                                 f"rho[{bad[0]}] = {float(rho[bad[0]])}")
 
     def resolve(self, model, policy, k):
-        if self._last[0] is model and self._last[1] is policy:
-            return self._last[2]
+        # one read of the cache, so that a concurrent resolve cannot pair
+        # this call's test with another call's B
+        last_model, last_policy, last_B = self._last
+        if last_model is model and last_policy is policy:
+            return last_B
         n = model.num_states
         rho = np.full(n, 1.0 / n) if self.rho is None else np.asarray(self.rho, dtype=float)
         if rho.shape != (n,):
@@ -190,12 +201,12 @@ class TraceRow:
 
 
 # The fields of a row, in trace file order, and the entry of each field
-# that a trace or a trace file may leave out (k and residual every row
-# must give).
+# that a trace or a trace file may leave out: its `TraceRow` default (k
+# and residual, which have none, every row must give).
 ROW_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
-ROW_DEFAULTS = {"dist_J": None, "dist_Q": None, "policy": "", "b_set": "",
-                "upper_margin": None, "lower_margin": None, "q_lower_margin": None,
-                "wall_time": 0.0, "extra": {}}
+ROW_DEFAULTS = {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(TraceRow)
+                if (f.default, f.default_factory) != (dataclasses.MISSING,) * 2}
 
 
 class TraceColumns(Sequence):
@@ -344,7 +355,10 @@ class IterationTrace:
 # Configuration and results
 
 
-ALGORITHMS = ("vi", "pi", "mpi", "mixed", "lp")
+_NAMES = {"vi": "value iteration", "pi": "policy iteration",
+          "mpi": "modified policy iteration", "mixed": "mixed iteration",
+          "lp": "constraint-program iteration"}
+ALGORITHMS = tuple(_NAMES)
 
 
 def check_admits(algorithm: str, model: TotalCostModel) -> None:
@@ -523,11 +537,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.termination in ("converged", "optimal-certified", "stuck")
-
-
-_NAMES = {"vi": "value iteration", "pi": "policy iteration",
-          "mpi": "modified policy iteration", "mixed": "mixed iteration",
-          "lp": "constraint-program iteration"}
 
 
 def _truth(values, name: str, size: int) -> np.ndarray:
@@ -849,15 +858,15 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair
     costs and J0 are finite, no infinity and no NaN (`operators._finite`,
-    one scan).  A finite row backs up with the plain product P @ J
+    one scan).  A finite row backs up with the plain product `P.dot(J)`
     (`_bellman_T`) and forms its increment T(J) - J once, with the plain
     difference and no scan: the maximum of its absolute value is the
     row's residual.  A discounted row takes the increment's min and max
     instead, and its residual is max(|min|, |max|), the same float; it
-    forms no absolute value.  This is bit for bit what the checked
-    kernels give: `expect_rows` takes this same product for a J without
-    infinity, and against a finite J the plain difference is `xdiff`'s
-    after the absolute value, whatever T(J) holds.  A finite residual
+    forms no absolute value.  The checked kernels give the same floats:
+    `expect_rows` makes this same call for a J without infinity, and
+    against a finite J the plain difference is `xdiff`'s after the
+    absolute value, whatever T(J) holds.  A finite residual
     from a finite J means a finite T(J) and a finite increment: an
     infinity in T(J) gives an infinite residual and a NaN a NaN one.  So
     the run stays finite while ``res < inf``, and drops to the checked
@@ -1185,10 +1194,10 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     into its halves J_next and Q_next: the power its last backup into the
     Q half (`_f_theta_power`'s ``out``), M(Q) goes into the J half and the
     clamp runs there in place, and the masked, exact and lp updates copy
-    their fresh results in.  The N/P envelope steps on the finite path
-    while it holds no infinity and no NaN (`_bellman_T` with a flag,
-    rescanned after each step until it fails), and the recorder fills
-    each row's upper_margin against it by block.  Both residuals are
+    their fresh results in.  The N/P envelope steps by the checked
+    `_bellman_T`, whose scan for infinities is the only one it takes,
+    and the recorder fills each row's upper_margin against it by
+    block.  Both residuals are
     then one pass over the buffer against the last row's
     (`sup_dist_segments`, each entry its half's `sup_dist` bit for bit).
     No later row writes into a row's buffer, and the result holds copies
@@ -1205,10 +1214,11 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     skips its NaN check (a finite Q holds none), the powers take the
     plain product without scanning w (`ftheta._f_theta_power`, whose
     NaN rerun after a multi-backup power stays), and the residuals are
-    the plain max |[J | Q]_next - [J | Q]|.  Bit for bit, every checked
-    kernel takes this same plain path from a finite previous iterate:
-    `expect_rows` and `_backup_power`'s start check find no infinity in
-    a w read off finite J and Q, `greedy_select`'s NaN check finds none,
+    the plain max |[J | Q]_next - [J | Q]|.  Every checked kernel takes
+    this same plain path from a finite previous iterate: `expect_rows`
+    makes the power's own `P.dot` call for a w read off finite J and Q,
+    `_backup_power`'s start check finds no infinity there,
+    `greedy_select`'s NaN check finds none,
     and against a finite [J | Q] the plain difference is `xdiff`'s after
     the absolute value.  An infinite or NaN residual drops the run to
     the checked kernels for the rest of the solve.
@@ -1231,8 +1241,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                          np.asarray(config.Q0, dtype=float)))
     J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
-    envelope = (None if lp or model.regime == "D"
-                else _bellman_T(model, J, _finite(model, J)))
+    envelope = None if lp or model.regime == "D" else _bellman_T(model, J)
     pinned = None if envelope is None else _pinned(model, J, envelope)
     if pinned is not None:
         infinity = -INF if model.regime == "N" else INF
@@ -1240,8 +1249,6 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         Q[(model.pair_probs[:, pinned] > 0.0).any(axis=1)
           | (model.pair_costs == infinity)] = infinity
         envelope = _bellman_T(model, J)
-    # whether the envelope holds no infinity and no NaN, rescanned while it does
-    envelope_finite = envelope is not None and _finite(model, envelope)
     finite = _finite(model, JQ)
     rec = _Recorder(algorithm, model, config, J0=J, Q0=Q, sandwich=not lp,
                     iterates=() if lp else ((J_SNAPSHOT, 0, n), (Q_SNAPSHOT, n, size)))
@@ -1280,15 +1287,14 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         rec.trace.op_count += ops
         if lo is not None or hi is not None:
             qmin = None if qmin is None else qmin.copy()
-            _clamp(J_next, lo, hi, J_next)
+            _clamp(J_next, lo, hi)
         res_J, res_Q = (_sup_dist_segments(nxt, JQ, halves, True) if finite
                         else sup_dist_segments(nxt, JQ, halves)).tolist()
         finite = finite and res_J < INF and res_Q < INF
         JQ, J, Q = nxt, J_next, Q_next
         nxt = first = None
         if envelope is not None and k:
-            envelope = _bellman_T(model, envelope, envelope_finite)
-            envelope_finite = envelope_finite and _finite(model, envelope)
+            envelope = _bellman_T(model, envelope)
         if lp:
             extra = {"residual_Q": res_Q, **columns,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
@@ -1359,16 +1365,12 @@ def _program_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, f
             _segment_min(model, Q_next, J_next), columns)
 
 
-def _clamp(J: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None,
-           out: np.ndarray) -> None:
-    """max(min(J, hi), lo), a bound that is None left out, written into
-    ``out`` (which may be J itself)."""
+def _clamp(J: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None) -> None:
+    """J = max(min(J, hi), lo) in place, a bound that is None left out."""
     if hi is not None:
-        np.minimum(J, hi, out=out)
-    elif J is not out:
-        out[...] = J
+        np.minimum(J, hi, out=J)
     if lo is not None:
-        np.maximum(out, lo, out=out)
+        np.maximum(J, lo, out=J)
 
 
 def _describe_b(B: frozenset[int], n: int) -> str:

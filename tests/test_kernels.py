@@ -922,11 +922,12 @@ class TestPowers:
 
     @pytest.mark.parametrize("shape", [(6, 2), (90, 30), (96, 32), (400, 200)])
     def test_dot_and_matmul_agree_on_the_kernels_layouts(self, shape):
-        # The plain backups take P.dot (np.dot's product), the checked
-        # ones `expect_rows`' P @ w: from a finite w they must be the same
-        # floats.  The kernels pass a contiguous vector (a gather, a
-        # minimum) or a row's J half in the mixed loop's block, and write
-        # into a row's Q half or a fresh array.
+        # The plain and the checked backups make one call, P.dot, from a
+        # finite w (`expect_rows`).  What this pins is the mixed loop's
+        # buffer product: P.dot with ``out=`` a row's Q half must give the
+        # floats of the fresh product.  The kernels pass a contiguous
+        # vector (a gather, a minimum) or a row's J half in the mixed
+        # loop's block.  P @ w is held to the same floats as well.
         m, n = shape
         rng = np.random.default_rng(m)
         P = rng.random((m, n)) * (rng.random((m, n)) < 0.4)

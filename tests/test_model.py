@@ -78,6 +78,14 @@ def test_uniform_policy_names_a_state_without_atomic_controls():
     assert Policy.uniform(fx.model).descriptor() == "0:0,1:mix"
 
 
+def test_a_family_choice_is_described_by_its_parameter():
+    fx = fixture("FX-P3b")
+    policy = Policy([AtomicMix(np.array([1.0])), FamilyChoice(0, 0.25),
+                     AtomicMix(np.array([1.0]))])
+    assert validate_policy(fx.model, policy) == []
+    assert policy.descriptor() == "0:0,1:t=0.25,2:0"
+
+
 def test_family_coefficient_rules():
     fam = AffineFamily(lo=0.0, hi=1.0, lo_closed=False, hi_closed=False,
                        c0=0.0, c1=0.0,

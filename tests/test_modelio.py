@@ -352,6 +352,20 @@ class TestTraceRoundTrip:
             back.rows[-1]
         _assert_same_trace(trace, back)
 
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_a_column_first_given_late_reads_none_in_earlier_rows(self, fmt):
+        # value iteration without ground truth leaves dist_J out; a row
+        # appended with it gives the column, whose earlier rows read None
+        fx = fixture("FX-P4")
+        trace = value_iteration(fx.model, np.zeros(3), SolverConfig(algorithm="vi")).trace
+        rows = len(trace.rows)
+        assert trace.columns.lists["dist_J"] == []
+        trace.append(TraceRow(k=rows + 1, residual=0.0, dist_J=0.5))
+        assert trace.columns.entries("dist_J") == [None] * rows + [0.5]
+        assert [row.dist_J for row in trace.rows] == [None] * rows + [0.5]
+        write, read = FORMATS[fmt]
+        _assert_same_trace(trace, read(write(trace)))
+
     def test_a_trace_with_recorded_iterates_takes_no_appended_row(self):
         # a mixed trace's snapshots live in its block, which only the
         # solver writes

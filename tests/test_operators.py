@@ -48,6 +48,11 @@ class TestAffineInfimum:
         out = affine_infimum(0.0, -INF, 0.0, 1.0, False, False)
         assert out.value == -INF and out.attained
 
+    def test_infinite_intercept_with_a_finite_slope(self):
+        # a finite slope cannot cancel the intercept: every point is inf
+        out = affine_infimum(INF, 1.0, 0.0, 1.0, True, True)
+        assert out.value == INF and out.attained and out.at == 0.0
+
 
 class TestBellman:
     def test_nonpositive_fixture_backup_from_zero(self):

@@ -119,6 +119,25 @@ class TestPolicyIteration:
                                SolverConfig(algorithm="pi"))
         assert out.termination in ("stuck", "optimal-certified")
 
+    def test_a_policy_met_again_ends_in_a_cycle(self, monkeypatch):
+        # Exact improvement on FX-D never comes back to a policy, so the
+        # selection is made to alternate two suboptimal ones: A, B, then A
+        # again, which the third row recognizes.
+        fx = fixture("FX-D")
+        A = Policy.deterministic(fx.model, [0, 0, 1])
+        B = Policy.deterministic(fx.model, [1, 0, 0])
+        picks = iter([B, A])
+        monkeypatch.setattr(solvers, "_greedy_select", lambda *args: next(picks))
+        out = policy_iteration(fx.model, A, SolverConfig(algorithm="pi"))
+        assert out.termination == "cycle" and not out.converged
+        assert out.policies == [A, B, A] and out.policy is A
+        assert len(out.values) == len(out.trace.rows) == 3
+        assert [row.policy for row in out.trace.rows] == ["0:0,1:0,2:1", "0:1,1:0,2:0",
+                                                          "0:0,1:0,2:1"]
+        # T and T_mu each row, and the improvement on the first two
+        assert out.trace.op_count == 8
+        assert np.array_equal(out.J, evaluate_policy(fx.model, A).J)
+
 
 class TestModifiedPolicyIteration:
     def test_single_backup_schedule_is_value_iteration(self):
@@ -1139,6 +1158,19 @@ class TestOccupationReuse:
         policy = Policy.deterministic(model, [0] * model.num_states)
         with pytest.raises(ValueError, match=r"rho has shape \(3,\), the model wants \(8,\)"):
             OccupationSupportB(rho=np.full(3, 1 / 3)).resolve(model, policy, 0)
+
+    @pytest.mark.parametrize("rho, first", [
+        # taken as given, the first two would resolve to B = {} and the
+        # third would drop state 0 from B, with no error
+        ([np.nan, 1 / 3, 1 / 3, 1 / 3], "rho[0] = nan"),
+        ([INF, 0.0, 0.0, 0.0], "rho[0] = inf"),
+        ([-0.5, 0.5, 0.5, 0.5], "rho[0] = -0.5"),
+        ([0.25, 0.25, np.nan, -1.0], "rho[2] = nan"),
+    ])
+    def test_a_rho_that_is_not_nonnegative_and_finite_is_refused(self, rho, first):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rho must be a nonnegative finite vector: {first}")):
+            OccupationSupportB(rho=np.array(rho))
 
 
 def _direct_call(algorithm, model, cfg):
