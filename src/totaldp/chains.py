@@ -1,24 +1,25 @@
 """Policy evaluation and Markov-chain analysis for a fixed policy.
 
-Undiscounted policy costs are defined as limits of the k-stage costs and
-can be infinite.  On a finite chain the infinite part is decided by
-reachability alone.  Call a state paying when its one-stage cost is
-nonzero (in a valid model it has the regime's sign; a stop cost of the
-other sign, below, is paid at most once), and free when it cannot reach
-a paying state.  Free states cost 0.  A state reaches the free set
-with probability one iff it cannot reach a state that cannot reach the
-free set (Baier & Katoen 2008, ch. 10), because on a finite chain the
-walk ends, almost surely, in a closed class, and every closed class that
-holds no paying state is free.  So J_mu(x) is the regime-signed infinity
-exactly when x can reach a state that cannot reach the free set, or a
-state whose one-stage cost is already infinite.  Every other state is
-absorbed into the free set with probability one, and its finite cost
-solves a nonsingular linear system, so evaluation is exact.  In D only an
-infinite one-stage cost can make a cost infinite: a state that can reach
-a +inf cost is +inf, and any other state that can reach a -inf cost is
--inf.  In N a +inf cost can only be a stop cost (below) or a pair cost
-that the stopping problem admits; a state that can reach one is +inf,
-since +inf absorbs -inf.
+A policy's cost is the limit of its k-stage costs and can be infinite.
+On a finite chain one reachability rule decides where, in every regime
+(`_price`).  Call a state paying when its one-stage cost is nonzero (in
+a valid model it has the regime's sign; a stop cost of the other sign,
+below, is paid at most once), and free when it cannot reach a paying
+state.  A state's cost is infinite when it can reach an infinite
+one-stage cost, or, undiscounted, a state that cannot reach the free
+set.  Such a state is +inf where it reaches a +inf cost (+inf absorbs
+-inf), else -inf where it reaches a -inf cost, else the regime's
+infinity (`model.regime_infinity`).  Undiscounted, a state that
+cannot reach the free set pays forever, so a state that can reach one
+pays forever with positive probability, and a state reaches the free
+set with probability one iff it cannot (Baier & Katoen 2008, ch. 10),
+because on a finite chain the walk ends, almost surely, in a closed
+class, and every closed class that holds no paying state is free.  Free
+states cost 0.  Every other state is absorbed into the free set with
+probability one, or, discounted, leaks its mass at the rate of the
+discount, and its finite cost solves a nonsingular linear system, so
+evaluation is exact.  A discounted chain with no infinite cost is one
+full solve.
 
 The same pricing solves Lemma A.1's stopping problem for theta = (mu, B)
 and stopping costs J: `_stop_rule_iteration`, which only the one
@@ -80,6 +81,7 @@ from .model import (
     induced_complement,
     induced_kernel,
     policy_mix,
+    regime_infinity,
     validate_policy,
 )
 from .operators import pair_backup
@@ -112,37 +114,27 @@ def _can_reach(edge: np.ndarray, targets: np.ndarray,
     return reached
 
 
-def _classify(regime: str, P: np.ndarray, g: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """The free and divergent masks of an N or P chain (module docstring)."""
-    sign = 1.0 if regime == "P" else -1.0
-    edge = P > 0.0
-    free = ~_can_reach(edge, g != 0.0)
-    divergent = _can_reach(edge, ~_can_reach(edge, free) | (g == sign * INF))
-    return free, divergent
-
-
 def _price(regime: str, P: np.ndarray, g: np.ndarray, A: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """Exact total cost of the chain (P, g) and the mask of its infinite
-    states (module docstring).  P may be substochastic and carry the
+    states, by one rule (module docstring): a state is infinite when it
+    can reach an infinite cost or, undiscounted, a state that cannot
+    reach the free set, which costs 0; +inf absorbs -inf, and a linear
+    solve prices the rest.  P may be substochastic and carry the
     discount; A = I - P is the caller's."""
-    if regime == "D":
-        divergent = np.isinf(g)
-        if not divergent.any():
-            return np.linalg.solve(A, g), divergent
-        edge = P > 0.0
-        up = _can_reach(edge, g == INF)
-        divergent = up | _can_reach(edge, divergent)
-        free = np.zeros(g.size, dtype=bool)
-        J = np.where(up, INF, -INF)
-    else:
-        free, divergent = _classify(regime, P, g)
-        J = np.full(g.size, INF if regime == "P" else -INF)
-        if regime == "N" and np.count_nonzero(g == INF):
-            up = _can_reach(P > 0.0, g == INF)
-            divergent |= up
-            J[up] = INF
+    paid = np.isinf(g)
+    if regime == "D" and not np.count_nonzero(paid):
+        return np.linalg.solve(A, g), paid
+    edge = P > 0.0
+    free, infinite = np.zeros(g.size, dtype=bool), paid
+    if regime != "D":
+        free = ~_can_reach(edge, g != 0.0)
+        infinite = paid | ~_can_reach(edge, free)
+    divergent = _can_reach(edge, infinite)
+    J = np.full(g.size, regime_infinity(regime))
+    if np.count_nonzero(paid):
+        for value in (-INF, INF):  # in this order: +inf absorbs -inf
+            J[_can_reach(edge, g == value)] = value
     J[free] = 0.0
     rest = np.flatnonzero(~free & ~divergent)
     if rest.size:
@@ -232,12 +224,8 @@ def infinite_optimum(model: TotalCostModel) -> np.ndarray:
 
 
 def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
-    """Exact total cost of a stationary policy.
-
-    Discounted models solve the linear fixed-point system directly.
-    Undiscounted models give free states 0 and divergent states the
-    regime-signed infinity, then solve the linear system on the rest.
-    """
+    """Exact total cost of a stationary policy: its chain priced by
+    `_price`, one linear solve in a valid discounted model."""
     errs = validate_policy(model, policy)
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))

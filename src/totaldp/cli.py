@@ -25,8 +25,8 @@ import time
 import click
 import numpy as np
 
-from .extreal import INF, sup_dist, xdiff, xmul
-from .model import Policy, validate_model
+from .extreal import sup_dist, xdiff, xmul
+from .model import Policy, regime_infinity, validate_model
 from .operators import greedy_select, h_backup
 from .solvers import (
     ALGORITHMS,
@@ -86,7 +86,7 @@ def _read_start(spec: str, length: int, model, what: str, usage: str) -> np.ndar
     if spec == "zero":
         return np.zeros(length)
     if spec == "inf":
-        return np.full(length, -INF if model.regime == "N" else INF)
+        return np.full(length, regime_infinity(model.regime))
     if not spec.startswith("file:"):
         raise click.UsageError(usage)
     path = spec.split(":", 1)[1]

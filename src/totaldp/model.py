@@ -31,11 +31,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .extreal import expect_segments, xadd_vec
+from .extreal import INF, expect_segments, xadd_vec
 
 PROB_TOL = 1e-12
 
 REGIMES = ("D", "N", "P")
+
+# Each regime's sign rule (`_off_regime`) as `validate_model` names it.
+_SIGN_RULE = {"D": "regime D requires finite costs", "N": "regime N requires g <= 0",
+              "P": "regime P requires g >= 0"}
 
 
 def _frozen(arr) -> np.ndarray:
@@ -312,14 +316,19 @@ class Policy:
 
     @staticmethod
     def deterministic(model: TotalCostModel, choices: Sequence[int]) -> "Policy":
-        """The policy that takes control choices[x] at every state x."""
+        """The policy that takes control choices[x] at every state x; a
+        bool is not a control index."""
         raw = np.asarray(choices)
         if raw.shape != (model.num_states,):
             raise ValueError(f"need one choice per state, got shape {raw.shape}")
-        if raw.dtype.kind not in "biu":
+        # numpy reads a bool among ints as an int, so a sequence is scanned
+        bad = raw.dtype.kind == "b" or (not isinstance(choices, np.ndarray) and any(
+            isinstance(c, (bool, np.bool_)) for c in choices))
+        if not bad and raw.dtype.kind not in "iu":
             as_float = raw.astype(float)
-            if not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all():
-                raise ValueError("a choice is not an integer control index")
+            bad = not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all()
+        if bad:
+            raise ValueError("a choice is not an integer control index")
         choices = raw.astype(np.intp)
         chosen = model.pair_starts + choices
         if ((choices < 0) | (chosen >= model.num_pairs())).any() \
@@ -483,15 +492,11 @@ def validate_model(model: TotalCostModel) -> list[str]:
     def check_cost(value: float, where: str) -> None:
         if math.isnan(value):
             bad.append(f"{where}: cost is NaN")
-        elif model.regime == "D":
-            if not math.isfinite(value):
-                bad.append(f"regime D requires finite costs: {where} = {value}")
-            elif model.cost_bound is not None and abs(value) > model.cost_bound + PROB_TOL:
-                bad.append(f"regime D cost bound {model.cost_bound} exceeded: {where} = {value}")
-        elif model.regime == "N" and value > 0.0:
-            bad.append(f"regime N requires g <= 0: {where} = {value}")
-        elif model.regime == "P" and value < 0.0:
-            bad.append(f"regime P requires g >= 0: {where} = {value}")
+        elif _off_regime(model, np.float64(value)):
+            bad.append(f"{_SIGN_RULE[model.regime]}: {where} = {value}")
+        elif (model.regime == "D" and model.cost_bound is not None
+              and abs(value) > model.cost_bound + PROB_TOL):
+            bad.append(f"regime D cost bound {model.cost_bound} exceeded: {where} = {value}")
 
     flagged: dict[int, list[int]] = {}
     suspects = np.flatnonzero(_atomic_suspects(model))
@@ -679,9 +684,15 @@ def induced_complement(model: TotalCostModel, policy: Policy,
     return A, g
 
 
+def regime_infinity(regime: str) -> float:
+    """The regime-signed infinity: -inf in N, +inf in D and P."""
+    return -INF if regime == "N" else INF
+
+
 def _off_regime(model: TotalCostModel, v: np.ndarray) -> np.ndarray:
-    """Which entries of a float array break the regime's sign rule: in D an
-    infinity or a NaN, in N a value not <= 0, in P one not >= 0 (NaN too)."""
+    """Which entries of a numpy array or scalar (``~`` of a Python bool is
+    -2 or -1, both true) break the regime's sign rule: in D an infinity or
+    a NaN, in N a value not <= 0, in P one not >= 0 (NaN too)."""
     if model.regime == "D":
         return ~np.isfinite(v)
     return ~(v <= 0.0) if model.regime == "N" else ~(v >= 0.0)

@@ -46,6 +46,7 @@ from .extreal import (
     margin_leq,
     sup_dist,
     sup_dist_segments,
+    xdiff,
 )
 from .ftheta import (
     Theta,
@@ -54,7 +55,7 @@ from .ftheta import (
     _masked_power,
     q_fixed_point,
 )
-from .model import Policy, TotalCostModel, policy_mix
+from .model import Policy, TotalCostModel, policy_mix, regime_conforming, regime_infinity
 from .operators import (
     _bellman_T,
     _finite,
@@ -359,6 +360,22 @@ _NAMES = {"vi": "value iteration", "pi": "policy iteration",
           "mpi": "modified policy iteration", "mixed": "mixed iteration",
           "lp": "constraint-program iteration"}
 ALGORITHMS = tuple(_NAMES)
+
+
+def _one_start(algorithm: str, config: SolverConfig, J0=None,
+               mu0: Policy | None = None) -> None:
+    """Refuse a config that sets the start the solver was handed to
+    another value, a J0 of unequal values or another policy object: the
+    solver runs from its argument and would ignore the config's."""
+    if (J0 is not None and config.J0 is not None and config.J0 is not J0
+            and not np.array_equal(config.J0, J0, equal_nan=True)):
+        name = "J0"
+    elif (mu0 is not None and config.initial_policy is not None
+          and config.initial_policy is not mu0):
+        name = "initial_policy"
+    else:
+        return
+    raise ValueError(f"{_NAMES[algorithm]} was given one start and another in config.{name}")
 
 
 def check_admits(algorithm: str, model: TotalCostModel) -> None:
@@ -798,29 +815,30 @@ def _extremes(d: np.ndarray) -> tuple[float, float]:
 # Value iteration
 
 # Infinities in the undiscounted regimes.  There J* may be the
-# regime-signed infinity, which no finite number of rows reaches from a
-# finite start.  The model's graph decides where (`chains.infinite_optimum`,
-# cached on the model), and a run pins those states from its first row,
-# unless its start bounds J* so that its own iterates keep J*'s
-# infinities: in P a J0 >= 0 with T(J0) <= J0 (then J* <= T^k(J0), so
-# T^k(J0) is +inf wherever J* is), in N a J0 <= 0 with T(J0) >= J0 (then
-# T^k(J0) <= J*, so T^k(J0) is -inf wherever J* is).  T(J0) is value
-# iteration's first row and the mixed loop's first envelope step, so the
-# test costs no backup of its own.
+# regime-signed infinity (`model.regime_infinity`), which no finite
+# number of rows reaches from a finite start.  The model's graph decides
+# where (`chains.infinite_optimum`, cached on the model), and a run pins
+# those states from its first row, unless its start bounds J* so that
+# its own iterates keep J*'s infinities: J0 and J0 - T(J0) keep the
+# regime's sign (`_bounds_optimum`).  In P that is a J0 >= 0 with
+# T(J0) <= J0 (then J* <= T^k(J0), so T^k(J0) is +inf wherever J* is),
+# in N a J0 <= 0 with T(J0) >= J0 (then T^k(J0) <= J*, so T^k(J0) is
+# -inf wherever J* is).  T(J0) is value iteration's first row and the
+# mixed loop's first envelope step, so the test costs no backup of its
+# own.
 
 
-def _bounds_optimum(regime: str, J0: np.ndarray, TJ0: np.ndarray) -> bool:
-    """Whether J0, with TJ0 = T(J0), bounds J* so that its iterates keep
-    J*'s infinities themselves; a NaN entry fails the test."""
-    if regime == "P":
-        return bool((J0 >= 0.0).all() and (TJ0 <= J0).all())
-    return bool((J0 <= 0.0).all() and (TJ0 >= J0).all())
+def _bounds_optimum(model: TotalCostModel, J0: np.ndarray, TJ0: np.ndarray) -> bool:
+    """Whether J0, with TJ0 = T(J0), bounds J*: J0 and J0 - TJ0 (`xdiff`:
+    equal infinities are 0 apart) keep the regime's sign, so the iterates
+    keep J*'s infinities themselves; a NaN entry fails the test."""
+    return regime_conforming(model, J0) and regime_conforming(model, xdiff(J0, TJ0))
 
 
 def _pinned(model: TotalCostModel, J0: np.ndarray, TJ0: np.ndarray) -> np.ndarray | None:
     """The states an undiscounted run pins at the regime-signed infinity
     from its start J0 with T(J0) = TJ0, or None when it pins none."""
-    if model.regime == "D" or _bounds_optimum(model.regime, J0, TJ0):
+    if model.regime == "D" or _bounds_optimum(model, J0, TJ0):
         return None
     infinite = model.infinite_optimum
     return infinite if np.count_nonzero(infinite) else None
@@ -831,9 +849,9 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     """Iterate the optimal-cost backup from J0.
 
     An undiscounted run reads T(J0) off its first row.  Unless J0
-    bounds J* (`_bounds_optimum`), it pins the states where J* is the
-    regime-signed infinity (`TotalCostModel.infinite_optimum`, decided
-    on the model's graph) from that row on and reports them as
+    bounds J* (`_bounds_optimum`), it pins the states where the graph
+    makes J* infinite (`TotalCostModel.infinite_optimum`) at
+    `model.regime_infinity` from that row on and reports them as
     ``divergent``.  On an atomic-only model the pin is written into
     every iterate, and the residual is taken over every state: the
     pins' own move makes row 1's residual infinite unless J0 held them
@@ -853,7 +871,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     Each row records the iterate itself, which holds the pins of an
     atomic-only model, or the pinned copy; each backup is a fresh
     array.  Every row shares one ``extra`` dict, its direction and
-    ``divergent`` list set on row 1, and nothing writes into it.
+    ``divergent`` list set on row 1, and nothing writes into it.  A
+    config that sets another J0 is refused (`_one_start`).
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the model is atomic-only and its pair
@@ -877,7 +896,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     config = config or SolverConfig(algorithm="vi")
     J = _state_vector(model, J0).copy()
     rec = _Recorder("vi", model, config, J0=J, sandwich=True)
-    sign = -1.0 if model.regime == "N" else 1.0
+    _one_start("vi", config, J0=J0)
+    infinity = regime_infinity(model.regime)
     pinned: np.ndarray | None = None  # the states pinned at infinity, if any
     divergent_states: list[int] = []
     live = slice(None)  # the states the residual reads from row 2 on
@@ -904,7 +924,7 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
                     live = ~pinned
         if pinned is not None:
             if pin:
-                nxt[pinned] = sign * INF
+                nxt[pinned] = infinity
             # row 1's residual shows the pins' own move
             res = sup_dist(nxt, J) if k == 1 else sup_dist(nxt[live], J[live])
         elif not finite:
@@ -920,7 +940,7 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
         J = reported = nxt
         if pinned is not None and not pin:
             reported = J.copy()
-            reported[pinned] = sign * INF
+            reported[pinned] = infinity
         rec.row(k, res, reported, extra=extra)
         if bracket and finite:
             stop = _bracket_stop(model, J, prev, lo, hi, res <= config.tol, config.tol)
@@ -955,11 +975,13 @@ def policy_iteration(model: TotalCostModel, mu0: Policy,
     `bellman_T_mu` and `greedy_select` of a fresh backup each give on
     an atomic-only model.  The op count still grows by 2 for T and T_mu
     and by 1 for the improvement: it counts the paper's operators, not
-    backups.
+    backups.  A config that sets another initial policy is refused
+    (`_one_start`).
     """
     check_admits("pi", model)
     config = config or SolverConfig(algorithm="pi")
     rec = _Recorder("pi", model, config)
+    _one_start("pi", config, mu0=mu0)
     mu = mu0
     policies = [mu]
     values: list[np.ndarray] = []
@@ -1035,7 +1057,8 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     the trace's block; for nonnegative-cost runs with ground truth the
     initial-condition flags T_mu0(J0) <= J0 and J0 <= c Jstar are recorded
     in the header.  A J0 of another shape than the model's states is
-    refused before the first round.
+    refused before the first round, and so is a config that sets another
+    J0 or initial policy (`_one_start`).
     """
     check_admits("mpi", model)
     config = config or SolverConfig(algorithm="mpi", nk=10)
@@ -1044,6 +1067,7 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     n = model.num_states
     rec = _Recorder("mpi", model, config, J0=J, rate=False,
                     iterates=((J_EVAL, 0, n), (J_GREEDY, n, 2 * n)))
+    _one_start("mpi", config, J0=J0, mu0=mu0)
     if model.regime == "P":
         flags = {"superharmonic_start": bool(
             margin_leq(bellman_T_mu(model, mu0, J), J) <= 1e-12)}
@@ -1180,7 +1204,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     In N and P, mixed takes T(J0), the first step of its envelope
     T^k(J0), before the first row.  Unless J0 bounds J*
     (`_bounds_optimum`), it pins the states where J* is infinite
-    (`TotalCostModel.infinite_optimum`) at the regime's infinity in J0,
+    (`TotalCostModel.infinite_optimum`) at `model.regime_infinity` in J0,
     and in Q0 every pair that costs that infinity or steps to a pinned
     state with positive probability, where Q* = H(J*) is infinite too;
     the trace's header records this pinned start, from which the
@@ -1244,7 +1268,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     envelope = None if lp or model.regime == "D" else _bellman_T(model, J)
     pinned = None if envelope is None else _pinned(model, J, envelope)
     if pinned is not None:
-        infinity = -INF if model.regime == "N" else INF
+        infinity = regime_infinity(model.regime)
         J[pinned] = infinity
         Q[(model.pair_probs[:, pinned] > 0.0).any(axis=1)
           | (model.pair_costs == infinity)] = infinity
@@ -1582,7 +1606,7 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
 
     if Jstar is not None and trace.J0 is not None and model.regime == "P":
         c = cone_multiplier(trace.J0, Jstar)
-        nonneg = bool((trace.J0 >= 0.0).all())
+        nonneg = regime_conforming(model, trace.J0)
         inside = bool(np.isfinite(c)) and nonneg
         checks.append(CheckResult(
             "cone-membership", inside, c if inside else INF,

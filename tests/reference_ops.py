@@ -17,9 +17,14 @@ The second part is the fixed-policy chain classification that
 alone: Tarjan's strongly connected components, the closed (recurrent)
 classes they form, a state diverging iff it reaches a costly recurrent
 state or an infinite one-stage cost, and the linear solve on the
-transient finite states.  `evaluate_policy` here is kept verbatim, so
-`test_chains.py` checks the reachability rule against an independent
-one.
+transient finite states.  `evaluate_policy` here is kept verbatim but
+for the infinite costs that the stop-rule engine hands the pricing
+outside the regime's sign, a -inf or +inf stop cost of a D chain and a
++inf one of an N chain: a state that reaches a +inf cost is +inf, and
+one that reaches only -inf costs -inf, discounted or not, and the
+linear solve (the full one in D) takes the other states.  So
+`test_chains.py` checks the library's one reachability rule against an
+independent one in every regime.
 
 The third part holds the sweep oracles of the stopping problem, kept
 from before it was solved by stop-rule policy iteration: the
@@ -511,15 +516,26 @@ def evaluate_policy(model: TotalCostModel, policy: Policy) -> EvalResult:
     if errs:
         raise ValueError("invalid policy: " + "; ".join(errs))
     P, g = induced_kernel(model, policy)
+    n = model.num_states
+    up = can_reach(P, {x for x in range(n) if np.isposinf(g[x])})
+    down = can_reach(P, {x for x in range(n) if np.isneginf(g[x])}) - up
     if model.regime == "D":
-        A = np.eye(model.num_states) - model.discount * P
-        return EvalResult(J=np.linalg.solve(A, g))
+        A = np.eye(n) - model.discount * P
+        if not up | down:
+            return EvalResult(J=np.linalg.solve(A, g))
+        J = np.zeros(n)
+        J[sorted(up)], J[sorted(down)] = INF, -INF
+        finite = sorted(set(range(n)) - up - down)
+        if finite:
+            J[finite] = np.linalg.solve(A[np.ix_(finite, finite)], g[finite])
+        return EvalResult(J=J, divergent=frozenset(up | down))
 
     sign = 1.0 if model.regime == "P" else -1.0
     rec = recurrent_states(P)
-    divergent = _divergent_states(model.regime, P, g, rec)
+    divergent = _divergent_states(model.regime, P, g, rec) | up
     A, _ = induced_complement(model, policy, (P, g))
     J = _solve_on_finite_part(A, g, rec, divergent, sign)
+    J[sorted(up)] = INF
     return EvalResult(J=J, divergent=frozenset(divergent))
 
 

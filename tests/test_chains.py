@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_ops as ref
 from totaldp.extreal import INF, sup_dist
@@ -148,20 +148,25 @@ def test_slow_exit_is_finite(p):
     assert abs(out.J[1] - 1.0 / p) <= 1e-9 / p
 
 
-# Costs in N are the negations; 0 twice so that free states are common.
+# One-stage costs, times the regime's sign (in D each control draws
+# one); 0 twice so that free states are common.
 COSTS = (0.0, 0.0, 0.5, 1.0, INF)
 
 
 @st.composite
 def random_chains(draw):
-    """Sparse random N/P chains, 1-2 controls per state, with traps,
+    """Sparse random D/N/P chains, 1-2 controls per state, with traps,
     zero-cost cycles and transient states and infinite costs, under a
-    deterministic or a uniform-mix policy."""
-    regime = draw(st.sampled_from(["N", "P"]))
-    sign = 1.0 if regime == "P" else -1.0
+    deterministic or a uniform-mix policy.  The infinities are those the
+    stop-rule engine hands `chains._price`: +inf in P, either one in D
+    and N.  Each state pays one of them, so that a mix never adds +inf
+    to -inf."""
+    regime = draw(st.sampled_from(["D", "N", "P"]))
+    discount = draw(st.sampled_from([0.5, 0.9])) if regime == "D" else 1.0
     n = draw(st.integers(1, 8))
     controls = []
     for x in range(n):
+        infinity = INF if regime == "P" else draw(st.sampled_from([-INF, INF]))
         row = []
         for i in range(draw(st.integers(1, 2))):
             support = draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -170,10 +175,12 @@ def random_chains(draw):
                                     max_size=len(support)))
             probs = np.zeros(n)
             probs[support] = weights
-            row.append(AtomicControl(f"u{i}", sign * draw(st.sampled_from(COSTS)),
+            sign = {"D": draw(st.sampled_from([1.0, -1.0])), "N": -1.0, "P": 1.0}[regime]
+            cost = draw(st.sampled_from(COSTS))
+            row.append(AtomicControl(f"u{i}", infinity if cost == INF else sign * cost,
                                      probs / probs.sum()))
         controls.append(tuple(row))
-    model = TotalCostModel(regime=regime, discount=1.0, controls=tuple(controls))
+    model = TotalCostModel(regime=regime, discount=discount, controls=tuple(controls))
     if draw(st.booleans()):
         policy = Policy.uniform(model)
     else:
@@ -194,6 +201,10 @@ def family_chains(draw):
     return fixture(name).model, Policy((one, FamilyChoice(0, t), one))
 
 
+# Three times hypothesis's default examples: the chains span three
+# regimes, and these draw D and N chains where a +inf and a -inf state
+# stay apart.
+@settings(max_examples=300)
 @given(case=st.one_of(random_chains(), family_chains()))
 def test_reachability_matches_recurrent_class_reference(case):
     model, policy = case

@@ -174,6 +174,16 @@ def test_non_integer_choices_are_refused():
     assert Policy.deterministic(model, [0.0, 1.0, 1.0]).descriptor() == "0:0,1:1,2:1"
 
 
+def test_boolean_choices_are_refused():
+    # True and False would be read as controls 1 and 0, as SolverConfig
+    # would read them as counts, which it refuses too.
+    model = fixture("FX-D").model
+    for choices in ([True, False, False], np.array([True, True, True]), [0, True, 1],
+                    (1.0, 0, np.True_)):
+        with pytest.raises(ValueError, match="not an integer control index"):
+            Policy.deterministic(model, choices)
+
+
 def test_wrong_length_row_is_refused_at_construction():
     with pytest.raises(ValueError, match=r"^state 1 control 'u': transition row has "
                                          r"shape \(1,\), want \(2,\)$"):

@@ -1224,6 +1224,29 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{names} .*'{other}'"):
             _direct_call(algorithm, fx.model, cfg)
 
+    # Each entry that takes its start as an argument refuses a config
+    # that sets another one: it would run from the argument and ignore
+    # the config's.  An equal J0 of another object still runs.
+    @pytest.mark.parametrize("algorithm, field, name", [
+        ("vi", "J0", "value iteration"),
+        ("pi", "initial_policy", "policy iteration"),
+        ("mpi", "J0", "modified policy iteration"),
+        ("mpi", "initial_policy", "modified policy iteration"),
+    ])
+    def test_refuses_a_start_given_twice(self, algorithm, field, name):
+        fx = fixture("FX-D")
+        J0, mu0 = np.zeros(3), Policy.deterministic(fx.model, [1, 1, 1])
+        call = {"vi": lambda cfg: value_iteration(fx.model, J0, cfg),
+                "pi": lambda cfg: policy_iteration(fx.model, mu0, cfg),
+                "mpi": lambda cfg: modified_policy_iteration(fx.model, mu0, J0, cfg)}[algorithm]
+        cfg = SolverConfig(algorithm=algorithm, J0=J0.copy(), initial_policy=mu0)
+        assert call(cfg).converged
+        other = {"J0": np.full(3, 5.0),
+                 "initial_policy": Policy.deterministic(fx.model, [1, 1, 1])}[field]
+        with pytest.raises(ValueError, match=f"^{name} was given one start "
+                                             f"and another in config.{field}$"):
+            call(dataclasses.replace(cfg, **{field: other}))
+
     def test_rejects_incomplete_configs(self):
         fx = fixture("FX-D")
         with pytest.raises(ValueError):

@@ -23,8 +23,10 @@ count, termination, op count, each row's policy and B, the rules a
 certificate priced and its divergent pairs, the names and outcomes of
 the certificate checks, the exit code, and where each array holds +inf
 or -inf.  So a change that only moves round-off changes `values` lines
-and no `shape` line.  A last block gives one line per fixture: the
-sha256 of its model file text and its `model_hash`.
+and no `shape` line.  A last block gives one line per fixture, the
+sha256 of its model file text and its `model_hash`, and one per scripted
+scenario of `totaldp reproduce`, the sha256 of its rendered report.
+Neither depends on the seed.
 
 Every solve job other than policy iteration runs through
 `jobs._solve`, so the digest solves what the benchmark solves; its
@@ -256,6 +258,13 @@ def fixture_lines():
                f"model_hash={modelio.model_hash(fx.model)}")
 
 
+def scenario_lines():
+    scenarios = importlib.import_module(f"{jobs.totaldp.__name__}.scenarios")
+    for name in sorted(scenarios.SCENARIOS):
+        text = scenarios.run_scenario(name).render()
+        yield f"scenario {name} {hashlib.sha256(text.encode()).hexdigest()[:16]}"
+
+
 def digest_lines(workloads, seeds):
     with tempfile.TemporaryDirectory(prefix="totaldp-digest-") as workdir:
         for workload in workloads:
@@ -263,6 +272,7 @@ def digest_lines(workloads, seeds):
                 for case in jobs.workload_cases(workload, seed):
                     yield from case_lines(jobs, workload, seed, case, workdir)
     yield from fixture_lines()
+    yield from scenario_lines()
 
 
 @contextlib.contextmanager
