@@ -18,11 +18,14 @@ import numpy as np
 
 from .extreal import INF, sup_dist
 from .model import (
+    _SIGN_RULE,
     REGIMES,
     AffineFamily,
     AtomicControl,
     Policy,
     TotalCostModel,
+    _off_regime,
+    regime_infinity,
     validate_model,
 )
 from .operators import bellman_T, h_backup
@@ -238,13 +241,11 @@ def random_model(seed: int, num_states: int = 5, controls_per_state: int = 2,
         raise ValueError("need at least two states")
     if controls_per_state < 1:
         raise ValueError("need at least one control per state")
-    if cost_range is None:
-        cost_range = (-2.0, 0.0) if regime == "N" else (0.0, 2.0)
+    if cost_range is None:  # on the side of zero of the regime's infinity
+        cost_range = (-2.0, 0.0) if regime_infinity(regime) < 0.0 else (0.0, 2.0)
+    if np.count_nonzero(_off_regime(regime, np.array(cost_range, dtype=float))):
+        raise ValueError(f"cost_range {cost_range}: {_SIGN_RULE[regime]}")
     lo, hi = cost_range
-    if regime == "P" and lo < 0.0:
-        raise ValueError("nonnegative regime needs cost_range >= 0")
-    if regime == "N" and hi > 0.0:
-        raise ValueError("nonpositive regime needs cost_range <= 0")
 
     rng = np.random.default_rng(seed)
     n = num_states

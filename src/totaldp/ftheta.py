@@ -49,7 +49,8 @@ finite (a finite residual from a finite iterate means a finite next
 iterate), and passes it to the kernel `_f_theta_power` without a scan.
 
 `masked_update` is the asynchronous form: boolean masks over the pairs
-and the states pick the coordinates that take the refreshed values.
+and the states pick the coordinates that take the refreshed values, and
+the rest keep their old ones (`_keep_unmasked`, as the mixed loop's).
 """
 
 from __future__ import annotations
@@ -304,15 +305,14 @@ def masked_update(model: TotalCostModel, theta: Theta, Q: np.ndarray,
     _check_masks(model, pair_mask, state_mask)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _masked_power(model, theta, np.asarray(Q, dtype=float),
-                         np.asarray(J, dtype=float), pair_mask, state_mask, n)
+    Q, J = np.asarray(Q, dtype=float), np.asarray(J, dtype=float)
+    Q_next, applied = _f_theta_power(model, theta, Q, J, n)
+    _keep_unmasked(Q_next, Q, pair_mask)
+    return Q_next, _keep_unmasked(_segment_min(model, Q_next), J, state_mask), applied
 
 
-def _masked_power(model: TotalCostModel, theta: Theta, Q: np.ndarray, J: np.ndarray,
-                  pair_mask: np.ndarray, state_mask: np.ndarray, n: int,
-                  finite: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    """`masked_update` on admitted arguments; ``finite`` as in
-    `_f_theta_power`."""
-    full, applied = _f_theta_power(model, theta, Q, J, n, finite)
-    Q_next = np.where(pair_mask, full, Q)
-    return Q_next, np.where(state_mask, _segment_min(model, Q_next), J), applied
+def _keep_unmasked(new: np.ndarray, old: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The asynchronous merge: write ``old`` into ``new`` wherever ``mask``
+    is not set, and return ``new``."""
+    np.copyto(new, old, where=~mask)
+    return new

@@ -459,7 +459,7 @@ def _atomic_suspects(model: TotalCostModel) -> np.ndarray:
     matrix is bit for bit the sum of that row alone."""
     P, g = model.pair_probs, model.pair_costs
     bad = (P < -PROB_TOL).any(axis=1) | ~(np.abs(P.sum(axis=1) - 1.0) <= PROB_TOL)
-    bad |= _off_regime(model, g)
+    bad |= _off_regime(model.regime, g)
     if model.regime == "D" and model.cost_bound is not None:
         bad |= np.abs(g) > model.cost_bound + PROB_TOL
     return bad
@@ -492,7 +492,7 @@ def validate_model(model: TotalCostModel) -> list[str]:
     def check_cost(value: float, where: str) -> None:
         if math.isnan(value):
             bad.append(f"{where}: cost is NaN")
-        elif _off_regime(model, np.float64(value)):
+        elif _off_regime(model.regime, np.float64(value)):
             bad.append(f"{_SIGN_RULE[model.regime]}: {where} = {value}")
         elif (model.regime == "D" and model.cost_bound is not None
               and abs(value) > model.cost_bound + PROB_TOL):
@@ -689,15 +689,16 @@ def regime_infinity(regime: str) -> float:
     return -INF if regime == "N" else INF
 
 
-def _off_regime(model: TotalCostModel, v: np.ndarray) -> np.ndarray:
+def _off_regime(regime: str, v: np.ndarray) -> np.ndarray:
     """Which entries of a numpy array or scalar (``~`` of a Python bool is
-    -2 or -1, both true) break the regime's sign rule: in D an infinity or
-    a NaN, in N a value not <= 0, in P one not >= 0 (NaN too)."""
-    if model.regime == "D":
+    -2 or -1, both true) break the sign rule of ``regime``: in D an
+    infinity or a NaN, in N a value not <= 0, in P one not >= 0 (NaN
+    too)."""
+    if regime == "D":
         return ~np.isfinite(v)
-    return ~(v <= 0.0) if model.regime == "N" else ~(v >= 0.0)
+    return ~(v <= 0.0) if regime == "N" else ~(v >= 0.0)
 
 
 def regime_conforming(model: TotalCostModel, J: np.ndarray) -> bool:
     """Whether J satisfies the regime's sign rule (`_off_regime`)."""
-    return not np.count_nonzero(_off_regime(model, np.asarray(J, dtype=float)))
+    return not np.count_nonzero(_off_regime(model.regime, np.asarray(J, dtype=float)))

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .extreal import INF, sup_dist
-from .model import AtomicMix, FamilyChoice, Policy, TotalCostModel
+from .model import AtomicMix, FamilyChoice, Policy, TotalCostModel, regime_infinity
 from .operators import bellman_T, bellman_T_mu, greedy_select, h_backup
 from .chains import evaluate_policy, state_marginal
 from .ftheta import Theta, f_theta_apply, q_fixed_point
@@ -447,10 +447,9 @@ def lemma_a1_oracle() -> Report:
             theta = Theta(policy, B)
             if regime == "D":
                 J = rng.uniform(-3.0, 3.0, size=model.num_states)
-            elif regime == "N":
-                J = -rng.uniform(0.0, 3.0, size=model.num_states)
-            else:
-                J = rng.uniform(0.0, 3.0, size=model.num_states)
+            else:  # on the side of zero of the regime's infinity
+                J = np.sign(regime_infinity(regime)) * rng.uniform(
+                    0.0, 3.0, size=model.num_states)
             swept = _f_theta_limit(model, theta, J)
             prob = build_stopping(model, theta, J)
             via_stop = reconstruct_q(prob, solve_stopping(prob).V)

@@ -3,10 +3,10 @@
 Covers classical value iteration, exact and modified policy iteration,
 near-optimal policy extraction, a certificate verifier that replays the
 convergence guarantees recorded in a trace, and mixed value-and-policy
-iteration: one loop with four Q-updates, namely nk powers of the
-parametrized evaluation operator, their masked form, its exact fixed
-point (the three of `mixed_vpi`) and, for nonnegative costs, the maximal
-solution of the stop/continue constraint program (`lp_variant_vpi`).
+iteration: one loop whose Q-update is nk powers of the parametrized
+evaluation operator (under a mask schedule or not), its exact fixed
+point (`mixed_vpi`) or, for nonnegative costs, the maximal solution of
+the stop/continue constraint program (`lp_variant_vpi`).
 
 ``run(model, config)`` picks the solver named by ``config.algorithm``.
 Every solver is deterministic given its configuration and returns a
@@ -23,7 +23,9 @@ raises SolverCapError, which carries the SolveResult it ends with.  In
 D, value iteration, optimistic policy iteration and the unmasked mixed
 loop stop on the MacQueen-Porteus bracket of a row and return its upper
 end, with its error bound (`_bracket_stop`); every other run stops on
-its residual.
+its residual, except that in D with finite costs, where J* and Q* are
+finite, no row whose iterate holds an infinity stops
+(`_stray_infinity`).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .ftheta import (
     Theta,
     _check_masks,
     _f_theta_power,
-    _masked_power,
+    _keep_unmasked,
     q_fixed_point,
 )
 from .model import Policy, TotalCostModel, policy_mix, regime_conforming, regime_infinity
@@ -143,9 +145,7 @@ class OccupationSupportB:
         if last_model is model and last_policy is policy:
             return last_B
         n = model.num_states
-        rho = np.full(n, 1.0 / n) if self.rho is None else np.asarray(self.rho, dtype=float)
-        if rho.shape != (n,):
-            raise ValueError(f"rho has shape {rho.shape}, the model wants {(n,)}")
+        rho = np.full(n, 1.0 / n) if self.rho is None else _vector(self.rho, "rho", n)
         if (1.0 - self.beta) * rho.min() > self.threshold:
             B = model.state_set
         else:
@@ -556,14 +556,13 @@ class SolveResult:
         return self.termination in ("converged", "optimal-certified", "stuck")
 
 
-def _truth(values, name: str, size: int) -> np.ndarray:
-    """Ground truth as a float vector of ``size`` entries; ValueError
-    naming both shapes otherwise."""
-    star = np.asarray(values, dtype=float)
-    if star.shape != (size,):
-        raise ValueError(f"ground truth {name} has shape {star.shape}, "
-                         f"the model wants {(size,)}")
-    return star
+def _vector(values, name: str, size: int) -> np.ndarray:
+    """``values`` as a float vector of ``size`` entries, one per state or
+    per pair of the model; ValueError naming both shapes otherwise."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"{name} has shape {v.shape}, the model wants {(size,)}")
+    return v
 
 
 # Rows whose ground-truth columns wait for one stacked fill.  Held memory
@@ -610,9 +609,9 @@ class _Recorder:
         self.Jstar = self.Qstar = None
         if config.ground_truth is not None:
             Jstar, Qstar = config.ground_truth
-            self.Jstar = _truth(Jstar, "Jstar", model.num_states)
+            self.Jstar = _vector(Jstar, "ground truth Jstar", model.num_states)
             if Qstar is not None:
-                self.Qstar = _truth(Qstar, "Qstar", model.num_pairs())
+                self.Qstar = _vector(Qstar, "ground truth Qstar", model.num_pairs())
         J0 = None if J0 is None else np.array(J0, dtype=float)
         Q0 = None if Q0 is None else np.array(Q0, dtype=float)
         self.columns = TraceColumns(iterates)
@@ -765,6 +764,15 @@ def _brackets(model: TotalCostModel, config: SolverConfig) -> bool:
             and model.pair_costs_finite and config.masks is None)
 
 
+def _stray_infinity(model: TotalCostModel, v: np.ndarray) -> bool:
+    """Whether an iterate v of a discounted run with finite costs holds an
+    infinity.  J* and Q* are finite there, so such a row must not meet the
+    residual stop: a residual of 0 between equal infinities proves
+    nothing.  Callers scan only a row within tol off the finite path."""
+    return (model.regime == "D" and model.pair_costs_finite
+            and np.count_nonzero(np.isinf(v)) > 0)
+
+
 def _bracket_stop(model: TotalCostModel, TJ: np.ndarray, J: np.ndarray, lo: float,
                   hi: float, settled: bool, tol: float
                   ) -> tuple[np.ndarray, float] | tuple[None, None] | None:
@@ -860,7 +868,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
     finite values, so that continuum infima see the true finite iterates
     (the gap of FX-P3a from zero), each row reports a pinned copy, and
     from row 2 on the residual is taken over the states not pinned.  A discounted
-    run stops on the residual only off the finite path; a finite row
+    run stops on the residual only off the finite path, and not at a J
+    that holds an infinity (`_stray_infinity`); a finite row
     stops on the bracket of T(J) (`_bracket_stop`), from the min and max
     of its increment T(J) - J, and the run returns the bracket's upper
     end with its error bound; where tol is below what the row's rounding
@@ -947,7 +956,8 @@ def value_iteration(model: TotalCostModel, J0: np.ndarray,
             if stop is not None:
                 U, bound = stop
                 return rec.finish("converged", J if U is None else U, error_bound=bound)
-        elif config.stop_on_tol and res <= config.tol:
+        elif (config.stop_on_tol and res <= config.tol
+              and (finite or not _stray_infinity(model, reported))):
             return rec.finish("converged", reported, divergent=frozenset(divergent_states))
     bound = {"nondecreasing": "lower", "nonincreasing": "upper"}.get(direction or "")
     return rec.finish("cap", reported, bound, divergent=frozenset(divergent_states))
@@ -1050,7 +1060,9 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
     J_greedy + c max(d) with its error bound and the row's policy, which
     is greedy for J and so costs at most that end.  Where tol is below
     what the row's rounding allowance can certify, it stops on the
-    residual after all, with no bound.
+    residual after all, with no bound.  Off the finite path a J_greedy
+    that holds an infinity does not stop a discounted run
+    (`_stray_infinity`).
 
     Each row records the evaluation iterate and the improvement-time
     value M(h_backup(J)) as ``J_eval``/``J_greedy``, copied into a row of
@@ -1101,7 +1113,8 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
                 U, bound = stop
                 return rec.finish("converged", J_greedy if U is None else U, policy=mu,
                                   error_bound=bound)
-        elif config.stop_on_tol and res <= config.tol:
+        elif (config.stop_on_tol and res <= config.tol
+              and (finite or not _stray_infinity(model, J_greedy))):
             return rec.finish("converged", J_greedy, policy=mu)
     return rec.finish("cap", J_greedy, policy=mu)
 
@@ -1112,8 +1125,8 @@ def modified_policy_iteration(model: TotalCostModel, mu0: Policy, J0: np.ndarray
 
 def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     """Mixed value-and-policy iteration (`_mixed_loop`) whose Q-update is
-    nk powers of the parametrized evaluation operator, their asynchronous
-    masked form under a mask schedule, or the exact fixed point
+    nk powers of the parametrized evaluation operator, merged with the
+    last Q and J under a mask schedule, or the exact fixed point
     (``nk="exact"``).  A mask schedule (`SolverConfig`) is refused before
     the first row if a row's lengths do not fit the model or if its rows
     together leave out a pair or a state (`_check_schedule`).
@@ -1128,9 +1141,7 @@ def mixed_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     check_admits("mixed", model)
     if config.masks is not None:
         _check_schedule(model, config.masks)
-    update = (_masked_update if config.masks is not None
-              else _exact_update if config.nk == "exact" else _power_update)
-    return _mixed_loop(model, config, "mixed", update)
+    return _mixed_loop(model, config, "mixed")
 
 
 def _check_schedule(model: TotalCostModel, masks) -> None:
@@ -1163,19 +1174,20 @@ def lp_variant_vpi(model: TotalCostModel, config: SolverConfig) -> SolveResult:
     Q_{k+1} <= F(Q_{k+1}; J_k), with margins in ``extra``.
     """
     check_admits("lp", model)
-    return _mixed_loop(model, config, "lp", _program_update)
+    return _mixed_loop(model, config, "lp")
 
 
-def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
-                update) -> SolveResult:
+def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str) -> SolveResult:
     """The loop of mixed and lp.  Per iteration: pick the policy (the
     initial one at k = 0, if given, else greedy from Q with the configured
     epsilon, reusing M(Q) when the last iteration took it, and keeping the
-    policy and its Theta while the choice repeats), resolve B, and let
-    ``update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next,
-    first)`` write Q_next and J_next and return (operator count, M(Q_next)
-    or None when J_next is a masked update's own J, lp's row columns).
-    J becomes the clamped J_next.  In D without a mask schedule, a row
+    policy and its Theta while the choice repeats), resolve B, and write
+    Q_next: lp's constraint bound (`lp_upper_bound`), the exact fixed
+    point (`q_fixed_point`, nk = "exact") or nk powers of F_theta; a new
+    Q-update is one more branch there.  J_next = M(Q_next) is taken at
+    one site and clamped.  A mask row merges around it as `masked_update`
+    does (`ftheta._keep_unmasked`): the pairs it leaves out keep Q before
+    M, the states it leaves out keep J after.  In D without a mask schedule, a row
     on the finite path stops on the bracket of its J (`_bracket_stop`),
     which holds for any J, clamped or epsilon-greedy ones too.  The
     bracket backs up H(J) once, not counted in the op count, into the
@@ -1194,7 +1206,9 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     of the mask schedule (one row without masks): a masked
     row moves only the pairs and states its masks set, so a quiet row
     alone shows nothing about the others, while a whole cycle updates
-    every one (`mixed_vpi` refuses a schedule that does not).  lp records
+    every one (`mixed_vpi` refuses a schedule that does not).  In D with
+    finite costs a row whose [J | Q] holds an infinity is never quiet
+    (`_stray_infinity`): J* and Q* are finite there.  lp records
     no envelope, start dominance or snapshots, adds ``cone_margin``
     (max(J_k - c Jstar) for J0's cone multiplier c), and its capped
     iterate is a lower bound.  A J0, Q0, clamp_lo or clamp_hi of another
@@ -1214,11 +1228,10 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     row, where an unpinned one runs on to its cap, a lower bound.
 
     Each row's [J | Q] is one buffer of n + pairs floats, a row of the
-    trace's block (mixed) or a fresh array (lp), and every update writes
-    into its halves J_next and Q_next: the power its last backup into the
-    Q half (`_f_theta_power`'s ``out``), M(Q) goes into the J half and the
-    clamp runs there in place, and the masked, exact and lp updates copy
-    their fresh results in.  The N/P envelope steps by the checked
+    trace's block (mixed) or a fresh array (lp): the power writes its
+    last backup into the Q half (`_f_theta_power`'s ``out``), the exact
+    and lp updates copy theirs in, M(Q) goes into the J half, and the
+    mask row and the clamp run in place.  The N/P envelope steps by the checked
     `_bellman_T`, whose scan for infinities is the only one it takes,
     and the recorder fills each row's upper_margin against it by
     block.  Both residuals are
@@ -1226,8 +1239,9 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     (`sup_dist_segments`, each entry its half's `sup_dist` bit for bit).
     No later row writes into a row's buffer, and the result holds copies
     of its own.  What stays fixed
-    for the solve is taken once: the clamp bounds as float arrays, an
-    int nk, and the text of the policy and of B once per Theta.
+    for the solve is taken once: the start and the clamp bounds as float
+    arrays of the model's lengths (`_vector`), an int nk, and the text of
+    the policy and of B once per Theta.
 
     Finiteness is decided once per solve and carried in the residuals.
     The run starts finite when the pair costs, J0 and Q0 are finite, no
@@ -1252,17 +1266,13 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     lp = algorithm == "lp"
     n = model.num_states
     size = n + model.num_pairs()
-    for name, given, length in (("J0", config.J0, n), ("Q0", config.Q0, size - n),
-                                ("clamp_lo", config.clamp_lo, n),
-                                ("clamp_hi", config.clamp_hi, n)):
-        if given is not None and np.shape(given) != (length,):
-            raise ValueError(f"{name} has shape {np.shape(given)}, "
-                             f"the model wants {(length,)}")
-    lo, hi = (None if bound is None else np.asarray(bound, dtype=float)
-              for bound in (config.clamp_lo, config.clamp_hi))
+    J0, Q0, lo, hi = (None if given is None else _vector(given, name, length)
+                      for name, given, length in (("J0", config.J0, n),
+                                                  ("Q0", config.Q0, size - n),
+                                                  ("clamp_lo", config.clamp_lo, n),
+                                                  ("clamp_hi", config.clamp_hi, n)))
     # [J | Q] of the current iterate, and its two halves
-    JQ = np.concatenate((np.asarray(config.J0, dtype=float),
-                         np.asarray(config.Q0, dtype=float)))
+    JQ = np.concatenate((J0, Q0))
     J, Q = JQ[:n], JQ[n:]
     halves = np.array([0, n])
     envelope = None if lp or model.regime == "D" else _bellman_T(model, J)
@@ -1282,6 +1292,7 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
     cone = (None if c is None or not np.isfinite(c)
             else np.zeros(J.shape) if c == 0.0 else c * rec.Jstar)
     nk = config.nk if isinstance(config.nk, int) else None
+    exact = config.nk == "exact"
     resolve, epsilon, tol = config.bstrategy.resolve, config.epsilon, config.tol
     policy = config.initial_policy
     theta = policy_text = b_text = None
@@ -1306,9 +1317,23 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         if nxt is None:
             nxt = np.empty(size) if lp else rec.block_row()
         J_next, Q_next = nxt[:n], nxt[n:]
-        ops, qmin, columns = update(model, config, k, config.nk_at(k) if nk is None else nk,
-                                    theta, Q, J, finite, J_next, Q_next, first)
+        if lp or exact:
+            program = lp_upper_bound(model, theta, J) if lp else None
+            Q_fix, cert = q_fixed_point(model, theta, J)
+            Q_new = Q_next[...] = program.Qbar if lp else Q_fix
+            ops = cert.iterations + (program.certificate.iterations if lp else 0)
+        else:
+            Q_new, ops = _f_theta_power(model, theta, Q, J, config.nk_at(k) if nk is None
+                                        else nk, finite, Q_next, first)
         rec.trace.op_count += ops
+        if config.masks is not None:  # the pairs the row leaves out keep Q, before M
+            pair_mask, state_mask = config.masks[k % cycle]
+            _keep_unmasked(Q_next, Q, pair_mask)
+        if Q_new is not first:  # else the power stopped at the bracket's H(J): T(J) is made
+            _segment_min(model, Q_next, J_next)
+        qmin = J_next if config.masks is None else None  # M(Q_next), for the next selection
+        if config.masks is not None:  # and the states it leaves out keep J, after M
+            _keep_unmasked(J_next, J, state_mask)
         if lo is not None or hi is not None:
             qmin = None if qmin is None else qmin.copy()
             _clamp(J_next, lo, hi)
@@ -1320,7 +1345,8 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
         if envelope is not None and k:
             envelope = _bellman_T(model, envelope)
         if lp:
-            extra = {"residual_Q": res_Q, **columns,
+            extra = {"residual_Q": res_Q, "ineq_lower_margin": margin_leq(Q_fix, Q_new),
+                     "ineq_upper_margin": program.certificate.upper_margin,
                      "cone_margin": None if cone is None else margin_leq(J, cone)}
         else:
             extra = {"residual_Q": res_Q, "powers": ops}
@@ -1342,51 +1368,11 @@ def _mixed_loop(model: TotalCostModel, config: SolverConfig, algorithm: str,
                 return rec.finish("converged", U, Q=Q, policy=_greedy_select(
                     model, Q, 0.0, None, policy, True), error_bound=bound)
         else:
-            quiet = quiet + 1 if max(res_J, res_Q) <= tol else 0
+            quiet = (quiet + 1 if max(res_J, res_Q) <= tol
+                     and (finite or not _stray_infinity(model, JQ)) else 0)
             if config.stop_on_tol and quiet >= cycle:
                 return rec.finish("converged", J, Q=Q, policy=policy)
     return rec.finish("cap", J, "lower" if lp else None, Q=Q, policy=policy)
-
-
-# The Q-updates of `_mixed_loop`, called with the row's power count nk, the
-# halves J_next, Q_next of its buffer and the bracket's H(J) (``first``,
-# in Q_next's memory, or None).  Each writes Q_next and J_next and returns
-# its operator count, M(Q_next) (J_next itself) or None when J_next is
-# the masked update's own J, and lp's row columns.  The three of
-# `mixed_vpi` have one row column, ``powers``: their operator count,
-# which the loop writes itself, so they return None for the columns.
-
-
-def _power_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
-    Q_new, powers = _f_theta_power(model, theta, Q, J, nk, finite, Q_next, first)
-    # a power that stopped at the bracket's H(J) finds M(H(J)) = T(J) in J_next
-    qmin = J_next if Q_new is first else _segment_min(model, Q_next, J_next)
-    return powers, qmin, None
-
-
-def _masked_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
-    pair_mask, state_mask = config.masks[k % len(config.masks)]
-    Q_new, J_new, powers = _masked_power(model, theta, Q, J, pair_mask, state_mask,
-                                         nk, finite)
-    Q_next[...] = Q_new
-    J_next[...] = J_new
-    return powers, None, None
-
-
-def _exact_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
-    Q_fix, cert = q_fixed_point(model, theta, J)
-    Q_next[...] = Q_fix
-    return cert.iterations, _segment_min(model, Q_next, J_next), None
-
-
-def _program_update(model, config, k, nk, theta, Q, J, finite, J_next, Q_next, first):
-    bound = lp_upper_bound(model, theta, J)
-    Q_fix, cert = q_fixed_point(model, theta, J)
-    Q_next[...] = bound.Qbar
-    columns = {"ineq_lower_margin": margin_leq(Q_fix, bound.Qbar),   # <= 0: above Q_fix
-               "ineq_upper_margin": bound.certificate.upper_margin}  # >= 0: below F
-    return (cert.iterations + bound.certificate.iterations,
-            _segment_min(model, Q_next, J_next), columns)
 
 
 def _clamp(J: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None) -> None:
@@ -1581,7 +1567,11 @@ def verify_certificates(model: TotalCostModel, trace: IterationTrace,
         # in the last bit
         powers = np.fromiter(map(pow, itertools.repeat(alpha),
                                  columns.column("k")[known].tolist()), float)
-        margins = dist[known] - (powers * trace.dist0 + 1e-12)
+        # the bound alpha^k dist0 with 0 * inf = 0, and the margin by xdiff,
+        # so that an infinite dist0 forms neither 0 * inf nor inf - inf
+        bound = np.multiply(powers, trace.dist0, out=np.zeros(powers.shape),
+                            where=powers != 0.0)
+        margins = xdiff(dist[known], bound + 1e-12)
         margins = margins[~np.isnan(margins)]
         worst = _first_max(margins) if margins.size else -INF
         checks.append(CheckResult(

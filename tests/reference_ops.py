@@ -1094,6 +1094,14 @@ def _bracket_rows(model: TotalCostModel, stop_on_tol: bool, masks=None) -> bool:
             and bool(np.isfinite(model.pair_costs).all()) and masks is None)
 
 
+def _settles(model: TotalCostModel, within_tol: bool, *iterates: np.ndarray) -> bool:
+    """Whether a row within tol may stop a run on its residual: not in D
+    with finite costs while an iterate holds an infinity, since J* and
+    Q* are finite there."""
+    return within_tol and not (model.regime == "D" and np.isfinite(model.pair_costs).all()
+                               and any(np.isinf(v).any() for v in iterates))
+
+
 def pinned_states(model: TotalCostModel, J0: np.ndarray) -> np.ndarray:
     """The states an undiscounted run from J0 pins at the regime-signed
     infinity: `TotalCostModel.infinite_optimum`, unless J0 bounds J* (in
@@ -1118,7 +1126,7 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
     regime-signed infinity from the first row on, and the residual over
     every state (on a model with affine families, from row 2 on, over
     the states not pinned).  With ``stop_on_tol`` the run stops at the
-    first residual <= tol, but a discounted run on an atomic model with finite
+    first residual <= tol that `_settles`, but a discounted run on an atomic model with finite
     costs stops on `bracket_answer` instead while J_0, ..., J_k are all
     finite (where it stops on the residual after all, there is no
     answer).  On an atomic-only model the pinned states are written into
@@ -1146,7 +1154,7 @@ def value_iteration_rows(model: TotalCostModel, J0: np.ndarray, max_iter: int,
             answer = bracket_answer(model, J, nxt, res <= tol, tol)
             if answer is not None:
                 return rows, None if answer[0] is None else answer
-        elif stop_on_tol and res <= tol:
+        elif stop_on_tol and _settles(model, res <= tol, reported):
             break
         J = nxt
     return rows, None
@@ -1160,7 +1168,8 @@ def mixed_rows(model: TotalCostModel, config
     greedy policy of Q (the initial policy at k = 0, if given), B from
     the configured strategy, nk powers of F_theta and J = M(Q), or under
     a mask schedule the masked coordinates of both; J clamped.  The run
-    stops once a whole cycle of the schedule has rows within tol; a
+    stops once a whole cycle of the schedule has rows within tol that
+    `_settles`; a
     discounted unmasked run with finite costs stops instead on
     `bracket_answer` of J and `bellman_T(J)` while every J and Q so far
     is finite, and answers the upper end, its `h_backup` and the policy
@@ -1212,7 +1221,7 @@ def mixed_rows(model: TotalCostModel, config
                 break
             Q_U = operators.h_backup(model, U)
             return rows, (U, Q_U, operators.greedy_select(model, Q_U, keep=policy), bound)
-        quiet = quiet + 1 if max(res_J, res_Q) <= config.tol else 0
+        quiet = quiet + 1 if _settles(model, max(res_J, res_Q) <= config.tol, J, Q) else 0
         if quiet >= cycle:
             break
     return rows, None
@@ -1256,7 +1265,7 @@ def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
     J, backs the result up (`h_backup`), selects greedily with the
     current policy as ``keep``, and takes M(Q) and its distance to the
     last row's; with ``config.stop_on_tol`` the run stops at the first
-    residual <= tol.  A discounted run with finite costs stops instead
+    residual <= tol that `_settles`.  A discounted run with finite costs stops instead
     on `bracket_answer` of J_eval and J_greedy = T(J_eval) while every
     J_greedy so far is finite."""
     J = np.array(J0, dtype=float)
@@ -1280,7 +1289,7 @@ def optimistic_rows(model: TotalCostModel, mu0: Policy, J0: np.ndarray, config
             answer = bracket_answer(model, J, J_greedy, res <= config.tol, config.tol)
             if answer is not None:
                 return rows, "converged", ops, None if answer[0] is None else answer
-        elif config.stop_on_tol and res <= config.tol:
+        elif config.stop_on_tol and _settles(model, res <= config.tol, J_greedy):
             return rows, "converged", ops, None
     return rows, "cap", ops, None
 

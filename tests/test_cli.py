@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -71,6 +73,20 @@ class TestSolve:
                                    "--j0", "zero", "--max-iter", "400"])
         assert out.exit_code == 0
         assert "differs from the declared optimum at state '2'" in out.output
+
+    def test_vi_from_infinity_in_d_ends_at_its_cap_without_a_warning(self, runner,
+                                                                     tmp_path):
+        # J* of FX-D is finite, so the all-+inf fixed point of T is no
+        # answer; 10,000 rows take alpha^k to 0, so the certificate's rate
+        # bound meets dist0 = inf both as inf and as 0 * inf
+        path = _write_fixture(tmp_path, "FX-D")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = runner.invoke(main, ["solve", str(path), "--algorithm", "vi",
+                                       "--j0", "inf"])
+        assert out.exit_code == 1 and isinstance(out.exception, SystemExit), out.output
+        assert "termination: cap" in out.output
+        assert "did not reach the tolerance" in out.output
 
     def test_mixed_writes_reparsable_trace(self, runner, tmp_path):
         path = _write_fixture(tmp_path, "FX-P4")

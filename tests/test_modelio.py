@@ -760,16 +760,19 @@ def model_documents(draw):
         if not lists:
             continue
         control, trans = draw(st.sampled_from(lists))
+        # a spoil earlier in this loop may have replaced an entry by a
+        # literal: only the entries that are still objects can be spoiled
+        entries = [e for e in trans if isinstance(e, dict)]
         if kind == "no-cost":
             control.pop("cost", None)
         elif kind == "cost-literal":
             control["cost"] = draw(st.sampled_from(_LITERALS))
         elif kind == "not-a-list":
             control["transitions"] = draw(st.sampled_from([{"s0": 1.0}, 1.0, None]))
-        elif not trans:  # no entry to spoil: an unknown field instead
+        elif not entries:  # no entry to spoil: an unknown field instead
             control[draw(st.sampled_from(["wat", "zz"]))] = 1
         else:
-            e = draw(st.sampled_from(trans))
+            e = draw(st.sampled_from(entries))
             if kind == "unknown":
                 e["state"] = draw(st.sampled_from(["nowhere", 99, 1.0, ["s0"]]))
             elif kind == "numeric":

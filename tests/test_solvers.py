@@ -26,6 +26,7 @@ from totaldp.solvers import (
     Q_SNAPSHOT,
     SolverCapError,
     SolverConfig,
+    SolveResult,
     TraceRow,
     cone_multiplier,
     extract_policy_discounted,
@@ -1668,3 +1669,60 @@ class TestEmptyModel:
             value_iteration(model, np.zeros(0))
         with pytest.raises(ValueError, match="^the model has no state$"):
             mixed_vpi(model, SolverConfig(algorithm="mixed", J0=np.zeros(0), Q0=np.zeros(0)))
+
+
+class TestDiscountedInfiniteStarts:
+    """In D with finite costs J* and Q* are finite, so a row whose J (or,
+    in the mixed loop, Q) holds an infinity never meets the residual
+    stop: a residual of 0 between equal infinities proves nothing.  From
+    an infinite start that stays infinite a run ends at its cap, not
+    "converged" at +inf.  FX-D has J* ~ (5.79, 4.86, 4.49)."""
+
+    @staticmethod
+    def _capped(solve) -> SolveResult:
+        with pytest.raises(SolverCapError) as err:
+            solve()
+        res = err.value.result
+        assert res.termination == "cap" and np.isinf(res.J).any()
+        return res
+
+    @pytest.mark.parametrize("J0", [[INF] * 3, [INF, 0.0, 0.0]], ids=["all-inf", "one-inf"])
+    def test_value_iteration_caps(self, J0):
+        model = fixture("FX-D").model
+        res = self._capped(lambda: value_iteration(
+            model, np.array(J0), SolverConfig(algorithm="vi", max_iter=40)))
+        assert len(res.trace.rows) == 40
+
+    def test_optimistic_policy_iteration_caps(self):
+        model = fixture("FX-D").model
+        self._capped(lambda: modified_policy_iteration(
+            model, Policy.deterministic(model, [0, 0, 0]), np.full(3, INF),
+            SolverConfig(algorithm="mpi", nk=3, max_iter=40)))
+
+    def test_mixed_from_infinite_J0_and_Q0_caps(self):
+        model = fixture("FX-D").model
+        J0 = np.full(3, INF)
+        res = self._capped(lambda: mixed_vpi(model, SolverConfig(
+            algorithm="mixed", J0=J0, Q0=h_backup(model, J0), max_iter=40)))
+        assert np.isinf(res.Q).all()
+
+    def test_mixed_from_infinite_J0_and_finite_Q0_converges(self):
+        fx = fixture("FX-D")
+        res = mixed_vpi(fx.model, SolverConfig(
+            algorithm="mixed", J0=np.full(3, INF), Q0=np.zeros(fx.model.num_pairs())))
+        assert res.termination == "converged"
+        assert sup_dist(res.J, fx.Jstar) <= 1e-8 and np.isfinite(res.Q).all()
+
+    def test_certificates_of_an_infinite_start_form_no_nan(self):
+        # alpha^k underflows to 0 within the run, so the rate bound meets
+        # dist0 = inf both as inf and as 0 * inf
+        fx = fixture("FX-D")
+        res = value_iteration(fx.model, np.full(3, INF), SolverConfig(
+            algorithm="vi", max_iter=7200, stop_on_tol=False,
+            ground_truth=(fx.Jstar, None)))
+        assert res.trace.dist0 == INF and 0.9 ** 7200 == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = verify_certificates(fx.model, res.trace, (fx.Jstar, None))
+        (check,) = report.checks
+        assert check.name == "geometric-rate" and check.margin == INF and not check.passed
